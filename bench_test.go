@@ -247,6 +247,42 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 	})
 }
 
+// BenchmarkStage times single pipeline stages at the workloads' default
+// sizes, each with every upstream artifact served from a pre-warmed
+// in-memory Cache, so an iteration is the stage itself plus the cache hits
+// that feed it. "target" runs every registered backend; its workloads are
+// the two whose Ball-Larus path-ID spaces are sparse and large (186.crafty,
+// 458.sjeng) and a dense one (164.gzip). scripts/bench.sh records ns/op
+// and allocs/op for each.
+func BenchmarkStage(b *testing.B) {
+	cfg := pipeline.DefaultConfig()
+	b.Run("target", func(b *testing.B) {
+		for _, name := range []string{"186.crafty", "458.sjeng", "164.gzip"} {
+			b.Run(name, func(b *testing.B) {
+				p, err := workloads.ByName(name).Program(0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				opts := pipeline.RunOptions{Store: pipeline.NewCache()}
+				if _, err := pipeline.Run(p, cfg, opts); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					a, err := pipeline.Run(p, cfg, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(a.Target.Reports) == 0 {
+						b.Fatal("no target reports")
+					}
+				}
+			})
+		}
+	})
+}
+
 // ---- micro-benchmarks of the pipeline building blocks ----
 
 // BenchmarkCapture measures the system-simulator capture alone — the
@@ -503,6 +539,7 @@ func BenchmarkAblationPredictorPolicy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	rp := sim.NewReplay(tr)
 	preds := []struct {
 		name string
 		mk   func() spec.Predictor
@@ -515,7 +552,7 @@ func BenchmarkAblationPredictorPolicy(b *testing.B) {
 		b.Run(pd.name, func(b *testing.B) {
 			var imp float64
 			for i := 0; i < b.N; i++ {
-				res := sim.Evaluate(tr, tgt, pd.mk(), cfg)
+				res := sim.Evaluate(rp, tgt, pd.mk(), cfg)
 				imp = res.Improvement
 			}
 			b.ReportMetric(imp*100, "improvement-%")

@@ -33,7 +33,7 @@ import (
 )
 
 // codecVersion versions every on-disk artifact payload.
-const codecVersion = 1
+const codecVersion = 2
 
 func gobEncode(v any) ([]byte, error) {
 	var buf bytes.Buffer

@@ -67,33 +67,10 @@ type FunctionProfile struct {
 	BlockCounts []int64 // indexed by block index
 
 	byID map[int64]*Path
-
-	opsD []int64 // lazy dense path-ID -> op count mirror (DenseOps)
 }
 
 // PathByID returns the executed path with the given ID, or nil.
 func (fp *FunctionProfile) PathByID(id int64) *Path { return fp.byID[id] }
-
-// DenseOps returns a path-ID-indexed array of per-path dynamic op counts,
-// or nil when the function's path-ID space is larger than maxPaths. The
-// array is built once and shared: every offload target evaluated against
-// this profile replays the same trace, so per-target copies would only
-// multiply identical allocations. Not safe for concurrent first calls; the
-// evaluation pipeline builds targets sequentially per function.
-func (fp *FunctionProfile) DenseOps(maxPaths int64) []int64 {
-	if fp.opsD != nil {
-		return fp.opsD
-	}
-	n := fp.DAG.NumPaths()
-	if n <= 0 || n > maxPaths {
-		return nil
-	}
-	fp.opsD = make([]int64, n)
-	for _, p := range fp.Paths {
-		fp.opsD[p.ID] = p.Ops
-	}
-	return fp.opsD
-}
 
 // Collector gathers a function profile across any number of interpreter
 // runs. Create with NewCollector, then either drive it with Run/RunTimed

@@ -34,7 +34,7 @@ func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, e
 	var histBefore uint64
 	collector.SetOnPath(func(id int64) {
 		now := model.Cycles()
-		tr.Occ = append(tr.Occ, Occurrence{Path: id, Hist: histBefore, Cycles: now - lastCycles})
+		tr.Occ = append(tr.Occ, Occurrence{Hist: histBefore, Cycles: now - lastCycles})
 		lastCycles = now
 		histBefore = hist.H
 	})

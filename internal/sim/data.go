@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"encoding/binary"
+	"fmt"
+
 	"needle/internal/ir"
 	"needle/internal/mem"
 	"needle/internal/ooo"
@@ -14,7 +17,10 @@ import (
 // against a (re-parsed or rebuilt) function.
 type TraceData struct {
 	Profile *profile.Data
-	Occ     []Occurrence
+	// Occ packs the occurrences in trace order, each as uvarint(Hist) then
+	// varint(Cycles). Their paths are not repeated: occurrence i executed
+	// Profile.Trace[i], so the trace fixes the occurrence count.
+	Occ []byte
 
 	BaselineCycles   int64
 	BaselineEnergyPJ float64
@@ -26,7 +32,7 @@ type TraceData struct {
 func (tr *Trace) Data() *TraceData {
 	return &TraceData{
 		Profile:          tr.Profile.Data(),
-		Occ:              tr.Occ,
+		Occ:              packOccurrences(tr.Occ),
 		BaselineCycles:   tr.BaselineCycles,
 		BaselineEnergyPJ: tr.BaselineEnergyPJ,
 		Mix:              tr.Mix,
@@ -44,13 +50,53 @@ func TraceFromData(am *pm.Manager, f *ir.Function, d *TraceData) (*Trace, error)
 	if err != nil {
 		return nil, err
 	}
+	occ, err := unpackOccurrences(d.Occ, len(fp.Trace))
+	if err != nil {
+		return nil, err
+	}
 	return &Trace{
 		Profile:          fp,
-		Occ:              d.Occ,
+		Occ:              occ,
 		AM:               am,
 		BaselineCycles:   d.BaselineCycles,
 		BaselineEnergyPJ: d.BaselineEnergyPJ,
 		Mix:              d.Mix,
 		CacheStats:       d.CacheStats,
 	}, nil
+}
+
+// packOccurrences encodes occ in the TraceData.Occ layout.
+func packOccurrences(occ []Occurrence) []byte {
+	// Histories fill their 64-bit register after 64 branches and then take
+	// up to 10 bytes; cycle deltas take one or two. The workloads average
+	// about 11 bytes per occurrence.
+	buf := make([]byte, 0, 12*len(occ))
+	for _, o := range occ {
+		buf = binary.AppendUvarint(buf, o.Hist)
+		buf = binary.AppendVarint(buf, o.Cycles)
+	}
+	return buf
+}
+
+// unpackOccurrences decodes exactly n occurrences from the TraceData.Occ
+// layout into one exact-size slice, rejecting truncated or trailing bytes.
+func unpackOccurrences(buf []byte, n int) ([]Occurrence, error) {
+	occ := make([]Occurrence, n)
+	for i := range occ {
+		h, k := binary.Uvarint(buf)
+		if k <= 0 {
+			return nil, fmt.Errorf("sim: packed occurrence %d of %d is truncated or malformed", i, n)
+		}
+		buf = buf[k:]
+		c, k := binary.Varint(buf)
+		if k <= 0 {
+			return nil, fmt.Errorf("sim: packed occurrence %d of %d is truncated or malformed", i, n)
+		}
+		buf = buf[k:]
+		occ[i] = Occurrence{Hist: h, Cycles: c}
+	}
+	if len(buf) != 0 {
+		return nil, fmt.Errorf("sim: %d trailing bytes after %d packed occurrences", len(buf), n)
+	}
+	return occ, nil
 }

@@ -1,0 +1,248 @@
+package sim
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"needle/internal/energy"
+	"needle/internal/interp"
+	"needle/internal/ir"
+	"needle/internal/irgen"
+	"needle/internal/profile"
+	"needle/internal/region"
+	"needle/internal/spec"
+	"needle/internal/workloads"
+)
+
+// refTarget is a target in the form the reference replay reads: acceptance,
+// opportunity and per-path op counts keyed by Ball-Larus path ID. The
+// region, frame and schedule come from the rank-indexed target under test.
+type refTarget struct {
+	*Target
+	accepts map[int64]bool
+	isOpp   map[int64]bool
+	ops     map[int64]int64
+}
+
+func newRefTarget(fp *profile.FunctionProfile, tgt *Target, accepts func(p *profile.Path) bool) refTarget {
+	rt := refTarget{Target: tgt, accepts: map[int64]bool{}, isOpp: map[int64]bool{}, ops: map[int64]int64{}}
+	for _, p := range fp.Paths {
+		rt.accepts[p.ID] = accepts(p)
+		rt.ops[p.ID] = p.Ops
+		if tgt.fullExec {
+			rt.isOpp[p.ID] = rt.accepts[p.ID]
+		} else {
+			rt.isOpp[p.ID] = len(p.Blocks) > 0 && p.Blocks[0] == tgt.Region.Entry
+		}
+	}
+	return rt
+}
+
+// referenceEvaluate is the replay with targets keyed by path ID: three map
+// lookups per occurrence, whatever the path-ID space. Evaluate must match
+// it exactly.
+func referenceEvaluate(tr *Trace, tgt refTarget, pred spec.Predictor, cfg Config) Result {
+	res := Result{
+		Predictor:        pred.Name(),
+		BaselineCycles:   tr.BaselineCycles,
+		BaselineEnergyPJ: tr.BaselineEnergyPJ,
+	}
+	if tr.BaselineCycles == 0 {
+		return res
+	}
+	perOpPJ := energy.PerOpPJ(cfg.CPU, tr.Mix, tr.CacheStats)
+	oracle, isOracle := pred.(*spec.Oracle)
+	var cycles, acceleratedWeight int64
+	energyPJ := tr.BaselineEnergyPJ
+	reconfigured, inRun := false, false
+	for i, occ := range tr.Occ {
+		id := tr.Profile.Trace[i]
+		if !tgt.isOpp[id] {
+			cycles += occ.Cycles
+			inRun = false
+			continue
+		}
+		res.Opportunities++
+		success := tgt.accepts[id]
+		if isOracle {
+			oracle.SetNext(success)
+		}
+		if pred.Predict(occ.Hist) {
+			res.Invocations++
+			if !reconfigured {
+				cycles += cfg.CGRA.ReconfigCycles
+				reconfigured = true
+			}
+			occOps := tgt.ops[id]
+			if success {
+				res.Successes++
+				if inRun {
+					cycles += tgt.Sched.II
+				} else {
+					cycles += tgt.Sched.InvokeCycles()
+					energyPJ += tgt.Sched.TransferPJ
+					inRun = true
+				}
+				execOps := occOps
+				if tgt.fullExec {
+					execOps = int64(len(tgt.Frame.Ops))
+				}
+				energyPJ -= float64(occOps) * perOpPJ
+				energyPJ += tgt.Sched.InvokeEnergyPJ(execOps)
+				acceleratedWeight += occOps
+			} else {
+				cycles += tgt.Sched.FailCycles() + occ.Cycles
+				energyPJ += tgt.Sched.FailEnergyPJ() + tgt.Sched.TransferPJ
+				inRun = false
+			}
+		} else {
+			cycles += occ.Cycles
+			inRun = false
+		}
+		pred.Update(occ.Hist, success)
+	}
+	res.OffloadCycles = cycles
+	res.Improvement = float64(tr.BaselineCycles-cycles) / float64(tr.BaselineCycles)
+	res.OffloadEnergyPJ = energyPJ
+	res.EnergyReduction = energy.Reduction(tr.BaselineEnergyPJ, energyPJ)
+	if res.Invocations > 0 {
+		res.Precision = float64(res.Successes) / float64(res.Invocations)
+	}
+	if tr.Profile.TotalWeight > 0 {
+		res.Coverage = float64(acceleratedWeight) / float64(tr.Profile.TotalWeight)
+	}
+	return res
+}
+
+// inSet reports whether every block of p is in set.
+func inSet(set map[*ir.Block]bool, p *profile.Path) bool {
+	for _, b := range p.Blocks {
+		if !set[b] {
+			return false
+		}
+	}
+	return true
+}
+
+// sameResult reports whether two results are equal field for field, with
+// every float compared bit for bit.
+func sameResult(a, b Result) bool {
+	floats := func(r Result) [5]uint64 {
+		return [5]uint64{
+			math.Float64bits(r.Improvement), math.Float64bits(r.Precision),
+			math.Float64bits(r.OffloadEnergyPJ), math.Float64bits(r.EnergyReduction),
+			math.Float64bits(r.Coverage),
+		}
+	}
+	return a == b && floats(a) == floats(b) &&
+		math.Float64bits(a.BaselineEnergyPJ) == math.Float64bits(b.BaselineEnergyPJ)
+}
+
+// assertReplayMatchesReference evaluates every (target, predictor) pair the
+// Sim backend evaluates — the top 3 paths under the oracle and history
+// predictors, the top 3 braids under history and always-invoke, and the
+// hyperblock under always-invoke — through one shared Replay and through
+// the reference, and demands identical results. It returns the number of
+// pairs compared.
+func assertReplayMatchesReference(t *testing.T, name string, tr *Trace, cfg Config) int {
+	t.Helper()
+	fp := tr.Profile
+	if len(fp.Paths) == 0 {
+		return 0
+	}
+	rp := NewReplay(tr)
+	type pair struct {
+		label string
+		tgt   refTarget
+		pred  func() spec.Predictor
+	}
+	history := func() spec.Predictor { return spec.NewHistory(cfg.HistBits) }
+	oracle := func() spec.Predictor { return &spec.Oracle{} }
+	always := func() spec.Predictor { return spec.Always{} }
+	var pairs []pair
+	for i, p := range fp.TopK(3) {
+		tgt, err := NewPathTarget(tr.AM, fp, p, cfg)
+		if err != nil {
+			continue
+		}
+		id := p.ID
+		rt := newRefTarget(fp, tgt, func(q *profile.Path) bool { return q.ID == id })
+		pairs = append(pairs,
+			pair{fmt.Sprintf("path%d/oracle", i), rt, oracle},
+			pair{fmt.Sprintf("path%d/history", i), rt, history})
+	}
+	braids := region.BuildBraids(fp, 0)
+	for i := 0; i < 3 && i < len(braids); i++ {
+		br := braids[i]
+		tgt, err := NewBraidTarget(tr.AM, fp, br, cfg)
+		if err != nil {
+			continue
+		}
+		rt := newRefTarget(fp, tgt, func(q *profile.Path) bool {
+			n := len(q.Blocks)
+			return n > 0 && q.Blocks[0] == br.Entry && q.Blocks[n-1] == br.Exit && inSet(br.Set, q)
+		})
+		pairs = append(pairs,
+			pair{fmt.Sprintf("braid%d/history", i), rt, history},
+			pair{fmt.Sprintf("braid%d/always", i), rt, always})
+	}
+	hb := region.BuildTunedHyperblock(tr.AM, fp, fp.HottestPath().Blocks[0], 0.1, 0.05)
+	if tgt, err := NewHyperblockTarget(tr.AM, fp, hb, cfg); err == nil {
+		rt := newRefTarget(fp, tgt, func(q *profile.Path) bool {
+			return len(q.Blocks) > 0 && q.Blocks[0] == hb.Entry && inSet(hb.Set, q)
+		})
+		pairs = append(pairs, pair{"hyperblock/always", rt, always})
+	}
+	for _, pc := range pairs {
+		got := Evaluate(rp, pc.tgt.Target, pc.pred(), cfg)
+		want := referenceEvaluate(tr, pc.tgt, pc.pred(), cfg)
+		if !sameResult(got, want) {
+			t.Fatalf("%s %s: replay differs from reference\n got  %+v\n want %+v", name, pc.label, got, want)
+		}
+	}
+	return len(pairs)
+}
+
+// TestReplayMatchesReferenceWorkloads covers all 29 workloads, including
+// the three whose Ball-Larus path-ID spaces exceed the interpreter's dense
+// table bound (the IDs there are sparse and large).
+func TestReplayMatchesReferenceWorkloads(t *testing.T) {
+	all := workloads.All()
+	if len(all) < 29 {
+		t.Fatalf("workload suite shrank: %d workloads, want >= 29", len(all))
+	}
+	cfg := DefaultConfig()
+	sparse := map[string]bool{"186.crafty": false, "458.sjeng": false, "swaptions": false}
+	for _, w := range all {
+		tr := capture(t, w.Name, 0) // default size
+		if _, ok := sparse[w.Name]; ok {
+			sparse[w.Name] = tr.Profile.DAG.NumPaths() > interp.MaxDensePaths
+		}
+		if n := assertReplayMatchesReference(t, w.Name, tr, cfg); n == 0 {
+			t.Errorf("%s: no target evaluated", w.Name)
+		}
+	}
+	for name, above := range sparse {
+		if !above {
+			t.Errorf("%s: path-ID space no longer exceeds MaxDensePaths; pick another sparse profile", name)
+		}
+	}
+}
+
+// TestReplayMatchesReferenceRandomPrograms covers 300 generated programs.
+func TestReplayMatchesReferenceRandomPrograms(t *testing.T) {
+	cfg := DefaultConfig()
+	pairs := 0
+	for seed := int64(0); seed < 300; seed++ {
+		p := irgen.Generate(seed, irgen.Config{})
+		tr, err := Capture(nil, p.F, []uint64{interp.IBits(seed)}, p.NewMem(), cfg)
+		if err != nil {
+			t.Fatalf("seed %d: capture: %v", seed, err)
+		}
+		pairs += assertReplayMatchesReference(t, fmt.Sprintf("seed %d", seed), tr, cfg)
+	}
+	if pairs < 300 {
+		t.Fatalf("only %d (target, predictor) pairs compared", pairs)
+	}
+}

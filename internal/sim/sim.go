@@ -56,9 +56,9 @@ func DefaultConfig() Config {
 }
 
 // Occurrence is one executed Ball-Larus path instance with its host cost
-// and the branch history observed before it began.
+// and the branch history observed before it began. The path it executed is
+// the matching entry of the profile's path trace.
 type Occurrence struct {
-	Path   int64
 	Hist   uint64
 	Cycles int64
 }
@@ -66,7 +66,9 @@ type Occurrence struct {
 // Trace is the captured baseline execution.
 type Trace struct {
 	Profile *profile.FunctionProfile
-	Occ     []Occurrence
+	// Occ holds one entry per path completion, in execution order: Occ[i]
+	// is an occurrence of path Profile.Trace[i].
+	Occ []Occurrence
 
 	// AM is the analysis manager the capture used; target construction and
 	// evaluation against this trace reuse it, so dominators/liveness for the
@@ -149,8 +151,8 @@ func Capture(am *pm.Manager, f *ir.Function, args []uint64, memory []uint64, cfg
 		return nil, fmt.Errorf("sim: capture recorded %d occurrences but traced %d paths", len(occCycles), len(fp.Trace))
 	}
 	tr.Occ = make([]Occurrence, len(fp.Trace))
-	for i, id := range fp.Trace {
-		tr.Occ[i] = Occurrence{Path: id, Hist: occHists[i], Cycles: occCycles[i]}
+	for i := range tr.Occ {
+		tr.Occ[i] = Occurrence{Hist: occHists[i], Cycles: occCycles[i]}
 	}
 	tr.Profile = fp
 	tr.BaselineCycles = model.Cycles()
@@ -175,18 +177,12 @@ type Target struct {
 	Frame  *frame.Frame
 	Sched  *cgra.Sched
 
-	accepts map[int64]bool  // path id -> completes on accelerator
-	isOpp   map[int64]bool  // path id -> starts at the region entry
-	ops     map[int64]int64 // path id -> dynamic op count, prebuilt so the
-	// non-dense Evaluate fallback pays one map load per occurrence instead of
-	// a PathByID walk over the profile's path list.
-	// Dense mirrors of accepts/isOpp/path-ops indexed by path ID, built when
-	// the function's path space is small enough; Evaluate replays traces with
-	// one occurrence per path completion, so these replace three map lookups
-	// per occurrence. Nil when the ID space is too large.
-	acceptsD []bool
-	isOppD   []bool
-	opsD     []int64
+	// accepts and isOpp are indexed by a path's rank in the profile's Paths
+	// (the index a Replay codes occurrences by): whether an occurrence of
+	// the path completes on the accelerator, and whether it starts at the
+	// region entry, i.e. is an offload opportunity.
+	accepts []bool
+	isOpp   []bool
 	// fullExec marks non-speculative predicated targets: every frame op
 	// executes (and pays energy) on every invocation, with no gating.
 	fullExec bool
@@ -195,7 +191,11 @@ type Target struct {
 // NewPathTarget builds the offload target for a single BL-Path region.
 func NewPathTarget(am *pm.Manager, fp *profile.FunctionProfile, p *profile.Path, cfg Config) (*Target, error) {
 	r := region.FromPath(fp.F, p)
-	return newTarget(am, fp, r, map[int64]bool{p.ID: true}, cfg)
+	accepts := make([]bool, len(fp.Paths))
+	for i, q := range fp.Paths {
+		accepts[i] = q.ID == p.ID
+	}
+	return newTarget(am, fp, r, accepts, cfg)
 }
 
 // NewBraidTarget builds the offload target for a braid. Any executed path
@@ -204,67 +204,87 @@ func NewPathTarget(am *pm.Manager, fp *profile.FunctionProfile, p *profile.Path,
 // combinations never seen during profiling, the coverage bonus of
 // Section IV-B.
 func NewBraidTarget(am *pm.Manager, fp *profile.FunctionProfile, br *region.Braid, cfg Config) (*Target, error) {
-	accepts := make(map[int64]bool)
-	for _, p := range fp.Paths {
-		accepts[p.ID] = braidAccepts(br, p)
+	in := blockSet(fp.F, br.Blocks)
+	accepts := make([]bool, len(fp.Paths))
+	for i, p := range fp.Paths {
+		n := len(p.Blocks)
+		accepts[i] = n > 0 && p.Blocks[0] == br.Entry && p.Blocks[n-1] == br.Exit && within(in, p.Blocks)
 	}
 	return newTarget(am, fp, &br.Region, accepts, cfg)
 }
 
-func braidAccepts(br *region.Braid, p *profile.Path) bool {
-	if len(p.Blocks) == 0 {
-		return false
+// blockSet marks blocks, all of f, in a table indexed by Block.Index, so
+// testing every executed path for containment costs one load per block.
+func blockSet(f *ir.Function, blocks []*ir.Block) []bool {
+	in := make([]bool, len(f.Blocks))
+	for _, b := range blocks {
+		in[b.Index] = true
 	}
-	if p.Blocks[0] != br.Entry || p.Blocks[len(p.Blocks)-1] != br.Exit {
-		return false
-	}
-	for _, b := range p.Blocks {
-		if !br.Set[b] {
+	return in
+}
+
+// within reports whether every block of a path is marked in set.
+func within(set []bool, blocks []*ir.Block) bool {
+	for _, b := range blocks {
+		if !set[b.Index] {
 			return false
 		}
 	}
 	return true
 }
 
-func newTarget(am *pm.Manager, fp *profile.FunctionProfile, r *region.Region, accepts map[int64]bool, cfg Config) (*Target, error) {
+func newTarget(am *pm.Manager, fp *profile.FunctionProfile, r *region.Region, accepts []bool, cfg Config) (*Target, error) {
 	fr, err := frame.Build(am, r, cfg.Frame)
 	if err != nil {
 		return nil, err
 	}
-	t := &Target{
+	isOpp := make([]bool, len(fp.Paths))
+	for i, p := range fp.Paths {
+		isOpp[i] = len(p.Blocks) > 0 && p.Blocks[0] == r.Entry
+	}
+	return &Target{
 		Region:  r,
 		Frame:   fr,
 		Sched:   cgra.Schedule(fr, cfg.CGRA),
 		accepts: accepts,
-		isOpp:   make(map[int64]bool),
-		ops:     make(map[int64]int64, len(fp.Paths)),
-	}
-	for _, p := range fp.Paths {
-		t.isOpp[p.ID] = len(p.Blocks) > 0 && p.Blocks[0] == r.Entry
-		t.ops[p.ID] = p.Ops
-	}
-	t.buildDense(fp)
-	return t, nil
+		isOpp:   isOpp,
+	}, nil
 }
 
-// buildDense mirrors the accepts/isOpp/path-ops maps into arrays indexed by
-// path ID when the ID space is small enough; Evaluate replays one trace
-// occurrence per path completion, so this turns three map lookups per
-// occurrence into array loads.
-func (t *Target) buildDense(fp *profile.FunctionProfile) {
-	t.opsD = fp.DenseOps(interp.MaxDensePaths) // shared across targets
-	if t.opsD == nil {
-		return
+// Replay is a captured trace prepared for target evaluation: each
+// occurrence coded by its path's rank in Profile.Paths, the index targets
+// are built on, so replaying a target costs array loads only, however large
+// the function's Ball-Larus path-ID space is. Build one per evaluation round
+// and share it across every target and predictor replayed against the
+// trace. It is deliberately not kept on the Trace: traces are shared,
+// long-lived artifacts, and the rank column is as long as the trace.
+type Replay struct {
+	Trace *Trace
+	rank  []int32 // rank[i]: rank of the path occurrence i executed
+	ops   []int64 // ops[r]: dynamic op count of the rank-r path
+}
+
+// NewReplay codes tr's occurrences by path rank in one pass over the
+// profile's path trace.
+func NewReplay(tr *Trace) Replay {
+	paths := tr.Profile.Paths
+	rankOf := make(map[int64]int32, len(paths))
+	ops := make([]int64, len(paths))
+	for r, p := range paths {
+		rankOf[p.ID] = int32(r)
+		ops[r] = p.Ops
 	}
-	n := fp.DAG.NumPaths()
-	t.acceptsD = make([]bool, n)
-	t.isOppD = make([]bool, n)
-	for id, v := range t.accepts {
-		t.acceptsD[id] = v
+	rank := make([]int32, len(tr.Profile.Trace))
+	// Loops complete the same path back to back, so remembering the last
+	// lookup skips most map probes.
+	last, lastRank := int64(-1), int32(0)
+	for i, id := range tr.Profile.Trace {
+		if id != last {
+			last, lastRank = id, rankOf[id]
+		}
+		rank[i] = lastRank
 	}
-	for id, v := range t.isOpp {
-		t.isOppD[id] = v
-	}
+	return Replay{Trace: tr, rank: rank, ops: ops}
 }
 
 // Result is the outcome of evaluating one target under one predictor.
@@ -295,7 +315,8 @@ type Result struct {
 }
 
 // Evaluate replays the captured trace, offloading accepted occurrences of
-// the target under the given predictor. Passing a *spec.Oracle predictor
+// the target under the given predictor. The target must have been built
+// from the replayed trace's profile. Passing a *spec.Oracle predictor
 // evaluates the oracle bound (invoke exactly when the invocation would
 // succeed).
 //
@@ -305,7 +326,8 @@ type Result struct {
 // invocation pays the full frame latency again. Failures additionally pay
 // the rollback walk and the host's re-execution of the region, per the
 // paper's conservative Section VI-A model.
-func Evaluate(tr *Trace, tgt *Target, pred spec.Predictor, cfg Config) Result {
+func Evaluate(rp Replay, tgt *Target, pred spec.Predictor, cfg Config) Result {
+	tr := rp.Trace
 	res := Result{
 		Predictor:        pred.Name(),
 		BaselineCycles:   tr.BaselineCycles,
@@ -327,26 +349,16 @@ func Evaluate(tr *Trace, tgt *Target, pred spec.Predictor, cfg Config) Result {
 	reconfigured := false
 	inRun := false
 
-	dense := tgt.isOppD != nil
-	for _, occ := range tr.Occ {
-		opp := false
-		if dense {
-			opp = tgt.isOppD[occ.Path]
-		} else {
-			opp = tgt.isOpp[occ.Path]
-		}
-		if !opp {
+	rank := rp.rank[:len(tr.Occ)]
+	for i, occ := range tr.Occ {
+		r := rank[i]
+		if !tgt.isOpp[r] {
 			cycles += occ.Cycles
 			inRun = false
 			continue
 		}
 		res.Opportunities++
-		var success bool
-		if dense {
-			success = tgt.acceptsD[occ.Path]
-		} else {
-			success = tgt.accepts[occ.Path]
-		}
+		success := tgt.accepts[r]
 		if isOracle {
 			oracle.SetNext(success)
 		}
@@ -365,12 +377,7 @@ func Evaluate(tr *Trace, tgt *Target, pred spec.Predictor, cfg Config) Result {
 				cycles += cfg.CGRA.ReconfigCycles
 				reconfigured = true
 			}
-			occOps := int64(0)
-			if dense {
-				occOps = tgt.opsD[occ.Path]
-			} else {
-				occOps = tgt.ops[occ.Path]
-			}
+			occOps := rp.ops[r]
 			if success {
 				res.Successes++
 				if inRun {
@@ -422,56 +429,6 @@ func Evaluate(tr *Trace, tgt *Target, pred spec.Predictor, cfg Config) Result {
 	return res
 }
 
-// EvaluateHottestPath is a convenience wrapper: oracle and history results
-// for the hottest BL-Path.
-func EvaluateHottestPath(tr *Trace, cfg Config) (oracle, history Result, err error) {
-	hot := tr.Profile.HottestPath()
-	if hot == nil {
-		return oracle, history, fmt.Errorf("sim: no executed paths")
-	}
-	tgt, err := NewPathTarget(tr.AM, tr.Profile, hot, cfg)
-	if err != nil {
-		return oracle, history, err
-	}
-	oracle = Evaluate(tr, tgt, &spec.Oracle{}, cfg)
-	history = Evaluate(tr, tgt, spec.NewHistory(cfg.HistBits), cfg)
-	return oracle, history, nil
-}
-
-// EvaluateHottestBraid evaluates the top-ranked braid under the invocation
-// history table. Per Section V, prediction matters less for braids than for
-// paths (fewer guards), and workloads whose braid never fails effectively
-// degenerate to the always-invoke policy the paper reports for nine
-// applications.
-func EvaluateHottestBraid(tr *Trace, cfg Config) (Result, *region.Braid, error) {
-	braids := region.BuildBraids(tr.Profile, 0)
-	if len(braids) == 0 {
-		return Result{}, nil, fmt.Errorf("sim: no braids")
-	}
-	br := braids[0]
-	tgt, err := NewBraidTarget(tr.AM, tr.Profile, br, cfg)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	return Evaluate(tr, tgt, spec.NewHistory(cfg.HistBits), cfg), br, nil
-}
-
-// EvaluateBraidAlways evaluates the top braid under always-invoke, the
-// policy the paper's nine fully-predictable applications use; kept for the
-// predictor ablation.
-func EvaluateBraidAlways(tr *Trace, cfg Config) (Result, *region.Braid, error) {
-	braids := region.BuildBraids(tr.Profile, 0)
-	if len(braids) == 0 {
-		return Result{}, nil, fmt.Errorf("sim: no braids")
-	}
-	br := braids[0]
-	tgt, err := NewBraidTarget(tr.AM, tr.Profile, br, cfg)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	return Evaluate(tr, tgt, spec.Always{}, cfg), br, nil
-}
-
 // Candidate pairs an offload decision with its evaluation.
 type Candidate struct {
 	Result Result
@@ -480,18 +437,19 @@ type Candidate struct {
 }
 
 // SelectBraid reproduces Needle's filter-and-rank stage for braids: it
-// evaluates the top-k braids under both invocation policies and returns the
+// evaluates the top-k of the ranked braids (region.BuildBraids over the
+// replayed trace's profile) under both invocation policies and returns the
 // candidate with the fewest cycles, falling back to no offload when nothing
 // profits (Section IV-B: "NEEDLE provides a methodical framework to reason
 // about this tradeoff").
-func SelectBraid(tr *Trace, cfg Config, topK int) (Candidate, error) {
-	braids := region.BuildBraids(tr.Profile, 0)
+func SelectBraid(rp Replay, braids []*region.Braid, cfg Config, topK int) (Candidate, error) {
 	if len(braids) == 0 {
 		return Candidate{}, fmt.Errorf("sim: no braids")
 	}
 	if topK <= 0 {
 		topK = 3
 	}
+	tr := rp.Trace
 	best := Candidate{
 		Result: Result{
 			Predictor:        "none",
@@ -509,7 +467,7 @@ func SelectBraid(tr *Trace, cfg Config, topK int) (Candidate, error) {
 			continue // e.g. unframeable region; skip candidate
 		}
 		for _, pred := range []spec.Predictor{spec.NewHistory(cfg.HistBits), spec.Always{}} {
-			res := Evaluate(tr, tgt, pred, cfg)
+			res := Evaluate(rp, tgt, pred, cfg)
 			// A candidate must not trade energy for speed: offload exists to
 			// save energy (Section I), so the filter requires both axes to
 			// be no worse than the host baseline.
@@ -527,7 +485,8 @@ func SelectBraid(tr *Trace, cfg Config, topK int) (Candidate, error) {
 // SelectPath is the path-side filter: it evaluates the top-k paths under the
 // history predictor (plus the oracle bound for reporting) and returns the
 // best history-policy candidate, falling back to no offload.
-func SelectPath(tr *Trace, cfg Config, topK int) (history, oracle Result, err error) {
+func SelectPath(rp Replay, cfg Config, topK int) (history, oracle Result, err error) {
+	tr := rp.Trace
 	if len(tr.Profile.Paths) == 0 {
 		return history, oracle, fmt.Errorf("sim: no executed paths")
 	}
@@ -539,17 +498,17 @@ func SelectPath(tr *Trace, cfg Config, topK int) (history, oracle Result, err er
 	if err != nil {
 		return history, oracle, err
 	}
-	oracle = Evaluate(tr, tgt, &spec.Oracle{}, cfg)
-	history = Evaluate(tr, tgt, spec.NewHistory(cfg.HistBits), cfg)
+	oracle = Evaluate(rp, tgt, &spec.Oracle{}, cfg)
+	history = Evaluate(rp, tgt, spec.NewHistory(cfg.HistBits), cfg)
 	for i := 1; i < topK && i < len(tr.Profile.Paths); i++ {
 		t2, err := NewPathTarget(tr.AM, tr.Profile, tr.Profile.Paths[i], cfg)
 		if err != nil {
 			continue
 		}
-		if r := Evaluate(tr, t2, spec.NewHistory(cfg.HistBits), cfg); r.OffloadCycles < history.OffloadCycles {
+		if r := Evaluate(rp, t2, spec.NewHistory(cfg.HistBits), cfg); r.OffloadCycles < history.OffloadCycles {
 			history = r
 		}
-		if r := Evaluate(tr, t2, &spec.Oracle{}, cfg); r.OffloadCycles < oracle.OffloadCycles {
+		if r := Evaluate(rp, t2, &spec.Oracle{}, cfg); r.OffloadCycles < oracle.OffloadCycles {
 			oracle = r
 		}
 	}
@@ -561,22 +520,16 @@ func SelectPath(tr *Trace, cfg Config, topK int) (history, oracle Result, err er
 // operations on every invocation, cannot fail or roll back, and is invoked
 // only for flows it fully contains — everything else stays on the host.
 func NewHyperblockTarget(am *pm.Manager, fp *profile.FunctionProfile, hb *region.Hyperblock, cfg Config) (*Target, error) {
-	accepts := make(map[int64]bool)
-	for _, p := range fp.Paths {
-		ok := len(p.Blocks) > 0 && p.Blocks[0] == hb.Entry
-		for _, b := range p.Blocks {
-			if !hb.Set[b] {
-				ok = false
-				break
-			}
-		}
-		accepts[p.ID] = ok
+	in := blockSet(fp.F, hb.Blocks)
+	accepts := make([]bool, len(fp.Paths))
+	for i, p := range fp.Paths {
+		accepts[i] = len(p.Blocks) > 0 && p.Blocks[0] == hb.Entry && within(in, p.Blocks)
 	}
 	fr, err := frame.Build(am, &hb.Region, cfg.Frame)
 	if err != nil {
 		return nil, err
 	}
-	t := &Target{
+	return &Target{
 		Region:  &hb.Region,
 		Frame:   fr,
 		Sched:   cgra.Schedule(fr, cfg.CGRA),
@@ -584,19 +537,14 @@ func NewHyperblockTarget(am *pm.Manager, fp *profile.FunctionProfile, hb *region
 		// Only covered flows are offload opportunities: uncovered paths run
 		// on the host with no penalty (non-speculative regions exit cleanly).
 		isOpp:    accepts,
-		ops:      make(map[int64]int64, len(fp.Paths)),
 		fullExec: true,
-	}
-	for _, p := range fp.Paths {
-		t.ops[p.ID] = p.Ops
-	}
-	t.buildDense(fp)
-	return t, nil
+	}, nil
 }
 
 // EvaluateHyperblock evaluates the non-speculative hyperblock baseline
 // seeded at the hottest path's entry, under always-invoke (it cannot fail).
-func EvaluateHyperblock(tr *Trace, cfg Config, coldFraction float64) (Result, error) {
+func EvaluateHyperblock(rp Replay, cfg Config, coldFraction float64) (Result, error) {
+	tr := rp.Trace
 	hot := tr.Profile.HottestPath()
 	if hot == nil {
 		return Result{}, fmt.Errorf("sim: no executed paths")
@@ -606,5 +554,5 @@ func EvaluateHyperblock(tr *Trace, cfg Config, coldFraction float64) (Result, er
 	if err != nil {
 		return Result{}, err
 	}
-	return Evaluate(tr, tgt, spec.Always{}, cfg), nil
+	return Evaluate(rp, tgt, spec.Always{}, cfg), nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"needle/internal/interp"
+	"needle/internal/ir"
 	"needle/internal/region"
 	"needle/internal/spec"
 	"needle/internal/workloads"
@@ -21,6 +22,32 @@ func capture(t testing.TB, name string, n int) *Trace {
 		t.Fatalf("Capture(%s): %v", name, err)
 	}
 	return tr
+}
+
+// hottestPath evaluates the hottest BL-Path under the oracle bound and the
+// invocation history table.
+func hottestPath(t testing.TB, tr *Trace, cfg Config) (oracle, history Result) {
+	t.Helper()
+	tgt, err := NewPathTarget(tr.AM, tr.Profile, tr.Profile.HottestPath(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := NewReplay(tr)
+	return Evaluate(rp, tgt, &spec.Oracle{}, cfg), Evaluate(rp, tgt, spec.NewHistory(cfg.HistBits), cfg)
+}
+
+// hottestBraid evaluates the top-ranked braid under pred.
+func hottestBraid(t testing.TB, tr *Trace, cfg Config, pred spec.Predictor) (Result, *region.Braid) {
+	t.Helper()
+	braids := region.BuildBraids(tr.Profile, 0)
+	if len(braids) == 0 {
+		t.Fatal("no braids")
+	}
+	tgt, err := NewBraidTarget(tr.AM, tr.Profile, braids[0], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Evaluate(NewReplay(tr), tgt, pred, cfg), braids[0]
 }
 
 func TestCaptureAttributionSumsToBaseline(t *testing.T) {
@@ -52,10 +79,7 @@ func sumOtherFreqs(tr *Trace) int64 {
 
 func TestOracleNeverFails(t *testing.T) {
 	tr := capture(t, "164.gzip", 1500)
-	oracle, history, err := EvaluateHottestPath(tr, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	oracle, history := hottestPath(t, tr, DefaultConfig())
 	if oracle.Invocations != oracle.Successes {
 		t.Fatalf("oracle failed %d times", oracle.Invocations-oracle.Successes)
 	}
@@ -74,14 +98,8 @@ func TestOracleNeverFails(t *testing.T) {
 func TestBraidCoverageAtLeastPathCoverage(t *testing.T) {
 	tr := capture(t, "456.hmmer", 1500)
 	cfg := DefaultConfig()
-	braid, br, err := EvaluateHottestBraid(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, _, err := EvaluateHottestPath(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	braid, br := hottestBraid(t, tr, cfg, spec.NewHistory(cfg.HistBits))
+	oracle, _ := hottestPath(t, tr, cfg)
 	if br.MergedPathCount() < 2 {
 		t.Skipf("braid merged only %d paths at this scale", br.MergedPathCount())
 	}
@@ -90,10 +108,7 @@ func TestBraidCoverageAtLeastPathCoverage(t *testing.T) {
 	}
 	// Under always-invoke every opportunity is an invocation, and the braid
 	// accepts every in-region flow.
-	always, _, err := EvaluateBraidAlways(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	always, _ := hottestBraid(t, tr, cfg, spec.Always{})
 	if always.Invocations != always.Opportunities {
 		t.Fatal("always predictor must invoke on every opportunity")
 	}
@@ -109,14 +124,15 @@ func TestEvaluateAccountsFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	always := Evaluate(tr, tgt, spec.Always{}, cfg)
+	rp := NewReplay(tr)
+	always := Evaluate(rp, tgt, spec.Always{}, cfg)
 	if always.Invocations != always.Opportunities {
 		t.Fatal("always must invoke at every opportunity")
 	}
 	if always.Successes == always.Invocations {
 		t.Skip("no failures at this scale; nothing to check")
 	}
-	oracle := Evaluate(tr, tgt, &spec.Oracle{}, cfg)
+	oracle := Evaluate(rp, tgt, &spec.Oracle{}, cfg)
 	if always.OffloadCycles <= oracle.OffloadCycles {
 		t.Fatal("failures must cost cycles versus the oracle")
 	}
@@ -129,10 +145,7 @@ func TestHighCoverageWorkloadImproves(t *testing.T) {
 	// lbm: two paths, huge straight-line FP body — the paper's best case.
 	tr := capture(t, "470.lbm", 500)
 	cfg := DefaultConfig()
-	braid, _, err := EvaluateHottestBraid(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	braid, _ := hottestBraid(t, tr, cfg, spec.NewHistory(cfg.HistBits))
 	if braid.Improvement <= 0 {
 		t.Fatalf("lbm braid improvement = %v, want > 0", braid.Improvement)
 	}
@@ -148,10 +161,7 @@ func TestResultInternalConsistency(t *testing.T) {
 	for _, name := range []string{"403.gcc", "dwt53", "450.soplex"} {
 		tr := capture(t, name, 1000)
 		cfg := DefaultConfig()
-		braid, _, err := EvaluateHottestBraid(tr, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		braid, _ := hottestBraid(t, tr, cfg, spec.NewHistory(cfg.HistBits))
 		if braid.Successes > braid.Invocations || braid.Invocations > braid.Opportunities {
 			t.Fatalf("%s: counts inconsistent: %+v", name, braid)
 		}
@@ -234,7 +244,7 @@ func TestFunctionalOffloadMatchesPureExecution(t *testing.T) {
 func TestEvaluateHyperblockBaseline(t *testing.T) {
 	tr := capture(t, "186.crafty", 1500)
 	cfg := DefaultConfig()
-	hb, err := EvaluateHyperblock(tr, cfg, 0.1)
+	hb, err := EvaluateHyperblock(NewReplay(tr), cfg, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +254,7 @@ func TestEvaluateHyperblockBaseline(t *testing.T) {
 	}
 	// On dispatch-heavy code the predicated baseline burns energy executing
 	// everything; Needle's selected braid must beat it on cycles.
-	braid, _, err := EvaluateHottestBraid(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	braid, _ := hottestBraid(t, tr, cfg, spec.NewHistory(cfg.HistBits))
 	if hb.Improvement > braid.Improvement && braid.Improvement > 0 {
 		t.Fatalf("hyperblock (%.2f) should not beat the braid (%.2f) on crafty",
 			hb.Improvement, braid.Improvement)
@@ -259,7 +266,7 @@ func TestSelectBraidRejectsEnergyLosers(t *testing.T) {
 	// when it would win cycles.
 	for _, name := range []string{"186.crafty", "458.sjeng", "401.bzip2"} {
 		tr := capture(t, name, 1500)
-		cand, err := SelectBraid(tr, DefaultConfig(), 3)
+		cand, err := SelectBraid(NewReplay(tr), region.BuildBraids(tr.Profile, 0), DefaultConfig(), 3)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -276,15 +283,82 @@ func TestSelectPathTriesLowerRanks(t *testing.T) {
 	tr := capture(t, "453.povray", 2000)
 	cfg := DefaultConfig()
 	// topK=1 must never beat topK=3 (the search is monotone in candidates).
-	h1, o1, err := SelectPath(tr, cfg, 1)
+	rp := NewReplay(tr)
+	h1, o1, err := SelectPath(rp, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h3, o3, err := SelectPath(tr, cfg, 3)
+	h3, o3, err := SelectPath(rp, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h3.OffloadCycles > h1.OffloadCycles || o3.OffloadCycles > o1.OffloadCycles {
 		t.Fatal("widening the candidate search made the result worse")
 	}
+}
+
+// exitCheckSrc has two back edges into head: a path head→a leaves through
+// a's back edge, inside the blocks of the braid head→a→latch but ending
+// short of its exit.
+const exitCheckSrc = `
+func @exitcheck(i64) {
+entry:
+  r2 = const.i64 0
+  br %head
+head:
+  r3 = phi.i64 [entry: r2] [a: r6] [latch: r6]
+  r4 = cmp.lt r3, r1
+  condbr r4, %a, %done
+a:
+  r5 = const.i64 1
+  r6 = add r3, r5
+  r7 = const.i64 3
+  r8 = rem r6, r7
+  r9 = cmp.eq r8, r2
+  condbr r9, %head, %latch
+latch:
+  br %head
+done:
+  ret r3
+}
+`
+
+// TestBraidRejectsPathsEndingInsideIt: a path that starts at a braid's
+// entry and stays within its blocks is an opportunity, but completes on the
+// accelerator only if it also ends at the braid's exit.
+func TestBraidRejectsPathsEndingInsideIt(t *testing.T) {
+	f, err := ir.ParseFunction(exitCheckSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	tr, err := Capture(nil, f, []uint64{30}, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := tr.Profile
+	short := -1 // rank of the path head→a
+	for i, p := range fp.Paths {
+		if len(p.Blocks) == 2 && p.Blocks[0].Name == "head" && p.Blocks[1].Name == "a" {
+			short = i
+		}
+	}
+	if short < 0 {
+		t.Fatal("path head→a never executed")
+	}
+	for _, br := range region.BuildBraids(fp, 0) {
+		if br.Entry.Name != "head" || br.Exit.Name != "latch" {
+			continue
+		}
+		tgt, err := NewBraidTarget(nil, fp, br, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tgt.isOpp[short] || tgt.accepts[short] {
+			t.Fatalf("path head→a: opportunity %v, accepted %v; want an opportunity that fails",
+				tgt.isOpp[short], tgt.accepts[short])
+		}
+		return
+	}
+	t.Fatal("no braid head→latch formed")
 }

@@ -34,24 +34,26 @@ func (*SimReport) BackendName() string { return "sim" }
 
 // Evaluate implements Backend.
 func (Sim) Evaluate(a *pipeline.Artifacts) (pipeline.Report, error) {
-	tr, cfg := a.Profile.Trace, a.Config
+	cfg := a.Config
 	rep := &SimReport{}
 	var err error
 
+	// One rank-coded replay of the trace serves every target below.
+	rp := sim.NewReplay(a.Profile.Trace)
 	psp := a.Span.Child("select: path")
-	rep.PathHistory, rep.PathOracle, err = sim.SelectPath(tr, cfg.Sim, cfg.SelectTopK)
+	rep.PathHistory, rep.PathOracle, err = sim.SelectPath(rp, cfg.Sim, cfg.SelectTopK)
 	psp.End()
 	if err != nil {
 		return nil, fmt.Errorf("evaluating paths: %w", err)
 	}
 	bsp := a.Span.Child("select: braid")
-	rep.BraidChoice, err = sim.SelectBraid(tr, cfg.Sim, cfg.SelectTopK)
+	rep.BraidChoice, err = sim.SelectBraid(rp, a.Select.Braids, cfg.Sim, cfg.SelectTopK)
 	bsp.End()
 	if err != nil {
 		return nil, fmt.Errorf("evaluating braids: %w", err)
 	}
 	hsp := a.Span.Child("select: hyperblock")
-	rep.Hyperblock, err = sim.EvaluateHyperblock(tr, cfg.Sim, cfg.ColdFraction)
+	rep.Hyperblock, err = sim.EvaluateHyperblock(rp, cfg.Sim, cfg.ColdFraction)
 	hsp.End()
 	if err != nil {
 		return nil, fmt.Errorf("evaluating hyperblock: %w", err)

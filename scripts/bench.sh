@@ -22,6 +22,10 @@
 #     BenchmarkSweep gets a tight 2% gate against sweep_ns_per_op, pinning
 #     that the lazily-computed vet analyses cost a default sweep nothing.
 #
+# It also records, ungated, BenchmarkStage/target — the Target stage alone
+# on 186.crafty, 458.sjeng and 164.gzip, upstream artifacts served from a
+# pre-warmed Cache — as ns/op and allocs/op per workload.
+#
 #   ./scripts/bench.sh            (or: make bench)
 #   BENCH_TIME=10x ./scripts/bench.sh   # more iterations, less noise
 #   BENCH_TRACE=trace.json ./scripts/bench.sh
@@ -38,11 +42,11 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-benches='^(BenchmarkSweep|BenchmarkSweepWarmStart|BenchmarkCapture|BenchmarkInterpreter|BenchmarkPathProfiling|BenchmarkPathDecode|BenchmarkOOOModel|BenchmarkAblationPredictor|BenchmarkVet)$'
+benches='^(BenchmarkSweep|BenchmarkSweepWarmStart|BenchmarkCapture|BenchmarkInterpreter|BenchmarkPathProfiling|BenchmarkPathDecode|BenchmarkOOOModel|BenchmarkAblationPredictor|BenchmarkVet|BenchmarkStage)$'
 benchtime="${BENCH_TIME:-5x}"
 
 echo "running sweep benchmarks (benchtime $benchtime)..."
-out=$(go test -run '^$' -bench "$benches" -benchtime "$benchtime" .)
+out=$(go test -run '^$' -bench "$benches" -benchtime "$benchtime" -benchmem .)
 echo "$out"
 
 # Benchmark lines look like:  BenchmarkSweep[-N]  5  132523001 ns/op [...]
@@ -50,6 +54,12 @@ echo "$out"
 ns_of() {
     echo "$out" | awk -v name="$1" '$1 ~ "^"name"(-[0-9]+)?$" { print $3; exit }'
 }
+allocs_of() {
+    echo "$out" | awk -v name="$1" '$1 ~ "^"name"(-[0-9]+)?$" {
+        for (i = 4; i <= NF; i++) if ($i == "allocs/op") { print $(i-1); exit }
+    }'
+}
+stages="BenchmarkStage/target/186.crafty BenchmarkStage/target/458.sjeng BenchmarkStage/target/164.gzip"
 
 sweep=$(ns_of BenchmarkSweep)
 if [ -z "$sweep" ]; then
@@ -103,6 +113,17 @@ file="BENCH_${date}.json"
         [ "$first" = 1 ] || echo ","
         first=0
         printf '    "%s": %s' "$b" "$ns"
+    done
+    echo ""
+    echo "  },"
+    echo "  \"stages\": {"
+    first=1
+    for b in $stages; do
+        ns=$(ns_of "$b")
+        [ -z "$ns" ] && continue
+        [ "$first" = 1 ] || echo ","
+        first=0
+        printf '    "%s": {"ns_per_op": %s, "allocs_per_op": %s}' "$b" "$ns" "$(allocs_of "$b")"
     done
     echo ""
     echo "  }"
