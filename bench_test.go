@@ -21,6 +21,7 @@ import (
 	"needle/internal/core"
 	"needle/internal/frame"
 	"needle/internal/interp"
+	"needle/internal/ir"
 	"needle/internal/mem"
 	"needle/internal/ooo"
 	"needle/internal/pipeline"
@@ -247,26 +248,77 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 	})
 }
 
-// BenchmarkStage times single pipeline stages at the workloads' default
-// sizes, each with every upstream artifact served from a pre-warmed
-// in-memory Cache, so an iteration is the stage itself plus the cache hits
-// that feed it. "target" runs every registered backend; its workloads are
-// the two whose Ball-Larus path-ID spaces are sparse and large (186.crafty,
-// 458.sjeng) and a dense one (164.gzip). scripts/bench.sh records ns/op
-// and allocs/op for each.
+// BenchmarkStage times single pipeline layers at the workloads' default
+// sizes on the two workloads whose Ball-Larus path-ID spaces are sparse and
+// large (186.crafty, 458.sjeng) and a dense one (164.gzip), each with every
+// upstream artifact taken from a pre-warmed in-memory Cache. scripts/bench.sh
+// records ns/op and allocs/op for each.
+//
+//   - profile-decode rehydrates the stored profile with sim.TraceFromData
+//     under a fresh analysis manager, as a warm disk hit does (the gob
+//     decode of the payload is not included);
+//   - select-decode rebuilds every stored braid with region.BraidFromData;
+//   - target runs every registered backend, so an iteration is the stage
+//     itself plus the cache hits that feed it.
 func BenchmarkStage(b *testing.B) {
 	cfg := pipeline.DefaultConfig()
-	b.Run("target", func(b *testing.B) {
-		for _, name := range []string{"186.crafty", "458.sjeng", "164.gzip"} {
+	names := []string{"186.crafty", "458.sjeng", "164.gzip"}
+	// warm runs the pipeline once on a fresh Cache and returns the options
+	// that serve every artifact from it.
+	warm := func(b *testing.B, name string) (*program.Program, pipeline.RunOptions, *pipeline.Artifacts) {
+		b.Helper()
+		p, err := workloads.ByName(name).Program(0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		opts := pipeline.RunOptions{Store: pipeline.NewCache()}
+		a, err := pipeline.Run(p, cfg, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p, opts, a
+	}
+	b.Run("profile-decode", func(b *testing.B) {
+		for _, name := range names {
 			b.Run(name, func(b *testing.B) {
-				p, err := workloads.ByName(name).Program(0)
-				if err != nil {
-					b.Fatal(err)
+				_, _, a := warm(b, name)
+				_, f := a.HotFunc()
+				d := a.Profile.Trace.Data()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := sim.TraceFromData(pm.NewManager(), f, d); err != nil {
+						b.Fatal(err)
+					}
 				}
-				opts := pipeline.RunOptions{Store: pipeline.NewCache()}
-				if _, err := pipeline.Run(p, cfg, opts); err != nil {
-					b.Fatal(err)
+			})
+		}
+	})
+	b.Run("select-decode", func(b *testing.B) {
+		for _, name := range names {
+			b.Run(name, func(b *testing.B) {
+				_, _, a := warm(b, name)
+				fp := a.Profile.Trace.Profile
+				stored := make([]region.BraidData, len(a.Select.Braids))
+				for i, br := range a.Select.Braids {
+					stored[i] = br.Data()
 				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, d := range stored {
+						if _, err := region.BraidFromData(fp, d); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
+		}
+	})
+	b.Run("target", func(b *testing.B) {
+		for _, name := range names {
+			b.Run(name, func(b *testing.B) {
+				p, opts, _ := warm(b, name)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -343,7 +395,7 @@ func BenchmarkPathProfiling(b *testing.B) {
 	}
 }
 
-// BenchmarkPathDecode measures path-ID decoding.
+// BenchmarkPathDecode measures path-ID decoding into a reused buffer.
 func BenchmarkPathDecode(b *testing.B) {
 	f := workloads.ByName("186.crafty").Function()
 	dag, err := ballarus.Build(nil, f)
@@ -351,9 +403,10 @@ func BenchmarkPathDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := dag.NumPaths()
+	var buf []*ir.Block
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dag.Decode(int64(i) % n); err != nil {
+		if buf, err = dag.DecodeAppend(buf[:0], int64(i)%n); err != nil {
 			b.Fatal(err)
 		}
 	}

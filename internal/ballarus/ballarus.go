@@ -255,41 +255,73 @@ func (d *DAG) IsBackEdge(u, v *ir.Block) bool {
 	return ok
 }
 
-// Decode expands a path ID into its sequence of basic blocks.
-func (d *DAG) Decode(id int64) ([]*ir.Block, error) {
-	if id < 0 || id >= d.numPaths {
-		return nil, fmt.Errorf("ballarus: path id %d out of range [0,%d) for %s", id, d.numPaths, d.F.Name)
+// DecodeAppend expands a path ID into its sequence of basic blocks,
+// appending them to dst and returning the extended slice. Decoding into a
+// slice with room for PathLen(id) more blocks allocates nothing.
+func (d *DAG) DecodeAppend(dst []*ir.Block, id int64) ([]*ir.Block, error) {
+	if err := d.checkID(id); err != nil {
+		return dst, err
 	}
-	var blocks []*ir.Block
-	n := 0 // ENTRY
-	rem := id
-	for n != d.exitNode {
-		edges := d.out[n]
-		if len(edges) == 0 {
-			return nil, fmt.Errorf("ballarus: decode stuck at node %d in %s", n, d.F.Name)
-		}
-		// Choose the last edge whose value is <= rem.
-		chosen := edges[0]
-		for _, e := range edges[1:] {
-			if e.val <= rem {
-				chosen = e
-			} else {
-				break
-			}
-		}
-		rem -= chosen.val
-		n = chosen.to
-		if n != d.exitNode {
-			blocks = append(blocks, d.F.Blocks[n-1])
-		}
+	n, rem := d.step(0, id) // from ENTRY
+	for ; n > 0 && n != d.exitNode; n, rem = d.step(n, rem) {
+		dst = append(dst, d.F.Blocks[n-1])
 	}
-	return blocks, nil
+	if n < 0 {
+		return dst, d.stuck()
+	}
+	return dst, nil
 }
 
-// Encode computes the path ID of a block sequence (the inverse of Decode);
-// used mainly by tests and region validation. The sequence must be a valid
-// DAG path from a path start (function entry or loop header) to a path end
-// (back-edge source or returning block).
+// PathLen returns the number of blocks DecodeAppend appends for a path,
+// found by the same walk without producing the blocks.
+func (d *DAG) PathLen(id int64) (int, error) {
+	if err := d.checkID(id); err != nil {
+		return 0, err
+	}
+	k := 0
+	n, rem := d.step(0, id)
+	for ; n > 0 && n != d.exitNode; n, rem = d.step(n, rem) {
+		k++
+	}
+	if n < 0 {
+		return 0, d.stuck()
+	}
+	return k, nil
+}
+
+func (d *DAG) checkID(id int64) error {
+	if id < 0 || id >= d.numPaths {
+		return fmt.Errorf("ballarus: path id %d out of range [0,%d) for %s", id, d.numPaths, d.F.Name)
+	}
+	return nil
+}
+
+func (d *DAG) stuck() error {
+	return fmt.Errorf("ballarus: path decode reached a node with no out-edges in %s", d.F.Name)
+}
+
+// step follows the DAG edge out of node n that a path with remaining value
+// rem takes: the last edge whose value is <= rem. It returns the next node
+// and the remaining value, or -1 when n has no out-edges.
+func (d *DAG) step(n int, rem int64) (int, int64) {
+	edges := d.out[n]
+	if len(edges) == 0 {
+		return -1, rem
+	}
+	chosen := edges[0]
+	for _, e := range edges[1:] {
+		if e.val > rem {
+			break
+		}
+		chosen = e
+	}
+	return chosen.to, rem - chosen.val
+}
+
+// Encode computes the path ID of a block sequence (the inverse of
+// DecodeAppend); used mainly by tests and region validation. The sequence
+// must be a valid DAG path from a path start (function entry or loop
+// header) to a path end (back-edge source or returning block).
 func (d *DAG) Encode(blocks []*ir.Block) (int64, error) {
 	if len(blocks) == 0 {
 		return 0, errors.New("ballarus: empty path")

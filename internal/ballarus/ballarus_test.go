@@ -99,9 +99,9 @@ func TestDecodeAllPathsUniqueAndValid(t *testing.T) {
 	}
 	seen := make(map[string]int64)
 	for id := int64(0); id < d.NumPaths(); id++ {
-		blocks, err := d.Decode(id)
+		blocks, err := d.DecodeAppend(nil, id)
 		if err != nil {
-			t.Fatalf("Decode(%d): %v", id, err)
+			t.Fatalf("DecodeAppend(%d): %v", id, err)
 		}
 		key := ""
 		for _, b := range blocks {
@@ -133,16 +133,16 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("Build: %v", err)
 		}
 		for id := int64(0); id < d.NumPaths(); id++ {
-			blocks, err := d.Decode(id)
+			blocks, err := d.DecodeAppend(nil, id)
 			if err != nil {
-				t.Fatalf("Decode(%d): %v", id, err)
+				t.Fatalf("DecodeAppend(%d): %v", id, err)
 			}
 			back, err := d.Encode(blocks)
 			if err != nil {
 				t.Fatalf("Encode(%v): %v", blocks, err)
 			}
 			if back != id {
-				t.Fatalf("Encode(Decode(%d)) = %d", id, back)
+				t.Fatalf("Encode(DecodeAppend(%d)) = %d", id, back)
 			}
 		}
 	}
@@ -153,11 +153,67 @@ func TestDecodeRejectsOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if _, err := d.Decode(-1); err == nil {
-		t.Error("Decode(-1) should fail")
+	if _, err := d.DecodeAppend(nil, -1); err == nil {
+		t.Error("DecodeAppend(-1) should fail")
 	}
-	if _, err := d.Decode(d.NumPaths()); err == nil {
-		t.Error("Decode(NumPaths) should fail")
+	if _, err := d.DecodeAppend(nil, d.NumPaths()); err == nil {
+		t.Error("DecodeAppend(NumPaths) should fail")
+	}
+	if _, err := d.PathLen(-1); err == nil {
+		t.Error("PathLen(-1) should fail")
+	}
+	if _, err := d.PathLen(d.NumPaths()); err == nil {
+		t.Error("PathLen(NumPaths) should fail")
+	}
+}
+
+// TestDecodeAppendIntoSizedBuffer decodes every path back to back into one
+// buffer sized by PathLen: each decode fills exactly PathLen(id) slots after
+// what is already there, and allocates nothing.
+func TestDecodeAppendIntoSizedBuffer(t *testing.T) {
+	d, err := Build(nil, parse(t, loopDiamondSrc))
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	total := 0
+	for id := int64(0); id < d.NumPaths(); id++ {
+		n, err := d.PathLen(id)
+		if err != nil {
+			t.Fatalf("PathLen(%d): %v", id, err)
+		}
+		total += n
+	}
+	buf := make([]*ir.Block, 0, total)
+	ends := make([]int, d.NumPaths())
+	allocs := testing.AllocsPerRun(1, func() {
+		buf = buf[:0]
+		for id := int64(0); id < d.NumPaths(); id++ {
+			buf, err = d.DecodeAppend(buf, id)
+			ends[id] = len(buf)
+		}
+	})
+	if err != nil {
+		t.Fatalf("DecodeAppend: %v", err)
+	}
+	if allocs != 0 {
+		t.Errorf("decoding into a sized buffer allocated %v times", allocs)
+	}
+	if len(buf) != total || cap(buf) != total {
+		t.Fatalf("buffer len %d cap %d, want both %d", len(buf), cap(buf), total)
+	}
+	start := 0
+	for id := int64(0); id < d.NumPaths(); id++ {
+		want, _ := d.DecodeAppend(nil, id)
+		got := buf[start:ends[id]]
+		if len(got) != len(want) {
+			t.Fatalf("path %d: %d blocks in the buffer, %d decoded alone", id, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("path %d block %d: %s in the buffer, %s decoded alone", id, i, got[i].Name, want[i].Name)
+			}
+		}
+		start = ends[id]
 	}
 }
 
@@ -184,9 +240,9 @@ func TestProfilerCountsMatchExecution(t *testing.T) {
 	// the interpreter's dynamic step count (paths partition execution).
 	var ops int64
 	for id, c := range p.Counts {
-		blocks, err := d.Decode(id)
+		blocks, err := d.DecodeAppend(nil, id)
 		if err != nil {
-			t.Fatalf("Decode(%d): %v", id, err)
+			t.Fatalf("DecodeAppend(%d): %v", id, err)
 		}
 		ops += c * PathOps(blocks)
 	}
@@ -213,7 +269,7 @@ func TestProfilerPartitionProperty(t *testing.T) {
 		}
 		var ops int64
 		for id, c := range p.Counts {
-			blocks, err := d.Decode(id)
+			blocks, err := d.DecodeAppend(nil, id)
 			if err != nil {
 				return false
 			}
@@ -290,7 +346,7 @@ func TestPathOpsCountsAllInstrs(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	for id := int64(0); id < 2; id++ {
-		blocks, _ := d.Decode(id)
+		blocks, _ := d.DecodeAppend(nil, id)
 		// entry(3) + side(2) + join(2) = 7 instructions either way.
 		if got := PathOps(blocks); got != 7 {
 			t.Errorf("PathOps(path %d) = %d, want 7", id, got)

@@ -59,7 +59,7 @@ func TestBallLarusPartitionInvariant(t *testing.T) {
 		}
 		var ops int64
 		for id, c := range prof.Counts {
-			blocks, err := dag.Decode(id)
+			blocks, err := dag.DecodeAppend(nil, id)
 			if err != nil {
 				t.Fatalf("seed %d: decode %d: %v", seed, id, err)
 			}

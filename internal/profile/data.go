@@ -61,7 +61,6 @@ func FromData(am *pm.Manager, f *ir.Function, d *Data) (*FunctionProfile, error)
 		Trace:       d.Trace,
 		EdgeCounts:  d.EdgeCounts,
 		BlockCounts: d.BlockCounts,
-		byID:        make(map[int64]*Path),
 	}
 	if err := fp.rankCounts(d.Counts); err != nil {
 		return nil, err

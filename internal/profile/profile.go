@@ -6,8 +6,9 @@
 package profile
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"needle/internal/ballarus"
 	"needle/internal/interp"
@@ -275,7 +276,6 @@ func (c *Collector) Finish() (*FunctionProfile, error) {
 		Trace:       c.profiler.Trace,
 		EdgeCounts:  c.edges,
 		BlockCounts: c.blocks,
-		byID:        make(map[int64]*Path),
 	}
 	if err := fp.rankCounts(c.profiler.Counts); err != nil {
 		return nil, err
@@ -286,36 +286,76 @@ func (c *Collector) Finish() (*FunctionProfile, error) {
 // rankCounts decodes raw (path ID -> count) accumulators into ranked Path
 // entries: the shared recipe behind Finish and FromData, so a profile
 // rehydrated from serialized counts is bit-identical to one built live.
+//
+// It allocates a fixed number of times, however many paths executed: every
+// Path record lives in one backing array, and every path's blocks in one
+// arena sized exactly by a length-only walk first. Each Path.Blocks is a
+// window of the arena whose capacity equals its length, so an append by a
+// consumer copies instead of overwriting the next path's blocks. Per-path
+// sums read per-block tables instead of every instruction of every path.
 func (fp *FunctionProfile) rankCounts(counts map[int64]int64) error {
+	recs := make([]Path, 0, len(counts))
+	size := 0
 	for id, freq := range counts {
-		blocks, err := fp.DAG.Decode(id)
+		n, err := fp.DAG.PathLen(id)
 		if err != nil {
 			return fmt.Errorf("profile: decoding path %d of %s: %w", id, fp.F.Name, err)
 		}
-		p := &Path{ID: id, Freq: freq, Blocks: blocks, Ops: ballarus.PathOps(blocks)}
-		p.Weight = p.Freq * p.Ops
-		for _, b := range blocks {
-			t := b.Term()
-			if t != nil && t.Op == ir.OpCondBr {
-				p.Branches++
-			}
-			for _, in := range b.Instrs {
-				if in.Op.IsMemory() {
-					p.MemOps++
-				}
-			}
+		size += n
+		recs = append(recs, Path{ID: id, Freq: freq})
+	}
+	sums := blockSums(fp.F)
+	arena := make([]*ir.Block, 0, size)
+	fp.Paths = make([]*Path, len(recs))
+	fp.byID = make(map[int64]*Path, len(recs))
+	for i := range recs {
+		p := &recs[i]
+		start := len(arena)
+		arena, _ = fp.DAG.DecodeAppend(arena, p.ID) // PathLen accepted the ID
+		p.Blocks = arena[start:len(arena):len(arena)]
+		for _, b := range p.Blocks {
+			s := &sums[b.Index]
+			p.Ops += s.ops
+			p.Branches += s.branch
+			p.MemOps += s.mem
 		}
-		fp.Paths = append(fp.Paths, p)
+		p.Weight = p.Freq * p.Ops
 		fp.TotalWeight += p.Weight
+		fp.Paths[i] = p
 		fp.byID[p.ID] = p
 	}
-	sort.Slice(fp.Paths, func(i, j int) bool {
-		if fp.Paths[i].Weight != fp.Paths[j].Weight {
-			return fp.Paths[i].Weight > fp.Paths[j].Weight
+	slices.SortFunc(fp.Paths, func(a, b *Path) int {
+		if a.Weight != b.Weight {
+			return cmp.Compare(b.Weight, a.Weight)
 		}
-		return fp.Paths[i].ID < fp.Paths[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	return nil
+}
+
+// blockSum is what one block adds to a path through it.
+type blockSum struct {
+	ops    int64 // instructions, phis and terminator included
+	branch int   // 1 when the block ends in a conditional branch
+	mem    int   // loads and stores
+}
+
+// blockSums tabulates every block of f by Block.Index.
+func blockSums(f *ir.Function) []blockSum {
+	sums := make([]blockSum, len(f.Blocks))
+	for _, b := range f.Blocks {
+		s := &sums[b.Index]
+		s.ops = int64(len(b.Instrs))
+		if t := b.Term(); t != nil && t.Op == ir.OpCondBr {
+			s.branch = 1
+		}
+		for _, in := range b.Instrs {
+			if in.Op.IsMemory() {
+				s.mem++
+			}
+		}
+	}
+	return sums
 }
 
 // CollectFunction profiles a single invocation of f on the given arguments

@@ -71,54 +71,48 @@ func braidWeight(b *Braid) int64 {
 }
 
 func buildBraid(fp *profile.FunctionProfile, paths []*profile.Path) *Braid {
-	set := make(map[*ir.Block]bool)
-	for _, p := range paths {
-		for _, b := range p.Blocks {
-			set[b] = true
-		}
-	}
-	// Topological order within the braid: function block order restricted to
-	// the set, with entry forced first and exit last. Function blocks are in
-	// construction order which our builders keep topological for acyclic
-	// sub-regions; sorting by index is deterministic regardless.
 	entry := paths[0].Blocks[0]
 	exit := paths[0].Blocks[len(paths[0].Blocks)-1]
-	blocks := make([]*ir.Block, 0, len(set))
-	for b := range set {
-		blocks = append(blocks, b)
-	}
-	rank := func(b *ir.Block) int {
-		switch b {
-		case entry:
-			return 0
-		case exit:
-			return 2
+	in := make([]bool, len(fp.F.Blocks)) // membership by Block.Index
+	n := 0
+	for _, p := range paths {
+		for _, b := range p.Blocks {
+			if !in[b.Index] {
+				in[b.Index] = true
+				n++
+			}
 		}
-		return 1
 	}
-	sort.Slice(blocks, func(i, j int) bool {
-		bi, bj := blocks[i], blocks[j]
-		if ri, rj := rank(bi), rank(bj); ri != rj {
-			return ri < rj
+	// Topological order within the braid: entry first, exit last, and the
+	// other members in function block order, which our builders keep
+	// topological for acyclic sub-regions. Block.Index is a block's
+	// position in F.Blocks, so this is the members sorted by index.
+	blocks := make([]*ir.Block, 0, n)
+	blocks = append(blocks, entry)
+	for _, b := range fp.F.Blocks {
+		if in[b.Index] && b != entry && b != exit {
+			blocks = append(blocks, b)
 		}
-		return bi.Index < bj.Index
-	})
+	}
+	if exit != entry {
+		blocks = append(blocks, exit)
+	}
 
 	br := &Braid{Region: *newRegion(fp.F, KindBraid, blocks)}
 	br.Entry = entry
 	br.Exit = exit
 	br.Paths = paths
-	br.classifyBranches()
+	br.classifyBranches(in)
 	return br
 }
 
 // classifyBranches splits the braid's conditional branches into guards and
-// internal IFs. An edge "stays inside" only if its target is a braid block
-// other than the entry (a branch back to the entry is the loop back edge,
-// which ends the braid occurrence) and the source is not the exit block
-// (the exit block's branch decides whether the braid completed, i.e. it is
-// a guard).
-func (br *Braid) classifyBranches() {
+// internal IFs; in marks the braid's blocks by Block.Index. An edge "stays
+// inside" only if its target is a braid block other than the entry (a
+// branch back to the entry is the loop back edge, which ends the braid
+// occurrence) and the source is not the exit block (the exit block's
+// branch decides whether the braid completed, i.e. it is a guard).
+func (br *Braid) classifyBranches(in []bool) {
 	for _, b := range br.Blocks {
 		t := b.Term()
 		if t == nil || t.Op != ir.OpCondBr {
@@ -126,7 +120,7 @@ func (br *Braid) classifyBranches() {
 		}
 		inside := 0
 		for _, s := range t.Blocks {
-			if br.Set[s] && s != br.Entry && b != br.Exit {
+			if in[s.Index] && s != br.Entry && b != br.Exit {
 				inside++
 			}
 		}

@@ -191,11 +191,15 @@ type Target struct {
 // NewPathTarget builds the offload target for a single BL-Path region.
 func NewPathTarget(am *pm.Manager, fp *profile.FunctionProfile, p *profile.Path, cfg Config) (*Target, error) {
 	r := region.FromPath(fp.F, p)
+	fr, err := frame.Build(am, r, cfg.Frame)
+	if err != nil {
+		return nil, err
+	}
 	accepts := make([]bool, len(fp.Paths))
 	for i, q := range fp.Paths {
 		accepts[i] = q.ID == p.ID
 	}
-	return newTarget(am, fp, r, accepts, cfg)
+	return newTarget(fp, r, fr, accepts, cfg), nil
 }
 
 // NewBraidTarget builds the offload target for a braid. Any executed path
@@ -204,13 +208,22 @@ func NewPathTarget(am *pm.Manager, fp *profile.FunctionProfile, p *profile.Path,
 // combinations never seen during profiling, the coverage bonus of
 // Section IV-B.
 func NewBraidTarget(am *pm.Manager, fp *profile.FunctionProfile, br *region.Braid, cfg Config) (*Target, error) {
+	fr, err := frame.Build(am, &br.Region, cfg.Frame)
+	if err != nil {
+		return nil, err
+	}
+	return braidTarget(fp, br, fr, cfg), nil
+}
+
+// braidTarget is NewBraidTarget with the braid's frame already built.
+func braidTarget(fp *profile.FunctionProfile, br *region.Braid, fr *frame.Frame, cfg Config) *Target {
 	in := blockSet(fp.F, br.Blocks)
 	accepts := make([]bool, len(fp.Paths))
 	for i, p := range fp.Paths {
 		n := len(p.Blocks)
 		accepts[i] = n > 0 && p.Blocks[0] == br.Entry && p.Blocks[n-1] == br.Exit && within(in, p.Blocks)
 	}
-	return newTarget(am, fp, &br.Region, accepts, cfg)
+	return newTarget(fp, &br.Region, fr, accepts, cfg)
 }
 
 // blockSet marks blocks, all of f, in a table indexed by Block.Index, so
@@ -233,11 +246,7 @@ func within(set []bool, blocks []*ir.Block) bool {
 	return true
 }
 
-func newTarget(am *pm.Manager, fp *profile.FunctionProfile, r *region.Region, accepts []bool, cfg Config) (*Target, error) {
-	fr, err := frame.Build(am, r, cfg.Frame)
-	if err != nil {
-		return nil, err
-	}
+func newTarget(fp *profile.FunctionProfile, r *region.Region, fr *frame.Frame, accepts []bool, cfg Config) *Target {
 	isOpp := make([]bool, len(fp.Paths))
 	for i, p := range fp.Paths {
 		isOpp[i] = len(p.Blocks) > 0 && p.Blocks[0] == r.Entry
@@ -248,7 +257,7 @@ func newTarget(am *pm.Manager, fp *profile.FunctionProfile, r *region.Region, ac
 		Sched:   cgra.Schedule(fr, cfg.CGRA),
 		accepts: accepts,
 		isOpp:   isOpp,
-	}, nil
+	}
 }
 
 // Replay is a captured trace prepared for target evaluation: each
@@ -442,7 +451,12 @@ type Candidate struct {
 // candidate with the fewest cycles, falling back to no offload when nothing
 // profits (Section IV-B: "NEEDLE provides a methodical framework to reason
 // about this tradeoff").
-func SelectBraid(rp Replay, braids []*region.Braid, cfg Config, topK int) (Candidate, error) {
+//
+// hot is the frame of braids[0], built with cfg.Frame over the trace's
+// analysis manager (the pipeline's Frame stage builds exactly that), so the
+// top braid is not framed twice. A nil hot means braids[0] could not be
+// framed, and it is skipped as any unframeable candidate is.
+func SelectBraid(rp Replay, braids []*region.Braid, hot *frame.Frame, cfg Config, topK int) (Candidate, error) {
 	if len(braids) == 0 {
 		return Candidate{}, fmt.Errorf("sim: no braids")
 	}
@@ -462,10 +476,17 @@ func SelectBraid(rp Replay, braids []*region.Braid, cfg Config, topK int) (Candi
 	}
 	for i := 0; i < topK && i < len(braids); i++ {
 		br := braids[i]
-		tgt, err := NewBraidTarget(tr.AM, tr.Profile, br, cfg)
-		if err != nil {
-			continue // e.g. unframeable region; skip candidate
+		fr := hot
+		if i > 0 {
+			var err error
+			if fr, err = frame.Build(tr.AM, &br.Region, cfg.Frame); err != nil {
+				continue // e.g. unframeable region; skip candidate
+			}
 		}
+		if fr == nil {
+			continue // braids[0] could not be framed
+		}
+		tgt := braidTarget(tr.Profile, br, fr, cfg)
 		for _, pred := range []spec.Predictor{spec.NewHistory(cfg.HistBits), spec.Always{}} {
 			res := Evaluate(rp, tgt, pred, cfg)
 			// A candidate must not trade energy for speed: offload exists to

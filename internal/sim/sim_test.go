@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"needle/internal/frame"
 	"needle/internal/interp"
 	"needle/internal/ir"
 	"needle/internal/region"
@@ -34,6 +35,19 @@ func hottestPath(t testing.TB, tr *Trace, cfg Config) (oracle, history Result) {
 	}
 	rp := NewReplay(tr)
 	return Evaluate(rp, tgt, &spec.Oracle{}, cfg), Evaluate(rp, tgt, spec.NewHistory(cfg.HistBits), cfg)
+}
+
+// hotFrame frames braids[0] as the pipeline's Frame stage does, or returns
+// nil when it cannot be framed (or there is no braid).
+func hotFrame(tr *Trace, braids []*region.Braid, cfg Config) *frame.Frame {
+	if len(braids) == 0 {
+		return nil
+	}
+	fr, err := frame.Build(tr.AM, &braids[0].Region, cfg.Frame)
+	if err != nil {
+		return nil
+	}
+	return fr
 }
 
 // hottestBraid evaluates the top-ranked braid under pred.
@@ -266,7 +280,9 @@ func TestSelectBraidRejectsEnergyLosers(t *testing.T) {
 	// when it would win cycles.
 	for _, name := range []string{"186.crafty", "458.sjeng", "401.bzip2"} {
 		tr := capture(t, name, 1500)
-		cand, err := SelectBraid(NewReplay(tr), region.BuildBraids(tr.Profile, 0), DefaultConfig(), 3)
+		cfg := DefaultConfig()
+		braids := region.BuildBraids(tr.Profile, 0)
+		cand, err := SelectBraid(NewReplay(tr), braids, hotFrame(tr, braids, cfg), cfg, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -47,7 +47,9 @@ func (Sim) Evaluate(a *pipeline.Artifacts) (pipeline.Report, error) {
 		return nil, fmt.Errorf("evaluating paths: %w", err)
 	}
 	bsp := a.Span.Child("select: braid")
-	rep.BraidChoice, err = sim.SelectBraid(rp, a.Select.Braids, cfg.Sim, cfg.SelectTopK)
+	// The Frame stage framed the top braid with the same options and
+	// analysis manager; SelectBraid reuses that frame.
+	rep.BraidChoice, err = sim.SelectBraid(rp, a.Select.Braids, a.Frame.HotBraidFrame, cfg.Sim, cfg.SelectTopK)
 	bsp.End()
 	if err != nil {
 		return nil, fmt.Errorf("evaluating braids: %w", err)

@@ -1,0 +1,97 @@
+package target
+
+import (
+	"fmt"
+	"testing"
+
+	"needle/internal/pipeline"
+	"needle/internal/sim"
+	"needle/internal/spec"
+	"needle/internal/workloads"
+)
+
+// referenceBraidChoice is the braid selection as it was before the Sim
+// backend reused the Frame stage's frame: every candidate, the top braid
+// included, is framed afresh by sim.NewBraidTarget, and one that cannot be
+// framed is skipped.
+func referenceBraidChoice(a *pipeline.Artifacts) sim.Candidate {
+	cfg := a.Config
+	tr := a.Profile.Trace
+	rp := sim.NewReplay(tr)
+	best := sim.Candidate{
+		Result: sim.Result{
+			Predictor:        "none",
+			BaselineCycles:   tr.BaselineCycles,
+			OffloadCycles:    tr.BaselineCycles,
+			BaselineEnergyPJ: tr.BaselineEnergyPJ,
+			OffloadEnergyPJ:  tr.BaselineEnergyPJ,
+		},
+		Policy: "none",
+	}
+	for i := 0; i < cfg.SelectTopK && i < len(a.Select.Braids); i++ {
+		br := a.Select.Braids[i]
+		tgt, err := sim.NewBraidTarget(tr.AM, tr.Profile, br, cfg.Sim)
+		if err != nil {
+			continue
+		}
+		for _, pred := range []spec.Predictor{spec.NewHistory(cfg.Sim.HistBits), spec.Always{}} {
+			res := sim.Evaluate(rp, tgt, pred, cfg.Sim)
+			if res.OffloadEnergyPJ > res.BaselineEnergyPJ {
+				continue
+			}
+			if res.OffloadCycles < best.Result.OffloadCycles {
+				best = sim.Candidate{Result: res, Braid: br, Policy: pred.Name()}
+			}
+		}
+	}
+	return best
+}
+
+// sameCandidate reports whether two candidates choose the same braid under
+// the same policy with the same result (floats compared by their shortest
+// exact decimal form).
+func sameCandidate(a, b sim.Candidate) bool {
+	return a.Braid == b.Braid && a.Policy == b.Policy &&
+		fmt.Sprintf("%+v", a.Result) == fmt.Sprintf("%+v", b.Result)
+}
+
+// TestSimReusesHotBraidFrame pins that the Sim backend's braid choice,
+// which reuses the Frame stage's hot-braid frame, is the one framing the
+// top braid afresh gives, on every workload at default size — both when
+// the frame was just built and when it was decoded from a disk store.
+func TestSimReusesHotBraidFrame(t *testing.T) {
+	all := workloads.All()
+	if len(all) < 29 {
+		t.Fatalf("workload suite shrank: %d workloads, want >= 29", len(all))
+	}
+	dir := t.TempDir()
+	cfg := pipeline.DefaultConfig()
+	for _, pass := range []string{"cold", "warm"} {
+		store, err := pipeline.NewDiskStore(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range all {
+			p, err := w.Program(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := pipeline.Run(p, cfg, pipeline.RunOptions{Store: store})
+			if err != nil {
+				t.Fatalf("%s %s: %v", pass, w.Name, err)
+			}
+			rep, ok := a.Report("sim").(*SimReport)
+			if !ok {
+				t.Fatalf("%s %s: no sim report", pass, w.Name)
+			}
+			want := referenceBraidChoice(a)
+			if !sameCandidate(rep.BraidChoice, want) {
+				t.Fatalf("%s %s: braid choice differs from framing afresh\n got  %s %+v\n want %s %+v",
+					pass, w.Name, rep.BraidChoice.Policy, rep.BraidChoice.Result, want.Policy, want.Result)
+			}
+		}
+		if hits := store.Stats()["frame"].DiskHits; pass == "warm" && hits != int64(len(all)) {
+			t.Fatalf("warm pass decoded %d frames from disk, want %d", hits, len(all))
+		}
+	}
+}

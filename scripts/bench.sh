@@ -1,6 +1,7 @@
 #!/bin/sh
 # bench.sh — the repo's performance gate. Runs the sweep benchmarks, writes
-# the results to BENCH_<date>.json (the perf-trajectory artifact), and fails
+# the results to BENCH_<date>.json (the perf-trajectory artifact; a later
+# run on the same day writes BENCH_<date>-2.json and so on), and fails
 # if either gate regresses against the checked-in baseline in
 # scripts/bench_baseline.json:
 #
@@ -22,9 +23,12 @@
 #     BenchmarkSweep gets a tight 2% gate against sweep_ns_per_op, pinning
 #     that the lazily-computed vet analyses cost a default sweep nothing.
 #
-# It also records, ungated, BenchmarkStage/target — the Target stage alone
-# on 186.crafty, 458.sjeng and 164.gzip, upstream artifacts served from a
-# pre-warmed Cache — as ns/op and allocs/op per workload.
+# It also records, ungated, three BenchmarkStage rows on 186.crafty,
+# 458.sjeng and 164.gzip, as ns/op and allocs/op per workload:
+# profile-decode (sim.TraceFromData from the stored trace data under a
+# fresh analysis manager, as on a warm disk hit), select-decode
+# (region.BraidFromData for every stored braid) and target (the Target
+# stage alone, upstream artifacts served from a pre-warmed Cache).
 #
 #   ./scripts/bench.sh            (or: make bench)
 #   BENCH_TIME=10x ./scripts/bench.sh   # more iterations, less noise
@@ -59,7 +63,12 @@ allocs_of() {
         for (i = 4; i <= NF; i++) if ($i == "allocs/op") { print $(i-1); exit }
     }'
 }
-stages="BenchmarkStage/target/186.crafty BenchmarkStage/target/458.sjeng BenchmarkStage/target/164.gzip"
+stages=""
+for layer in profile-decode select-decode target; do
+    for w in 186.crafty 458.sjeng 164.gzip; do
+        stages="$stages BenchmarkStage/$layer/$w"
+    done
+done
 
 sweep=$(ns_of BenchmarkSweep)
 if [ -z "$sweep" ]; then
@@ -91,6 +100,12 @@ fi
 
 date=$(date +%Y-%m-%d)
 file="BENCH_${date}.json"
+# Never overwrite an earlier record of the same day: number later ones.
+i=2
+while [ -e "$file" ]; do
+    file="BENCH_${date}-${i}.json"
+    i=$((i + 1))
+done
 {
     echo "{"
     echo "  \"date\": \"${date}\","
