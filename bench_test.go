@@ -52,7 +52,7 @@ func sharedSuite(b *testing.B) *tables.Suite {
 	suiteOnce.Do(func() {
 		cfg := core.DefaultConfig()
 		cfg.N = benchN
-		suiteVal, suiteErr = tables.Run(cfg)
+		suiteVal, suiteErr = tables.Run(context.Background(), core.New(), cfg)
 	})
 	if suiteErr != nil {
 		b.Fatal(suiteErr)
@@ -106,7 +106,7 @@ func BenchmarkFigure9(b *testing.B) {
 	cfg.N = benchN
 	var braidMean, oracleMean float64
 	for i := 0; i < b.N; i++ {
-		s, err := tables.Run(cfg)
+		s, err := tables.Run(context.Background(), core.New(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func BenchmarkFigure10(b *testing.B) {
 	cfg.N = benchN
 	var energyMean float64
 	for i := 0; i < b.N; i++ {
-		s, err := tables.Run(cfg)
+		s, err := tables.Run(context.Background(), core.New(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func BenchmarkSweep(b *testing.B) {
 	cfg.N = benchN
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := tables.Run(cfg)
+		s, err := tables.Run(context.Background(), core.New(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 	ctx := context.Background()
 	sweep := func(b *testing.B, store pipeline.Store) {
 		b.Helper()
-		as, err := core.AnalyzeAllCtx(ctx, cfg, core.Options{Store: store})
+		as, err := core.New(core.WithStore(store)).RunAll(ctx, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -549,14 +549,17 @@ func BenchmarkAblationMemOrdering(b *testing.B) {
 func BenchmarkAblationPredictor(b *testing.B) {
 	w := workloads.ByName("bodytrack")
 	histBits := []uint{2, 4, 8, 12, 16}
-	sweep := func(b *testing.B, cache *pipeline.Cache) float64 {
+	// store is an interface so "fresh" passes an untyped nil: a nil
+	// *pipeline.Cache would make a non-nil Store that pipeline.Run calls.
+	sweep := func(b *testing.B, store pipeline.Store) float64 {
 		b.Helper()
+		az := core.New(core.WithStore(store))
 		var imp float64
 		for _, hb := range histBits {
 			cfg := core.DefaultConfig()
 			cfg.N = 2000
 			cfg.Sim.HistBits = hb
-			a, err := core.AnalyzeWith(cache, w, cfg)
+			a, err := az.RunWorkload(context.Background(), w, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

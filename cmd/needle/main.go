@@ -187,7 +187,7 @@ func dispatch(ctx context.Context, o options, store pipeline.Store) {
 	case o.vet:
 		runVet(o)
 	case o.benchOut:
-		benchJSON(ctx, cfg, o.jobs, store)
+		benchJSON(ctx, az, cfg, o.jobs)
 	case o.nirFile != "":
 		p, err := program.LoadFile(o.nirFile, program.LoadOptions{
 			Entry:    o.entry,
@@ -229,7 +229,7 @@ func dispatch(ctx context.Context, o options, store pipeline.Store) {
 	case o.figure == "3":
 		fmt.Println(tables.Figure3())
 	case o.table != "" || o.figure != "" || o.all:
-		s, err := tables.RunCtx(ctx, cfg, core.Options{Jobs: o.jobs, Store: store})
+		s, err := tables.Run(ctx, az, cfg)
 		if err != nil {
 			fatal("analysis sweep: %v", err)
 		}
@@ -355,13 +355,13 @@ func emit(a *core.Analysis, o options, name string) {
 // benchJSON runs the full analysis sweep and every table/figure renderer,
 // emitting wall-clock timings as JSON — the perf-trajectory artifact future
 // changes are measured against.
-func benchJSON(ctx context.Context, cfg core.Config, jobs int, store pipeline.Store) {
+func benchJSON(ctx context.Context, az *core.Analyzer, cfg core.Config, jobs int) {
 	type timing struct {
 		Name string  `json:"name"`
 		Ms   float64 `json:"ms"`
 	}
 	start := time.Now()
-	s, err := tables.RunCtx(ctx, cfg, core.Options{Jobs: jobs, Store: store})
+	s, err := tables.Run(ctx, az, cfg)
 	if err != nil {
 		fatal("analysis sweep: %v", err)
 	}

@@ -123,5 +123,5 @@ func main() {
 	fmt.Println("classify() and weight() are invisible to region formation. Inlining")
 	fmt.Println("exposes them, the path profile splits into the real variants, and")
 	fmt.Println("the braid can merge them with internal IFs — which is why Needle")
-	fmt.Println("(and this pipeline's core.Analyze) inlines before profiling.")
+	fmt.Println("(and this pipeline's core.Analyzer) inlines before profiling.")
 }

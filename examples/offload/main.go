@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -27,7 +28,7 @@ func main() {
 		log.Fatalf("unknown workload %q; try one of %v", name, workloads.Names())
 	}
 
-	a, err := core.Analyze(w, core.DefaultConfig())
+	a, err := core.New().RunWorkload(context.Background(), w, core.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,17 +6,16 @@
 // the untaken side, which in turn keeps phis on the taken side constant
 // where a pessimistic pass would have given up.
 //
-// The constant evaluator mirrors internal/interp's eval exactly (shift
-// masking, Go signed division semantics, float ops through package math),
-// so folding a lattice constant can never change an observable result. The
-// one deliberate asymmetry: a division or remainder whose divisor is a
-// constant zero is bottom, never a constant — the interpreter traps there,
-// and an analysis result must not erase a trap.
+// Constants are evaluated by ir.EvalPure, the interpreter's own arithmetic
+// (shift masking, Go signed division semantics, float ops through package
+// math), so folding a lattice constant can never change an observable
+// result. The one deliberate asymmetry: a division or remainder whose
+// divisor is a constant zero is bottom, never a constant — the interpreter
+// traps there, and an analysis result must not erase a trap.
 package analysis
 
 import (
 	"fmt"
-	"math"
 
 	"needle/internal/ir"
 )
@@ -264,17 +263,13 @@ func ComputeSCCP(f *ir.Function) *SCCP {
 			case a.State == LatBottom || d.State == LatBottom:
 				lower(in, bottomVal)
 			case a.IsConst() && d.IsConst():
-				bits, ok := evalConstOp(in.Op, in.Imm, []uint64{a.Bits, d.Bits})
-				if ok {
-					lower(in, constVal(bits))
-				} else {
-					lower(in, bottomVal)
-				}
+				bits, _ := ir.EvalPure(in.Op, in.Imm, a.Bits, d.Bits, 0) // divisor is non-zero
+				lower(in, constVal(bits))
 			}
 		default:
 			// Pure value computation: constant when every operand is.
 			nv := LatticeValue{State: LatTop}
-			vals := make([]uint64, len(in.Args))
+			var vals [3]uint64
 			allConst := true
 			for i, a := range in.Args {
 				av := val(a)
@@ -290,7 +285,7 @@ func ComputeSCCP(f *ir.Function) *SCCP {
 				vals[i] = av.Bits
 			}
 			if allConst {
-				if bits, ok := evalConstOp(in.Op, in.Imm, vals); ok {
+				if bits, ok := ir.EvalPure(in.Op, in.Imm, vals[0], vals[1], vals[2]); ok {
 					nv = constVal(bits)
 				} else {
 					nv = bottomVal
@@ -343,101 +338,6 @@ func ComputeSCCP(f *ir.Function) *SCCP {
 		}
 	}
 	return s
-}
-
-// evalConstOp evaluates one pure opcode over constant operand bit
-// patterns, mirroring internal/interp's eval exactly. It reports false for
-// opcodes it cannot evaluate (memory, calls, control flow). Callers must
-// pre-screen div/rem by zero — this function assumes a non-zero divisor.
-func evalConstOp(op ir.Op, imm int64, v []uint64) (uint64, bool) {
-	ai := func(i int) int64 { return int64(v[i]) }
-	af := func(i int) float64 { return math.Float64frombits(v[i]) }
-	b := func(c bool) uint64 {
-		if c {
-			return 1
-		}
-		return 0
-	}
-	switch op {
-	case ir.OpConst:
-		return uint64(imm), true
-	case ir.OpAdd:
-		return uint64(ai(0) + ai(1)), true
-	case ir.OpSub:
-		return uint64(ai(0) - ai(1)), true
-	case ir.OpMul:
-		return uint64(ai(0) * ai(1)), true
-	case ir.OpDiv:
-		if ai(1) == 0 {
-			return 0, false
-		}
-		return uint64(ai(0) / ai(1)), true
-	case ir.OpRem:
-		if ai(1) == 0 {
-			return 0, false
-		}
-		return uint64(ai(0) % ai(1)), true
-	case ir.OpAnd:
-		return v[0] & v[1], true
-	case ir.OpOr:
-		return v[0] | v[1], true
-	case ir.OpXor:
-		return v[0] ^ v[1], true
-	case ir.OpShl:
-		return uint64(ai(0) << (v[1] & 63)), true
-	case ir.OpShr:
-		return uint64(ai(0) >> (v[1] & 63)), true
-	case ir.OpFAdd:
-		return math.Float64bits(af(0) + af(1)), true
-	case ir.OpFSub:
-		return math.Float64bits(af(0) - af(1)), true
-	case ir.OpFMul:
-		return math.Float64bits(af(0) * af(1)), true
-	case ir.OpFDiv:
-		return math.Float64bits(af(0) / af(1)), true
-	case ir.OpSqrt:
-		return math.Float64bits(math.Sqrt(af(0))), true
-	case ir.OpExp:
-		return math.Float64bits(math.Exp(af(0))), true
-	case ir.OpLog:
-		return math.Float64bits(math.Log(af(0))), true
-	case ir.OpSIToFP:
-		return math.Float64bits(float64(ai(0))), true
-	case ir.OpFPToSI:
-		return uint64(int64(af(0))), true
-	case ir.OpCmpEQ:
-		return b(ai(0) == ai(1)), true
-	case ir.OpCmpNE:
-		return b(ai(0) != ai(1)), true
-	case ir.OpCmpLT:
-		return b(ai(0) < ai(1)), true
-	case ir.OpCmpLE:
-		return b(ai(0) <= ai(1)), true
-	case ir.OpCmpGT:
-		return b(ai(0) > ai(1)), true
-	case ir.OpCmpGE:
-		return b(ai(0) >= ai(1)), true
-	case ir.OpFCmpEQ:
-		return b(af(0) == af(1)), true
-	case ir.OpFCmpNE:
-		return b(af(0) != af(1)), true
-	case ir.OpFCmpLT:
-		return b(af(0) < af(1)), true
-	case ir.OpFCmpLE:
-		return b(af(0) <= af(1)), true
-	case ir.OpFCmpGT:
-		return b(af(0) > af(1)), true
-	case ir.OpFCmpGE:
-		return b(af(0) >= af(1)), true
-	case ir.OpCopy:
-		return v[0], true
-	case ir.OpSelect:
-		if v[0] != 0 {
-			return v[1], true
-		}
-		return v[2], true
-	}
-	return 0, false
 }
 
 // DeadCodeFacts is the reachability/dead-code summary derived from an SCCP

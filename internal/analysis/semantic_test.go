@@ -81,27 +81,6 @@ entry:
 	}
 }
 
-func TestSCCPEvalMatchesInterpShiftMasking(t *testing.T) {
-	f := parse(t, `func @f() {
-entry:
-  r1 = const.i64 1
-  r2 = const.i64 65
-  r3 = shl r1, r2
-  r4 = const.i64 -8
-  r5 = shr r4, r1
-  ret r3
-}`)
-	s := ComputeSCCP(f)
-	// shl masks the shift amount to 6 bits (65 & 63 == 1) and shr is
-	// arithmetic — both mirroring internal/interp.
-	if v := s.Value(3); !v.IsConst() || int64(v.Bits) != 2 {
-		t.Fatalf("1 << 65 = %+v, want const 2", v)
-	}
-	if v := s.Value(5); !v.IsConst() || int64(v.Bits) != -4 {
-		t.Fatalf("-8 >> 1 = %+v, want const -4 (arithmetic)", v)
-	}
-}
-
 func TestSCCPLoopInvariantStaysConstant(t *testing.T) {
 	f := parse(t, `func @f(i64) {
 entry:

@@ -1,10 +1,8 @@
-// The consolidated core entry point. Analyzer replaces the accreted zoo of
-// package-level functions (Analyze, AnalyzeWith, AnalyzeWithStore,
-// AnalyzeAllCtx, and the deleted AnalyzeAll/AnalyzeAllJobs) with one
-// configured value: construct it once with New and the functional options,
-// then Run single workloads or RunAll sweeps against it. The old names
-// survive as thin wrappers in core.go; embedders — the CLI, the tables
-// harness, and the needled daemon — hold an Analyzer.
+// The core entry point. An Analyzer is one configured value: construct it
+// once with New and the functional options, then Run single programs,
+// RunWorkload registry entries, or RunAll sweeps against it. Every embedder
+// — the CLI, the tables harness, the needled daemon, the examples — holds
+// an Analyzer.
 
 package core
 

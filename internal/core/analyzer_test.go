@@ -108,31 +108,12 @@ func TestAnalyzerRunCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run after cancelled run: %v", err)
 	}
-	fresh, err := Analyze(w, Config{N: 800})
+	fresh, err := New().RunWorkload(context.Background(), w, Config{N: 800})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, want := Summarize(a), Summarize(fresh)
 	if got != want {
 		t.Fatalf("post-cancellation run diverges from fresh analysis:\ngot  %+v\nwant %+v", got, want)
-	}
-}
-
-// TestOptionsAnalyzer: the Options→Analyzer bridge honors the Store-wins
-// precedence the sweep wrappers documented.
-func TestOptionsAnalyzer(t *testing.T) {
-	cache := pipeline.NewCache()
-	store, err := pipeline.NewDiskStore(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if az := (Options{Cache: cache}).Analyzer(); az.store != pipeline.Store(cache) {
-		t.Error("Cache-only options must select the cache")
-	}
-	if az := (Options{Store: store, Cache: cache}).Analyzer(); az.store != pipeline.Store(store) {
-		t.Error("Store must win over Cache")
-	}
-	if az := (Options{}).Analyzer(); az.store != nil {
-		t.Error("empty options must leave the store nil")
 	}
 }

@@ -6,23 +6,18 @@
 // command-line tools, the needled daemon, the examples, and the experiment
 // harness.
 //
-// The entry point is the Analyzer (analyzer.go): core.New(opts...) with
-// functional options (WithStore, WithJobs, WithProgress, WithObsSpan) and
-// the Run/RunWorkload/RunAll methods. Run takes a *program.Program — any
-// verified NIR program, whether a built-in workload instance or source a
-// user just loaded — making "analyze this workload" and "analyze this
+// The one entry point is the Analyzer (analyzer.go): core.New(opts...)
+// with functional options (WithStore, WithJobs, WithProgress, WithObsSpan)
+// and the Run/RunWorkload/RunAll methods. Run takes a *program.Program —
+// any verified NIR program, whether a built-in workload instance or source
+// a user just loaded — making "analyze this workload" and "analyze this
 // file" the same operation; RunWorkload is the registry-backed adapter.
 // The heavy lifting lives in internal/pipeline (named stages over typed
 // artifacts) and internal/target (pluggable evaluation backends); the
-// Analyzer flattens the staged artifacts into the Analysis struct,
-// byte-for-byte identical to the old monolith. The historical
-// package-level functions in this file — Analyze, AnalyzeWith,
-// AnalyzeWithStore, AnalyzeAllCtx — remain as thin wrappers over a
-// one-shot Analyzer.
+// Analyzer flattens the staged artifacts into the Analysis struct.
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"needle/internal/frame"
@@ -45,7 +40,7 @@ var (
 )
 
 // Config controls an analysis run. It is an alias of pipeline.Config, so
-// the staged API and these compatibility wrappers interoperate freely.
+// an Analyzer and a direct pipeline.Run take the same value.
 type Config = pipeline.Config
 
 // DefaultConfig returns the paper's evaluation configuration.
@@ -61,9 +56,10 @@ type Analysis struct {
 	Workload *workloads.Workload
 	Config   Config
 
-	// AM is the analysis manager that served this run; later frame or
-	// region construction against the analyzed function should reuse it.
-	// Analyses that shared artifacts through a pipeline.Cache share it.
+	// AM is the analysis manager of the analyzed function (the Opt stage's
+	// under Config.Opt, else the Inline stage's); later frame or region
+	// construction against Profile.F should reuse it. Analyses that shared
+	// artifacts through a store share it.
 	AM *pm.Manager
 
 	// Artifacts is the staged artifact set this analysis was flattened
@@ -102,44 +98,15 @@ type Analysis struct {
 	HLS           hls.Report
 }
 
-// Analyze runs the full pipeline on a workload with a fresh one-shot
-// Analyzer. It is equivalent to New().RunWorkload(context.Background(), w,
-// cfg).
-func Analyze(w *workloads.Workload, cfg Config) (*Analysis, error) {
-	return New().RunWorkload(context.Background(), w, cfg)
-}
-
-// AnalyzeWith runs the pipeline with stage-artifact reuse through an
-// in-memory cache: upstream artifacts (inlined function, captured profile,
-// braids, hot-braid frame) are shared with every other run whose program
-// key and upstream config fingerprints match, so a sweep over downstream
-// knobs — predictor history bits, CGRA parameters, selection bounds —
-// re-profiles nothing. A nil cache computes everything fresh; results are
-// identical either way.
-func AnalyzeWith(cache *pipeline.Cache, w *workloads.Workload, cfg Config) (*Analysis, error) {
-	var store pipeline.Store
-	if cache != nil {
-		store = cache
-	}
-	return New(WithStore(store)).RunWorkload(context.Background(), w, cfg)
-}
-
-// AnalyzeWithStore is AnalyzeWith over any artifact store — in particular a
-// pipeline.DiskStore, which warm-starts the run from artifacts a previous
-// process persisted. A nil store computes everything fresh; results are
-// byte-identical either way.
-func AnalyzeWithStore(store pipeline.Store, w *workloads.Workload, cfg Config) (*Analysis, error) {
-	return New(WithStore(store)).RunWorkload(context.Background(), w, cfg)
-}
-
-// fromArtifacts flattens the staged artifacts into the Analysis struct the
-// pre-refactor monolith produced, pulling the typed reports of the sim and
-// hls backends into their dedicated fields.
+// fromArtifacts flattens the staged artifacts into the Analysis struct,
+// pulling the typed reports of the sim and hls backends into their
+// dedicated fields.
 func fromArtifacts(arts *pipeline.Artifacts) (*Analysis, error) {
+	am, _ := arts.HotFunc()
 	a := &Analysis{
 		Program:       arts.Program,
 		Config:        arts.Config,
-		AM:            arts.Inline.AM,
+		AM:            am,
 		Artifacts:     arts,
 		Trace:         arts.Profile.Trace,
 		Profile:       arts.Profile.Trace.Profile,
@@ -160,45 +127,6 @@ func fromArtifacts(arts *pipeline.Artifacts) (*Analysis, error) {
 		a.HLS = h.Report
 	}
 	return a, nil
-}
-
-// Options configures a sweep over the registered workloads — the
-// pre-Analyzer way to spell New(WithJobs(...), WithStore(...)). It remains
-// the argument type of AnalyzeAllCtx and tables.RunCtx.
-type Options struct {
-	// Jobs bounds the worker pool: GOMAXPROCS when <= 0, serial when 1.
-	Jobs int
-	// Store shares stage artifacts across the sweep's analyses — and with
-	// any other run handed the same store. A pipeline.DiskStore persists
-	// them, so a later process's sweep warm-starts from disk. Nil falls
-	// back to Cache, then to analyzing everything fresh.
-	Store pipeline.Store
-	// Cache is the pre-Store way to share artifacts, kept for
-	// compatibility; it is consulted only when Store is nil.
-	Cache *pipeline.Cache
-}
-
-// store returns the effective artifact store (Store wins, then Cache).
-func (o Options) store() pipeline.Store {
-	if o.Store != nil {
-		return o.Store
-	}
-	if o.Cache != nil {
-		return o.Cache
-	}
-	return nil
-}
-
-// Analyzer returns the Analyzer these options describe.
-func (o Options) Analyzer() *Analyzer {
-	return New(WithStore(o.store()), WithJobs(o.Jobs))
-}
-
-// AnalyzeAllCtx runs the pipeline over every registered workload on a
-// bounded worker pool; it is Options.Analyzer().RunAll(ctx, cfg). See
-// Analyzer.RunAll for the ordering, error, and cancellation contract.
-func AnalyzeAllCtx(ctx context.Context, cfg Config, opts Options) ([]*Analysis, error) {
-	return opts.Analyzer().RunAll(ctx, cfg)
 }
 
 // HottestBraid returns the top-ranked braid, or nil.

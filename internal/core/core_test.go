@@ -20,9 +20,9 @@ func analyze(t testing.TB, name string, n int) *Analysis {
 	}
 	cfg := DefaultConfig()
 	cfg.N = n
-	a, err := Analyze(w, cfg)
+	a, err := New().RunWorkload(context.Background(), w, cfg)
 	if err != nil {
-		t.Fatalf("Analyze(%s): %v", name, err)
+		t.Fatalf("RunWorkload(%s): %v", name, err)
 	}
 	return a
 }
@@ -88,6 +88,34 @@ func TestPathFrameRanks(t *testing.T) {
 	}
 }
 
+// TestOptAnalysisManager: under Config.Opt the analyzed function is the
+// Opt stage's, so the Analysis hands out the Opt stage's manager and
+// follow-up region construction never computes analyses in the Inline
+// stage's (store-shared) manager.
+func TestOptAnalysisManager(t *testing.T) {
+	w := workloads.ByName("164.gzip")
+	a, err := New().RunWorkload(context.Background(), w, Config{N: 800, Opt: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Artifacts.Opt == nil {
+		t.Fatal("Opt stage did not run")
+	}
+	if a.AM != a.Artifacts.Opt.AM {
+		t.Fatal("Analysis.AM is not the Opt stage's manager")
+	}
+	before := a.Artifacts.Inline.AM.Stats().Misses
+	if _, err := a.PathFrame(0); err != nil {
+		t.Fatal(err)
+	}
+	if a.Hyperblock() == nil {
+		t.Fatal("no hyperblock")
+	}
+	if after := a.Artifacts.Inline.AM.Stats().Misses; after != before {
+		t.Fatalf("PathFrame/Hyperblock computed %d analyses in the Inline manager", after-before)
+	}
+}
+
 func TestSelectionNeverDegrades(t *testing.T) {
 	// The filter-and-rank stage must fall back to no-offload rather than
 	// commit to a losing braid.
@@ -102,7 +130,7 @@ func TestSelectionNeverDegrades(t *testing.T) {
 
 func TestDefaultConfigFillsZeroValue(t *testing.T) {
 	w := workloads.ByName("482.sphinx3")
-	a, err := Analyze(w, Config{N: 800})
+	a, err := New().RunWorkload(context.Background(), w, Config{N: 800})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +147,7 @@ func TestConfigNormalizationKeepsCallerFields(t *testing.T) {
 	custom.HistBits = 4
 	custom.OOO.Width = 2
 	w := workloads.ByName("164.gzip")
-	a, err := Analyze(w, Config{Sim: custom, N: 900})
+	a, err := New().RunWorkload(context.Background(), w, Config{Sim: custom, N: 900})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +164,11 @@ func TestConfigNormalizationKeepsCallerFields(t *testing.T) {
 	}
 }
 
-func TestAnalyzeAllCtxCancellation(t *testing.T) {
+func TestRunAllCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	as, err := AnalyzeAllCtx(ctx, Config{N: 600}, Options{Jobs: 2})
+	as, err := New(WithJobs(2)).RunAll(ctx, Config{N: 600})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v (results %v)", err, as != nil)
 	}
@@ -148,12 +176,12 @@ func TestAnalyzeAllCtxCancellation(t *testing.T) {
 		t.Fatalf("cancellation not prompt: took %v", elapsed)
 	}
 	// Serial path honors cancellation too.
-	if _, err := AnalyzeAllCtx(ctx, Config{N: 600}, Options{Jobs: 1}); !errors.Is(err, context.Canceled) {
+	if _, err := New(WithJobs(1)).RunAll(ctx, Config{N: 600}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("serial path: want context.Canceled, got %v", err)
 	}
 }
 
-func TestAnalyzeAllCtxMidSweepCancel(t *testing.T) {
+func TestRunAllMidSweepCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -161,7 +189,7 @@ func TestAnalyzeAllCtxMidSweepCancel(t *testing.T) {
 		cancel()
 		close(done)
 	}()
-	_, err := AnalyzeAllCtx(ctx, Config{N: 1200}, Options{Jobs: 2})
+	_, err := New(WithJobs(2)).RunAll(ctx, Config{N: 1200})
 	<-done
 	// Either the sweep finished before the cancel landed (nil) or it must
 	// report context.Canceled — never a partial, unexplained result.
@@ -193,7 +221,7 @@ func TestObservabilitySpansAndCounters(t *testing.T) {
 		obs.Reset()
 	}()
 	obs.Reset()
-	if _, err := AnalyzeAllCtx(context.Background(), Config{N: 1500}, Options{Jobs: 2}); err != nil {
+	if _, err := New(WithJobs(2)).RunAll(context.Background(), Config{N: 1500}); err != nil {
 		t.Fatal(err)
 	}
 	names := make(map[string]int)

@@ -18,7 +18,7 @@ func TestCachedSweepByteIdenticalToFresh(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.N = 1200
 
-	fresh, err := AnalyzeAllCtx(context.Background(), cfg, Options{Jobs: 2})
+	fresh, err := New(WithJobs(2)).RunAll(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestCachedSweepByteIdenticalToFresh(t *testing.T) {
 	}
 
 	cache := pipeline.NewCache()
-	cached, err := AnalyzeAllCtx(context.Background(), cfg, Options{Jobs: 2, Cache: cache})
+	cached, err := New(WithJobs(2), WithStore(cache)).RunAll(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestCachedSweepByteIdenticalToFresh(t *testing.T) {
 
 	// A second sweep through the same cache reuses every cacheable artifact
 	// and still reproduces the same bytes.
-	again, err := AnalyzeAllCtx(context.Background(), cfg, Options{Jobs: 2, Cache: cache})
+	again, err := New(WithJobs(2), WithStore(cache)).RunAll(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +87,14 @@ func TestDownstreamKnobSweepReusesUpstream(t *testing.T) {
 		t.Fatal("no 186.crafty workload")
 	}
 	cache := pipeline.NewCache()
+	az := New(WithStore(cache))
 	histBits := []uint{2, 4, 8, 12, 16}
 	as := make([]*Analysis, len(histBits))
 	for i, hb := range histBits {
 		cfg := DefaultConfig()
 		cfg.N = 1200
 		cfg.Sim.HistBits = hb
-		a, err := AnalyzeWith(cache, w, cfg)
+		a, err := az.RunWorkload(context.Background(), w, cfg)
 		if err != nil {
 			t.Fatalf("HistBits=%d: %v", hb, err)
 		}

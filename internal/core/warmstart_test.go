@@ -27,7 +27,7 @@ func TestSweepWarmStartByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	as1, err := AnalyzeAllCtx(ctx, cfg, Options{Jobs: 2, Store: cold})
+	as1, err := New(WithJobs(2), WithStore(cold)).RunAll(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestSweepWarmStartByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	as2, err := AnalyzeAllCtx(ctx, cfg, Options{Jobs: 2, Store: warm})
+	as2, err := New(WithJobs(2), WithStore(warm)).RunAll(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestSweepWarmStartByteIdentical(t *testing.T) {
 	}
 
 	// A storeless run is the ground truth both tiers must reproduce.
-	as3, err := AnalyzeAllCtx(ctx, cfg, Options{Jobs: 2})
+	as3, err := New(WithJobs(2)).RunAll(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

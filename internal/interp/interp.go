@@ -223,7 +223,7 @@ func (ex *executor) exec(f *ir.Function, args []uint64, depth int) (uint64, erro
 						hooks.Mem(in, addr)
 					}
 				}
-				v, err := eval(in, regs, mem)
+				v, err := Eval(in, regs, mem)
 				if err != nil {
 					return 0, fmt.Errorf("%w in %s.%s", err, f.Name, cur.Name)
 				}
@@ -242,118 +242,43 @@ func (ex *executor) exec(f *ir.Function, args []uint64, depth int) (uint64, erro
 }
 
 // Eval executes one non-control instruction against a register file and
-// memory, returning the raw result bits. It is the single-instruction
-// building block reused by the speculation runtime's frame executor.
+// memory, returning the raw result bits. Memory access and the traps
+// (ErrOutOfBounds, ErrDivideByZero) are handled here; every other opcode's
+// arithmetic is ir.EvalPure. It is also the single-instruction building
+// block reused by the speculation runtime's frame executor.
 func Eval(in *ir.Instr, regs []uint64, mem []uint64) (uint64, error) {
-	return eval(in, regs, mem)
-}
-
-// eval executes one non-control instruction against the register file and
-// memory, returning the raw result bits.
-func eval(in *ir.Instr, regs []uint64, mem []uint64) (uint64, error) {
-	a := func(i int) uint64 { return regs[in.Args[i]] }
-	ai := func(i int) int64 { return int64(regs[in.Args[i]]) }
-	af := func(i int) float64 { return math.Float64frombits(regs[in.Args[i]]) }
-	b := func(v bool) uint64 {
-		if v {
-			return 1
-		}
-		return 0
+	var a, b, c uint64
+	switch len(in.Args) {
+	case 3:
+		c = regs[in.Args[2]]
+		fallthrough
+	case 2:
+		b = regs[in.Args[1]]
+		fallthrough
+	case 1:
+		a = regs[in.Args[0]]
 	}
-
 	switch in.Op {
-	case ir.OpAdd:
-		return uint64(ai(0) + ai(1)), nil
-	case ir.OpSub:
-		return uint64(ai(0) - ai(1)), nil
-	case ir.OpMul:
-		return uint64(ai(0) * ai(1)), nil
-	case ir.OpDiv:
-		d := ai(1)
-		if d == 0 {
-			return 0, ErrDivideByZero
-		}
-		return uint64(ai(0) / d), nil
-	case ir.OpRem:
-		d := ai(1)
-		if d == 0 {
-			return 0, ErrDivideByZero
-		}
-		return uint64(ai(0) % d), nil
-	case ir.OpAnd:
-		return a(0) & a(1), nil
-	case ir.OpOr:
-		return a(0) | a(1), nil
-	case ir.OpXor:
-		return a(0) ^ a(1), nil
-	case ir.OpShl:
-		return uint64(ai(0) << (a(1) & 63)), nil
-	case ir.OpShr:
-		return uint64(ai(0) >> (a(1) & 63)), nil
-	case ir.OpFAdd:
-		return math.Float64bits(af(0) + af(1)), nil
-	case ir.OpFSub:
-		return math.Float64bits(af(0) - af(1)), nil
-	case ir.OpFMul:
-		return math.Float64bits(af(0) * af(1)), nil
-	case ir.OpFDiv:
-		return math.Float64bits(af(0) / af(1)), nil
-	case ir.OpSqrt:
-		return math.Float64bits(math.Sqrt(af(0))), nil
-	case ir.OpExp:
-		return math.Float64bits(math.Exp(af(0))), nil
-	case ir.OpLog:
-		return math.Float64bits(math.Log(af(0))), nil
-	case ir.OpSIToFP:
-		return math.Float64bits(float64(ai(0))), nil
-	case ir.OpFPToSI:
-		return uint64(int64(af(0))), nil
-	case ir.OpCmpEQ:
-		return b(ai(0) == ai(1)), nil
-	case ir.OpCmpNE:
-		return b(ai(0) != ai(1)), nil
-	case ir.OpCmpLT:
-		return b(ai(0) < ai(1)), nil
-	case ir.OpCmpLE:
-		return b(ai(0) <= ai(1)), nil
-	case ir.OpCmpGT:
-		return b(ai(0) > ai(1)), nil
-	case ir.OpCmpGE:
-		return b(ai(0) >= ai(1)), nil
-	case ir.OpFCmpEQ:
-		return b(af(0) == af(1)), nil
-	case ir.OpFCmpNE:
-		return b(af(0) != af(1)), nil
-	case ir.OpFCmpLT:
-		return b(af(0) < af(1)), nil
-	case ir.OpFCmpLE:
-		return b(af(0) <= af(1)), nil
-	case ir.OpFCmpGT:
-		return b(af(0) > af(1)), nil
-	case ir.OpFCmpGE:
-		return b(af(0) >= af(1)), nil
-	case ir.OpConst:
-		return uint64(in.Imm), nil
-	case ir.OpCopy:
-		return a(0), nil
-	case ir.OpSelect:
-		if a(0) != 0 {
-			return a(1), nil
-		}
-		return a(2), nil
 	case ir.OpLoad:
-		addr := ai(0)
+		addr := int64(a)
 		if addr < 0 || addr >= int64(len(mem)) {
 			return 0, fmt.Errorf("%w: load of word %d (mem size %d)", ErrOutOfBounds, addr, len(mem))
 		}
 		return mem[addr], nil
 	case ir.OpStore:
-		addr := ai(0)
+		addr := int64(a)
 		if addr < 0 || addr >= int64(len(mem)) {
 			return 0, fmt.Errorf("%w: store to word %d (mem size %d)", ErrOutOfBounds, addr, len(mem))
 		}
-		mem[addr] = a(1)
+		mem[addr] = b
 		return 0, nil
+	case ir.OpDiv, ir.OpRem:
+		if b == 0 {
+			return 0, ErrDivideByZero
+		}
+	}
+	if v, ok := ir.EvalPure(in.Op, in.Imm, a, b, c); ok {
+		return v, nil
 	}
 	return 0, fmt.Errorf("interp: unhandled opcode %s", in.Op)
 }
@@ -536,7 +461,7 @@ func (bx *BlockExec) Step(f *ir.Function, cur, prev *ir.Block, regs, mem []uint6
 			}
 			regs[in.Dst] = res.Ret
 		default:
-			v, err := eval(in, regs, mem)
+			v, err := Eval(in, regs, mem)
 			if err != nil {
 				return nil, 0, false, fmt.Errorf("%w in %s.%s", err, f.Name, cur.Name)
 			}

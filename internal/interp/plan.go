@@ -96,7 +96,7 @@ type Plan struct {
 // execEntry is one body instruction flattened for the fast-path dispatch:
 // opcode, destination, up to three argument registers, and the immediate,
 // in 32 contiguous bytes. Rare opcodes still consult the original
-// *ir.Instr (the eval fallback needs it), but the hot switch never does.
+// *ir.Instr (the Eval fallback needs it), but the hot switch never does.
 type execEntry struct {
 	op         ir.Op
 	dst        int32
@@ -552,9 +552,9 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 				return Result{Steps: steps}, fmt.Errorf("%w (limit %d) in %s", ErrStepLimit, maxSteps, f.Name)
 			}
 			// The common opcodes are inlined below with arithmetic identical
-			// to eval's (two's-complement add/sub/mul/shl are the same bits
+			// to ir.EvalPure's (two's-complement add/sub/mul/shl are the same bits
 			// signed or unsigned; shr stays an arithmetic int64 shift); rare
-			// opcodes and every error path fall back to eval so results and
+			// opcodes and every error path fall back to Eval so results and
 			// error messages cannot drift.
 			switch c.op {
 			case ir.OpAdd:
@@ -611,7 +611,7 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 				}
 				if uint64(addr) < uint64(len(mem)) {
 					regs[c.dst] = mem[addr]
-				} else if _, err := eval(b.body[j], regs, mem); err != nil {
+				} else if _, err := Eval(b.body[j], regs, mem); err != nil {
 					if batch {
 						bt.FeedBlock(b.packet, nPhis+j, addrs)
 					}
@@ -625,7 +625,7 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 				}
 				if uint64(addr) < uint64(len(mem)) {
 					mem[addr] = regs[c.a1]
-				} else if _, err := eval(b.body[j], regs, mem); err != nil {
+				} else if _, err := Eval(b.body[j], regs, mem); err != nil {
 					if batch {
 						bt.FeedBlock(b.packet, nPhis+j, addrs)
 					}
@@ -639,7 +639,7 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 						addrs = append(addrs, pend)
 					}
 				}
-				v, err := eval(in, regs, mem)
+				v, err := Eval(in, regs, mem)
 				if err != nil {
 					if batch {
 						bt.FeedBlock(b.packet, nPhis+j, addrs)

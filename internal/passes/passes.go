@@ -8,7 +8,6 @@ package passes
 
 import (
 	"fmt"
-	"math"
 
 	"needle/internal/ir"
 	"needle/internal/pm"
@@ -259,7 +258,7 @@ func ConstFold(f *ir.Function) int {
 			if !foldable(in.Op) {
 				continue
 			}
-			vals := make([]uint64, len(in.Args))
+			var vals [2]uint64
 			all := true
 			for i, a := range in.Args {
 				v, ok := konst[a]
@@ -272,7 +271,7 @@ func ConstFold(f *ir.Function) int {
 			if !all {
 				continue
 			}
-			v, ok := evalConst(in.Op, vals)
+			v, ok := ir.EvalPure(in.Op, in.Imm, vals[0], vals[1], 0)
 			if !ok {
 				continue
 			}
@@ -286,6 +285,8 @@ func ConstFold(f *ir.Function) int {
 	return folded
 }
 
+// foldable reports whether ConstFold rewrites op; every such opcode takes
+// at most two operands.
 func foldable(op ir.Op) bool {
 	switch op {
 	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor,
@@ -295,56 +296,6 @@ func foldable(op ir.Op) bool {
 		return true
 	}
 	return false
-}
-
-func evalConst(op ir.Op, v []uint64) (uint64, bool) {
-	b := func(x bool) uint64 {
-		if x {
-			return 1
-		}
-		return 0
-	}
-	switch op {
-	case ir.OpAdd:
-		return uint64(int64(v[0]) + int64(v[1])), true
-	case ir.OpSub:
-		return uint64(int64(v[0]) - int64(v[1])), true
-	case ir.OpMul:
-		return uint64(int64(v[0]) * int64(v[1])), true
-	case ir.OpAnd:
-		return v[0] & v[1], true
-	case ir.OpOr:
-		return v[0] | v[1], true
-	case ir.OpXor:
-		return v[0] ^ v[1], true
-	case ir.OpShl:
-		return uint64(int64(v[0]) << (v[1] & 63)), true
-	case ir.OpShr:
-		return uint64(int64(v[0]) >> (v[1] & 63)), true
-	case ir.OpCmpEQ:
-		return b(int64(v[0]) == int64(v[1])), true
-	case ir.OpCmpNE:
-		return b(int64(v[0]) != int64(v[1])), true
-	case ir.OpCmpLT:
-		return b(int64(v[0]) < int64(v[1])), true
-	case ir.OpCmpLE:
-		return b(int64(v[0]) <= int64(v[1])), true
-	case ir.OpCmpGT:
-		return b(int64(v[0]) > int64(v[1])), true
-	case ir.OpCmpGE:
-		return b(int64(v[0]) >= int64(v[1])), true
-	case ir.OpFAdd:
-		return math.Float64bits(math.Float64frombits(v[0]) + math.Float64frombits(v[1])), true
-	case ir.OpFSub:
-		return math.Float64bits(math.Float64frombits(v[0]) - math.Float64frombits(v[1])), true
-	case ir.OpFMul:
-		return math.Float64bits(math.Float64frombits(v[0]) * math.Float64frombits(v[1])), true
-	case ir.OpSIToFP:
-		return math.Float64bits(float64(int64(v[0]))), true
-	case ir.OpCopy:
-		return v[0], true
-	}
-	return 0, false
 }
 
 // SimplifyCFG merges straight-line block chains: a block whose single

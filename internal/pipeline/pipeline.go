@@ -2,8 +2,7 @@
 // paper's Figure 1): Inline → Profile → Select → Frame → Target. Each stage
 // is a pure (artifacts, config) → artifacts step with a typed artifact
 // struct, and each declares a fingerprint over exactly the Config fields it
-// reads. That split buys two things the old monolithic core.Analyze could
-// not offer:
+// reads. That split buys two things:
 //
 //   - Pluggable targets: the Target stage evaluates every registered
 //     Backend (internal/target provides sim, cgra, hls, and energy), so new
@@ -17,8 +16,8 @@
 //     persistent DiskStore never serves a stale artifact after a
 //     same-named program's body changes across binary versions.
 //
-// core.Analyze and friends remain as thin compatibility wrappers over Run
-// and produce byte-identical output.
+// Run is the only way to execute the pipeline; core.Analyzer is the
+// embedders' front door over it.
 package pipeline
 
 import (
@@ -43,9 +42,9 @@ var (
 	obsOptRemoved = obs.GetCounter("pipeline.opt.removed")
 )
 
-// Config controls an analysis run. It is the same type the core package
-// exposes as core.Config (a type alias), so callers can move between the
-// staged API and the compatibility wrappers freely.
+// Config controls an analysis run. The core package exposes it as
+// core.Config (a type alias), so a core.Analyzer and a direct Run take the
+// same value.
 type Config struct {
 	// Sim holds the hardware model parameters (Table V defaults).
 	Sim sim.Config
@@ -445,12 +444,8 @@ type RunOptions struct {
 	// (nil for a root span).
 	Parent *obs.Span
 	// Store shares cacheable stage artifacts across runs — an in-memory
-	// Cache or a persistent DiskStore; nil computes everything fresh
-	// (unless Cache is set).
+	// Cache or a persistent DiskStore; nil computes everything fresh.
 	Store Store
-	// Cache is the pre-Store way to share artifacts, kept for
-	// compatibility; it is consulted only when Store is nil.
-	Cache *Cache
 	// Ctx cancels the run between stages: when it is non-nil and done, Run
 	// returns ctx.Err() instead of starting the next stage. A stage already
 	// in flight runs to completion (the same granularity the sweep's
@@ -458,18 +453,6 @@ type RunOptions struct {
 	// artifact store — the ctx check happens outside Store.Do, and the
 	// memory tier additionally refuses to memoize cancellation errors.
 	Ctx context.Context
-}
-
-// store returns the effective artifact store: Store wins, then Cache, then
-// nothing.
-func (o RunOptions) store() Store {
-	if o.Store != nil {
-		return o.Store
-	}
-	if o.Cache != nil {
-		return o.Cache
-	}
-	return nil
 }
 
 // Run executes the staged pipeline on one program. Zero-valued Config
@@ -487,7 +470,6 @@ func Run(p *program.Program, cfg Config, opts RunOptions) (*Artifacts, error) {
 	defer sp.End()
 	obsRuns.Add(1)
 
-	store := opts.store()
 	a := &Artifacts{Program: p, Config: cfg, Span: sp}
 	keys := stageKeys(p, cfg)
 	for i := range stages {
@@ -504,9 +486,9 @@ func Run(p *program.Program, cfg Config, opts RunOptions) (*Artifacts, error) {
 		ssp := sp.Child(st.Name)
 		var out any
 		var err error
-		if store != nil && st.cacheable {
+		if opts.Store != nil && st.cacheable {
 			var hit bool
-			out, err, hit = store.Do(st, a, key, func() (any, error) {
+			out, err, hit = opts.Store.Do(st, a, key, func() (any, error) {
 				return st.run(a, ssp)
 			})
 			ssp.SetArg("cached", hit)

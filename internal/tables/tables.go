@@ -24,26 +24,12 @@ type Suite struct {
 	Analyses []*core.Analysis
 }
 
-// Run analyzes every workload at the configured problem size with the
-// default degree of parallelism (GOMAXPROCS).
-func Run(cfg core.Config) (*Suite, error) {
-	return RunCtx(context.Background(), cfg, core.Options{})
-}
-
-// RunJobs analyzes every workload on a bounded pool of `jobs` workers
-// (GOMAXPROCS when jobs <= 0, serial when jobs == 1). Row order and values
-// are identical regardless of jobs.
-func RunJobs(cfg core.Config, jobs int) (*Suite, error) {
-	return RunCtx(context.Background(), cfg, core.Options{Jobs: jobs})
-}
-
-// RunCtx analyzes every workload under ctx: cancelling it stops the sweep
-// between workloads and returns ctx.Err(). Options selects the
-// core.Analyzer the sweep runs on — a bounded worker pool via Jobs, and
-// stage-artifact sharing across configs via Store/Cache. Row order and
-// values are independent of both.
-func RunCtx(ctx context.Context, cfg core.Config, opts core.Options) (*Suite, error) {
-	as, err := opts.Analyzer().RunAll(ctx, cfg)
+// Run analyzes every workload on az under ctx: cancelling it stops the
+// sweep between workloads and returns ctx.Err(). The Analyzer chooses the
+// worker pool (WithJobs) and any stage-artifact sharing (WithStore); row
+// order and values are independent of both.
+func Run(ctx context.Context, az *core.Analyzer, cfg core.Config) (*Suite, error) {
+	as, err := az.RunAll(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -418,7 +404,7 @@ func (s *Suite) TableV() string {
 // is infeasible while the path profile identifies both hot paths exactly.
 // It is self-contained (builds its own kernel) so it does not need a Suite.
 func Figure3() string {
-	a, err := core.Analyze(figure3Workload, core.DefaultConfig())
+	a, err := core.New().RunWorkload(context.Background(), figure3Workload, core.DefaultConfig())
 	if err != nil {
 		return "figure 3 kernel failed: " + err.Error()
 	}

@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ func smallSuite(t testing.TB) *Suite {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.N = 2500
-	s, err := Run(cfg)
+	s, err := Run(context.Background(), core.New(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -147,7 +148,7 @@ func TestDefaultScaleSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
 	}
-	s, err := Run(core.DefaultConfig())
+	s, err := Run(context.Background(), core.New(), core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,13 +181,13 @@ func TestDefaultScaleSoak(t *testing.T) {
 func TestParallelMatchesSerial(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.N = 1500
-	serial, err := RunJobs(cfg, 1)
+	serial, err := Run(context.Background(), core.New(core.WithJobs(1)), cfg)
 	if err != nil {
-		t.Fatalf("serial RunJobs: %v", err)
+		t.Fatalf("serial Run: %v", err)
 	}
-	par, err := RunJobs(cfg, 4)
+	par, err := Run(context.Background(), core.New(core.WithJobs(4)), cfg)
 	if err != nil {
-		t.Fatalf("parallel RunJobs: %v", err)
+		t.Fatalf("parallel Run: %v", err)
 	}
 	if len(serial.Analyses) != len(par.Analyses) {
 		t.Fatalf("analysis counts differ: %d vs %d", len(serial.Analyses), len(par.Analyses))

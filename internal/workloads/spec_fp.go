@@ -95,7 +95,7 @@ var Equake = register(&Workload{
 
 // buildLJHelper constructs the Lennard-Jones evaluation as a separate
 // function: namd's hot loop calls it, and the pipeline's aggressive
-// inlining (passes.InlineAll in core.Analyze) flattens it before profiling
+// inlining (passes.InlineAll in the pipeline's Inline stage) flattens it before profiling
 // — the paper's "fully inlined hottest function" flow, exercised on a real
 // workload rather than only in tests.
 func buildLJHelper() *ir.Function {

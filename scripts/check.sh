@@ -47,6 +47,17 @@ echo "serve  ok (serve/pipeline/core under -race)"
 go test -race $(go list ./... | grep -vE '^needle/internal/(serve|pipeline|core)$')
 echo "tests  ok"
 
+# needlebench/ is its own module (it replaces needle with ../), so the root
+# `go test ./...` never builds it: an internal API change could break the
+# benchmark unnoticed. Vet and test it offline against this checkout.
+(
+    cd needlebench
+    export GOFLAGS=-mod=mod GOPROXY=off GOTOOLCHAIN=local
+    go vet ./...
+    go test ./...
+)
+echo "nbench ok (needlebench module vets and tests)"
+
 # Every checked-in .nir program must parse and verify: the examples are
 # the documented entry points for `needle -nir` and the ir testdata seeds
 # the parser fuzzer, so a malformed file is a broken contract either way.
