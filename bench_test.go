@@ -259,7 +259,10 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 //     decode of the payload is not included);
 //   - select-decode rebuilds every stored braid with region.BraidFromData;
 //   - target runs every registered backend, so an iteration is the stage
-//     itself plus the cache hits that feed it.
+//     itself plus the cache hits that feed it;
+//   - capture runs sim.Capture on the Inline artifact's function over fresh
+//     copies of its args and memory, sharing the artifact's analysis manager
+//     across iterations as BenchmarkCapture does.
 func BenchmarkStage(b *testing.B) {
 	cfg := pipeline.DefaultConfig()
 	names := []string{"186.crafty", "458.sjeng", "164.gzip"}
@@ -328,6 +331,25 @@ func BenchmarkStage(b *testing.B) {
 					}
 					if len(a.Target.Reports) == 0 {
 						b.Fatal("no target reports")
+					}
+				}
+			})
+		}
+	})
+	b.Run("capture", func(b *testing.B) {
+		for _, name := range names {
+			b.Run(name, func(b *testing.B) {
+				_, _, a := warm(b, name)
+				in := a.Inline
+				args := make([]uint64, len(in.Args))
+				work := make([]uint64, len(in.Memory))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(args, in.Args)
+					copy(work, in.Memory)
+					if _, err := sim.Capture(in.AM, in.F, args, work, a.Config.Sim); err != nil {
+						b.Fatal(err)
 					}
 				}
 			})

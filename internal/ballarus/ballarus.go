@@ -367,11 +367,11 @@ func (d *DAG) Encode(blocks []*ir.Block) (int64, error) {
 
 // CompilePlan overlays this DAG's path numbering onto a compiled execution
 // plan for the same function, producing the per-successor-slot edge
-// annotations interp.RunPlan consumes. The overlay is a separate object so
-// the structural Plan cached by the analysis manager stays immutable and
+// annotations interp.RunProfiled consumes. The overlay is a separate object
+// so the structural Plan cached by the analysis manager stays immutable and
 // shareable. Edges absent from the numbering (out of unreachable blocks)
-// get a zero annotation, matching the hook-path behaviour of leaving the
-// path register untouched.
+// get a zero annotation, matching Profiler, which leaves the path register
+// untouched on them.
 func (d *DAG) CompilePlan(p *interp.Plan) *interp.BLPlan {
 	if p.F() != d.F {
 		panic("ballarus: CompilePlan called with a plan for a different function")
@@ -400,9 +400,11 @@ func (d *DAG) CompilePlan(p *interp.Plan) *interp.BLPlan {
 	return bl
 }
 
-// Profiler accumulates a Ball-Larus path profile while a function executes.
-// Attach it to the interpreter via Hooks. A single Profiler may observe many
-// invocations of the same function.
+// Profiler accumulates a Ball-Larus path profile while a function executes
+// on the hook interpreter. Attach it via Hooks. A single Profiler may observe
+// many invocations of the same function. Production profiling runs the
+// compiled plan (profile.Collector); Profiler is the reference the plan's
+// path counts are tested against.
 type Profiler struct {
 	dag *DAG
 

@@ -1,18 +1,23 @@
-// Compiled execution plans: a per-function "plan" precomputes everything the
+// Compiled execution plans: a per-function plan precomputes everything the
 // interpreter's inner loop otherwise rediscovers on every iteration — phi
 // move tables per (predecessor, block) pair, flattened per-block instruction
-// arrays, and dense successor-slot tables — so the profiling fast path
-// (RunProfiled) can collect block counts, edge counts, Ball-Larus path counts,
-// and the path trace by direct array increments with zero hook closures.
+// arrays, and dense successor-slot tables — so RunProfiled collects block
+// counts, edge counts, Ball-Larus path counts, and the path trace by direct
+// array increments with zero hook closures.
 //
 // The plan plays the role the instrumented binary plays in the original
 // Needle system: the Ball-Larus instrumentation is "a handful of adds per
 // edge", and the plan brings the reproduction's profiling cost to the same
-// shape. The hook-based Run remains the fully-general slow path and the
+// shape. It is the one profiling engine, and BuildPlan accepts every verified
+// function. A call runs its callee to completion, unprofiled, on the general
+// executor; a shape the plan cannot run (phis in the entry block, or a CFG
+// ir.Verify rejects) becomes an error that every run returns. The hook-based
+// Run remains for `nir run`, sim.FunctionalOffload, and as the
 // differential-testing oracle (see profile's fast-path property tests).
 package interp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -27,6 +32,15 @@ var (
 	obsFastInstrs = obs.GetCounter("interp.instrs.fast")
 	obsPlanBuilds = obs.GetCounter("interp.plan.builds")
 )
+
+// ErrTimedCall is returned by a timed run (PlanOpts.Timing or History set) of
+// a plan whose body calls another function: callees run unprofiled, so the
+// timing model and the history register would miss their instructions. The
+// pipeline inlines every call before it captures.
+var ErrTimedCall = errors.New("interp: timed run with calls")
+
+// noHooks is the empty hook set callees run under.
+var noHooks Hooks
 
 func b2u(v bool) uint64 {
 	if v {
@@ -70,12 +84,12 @@ type planBlock struct {
 	condReg ir.Reg // condition register for termCond
 	retReg  ir.Reg // returned register for termRet (NoReg for void)
 	// packet is the block's precompiled timing packet (phi prefix, body,
-	// terminator in feed order); built for runnable plans only.
+	// terminator in feed order); built only for plans without an error.
 	packet *TimingPacket
 	// code mirrors body as dense records (opcode, registers, immediate) so
 	// the fast-path dispatch reads one contiguous struct per instruction
-	// instead of chasing an *ir.Instr and its Args slice; built for
-	// runnable plans only, backed by a per-plan arena.
+	// instead of chasing an *ir.Instr and its Args slice; built only for
+	// plans without an error, backed by a per-plan arena.
 	code []execEntry
 }
 
@@ -90,7 +104,12 @@ type Plan struct {
 	edgeTo   []int32       // dense edge slot -> target block index
 	maxPhis  int
 	maxMem   int // most memory ops in any one block (address-scratch size)
-	runnable bool
+	// calls is set when some body calls a function: timed runs then return
+	// ErrTimedCall.
+	calls bool
+	// err, when set, is what every run returns: the hook interpreter's
+	// entry-phi error, or the first shape ir.Verify rejects.
+	err error
 }
 
 // execEntry is one body instruction flattened for the fast-path dispatch:
@@ -104,20 +123,21 @@ type execEntry struct {
 	imm        int64
 }
 
-// BuildPlan compiles f into a Plan. Building always succeeds; Runnable
-// reports whether the fast path may execute it (call-free, verified shape).
+// BuildPlan compiles f into a Plan. Building always succeeds; a function the
+// plan cannot run records the error RunProfiled then returns.
 func BuildPlan(f *ir.Function) *Plan {
 	obsPlanBuilds.Add(1)
-	p := &Plan{f: f, runnable: true}
+	p := &Plan{f: f}
 	if len(f.Blocks) == 0 {
-		p.runnable = false
+		p.err = fmt.Errorf("interp: %s has no blocks", f.Name)
 		return p
 	}
-	// The fast path resolves entry phis against no predecessor, which the
-	// general interpreter reports as a runtime error; decline such plans so
-	// callers keep the hook path's behaviour.
-	if len(f.Entry().Phis()) > 0 {
-		p.runnable = false
+	// The hook interpreter resolves entry phis against no predecessor, which
+	// fails before the first step.
+	entry := f.Entry()
+	if phis := entry.Phis(); len(phis) > 0 {
+		p.err = fmt.Errorf("interp: %s.%s: phi %s has no incoming edge from %s",
+			f.Name, entry.Name, phis[0].Dst, (*ir.Block)(nil))
 	}
 	p.blocks = make([]planBlock, len(f.Blocks))
 	p.preds = make([][]*ir.Block, len(f.Blocks))
@@ -150,17 +170,16 @@ func BuildPlan(f *ir.Function) *Plan {
 		}
 		term := b.Term()
 		if term == nil {
-			p.runnable = false
+			p.fail(fmt.Errorf("interp: %s.%s: block does not end in a terminator", f.Name, b.Name))
 			continue
 		}
 		pb.term = term
 		pb.body = b.Instrs[len(phis) : len(b.Instrs)-1]
 		for _, in := range pb.body {
-			// Calls recurse through the general executor and fire hook events
-			// for callee blocks; a mid-block terminator would cut the body
-			// short. Either shape sends callers to the hook path.
-			if in.Op == ir.OpCall || in.Op.IsTerminator() {
-				p.runnable = false
+			if in.Op == ir.OpCall {
+				p.calls = true
+			} else if in.Op.IsTerminator() {
+				p.fail(fmt.Errorf("interp: %s.%s: interior terminator %s", f.Name, b.Name, in.Op))
 			}
 		}
 
@@ -228,15 +247,15 @@ func BuildPlan(f *ir.Function) *Plan {
 				}
 			}
 		default:
-			p.runnable = false
+			p.fail(fmt.Errorf("interp: %s.%s: unknown terminator %s", f.Name, b.Name, term.Op))
 		}
 	}
 
 	// Timing packets: the dynamic feed sequence of each block (phi prefix,
 	// body, terminator) flattened into dense arrays, so the batched capture
-	// path hands the timing model one FeedBlock per executed block. Only
-	// runnable plans execute, so only they pay for packets.
-	if p.runnable {
+	// path hands the timing model one FeedBlock per executed block. A plan
+	// with an error never executes, so it does not pay for packets.
+	if p.err == nil {
 		var seq []*ir.Instr
 		pks := make([]*TimingPacket, len(p.blocks))
 		nBody := 0
@@ -283,17 +302,19 @@ func BuildPlan(f *ir.Function) *Plan {
 	return p
 }
 
-// BlockPacket returns the timing packet of block i, or nil for non-runnable
-// plans. Exposed for the packet equivalence tests.
+// fail records err unless an earlier error was recorded.
+func (p *Plan) fail(err error) {
+	if p.err == nil {
+		p.err = err
+	}
+}
+
+// BlockPacket returns the timing packet of block i, or nil for a plan with
+// an error. Exposed for the packet equivalence tests.
 func (p *Plan) BlockPacket(i int) *TimingPacket { return p.blocks[i].packet }
 
 // F returns the planned function.
 func (p *Plan) F() *ir.Function { return p.f }
-
-// Runnable reports whether RunProfiled may execute this plan. Non-runnable plans
-// (call-bearing or structurally unusual functions) must go through the
-// hook-based Run.
-func (p *Plan) Runnable() bool { return p.runnable }
 
 // NumEdges returns the number of dense edge-counter slots.
 func (p *Plan) NumEdges() int { return len(p.edgeFrom) }
@@ -340,9 +361,8 @@ type BLPlan struct {
 const MaxDensePaths = int64(1) << 17
 
 // PathState accumulates one collector's dense profile across any number of
-// RunPlan invocations: block counts, edge counts, path counts, and the
-// optional path trace. It replaces the map[Edge]int64 / map[int64]int64
-// bookkeeping of the hook path on the common (< MaxDensePaths) case.
+// RunProfiled invocations: block counts, edge counts, path counts (dense
+// below MaxDensePaths), and the optional path trace.
 type PathState struct {
 	Blocks []int64 // indexed by block index
 	Edges  []int64 // indexed by dense edge slot
@@ -382,24 +402,6 @@ func (st *PathState) EachPath(fn func(id, freq int64)) {
 	for id, n := range st.sparse {
 		fn(id, n)
 	}
-}
-
-// Reset zeroes every accumulated counter and drops the trace, so the state
-// can be reused after its contents have been drained elsewhere.
-func (st *PathState) Reset() {
-	for i := range st.Blocks {
-		st.Blocks[i] = 0
-	}
-	for i := range st.Edges {
-		st.Edges[i] = 0
-	}
-	for i := range st.dense {
-		st.dense[i] = 0
-	}
-	if st.sparse != nil {
-		st.sparse = make(map[int64]int64)
-	}
-	st.Trace = nil
 }
 
 func (st *PathState) record(id int64, onPath func(int64)) {
@@ -448,9 +450,11 @@ type PlanOpts struct {
 // RunProfiled executes a planned function over the fused profiling fast path:
 // block, edge, and Ball-Larus path counters update by direct array
 // increments, with no hook closures in the inner loop. Results, step counts,
-// errors, and the collected profile are identical to running the hook-based
-// Run with a profile.Collector attached — the property the differential
-// tests pin down.
+// errors, and memory are identical to the hook-based Run's, and the profile
+// to a member-filtered Ball-Larus profiler's on that Run — the property the
+// differential tests pin down. A callee runs to completion on the general
+// executor within the same step budget; its blocks are not profiled, and a
+// timed run of a plan with calls returns ErrTimedCall.
 func RunProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts PlanOpts) (Result, error) {
 	res, err := runProfiled(p, bl, args, mem, st, opts)
 	obsFastRuns.Add(1)
@@ -459,12 +463,15 @@ func RunProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 }
 
 func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts PlanOpts) (Result, error) {
-	if !p.runnable {
-		return Result{}, fmt.Errorf("interp: plan for %s is not runnable", p.f.Name)
-	}
 	f := p.f
 	if len(args) != f.NumParams() {
 		return Result{}, fmt.Errorf("interp: %s wants %d args, got %d", f.Name, f.NumParams(), len(args))
+	}
+	if p.err != nil {
+		return Result{}, p.err
+	}
+	if p.calls && (opts.Timing != nil || opts.History != nil) {
+		return Result{}, fmt.Errorf("%w in %s", ErrTimedCall, f.Name)
 	}
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
@@ -633,6 +640,18 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 				}
 			default:
 				in := b.body[j]
+				if c.op == ir.OpCall {
+					v, n, err := call(in, regs, mem, steps, maxSteps)
+					steps = n
+					if err != nil {
+						return Result{Steps: steps}, err
+					}
+					regs[in.Dst] = v
+					// The block-entry bound no longer covers the rest of
+					// the block, so it checks every step.
+					careful = true
+					continue
+				}
 				if in.Op.IsMemory() {
 					pend = int64(regs[c.a0])
 					if batch {
@@ -709,6 +728,19 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 			cur, predSlot = int(s.to), s.predSlot
 		}
 	}
+}
+
+// call runs in's callee to completion, unprofiled, on the general executor,
+// continuing the caller's step count under the same budget. It returns the
+// callee's result and the step count after the call.
+func call(in *ir.Instr, regs, mem []uint64, steps, maxSteps int64) (uint64, int64, error) {
+	args := make([]uint64, len(in.Args))
+	for i, a := range in.Args {
+		args[i] = regs[a]
+	}
+	ex := executor{mem: mem, hooks: &noHooks, maxSteps: maxSteps, steps: steps}
+	v, err := ex.exec(in.Callee, args, 1)
+	return v, ex.steps, err
 }
 
 // phiEdgeError reproduces the general interpreter's missing-phi-edge error

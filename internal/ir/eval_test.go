@@ -149,9 +149,6 @@ func TestPureEvaluatorsAgree(t *testing.T) {
 		if cerr != nil {
 			t.Fatal(cerr)
 		}
-		if !col.Fast() {
-			t.Fatalf("%s: collector not on the plan fast path", c)
-		}
 		res, err = col.Run(nil, nil, 0)
 		agrees("plan", res.Ret, err)
 

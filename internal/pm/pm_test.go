@@ -101,8 +101,8 @@ func TestExecPlanCaching(t *testing.T) {
 	am := pm.NewManager()
 
 	p1 := am.ExecPlan(f)
-	if !p1.Runnable() {
-		t.Fatal("loopSrc should have a runnable plan")
+	if p1.F() != f {
+		t.Fatal("ExecPlan returned a plan for another function")
 	}
 	if p2 := am.ExecPlan(f); p2 != p1 {
 		t.Errorf("ExecPlan returned distinct pointers: %p vs %p", p1, p2)

@@ -1,12 +1,16 @@
 package profile
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
+	"needle/internal/ballarus"
 	"needle/internal/interp"
 	"needle/internal/ir"
 	"needle/internal/irgen"
+	"needle/internal/pm"
+	"needle/internal/workloads"
 )
 
 // feedEvent is one Timing.Feed observation.
@@ -29,34 +33,124 @@ func (r *recTiming) Feed(in *ir.Instr, addr int64) {
 
 func (r *recTiming) NoteBranch(taken bool) { r.branches = append(r.branches, taken) }
 
-// runStyle profiles p once and returns everything observable: the result,
-// the final memory, the timing event stream, the branch-history register,
-// the OnPath ID sequence, and the finished profile. hooked forces the
-// fully-general hook path by handing out Hooks() before running.
+// hookOracle collects, on the hook interpreter, the profile the compiled
+// plan must reproduce: a Ball-Larus profiler plus block and edge counters
+// that ignore every block outside the profiled function, so a callee's
+// blocks are not profiled.
+type hookOracle struct {
+	f      *ir.Function
+	prof   *ballarus.Profiler
+	blocks []int64
+	edges  map[Edge]int64
+}
+
+func newHookOracle(t testing.TB, f *ir.Function) *hookOracle {
+	t.Helper()
+	dag, err := ballarus.Build(pm.NewManager(), f)
+	if err != nil {
+		t.Fatalf("ballarus.Build: %v", err)
+	}
+	prof := ballarus.NewProfiler(dag)
+	prof.RecordTrace = true
+	return &hookOracle{f: f, prof: prof, blocks: make([]int64, len(f.Blocks)), edges: make(map[Edge]int64)}
+}
+
+func (o *hookOracle) member(b *ir.Block) bool {
+	return b.Index < len(o.f.Blocks) && o.f.Blocks[b.Index] == b
+}
+
+// hooks returns the interpreter hooks that feed the oracle.
+func (o *hookOracle) hooks() *interp.Hooks {
+	own := &interp.Hooks{
+		Block: func(b *ir.Block) {
+			if o.member(b) {
+				o.blocks[b.Index]++
+			}
+		},
+		Edge: func(from, to *ir.Block) {
+			if o.member(from) {
+				o.edges[Edge{from.Index, to.Index}]++
+			}
+		},
+	}
+	return interp.CombineHooks(own, o.prof.Hooks())
+}
+
+// finish ranks the oracle's counts as a FunctionProfile.
+func (o *hookOracle) finish(t testing.TB) *FunctionProfile {
+	t.Helper()
+	fp, err := FromData(nil, o.f, &Data{Counts: o.prof.Counts, Trace: o.prof.Trace, EdgeCounts: o.edges, BlockCounts: o.blocks})
+	if err != nil {
+		t.Fatalf("oracle FromData: %v", err)
+	}
+	return fp
+}
+
+// timingHooks adapts a Timing to interpreter hooks exactly as ooo.Model
+// wires itself: the Mem event captures the effective address for the Instr
+// event that follows, and condbr edges report the branch outcome.
+func timingHooks(tm interp.Timing) *interp.Hooks {
+	var pend int64
+	return &interp.Hooks{
+		Mem:   func(_ *ir.Instr, addr int64) { pend = addr },
+		Instr: func(in *ir.Instr) { tm.Feed(in, pend) },
+		Edge: func(from, to *ir.Block) {
+			if t := from.Term(); t != nil && t.Op == ir.OpCondBr {
+				tm.NoteBranch(t.Blocks[0] == to)
+			}
+		},
+	}
+}
+
+// histHooks updates a branch-history shift register from edge events, as
+// spec.HistoryTracker does.
+func histHooks(h *uint64) *interp.Hooks {
+	return &interp.Hooks{
+		Edge: func(from, to *ir.Block) {
+			if t := from.Term(); t != nil && t.Op == ir.OpCondBr {
+				bit := uint64(0)
+				if t.Blocks[0] == to {
+					bit = 1
+				}
+				*h = *h<<1 | bit
+			}
+		},
+	}
+}
+
+// runStyle profiles f once, timed, and returns everything observable: the
+// result, the final memory, the timing event stream, the branch-history
+// register, the OnPath ID sequence, and the finished profile. hooked runs
+// the hook oracle instead of the collector.
 func runStyle(t *testing.T, f *ir.Function, initMem []uint64, args []uint64, hooked bool, maxSteps int64) (
 	interp.Result, error, []uint64, *recTiming, uint64, []int64, *FunctionProfile,
 ) {
 	t.Helper()
+	var ids []int64
+	onPath := func(id int64) { ids = append(ids, id) }
+	mem := append([]uint64(nil), initMem...)
+	tm := &recTiming{}
+	var hist uint64
+	var res interp.Result
+	var runErr error
+	var fp *FunctionProfile
+	if hooked {
+		o := newHookOracle(t, f)
+		o.prof.OnPath = onPath
+		res, runErr = interp.Run(f, args, mem, interp.CombineHooks(o.hooks(), timingHooks(tm), histHooks(&hist)), maxSteps)
+		if runErr == nil {
+			fp = o.finish(t)
+		}
+		return res, runErr, mem, tm, hist, ids, fp
+	}
 	c, err := NewCollector(nil, f, true)
 	if err != nil {
 		t.Fatalf("NewCollector: %v", err)
 	}
-	if hooked {
-		c.Hooks() // commit to the hook path
-		if c.Fast() {
-			t.Fatal("collector still fast after Hooks()")
-		}
-	}
-	var ids []int64
-	c.SetOnPath(func(id int64) { ids = append(ids, id) })
-	mem := append([]uint64(nil), initMem...)
-	tm := &recTiming{}
-	var hist uint64
-	res, runErr := c.RunTimed(args, mem, tm, &hist, maxSteps)
-	var fp *FunctionProfile
+	c.SetOnPath(onPath)
+	res, runErr = c.RunTimed(args, mem, tm, &hist, maxSteps)
 	if runErr == nil {
-		fp, err = c.Finish()
-		if err != nil {
+		if fp, err = c.Finish(); err != nil {
 			t.Fatalf("Finish: %v", err)
 		}
 	}
@@ -98,16 +192,9 @@ func compareProfiles(t *testing.T, seed int64, fast, hook *FunctionProfile) {
 func TestFastPathMatchesHooksOnRandomCFGs(t *testing.T) {
 	const seeds = 300
 	cfg := irgen.DefaultConfig()
-	fastCount := 0
 	for seed := int64(0); seed < seeds; seed++ {
 		p := irgen.Generate(seed, cfg)
 		args := []uint64{uint64(seed*7 + 3)}
-
-		if c, err := NewCollector(nil, p.F, true); err != nil {
-			t.Fatalf("seed %d: NewCollector: %v", seed, err)
-		} else if c.Fast() {
-			fastCount++
-		}
 
 		resF, errF, memF, tmF, histF, idsF, fpF := runStyle(t, p.F, p.Mem, args, false, 0)
 		resH, errH, memH, tmH, histH, idsH, fpH := runStyle(t, p.F, p.Mem, args, true, 0)
@@ -134,12 +221,6 @@ func TestFastPathMatchesHooksOnRandomCFGs(t *testing.T) {
 			t.Fatalf("seed %d: OnPath sequences differ", seed)
 		}
 		compareProfiles(t, seed, fpF, fpH)
-	}
-	// The oracle is vacuous if the generator mostly produces plans the fast
-	// path declines; irgen emits call-free reducible CFGs, so nearly all
-	// should compile.
-	if fastCount < seeds*9/10 {
-		t.Fatalf("only %d/%d generated programs took the fast path", fastCount, seeds)
 	}
 }
 
@@ -214,5 +295,171 @@ func TestFastPathStepLimitMatchesHooks(t *testing.T) {
 				t.Fatalf("seed %d limit %d: steps fast=%d hook=%d", seed, limit, resF.Steps, resH.Steps)
 			}
 		}
+	}
+}
+
+// callSrc's loop calls a leaf that loads and stores, so a step limit can
+// land before, inside and after each call.
+const callSrc = `func @leaf(i64) {
+entry:
+  r2 = load.i64 r1
+  r3 = const.i64 3
+  r4 = mul r2, r3
+  r5 = cmp.gt r4, r3
+  condbr r5, %big, %small
+big:
+  store.i64 r1, r4
+  ret r4
+small:
+  ret r3
+}
+
+func @main(i64) {
+entry:
+  r2 = const.i64 0
+  br %head
+head:
+  r3 = phi.i64 [entry: r2] [body: r4]
+  r5 = phi.i64 [entry: r2] [body: r6]
+  r7 = cmp.lt r3, r1
+  condbr r7, %body, %exit
+body:
+  r8 = call.i64 @leaf r3
+  r6 = add r5, r8
+  r9 = const.i64 1
+  r4 = add r3, r9
+  br %head
+exit:
+  ret r5
+}
+`
+
+// runUntimed profiles one untimed run of f, by the collector or by the hook
+// oracle, and returns the result, the final memory, the OnPath sequence and
+// the profile of whatever completed, faulting runs included.
+func runUntimed(t *testing.T, f *ir.Function, initMem, args []uint64, hooked bool, maxSteps int64) (
+	interp.Result, error, []uint64, []int64, *FunctionProfile,
+) {
+	t.Helper()
+	var ids []int64
+	onPath := func(id int64) { ids = append(ids, id) }
+	mem := append([]uint64(nil), initMem...)
+	if hooked {
+		o := newHookOracle(t, f)
+		o.prof.OnPath = onPath
+		res, err := interp.Run(f, args, mem, o.hooks(), maxSteps)
+		return res, err, mem, ids, o.finish(t)
+	}
+	c, err := NewCollector(nil, f, true)
+	if err != nil {
+		t.Fatalf("NewCollector: %v", err)
+	}
+	c.SetOnPath(onPath)
+	res, runErr := c.Run(args, mem, maxSteps)
+	fp, err := c.Finish()
+	if err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	return res, runErr, mem, ids, fp
+}
+
+// assertUntimedMatchesOracle runs f both ways at one step limit and demands
+// the same result, error text, memory, OnPath sequence and profile.
+func assertUntimedMatchesOracle(t *testing.T, name string, f *ir.Function, mem, args []uint64, maxSteps int64) {
+	t.Helper()
+	resF, errF, memF, idsF, fpF := runUntimed(t, f, mem, args, false, maxSteps)
+	resH, errH, memH, idsH, fpH := runUntimed(t, f, mem, args, true, maxSteps)
+	if resF != resH || (errF == nil) != (errH == nil) || (errF != nil && errF.Error() != errH.Error()) {
+		t.Fatalf("%s limit %d: plan %+v, %v; oracle %+v, %v", name, maxSteps, resF, errF, resH, errH)
+	}
+	if !reflect.DeepEqual(memF, memH) {
+		t.Fatalf("%s limit %d: final memory differs", name, maxSteps)
+	}
+	if !reflect.DeepEqual(idsF, idsH) {
+		t.Fatalf("%s limit %d: OnPath sequences differ:\nplan   %v\noracle %v", name, maxSteps, idsF, idsH)
+	}
+	compareProfiles(t, maxSteps, fpF, fpH)
+}
+
+// TestCallsMatchOracle is the untimed call differential: at every step
+// limit, landing before, inside and after each call, the collector's run
+// matches the hook oracle, whose member filter drops the callee's blocks.
+func TestCallsMatchOracle(t *testing.T) {
+	m, err := ir.Parse(callSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := m.Func("main")
+	mem := []uint64{0, 1, 2, 3, 4, 5, 6, 7}
+	args := []uint64{interp.IBits(8)}
+	full, err := interp.Run(f, args, append([]uint64(nil), mem...), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for limit := int64(1); limit <= full.Steps+1; limit++ {
+		assertUntimedMatchesOracle(t, "main", f, mem, args, limit)
+	}
+	// A timed run cannot feed the callee's instructions to a model.
+	if _, err, _, _, _, _, _ := runStyle(t, f, mem, args, false, 0); !errors.Is(err, interp.ErrTimedCall) {
+		t.Fatalf("timed run of a function with calls: %v, want ErrTimedCall", err)
+	}
+}
+
+// TestRawNamdMatchesOracle profiles 444.namd's raw kernel, which still calls
+// its pairwise-force helper, against the hook oracle: the one workload
+// function that exercises the call path.
+func TestRawNamdMatchesOracle(t *testing.T) {
+	f, args, mem := workloads.ByName("444.namd").Instance(200)
+	calls := 0
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpCall {
+				calls++
+			}
+		}
+	}
+	if calls == 0 {
+		t.Fatal("raw 444.namd makes no call; the test no longer covers the call path")
+	}
+	assertUntimedMatchesOracle(t, "444.namd", f, mem, args, 0)
+}
+
+// TestCollectRecursiveFunction: every call, a recursive one included, runs
+// unprofiled, so the profile of fact(n) covers exactly the instructions its
+// outermost frame executed — all of fact(n)'s minus fact(n-1)'s.
+func TestCollectRecursiveFunction(t *testing.T) {
+	f, err := ir.ParseFunction(`func @fact(i64) {
+entry:
+  r2 = const.i64 1
+  r3 = cmp.le r1, r2
+  condbr r3, %base, %rec
+base:
+  ret r2
+rec:
+  r4 = sub r1, r2
+  r5 = call.i64 @fact r4
+  r6 = mul r1, r5
+  ret r6
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := func(n int64) int64 {
+		res, err := interp.Run(f, []uint64{interp.IBits(n)}, nil, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Steps
+	}
+	fp, err := CollectFunction(nil, f, []uint64{interp.IBits(6)}, nil, true, 0)
+	if err != nil {
+		t.Fatalf("CollectFunction(fact 6): %v", err)
+	}
+	if want := steps(6) - steps(5); fp.TotalWeight != want {
+		t.Fatalf("TotalWeight = %d, want %d (steps of fact 6 minus fact 5)", fp.TotalWeight, want)
+	}
+	if len(fp.Paths) != 1 || len(fp.Trace) != 1 {
+		t.Fatalf("fact(6)'s outer frame ran %d paths (trace %v), want one", len(fp.Paths), fp.Trace)
 	}
 }

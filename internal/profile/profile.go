@@ -17,13 +17,8 @@ import (
 	"needle/internal/pm"
 )
 
-// Observability counters (no-ops until obs.Enable): which execution path
-// collector-driven runs took. A hook-committed collector (Hooks() handed
-// out) is counted under neither — its runs go through interp.Run directly.
-var (
-	obsRunsFast = obs.GetCounter("profile.runs.fast")
-	obsRunsHook = obs.GetCounter("profile.runs.hook")
-)
+// Observability counter (no-op until obs.Enable): collector-driven runs.
+var obsRuns = obs.GetCounter("profile.runs.fast")
 
 // Edge identifies a CFG edge by block indices within one function.
 type Edge struct{ From, To int }
@@ -73,27 +68,17 @@ type FunctionProfile struct {
 // PathByID returns the executed path with the given ID, or nil.
 func (fp *FunctionProfile) PathByID(id int64) *Path { return fp.byID[id] }
 
-// Collector gathers a function profile across any number of interpreter
-// runs. Create with NewCollector, then either drive it with Run/RunTimed
-// (which take the compiled fast path when eligible) or pass Hooks() to
-// interp.Run for fully-general execution, and finally call Finish. A single
-// collector must stick to one style: its first use commits it.
+// Collector gathers a function profile across any number of runs of the
+// function's compiled plan (interp.RunProfiled). Create with NewCollector,
+// drive it with Run or RunTimed, and finally call Finish. Every call, a
+// recursive one included, runs its callee to completion unprofiled: the
+// profile covers the collector's own invocation of the function only.
 type Collector struct {
-	dag      *ballarus.DAG
-	profiler *ballarus.Profiler
-	edges    map[Edge]int64
-	blocks   []int64
-	// member is dense by Block.Index with an identity check (callee blocks
-	// have their own index ranges, so the index alone is ambiguous).
-	member []*ir.Block
-
-	// Fast-path state: the structural plan (shared, immutable, served by the
-	// analysis manager), its Ball-Larus overlay, and the dense counters.
-	plan   *interp.Plan
+	dag    *ballarus.DAG
+	plan   *interp.Plan // shared and immutable, served by the analysis manager
 	bl     *interp.BLPlan
 	state  *interp.PathState
 	onPath func(id int64)
-	hooked bool // Hooks() was handed out: stay on the hook path
 }
 
 // NewCollector prepares profiling for f. recordTrace enables path-trace
@@ -105,179 +90,63 @@ func NewCollector(am *pm.Manager, f *ir.Function, recordTrace bool) (*Collector,
 	if err != nil {
 		return nil, err
 	}
-	p := ballarus.NewProfiler(dag)
-	p.RecordTrace = recordTrace
-	member := make([]*ir.Block, len(f.Blocks))
-	for _, b := range f.Blocks {
-		member[b.Index] = b
-	}
-	c := &Collector{
-		dag:      dag,
-		profiler: p,
-		edges:    make(map[Edge]int64),
-		blocks:   make([]int64, len(f.Blocks)),
-		member:   member,
-	}
-	if plan := am.ExecPlan(f); plan.Runnable() {
-		c.plan = plan
-		c.bl = dag.CompilePlan(plan)
-		c.state = interp.NewPathState(plan, dag.NumPaths(), recordTrace)
-	}
-	return c, nil
+	plan := am.ExecPlan(f)
+	return &Collector{
+		dag:   dag,
+		plan:  plan,
+		bl:    dag.CompilePlan(plan),
+		state: interp.NewPathState(plan, dag.NumPaths(), recordTrace),
+	}, nil
 }
 
 // SetOnPath registers a callback fired at every path completion with the
 // completed path's ID; the system simulator uses it to attribute host
 // cycles and branch history to path occurrences.
-func (c *Collector) SetOnPath(fn func(id int64)) {
-	c.profiler.OnPath = fn
-	c.onPath = fn
-}
+func (c *Collector) SetOnPath(fn func(id int64)) { c.onPath = fn }
 
-// Fast reports whether Run/RunTimed will use the compiled fast path: the
-// function has a runnable plan and no hooks have been handed out. Callers
-// needing extra events (Store/Mem/Instr consumers beyond a Timing model)
-// must use Hooks() with interp.Run instead.
-func (c *Collector) Fast() bool { return c.plan != nil && !c.hooked }
-
-// Run profiles one invocation of the function on args and mem, taking the
-// compiled fast path when Fast() holds and the hook path otherwise. Results,
-// errors, and the collected profile are identical either way.
+// Run profiles one invocation of the function on args and mem.
 func (c *Collector) Run(args, mem []uint64, maxSteps int64) (interp.Result, error) {
 	return c.RunTimed(args, mem, nil, nil, maxSteps)
 }
 
 // RunTimed is Run with an attached timing model and optional branch-history
-// register, the system simulator's configuration. On the fast path the
-// model is fed by direct calls — one block-batched FeedBlock per executed
-// block when the model implements interp.BlockTiming (the OOO model does),
-// falling back to per-instruction Feed otherwise; on the hook path it is
-// wired through interp.CombineHooks exactly as before. All three feeds are
-// observably identical; the capture differential tests pin that.
+// register, the system simulator's configuration. The model is fed by
+// direct calls — one block-batched FeedBlock per executed block when it
+// implements interp.BlockTiming (the OOO model does), per-instruction Feed
+// otherwise. A timed run of a function with calls fails with
+// interp.ErrTimedCall.
 func (c *Collector) RunTimed(args, mem []uint64, timing interp.Timing, hist *uint64, maxSteps int64) (interp.Result, error) {
-	if c.Fast() {
-		obsRunsFast.Add(1)
-		return interp.RunProfiled(c.plan, c.bl, args, mem, c.state, interp.PlanOpts{
-			MaxSteps: maxSteps,
-			Timing:   timing,
-			History:  hist,
-			OnPath:   c.onPath,
-		})
-	}
-	obsRunsHook.Add(1)
-	hooks := c.Hooks()
-	if timing != nil || hist != nil {
-		extra := []*interp.Hooks{hooks}
-		if timing != nil {
-			extra = append(extra, timingHooks(timing))
-		}
-		if hist != nil {
-			extra = append(extra, histHooks(hist))
-		}
-		hooks = interp.CombineHooks(extra...)
-	}
-	return interp.Run(c.dag.F, args, mem, hooks, maxSteps)
+	obsRuns.Add(1)
+	return interp.RunProfiled(c.plan, c.bl, args, mem, c.state, interp.PlanOpts{
+		MaxSteps: maxSteps,
+		Timing:   timing,
+		History:  hist,
+		OnPath:   c.onPath,
+	})
 }
 
-// timingHooks adapts a Timing to interpreter hooks exactly as ooo.Model
-// wires itself: the Mem event captures the effective address for the Instr
-// event that follows, and condbr edges report the branch outcome.
-func timingHooks(tm interp.Timing) *interp.Hooks {
-	var pend int64
-	return &interp.Hooks{
-		Mem:   func(_ *ir.Instr, addr int64) { pend = addr },
-		Instr: func(in *ir.Instr) { tm.Feed(in, pend) },
-		Edge: func(from, to *ir.Block) {
-			t := from.Term()
-			if t == nil || t.Op != ir.OpCondBr {
-				return
-			}
-			tm.NoteBranch(t.Blocks[0] == to)
-		},
-	}
-}
-
-// histHooks updates an external branch-history shift register from edge
-// events, mirroring spec.HistoryTracker (which cannot be imported here).
-func histHooks(h *uint64) *interp.Hooks {
-	return &interp.Hooks{
-		Edge: func(from, to *ir.Block) {
-			t := from.Term()
-			if t == nil || t.Op != ir.OpCondBr {
-				return
-			}
-			bit := uint64(0)
-			if t.Blocks[0] == to {
-				bit = 1
-			}
-			*h = *h<<1 | bit
-		},
-	}
-}
-
-// isMember reports whether b belongs to the profiled function.
-func (c *Collector) isMember(b *ir.Block) bool {
-	return b.Index < len(c.member) && c.member[b.Index] == b
-}
-
-// Hooks returns the interpreter hooks that feed this collector, committing
-// it to the fully-general hook path (Fast() reports false afterwards, so the
-// profile keeps a single consistent event stream).
-func (c *Collector) Hooks() *interp.Hooks {
-	c.hooked = true
-	own := &interp.Hooks{
-		Block: func(b *ir.Block) {
-			if c.isMember(b) {
-				c.blocks[b.Index]++
-			}
-		},
-		Edge: func(from, to *ir.Block) {
-			if c.isMember(from) {
-				c.edges[Edge{from.Index, to.Index}]++
-			}
-		},
-	}
-	return interp.CombineHooks(own, c.profiler.Hooks())
-}
-
-// drainFast folds the dense fast-path counters into the hook-path
-// accumulators and clears them, so Finish sees one consistent profile no
-// matter which path produced it. Fast runs all precede the first hook run
-// (handing out hooks turns the fast path off for good), so concatenating
-// traces fast-first preserves execution order.
-func (c *Collector) drainFast() {
+// Finish decodes and ranks the collected paths into a FunctionProfile. The
+// profile shares the collector's block counts and trace, so the collector
+// must not run again.
+func (c *Collector) Finish() (*FunctionProfile, error) {
 	st := c.state
-	if st == nil {
-		return
-	}
-	st.EachPath(func(id, n int64) { c.profiler.Counts[id] += n })
-	for i, n := range st.Blocks {
-		c.blocks[i] += n
-	}
+	counts := make(map[int64]int64)
+	st.EachPath(func(id, n int64) { counts[id] = n })
+	edges := make(map[Edge]int64)
 	for slot, n := range st.Edges {
 		if n != 0 {
 			from, to := c.plan.Edge(slot)
-			c.edges[Edge{from, to}] += n
+			edges[Edge{from, to}] = n
 		}
 	}
-	if len(st.Trace) > 0 {
-		c.profiler.Trace = append(st.Trace, c.profiler.Trace...)
-	}
-	st.Reset()
-}
-
-// Finish decodes and ranks the collected paths into a FunctionProfile,
-// merging the dense fast-path counters with any hook-path accumulation.
-func (c *Collector) Finish() (*FunctionProfile, error) {
-	c.drainFast()
 	fp := &FunctionProfile{
 		F:           c.dag.F,
 		DAG:         c.dag,
-		Trace:       c.profiler.Trace,
-		EdgeCounts:  c.edges,
-		BlockCounts: c.blocks,
+		Trace:       st.Trace,
+		EdgeCounts:  edges,
+		BlockCounts: st.Blocks,
 	}
-	if err := fp.rankCounts(c.profiler.Counts); err != nil {
+	if err := fp.rankCounts(counts); err != nil {
 		return nil, err
 	}
 	return fp, nil

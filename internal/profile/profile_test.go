@@ -86,7 +86,7 @@ func TestWeightsPartitionDynamicInstructions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := interp.Run(f, []uint64{interp.IBits(37)}, nil, c.Hooks(), 0)
+	res, err := c.Run([]uint64{interp.IBits(37)}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,3 +185,44 @@ func TestAnalyzeSourceMatchesCLIBytes(t *testing.T) {
 		t.Errorf("entry-selected response diverges from CLI bytes:\n got %s\nwant %s", rr.Body.Bytes(), want)
 	}
 }
+
+// entryPhiSrc loops back into its entry block, so the entry phi has no
+// value when the function starts: the program verifies but cannot run.
+const entryPhiSrc = `func @ep(i64) {
+entry:
+  r2 = phi.i64 [loop: r3]
+  r4 = const.i64 1
+  br %loop
+loop:
+  r3 = add r1, r4
+  r5 = cmp.lt r3, r1
+  condbr r5, %entry, %exit
+exit:
+  ret r3
+}
+`
+
+// TestEntryPhiFaultParity: a program the compiled plan cannot run fails
+// identically through the Analyzer (the `needle -nir` path) and through
+// POST /v1/analyze, with the hook interpreter's error text and status 500.
+func TestEntryPhiFaultParity(t *testing.T) {
+	const want = "pipeline: capturing ep: interp: ep.entry: phi r2 has no incoming edge from <nil>"
+	p, err := program.Load(entryPhiSrc, program.LoadOptions{Args: []string{"4"}})
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if _, err := core.New().Run(context.Background(), p, core.DefaultConfig()); err == nil || err.Error() != want {
+		t.Errorf("Analyzer error %v, want %q", err, want)
+	}
+
+	s := New(Config{Jobs: 1})
+	defer s.Close()
+	rr := doReq(s, http.MethodPost, "/v1/analyze", sourceReq(t, analyzeRequest{Source: entryPhiSrc, Args: []string{"4"}}))
+	if rr.Code != http.StatusInternalServerError {
+		t.Errorf("status %d, want 500 (body %q)", rr.Code, rr.Body.String())
+	}
+	var e map[string]string
+	if err := json.Unmarshal(rr.Body.Bytes(), &e); err != nil || e["error"] != want {
+		t.Errorf("error body %q, want error %q", rr.Body.String(), want)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"needle/internal/ballarus"
 	"needle/internal/energy"
 	"needle/internal/interp"
 	"needle/internal/ir"
@@ -15,16 +16,18 @@ import (
 	"needle/internal/workloads"
 )
 
-// captureHooked is Capture with the compiled fast path disabled: the
-// collector is committed to the hook path before running, and the timing
-// model, history tracker, and profiler are wired through CombineHooks. It
-// is the oracle the fast path must match event for event.
+// captureHooked is the oracle Capture must match event for event: the hook
+// interpreter with a Ball-Larus profiler, block and edge counters that
+// ignore blocks outside f, the timing model and the history tracker wired
+// through CombineHooks, and the profile rehydrated with profile.FromData.
 func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, error) {
 	am := pm.NewManager()
-	collector, err := profile.NewCollector(am, f, true)
+	dag, err := ballarus.Build(am, f)
 	if err != nil {
 		return nil, err
 	}
+	prof := ballarus.NewProfiler(dag)
+	prof.RecordTrace = true
 	cache := mem.New(cfg.Mem)
 	model := ooo.New(cfg.OOO, f.NumRegs(), cache)
 	hist := &spec.HistoryTracker{}
@@ -32,20 +35,32 @@ func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, e
 	tr := &Trace{AM: am}
 	var lastCycles int64
 	var histBefore uint64
-	collector.SetOnPath(func(id int64) {
+	prof.OnPath = func(id int64) {
 		now := model.Cycles()
 		tr.Occ = append(tr.Occ, Occurrence{Hist: histBefore, Cycles: now - lastCycles})
 		lastCycles = now
 		histBefore = hist.H
-	})
-	all := interp.CombineHooks(collector.Hooks(), model.Hooks(), hist.Hooks())
-	if collector.Fast() {
-		return nil, errSimImpossible
 	}
+	member := func(b *ir.Block) bool { return b.Index < len(f.Blocks) && f.Blocks[b.Index] == b }
+	d := &profile.Data{Counts: prof.Counts, EdgeCounts: make(map[profile.Edge]int64), BlockCounts: make([]int64, len(f.Blocks))}
+	counters := &interp.Hooks{
+		Block: func(b *ir.Block) {
+			if member(b) {
+				d.BlockCounts[b.Index]++
+			}
+		},
+		Edge: func(from, to *ir.Block) {
+			if member(from) {
+				d.EdgeCounts[profile.Edge{From: from.Index, To: to.Index}]++
+			}
+		},
+	}
+	all := interp.CombineHooks(counters, prof.Hooks(), model.Hooks(), hist.Hooks())
 	if _, err := interp.Run(f, args, memory, all, cfg.MaxSteps); err != nil {
 		return nil, err
 	}
-	fp, err := collector.Finish()
+	d.Trace = prof.Trace
+	fp, err := profile.FromData(am, f, d)
 	if err != nil {
 		return nil, err
 	}
@@ -57,33 +72,23 @@ func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, e
 	return tr, nil
 }
 
-var errSimImpossible = &simTestErr{"collector still fast after Hooks()"}
-
-type simTestErr struct{ s string }
-
-func (e *simTestErr) Error() string { return e.s }
-
 // assertCaptureEquivalent runs the system-simulator capture both ways on one
-// workload and demands byte-identical traces: same per-occurrence cycle
-// attribution and history snapshots, same baseline cycles, op mix, cache
-// stats, energy, and the same finished profile.
-func assertCaptureEquivalent(t *testing.T, w *workloads.Workload, n int, requireFast bool) {
+// inlined workload, as the pipeline captures it, and demands byte-identical
+// traces: same per-occurrence cycle attribution and history snapshots, same
+// baseline cycles, op mix, cache stats, energy, and the same finished
+// profile.
+func assertCaptureEquivalent(t *testing.T, w *workloads.Workload, n int) {
 	t.Helper()
 	name := w.Name
 	cfg := DefaultConfig()
 
-	f, args, memory := w.Instance(n)
-	if c, err := profile.NewCollector(nil, f, true); err != nil {
-		t.Fatalf("%s: NewCollector: %v", name, err)
-	} else if !c.Fast() && requireFast {
-		t.Fatalf("%s: workload did not take the fast path; test is vacuous", name)
-	}
+	f, args, memory := inlined(t, w, n)
 	fast, err := Capture(nil, f, args, memory, cfg)
 	if err != nil {
 		t.Fatalf("%s: fast capture: %v", name, err)
 	}
 
-	f2, args2, memory2 := w.Instance(n)
+	f2, args2, memory2 := inlined(t, w, n)
 	slow, err := captureHooked(f2, args2, memory2, cfg)
 	if err != nil {
 		t.Fatalf("%s: hooked capture: %v", name, err)
@@ -139,23 +144,20 @@ func TestCaptureFastMatchesHooked(t *testing.T) {
 		if w == nil {
 			t.Fatalf("unknown workload %s", tc.name)
 		}
-		assertCaptureEquivalent(t, w, tc.n, true)
+		assertCaptureEquivalent(t, w, tc.n)
 	}
 }
 
 // TestCaptureFastMatchesHookedAllWorkloads runs the batched-vs-hooked
-// differential over the entire workload suite at a modest iteration count,
-// so every block shape in the corpus (wide phis, dense float kernels,
+// differential over the entire inlined workload suite at a modest iteration
+// count, so every block shape in the corpus (wide phis, dense float kernels,
 // irregular control flow) crosses the packet fast path at least once.
-// Workloads that cannot take the compiled fast path (444.namd) still run:
-// there the comparison pins the hooked fallback against itself, which keeps
-// the test from silently going vacuous if the fast-path predicate changes.
 func TestCaptureFastMatchesHookedAllWorkloads(t *testing.T) {
 	all := workloads.All()
 	if len(all) < 29 {
 		t.Fatalf("workload suite shrank: %d workloads, want >= 29", len(all))
 	}
 	for _, w := range all {
-		assertCaptureEquivalent(t, w, 400, w.Name != "444.namd")
+		assertCaptureEquivalent(t, w, 400)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"needle/internal/cgra"
 	"needle/internal/energy"
 	"needle/internal/frame"
-	"needle/internal/interp"
 	"needle/internal/ir"
 	"needle/internal/mem"
 	"needle/internal/obs"
@@ -104,14 +103,14 @@ func Capture(am *pm.Manager, f *ir.Function, args []uint64, memory []uint64, cfg
 	tr := &Trace{AM: am}
 	var lastCycles int64
 	var histBefore uint64
-	// The collector's profiler fires OnPath at every completion; snapshot
+	// The collector fires OnPath at every path completion; snapshot
 	// the host cycle counter and history register around each occurrence.
 	// Only the primitive snapshots accumulate during the run — the
 	// Occurrence structs are assembled afterwards in one exact allocation
 	// from the collector's path-completion count (the recorded path trace).
 	occCycles := make([]int64, 0, 1024)
 	occHists := make([]uint64, 0, 1024)
-	hookProfiler(collector, func(id int64) {
+	collector.SetOnPath(func(id int64) {
 		now := model.Cycles()
 		occCycles = append(occCycles, now-lastCycles)
 		occHists = append(occHists, histBefore)
@@ -119,24 +118,13 @@ func Capture(am *pm.Manager, f *ir.Function, args []uint64, memory []uint64, cfg
 		histBefore = hist.H
 	})
 
-	// The fast path feeds the timing model by block-batched FeedBlock calls
-	// over the plan's precompiled timing packets, and the history register by
-	// direct updates inside the compiled plan loop; the hook combination
-	// below is the general fallback (call-bearing functions, irregular CFG
-	// shapes) and produces byte-identical traces — see the capture
-	// equivalence tests (single-workload and the 29-workload differential).
-	xsp := sp.Child("capture: execute").SetArg("fast", collector.Fast())
-	if collector.Fast() {
-		if _, err := collector.RunTimed(args, memory, model, &hist.H, cfg.MaxSteps); err != nil {
-			xsp.End()
-			return nil, err
-		}
-	} else {
-		all := interp.CombineHooks(collector.Hooks(), model.Hooks(), hist.Hooks())
-		if _, err := interp.Run(f, args, memory, all, cfg.MaxSteps); err != nil {
-			xsp.End()
-			return nil, err
-		}
+	// The compiled plan feeds the timing model one block-batched FeedBlock
+	// per executed block over its precompiled timing packets, and updates the
+	// history register directly in its loop.
+	xsp := sp.Child("capture: execute")
+	if _, err := collector.RunTimed(args, memory, model, &hist.H, cfg.MaxSteps); err != nil {
+		xsp.End()
+		return nil, err
 	}
 	xsp.End()
 	fsp := sp.Child("capture: finish")
@@ -164,10 +152,6 @@ func Capture(am *pm.Manager, f *ir.Function, args []uint64, memory []uint64, cfg
 	obsHostCycles.Add(tr.BaselineCycles)
 	return tr, nil
 }
-
-// hookProfiler attaches an OnPath callback to a collector's profiler.
-// (Kept as a seam so tests can observe attribution.)
-func hookProfiler(c *profile.Collector, fn func(id int64)) { c.SetOnPath(fn) }
 
 // Target is an offload candidate: a framed region scheduled on the CGRA,
 // plus the acceptance test deciding whether an executed path completes on

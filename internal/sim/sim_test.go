@@ -6,10 +6,23 @@ import (
 	"needle/internal/frame"
 	"needle/internal/interp"
 	"needle/internal/ir"
+	"needle/internal/passes"
 	"needle/internal/region"
 	"needle/internal/spec"
 	"needle/internal/workloads"
 )
+
+// inlined instantiates w at size n with every call inlined, as the
+// pipeline's Inline stage leaves it for capture.
+func inlined(t testing.TB, w *workloads.Workload, n int) (*ir.Function, []uint64, []uint64) {
+	t.Helper()
+	f, args, memory := w.Instance(n)
+	f, err := passes.InlineAll(f, 0)
+	if err != nil {
+		t.Fatalf("%s: InlineAll: %v", w.Name, err)
+	}
+	return f, args, memory
+}
 
 func capture(t testing.TB, name string, n int) *Trace {
 	t.Helper()
@@ -17,7 +30,7 @@ func capture(t testing.TB, name string, n int) *Trace {
 	if w == nil {
 		t.Fatalf("unknown workload %s", name)
 	}
-	f, args, memory := w.Instance(n)
+	f, args, memory := inlined(t, w, n)
 	tr, err := Capture(nil, f, args, memory, DefaultConfig())
 	if err != nil {
 		t.Fatalf("Capture(%s): %v", name, err)

@@ -3,9 +3,10 @@
 #
 #   ./scripts/check.sh        (or: make check)
 #
-# Fails on unformatted files, vet diagnostics, build errors, or any test
+# Fails on unformatted files, vet diagnostics, build errors, any test
 # failure (the suite runs under the race detector to exercise the parallel
-# analysis harness).
+# analysis harness), or an example whose output drifts from its
+# expected.txt.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -72,6 +73,28 @@ find examples internal/ir/testdata -name '*.nir' | sort | while read -r f; do
 done
 rm -f "$nir_bin"
 echo "nir    ok (all checked-in .nir programs verify)"
+
+# Every example prints a deterministic report; it must match the checked-in
+# examples/<name>/expected.txt byte for byte. examples/inlining profiles a
+# function that still makes calls, so this also pins the compiled plan's
+# call path end to end.
+ex_out=$(mktemp)
+for main in examples/*/main.go; do
+    dir=$(dirname "$main")
+    if ! go run "./$dir" > "$ex_out"; then
+        echo "check: FAIL — $dir did not run" >&2
+        rm -f "$ex_out"
+        exit 1
+    fi
+    if ! cmp -s "$ex_out" "$dir/expected.txt"; then
+        echo "check: FAIL — $dir output differs from $dir/expected.txt" >&2
+        diff "$dir/expected.txt" "$ex_out" >&2 || true
+        rm -f "$ex_out"
+        exit 1
+    fi
+done
+rm -f "$ex_out"
+echo "exmpl  ok (every example matches its expected.txt)"
 
 # Opt-in fuzz smoke: CHECK_FUZZ=1 ./scripts/check.sh runs the parser/
 # verifier/printer round-trip fuzzer briefly on top of its corpus.
