@@ -254,10 +254,12 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 // upstream artifact taken from a pre-warmed in-memory Cache. scripts/bench.sh
 // records ns/op and allocs/op for each.
 //
-//   - profile-decode rehydrates the stored profile with sim.TraceFromData
-//     under a fresh analysis manager, as a warm disk hit does (the gob
-//     decode of the payload is not included);
-//   - select-decode rebuilds every stored braid with region.BraidFromData;
+//   - inline-decode, profile-decode, select-decode and frame-decode each
+//     run the stage's codec decode (pipeline.Codec) on the bytes its encode
+//     stored, as a warm disk hit does: the positional payload read, .nir
+//     parse (inline), path-trace rehydration with every count and branch
+//     history derived (profile), braid rebuilds (select) or frame
+//     re-resolution (frame), under a fresh analysis manager;
 //   - target runs every registered backend, so an iteration is the stage
 //     itself plus the cache hits that feed it;
 //   - capture runs sim.Capture on the Inline artifact's function over fresh
@@ -281,43 +283,41 @@ func BenchmarkStage(b *testing.B) {
 		}
 		return p, opts, a
 	}
-	b.Run("profile-decode", func(b *testing.B) {
-		for _, name := range names {
-			b.Run(name, func(b *testing.B) {
-				_, _, a := warm(b, name)
-				_, f := a.HotFunc()
-				d := a.Profile.Trace.Data()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := sim.TraceFromData(pm.NewManager(), f, d); err != nil {
+	// decodeRow times one stage's codec decode of its stored bytes. Each
+	// iteration gives the upstream inline artifact a fresh analysis manager,
+	// as a decoded one has, so no analysis is served from an earlier one.
+	decodeRow := func(stage string, out func(a *pipeline.Artifacts) any) func(b *testing.B) {
+		return func(b *testing.B) {
+			for _, name := range names {
+				b.Run(name, func(b *testing.B) {
+					_, _, a := warm(b, name)
+					encode, decode, ok := pipeline.Codec(stage)
+					if !ok {
+						b.Fatalf("no codec for stage %s", stage)
+					}
+					data, err := encode(a, out(a))
+					if err != nil {
 						b.Fatal(err)
 					}
-				}
-			})
-		}
-	})
-	b.Run("select-decode", func(b *testing.B) {
-		for _, name := range names {
-			b.Run(name, func(b *testing.B) {
-				_, _, a := warm(b, name)
-				fp := a.Profile.Trace.Profile
-				stored := make([]region.BraidData, len(a.Select.Braids))
-				for i, br := range a.Select.Braids {
-					stored[i] = br.Data()
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for _, d := range stored {
-						if _, err := region.BraidFromData(fp, d); err != nil {
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						in := *a.Inline
+						in.AM = pm.NewManager()
+						up := *a
+						up.Inline = &in
+						if _, err := decode(&up, data); err != nil {
 							b.Fatal(err)
 						}
 					}
-				}
-			})
+				})
+			}
 		}
-	})
+	}
+	b.Run("inline-decode", decodeRow("inline", func(a *pipeline.Artifacts) any { return a.Inline }))
+	b.Run("profile-decode", decodeRow("profile", func(a *pipeline.Artifacts) any { return a.Profile }))
+	b.Run("select-decode", decodeRow("select", func(a *pipeline.Artifacts) any { return a.Select }))
+	b.Run("frame-decode", decodeRow("frame", func(a *pipeline.Artifacts) any { return a.Frame }))
 	b.Run("target", func(b *testing.B) {
 		for _, name := range names {
 			b.Run(name, func(b *testing.B) {

@@ -2,9 +2,12 @@ package frame
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"needle/internal/ir"
 	"needle/internal/region"
+	"needle/internal/wire"
 )
 
 // OpData is one frame op with its instruction referenced positionally:
@@ -114,5 +117,106 @@ func FromData(r *region.Region, d *Data) (*Frame, error) {
 		}
 		fr.Ops[i] = Op{Instr: b.Instrs[od.Instr], Block: b, Deps: od.Deps, Guard: od.Guard, Select: od.Select}
 	}
+	nregs := r.F.NumRegs()
+	bad := func(reg ir.Reg) bool { return reg < 0 || int(reg) > nregs } // registers are 1..NumRegs
+	for _, regs := range [...][]ir.Reg{d.LiveIn, d.LiveOut} {
+		if i := slices.IndexFunc(regs, bad); i >= 0 {
+			return nil, fmt.Errorf("frame: interface register %s out of range for %s", regs[i], r.F.Name)
+		}
+	}
+	for _, c := range d.Carried {
+		if bad(c.Phi) || bad(c.Next) {
+			return nil, fmt.Errorf("frame: carried pair %s/%s out of range for %s", c.Phi, c.Next, r.F.Name)
+		}
+	}
+	for reg, idx := range d.Def {
+		if bad(reg) || idx < 0 || idx >= len(d.Ops) {
+			return nil, fmt.Errorf("frame: register %s defined by op %d of %d", reg, idx, len(d.Ops))
+		}
+	}
 	return fr, nil
 }
+
+// Append appends d in its positional layout (docs/PIPELINE.md): the ops,
+// each as its block and instruction index, its deps and its two flags;
+// the live-in and live-out registers; the seven counters; the carried
+// pairs; Def as (register, op) pairs in register order; the unroll factor;
+// and the options. Counts, indices, deps and registers are uvarints, other
+// integers varints.
+func (d *Data) Append(b []byte) []byte {
+	b = wire.AppendUvarint(b, uint64(len(d.Ops)))
+	for _, op := range d.Ops {
+		b = wire.AppendUvarint(b, uint64(op.Block))
+		b = wire.AppendVarint(b, int64(op.Instr))
+		b = wire.AppendUints(b, op.Deps)
+		b = wire.AppendBool(b, op.Guard)
+		b = wire.AppendBool(b, op.Select)
+	}
+	b = wire.AppendUints(b, d.LiveIn)
+	b = wire.AppendUints(b, d.LiveOut)
+	for _, v := range [...]int{d.Guards, d.Selects, d.Cancelled, d.Stores, d.UndoOps, d.Predicates, d.HoistedMemOps} {
+		b = wire.AppendVarint(b, int64(v))
+	}
+	b = wire.AppendUvarint(b, uint64(len(d.Carried)))
+	for _, c := range d.Carried {
+		b = wire.AppendUvarint(b, uint64(c.Phi))
+		b = wire.AppendUvarint(b, uint64(c.Next))
+	}
+	regs := make([]ir.Reg, 0, len(d.Def))
+	for reg := range d.Def {
+		regs = append(regs, reg)
+	}
+	slices.Sort(regs)
+	b = wire.AppendUvarint(b, uint64(len(regs)))
+	for _, reg := range regs {
+		b = wire.AppendUvarint(b, uint64(reg))
+		b = wire.AppendVarint(b, int64(d.Def[reg]))
+	}
+	b = wire.AppendVarint(b, int64(d.Unroll))
+	b = wire.AppendUvarint(b, uint64(d.Opts.Placement))
+	b = wire.AppendUvarint(b, uint64(d.Opts.Ordering))
+	return wire.AppendVarint(b, int64(d.Opts.UndoOpsPerStore))
+}
+
+// ReadData reads the layout Append writes. Empty slices and maps decode as
+// nil. The result is meaningful only when r has not failed; FromData checks
+// its references against the region.
+func ReadData(r *wire.Reader) *Data {
+	d := &Data{}
+	if n := r.Count(); n > 0 {
+		d.Ops = make([]OpData, n)
+		for i := range d.Ops {
+			op := &d.Ops[i]
+			op.Block = r.Index(math.MaxInt)
+			op.Instr = r.Int()
+			op.Deps = wire.Uints[int](r, math.MaxInt)
+			op.Guard = r.Bool()
+			op.Select = r.Bool()
+		}
+	}
+	d.LiveIn = wire.Uints[ir.Reg](r, math.MaxInt32)
+	d.LiveOut = wire.Uints[ir.Reg](r, math.MaxInt32)
+	for _, v := range [...]*int{&d.Guards, &d.Selects, &d.Cancelled, &d.Stores, &d.UndoOps, &d.Predicates, &d.HoistedMemOps} {
+		*v = r.Int()
+	}
+	if n := r.Count(); n > 0 {
+		d.Carried = make([]CarriedPair, n)
+		for i := range d.Carried {
+			d.Carried[i] = CarriedPair{Phi: readReg(r), Next: readReg(r)}
+		}
+	}
+	if n := r.Count(); n > 0 {
+		d.Def = make(map[ir.Reg]int, n)
+		for range n {
+			reg := readReg(r)
+			d.Def[reg] = r.Int()
+		}
+	}
+	d.Unroll = r.Int()
+	d.Opts.Placement = GuardPlacement(r.Index(math.MaxUint8 + 1))
+	d.Opts.Ordering = MemOrdering(r.Index(math.MaxUint8 + 1))
+	d.Opts.UndoOpsPerStore = r.Int()
+	return d
+}
+
+func readReg(r *wire.Reader) ir.Reg { return ir.Reg(r.Index(math.MaxInt32)) }

@@ -3,8 +3,16 @@
 // pure-data / rehydratable-state decomposition:
 //
 //   - The serializable core of each artifact lives next to its type
-//     (profile.Data, sim.TraceData, region.BraidData, frame.Data) and holds
-//     no pointers into IR or analysis state.
+//     (profile.Data, sim.TraceData, region.BraidData, frame.Data), holds no
+//     pointers into IR or analysis state, and writes and reads itself in
+//     the positional binary layout of package wire (docs/PIPELINE.md,
+//     "Payload layouts"). The same artifact always encodes to the same
+//     bytes.
+//   - The profile stores only what was measured: the path trace, as ranks
+//     into a table of executed path IDs, and each occurrence's host
+//     cycles. Path counts, block and edge counts and every branch history
+//     are derived from the trace on decode, and checked against the
+//     captured values on encode.
 //   - Function bodies travel as .nir text; the parser preserves canonical
 //     r<N> register numbering and block order, so every downstream artifact
 //     references registers by number and blocks/instructions by position.
@@ -13,6 +21,9 @@
 //     artifact decoded from disk plugs into upstream artifacts of any
 //     provenance — memory-cached, disk-decoded, or freshly computed — and
 //     the pipeline's output is byte-identical in all combinations.
+//   - Every decoder reads through wire.Reader, which bounds each count
+//     and length by the bytes left and rejects trailing bytes, so hostile
+//     bytes decode to an error, never a panic or a huge allocation.
 //
 // codecVersion participates in every artifact's content address and header;
 // bump it whenever any payload layout or any encoding-relevant IR semantics
@@ -20,8 +31,6 @@
 package pipeline
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 
@@ -30,160 +39,178 @@ import (
 	"needle/internal/pm"
 	"needle/internal/region"
 	"needle/internal/sim"
+	"needle/internal/wire"
 )
 
 // codecVersion versions every on-disk artifact payload.
-const codecVersion = 2
+const codecVersion = 3
 
-func gobEncode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
+// Codec returns the named stage's persistent codec, the pair a DiskStore
+// applies to its artifact: encode serializes a.<stage>-shaped output, and
+// decode rehydrates it against a's upstream artifacts. ok is false for an
+// unknown stage and for one without a codec (target).
+func Codec(stage string) (encode func(a *Artifacts, out any) ([]byte, error), decode func(a *Artifacts, data []byte) (any, error), ok bool) {
+	for i := range stages {
+		if st := &stages[i]; st.Name == stage && st.encode != nil {
+			return st.encode, st.decode, true
+		}
 	}
-	return buf.Bytes(), nil
+	return nil, nil, false
 }
 
-func gobDecode(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
-}
-
-// inlinePayload carries the Inline artifact: the inlined function as .nir
-// text plus the workload's pristine initial state.
-type inlinePayload struct {
-	NIR    string
-	Args   []uint64
-	Memory []uint64
-}
-
-func inlineEncode(_ *Artifacts, out any) ([]byte, error) {
-	art := out.(*InlineArtifact)
-	text := ir.PrintModule(ir.ModuleOf(art.F))
-	// Self-check the positional foundation: downstream artifacts reference
-	// this function's registers by number and blocks by index, so refuse to
-	// persist any function whose printed form does not round-trip exactly.
+// appendFunc appends f as length-prefixed .nir text. It refuses any
+// function whose printed form does not round-trip exactly: downstream
+// artifacts reference its registers by number and blocks by index.
+func appendFunc(b []byte, f *ir.Function, what string) ([]byte, error) {
+	text := ir.PrintModule(ir.ModuleOf(f))
 	m, err := ir.Parse(text)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: inline artifact does not re-parse: %w", err)
+		return nil, fmt.Errorf("pipeline: %s artifact does not re-parse: %w", what, err)
 	}
 	if re := ir.PrintModule(m); re != text {
-		return nil, errors.New("pipeline: inline artifact round-trip is not an identity")
+		return nil, fmt.Errorf("pipeline: %s artifact round-trip is not an identity", what)
 	}
-	return gobEncode(inlinePayload{NIR: text, Args: art.Args, Memory: art.Memory})
+	return wire.AppendString(b, text), nil
+}
+
+// readFunc reads a function appendFunc wrote and gives it a fresh analysis
+// manager parented on this run's span.
+func readFunc(a *Artifacts, r *wire.Reader, what string) (*pm.Manager, *ir.Function, error) {
+	text := r.Text()
+	if err := r.Err(); err != nil {
+		return nil, nil, err
+	}
+	m, err := ir.Parse(text)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(m.Funcs) == 0 {
+		return nil, nil, fmt.Errorf("pipeline: %s artifact has no functions", what)
+	}
+	// ModuleOf printed the function first; Parse verified all of them.
+	am := pm.NewManager()
+	am.SetSpan(a.Span)
+	return am, m.Funcs[0], nil
+}
+
+// readWords reads a word list wire.AppendUints wrote. Unlike wire.Uints,
+// it bounds no element: a word is any 64-bit value. An empty list is nil.
+func readWords(r *wire.Reader) []uint64 {
+	n := r.Count()
+	if n == 0 {
+		return nil
+	}
+	words := make([]uint64, n)
+	for i := range words {
+		words[i] = r.Uvarint()
+	}
+	return words
+}
+
+// The inline payload is the inlined function, then the workload's pristine
+// arguments and memory.
+func inlineEncode(_ *Artifacts, out any) ([]byte, error) {
+	art := out.(*InlineArtifact)
+	b, err := appendFunc(nil, art.F, "inline")
+	if err != nil {
+		return nil, err
+	}
+	b = wire.AppendUints(b, art.Args)
+	return wire.AppendUints(b, art.Memory), nil
 }
 
 func inlineDecode(a *Artifacts, data []byte) (any, error) {
-	var p inlinePayload
-	if err := gobDecode(data, &p); err != nil {
-		return nil, err
-	}
-	m, err := ir.Parse(p.NIR)
+	r := wire.NewReader(data)
+	am, f, err := readFunc(a, r, "inline")
 	if err != nil {
 		return nil, err
 	}
-	if len(m.Funcs) == 0 {
-		return nil, errors.New("pipeline: inline artifact has no functions")
+	art := &InlineArtifact{AM: am, F: f, Args: readWords(r), Memory: readWords(r)}
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
-	// ModuleOf printed the inlined function first; Parse verified all of
-	// them. Rehydrate a fresh analysis manager parented on this run's span.
-	am := pm.NewManager()
-	am.SetSpan(a.Span)
-	return &InlineArtifact{AM: am, F: m.Funcs[0], Args: p.Args, Memory: p.Memory}, nil
+	return art, nil
 }
 
-// optPayload carries the Opt artifact: the optimized function as .nir text
-// plus the removal summary.
-type optPayload struct {
-	NIR                       string
-	InstrsBefore, InstrsAfter int
-	BlocksBefore, BlocksAfter int
-}
-
+// The opt payload is the optimized function, then the removal summary.
 func optEncode(_ *Artifacts, out any) ([]byte, error) {
 	art := out.(*OptArtifact)
-	text := ir.PrintModule(ir.ModuleOf(art.F))
-	// Same positional self-check as the inline artifact: downstream
-	// artifacts reference the optimized function by register number and
-	// block index.
-	m, err := ir.Parse(text)
+	b, err := appendFunc(nil, art.F, "opt")
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: opt artifact does not re-parse: %w", err)
+		return nil, err
 	}
-	if re := ir.PrintModule(m); re != text {
-		return nil, errors.New("pipeline: opt artifact round-trip is not an identity")
+	for _, v := range [...]int{art.InstrsBefore, art.InstrsAfter, art.BlocksBefore, art.BlocksAfter} {
+		b = wire.AppendVarint(b, int64(v))
 	}
-	return gobEncode(optPayload{
-		NIR:          text,
-		InstrsBefore: art.InstrsBefore, InstrsAfter: art.InstrsAfter,
-		BlocksBefore: art.BlocksBefore, BlocksAfter: art.BlocksAfter,
-	})
+	return b, nil
 }
 
 func optDecode(a *Artifacts, data []byte) (any, error) {
-	var p optPayload
-	if err := gobDecode(data, &p); err != nil {
-		return nil, err
-	}
-	m, err := ir.Parse(p.NIR)
+	r := wire.NewReader(data)
+	am, f, err := readFunc(a, r, "opt")
 	if err != nil {
 		return nil, err
 	}
-	if len(m.Funcs) == 0 {
-		return nil, errors.New("pipeline: opt artifact has no functions")
+	art := &OptArtifact{AM: am, F: f,
+		InstrsBefore: r.Int(), InstrsAfter: r.Int(), BlocksBefore: r.Int(), BlocksAfter: r.Int()}
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
-	am := pm.NewManager()
-	am.SetSpan(a.Span)
-	return &OptArtifact{
-		AM: am, F: m.Funcs[0],
-		InstrsBefore: p.InstrsBefore, InstrsAfter: p.InstrsAfter,
-		BlocksBefore: p.BlocksBefore, BlocksAfter: p.BlocksAfter,
-	}, nil
+	return art, nil
 }
 
+// The profile payload is the trace's sim.TraceData.
 func profileEncode(_ *Artifacts, out any) ([]byte, error) {
-	return gobEncode(out.(*ProfileArtifact).Trace.Data())
+	d, err := out.(*ProfileArtifact).Trace.Data()
+	if err != nil {
+		return nil, err
+	}
+	return d.Append(nil), nil
 }
 
 func profileDecode(a *Artifacts, data []byte) (any, error) {
-	var d sim.TraceData
-	if err := gobDecode(data, &d); err != nil {
+	r := wire.NewReader(data)
+	d := sim.ReadTraceData(r)
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	// Attach to the function the profile was captured over: the optimized
 	// one when the Opt stage ran (its fingerprint is in this artifact's
 	// key, so the pairing can never be stale).
 	am, f := a.HotFunc()
-	tr, err := sim.TraceFromData(am, f, &d)
+	tr, err := sim.TraceFromData(am, f, d)
 	if err != nil {
 		return nil, err
 	}
 	return &ProfileArtifact{Trace: tr}, nil
 }
 
-// selectPayload carries the Select artifact: the characterization verbatim
-// (pure data already) and each braid as its merged-path IDs, in rank order.
-type selectPayload struct {
-	CFStats region.ControlFlowStats
-	Braids  []region.BraidData
-}
-
+// The select payload is the characterization, then each braid as its
+// merged-path IDs, in rank order.
 func selectEncode(_ *Artifacts, out any) ([]byte, error) {
 	art := out.(*SelectArtifact)
-	p := selectPayload{CFStats: art.CFStats, Braids: make([]region.BraidData, len(art.Braids))}
-	for i, br := range art.Braids {
-		p.Braids[i] = br.Data()
+	b := art.CFStats.Append(nil)
+	b = wire.AppendUvarint(b, uint64(len(art.Braids)))
+	for _, br := range art.Braids {
+		b = br.Data().Append(b)
 	}
-	return gobEncode(p)
+	return b, nil
 }
 
 func selectDecode(a *Artifacts, data []byte) (any, error) {
-	var p selectPayload
-	if err := gobDecode(data, &p); err != nil {
+	r := wire.NewReader(data)
+	stats := region.ReadControlFlowStats(r)
+	stored := make([]region.BraidData, r.Count())
+	for i := range stored {
+		stored[i] = region.ReadBraidData(r)
+	}
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	art := &SelectArtifact{CFStats: p.CFStats, Braids: make([]*region.Braid, len(p.Braids))}
+	art := &SelectArtifact{CFStats: stats, Braids: make([]*region.Braid, len(stored))}
 	// The stored order is the rank order BuildBraids produced; rebuild each
 	// braid from its paths and keep that order rather than re-sorting.
-	for i, bd := range p.Braids {
+	for i, bd := range stored {
 		br, err := region.BraidFromData(a.Profile.Trace.Profile, bd)
 		if err != nil {
 			return nil, err
@@ -193,40 +220,41 @@ func selectDecode(a *Artifacts, data []byte) (any, error) {
 	return art, nil
 }
 
-// framePayload carries the Frame artifact: the positional frame data when a
-// frame was built, and the build error's message when it failed (rebuilt as
-// a flat error, preserving the reported text byte for byte).
-type framePayload struct {
-	Frame *frame.Data
-	Err   string
-}
-
+// The frame payload is a presence flag and the positional frame data when
+// a frame was built, then the build error's message ("" for none), rebuilt
+// as a flat error that preserves the reported text byte for byte.
 func frameEncode(_ *Artifacts, out any) ([]byte, error) {
 	art := out.(*FrameArtifact)
-	p := framePayload{}
+	b := wire.AppendBool(nil, art.HotBraidFrame != nil)
 	if art.HotBraidFrame != nil {
-		p.Frame = art.HotBraidFrame.Data()
+		b = art.HotBraidFrame.Data().Append(b)
 	}
+	msg := ""
 	if art.FrameErr != nil {
-		p.Err = art.FrameErr.Error()
+		msg = art.FrameErr.Error()
 	}
-	return gobEncode(p)
+	return wire.AppendString(b, msg), nil
 }
 
 func frameDecode(a *Artifacts, data []byte) (any, error) {
-	var p framePayload
-	if err := gobDecode(data, &p); err != nil {
+	r := wire.NewReader(data)
+	var d *frame.Data
+	if r.Bool() {
+		d = frame.ReadData(r)
+	}
+	msg := r.Text()
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	art := &FrameArtifact{}
-	if p.Err != "" {
-		art.FrameErr = errors.New(p.Err)
+	if msg != "" {
+		art.FrameErr = errors.New(msg)
 	}
-	if p.Frame != nil {
+	if d != nil {
 		if len(a.Select.Braids) == 0 {
 			return nil, errors.New("pipeline: frame artifact with no braid to attach to")
 		}
-		fr, err := frame.FromData(&a.Select.Braids[0].Region, p.Frame)
+		fr, err := frame.FromData(&a.Select.Braids[0].Region, d)
 		if err != nil {
 			return nil, err
 		}

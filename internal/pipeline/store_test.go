@@ -379,52 +379,69 @@ func TestDiskStoreMixedTiers(t *testing.T) {
 }
 
 // TestDiskStoreTruncatedOccurrencesAreMisses rewrites the profile artifact
-// with its packed occurrences cut short, under a valid header and CRC: the
-// decode must fail, and the warm run must recompute the profile with
-// identical results instead of replaying a short trace.
+// with its rank stream, then its cycle stream, one entry short of the
+// other, under a valid header and CRC: the decode must fail, and the warm
+// run must recompute the profile with identical results instead of
+// replaying a short trace.
 func TestDiskStoreTruncatedOccurrencesAreMisses(t *testing.T) {
-	dir := t.TempDir()
-	w, cfg := testWorkload(t), testConfig()
-	cold, err := NewDiskStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, err := Run(w, cfg, RunOptions{Store: cold})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := a1.Profile.Trace.Data()
-	d.Occ = d.Occ[:len(d.Occ)-1]
-	payload, err := gobEncode(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, _ := os.ReadDir(dir)
-	rewritten := 0
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "profile-") {
-			raw := append([]byte(header("profile", payload)), payload...)
-			if err := os.WriteFile(filepath.Join(dir, e.Name()), raw, 0o644); err != nil {
+	for _, stream := range []string{"rank", "cycle"} {
+		t.Run(stream, func(t *testing.T) {
+			dir := t.TempDir()
+			w, cfg := testWorkload(t), testConfig()
+			cold, err := NewDiskStore(dir, 0)
+			if err != nil {
 				t.Fatal(err)
 			}
-			rewritten++
-		}
-	}
-	if rewritten != 1 {
-		t.Fatalf("rewrote %d profile artifacts, want 1", rewritten)
-	}
-	warm, err := NewDiskStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := Run(w, cfg, RunOptions{Store: warm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits := warm.Stats()["profile"].DiskHits; hits != 0 {
-		t.Fatalf("profile served from a truncated artifact (%d disk hits)", hits)
-	}
-	if s1, s2 := artifactSignature(a1), artifactSignature(a2); s1 != s2 {
-		t.Errorf("recomputed run diverged:\n%s\nvs\n%s", s1, s2)
+			a1, err := Run(w, cfg, RunOptions{Store: cold})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := a1.Profile.Trace.Data()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stream == "rank" {
+				pd := *d.Profile
+				pd.Ranks = pd.Ranks[:len(pd.Ranks)-1]
+				d.Profile = &pd
+			} else {
+				// Drop the last cycle's varint: its final byte and any
+				// continuation bytes before it.
+				n := len(d.Cycles) - 1
+				for n > 0 && d.Cycles[n-1] >= 0x80 {
+					n--
+				}
+				d.Cycles = d.Cycles[:n]
+			}
+			payload := d.Append(nil)
+			entries, _ := os.ReadDir(dir)
+			rewritten := 0
+			for _, e := range entries {
+				if strings.HasPrefix(e.Name(), "profile-") {
+					raw := append([]byte(header("profile", payload)), payload...)
+					if err := os.WriteFile(filepath.Join(dir, e.Name()), raw, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					rewritten++
+				}
+			}
+			if rewritten != 1 {
+				t.Fatalf("rewrote %d profile artifacts, want 1", rewritten)
+			}
+			warm, err := NewDiskStore(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a2, err := Run(w, cfg, RunOptions{Store: warm})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hits := warm.Stats()["profile"].DiskHits; hits != 0 {
+				t.Fatalf("profile served from a truncated artifact (%d disk hits)", hits)
+			}
+			if s1, s2 := artifactSignature(a1), artifactSignature(a2); s1 != s2 {
+				t.Errorf("recomputed run diverged:\n%s\nvs\n%s", s1, s2)
+			}
+		})
 	}
 }

@@ -76,13 +76,19 @@ func (o *hookOracle) hooks() *interp.Hooks {
 	return interp.CombineHooks(own, o.prof.Hooks())
 }
 
-// finish ranks the oracle's counts as a FunctionProfile.
+// finish ranks the oracle's counts as a FunctionProfile, keeping the block
+// and edge counts the hooks measured.
 func (o *hookOracle) finish(t testing.TB) *FunctionProfile {
 	t.Helper()
-	fp, err := FromData(nil, o.f, &Data{Counts: o.prof.Counts, Trace: o.prof.Trace, EdgeCounts: o.edges, BlockCounts: o.blocks})
-	if err != nil {
-		t.Fatalf("oracle FromData: %v", err)
+	var recs []Path
+	for id, n := range o.prof.Counts {
+		recs = append(recs, Path{ID: id, Freq: n})
 	}
+	fp := &FunctionProfile{F: o.f, DAG: o.prof.DAG(), Trace: o.prof.Trace, EdgeCounts: o.edges, BlockCounts: o.blocks}
+	if err := fp.rankCounts(recs); err != nil {
+		t.Fatalf("oracle rankCounts: %v", err)
+	}
+	sortPaths(fp.Paths)
 	return fp
 }
 

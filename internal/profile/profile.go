@@ -130,8 +130,10 @@ func (c *Collector) RunTimed(args, mem []uint64, timing interp.Timing, hist *uin
 // must not run again.
 func (c *Collector) Finish() (*FunctionProfile, error) {
 	st := c.state
-	counts := make(map[int64]int64)
-	st.EachPath(func(id, n int64) { counts[id] = n })
+	n := 0
+	st.EachPath(func(int64, int64) { n++ })
+	recs := make([]Path, 0, n)
+	st.EachPath(func(id, freq int64) { recs = append(recs, Path{ID: id, Freq: freq}) })
 	edges := make(map[Edge]int64)
 	for slot, n := range st.Edges {
 		if n != 0 {
@@ -146,32 +148,34 @@ func (c *Collector) Finish() (*FunctionProfile, error) {
 		EdgeCounts:  edges,
 		BlockCounts: st.Blocks,
 	}
-	if err := fp.rankCounts(counts); err != nil {
+	if err := fp.rankCounts(recs); err != nil {
 		return nil, err
 	}
+	sortPaths(fp.Paths)
 	return fp, nil
 }
 
-// rankCounts decodes raw (path ID -> count) accumulators into ranked Path
-// entries: the shared recipe behind Finish and FromData, so a profile
-// rehydrated from serialized counts is bit-identical to one built live.
+// rankCounts completes executed-path records that hold only an ID and a
+// frequency — decoding each path's blocks and summing its metrics and
+// weight — and points fp.Paths at them in record order, for the caller to
+// rank with sortPaths: the shared recipe behind Finish and FromData, so a
+// profile rehydrated from a stored trace is bit-identical to one built
+// live. A path listed twice is an error.
 //
 // It allocates a fixed number of times, however many paths executed: every
-// Path record lives in one backing array, and every path's blocks in one
+// Path lives in the caller's record array, and every path's blocks in one
 // arena sized exactly by a length-only walk first. Each Path.Blocks is a
 // window of the arena whose capacity equals its length, so an append by a
 // consumer copies instead of overwriting the next path's blocks. Per-path
 // sums read per-block tables instead of every instruction of every path.
-func (fp *FunctionProfile) rankCounts(counts map[int64]int64) error {
-	recs := make([]Path, 0, len(counts))
+func (fp *FunctionProfile) rankCounts(recs []Path) error {
 	size := 0
-	for id, freq := range counts {
-		n, err := fp.DAG.PathLen(id)
+	for i := range recs {
+		n, err := fp.DAG.PathLen(recs[i].ID)
 		if err != nil {
-			return fmt.Errorf("profile: decoding path %d of %s: %w", id, fp.F.Name, err)
+			return fmt.Errorf("profile: decoding path %d of %s: %w", recs[i].ID, fp.F.Name, err)
 		}
 		size += n
-		recs = append(recs, Path{ID: id, Freq: freq})
 	}
 	sums := blockSums(fp.F)
 	arena := make([]*ir.Block, 0, size)
@@ -179,6 +183,9 @@ func (fp *FunctionProfile) rankCounts(counts map[int64]int64) error {
 	fp.byID = make(map[int64]*Path, len(recs))
 	for i := range recs {
 		p := &recs[i]
+		if fp.byID[p.ID] != nil {
+			return fmt.Errorf("profile: path %d of %s listed twice", p.ID, fp.F.Name)
+		}
 		start := len(arena)
 		arena, _ = fp.DAG.DecodeAppend(arena, p.ID) // PathLen accepted the ID
 		p.Blocks = arena[start:len(arena):len(arena)]
@@ -193,13 +200,17 @@ func (fp *FunctionProfile) rankCounts(counts map[int64]int64) error {
 		fp.Paths[i] = p
 		fp.byID[p.ID] = p
 	}
-	slices.SortFunc(fp.Paths, func(a, b *Path) int {
+	return nil
+}
+
+// sortPaths ranks paths by weight, descending, ties broken by ascending ID.
+func sortPaths(paths []*Path) {
+	slices.SortFunc(paths, func(a, b *Path) int {
 		if a.Weight != b.Weight {
 			return cmp.Compare(b.Weight, a.Weight)
 		}
 		return cmp.Compare(a.ID, b.ID)
 	})
-	return nil
 }
 
 // blockSum is what one block adds to a path through it.

@@ -52,7 +52,11 @@ func referenceRankCounts(fp *FunctionProfile, counts map[int64]int64) ([]*Path, 
 // checks that no path's blocks can be grown into a neighbour's.
 func assertRankedLikeReference(t *testing.T, name string, fp *FunctionProfile) {
 	t.Helper()
-	want, total, err := referenceRankCounts(fp, fp.Data().Counts)
+	counts := make(map[int64]int64, len(fp.Paths))
+	for _, p := range fp.Paths {
+		counts[p.ID] = p.Freq
+	}
+	want, total, err := referenceRankCounts(fp, counts)
 	if err != nil {
 		t.Fatalf("%s: reference: %v", name, err)
 	}
@@ -86,11 +90,15 @@ func assertRankedLikeReference(t *testing.T, name string, fp *FunctionProfile) {
 }
 
 // assertFinishAndFromDataMatchReference checks a collector-built profile
-// and its rehydration from serialized counts against the reference.
+// and its rehydration from its stored path trace against the reference.
 func assertFinishAndFromDataMatchReference(t *testing.T, name string, fp *FunctionProfile) {
 	t.Helper()
 	assertRankedLikeReference(t, name+" (Finish)", fp)
-	re, err := FromData(nil, fp.F, fp.Data())
+	d, err := fp.Data()
+	if err != nil {
+		t.Fatalf("%s: Data: %v", name, err)
+	}
+	re, err := FromData(nil, fp.F, d)
 	if err != nil {
 		t.Fatalf("%s: FromData: %v", name, err)
 	}
@@ -104,7 +112,7 @@ func TestRankCountsMatchesReferenceWorkloads(t *testing.T) {
 	}
 	for _, w := range all {
 		f, args, mem := w.Instance(0) // default size
-		fp, err := CollectFunction(nil, f, args, mem, false, 0)
+		fp, err := CollectFunction(nil, f, args, mem, true, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
@@ -116,7 +124,7 @@ func TestRankCountsMatchesReferenceRandomPrograms(t *testing.T) {
 	profiled := 0
 	for seed := int64(0); seed < 300; seed++ {
 		p := irgen.Generate(seed, irgen.Config{})
-		fp, err := CollectFunction(nil, p.F, []uint64{interp.IBits(seed)}, p.NewMem(), false, 1<<22)
+		fp, err := CollectFunction(nil, p.F, []uint64{interp.IBits(seed)}, p.NewMem(), true, 1<<22)
 		if err != nil {
 			continue // faulting programs leave no profile to rank
 		}

@@ -2,8 +2,10 @@ package region
 
 import (
 	"fmt"
+	"math"
 
 	"needle/internal/profile"
+	"needle/internal/wire"
 )
 
 // BraidData is the pure serializable core of a Braid: the IDs of its merged
@@ -40,4 +42,35 @@ func BraidFromData(fp *profile.FunctionProfile, d BraidData) (*Braid, error) {
 		paths[i] = p
 	}
 	return buildBraid(fp, paths), nil
+}
+
+// Append appends d in its positional layout: the path IDs as a uvarint
+// list.
+func (d BraidData) Append(b []byte) []byte { return wire.AppendUints(b, d.PathIDs) }
+
+// ReadBraidData reads the layout BraidData.Append writes. The result is
+// meaningful only when r has not failed.
+func ReadBraidData(r *wire.Reader) BraidData {
+	return BraidData{PathIDs: wire.Uints[int64](r, math.MaxInt)}
+}
+
+// Append appends s in its positional layout: the two averages as float64s,
+// then the three counts as varints, in field order.
+func (s ControlFlowStats) Append(b []byte) []byte {
+	b = wire.AppendFloat64(b, s.AvgBranchMem)
+	b = wire.AppendFloat64(b, s.AvgMemBranch)
+	b = wire.AppendVarint(b, int64(s.PredicationBits))
+	b = wire.AppendVarint(b, int64(s.BackwardBranches))
+	return wire.AppendVarint(b, int64(s.Branches))
+}
+
+// ReadControlFlowStats reads the layout ControlFlowStats.Append writes.
+func ReadControlFlowStats(r *wire.Reader) ControlFlowStats {
+	return ControlFlowStats{
+		AvgBranchMem:     r.Float64(),
+		AvgMemBranch:     r.Float64(),
+		PredicationBits:  r.Int(),
+		BackwardBranches: r.Int(),
+		Branches:         r.Int(),
+	}
 }

@@ -117,7 +117,11 @@ func assertBraidsLikeReference(t *testing.T, name string, fp *profile.FunctionPr
 func assertProfilesBraidLikeReference(t *testing.T, name string, fp *profile.FunctionProfile) int {
 	t.Helper()
 	n := assertBraidsLikeReference(t, name+" (Finish)", fp)
-	re, err := profile.FromData(nil, fp.F, fp.Data())
+	d, err := fp.Data()
+	if err != nil {
+		t.Fatalf("%s: Data: %v", name, err)
+	}
+	re, err := profile.FromData(nil, fp.F, d)
 	if err != nil {
 		t.Fatalf("%s: FromData: %v", name, err)
 	}
@@ -131,7 +135,7 @@ func TestBuildBraidMatchesReferenceWorkloads(t *testing.T) {
 	}
 	for _, w := range all {
 		f, args, mem := w.Instance(0) // default size
-		fp, err := profile.CollectFunction(nil, f, args, mem, false, 0)
+		fp, err := profile.CollectFunction(nil, f, args, mem, true, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
@@ -145,7 +149,7 @@ func TestBuildBraidMatchesReferenceRandomPrograms(t *testing.T) {
 	braids := 0
 	for seed := int64(0); seed < 300; seed++ {
 		p := irgen.Generate(seed, irgen.Config{})
-		fp, err := profile.CollectFunction(nil, p.F, []uint64{interp.IBits(seed)}, p.NewMem(), false, 1<<22)
+		fp, err := profile.CollectFunction(nil, p.F, []uint64{interp.IBits(seed)}, p.NewMem(), true, 1<<22)
 		if err != nil {
 			continue // faulting programs leave no profile
 		}

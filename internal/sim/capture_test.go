@@ -42,16 +42,17 @@ func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, e
 		histBefore = hist.H
 	}
 	member := func(b *ir.Block) bool { return b.Index < len(f.Blocks) && f.Blocks[b.Index] == b }
-	d := &profile.Data{Counts: prof.Counts, EdgeCounts: make(map[profile.Edge]int64), BlockCounts: make([]int64, len(f.Blocks))}
+	edges := make(map[profile.Edge]int64)
+	blocks := make([]int64, len(f.Blocks))
 	counters := &interp.Hooks{
 		Block: func(b *ir.Block) {
 			if member(b) {
-				d.BlockCounts[b.Index]++
+				blocks[b.Index]++
 			}
 		},
 		Edge: func(from, to *ir.Block) {
 			if member(from) {
-				d.EdgeCounts[profile.Edge{From: from.Index, To: to.Index}]++
+				edges[profile.Edge{From: from.Index, To: to.Index}]++
 			}
 		},
 	}
@@ -59,11 +60,24 @@ func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, e
 	if _, err := interp.Run(f, args, memory, all, cfg.MaxSteps); err != nil {
 		return nil, err
 	}
-	d.Trace = prof.Trace
+	// Rank the hooked trace with FromData, then keep the counts the hooks
+	// measured rather than the ones FromData derives from the trace.
+	d := &profile.Data{Ranks: make([]int32, len(prof.Trace))}
+	rank := make(map[int64]int32)
+	for i, id := range prof.Trace {
+		r, ok := rank[id]
+		if !ok {
+			r = int32(len(d.Paths))
+			rank[id] = r
+			d.Paths = append(d.Paths, id)
+		}
+		d.Ranks[i] = r
+	}
 	fp, err := profile.FromData(am, f, d)
 	if err != nil {
 		return nil, err
 	}
+	fp.BlockCounts, fp.EdgeCounts = blocks, edges
 	tr.Profile = fp
 	tr.BaselineCycles = model.Cycles()
 	tr.Mix = model.Mix

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"needle/internal/ir"
@@ -9,18 +8,22 @@ import (
 	"needle/internal/ooo"
 	"needle/internal/pm"
 	"needle/internal/profile"
+	"needle/internal/wire"
 )
 
-// TraceData is the pure serializable core of a captured Trace: the profile
-// counts plus the host-model observations, with no pointers into the traced
-// function and no analysis manager. TraceFromData rehydrates a Trace from it
-// against a (re-parsed or rebuilt) function.
+// TraceData is the pure serializable core of a captured Trace: the path
+// trace plus what only the host model observed — each occurrence's cycles
+// and the scalar baselines — with no pointers into the traced function and
+// no analysis manager. Branch histories are not stored: TraceFromData
+// rebuilds them from the path trace against a (re-parsed or rebuilt)
+// function.
 type TraceData struct {
 	Profile *profile.Data
-	// Occ packs the occurrences in trace order, each as uvarint(Hist) then
-	// varint(Cycles). Their paths are not repeated: occurrence i executed
-	// Profile.Trace[i], so the trace fixes the occurrence count.
-	Occ []byte
+	// Cycles packs each occurrence's host cycles as varints, in trace
+	// order: occurrence i executed Profile.Paths[Profile.Ranks[i]]. They
+	// stay packed as stored, so TraceFromData decodes them straight into
+	// the trace's occurrences.
+	Cycles []byte
 
 	BaselineCycles   int64
 	BaselineEnergyPJ float64
@@ -28,32 +31,68 @@ type TraceData struct {
 	CacheStats       mem.Stats
 }
 
-// Data extracts the serializable core of the trace.
-func (tr *Trace) Data() *TraceData {
+// Data extracts the serializable core of the trace. Like profile's Data, it
+// fails when the path trace does not reproduce what was captured — here,
+// any occurrence's branch history — so a stored trace always rehydrates to
+// the captured one.
+func (tr *Trace) Data() (*TraceData, error) {
+	pd, err := tr.Profile.Data()
+	if err != nil {
+		return nil, err
+	}
+	if len(tr.Occ) != len(pd.Ranks) {
+		return nil, fmt.Errorf("sim: %d occurrences for %d traced paths", len(tr.Occ), len(pd.Ranks))
+	}
+	occ := make([]Occurrence, len(tr.Occ))
+	fillHist(tr.Profile.Paths, pd.Ranks, occ)
+	// Cycle deltas take one or two bytes each on the workloads.
+	cycles := make([]byte, 0, 2*len(tr.Occ))
+	for i, o := range tr.Occ {
+		if occ[i].Hist != o.Hist {
+			return nil, fmt.Errorf("sim: occurrence %d of %s: path trace implies history %#x, captured %#x",
+				i, tr.Profile.F.Name, occ[i].Hist, o.Hist)
+		}
+		cycles = wire.AppendVarint(cycles, o.Cycles)
+	}
 	return &TraceData{
-		Profile:          tr.Profile.Data(),
-		Occ:              packOccurrences(tr.Occ),
+		Profile:          pd,
+		Cycles:           cycles,
 		BaselineCycles:   tr.BaselineCycles,
 		BaselineEnergyPJ: tr.BaselineEnergyPJ,
 		Mix:              tr.Mix,
 		CacheStats:       tr.CacheStats,
-	}
+	}, nil
 }
 
 // TraceFromData rehydrates a Trace: the profile is rebuilt against f (see
-// profile.FromData) and the trace adopts am as its analysis manager, exactly
-// as a live Capture would. f must be structurally identical to the function
-// the trace was captured from.
+// profile.FromData), every occurrence's branch history is rebuilt from the
+// path trace (see fillHist), and the trace adopts am as its analysis
+// manager, exactly as a live Capture would. f must be structurally
+// identical to the function the trace was captured from. Packed cycles
+// that do not hold exactly one varint per traced path are an error.
 func TraceFromData(am *pm.Manager, f *ir.Function, d *TraceData) (*Trace, error) {
 	am = pm.Ensure(am)
 	fp, err := profile.FromData(am, f, d.Profile)
 	if err != nil {
 		return nil, err
 	}
-	occ, err := unpackOccurrences(d.Occ, len(fp.Trace))
-	if err != nil {
-		return nil, err
+	r := wire.NewReader(d.Cycles)
+	if !r.Fits(len(fp.Trace)) {
+		return nil, fmt.Errorf("sim: packed cycles for %d traced paths: %w", len(fp.Trace), r.Err())
 	}
+	occ := make([]Occurrence, len(fp.Trace))
+	for i := range occ {
+		occ[i].Cycles = r.Varint()
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("sim: packed cycles for %d traced paths: %w", len(fp.Trace), err)
+	}
+	// FromData ranked the paths; the stored ranks index the stored table.
+	table := make([]*profile.Path, len(d.Profile.Paths))
+	for r, id := range d.Profile.Paths {
+		table[r] = fp.PathByID(id)
+	}
+	fillHist(table, d.Profile.Ranks, occ)
 	return &Trace{
 		Profile:          fp,
 		Occ:              occ,
@@ -65,38 +104,80 @@ func TraceFromData(am *pm.Manager, f *ir.Function, d *TraceData) (*Trace, error)
 	}, nil
 }
 
-// packOccurrences encodes occ in the TraceData.Occ layout.
-func packOccurrences(occ []Occurrence) []byte {
-	// Histories fill their 64-bit register after 64 branches and then take
-	// up to 10 bytes; cycle deltas take one or two. The workloads average
-	// about 11 bytes per occurrence.
-	buf := make([]byte, 0, 12*len(occ))
-	for _, o := range occ {
-		buf = binary.AppendUvarint(buf, o.Hist)
-		buf = binary.AppendVarint(buf, o.Cycles)
+// fillHist sets every occ[i].Hist to the branch-history register Capture
+// snapshots for occurrence i, in one pass over the path trace (table is
+// indexed by rank). Capture takes occurrence i's snapshot when occurrence
+// i-1 completes, before the branch that ends i-1 shifts in; so the
+// register is the outcome of every conditional branch inside occurrences
+// 0..i-1 and of every boundary branch from one occurrence into the next
+// before i-1, oldest first, a 1 for the taken arm (Blocks[0]). Each path
+// contributes its inner branches as one (bits, length) entry; a boundary
+// branch is the one ending a path that ends in a condbr (a back edge), its
+// bit telling whether the next occurrence starts at the taken arm.
+func fillHist(table []*profile.Path, ranks []int32, occ []Occurrence) {
+	type entry struct {
+		bits  uint64    // inner branch outcomes, the latest in bit 0
+		n     uint      // inner branches; bits keeps the latest 64
+		first *ir.Block // the path's first block
+		taken *ir.Block // Blocks[0] of the path's ending condbr, or nil
 	}
-	return buf
+	tab := make([]entry, len(table))
+	for r, p := range table {
+		e := &tab[r]
+		for i := 1; i < len(p.Blocks); i++ {
+			if t := p.Blocks[i-1].Term(); t.Op == ir.OpCondBr {
+				e.bits = e.bits<<1 | b2u(t.Blocks[0] == p.Blocks[i])
+				e.n++
+			}
+		}
+		e.first = p.Blocks[0]
+		if t := p.Blocks[len(p.Blocks)-1].Term(); t.Op == ir.OpCondBr {
+			e.taken = t.Blocks[0]
+		}
+	}
+	var h, snap uint64
+	for i, r := range ranks {
+		occ[i].Hist = snap
+		e := &tab[r]
+		h = h<<e.n | e.bits // a shift by 64 or more clears h
+		snap = h
+		if e.taken != nil && i+1 < len(ranks) {
+			h = h<<1 | b2u(e.taken == tab[ranks[i+1]].first)
+		}
+	}
 }
 
-// unpackOccurrences decodes exactly n occurrences from the TraceData.Occ
-// layout into one exact-size slice, rejecting truncated or trailing bytes.
-func unpackOccurrences(buf []byte, n int) ([]Occurrence, error) {
-	occ := make([]Occurrence, n)
-	for i := range occ {
-		h, k := binary.Uvarint(buf)
-		if k <= 0 {
-			return nil, fmt.Errorf("sim: packed occurrence %d of %d is truncated or malformed", i, n)
-		}
-		buf = buf[k:]
-		c, k := binary.Varint(buf)
-		if k <= 0 {
-			return nil, fmt.Errorf("sim: packed occurrence %d of %d is truncated or malformed", i, n)
-		}
-		buf = buf[k:]
-		occ[i] = Occurrence{Hist: h, Cycles: c}
+func b2u(b bool) uint64 {
+	if b {
+		return 1
 	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("sim: %d trailing bytes after %d packed occurrences", len(buf), n)
+	return 0
+}
+
+// Append appends d in its positional layout (docs/PIPELINE.md): the scalar
+// observations, the path trace (profile.Data.Append), then the packed
+// cycles, which run to the end of the payload.
+func (d *TraceData) Append(b []byte) []byte {
+	b = wire.AppendVarint(b, d.BaselineCycles)
+	b = wire.AppendFloat64(b, d.BaselineEnergyPJ)
+	for _, v := range [...]int64{d.Mix.Int, d.Mix.FP, d.Mix.Mem, d.Mix.Total,
+		d.CacheStats.Accesses, d.CacheStats.L1Hits, d.CacheStats.L1Misses} {
+		b = wire.AppendVarint(b, v)
 	}
-	return occ, nil
+	b = d.Profile.Append(b)
+	return append(b, d.Cycles...)
+}
+
+// ReadTraceData reads the layout Append writes, taking the packed cycles
+// as the rest of r's bytes without copying them; TraceFromData checks
+// their count. The result is meaningful only when r has not failed.
+func ReadTraceData(r *wire.Reader) *TraceData {
+	d := &TraceData{BaselineCycles: r.Varint(), BaselineEnergyPJ: r.Float64()}
+	for _, v := range [...]*int64{&d.Mix.Int, &d.Mix.FP, &d.Mix.Mem, &d.Mix.Total,
+		&d.CacheStats.Accesses, &d.CacheStats.L1Hits, &d.CacheStats.L1Misses} {
+		*v = r.Varint()
+	}
+	d.Profile = profile.ReadData(r)
+	d.Cycles = r.Rest()
+	return d
 }

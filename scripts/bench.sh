@@ -23,13 +23,14 @@
 #     BenchmarkSweep gets a tight 2% gate against sweep_ns_per_op, pinning
 #     that the lazily-computed vet analyses cost a default sweep nothing.
 #
-# It also records, ungated, four BenchmarkStage rows on 186.crafty,
-# 458.sjeng and 164.gzip, as ns/op and allocs/op per workload:
-# profile-decode (sim.TraceFromData from the stored trace data under a
-# fresh analysis manager, as on a warm disk hit), select-decode
-# (region.BraidFromData for every stored braid), target (the Target
-# stage alone, upstream artifacts served from a pre-warmed Cache) and
-# capture (sim.Capture on the Inline artifact's function).
+# It also records, ungated, six BenchmarkStage rows on 186.crafty,
+# 458.sjeng and 164.gzip, as ns/op and allocs/op per workload: the
+# inline-decode, profile-decode, select-decode and frame-decode rows (each
+# the stage's full codec decode from its stored bytes, as on a warm disk
+# hit: payload read, then .nir parse, path-trace rehydration, braid
+# rebuilds or frame re-resolution), target (the Target stage alone,
+# upstream artifacts served from a pre-warmed Cache) and capture
+# (sim.Capture on the Inline artifact's function).
 #
 #   ./scripts/bench.sh            (or: make bench)
 #   BENCH_TIME=10x ./scripts/bench.sh   # more iterations, less noise
@@ -65,7 +66,7 @@ allocs_of() {
     }'
 }
 stages=""
-for layer in profile-decode select-decode target capture; do
+for layer in inline-decode profile-decode select-decode frame-decode target capture; do
     for w in 186.crafty 458.sjeng 164.gzip; do
         stages="$stages BenchmarkStage/$layer/$w"
     done

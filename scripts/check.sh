@@ -113,7 +113,10 @@ fi
 # Opt-in persistent-cache differential: CHECK_CACHE=1 ./scripts/check.sh
 # runs the full sweep twice against a temporary artifact store and fails
 # unless the warm (second) run's JSON output is byte-identical to the cold
-# run's — the persistent store must be invisible in the results.
+# run's — the persistent store must be invisible in the results. A third
+# process then fills a second store directory from scratch, and the two
+# directories must hold the same files with the same bytes: an artifact
+# always encodes to the same payload.
 if [ "${CHECK_CACHE:-0}" = "1" ]; then
     cachedir=$(mktemp -d)
     trap 'rm -rf "$cachedir"' EXIT
@@ -123,7 +126,19 @@ if [ "${CHECK_CACHE:-0}" = "1" ]; then
         echo "check: FAIL — warm-start sweep output differs from cold run" >&2
         exit 1
     fi
-    echo "cache  ok (warm-start sweep byte-identical)"
+    go run ./cmd/needle -json -n 2000 -cache-dir "$cachedir/store2" > /dev/null
+    (cd "$cachedir/store" && ls) > "$cachedir/files"
+    if ! (cd "$cachedir/store2" && ls) | cmp -s - "$cachedir/files"; then
+        echo "check: FAIL — two fills of an artifact store hold different files" >&2
+        exit 1
+    fi
+    while read -r f; do
+        if ! cmp -s "$cachedir/store/$f" "$cachedir/store2/$f"; then
+            echo "check: FAIL — artifact $f differs between two fills of a store" >&2
+            exit 1
+        fi
+    done < "$cachedir/files"
+    echo "cache  ok (warm-start sweep byte-identical; two fills byte-identical)"
 fi
 
 # Opt-in service smoke test: CHECK_SERVE=1 ./scripts/check.sh builds
