@@ -103,11 +103,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	inlined, err := passes.InlineAll(hot, 0)
+	inlined, err := passes.InlineAll(hot)
 	if err != nil {
 		log.Fatal(err)
 	}
-	passes.Optimize(nil, inlined)
+	passes.Optimize(inlined)
 	after, err := interp.Run(inlined, []uint64{interp.IBits(600)}, nil, nil, 0)
 	if err != nil {
 		log.Fatal(err)

@@ -101,15 +101,6 @@ func (s *SCCP) BlockExecutable(b *ir.Block) bool {
 	return b.Index < len(s.blockExec) && s.blockExec[b.Index]
 }
 
-// EdgeExecutable reports whether the edge from b through terminator
-// successor slot `slot` can ever be taken.
-func (s *SCCP) EdgeExecutable(b *ir.Block, slot int) bool {
-	if b.Index >= len(s.edgeExec) || slot >= len(s.edgeExec[b.Index]) {
-		return false
-	}
-	return s.edgeExec[b.Index][slot]
-}
-
 // ConstBranch reports whether b ends in a conditional branch whose
 // condition is a proven constant, and if so which successor slot is taken
 // (0 = condition non-zero, 1 = zero). Only meaningful for executable

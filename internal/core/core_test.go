@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"needle/internal/obs"
+	"needle/internal/pm"
 	"needle/internal/sim"
 	"needle/internal/workloads"
 )
@@ -113,6 +114,33 @@ func TestOptAnalysisManager(t *testing.T) {
 	}
 	if after := a.Artifacts.Inline.AM.Stats().Misses; after != before {
 		t.Fatalf("PathFrame/Hyperblock computed %d analyses in the Inline manager", after-before)
+	}
+}
+
+// TestDefaultSweepSkipsSemanticAnalyses: the semantic analyses exist for
+// vet; a default sweep over every workload computes none of them in any
+// artifact manager.
+func TestDefaultSweepSkipsSemanticAnalyses(t *testing.T) {
+	as, err := New().RunAll(context.Background(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(as) != 29 {
+		t.Fatalf("swept %d workloads, want 29", len(as))
+	}
+	for _, a := range as {
+		ams := []*pm.Manager{a.Artifacts.Inline.AM}
+		if a.Artifacts.Opt != nil {
+			ams = append(ams, a.Artifacts.Opt.AM)
+		}
+		for _, am := range ams {
+			st := am.Stats()
+			for _, k := range []pm.Kind{pm.KindSCCP, pm.KindRanges, pm.KindMemDep} {
+				if n := st.Computed[k]; n != 0 {
+					t.Errorf("%s: %v computed %d times", a.Workload.Name, k, n)
+				}
+			}
+		}
 	}
 }
 

@@ -361,32 +361,24 @@ func CombineHooks(hooks ...*Hooks) *Hooks {
 	return out
 }
 
-// StepBlock executes exactly one basic block — phi resolution against prev,
-// the body, and the terminator — mutating regs and mem. It returns the
-// successor block, or returned=true with the return bits when the block
-// ends in ret. Calls inside the block execute to completion recursively.
-//
-// StepBlock is the building block for drivers that interleave host
-// execution with accelerator frames (sim.FunctionalOffload): the driver
-// owns the program counter and can hand whole regions to a frame executor
-// between steps. Hooks fire Edge/Exit events (no Block/Instr events, which
-// block-level drivers do not need).
-func StepBlock(f *ir.Function, cur, prev *ir.Block, regs, mem []uint64, hooks *Hooks) (next *ir.Block, ret uint64, returned bool, err error) {
-	var bx BlockExec
-	return bx.Step(f, cur, prev, regs, mem, hooks)
-}
-
-// BlockExec holds the scratch buffers StepBlock needs, so drivers that step
-// many blocks (sim.FunctionalOffload) reuse one allocation instead of
-// allocating a phi temp slice and call-argument slice per block. The zero
-// value is ready to use; a BlockExec must not be shared across goroutines.
+// BlockExec steps a function one basic block at a time, for drivers that
+// interleave host execution with accelerator frames (sim.FunctionalOffload):
+// the driver owns the program counter and can hand whole regions to a frame
+// executor between steps. Its scratch buffers are reused across blocks
+// instead of allocating a phi temp slice and call-argument slice per
+// block. The zero value is ready to use; a BlockExec must not be shared
+// across goroutines.
 type BlockExec struct {
 	phiTmp   []uint64
 	callArgs []uint64
 }
 
-// Step executes exactly one basic block with the semantics of StepBlock,
-// reusing the BlockExec's scratch buffers.
+// Step executes exactly one basic block — phi resolution against prev, the
+// body, and the terminator — mutating regs and mem. It returns the
+// successor block, or returned=true with the return bits when the block
+// ends in ret. Calls inside the block execute to completion recursively.
+// Hooks fire Edge/Exit events (no Block/Instr events, which block-level
+// drivers do not need).
 func (bx *BlockExec) Step(f *ir.Function, cur, prev *ir.Block, regs, mem []uint64, hooks *Hooks) (next *ir.Block, ret uint64, returned bool, err error) {
 	if hooks == nil {
 		hooks = &Hooks{}

@@ -95,7 +95,7 @@ type planBlock struct {
 
 // Plan is the compiled execution plan of one function. Plans are immutable
 // once built and safe for concurrent use; they are cached per function by
-// pm.Manager (KindExecPlan) and invalidated with the CFG.
+// pm.Manager (KindExecPlan).
 type Plan struct {
 	f        *ir.Function
 	blocks   []planBlock

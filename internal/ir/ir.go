@@ -151,10 +151,6 @@ func (o Op) IsTerminator() bool {
 	return o == OpBr || o == OpCondBr || o == OpRet
 }
 
-// IsBranch reports whether the opcode is a conditional branch. Conditional
-// branches are what region formation converts into guards or predicates.
-func (o Op) IsBranch() bool { return o == OpCondBr }
-
 // IsMemory reports whether the opcode accesses memory.
 func (o Op) IsMemory() bool { return o == OpLoad || o == OpStore }
 

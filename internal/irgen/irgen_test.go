@@ -86,7 +86,7 @@ func TestOptimizePreservesSemanticsOnRandomPrograms(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		clone := ir.CloneFunction(p.F)
-		passes.Optimize(nil, clone)
+		passes.Optimize(clone)
 		if err := analysis.VerifySSA(clone); err != nil {
 			t.Fatalf("seed %d: optimized SSA: %v", seed, err)
 		}

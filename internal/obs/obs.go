@@ -178,7 +178,7 @@ type Span struct {
 
 // Child begins a span nested under s, inheriting its track. On a nil parent
 // it begins a root span on the Default registry, so instrumented layers that
-// may run without an enclosing span (e.g. a bare PassManager) still record.
+// may run without an enclosing span (e.g. a bare sim.Capture) still record.
 func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return Default().Start(name)

@@ -10,24 +10,23 @@ import (
 	"fmt"
 
 	"needle/internal/ir"
-	"needle/internal/pm"
 )
 
-// InlineAll clones f with every call (transitively) inlined, up to maxDepth
-// nested levels. Functions without calls are returned unchanged. Recursive
-// call chains exceeding maxDepth are an error: Needle's offload regions
-// cannot contain calls.
-func InlineAll(f *ir.Function, maxDepth int) (*ir.Function, error) {
-	if maxDepth <= 0 {
-		maxDepth = 8
-	}
+// maxInlineDepth bounds how many nested call levels InlineAll flattens.
+const maxInlineDepth = 8
+
+// InlineAll clones f with every call (transitively) inlined, up to
+// maxInlineDepth nested levels. Functions without calls are returned
+// unchanged. Recursive call chains deeper than that are an error: Needle's
+// offload regions cannot contain calls.
+func InlineAll(f *ir.Function) (*ir.Function, error) {
 	if !hasCalls(f) {
 		return f, nil
 	}
 	cur := f
 	for depth := 0; ; depth++ {
-		if depth >= maxDepth {
-			return nil, fmt.Errorf("passes: %s still has calls after %d inlining rounds (recursion?)", f.Name, maxDepth)
+		if depth >= maxInlineDepth {
+			return nil, fmt.Errorf("passes: %s still has calls after %d inlining rounds (recursion?)", f.Name, maxInlineDepth)
 		}
 		next, changed, err := inlineOnce(cur)
 		if err != nil {
@@ -389,85 +388,11 @@ func SimplifyCFG(f *ir.Function) int {
 	}
 }
 
-// InlinePass wraps InlineAll as a managed pass. Inlining rebuilds the
-// function, so nothing of the old function's analyses carries over.
-func InlinePass(maxDepth int) pm.Pass {
-	return pm.Pass{
-		Name: "inline",
-		Run: func(f *ir.Function) (*ir.Function, bool, error) {
-			out, err := InlineAll(f, maxDepth)
-			if err != nil {
-				return f, false, err
-			}
-			return out, out != f, nil
-		},
-		Preserves: pm.PreserveNone,
-	}
-}
-
-// ConstFoldPass wraps ConstFold. Folding rewrites instructions in place
-// without touching the block graph or def locations, so every CFG-shape
-// analysis and the def-use map stay valid.
-func ConstFoldPass() pm.Pass {
-	return pm.Pass{
-		Name: "constfold",
-		Run: func(f *ir.Function) (*ir.Function, bool, error) {
-			return f, ConstFold(f) > 0, nil
-		},
-		Preserves: pm.PreserveCFG().Plus(pm.KindDefUse),
-	}
-}
-
-// CSEPass wraps LocalCSE. Eliminating duplicates removes instructions
-// (invalidating liveness and def-use) but never blocks.
-func CSEPass() pm.Pass {
-	return pm.Pass{
-		Name: "cse",
-		Run: func(f *ir.Function) (*ir.Function, bool, error) {
-			return f, LocalCSE(f) > 0, nil
-		},
-		Preserves: pm.PreserveCFG(),
-	}
-}
-
-// DCEPass wraps DeadCodeElim. Like CSE, it removes instructions but keeps
-// the block graph intact.
-func DCEPass() pm.Pass {
-	return pm.Pass{
-		Name: "dce",
-		Run: func(f *ir.Function) (*ir.Function, bool, error) {
-			return f, DeadCodeElim(f) > 0, nil
-		},
-		Preserves: pm.PreserveCFG(),
-	}
-}
-
-// SimplifyCFGPass wraps SimplifyCFG, which merges and drops blocks and so
-// preserves nothing.
-func SimplifyCFGPass() pm.Pass {
-	return pm.Pass{
-		Name: "simplifycfg",
-		Run: func(f *ir.Function) (*ir.Function, bool, error) {
-			return f, SimplifyCFG(f) > 0, nil
-		},
-		Preserves: pm.PreserveNone,
-	}
-}
-
-// CleanupPasses returns the standard cleanup pipeline in canonical order:
-// constant folding, local CSE, DCE, and CFG simplification.
-func CleanupPasses() []pm.Pass {
-	return []pm.Pass{ConstFoldPass(), CSEPass(), DCEPass(), SimplifyCFGPass()}
-}
-
-// Optimize runs the standard cleanup pipeline to a fixed point through a
-// pass manager bound to am (nil for a one-shot manager), so cached analyses
-// of f are invalidated exactly as each transform declares.
-func Optimize(am *pm.Manager, f *ir.Function) {
-	mgr := pm.NewPassManager(am).Add(CleanupPasses()...)
-	// The cleanup passes mutate in place and cannot fail.
-	if _, err := mgr.RunFixedPoint(f); err != nil {
-		panic(fmt.Sprintf("passes: cleanup pipeline failed: %v", err))
+// Optimize runs the standard cleanup pipeline on f in place — constant
+// folding, local CSE, DCE, and CFG simplification, in that order — until a
+// full round changes nothing.
+func Optimize(f *ir.Function) {
+	for ConstFold(f)+LocalCSE(f)+DeadCodeElim(f)+SimplifyCFG(f) > 0 {
 	}
 }
 

@@ -52,7 +52,7 @@ func parseMain(t testing.TB) *ir.Function {
 
 func TestInlineAllPreservesSemantics(t *testing.T) {
 	f := parseMain(t)
-	inlined, err := InlineAll(f, 0)
+	inlined, err := InlineAll(f)
 	if err != nil {
 		t.Fatalf("InlineAll: %v", err)
 	}
@@ -79,7 +79,7 @@ func TestInlineAllPreservesSemantics(t *testing.T) {
 
 func TestInlineMultipleReturnSitesBecomePhi(t *testing.T) {
 	f := parseMain(t)
-	inlined, err := InlineAll(f, 0)
+	inlined, err := InlineAll(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ entry:
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := InlineAll(f, 0)
+	g, err := InlineAll(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestInlineRejectsRecursion(t *testing.T) {
 	}
 	f.Blocks = []*ir.Block{blk}
 	f.Finish()
-	if _, err := InlineAll(f, 3); err == nil {
+	if _, err := InlineAll(f); err == nil {
 		t.Fatal("expected recursion error")
 	}
 }
@@ -297,7 +297,7 @@ dead2:
 
 func TestOptimizePipelinePreservesSemantics(t *testing.T) {
 	f := parseMain(t)
-	inlined, err := InlineAll(f, 0)
+	inlined, err := InlineAll(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestOptimizePipelinePreservesSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Optimize(nil, inlined)
+	Optimize(inlined)
 	if err := ir.Verify(inlined); err != nil {
 		t.Fatalf("optimized IR invalid: %v", err)
 	}
@@ -329,12 +329,12 @@ func TestInlinedFunctionProfilesCleanly(t *testing.T) {
 	// (formerly inter-procedural) flow. The inlined main must profile and
 	// its path count must reflect the absdiff branch.
 	f := parseMain(t)
-	inlined, err := InlineAll(f, 0)
+	inlined, err := InlineAll(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Inline-produced CFGs profile after simplification too.
-	Optimize(nil, inlined)
+	Optimize(inlined)
 	fp, err := profile.CollectFunction(nil, inlined, []uint64{interp.IBits(9), interp.IBits(2)}, nil, false, 0)
 	if err != nil {
 		t.Fatal(err)

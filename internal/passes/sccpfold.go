@@ -9,7 +9,6 @@ package passes
 import (
 	"needle/internal/analysis"
 	"needle/internal/ir"
-	"needle/internal/pm"
 )
 
 // SCCPFold rewrites f using an SCCP fixpoint: every executable
@@ -101,24 +100,4 @@ func SCCPFold(f *ir.Function) int {
 		f.Finish()
 	}
 	return changed
-}
-
-// SCCPFoldPass wraps SCCPFold. Branch folding rewires the CFG, so nothing
-// is preserved.
-func SCCPFoldPass() pm.Pass {
-	return pm.Pass{
-		Name: "sccpfold",
-		Run: func(f *ir.Function) (*ir.Function, bool, error) {
-			return f, SCCPFold(f) > 0, nil
-		},
-		Preserves: pm.PreserveNone,
-	}
-}
-
-// SCCPPasses returns the `-O` optimization pipeline the pipeline's Opt
-// stage and the equivalence harness share: SCCP folding, dead-code
-// elimination, and CFG simplification (which deletes the blocks the folded
-// branches made unreachable). Run to a fixed point.
-func SCCPPasses() []pm.Pass {
-	return []pm.Pass{SCCPFoldPass(), DCEPass(), SimplifyCFGPass()}
 }

@@ -11,7 +11,6 @@ import (
 	"needle/internal/ir"
 	"needle/internal/irgen"
 	"needle/internal/passes"
-	"needle/internal/pm"
 	"needle/internal/program"
 	"needle/internal/workloads"
 )
@@ -25,15 +24,13 @@ func parseFn(t testing.TB, src string) *ir.Function {
 	return f
 }
 
-// optimize runs the -O pipeline (the exact passes the pipeline's Opt stage
-// uses) to a fixed point on a clone of f and verifies the result.
+// optimize runs the -O pipeline (the transforms the pipeline's Opt stage
+// runs, in its order) to a fixed point on a clone of f and verifies the
+// result.
 func optimize(t testing.TB, f *ir.Function) *ir.Function {
 	t.Helper()
-	clone := ir.CloneFunction(f)
-	mgr := pm.NewPassManager(nil).Add(passes.SCCPPasses()...)
-	out, err := mgr.RunFixedPoint(clone)
-	if err != nil {
-		t.Fatalf("SCCP pipeline: %v", err)
+	out := ir.CloneFunction(f)
+	for passes.SCCPFold(out)+passes.DeadCodeElim(out)+passes.SimplifyCFG(out) > 0 {
 	}
 	if err := analysis.VerifySSA(out); err != nil {
 		t.Fatalf("optimized SSA invalid: %v\n%s", err, ir.Print(out))
@@ -175,7 +172,7 @@ func TestOptEquivalenceAllWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		inlined, err := passes.InlineAll(p.F, 8)
+		inlined, err := passes.InlineAll(p.F)
 		if err != nil {
 			t.Fatalf("%s: inline: %v", w.Name, err)
 		}

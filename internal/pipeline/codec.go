@@ -74,8 +74,8 @@ func appendFunc(b []byte, f *ir.Function, what string) ([]byte, error) {
 }
 
 // readFunc reads a function appendFunc wrote and gives it a fresh analysis
-// manager parented on this run's span.
-func readFunc(a *Artifacts, r *wire.Reader, what string) (*pm.Manager, *ir.Function, error) {
+// manager.
+func readFunc(r *wire.Reader, what string) (*pm.Manager, *ir.Function, error) {
 	text := r.Text()
 	if err := r.Err(); err != nil {
 		return nil, nil, err
@@ -88,9 +88,7 @@ func readFunc(a *Artifacts, r *wire.Reader, what string) (*pm.Manager, *ir.Funct
 		return nil, nil, fmt.Errorf("pipeline: %s artifact has no functions", what)
 	}
 	// ModuleOf printed the function first; Parse verified all of them.
-	am := pm.NewManager()
-	am.SetSpan(a.Span)
-	return am, m.Funcs[0], nil
+	return pm.NewManager(), m.Funcs[0], nil
 }
 
 // readWords reads a word list wire.AppendUints wrote. Unlike wire.Uints,
@@ -121,7 +119,7 @@ func inlineEncode(_ *Artifacts, out any) ([]byte, error) {
 
 func inlineDecode(a *Artifacts, data []byte) (any, error) {
 	r := wire.NewReader(data)
-	am, f, err := readFunc(a, r, "inline")
+	am, f, err := readFunc(r, "inline")
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +145,7 @@ func optEncode(_ *Artifacts, out any) ([]byte, error) {
 
 func optDecode(a *Artifacts, data []byte) (any, error) {
 	r := wire.NewReader(data)
-	am, f, err := readFunc(a, r, "opt")
+	am, f, err := readFunc(r, "opt")
 	if err != nil {
 		return nil, err
 	}

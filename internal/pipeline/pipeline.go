@@ -282,18 +282,17 @@ var inlineStage = Stage{
 	cacheable:   true,
 	run: func(a *Artifacts, sp *obs.Span) (any, error) {
 		p := a.Program
-		// The artifact owns a fresh analysis manager: every cached analysis
-		// of the inlined function (dominators, liveness, execution plans)
-		// is computed once and shared by every run that reuses the
-		// artifact. The manager carries the creating run's span, parenting
-		// the pass-manager and capture spans recorded below it.
-		am := pm.NewManager()
-		am.SetSpan(a.Span)
-		f, err := pm.NewPassManager(am).Add(passes.InlinePass(0)).Run(p.F)
+		psp := sp.Child("pass inline")
+		f, err := passes.InlineAll(p.F)
+		psp.SetArg("function", p.F.Name).SetArg("changed", err == nil && f != p.F).End()
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: inlining %s: %w", p.Name, err)
 		}
-		return &InlineArtifact{AM: am, F: f, Args: p.Args, Memory: p.Memory}, nil
+		// The artifact owns a fresh analysis manager: every cached analysis
+		// of the inlined function (dominators, liveness, execution plans)
+		// is computed once and shared by every run that reuses the
+		// artifact. It holds no span, since those runs are not this one.
+		return &InlineArtifact{AM: pm.NewManager(), F: f, Args: p.Args, Memory: p.Memory}, nil
 	},
 	apply:  func(a *Artifacts, out any) { a.Inline = out.(*InlineArtifact) },
 	encode: inlineEncode,
@@ -310,20 +309,23 @@ var optStage = Stage{
 	skip:        func(c Config) bool { return !c.Opt },
 	run: func(a *Artifacts, sp *obs.Span) (any, error) {
 		in := a.Inline
-		am := pm.NewManager()
-		am.SetSpan(a.Span)
 		// Clone first: the inline artifact may be shared with other runs
 		// (including unoptimized ones) through the store.
-		clone := ir.CloneFunction(in.F)
-		f, err := pm.NewPassManager(am).Add(passes.SCCPPasses()...).RunFixedPoint(clone)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: optimizing %s: %w", a.Program.Name, err)
+		f := ir.CloneFunction(in.F)
+		for changed := true; changed; {
+			changed = false
+			for _, t := range optTransforms {
+				psp := sp.Child("pass " + t.name)
+				ch := t.run(f) > 0
+				psp.SetArg("function", f.Name).SetArg("changed", ch).End()
+				changed = changed || ch
+			}
 		}
 		if verr := ir.Verify(f); verr != nil {
 			return nil, fmt.Errorf("pipeline: optimizer broke %s: %w", a.Program.Name, verr)
 		}
 		art := &OptArtifact{
-			AM: am, F: f,
+			AM: pm.NewManager(), F: f,
 			InstrsBefore: in.F.NumInstrs(), InstrsAfter: f.NumInstrs(),
 			BlocksBefore: len(in.F.Blocks), BlocksAfter: len(f.Blocks),
 		}
@@ -336,6 +338,18 @@ var optStage = Stage{
 	apply:  func(a *Artifacts, out any) { a.Opt = out.(*OptArtifact) },
 	encode: optEncode,
 	decode: optDecode,
+}
+
+// optTransforms is the `-O` pipeline the Opt stage runs to a fixed point:
+// SCCP folding, dead-code elimination, and CFG simplification (which drops
+// the blocks the folded branches made unreachable).
+var optTransforms = []struct {
+	name string
+	run  func(*ir.Function) int
+}{
+	{"sccpfold", passes.SCCPFold},
+	{"dce", passes.DeadCodeElim},
+	{"simplifycfg", passes.SimplifyCFG},
 }
 
 var profileStage = Stage{
@@ -355,10 +369,13 @@ var profileStage = Stage{
 		// the shared InlineArtifact stays reusable.
 		args := append([]uint64(nil), in.Args...)
 		memory := append([]uint64(nil), in.Memory...)
-		tr, err := sim.Capture(am, f, args, memory, a.Config.Sim)
+		// The capture's spans go under this stage's span; the stored trace
+		// keeps the span-free manager, so it carries no run's span.
+		tr, err := sim.Capture(am.WithSpan(sp), f, args, memory, a.Config.Sim)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: capturing %s: %w", a.Program.Name, err)
 		}
+		tr.AM = am
 		return &ProfileArtifact{Trace: tr}, nil
 	},
 	apply:  func(a *Artifacts, out any) { a.Profile = out.(*ProfileArtifact) },

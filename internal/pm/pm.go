@@ -1,14 +1,19 @@
-// Package pm provides pass and analysis management for the Needle pipeline,
-// mirroring the PassManager/AnalysisManager idiom of LLVM-derived systems:
-// a per-function Manager lazily computes and caches the dataflow analyses
-// the middle layers consume (reverse postorder, dominators, post-dominators,
-// liveness, def-use, natural loops, control dependence), and a PassManager
-// runs IR transforms through it so each transform declares which analyses it
-// preserves. Consumers share one Manager per pipeline run instead of
-// recomputing the same facts for the same function many times.
+// Package pm caches the dataflow analyses the Needle pipeline's middle
+// layers consume: dominators, post-dominators, liveness, natural loops,
+// control dependence, the interpreter's execution plan, and the semantic
+// analyses vet reads (SCCP, value ranges, memory dependence). A Manager
+// computes each analysis of a function on first request and serves the
+// same result ever after.
 //
-// The Manager is safe for concurrent use; the experiment harness runs one
-// Manager per workload analysis, so contention is nil in practice.
+// That is sound because a function never changes once a Manager has seen
+// it. Needle analyzes "the fully inlined hottest function" (Section II-A):
+// the pipeline runs its transforms first — inlining builds a new function,
+// the `-O` stage optimizes a clone — and only then hands the result to a
+// fresh Manager. Nothing mutates a function a Manager holds, so no cached
+// analysis ever needs invalidating.
+//
+// The Manager is safe for concurrent use; stores share one Manager per
+// stage artifact across every run that reuses the artifact.
 package pm
 
 import (
@@ -26,23 +31,18 @@ import (
 var (
 	obsHits   = obs.GetCounter("pm.cache.hits")
 	obsMisses = obs.GetCounter("pm.cache.misses")
-	obsInval  = obs.GetCounter("pm.cache.invalidations")
 )
 
 // Kind identifies one cached analysis.
 type Kind uint8
 
 const (
-	// KindRPO is the reverse-postorder block sequence.
-	KindRPO Kind = iota
 	// KindDominators is the dominator tree.
-	KindDominators
+	KindDominators Kind = iota
 	// KindPostDominators is the post-dominator tree.
 	KindPostDominators
 	// KindLiveness is per-block live-in/live-out register sets.
 	KindLiveness
-	// KindDefUse is the register -> defining block map.
-	KindDefUse
 	// KindLoops is the natural-loop nest.
 	KindLoops
 	// KindControlDeps is the branch -> control-dependent-blocks map.
@@ -59,101 +59,46 @@ const (
 	numKinds
 )
 
+var kindNames = [numKinds]string{
+	"dom", "postdom", "liveness", "loops", "ctrldeps", "execplan", "sccp", "ranges", "memdep",
+}
+
 func (k Kind) String() string {
-	switch k {
-	case KindRPO:
-		return "rpo"
-	case KindDominators:
-		return "dom"
-	case KindPostDominators:
-		return "postdom"
-	case KindLiveness:
-		return "liveness"
-	case KindDefUse:
-		return "defuse"
-	case KindLoops:
-		return "loops"
-	case KindControlDeps:
-		return "ctrldeps"
-	case KindExecPlan:
-		return "execplan"
-	case KindSCCP:
-		return "sccp"
-	case KindRanges:
-		return "ranges"
-	case KindMemDep:
-		return "memdep"
+	if k < numKinds {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Preserved is the set of analyses a transform keeps valid when it reports
-// a change — the PreservedAnalyses idiom. The zero value preserves nothing.
-type Preserved uint32
-
-// PreserveNone invalidates every cached analysis of the transformed function.
-const PreserveNone Preserved = 0
-
-// PreserveAll keeps every cached analysis (the transform did not touch the
-// function in any way an analysis can observe).
-func PreserveAll() Preserved { return Preserved(1<<numKinds - 1) }
-
-// PreserveCFG keeps the analyses that depend only on the block graph: RPO,
-// dominators, post-dominators, loops, and control dependence. Transforms
-// that rewrite instructions without adding, removing, or re-wiring blocks
-// (constant folding, DCE, CSE) preserve these.
-func PreserveCFG() Preserved {
-	return PreserveNone.Plus(KindRPO, KindDominators, KindPostDominators, KindLoops, KindControlDeps)
-}
-
-// Plus returns p with the given kinds additionally preserved.
-func (p Preserved) Plus(kinds ...Kind) Preserved {
-	for _, k := range kinds {
-		p |= 1 << k
-	}
-	return p
-}
-
-// Has reports whether kind k is preserved.
-func (p Preserved) Has(k Kind) bool { return p&(1<<k) != 0 }
-
 // Stats counts cache behaviour, for tests and the perf harness.
 type Stats struct {
-	Hits          uint64
-	Misses        uint64
-	Invalidations uint64
+	Hits   uint64
+	Misses uint64
+	// Computed counts the computations of each Kind; every miss computes
+	// exactly one analysis, so the entries sum to Misses.
+	Computed [numKinds]uint64
 }
 
-// funcCache holds the cached analyses of one function.
-type funcCache struct {
-	rpo      []*ir.Block
-	dom      *analysis.DomTree
-	pdom     *analysis.PostDomTree
-	live     *analysis.Liveness
-	defBlock []*ir.Block
-	loops    []*analysis.Loop
-	ctrlDeps map[*ir.Block][]*ir.Block
-	plan     *interp.Plan
-	sccp     *analysis.SCCP
-	ranges   *analysis.Ranges
-	memdep   *analysis.MemDep
-	// present tracks which fields are valid (a computed-but-empty result is
-	// still a cache hit).
-	present [numKinds]bool
-}
-
-// Manager lazily computes and caches per-function analyses with explicit
-// invalidation. The zero value is not usable; construct with NewManager.
-type Manager struct {
-	mu    sync.Mutex
-	cache map[*ir.Function]*funcCache
+// cache is the state every handle onto one Manager shares.
+type cache struct {
+	mu sync.Mutex
+	// funcs holds each function's analyses indexed by Kind; a nil entry has
+	// not been computed (a computed-but-empty result is a typed nil, which
+	// is a non-nil interface value and so still a hit).
+	funcs map[*ir.Function]*[numKinds]any
 	stats Stats
-	span  *obs.Span
+}
+
+// Manager lazily computes and caches per-function analyses. The zero value
+// is not usable; construct with NewManager.
+type Manager struct {
+	*cache
+	span *obs.Span
 }
 
 // NewManager returns an empty analysis manager.
 func NewManager() *Manager {
-	return &Manager{cache: make(map[*ir.Function]*funcCache)}
+	return &Manager{cache: &cache{funcs: make(map[*ir.Function]*[numKinds]any)}}
 }
 
 // Ensure returns am, or a fresh Manager when am is nil. Entry points accept
@@ -166,22 +111,18 @@ func Ensure(am *Manager) *Manager {
 	return am
 }
 
-// SetSpan attaches an observability span to the manager. Pipeline layers
-// that hold the per-run manager but not the run's root span (the pass
-// manager, trace capture) parent their own spans under it; a nil span (the
-// default) makes their spans roots, which the disabled registry drops.
-func (m *Manager) SetSpan(s *obs.Span) {
-	m.mu.Lock()
-	m.span = s
-	m.mu.Unlock()
+// WithSpan returns a handle onto m's cache whose Span is sp. Layers that
+// take a Manager but not a span (trace capture) parent their spans under
+// it. The handle shares every cached analysis and statistic with m. A
+// manager from NewManager has no span, so one stored in a shared artifact
+// never carries one run's span into another.
+func (m *Manager) WithSpan(sp *obs.Span) *Manager {
+	return &Manager{cache: m.cache, span: sp}
 }
 
-// Span returns the span attached with SetSpan, or nil.
-func (m *Manager) Span() *obs.Span {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.span
-}
+// Span returns the span given to WithSpan, or nil: spans parented under
+// nil are roots, which the disabled registry drops.
+func (m *Manager) Span() *obs.Span { return m.span }
 
 // Stats returns a snapshot of cache behaviour.
 func (m *Manager) Stats() Stats {
@@ -190,46 +131,24 @@ func (m *Manager) Stats() Stats {
 	return m.stats
 }
 
-func (m *Manager) entry(f *ir.Function) *funcCache {
-	c := m.cache[f]
+// lookup returns f's analysis k, computing it on the first request.
+// Callers hold m.mu; compute may look up other analyses of f.
+func (m *Manager) lookup(f *ir.Function, k Kind, compute func() any) any {
+	c := m.funcs[f]
 	if c == nil {
-		c = &funcCache{}
-		m.cache[f] = c
+		c = new([numKinds]any)
+		m.funcs[f] = c
 	}
-	return c
-}
-
-func (m *Manager) hit(c *funcCache, k Kind) bool {
-	if c.present[k] {
+	if v := c[k]; v != nil {
 		m.stats.Hits++
 		obsHits.Add(1)
-		return true
+		return v
 	}
 	m.stats.Misses++
+	m.stats.Computed[k]++
 	obsMisses.Add(1)
-	c.present[k] = true
-	return false
-}
-
-// RPO returns the cached reverse postorder of f.
-func (m *Manager) RPO(f *ir.Function) []*ir.Block {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rpo(f)
-}
-
-func (m *Manager) rpo(f *ir.Function) []*ir.Block {
-	c := m.entry(f)
-	if !m.hit(c, KindRPO) {
-		// The dominator computation produces the RPO as a by-product; reuse
-		// it when the tree is already cached.
-		if c.present[KindDominators] {
-			c.rpo = c.dom.RPO()
-		} else {
-			c.rpo = analysis.ReversePostorder(f)
-		}
-	}
-	return c.rpo
+	c[k] = compute()
+	return c[k]
 }
 
 // Dominators returns the cached dominator tree of f.
@@ -240,11 +159,7 @@ func (m *Manager) Dominators(f *ir.Function) *analysis.DomTree {
 }
 
 func (m *Manager) dom(f *ir.Function) *analysis.DomTree {
-	c := m.entry(f)
-	if !m.hit(c, KindDominators) {
-		c.dom = analysis.Dominators(f)
-	}
-	return c.dom
+	return m.lookup(f, KindDominators, func() any { return analysis.Dominators(f) }).(*analysis.DomTree)
 }
 
 // PostDominators returns the cached post-dominator tree of f.
@@ -255,44 +170,21 @@ func (m *Manager) PostDominators(f *ir.Function) *analysis.PostDomTree {
 }
 
 func (m *Manager) pdom(f *ir.Function) *analysis.PostDomTree {
-	c := m.entry(f)
-	if !m.hit(c, KindPostDominators) {
-		c.pdom = analysis.PostDominators(f)
-	}
-	return c.pdom
+	return m.lookup(f, KindPostDominators, func() any { return analysis.PostDominators(f) }).(*analysis.PostDomTree)
 }
 
 // Liveness returns the cached live-in/live-out sets of f.
 func (m *Manager) Liveness(f *ir.Function) *analysis.Liveness {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c := m.entry(f)
-	if !m.hit(c, KindLiveness) {
-		c.live = analysis.ComputeLiveness(f)
-	}
-	return c.live
-}
-
-// DefBlocks returns the cached register -> defining block map of f.
-func (m *Manager) DefBlocks(f *ir.Function) []*ir.Block {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c := m.entry(f)
-	if !m.hit(c, KindDefUse) {
-		c.defBlock = analysis.DefBlock(f)
-	}
-	return c.defBlock
+	return m.lookup(f, KindLiveness, func() any { return analysis.ComputeLiveness(f) }).(*analysis.Liveness)
 }
 
 // NaturalLoops returns the cached natural-loop nest of f.
 func (m *Manager) NaturalLoops(f *ir.Function) []*analysis.Loop {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c := m.entry(f)
-	if !m.hit(c, KindLoops) {
-		c.loops = analysis.NaturalLoops(f, m.dom(f))
-	}
-	return c.loops
+	return m.lookup(f, KindLoops, func() any { return analysis.NaturalLoops(f, m.dom(f)) }).([]*analysis.Loop)
 }
 
 // ControlDependents returns the cached branch -> control-dependent-blocks
@@ -300,25 +192,16 @@ func (m *Manager) NaturalLoops(f *ir.Function) []*analysis.Loop {
 func (m *Manager) ControlDependents(f *ir.Function) map[*ir.Block][]*ir.Block {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c := m.entry(f)
-	if !m.hit(c, KindControlDeps) {
-		c.ctrlDeps = analysis.ControlDependents(f, m.pdom(f))
-	}
-	return c.ctrlDeps
+	return m.lookup(f, KindControlDeps, func() any {
+		return analysis.ControlDependents(f, m.pdom(f))
+	}).(map[*ir.Block][]*ir.Block)
 }
 
 // ExecPlan returns the cached compiled execution plan of f (interp.BuildPlan).
-// Plans flatten per-block instruction lists as well as the block graph, so
-// they are invalidated by anything short of PreserveAll — including
-// PreserveCFG, since an instruction rewrite changes the planned bodies.
 func (m *Manager) ExecPlan(f *ir.Function) *interp.Plan {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c := m.entry(f)
-	if !m.hit(c, KindExecPlan) {
-		c.plan = interp.BuildPlan(f)
-	}
-	return c.plan
+	return m.lookup(f, KindExecPlan, func() any { return interp.BuildPlan(f) }).(*interp.Plan)
 }
 
 // SCCP returns the cached sparse-conditional-constant-propagation fixpoint
@@ -326,11 +209,7 @@ func (m *Manager) ExecPlan(f *ir.Function) *interp.Plan {
 func (m *Manager) SCCP(f *ir.Function) *analysis.SCCP {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c := m.entry(f)
-	if !m.hit(c, KindSCCP) {
-		c.sccp = analysis.ComputeSCCP(f)
-	}
-	return c.sccp
+	return m.lookup(f, KindSCCP, func() any { return analysis.ComputeSCCP(f) }).(*analysis.SCCP)
 }
 
 // Ranges returns the cached value-range analysis of f (interval lattice
@@ -338,22 +217,14 @@ func (m *Manager) SCCP(f *ir.Function) *analysis.SCCP {
 func (m *Manager) Ranges(f *ir.Function) *analysis.Ranges {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c := m.entry(f)
-	if !m.hit(c, KindRanges) {
-		c.ranges = analysis.ComputeRanges(f, m.dom(f))
-	}
-	return c.ranges
+	return m.lookup(f, KindRanges, func() any { return analysis.ComputeRanges(f, m.dom(f)) }).(*analysis.Ranges)
 }
 
 // MemDep returns the cached base+offset memory-dependence classifier of f.
 func (m *Manager) MemDep(f *ir.Function) *analysis.MemDep {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c := m.entry(f)
-	if !m.hit(c, KindMemDep) {
-		c.memdep = analysis.ComputeMemDep(f)
-	}
-	return c.memdep
+	return m.lookup(f, KindMemDep, func() any { return analysis.ComputeMemDep(f) }).(*analysis.MemDep)
 }
 
 // BackEdges returns the dominance back edges of f. The walk is linear in the
@@ -361,162 +232,4 @@ func (m *Manager) MemDep(f *ir.Function) *analysis.MemDep {
 // call rather than cached.
 func (m *Manager) BackEdges(f *ir.Function) []analysis.Edge {
 	return analysis.BackEdges(f, m.Dominators(f))
-}
-
-// Invalidate drops every cached analysis of f.
-func (m *Manager) Invalidate(f *ir.Function) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.cache[f]; ok {
-		delete(m.cache, f)
-		m.stats.Invalidations++
-		obsInval.Add(1)
-	}
-}
-
-// InvalidateExcept drops the cached analyses of f that are not in the
-// preserved set. InvalidateExcept(f, PreserveNone) equals Invalidate(f).
-func (m *Manager) InvalidateExcept(f *ir.Function, p Preserved) {
-	if p == PreserveAll() {
-		return
-	}
-	if p == PreserveNone {
-		m.Invalidate(f)
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.cache[f]
-	if !ok {
-		return
-	}
-	dropped := false
-	for k := Kind(0); k < numKinds; k++ {
-		if p.Has(k) || !c.present[k] {
-			continue
-		}
-		c.present[k] = false
-		dropped = true
-		switch k {
-		case KindRPO:
-			c.rpo = nil
-		case KindDominators:
-			c.dom = nil
-		case KindPostDominators:
-			c.pdom = nil
-		case KindLiveness:
-			c.live = nil
-		case KindDefUse:
-			c.defBlock = nil
-		case KindLoops:
-			c.loops = nil
-		case KindControlDeps:
-			c.ctrlDeps = nil
-		case KindExecPlan:
-			c.plan = nil
-		case KindSCCP:
-			c.sccp = nil
-		case KindRanges:
-			c.ranges = nil
-		case KindMemDep:
-			c.memdep = nil
-		}
-	}
-	if dropped {
-		m.stats.Invalidations++
-		obsInval.Add(1)
-	}
-}
-
-// Reset drops every cached analysis of every function.
-func (m *Manager) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.cache) > 0 {
-		m.stats.Invalidations += uint64(len(m.cache))
-		obsInval.Add(int64(len(m.cache)))
-	}
-	m.cache = make(map[*ir.Function]*funcCache)
-}
-
-// Pass is one IR transform registered with a PassManager. Run returns the
-// resulting function — f itself for in-place transforms, a fresh function
-// for rebuilding transforms like inlining — plus whether anything changed.
-// Preserves declares which analyses of the *result* stay valid when Run
-// reports a change; it is ignored when nothing changed.
-type Pass struct {
-	Name      string
-	Run       func(f *ir.Function) (*ir.Function, bool, error)
-	Preserves Preserved
-}
-
-// PassManager runs a sequence of passes through an analysis Manager,
-// invalidating non-preserved analyses after every transform that changes
-// the IR.
-type PassManager struct {
-	am     *Manager
-	passes []Pass
-}
-
-// NewPassManager returns a pass manager bound to am (a fresh Manager when
-// am is nil).
-func NewPassManager(am *Manager) *PassManager {
-	return &PassManager{am: Ensure(am)}
-}
-
-// Manager returns the underlying analysis manager.
-func (p *PassManager) Manager() *Manager { return p.am }
-
-// Add appends passes to the pipeline and returns p for chaining.
-func (p *PassManager) Add(passes ...Pass) *PassManager {
-	p.passes = append(p.passes, passes...)
-	return p
-}
-
-// Run executes the pipeline once in order and returns the resulting
-// function. Cached analyses are invalidated per each changing pass's
-// Preserves declaration; a pass that returns a new function drops the old
-// function's cache entirely.
-func (p *PassManager) Run(f *ir.Function) (*ir.Function, error) {
-	out, _, err := p.runOnce(f)
-	return out, err
-}
-
-// RunFixedPoint executes the pipeline repeatedly until a full round reports
-// no change, then returns the resulting function.
-func (p *PassManager) RunFixedPoint(f *ir.Function) (*ir.Function, error) {
-	for {
-		out, changed, err := p.runOnce(f)
-		if err != nil {
-			return out, err
-		}
-		f = out
-		if !changed {
-			return f, nil
-		}
-	}
-}
-
-func (p *PassManager) runOnce(f *ir.Function) (*ir.Function, bool, error) {
-	changed := false
-	for _, ps := range p.passes {
-		sp := p.am.Span().Child("pass " + ps.Name)
-		out, ch, err := ps.Run(f)
-		sp.SetArg("function", f.Name).SetArg("changed", ch).End()
-		if err != nil {
-			return f, changed, fmt.Errorf("pm: pass %q on %s: %w", ps.Name, f.Name, err)
-		}
-		if out == nil {
-			out = f
-		}
-		if ch {
-			changed = true
-			if out != f {
-				p.am.Invalidate(f)
-			}
-			p.am.InvalidateExcept(out, ps.Preserves)
-		}
-		f = out
-	}
-	return f, changed, nil
 }

@@ -3,13 +3,14 @@ package pm_test
 import (
 	"testing"
 
+	"needle/internal/ir"
 	"needle/internal/pm"
 )
 
 // TestSemanticKindsCachedAndInvalidated: the three semantic analyses are
-// cached like every other kind, survive a PreserveAll round, and drop on
-// any invalidation short of it (they read instructions, so PreserveCFG —
-// what const-fold/DCE/CSE declare — must not keep them).
+// cached like every other kind. Since a Manager's functions never change, a
+// transformed function is a new function to it: a clone gets analyses of
+// its own rather than the original's.
 func TestSemanticKindsCachedAndInvalidated(t *testing.T) {
 	f := parse(t, loopSrc)
 	am := pm.NewManager()
@@ -25,20 +26,9 @@ func TestSemanticKindsCachedAndInvalidated(t *testing.T) {
 		t.Fatal("MemDep not cached")
 	}
 
-	am.InvalidateExcept(f, pm.PreserveAll())
-	if am.SCCP(f) != s1 || am.Ranges(f) != r1 || am.MemDep(f) != d1 {
-		t.Fatal("PreserveAll dropped a semantic analysis")
-	}
-
-	am.InvalidateExcept(f, pm.PreserveCFG())
-	if am.SCCP(f) == s1 {
-		t.Fatal("PreserveCFG must not keep SCCP (it reads instructions)")
-	}
-	if am.Ranges(f) == r1 {
-		t.Fatal("PreserveCFG must not keep Ranges")
-	}
-	if am.MemDep(f) == d1 {
-		t.Fatal("PreserveCFG must not keep MemDep")
+	g := ir.CloneFunction(f)
+	if am.SCCP(g) == s1 || am.Ranges(g) == r1 || am.MemDep(g) == d1 {
+		t.Fatal("a clone was served the original function's analyses")
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"needle/internal/core"
@@ -118,7 +119,7 @@ type Server struct {
 	draining bool
 
 	flights   flightGroup
-	collapsed counter
+	collapsed atomic.Int64
 
 	// analyze and sweep are the pipeline entry points; tests substitute
 	// stubs to pin queue/deadline/drain behaviour without running real
@@ -245,24 +246,4 @@ func (s *Server) Close() {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	obsRequests.Add(1)
 	s.mux.ServeHTTP(w, r)
-}
-
-// counter is a tiny always-on atomic counter (the obs counters are no-ops
-// unless the registry is enabled; the singleflight tests need an
-// unconditional count).
-type counter struct {
-	mu sync.Mutex
-	v  int64
-}
-
-func (c *counter) Add(n int64) {
-	c.mu.Lock()
-	c.v += n
-	c.mu.Unlock()
-}
-
-func (c *counter) Load() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
 }

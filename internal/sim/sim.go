@@ -84,7 +84,7 @@ type Trace struct {
 // the path profile, per-occurrence cycle attribution, branch history
 // snapshots, and the host energy baseline. Analyses are served by am (nil
 // for a one-shot manager); the trace keeps the manager for downstream
-// target evaluation.
+// target evaluation. The capture's spans nest under am.Span().
 func Capture(am *pm.Manager, f *ir.Function, args []uint64, memory []uint64, cfg Config) (*Trace, error) {
 	am = pm.Ensure(am)
 	sp := am.Span().Child("capture")

@@ -17,7 +17,7 @@ import (
 func inlined(t testing.TB, w *workloads.Workload, n int) (*ir.Function, []uint64, []uint64) {
 	t.Helper()
 	f, args, memory := w.Instance(n)
-	f, err := passes.InlineAll(f, 0)
+	f, err := passes.InlineAll(f)
 	if err != nil {
 		t.Fatalf("%s: InlineAll: %v", w.Name, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"needle/internal/pm"
 	"needle/internal/program"
 )
 
@@ -216,6 +217,35 @@ entry:
 	oob := find(rep, CodeOOBAccess)
 	if len(oob) != 1 || oob[0].Func != "helper" {
 		t.Fatalf("callee diagnostics missing: %v", oob)
+	}
+}
+
+// TestCheckComputesEachAnalysisOncePerFunction: vet reads SCCP, ranges and
+// memory dependence (plus loops, over dominators) once per function of the
+// module, and a second Check through the same manager computes nothing.
+func TestCheckComputesEachAnalysisOncePerFunction(t *testing.T) {
+	p := load(t, `func @main(i64) {
+entry:
+  r2 = call.i64 @helper r1
+  ret r2
+}
+func @helper(i64) {
+entry:
+  r2 = const.i64 9999
+  r3 = load.i64 r2
+  ret r3
+}`)
+	am := pm.NewManager()
+	Check(am, p)
+	first := am.Stats()
+	for _, k := range []pm.Kind{pm.KindSCCP, pm.KindRanges, pm.KindMemDep, pm.KindLoops, pm.KindDominators} {
+		if n := first.Computed[k]; n != 2 {
+			t.Errorf("%v computed %d times over 2 functions, want 2", k, n)
+		}
+	}
+	Check(am, p)
+	if again := am.Stats(); again.Misses != first.Misses {
+		t.Errorf("second Check computed %d more analyses", again.Misses-first.Misses)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"needle/internal/ir"
 	"needle/internal/passes"
-	"needle/internal/pm"
 	"needle/internal/workloads"
 )
 
@@ -40,7 +39,7 @@ func TestNIRRoundTripAllKernels(t *testing.T) {
 			roundTrip(t, w.Name+"/raw", ir.ModuleOf(f))
 
 			f2, _, _ := w.Instance(256)
-			inlined, err := pm.NewPassManager(pm.NewManager()).Add(passes.InlinePass(0)).Run(f2)
+			inlined, err := passes.InlineAll(f2)
 			if err != nil {
 				t.Fatalf("inlining: %v", err)
 			}

@@ -226,7 +226,7 @@ func TestNamdUsesCallsUntilInlined(t *testing.T) {
 	if calls == 0 {
 		t.Fatal("namd should call the LJ helper")
 	}
-	inlined, err := passes.InlineAll(f, 0)
+	inlined, err := passes.InlineAll(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,9 @@ fi
 # run's — the persistent store must be invisible in the results. A third
 # process then fills a second store directory from scratch, and the two
 # directories must hold the same files with the same bytes: an artifact
-# always encodes to the same payload.
+# always encodes to the same payload. Last, the -O sweep runs cold then
+# warm against a store of its own, and the two outputs must match too: the
+# warm run rehydrates every stored Opt artifact instead of optimizing.
 if [ "${CHECK_CACHE:-0}" = "1" ]; then
     cachedir=$(mktemp -d)
     trap 'rm -rf "$cachedir"' EXIT
@@ -138,7 +140,18 @@ if [ "${CHECK_CACHE:-0}" = "1" ]; then
             exit 1
         fi
     done < "$cachedir/files"
-    echo "cache  ok (warm-start sweep byte-identical; two fills byte-identical)"
+    go run ./cmd/needle -O -json -n 2000 -cache-dir "$cachedir/store-O" > "$cachedir/cold-O.json"
+    go run ./cmd/needle -O -json -n 2000 -cache-dir "$cachedir/store-O" > "$cachedir/warm-O.json"
+    if ! cmp -s "$cachedir/cold-O.json" "$cachedir/warm-O.json"; then
+        echo "check: FAIL — warm-start -O sweep output differs from cold run" >&2
+        exit 1
+    fi
+    nopt=$(find "$cachedir/store-O" -name 'opt-*' | wc -l)
+    if [ "$nopt" -ne 29 ]; then
+        echo "check: FAIL — the -O sweep stored $nopt opt artifacts, want 29" >&2
+        exit 1
+    fi
+    echo "cache  ok (warm-start sweeps byte-identical, with and without -O; two fills byte-identical)"
 fi
 
 # Opt-in service smoke test: CHECK_SERVE=1 ./scripts/check.sh builds
