@@ -254,12 +254,14 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 // upstream artifact taken from a pre-warmed in-memory Cache. scripts/bench.sh
 // records ns/op and allocs/op for each.
 //
-//   - inline-decode, profile-decode, select-decode and frame-decode each
-//     run the stage's codec decode (pipeline.Codec) on the bytes its encode
-//     stored, as a warm disk hit does: the positional payload read, .nir
-//     parse (inline), path-trace rehydration with every count and branch
-//     history derived (profile), braid rebuilds (select) or frame
-//     re-resolution (frame), under a fresh analysis manager;
+//   - inline-decode, opt-decode, profile-decode, select-decode and
+//     frame-decode each run the stage's codec decode (pipeline.Codec) on
+//     the bytes its encode stored, as a warm disk hit does: the positional
+//     payload read, the function built from arenas and verified (inline,
+//     and opt, whose pipeline runs with Opt on), path-trace rehydration
+//     with every count and branch history derived (profile), braid
+//     rebuilds (select) or frame re-resolution (frame), under a fresh
+//     analysis manager;
 //   - target runs every registered backend, so an iteration is the stage
 //     itself plus the cache hits that feed it;
 //   - capture runs sim.Capture on the Inline artifact's function over fresh
@@ -268,16 +270,18 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 func BenchmarkStage(b *testing.B) {
 	cfg := pipeline.DefaultConfig()
 	names := []string{"186.crafty", "458.sjeng", "164.gzip"}
-	// warm runs the pipeline once on a fresh Cache and returns the options
-	// that serve every artifact from it.
-	warm := func(b *testing.B, name string) (*program.Program, pipeline.RunOptions, *pipeline.Artifacts) {
+	optCfg := cfg
+	optCfg.Opt = true
+	// warm runs the pipeline under c once on a fresh Cache and returns the
+	// options that serve every artifact from it.
+	warm := func(b *testing.B, name string, c pipeline.Config) (*program.Program, pipeline.RunOptions, *pipeline.Artifacts) {
 		b.Helper()
 		p, err := workloads.ByName(name).Program(0)
 		if err != nil {
 			b.Fatal(err)
 		}
 		opts := pipeline.RunOptions{Store: pipeline.NewCache()}
-		a, err := pipeline.Run(p, cfg, opts)
+		a, err := pipeline.Run(p, c, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -286,11 +290,11 @@ func BenchmarkStage(b *testing.B) {
 	// decodeRow times one stage's codec decode of its stored bytes. Each
 	// iteration gives the upstream inline artifact a fresh analysis manager,
 	// as a decoded one has, so no analysis is served from an earlier one.
-	decodeRow := func(stage string, out func(a *pipeline.Artifacts) any) func(b *testing.B) {
+	decodeRow := func(stage string, c pipeline.Config, out func(a *pipeline.Artifacts) any) func(b *testing.B) {
 		return func(b *testing.B) {
 			for _, name := range names {
 				b.Run(name, func(b *testing.B) {
-					_, _, a := warm(b, name)
+					_, _, a := warm(b, name, c)
 					encode, decode, ok := pipeline.Codec(stage)
 					if !ok {
 						b.Fatalf("no codec for stage %s", stage)
@@ -314,14 +318,15 @@ func BenchmarkStage(b *testing.B) {
 			}
 		}
 	}
-	b.Run("inline-decode", decodeRow("inline", func(a *pipeline.Artifacts) any { return a.Inline }))
-	b.Run("profile-decode", decodeRow("profile", func(a *pipeline.Artifacts) any { return a.Profile }))
-	b.Run("select-decode", decodeRow("select", func(a *pipeline.Artifacts) any { return a.Select }))
-	b.Run("frame-decode", decodeRow("frame", func(a *pipeline.Artifacts) any { return a.Frame }))
+	b.Run("inline-decode", decodeRow("inline", cfg, func(a *pipeline.Artifacts) any { return a.Inline }))
+	b.Run("opt-decode", decodeRow("opt", optCfg, func(a *pipeline.Artifacts) any { return a.Opt }))
+	b.Run("profile-decode", decodeRow("profile", cfg, func(a *pipeline.Artifacts) any { return a.Profile }))
+	b.Run("select-decode", decodeRow("select", cfg, func(a *pipeline.Artifacts) any { return a.Select }))
+	b.Run("frame-decode", decodeRow("frame", cfg, func(a *pipeline.Artifacts) any { return a.Frame }))
 	b.Run("target", func(b *testing.B) {
 		for _, name := range names {
 			b.Run(name, func(b *testing.B) {
-				p, opts, _ := warm(b, name)
+				p, opts, _ := warm(b, name, cfg)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -339,7 +344,7 @@ func BenchmarkStage(b *testing.B) {
 	b.Run("capture", func(b *testing.B) {
 		for _, name := range names {
 			b.Run(name, func(b *testing.B) {
-				_, _, a := warm(b, name)
+				_, _, a := warm(b, name, cfg)
 				in := a.Inline
 				args := make([]uint64, len(in.Args))
 				work := make([]uint64, len(in.Memory))

@@ -22,9 +22,9 @@ import (
 // Comments run from ';' to end of line. Register names are arbitrary
 // identifiers. A canonical name of the form r<N> (as the printer emits)
 // keeps register number N, so Parse(Print(f)) reproduces f's register
-// numbering exactly — the property the on-disk artifact codec relies on to
-// reference registers positionally across processes. Any other identifier
-// is assigned the lowest free number in definition order, parameters first.
+// numbering exactly; ReadFunction decodes AppendFunction's bytes to that
+// same function. Any other identifier is assigned the lowest free number
+// in definition order, parameters first.
 func Parse(src string) (*Module, error) {
 	p := &parser{lines: strings.Split(src, "\n")}
 	m := &Module{}
@@ -477,9 +477,17 @@ func parseMnemonic(m string) (Op, Type, error) {
 	if opNeedsTypeSuffix(op) && base == m {
 		return 0, I64, fmt.Errorf("opcode %q requires a type suffix", m)
 	}
-	// Float binary ops carry F64 type implicitly.
-	if op.IsFloat() && !op.IsCompare() && op != OpFPToSI {
+	if impliedType(op) == F64 {
 		declared = F64
 	}
 	return op, declared, nil
+}
+
+// impliedType is the type of an op whose mnemonic has no type suffix: F64
+// for float arithmetic, the intrinsics and sitofp, I64 otherwise.
+func impliedType(op Op) Type {
+	if op.IsFloat() && !op.IsCompare() && op != OpFPToSI {
+		return F64
+	}
+	return I64
 }

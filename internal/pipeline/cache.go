@@ -39,8 +39,10 @@ var (
 // reported identically on reuse — except context cancellation errors
 // (context.Canceled, context.DeadlineExceeded), which describe the
 // interrupted run rather than the artifact and are never memoized: a ^C'd
-// stage does not poison its key for later runs. The zero value is not
-// usable; call NewCache.
+// stage does not poison its key for later runs. Nor is a computation that
+// panics: the panic goes on up the computing run's stack, the runs waiting
+// on it get an error, and the next run computes afresh. The zero value is
+// not usable; call NewCache.
 //
 // Cache is the in-memory tier of the Store interface; NewDiskStore wraps
 // one with a persistent content-addressed tier.
@@ -115,18 +117,39 @@ func (c *Cache) do(stage, key string, f func() (any, error)) (val any, err error
 	} else {
 		obsCacheMisses.Add(1)
 	}
-	e.once.Do(func() { e.val, e.err = f() })
+	e.once.Do(func() {
+		// sync.Once counts a panicking f as done. Leave an error for the
+		// runs waiting on this entry and drop it, so no later run inherits
+		// a nil artifact; the panic itself goes on up the stack.
+		returned := false
+		defer func() {
+			if !returned {
+				e.err = errPanicked
+				c.forget(key, e)
+			}
+		}()
+		e.val, e.err = f()
+		returned = true
+	})
 	if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
 		// Cancellation describes this run, not the artifact: drop the entry
 		// so a later, uncancelled run recomputes instead of inheriting the
 		// interruption forever.
-		c.mu.Lock()
-		if c.entries[key] == e {
-			delete(c.entries, key)
-		}
-		c.mu.Unlock()
+		c.forget(key, e)
 	}
 	return e.val, e.err, ok
+}
+
+// errPanicked is what runs sharing a computation get when it panicked.
+var errPanicked = errors.New("pipeline: the shared stage computation panicked")
+
+// forget drops e from the cache, unless key already names a newer entry.
+func (c *Cache) forget(key string, e *cacheEntry) {
+	c.mu.Lock()
+	if c.entries[key] == e {
+		delete(c.entries, key)
+	}
+	c.mu.Unlock()
 }
 
 // Stats returns a copy of the per-stage hit/miss counts, keyed by stage

@@ -13,9 +13,13 @@
 //     cycles. Path counts, block and edge counts and every branch history
 //     are derived from the trace on decode, and checked against the
 //     captured values on encode.
-//   - Function bodies travel as .nir text; the parser preserves canonical
-//     r<N> register numbering and block order, so every downstream artifact
-//     references registers by number and blocks/instructions by position.
+//   - Function bodies travel in ir's positional layout
+//     (ir.AppendFunction): register numbers, block order and instruction
+//     order are stored as they are, so every downstream artifact references
+//     registers by number and blocks/instructions by position. Decoding
+//     builds the function straight into a few arenas and verifies it; no
+//     text is printed or parsed on the way in, and the encode-time
+//     self-check decodes the fresh bytes and compares the printed forms.
 //   - Decoding rehydrates attached state against the in-context upstream
 //     artifacts (a.Inline.F, a.Inline.AM, a.Profile.Trace.Profile), so an
 //     artifact decoded from disk plugs into upstream artifacts of any
@@ -43,7 +47,7 @@ import (
 )
 
 // codecVersion versions every on-disk artifact payload.
-const codecVersion = 3
+const codecVersion = 4
 
 // Codec returns the named stage's persistent codec, the pair a DiskStore
 // applies to its artifact: encode serializes a.<stage>-shaped output, and
@@ -58,37 +62,38 @@ func Codec(stage string) (encode func(a *Artifacts, out any) ([]byte, error), de
 	return nil, nil, false
 }
 
-// appendFunc appends f as length-prefixed .nir text. It refuses any
-// function whose printed form does not round-trip exactly: downstream
-// artifacts reference its registers by number and blocks by index.
+// appendFunc appends f in ir's positional layout (ir.AppendFunction). It
+// refuses a function with calls, and one whose fresh bytes do not decode
+// to a function that prints as f does: downstream artifacts reference its
+// registers by number and its blocks and instructions by position.
 func appendFunc(b []byte, f *ir.Function, what string) ([]byte, error) {
-	text := ir.PrintModule(ir.ModuleOf(f))
-	m, err := ir.Parse(text)
+	start := len(b)
+	b, err := ir.AppendFunction(b, f)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: %s artifact does not re-parse: %w", what, err)
+		return nil, fmt.Errorf("pipeline: %s artifact: %w", what, err)
 	}
-	if re := ir.PrintModule(m); re != text {
+	r := wire.NewReader(b[start:])
+	g, err := ir.ReadFunction(r)
+	if err == nil {
+		err = r.Done()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: %s artifact does not decode: %w", what, err)
+	}
+	if ir.Print(g) != ir.Print(f) {
 		return nil, fmt.Errorf("pipeline: %s artifact round-trip is not an identity", what)
 	}
-	return wire.AppendString(b, text), nil
+	return b, nil
 }
 
 // readFunc reads a function appendFunc wrote and gives it a fresh analysis
 // manager.
-func readFunc(r *wire.Reader, what string) (*pm.Manager, *ir.Function, error) {
-	text := r.Text()
-	if err := r.Err(); err != nil {
-		return nil, nil, err
-	}
-	m, err := ir.Parse(text)
+func readFunc(r *wire.Reader) (*pm.Manager, *ir.Function, error) {
+	f, err := ir.ReadFunction(r)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(m.Funcs) == 0 {
-		return nil, nil, fmt.Errorf("pipeline: %s artifact has no functions", what)
-	}
-	// ModuleOf printed the function first; Parse verified all of them.
-	return pm.NewManager(), m.Funcs[0], nil
+	return pm.NewManager(), f, nil
 }
 
 // readWords reads a word list wire.AppendUints wrote. Unlike wire.Uints,
@@ -119,7 +124,7 @@ func inlineEncode(_ *Artifacts, out any) ([]byte, error) {
 
 func inlineDecode(a *Artifacts, data []byte) (any, error) {
 	r := wire.NewReader(data)
-	am, f, err := readFunc(r, "inline")
+	am, f, err := readFunc(r)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +150,7 @@ func optEncode(_ *Artifacts, out any) ([]byte, error) {
 
 func optDecode(a *Artifacts, data []byte) (any, error) {
 	r := wire.NewReader(data)
-	am, f, err := readFunc(r, "opt")
+	am, f, err := readFunc(r)
 	if err != nil {
 		return nil, err
 	}

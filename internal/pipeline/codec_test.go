@@ -2,11 +2,16 @@ package pipeline
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
+	"needle/internal/ir"
+	"needle/internal/irgen"
+	"needle/internal/passes"
 	"needle/internal/wire"
 	"needle/internal/workloads"
 )
@@ -142,6 +147,215 @@ func TestHugeCountIsRejectedWithoutAllocating(t *testing.T) {
 	}
 	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<10 {
 		t.Fatalf("rejecting a 2^60 count allocated %d bytes", n)
+	}
+}
+
+// TestFuncCodecMatchesParser holds the positional function codec to the
+// .nir parser it replaced on the decode path: for the 29 workloads' inline
+// and opt functions, and 300 irgen programs inlined and optimized, the
+// decoded function must be the one ir.Parse(ir.Print(f)) builds, and must
+// encode to the same bytes again.
+func TestFuncCodecMatchesParser(t *testing.T) {
+	check := func(name string, f *ir.Function) {
+		t.Helper()
+		b, err := appendFunc(nil, f, name)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", name, err)
+		}
+		r := wire.NewReader(b)
+		_, got, err := readFunc(r)
+		if err == nil {
+			err = r.Done()
+		}
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		want, err := ir.ParseFunction(ir.Print(f))
+		if err != nil {
+			t.Fatalf("%s: parse: %v", name, err)
+		}
+		if diff := funcDiff(got, want); diff != "" {
+			t.Fatalf("%s: decoded function differs from the parsed one: %s", name, diff)
+		}
+		again, err := appendFunc(nil, got, name)
+		if err != nil {
+			t.Fatalf("%s: re-encode: %v", name, err)
+		}
+		if !bytes.Equal(again, b) {
+			t.Fatalf("%s: re-encoding gives %d bytes, not the %d decoded", name, len(again), len(b))
+		}
+	}
+	cfg := testConfig()
+	cfg.Opt = true
+	for _, w := range workloads.All() {
+		p, err := w.Program(cfg.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := Run(p, cfg, RunOptions{Store: NewCache()})
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		check(w.Name+" inline", a.Inline.F)
+		check(w.Name+" opt", a.Opt.F)
+	}
+	for seed := int64(0); seed < 300; seed++ {
+		f, err := passes.InlineAll(irgen.Generate(seed, irgen.DefaultConfig()).F)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("irgen %d", seed), f)
+		f = ir.CloneFunction(f)
+		for changed := true; changed; {
+			changed = false
+			for _, tr := range optTransforms {
+				changed = tr.run(f) > 0 || changed
+			}
+		}
+		check(fmt.Sprintf("irgen %d -O", seed), f)
+	}
+}
+
+// funcDiff describes the first difference between two functions in
+// printed text, register types, parameters, instruction types or
+// predecessor order, or returns "".
+func funcDiff(got, want *ir.Function) string {
+	if g, w := ir.Print(got), ir.Print(want); g != w {
+		return fmt.Sprintf("printed text\n%s\nwant\n%s", g, w)
+	}
+	if !slices.Equal(got.RegType, want.RegType) {
+		return fmt.Sprintf("RegType %v, want %v", got.RegType, want.RegType)
+	}
+	if !slices.Equal(got.Params, want.Params) {
+		return fmt.Sprintf("Params %v, want %v", got.Params, want.Params)
+	}
+	for i, b := range got.Blocks {
+		wb := want.Blocks[i]
+		if b.Index != wb.Index || len(b.Preds) != len(wb.Preds) {
+			return fmt.Sprintf("block %s: index %d with %d preds, want %d with %d", b.Name, b.Index, len(b.Preds), wb.Index, len(wb.Preds))
+		}
+		for j, p := range b.Preds {
+			if p.Index != wb.Preds[j].Index {
+				return fmt.Sprintf("block %s: pred %d is %s, want %s", b.Name, j, p.Name, wb.Preds[j].Name)
+			}
+		}
+		for j, in := range b.Instrs {
+			if in.Type != wb.Instrs[j].Type {
+				return fmt.Sprintf("%s.%s instr %d: type %s, want %s", got.Name, b.Name, j, in.Type, wb.Instrs[j].Type)
+			}
+		}
+	}
+	return ""
+}
+
+// lbmInline returns 470.lbm's inline artifact and its payload, and the
+// length of the payload's function and args, ahead of the memory image.
+func lbmInline(t *testing.T) (*Artifacts, []byte, int) {
+	t.Helper()
+	a, err := Run(testWorkload(t), testConfig(), RunOptions{Store: NewCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := inlineEncode(a, a.Inline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := appendFunc(nil, a.Inline.F, "inline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, b, len(wire.AppendUints(head, a.Inline.Args))
+}
+
+// TestInlinePayloadHostileBytes cuts and flips 470.lbm's inline payload:
+// every result must decode to an error, or to a function that verifies and
+// encodes again, and none may panic. Every prefix through the function and
+// args is tried, then every 257th through the memory image, whose words
+// any bytes decode to; every byte of the function and args is flipped
+// three ways.
+func TestInlinePayloadHostileBytes(t *testing.T) {
+	a, b, head := lbmInline(t)
+	_, decode, _ := Codec("inline")
+	try := func(what string, data []byte) {
+		t.Helper()
+		out, err := decode(a, data)
+		if err != nil {
+			return
+		}
+		f := out.(*InlineArtifact).F
+		if err := ir.Verify(f); err != nil {
+			t.Fatalf("%s: decoded function does not verify: %v", what, err)
+		}
+		if _, err := ir.AppendFunction(nil, f); err != nil {
+			t.Fatalf("%s: decoded function does not encode: %v", what, err)
+		}
+	}
+	for n := 0; n < len(b); n++ {
+		if n > head && (n-head)%257 != 0 {
+			continue
+		}
+		try(fmt.Sprintf("cut at %d", n), b[:n])
+	}
+	// Flips run on the payload with its memory image emptied, so a flip
+	// that still decodes does not pay for reading 40960 untouched words.
+	data := wire.AppendUints(slices.Clone(b[:head]), []uint64{})
+	try("no memory", data)
+	for i := 0; i < head; i++ {
+		for _, mask := range [...]byte{0x01, 0x80, 0xff} {
+			data[i] ^= mask
+			try(fmt.Sprintf("byte %d ^ %#x", i, mask), data)
+			data[i] ^= mask
+		}
+	}
+}
+
+// TestHugeInstrCountIsRejectedWithoutAllocating: an inline payload whose
+// instruction total claims 2^60 instructions is an error, found before any
+// arena is allocated.
+func TestHugeInstrCountIsRejectedWithoutAllocating(t *testing.T) {
+	a, _, _ := lbmInline(t)
+	f := a.Inline.F
+	b := wire.AppendString(nil, f.Name)
+	b = wire.AppendUints(b, f.Params)
+	b = wire.AppendUvarint(b, uint64(f.NumRegs()))
+	b = wire.AppendUvarint(b, uint64(len(f.Blocks)))
+	b = wire.AppendUvarint(b, 1<<60) // instructions
+	b = append(b, make([]byte, 64)...)
+	_, decode, _ := Codec("inline")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decode(a, b)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 2^60 instruction count decoded")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<10 {
+		t.Fatalf("rejecting a 2^60 instruction count allocated %d bytes", n)
+	}
+}
+
+// TestFuncEncodeRefusesCalls: a function that still calls has no
+// positional form, so neither payload stores one.
+func TestFuncEncodeRefusesCalls(t *testing.T) {
+	m, err := ir.Parse(`func @main(i64) {
+entry:
+  r2 = call.i64 @id r1
+  ret r2
+}
+
+func @id(i64) {
+entry:
+  ret r1
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inlineEncode(nil, &InlineArtifact{F: m.Funcs[0]}); err == nil {
+		t.Fatal("an inline artifact with a call encoded")
+	}
+	if _, err := optEncode(nil, &OptArtifact{F: m.Funcs[0]}); err == nil {
+		t.Fatal("an opt artifact with a call encoded")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -312,6 +313,46 @@ func TestCacheDoesNotCacheCancellation(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Fatalf("deterministic failure recomputed (%d calls)", calls)
+	}
+}
+
+// TestCacheDoesNotCachePanics: a computation that panics leaves no entry
+// behind. Its panic reaches the computing caller, a run waiting on the same
+// key gets an error instead of a nil artifact, and the next run computes.
+func TestCacheDoesNotCachePanics(t *testing.T) {
+	c := NewCache()
+	started, release := make(chan struct{}), make(chan struct{})
+	panicked := make(chan any)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.do("profile", "k", func() (any, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	waited := make(chan error)
+	go func() {
+		v, err, _ := c.do("profile", "k", func() (any, error) { return "never", nil })
+		if v != nil {
+			err = fmt.Errorf("waiter got artifact %v", v)
+		}
+		waited <- err
+	}()
+	for c.Stats()["profile"].Hits == 0 { // the waiter has joined the entry
+		runtime.Gosched()
+	}
+	close(release)
+	if p := <-panicked; p != "boom" {
+		t.Fatalf("the computing caller recovered %v, want the panic", p)
+	}
+	if err := <-waited; !errors.Is(err, errPanicked) {
+		t.Fatalf("waiter: %v, want errPanicked", err)
+	}
+	v, err, hit := c.do("profile", "k", func() (any, error) { return "artifact", nil })
+	if err != nil || v != "artifact" || hit {
+		t.Fatalf("after the panic: v=%v err=%v hit=%v, want a fresh computation", v, err, hit)
 	}
 }
 

@@ -276,6 +276,9 @@ func (s *Server) vetBytes(ctx context.Context, p *program.Program) ([]byte, erro
 		if !ran {
 			return nil, ctx.Err()
 		}
+		if j.err != nil {
+			return nil, j.err
+		}
 		if rerr == nil {
 			obsVetOK.Add(1)
 		}
@@ -401,6 +404,9 @@ func (s *Server) analyzeBytes(ctx context.Context, parent *obs.Span, p *program.
 			// ended while it sat in the queue.
 			return nil, ctx.Err()
 		}
+		if j.err != nil {
+			return nil, j.err
+		}
 		if rerr == nil {
 			obsAnalyzeOK.Add(1)
 		}
@@ -483,6 +489,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !ran {
 		s.writeError(w, ctx.Err())
 		return
+	}
+	if j.err != nil {
+		werr = j.err
 	}
 	if werr != nil {
 		wmu.Lock()

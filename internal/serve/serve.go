@@ -25,8 +25,10 @@ package serve
 import (
 	"context"
 	"errors"
+	"log"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,6 +50,7 @@ var (
 	obsRejectedQueue = obs.GetCounter("serve.rejected.queue")
 	obsRejectedDrain = obs.GetCounter("serve.rejected.drain")
 	obsCancelled     = obs.GetCounter("serve.cancelled")
+	obsPanics        = obs.GetCounter("serve.panics")
 )
 
 // statusClientClosedRequest is the nginx-convention status for a request
@@ -61,6 +64,9 @@ var (
 	// errDraining rejects new work while the server drains toward shutdown
 	// (503).
 	errDraining = errors.New("serve: server is draining")
+	// errPanicked answers a job whose run panicked (500); the server log
+	// has the stack.
+	errPanicked = errors.New("serve: the analysis panicked")
 )
 
 // Config parameterizes a Server.
@@ -176,10 +182,12 @@ func (s *Server) Collapsed() int64 { return s.collapsed.Load() }
 
 // job is one unit of queued work. run executes on a worker unless ctx is
 // already done by then; done closes when the job is finished or skipped.
+// err is errPanicked when run panicked, and is read after done closes.
 type job struct {
 	ctx  context.Context
 	run  func()
 	done chan struct{}
+	err  error
 }
 
 // worker drains the queue until Close.
@@ -189,10 +197,24 @@ func (s *Server) worker() {
 		// A request that gave up while queued (client gone, deadline past)
 		// is skipped, so abandoned work cannot clog the pool.
 		if j.ctx.Err() == nil {
-			j.run()
+			j.contain()
 		}
 		close(j.done)
 	}
+}
+
+// contain runs j, confining a panic to it: the job fails with errPanicked,
+// serve.panics ticks and the stack goes to the log, and the worker goes on
+// serving.
+func (j *job) contain() {
+	defer func() {
+		if p := recover(); p != nil {
+			obsPanics.Add(1)
+			log.Printf("serve: job panicked: %v\n%s", p, debug.Stack())
+			j.err = errPanicked
+		}
+	}()
+	j.run()
 }
 
 // submit enqueues a job, rejecting with errDraining during drain and

@@ -8,8 +8,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -113,6 +115,45 @@ func TestWorkloadsEndpoint(t *testing.T) {
 		if got[i].Name != w.Name || got[i].Suite != w.Suite || got[i].DefaultN != w.DefaultN {
 			t.Errorf("entry %d = %+v, want %s/%s/%d", i, got[i], w.Name, w.Suite, w.DefaultN)
 		}
+	}
+}
+
+// TestPanickingAnalysisIsContained: an analysis that panics fails its own
+// request with 500, ticks serve.panics and logs its stack; the worker
+// survives, and the same request then succeeds.
+func TestPanickingAnalysisIsContained(t *testing.T) {
+	obs.Enable()
+	var logged strings.Builder
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	s := New(Config{Jobs: 1})
+	defer s.Close()
+	real := s.analyze
+	var calls atomic.Int32
+	s.analyze = func(ctx context.Context, sp *obs.Span, p *program.Program, cfg core.Config) (*core.Analysis, error) {
+		if calls.Add(1) == 1 {
+			panic("stage exploded")
+		}
+		return real(ctx, sp, p, cfg)
+	}
+	before := obsPanics.Value()
+	const req = `{"workload":"164.gzip","n":200}`
+	if rr := doReq(s, http.MethodPost, "/v1/analyze", req); rr.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking analysis: status %d, want 500 (body %q)", rr.Code, rr.Body.String())
+	}
+	if n := obsPanics.Value() - before; n != 1 {
+		t.Errorf("serve.panics rose by %d, want 1", n)
+	}
+	if !strings.Contains(logged.String(), "stage exploded") || !strings.Contains(logged.String(), "goroutine") {
+		t.Errorf("log has no panic and stack: %q", logged.String())
+	}
+	rr := doReq(s, http.MethodPost, "/v1/analyze", req)
+	if rr.Code != http.StatusOK {
+		t.Fatalf("after the panic: status %d, want 200 (body %q)", rr.Code, rr.Body.String())
+	}
+	var sums []core.Summary
+	if err := json.Unmarshal(rr.Body.Bytes(), &sums); err != nil || len(sums) != 1 || sums[0].Workload != "164.gzip" {
+		t.Fatalf("after the panic: body %q does not hold the analysis (%v)", rr.Body.String(), err)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // trace plus what only the host model observed — each occurrence's cycles
 // and the scalar baselines — with no pointers into the traced function and
 // no analysis manager. Branch histories are not stored: TraceFromData
-// rebuilds them from the path trace against a (re-parsed or rebuilt)
+// rebuilds them from the path trace against a (decoded or rebuilt)
 // function.
 type TraceData struct {
 	Profile *profile.Data

@@ -56,7 +56,7 @@ func AppendString(b []byte, s string) []byte {
 
 // AppendUints appends a list of non-negative integers: its length, then
 // each element, as uvarints.
-func AppendUints[T ~int | ~int32 | ~int64 | ~uint64](b []byte, s []T) []byte {
+func AppendUints[T ~uint8 | ~int | ~int32 | ~int64 | ~uint64](b []byte, s []T) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	for _, v := range s {
 		b = binary.AppendUvarint(b, uint64(v))
@@ -66,7 +66,7 @@ func AppendUints[T ~int | ~int32 | ~int64 | ~uint64](b []byte, s []T) []byte {
 
 // Uints reads a list AppendUints wrote, each element below limit, which
 // must not exceed T's maximum. An empty list reads as nil.
-func Uints[T ~int | ~int32 | ~int64](r *Reader, limit int) []T {
+func Uints[T ~uint8 | ~int | ~int32 | ~int64](r *Reader, limit int) []T {
 	n := r.Count()
 	if n == 0 {
 		return nil

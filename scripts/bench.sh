@@ -23,12 +23,13 @@
 #     BenchmarkSweep gets a tight 2% gate against sweep_ns_per_op, pinning
 #     that the lazily-computed vet analyses cost a default sweep nothing.
 #
-# It also records, ungated, six BenchmarkStage rows on 186.crafty,
+# It also records, ungated, seven BenchmarkStage rows on 186.crafty,
 # 458.sjeng and 164.gzip, as ns/op and allocs/op per workload: the
-# inline-decode, profile-decode, select-decode and frame-decode rows (each
-# the stage's full codec decode from its stored bytes, as on a warm disk
-# hit: payload read, then .nir parse, path-trace rehydration, braid
-# rebuilds or frame re-resolution), target (the Target stage alone,
+# inline-decode, opt-decode, profile-decode, select-decode and
+# frame-decode rows (each the stage's full codec decode from its stored
+# bytes, as on a warm disk hit: payload read, then the function built from
+# arenas and verified, path-trace rehydration, braid rebuilds or frame
+# re-resolution), target (the Target stage alone,
 # upstream artifacts served from a pre-warmed Cache) and capture
 # (sim.Capture on the Inline artifact's function).
 #
@@ -66,7 +67,7 @@ allocs_of() {
     }'
 }
 stages=""
-for layer in inline-decode profile-decode select-decode frame-decode target capture; do
+for layer in inline-decode opt-decode profile-decode select-decode frame-decode target capture; do
     for w in 186.crafty 458.sjeng 164.gzip; do
         stages="$stages BenchmarkStage/$layer/$w"
     done

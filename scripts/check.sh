@@ -97,10 +97,13 @@ rm -f "$ex_out"
 echo "exmpl  ok (every example matches its expected.txt)"
 
 # Opt-in fuzz smoke: CHECK_FUZZ=1 ./scripts/check.sh runs the parser/
-# verifier/printer round-trip fuzzer briefly on top of its corpus.
+# verifier/printer round-trip fuzzer and the artifact-decode fuzzer briefly
+# on top of their corpora. The minimize cap keeps the decode fuzzer from
+# stalling on inputs grown from its ~180 KB inline seed.
 if [ "${CHECK_FUZZ:-0}" = "1" ]; then
     go test -run '^$' -fuzz '^FuzzParseVerify$' -fuzztime 10s ./internal/ir
-    echo "fuzz   ok (FuzzParseVerify, 10s smoke)"
+    go test -run '^$' -fuzz '^FuzzArtifactDecode$' -fuzztime 10s -fuzzminimizetime 2s ./internal/pipeline
+    echo "fuzz   ok (FuzzParseVerify, FuzzArtifactDecode, 10s smokes)"
 fi
 
 # Opt-in performance gate: CHECK_BENCH=1 ./scripts/check.sh also runs the
