@@ -622,7 +622,6 @@ func BenchmarkAblationPredictorPolicy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rp := sim.NewReplay(tr)
 	preds := []struct {
 		name string
 		mk   func() spec.Predictor
@@ -635,7 +634,7 @@ func BenchmarkAblationPredictorPolicy(b *testing.B) {
 		b.Run(pd.name, func(b *testing.B) {
 			var imp float64
 			for i := 0; i < b.N; i++ {
-				res := sim.Evaluate(rp, tgt, pd.mk(), cfg)
+				res := sim.Evaluate(tr, []sim.Lane{{Target: tgt, Pred: pd.mk()}}, cfg)[0]
 				imp = res.Improvement
 			}
 			b.ReportMetric(imp*100, "improvement-%")

@@ -260,12 +260,12 @@ func TestObservabilitySpansAndCounters(t *testing.T) {
 	// One span per pipeline stage per workload ("inline", "profile",
 	// "select", "frame", "target"), their characteristic children
 	// ("capture" under profile, "characterize"/"braids" under select,
-	// "select: *" and "target: *" under target), plus the sweep root and
-	// the per-worker utilization spans.
+	// "target: *" under target and "target: sim: *" under target: sim),
+	// plus the sweep root and the per-worker utilization spans.
 	for _, stage := range []string{
 		"inline", "profile", "select", "frame", "target",
 		"capture", "characterize", "braids",
-		"select: path", "select: braid", "select: hyperblock",
+		"target: sim: build", "target: sim: replay",
 		"target: sim", "target: cgra", "target: hls", "target: energy",
 	} {
 		if names[stage] != nw {

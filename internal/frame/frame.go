@@ -180,12 +180,16 @@ func Build(am *pm.Manager, r *region.Region, opts Options) (*Frame, error) {
 	// Linearize the region into dataflow ops. Sizing the op list and the
 	// def map up front (region instructions plus undo-log headroom) keeps
 	// the emit loop from repeatedly regrowing both.
-	nInstr, nStore := 0, 0
+	nInstr, nStore, nLoad, nArgs := 0, 0, 0, 0
 	for _, blk := range r.Blocks {
 		nInstr += len(blk.Instrs)
 		for _, in := range blk.Instrs {
-			if in.Op == ir.OpStore {
+			nArgs += len(in.Args)
+			switch in.Op {
+			case ir.OpStore:
 				nStore++
+			case ir.OpLoad:
+				nLoad++
 			}
 		}
 	}
@@ -233,30 +237,55 @@ func Build(am *pm.Manager, r *region.Region, opts Options) (*Frame, error) {
 		}
 	}
 
-	addDep := func(deps []int, idx int) []int {
-		for _, d := range deps {
+	// Every op's Deps is a window of one arena, sized from a bound on what
+	// the ops can add so that it never regrows: every use; one guard
+	// dependence per op under GuardsSerialize, or one per controlling
+	// branch in a predicated frame; and under conservative ordering one
+	// store dependence per load or store, plus each load once more for the
+	// store that follows it.
+	bound := nArgs
+	if predicated {
+		for _, blk := range r.Blocks {
+			bound += len(ctrlOf[blk]) * len(blk.Instrs)
+		}
+	} else if opts.Placement == GuardsSerialize {
+		bound += nInstr
+	}
+	if opts.Ordering == MemConservative {
+		bound += nStore + 2*nLoad
+	}
+	arena := make([]int, 0, bound)
+	start := 0 // the window of the op being emitted is arena[start:]
+	addDep := func(idx int) {
+		for _, d := range arena[start:] {
 			if d == idx {
-				return deps
+				return
 			}
 		}
-		return append(deps, idx)
+		arena = append(arena, idx)
 	}
 
 	emit := func(op Op, in *ir.Instr) int {
 		// Register dependences.
 		in.Uses(func(reg ir.Reg) {
 			if idx := defIdx[reg]; idx >= 0 {
-				op.Deps = addDep(op.Deps, int(idx))
+				addDep(int(idx))
 			}
 		})
 		if predicated {
 			for _, br := range ctrlOf[op.Block] {
 				if idx, ok := branchOpIdx[br]; ok {
-					op.Deps = addDep(op.Deps, idx)
+					addDep(idx)
 				}
 			}
 		} else if opts.Placement == GuardsSerialize && lastGuard >= 0 && !op.Guard {
-			op.Deps = addDep(op.Deps, lastGuard)
+			addDep(lastGuard)
+		}
+		// Capping the window makes an append to one op's Deps copy instead
+		// of overwriting the next op's.
+		if end := len(arena); end > start {
+			op.Deps = arena[start:end:end]
+			start = end
 		}
 		fr.Ops = append(fr.Ops, op)
 		idx := len(fr.Ops) - 1
@@ -313,11 +342,11 @@ func Build(am *pm.Manager, r *region.Region, opts Options) (*Frame, error) {
 				op := Op{Instr: in, Block: b}
 				if opts.Ordering == MemConservative {
 					if lastStore >= 0 && mayAlias(in.Args[0], fr.Ops[lastStore].Instr.Args[0]) {
-						op.Deps = addDep(op.Deps, lastStore)
+						addDep(lastStore)
 					}
 					for _, l := range loadsSinceStore {
 						if mayAlias(in.Args[0], fr.Ops[l].Instr.Args[0]) {
-							op.Deps = addDep(op.Deps, l)
+							addDep(l)
 						}
 					}
 				}
@@ -328,7 +357,7 @@ func Build(am *pm.Manager, r *region.Region, opts Options) (*Frame, error) {
 				op := Op{Instr: in, Block: b}
 				if opts.Ordering == MemConservative && lastStore >= 0 &&
 					mayAlias(in.Args[0], fr.Ops[lastStore].Instr.Args[0]) {
-					op.Deps = addDep(op.Deps, lastStore)
+					addDep(lastStore)
 				}
 				idx := emit(op, in)
 				loadsSinceStore = append(loadsSinceStore, idx)

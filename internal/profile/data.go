@@ -32,21 +32,18 @@ type Data struct {
 // Data extracts the serializable core of the profile. It fails when the
 // trace does not reproduce the profile's counts (a profile collected
 // without a trace), since FromData could not rebuild it; it is also the
-// encode-time check that the derivation FromData applies is exact.
+// encode-time check that the derivation FromData applies is exact. The
+// result shares the profile's rank column.
 func (fp *FunctionProfile) Data() (*Data, error) {
-	d := &Data{Paths: make([]int64, len(fp.Paths)), Ranks: make([]int32, len(fp.Trace))}
-	rank := make(map[int64]int32, len(fp.Paths))
+	d := &Data{Paths: make([]int64, len(fp.Paths)), Ranks: fp.Ranks}
 	for r, p := range fp.Paths {
 		d.Paths[r] = p.ID
-		rank[p.ID] = int32(r)
 	}
 	freq := make([]int64, len(fp.Paths))
-	for i, id := range fp.Trace {
-		r, ok := rank[id]
-		if !ok {
-			return nil, fmt.Errorf("profile: traced path %d of %s is not in the profile", id, fp.F.Name)
+	for i, r := range fp.Ranks {
+		if r < 0 || int(r) >= len(fp.Paths) {
+			return nil, fmt.Errorf("profile: occurrence %d of %s has rank %d of %d paths", i, fp.F.Name, r, len(fp.Paths))
 		}
-		d.Ranks[i] = r
 		freq[r]++
 	}
 	for r, p := range fp.Paths {
@@ -138,7 +135,8 @@ func partialTail(f *ir.Function, succ succTable, table []*Path, ranks []int32, l
 // indistinguishable from the profile the collector produced in the process
 // that ran the workload, provided f is structurally identical to the
 // profiled function (same blocks in the same order). Data that could not
-// have come from a run of f is an error.
+// have come from a run of f is an error. The profile keeps d.Ranks as its
+// rank column when d's table is in rank order, as Data writes it.
 func FromData(am *pm.Manager, f *ir.Function, d *Data) (*FunctionProfile, error) {
 	dag, err := ballarus.Build(pm.Ensure(am), f)
 	if err != nil {
@@ -148,20 +146,18 @@ func FromData(am *pm.Manager, f *ir.Function, d *Data) (*FunctionProfile, error)
 	for r, id := range d.Paths {
 		recs[r].ID = id
 	}
-	trace := make([]int64, len(d.Ranks))
 	for i, r := range d.Ranks {
 		if r < 0 || int(r) >= len(d.Paths) {
 			return nil, fmt.Errorf("profile: occurrence %d has rank %d of %d paths", i, r, len(d.Paths))
 		}
 		recs[r].Freq++
-		trace[i] = d.Paths[r]
 	}
 	for r := range recs {
 		if recs[r].Freq == 0 {
 			return nil, fmt.Errorf("profile: path %d of %s never occurs in the trace", recs[r].ID, f.Name)
 		}
 	}
-	fp := &FunctionProfile{F: f, DAG: dag, Trace: trace}
+	fp := &FunctionProfile{F: f, DAG: dag, Ranks: d.Ranks}
 	if err := fp.rankCounts(recs); err != nil {
 		return nil, err
 	}
@@ -173,7 +169,19 @@ func FromData(am *pm.Manager, f *ir.Function, d *Data) (*FunctionProfile, error)
 	}
 	fp.BlockCounts = blocks
 	fp.EdgeCounts = succ.edgeMap(edges)
-	sortPaths(fp.Paths)
+	if !slices.IsSortedFunc(fp.Paths, rankOrder) {
+		// Data writes its table in rank order, so only a table from
+		// elsewhere gets here: rank it and recode the trace to match.
+		sortPaths(fp.Paths)
+		rankOf := make(map[int64]int32, len(fp.Paths))
+		for r, p := range fp.Paths {
+			rankOf[p.ID] = int32(r)
+		}
+		fp.Ranks = make([]int32, len(d.Ranks))
+		for i, r := range d.Ranks {
+			fp.Ranks[i] = rankOf[d.Paths[r]]
+		}
+	}
 	return fp, nil
 }
 

@@ -84,11 +84,15 @@ func (o *hookOracle) finish(t testing.TB) *FunctionProfile {
 	for id, n := range o.prof.Counts {
 		recs = append(recs, Path{ID: id, Freq: n})
 	}
-	fp := &FunctionProfile{F: o.f, DAG: o.prof.DAG(), Trace: o.prof.Trace, EdgeCounts: o.edges, BlockCounts: o.blocks}
+	fp := &FunctionProfile{F: o.f, DAG: o.prof.DAG(), EdgeCounts: o.edges, BlockCounts: o.blocks}
 	if err := fp.rankCounts(recs); err != nil {
 		t.Fatalf("oracle rankCounts: %v", err)
 	}
 	sortPaths(fp.Paths)
+	var err error
+	if fp.Ranks, err = rankTrace(fp.Paths, o.prof.Trace); err != nil {
+		t.Fatalf("oracle rankTrace: %v", err)
+	}
 	return fp
 }
 
@@ -178,8 +182,8 @@ func compareProfiles(t *testing.T, seed int64, fast, hook *FunctionProfile) {
 				seed, i, a.ID, a.Freq, a.Ops, b.ID, b.Freq, b.Ops)
 		}
 	}
-	if !reflect.DeepEqual(fast.Trace, hook.Trace) {
-		t.Fatalf("seed %d: traces differ (fast %d entries, hook %d)", seed, len(fast.Trace), len(hook.Trace))
+	if !reflect.DeepEqual(fast.Ranks, hook.Ranks) {
+		t.Fatalf("seed %d: traces differ (fast %d entries, hook %d)", seed, len(fast.Ranks), len(hook.Ranks))
 	}
 	if !reflect.DeepEqual(fast.BlockCounts, hook.BlockCounts) {
 		t.Fatalf("seed %d: block counts differ\nfast %v\nhook %v", seed, fast.BlockCounts, hook.BlockCounts)
@@ -465,7 +469,7 @@ rec:
 	if want := steps(6) - steps(5); fp.TotalWeight != want {
 		t.Fatalf("TotalWeight = %d, want %d (steps of fact 6 minus fact 5)", fp.TotalWeight, want)
 	}
-	if len(fp.Paths) != 1 || len(fp.Trace) != 1 {
-		t.Fatalf("fact(6)'s outer frame ran %d paths (trace %v), want one", len(fp.Paths), fp.Trace)
+	if len(fp.Paths) != 1 || len(fp.Ranks) != 1 {
+		t.Fatalf("fact(6)'s outer frame ran %d paths (trace %v), want one", len(fp.Paths), fp.Ranks)
 	}
 }

@@ -55,9 +55,9 @@ type FunctionProfile struct {
 	// TotalWeight is Fwt: the sum of all path weights, which equals the
 	// function's total dynamic instruction count.
 	TotalWeight int64
-	// Trace is the sequence of executed path IDs, when trace recording was
-	// enabled on the collector.
-	Trace []int64
+	// Ranks is the path trace, when trace recording was enabled on the
+	// collector: occurrence i executed Paths[Ranks[i]].
+	Ranks []int32
 
 	EdgeCounts  map[Edge]int64
 	BlockCounts []int64 // indexed by block index
@@ -125,9 +125,9 @@ func (c *Collector) RunTimed(args, mem []uint64, timing interp.Timing, hist *uin
 	})
 }
 
-// Finish decodes and ranks the collected paths into a FunctionProfile. The
-// profile shares the collector's block counts and trace, so the collector
-// must not run again.
+// Finish decodes and ranks the collected paths into a FunctionProfile, and
+// codes the recorded path trace by rank. The profile shares the collector's
+// block counts, so the collector must not run again.
 func (c *Collector) Finish() (*FunctionProfile, error) {
 	st := c.state
 	n := 0
@@ -144,7 +144,6 @@ func (c *Collector) Finish() (*FunctionProfile, error) {
 	fp := &FunctionProfile{
 		F:           c.dag.F,
 		DAG:         c.dag,
-		Trace:       st.Trace,
 		EdgeCounts:  edges,
 		BlockCounts: st.Blocks,
 	}
@@ -152,7 +151,36 @@ func (c *Collector) Finish() (*FunctionProfile, error) {
 		return nil, err
 	}
 	sortPaths(fp.Paths)
-	return fp, nil
+	var err error
+	fp.Ranks, err = rankTrace(fp.Paths, st.Trace)
+	return fp, err
+}
+
+// rankTrace codes a trace of path IDs by each path's rank in paths. A nil
+// trace (none was recorded) stays nil.
+func rankTrace(paths []*Path, ids []int64) ([]int32, error) {
+	if ids == nil {
+		return nil, nil
+	}
+	rankOf := make(map[int64]int32, len(paths))
+	for r, p := range paths {
+		rankOf[p.ID] = int32(r)
+	}
+	ranks := make([]int32, len(ids))
+	// Loops complete the same path back to back, so remembering the last
+	// lookup skips most map probes. Path IDs are never negative.
+	last, lastRank := int64(-1), int32(0)
+	for i, id := range ids {
+		if id != last {
+			r, ok := rankOf[id]
+			if !ok {
+				return nil, fmt.Errorf("profile: traced path %d is not in the profile", id)
+			}
+			last, lastRank = id, r
+		}
+		ranks[i] = lastRank
+	}
+	return ranks, nil
 }
 
 // rankCounts completes executed-path records that hold only an ID and a
@@ -204,13 +232,14 @@ func (fp *FunctionProfile) rankCounts(recs []Path) error {
 }
 
 // sortPaths ranks paths by weight, descending, ties broken by ascending ID.
-func sortPaths(paths []*Path) {
-	slices.SortFunc(paths, func(a, b *Path) int {
-		if a.Weight != b.Weight {
-			return cmp.Compare(b.Weight, a.Weight)
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
+func sortPaths(paths []*Path) { slices.SortFunc(paths, rankOrder) }
+
+// rankOrder is the order sortPaths ranks paths in.
+func rankOrder(a, b *Path) int {
+	if a.Weight != b.Weight {
+		return cmp.Compare(b.Weight, a.Weight)
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // blockSum is what one block adds to a path through it.
@@ -378,11 +407,12 @@ type SequenceStats struct {
 // SequenceBias analyzes the trace successor distribution of the given path.
 // It returns ok=false if the path never has a successor in the trace.
 func (fp *FunctionProfile) SequenceBias(pathID int64) (SequenceStats, bool) {
-	succ := make(map[int64]int64)
+	k := int32(slices.IndexFunc(fp.Paths, func(p *Path) bool { return p.ID == pathID }))
+	succ := make([]int64, len(fp.Paths)) // by rank
 	var follows int64
-	for i := 0; i+1 < len(fp.Trace); i++ {
-		if fp.Trace[i] == pathID {
-			succ[fp.Trace[i+1]]++
+	for i := 0; i+1 < len(fp.Ranks); i++ {
+		if fp.Ranks[i] == k {
+			succ[fp.Ranks[i+1]]++
 			follows++
 		}
 	}
@@ -391,8 +421,8 @@ func (fp *FunctionProfile) SequenceBias(pathID int64) (SequenceStats, bool) {
 	}
 	var bestNext, bestCount int64
 	first := true
-	for id, c := range succ {
-		if first || c > bestCount || (c == bestCount && id < bestNext) {
+	for r, c := range succ {
+		if id := fp.Paths[r].ID; c > 0 && (first || c > bestCount || (c == bestCount && id < bestNext)) {
 			bestNext, bestCount = id, c
 			first = false
 		}

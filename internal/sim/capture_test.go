@@ -132,7 +132,7 @@ func assertCaptureEquivalent(t *testing.T, w *workloads.Workload, n int) {
 			t.Fatalf("%s: path %d differs", name, i)
 		}
 	}
-	if !reflect.DeepEqual(fp.Trace, sp.Trace) {
+	if !reflect.DeepEqual(fp.Ranks, sp.Ranks) {
 		t.Fatalf("%s: path traces differ", name)
 	}
 	if !reflect.DeepEqual(fp.BlockCounts, sp.BlockCounts) {

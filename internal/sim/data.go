@@ -77,22 +77,17 @@ func TraceFromData(am *pm.Manager, f *ir.Function, d *TraceData) (*Trace, error)
 		return nil, err
 	}
 	r := wire.NewReader(d.Cycles)
-	if !r.Fits(len(fp.Trace)) {
-		return nil, fmt.Errorf("sim: packed cycles for %d traced paths: %w", len(fp.Trace), r.Err())
+	if !r.Fits(len(fp.Ranks)) {
+		return nil, fmt.Errorf("sim: packed cycles for %d traced paths: %w", len(fp.Ranks), r.Err())
 	}
-	occ := make([]Occurrence, len(fp.Trace))
+	occ := make([]Occurrence, len(fp.Ranks))
 	for i := range occ {
 		occ[i].Cycles = r.Varint()
 	}
 	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("sim: packed cycles for %d traced paths: %w", len(fp.Trace), err)
+		return nil, fmt.Errorf("sim: packed cycles for %d traced paths: %w", len(fp.Ranks), err)
 	}
-	// FromData ranked the paths; the stored ranks index the stored table.
-	table := make([]*profile.Path, len(d.Profile.Paths))
-	for r, id := range d.Profile.Paths {
-		table[r] = fp.PathByID(id)
-	}
-	fillHist(table, d.Profile.Ranks, occ)
+	fillHist(fp.Paths, fp.Ranks, occ)
 	return &Trace{
 		Profile:          fp,
 		Occ:              occ,

@@ -52,7 +52,7 @@ func assertDerivedMatchesCaptured(t *testing.T, name string, f *ir.Function, tr 
 			t.Fatalf("%s: rank %d is path %d, captured %d", name, i, got.Paths[i].ID, want.Paths[i].ID)
 		}
 	}
-	if !slices.Equal(got.Trace, want.Trace) {
+	if !slices.Equal(got.Ranks, want.Ranks) {
 		t.Fatalf("%s: path traces differ", name)
 	}
 	if !reflect.DeepEqual(got.BlockCounts, want.BlockCounts) {

@@ -39,9 +39,9 @@ func newRefTarget(fp *profile.FunctionProfile, tgt *Target, accepts func(p *prof
 	return rt
 }
 
-// referenceEvaluate is the replay with targets keyed by path ID: three map
-// lookups per occurrence, whatever the path-ID space. Evaluate must match
-// it exactly.
+// referenceEvaluate is the replay of one target with targets keyed by path
+// ID: three map lookups per occurrence, whatever the path-ID space. Every
+// lane of Evaluate must match it exactly.
 func referenceEvaluate(tr *Trace, tgt refTarget, pred spec.Predictor, cfg Config) Result {
 	res := Result{
 		Predictor:        pred.Name(),
@@ -57,7 +57,7 @@ func referenceEvaluate(tr *Trace, tgt refTarget, pred spec.Predictor, cfg Config
 	energyPJ := tr.BaselineEnergyPJ
 	reconfigured, inRun := false, false
 	for i, occ := range tr.Occ {
-		id := tr.Profile.Trace[i]
+		id := tr.Profile.Paths[tr.Profile.Ranks[i]].ID
 		if !tgt.isOpp[id] {
 			cycles += occ.Cycles
 			inRun = false
@@ -139,69 +139,97 @@ func sameResult(a, b Result) bool {
 		math.Float64bits(a.BaselineEnergyPJ) == math.Float64bits(b.BaselineEnergyPJ)
 }
 
-// assertReplayMatchesReference evaluates every (target, predictor) pair the
-// Sim backend evaluates — the top 3 paths under the oracle and history
+// candidateTable builds and replays the Sim backend's candidate table over
+// tr, as the backend does with SelectTopK 3 and ColdFraction 0.1.
+func candidateTable(t testing.TB, name string, tr *Trace, cfg Config) *Candidates {
+	t.Helper()
+	braids := region.BuildBraids(tr.Profile, 0)
+	c, err := NewCandidates(tr, braids, hotFrame(tr, braids, cfg), cfg, 3, 0.1)
+	if err != nil {
+		t.Fatalf("%s: NewCandidates: %v", name, err)
+	}
+	c.Replay()
+	return c
+}
+
+// refTargetOf keys a candidate row's target by path ID, deriving acceptance
+// from the row's region afresh.
+func refTargetOf(fp *profile.FunctionProfile, r row) refTarget {
+	tgt := r.target
+	switch r.kind {
+	case rowPath:
+		id := tgt.Region.Paths[0].ID
+		return newRefTarget(fp, tgt, func(q *profile.Path) bool { return q.ID == id })
+	case rowBraid:
+		br := r.braid
+		return newRefTarget(fp, tgt, func(q *profile.Path) bool {
+			n := len(q.Blocks)
+			return n > 0 && q.Blocks[0] == br.Entry && q.Blocks[n-1] == br.Exit && inSet(br.Set, q)
+		})
+	}
+	return newRefTarget(fp, tgt, func(q *profile.Path) bool {
+		return len(q.Blocks) > 0 && q.Blocks[0] == tgt.Region.Entry && inSet(tgt.Region.Set, q)
+	})
+}
+
+// rowLabel names a row in failure messages.
+func rowLabel(i int, r row) string {
+	return fmt.Sprintf("row %d (kind %d, %s)", i, r.kind, r.result.Predictor)
+}
+
+// assertReplayMatchesReference builds and replays the Sim backend's
+// candidate table over tr — the top 3 paths under the oracle and history
 // predictors, the top 3 braids under history and always-invoke, and the
-// hyperblock under always-invoke — through one shared Replay and through
-// the reference, and demands identical results. It returns the number of
-// pairs compared.
+// hyperblock under always-invoke, all in one walk — and demands that every
+// row equal the reference's replay of its target alone. It checks the whole
+// trace and traces cut to several prefixes. It returns the number of rows
+// compared on the whole trace.
 func assertReplayMatchesReference(t *testing.T, name string, tr *Trace, cfg Config) int {
 	t.Helper()
 	fp := tr.Profile
 	if len(fp.Paths) == 0 {
 		return 0
 	}
-	rp := NewReplay(tr)
-	type pair struct {
-		label string
-		tgt   refTarget
-		pred  func() spec.Predictor
-	}
-	history := func() spec.Predictor { return spec.NewHistory(cfg.HistBits) }
-	oracle := func() spec.Predictor { return &spec.Oracle{} }
-	always := func() spec.Predictor { return spec.Always{} }
-	var pairs []pair
-	for i, p := range fp.TopK(3) {
-		tgt, err := NewPathTarget(tr.AM, fp, p, cfg)
-		if err != nil {
-			continue
+	n := len(tr.Occ)
+	rows := 0
+	for _, k := range []int{n, 0, 1, n / 3, max(n-1, 0)} {
+		cut := *tr
+		cut.Occ = tr.Occ[:k]
+		c := candidateTable(t, name, &cut, cfg)
+		for i, r := range c.rows {
+			want := referenceEvaluate(&cut, refTargetOf(fp, r), r.newPred(), cfg)
+			if !sameResult(*r.result, want) {
+				t.Fatalf("%s, first %d of %d occurrences, %s: replay differs from reference\n got  %+v\n want %+v",
+					name, k, n, rowLabel(i, r), r.result, want)
+			}
 		}
-		id := p.ID
-		rt := newRefTarget(fp, tgt, func(q *profile.Path) bool { return q.ID == id })
-		pairs = append(pairs,
-			pair{fmt.Sprintf("path%d/oracle", i), rt, oracle},
-			pair{fmt.Sprintf("path%d/history", i), rt, history})
-	}
-	braids := region.BuildBraids(fp, 0)
-	for i := 0; i < 3 && i < len(braids); i++ {
-		br := braids[i]
-		tgt, err := NewBraidTarget(tr.AM, fp, br, cfg)
-		if err != nil {
-			continue
-		}
-		rt := newRefTarget(fp, tgt, func(q *profile.Path) bool {
-			n := len(q.Blocks)
-			return n > 0 && q.Blocks[0] == br.Entry && q.Blocks[n-1] == br.Exit && inSet(br.Set, q)
-		})
-		pairs = append(pairs,
-			pair{fmt.Sprintf("braid%d/history", i), rt, history},
-			pair{fmt.Sprintf("braid%d/always", i), rt, always})
-	}
-	hb := region.BuildTunedHyperblock(tr.AM, fp, fp.HottestPath().Blocks[0], 0.1, 0.05)
-	if tgt, err := NewHyperblockTarget(tr.AM, fp, hb, cfg); err == nil {
-		rt := newRefTarget(fp, tgt, func(q *profile.Path) bool {
-			return len(q.Blocks) > 0 && q.Blocks[0] == hb.Entry && inSet(hb.Set, q)
-		})
-		pairs = append(pairs, pair{"hyperblock/always", rt, always})
-	}
-	for _, pc := range pairs {
-		got := Evaluate(rp, pc.tgt.Target, pc.pred(), cfg)
-		want := referenceEvaluate(tr, pc.tgt, pc.pred(), cfg)
-		if !sameResult(got, want) {
-			t.Fatalf("%s %s: replay differs from reference\n got  %+v\n want %+v", name, pc.label, got, want)
+		if k == n {
+			rows = len(c.rows)
 		}
 	}
-	return len(pairs)
+	return rows
+}
+
+// assertLanesIndependent replays every row of the candidate table alone, and
+// all rows in reverse order, and demands the rows of the one walk: a lane
+// that aliased another's predictor or scratch state would differ.
+func assertLanesIndependent(t *testing.T, name string, tr *Trace, cfg Config) {
+	t.Helper()
+	c := candidateTable(t, name, tr, cfg)
+	rev := make([]Lane, len(c.rows))
+	for i, r := range c.rows {
+		alone := Evaluate(tr, []Lane{{Target: r.target, Pred: r.newPred()}}, cfg)[0]
+		if !sameResult(alone, *r.result) {
+			t.Fatalf("%s %s: alone %+v, in the walk %+v", name, rowLabel(i, r), alone, r.result)
+		}
+		rev[len(rev)-1-i] = Lane{Target: r.target, Pred: r.newPred()}
+	}
+	for j, got := range Evaluate(tr, rev, cfg) {
+		i := len(rev) - 1 - j
+		if r := c.rows[i]; !sameResult(got, *r.result) {
+			t.Fatalf("%s %s: in reverse order %+v, in order %+v", name, rowLabel(i, r), got, r.result)
+		}
+	}
 }
 
 // TestReplayMatchesReferenceWorkloads covers all 29 workloads, including
@@ -222,6 +250,7 @@ func TestReplayMatchesReferenceWorkloads(t *testing.T) {
 		if n := assertReplayMatchesReference(t, w.Name, tr, cfg); n == 0 {
 			t.Errorf("%s: no target evaluated", w.Name)
 		}
+		assertLanesIndependent(t, w.Name, tr, cfg)
 	}
 	for name, above := range sparse {
 		if !above {
@@ -241,6 +270,9 @@ func TestReplayMatchesReferenceRandomPrograms(t *testing.T) {
 			t.Fatalf("seed %d: capture: %v", seed, err)
 		}
 		pairs += assertReplayMatchesReference(t, fmt.Sprintf("seed %d", seed), tr, cfg)
+		if seed%10 == 0 {
+			assertLanesIndependent(t, fmt.Sprintf("seed %d", seed), tr, cfg)
+		}
 	}
 	if pairs < 300 {
 		t.Fatalf("only %d (target, predictor) pairs compared", pairs)

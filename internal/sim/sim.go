@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"needle/internal/cgra"
 	"needle/internal/energy"
@@ -66,7 +67,7 @@ type Occurrence struct {
 type Trace struct {
 	Profile *profile.FunctionProfile
 	// Occ holds one entry per path completion, in execution order: Occ[i]
-	// is an occurrence of path Profile.Trace[i].
+	// is an occurrence of path Profile.Paths[Profile.Ranks[i]].
 	Occ []Occurrence
 
 	// AM is the analysis manager the capture used; target construction and
@@ -135,10 +136,10 @@ func Capture(am *pm.Manager, f *ir.Function, args []uint64, memory []uint64, cfg
 	}
 	// One exact allocation: the recorded path trace enumerates completed
 	// occurrences in order, so its length is the occurrence count.
-	if len(fp.Trace) != len(occCycles) {
-		return nil, fmt.Errorf("sim: capture recorded %d occurrences but traced %d paths", len(occCycles), len(fp.Trace))
+	if len(fp.Ranks) != len(occCycles) {
+		return nil, fmt.Errorf("sim: capture recorded %d occurrences but traced %d paths", len(occCycles), len(fp.Ranks))
 	}
-	tr.Occ = make([]Occurrence, len(fp.Trace))
+	tr.Occ = make([]Occurrence, len(fp.Ranks))
 	for i := range tr.Occ {
 		tr.Occ[i] = Occurrence{Hist: occHists[i], Cycles: occCycles[i]}
 	}
@@ -161,29 +162,57 @@ type Target struct {
 	Frame  *frame.Frame
 	Sched  *cgra.Sched
 
-	// accepts and isOpp are indexed by a path's rank in the profile's Paths
-	// (the index a Replay codes occurrences by): whether an occurrence of
-	// the path completes on the accelerator, and whether it starts at the
-	// region entry, i.e. is an offload opportunity.
-	accepts []bool
-	isOpp   []bool
+	// isOpp is indexed by a path's rank in the profile's Paths: whether an
+	// occurrence of the path starts at the region entry, i.e. is an offload
+	// opportunity. Targets built together share one table per entry.
+	isOpp []bool
+	// accepts, indexed the same way, marks the paths whose occurrences
+	// complete on the accelerator. A path target needs no table: it
+	// accepts the one path of rank pathRank, which is -1 on other targets.
+	accepts  []bool
+	pathRank int32
 	// fullExec marks non-speculative predicated targets: every frame op
 	// executes (and pays energy) on every invocation, with no gating.
 	fullExec bool
 }
 
+// opportunities memoizes, per region entry, which ranked paths of fp start
+// there.
+type opportunities struct {
+	fp      *profile.FunctionProfile
+	byEntry map[*ir.Block][]bool
+}
+
+func newOpportunities(fp *profile.FunctionProfile) *opportunities {
+	return &opportunities{fp: fp, byEntry: make(map[*ir.Block][]bool)}
+}
+
+func (o *opportunities) at(entry *ir.Block) []bool {
+	if opp, ok := o.byEntry[entry]; ok {
+		return opp
+	}
+	opp := make([]bool, len(o.fp.Paths))
+	for i, p := range o.fp.Paths {
+		opp[i] = len(p.Blocks) > 0 && p.Blocks[0] == entry
+	}
+	o.byEntry[entry] = opp
+	return opp
+}
+
 // NewPathTarget builds the offload target for a single BL-Path region.
 func NewPathTarget(am *pm.Manager, fp *profile.FunctionProfile, p *profile.Path, cfg Config) (*Target, error) {
+	return pathTarget(am, newOpportunities(fp), p, cfg)
+}
+
+func pathTarget(am *pm.Manager, opps *opportunities, p *profile.Path, cfg Config) (*Target, error) {
+	fp := opps.fp
 	r := region.FromPath(fp.F, p)
 	fr, err := frame.Build(am, r, cfg.Frame)
 	if err != nil {
 		return nil, err
 	}
-	accepts := make([]bool, len(fp.Paths))
-	for i, q := range fp.Paths {
-		accepts[i] = q.ID == p.ID
-	}
-	return newTarget(fp, r, fr, accepts, cfg), nil
+	rank := slices.IndexFunc(fp.Paths, func(q *profile.Path) bool { return q.ID == p.ID })
+	return newTarget(r, fr, opps.at(r.Entry), nil, int32(rank), cfg), nil
 }
 
 // NewBraidTarget builds the offload target for a braid. Any executed path
@@ -196,18 +225,19 @@ func NewBraidTarget(am *pm.Manager, fp *profile.FunctionProfile, br *region.Brai
 	if err != nil {
 		return nil, err
 	}
-	return braidTarget(fp, br, fr, cfg), nil
+	return braidTarget(newOpportunities(fp), br, fr, cfg), nil
 }
 
 // braidTarget is NewBraidTarget with the braid's frame already built.
-func braidTarget(fp *profile.FunctionProfile, br *region.Braid, fr *frame.Frame, cfg Config) *Target {
+func braidTarget(opps *opportunities, br *region.Braid, fr *frame.Frame, cfg Config) *Target {
+	fp := opps.fp
 	in := blockSet(fp.F, br.Blocks)
 	accepts := make([]bool, len(fp.Paths))
 	for i, p := range fp.Paths {
 		n := len(p.Blocks)
 		accepts[i] = n > 0 && p.Blocks[0] == br.Entry && p.Blocks[n-1] == br.Exit && within(in, p.Blocks)
 	}
-	return newTarget(fp, &br.Region, fr, accepts, cfg)
+	return newTarget(&br.Region, fr, opps.at(br.Entry), accepts, -1, cfg)
 }
 
 // blockSet marks blocks, all of f, in a table indexed by Block.Index, so
@@ -230,54 +260,36 @@ func within(set []bool, blocks []*ir.Block) bool {
 	return true
 }
 
-func newTarget(fp *profile.FunctionProfile, r *region.Region, fr *frame.Frame, accepts []bool, cfg Config) *Target {
-	isOpp := make([]bool, len(fp.Paths))
-	for i, p := range fp.Paths {
-		isOpp[i] = len(p.Blocks) > 0 && p.Blocks[0] == r.Entry
-	}
+func newTarget(r *region.Region, fr *frame.Frame, isOpp, accepts []bool, pathRank int32, cfg Config) *Target {
 	return &Target{
-		Region:  r,
-		Frame:   fr,
-		Sched:   cgra.Schedule(fr, cfg.CGRA),
-		accepts: accepts,
-		isOpp:   isOpp,
+		Region:   r,
+		Frame:    fr,
+		Sched:    cgra.Schedule(fr, cfg.CGRA),
+		isOpp:    isOpp,
+		accepts:  accepts,
+		pathRank: pathRank,
 	}
 }
 
-// Replay is a captured trace prepared for target evaluation: each
-// occurrence coded by its path's rank in Profile.Paths, the index targets
-// are built on, so replaying a target costs array loads only, however large
-// the function's Ball-Larus path-ID space is. Build one per evaluation round
-// and share it across every target and predictor replayed against the
-// trace. It is deliberately not kept on the Trace: traces are shared,
-// long-lived artifacts, and the rank column is as long as the trace.
-type Replay struct {
-	Trace *Trace
-	rank  []int32 // rank[i]: rank of the path occurrence i executed
-	ops   []int64 // ops[r]: dynamic op count of the rank-r path
-}
-
-// NewReplay codes tr's occurrences by path rank in one pass over the
-// profile's path trace.
-func NewReplay(tr *Trace) Replay {
-	paths := tr.Profile.Paths
-	rankOf := make(map[int64]int32, len(paths))
-	ops := make([]int64, len(paths))
-	for r, p := range paths {
-		rankOf[p.ID] = int32(r)
-		ops[r] = p.Ops
+// NewHyperblockTarget builds the non-speculative predicated baseline of
+// Figure 2's middle column: the hyperblock executes all its (predicated)
+// operations on every invocation, cannot fail or roll back, and is invoked
+// only for flows it fully contains — everything else stays on the host.
+func NewHyperblockTarget(am *pm.Manager, fp *profile.FunctionProfile, hb *region.Hyperblock, cfg Config) (*Target, error) {
+	in := blockSet(fp.F, hb.Blocks)
+	accepts := make([]bool, len(fp.Paths))
+	for i, p := range fp.Paths {
+		accepts[i] = len(p.Blocks) > 0 && p.Blocks[0] == hb.Entry && within(in, p.Blocks)
 	}
-	rank := make([]int32, len(tr.Profile.Trace))
-	// Loops complete the same path back to back, so remembering the last
-	// lookup skips most map probes.
-	last, lastRank := int64(-1), int32(0)
-	for i, id := range tr.Profile.Trace {
-		if id != last {
-			last, lastRank = id, rankOf[id]
-		}
-		rank[i] = lastRank
+	fr, err := frame.Build(am, &hb.Region, cfg.Frame)
+	if err != nil {
+		return nil, err
 	}
-	return Replay{Trace: tr, rank: rank, ops: ops}
+	// Only covered flows are offload opportunities: uncovered paths run on
+	// the host with no penalty (non-speculative regions exit cleanly).
+	tgt := newTarget(&hb.Region, fr, accepts, accepts, -1, cfg)
+	tgt.fullExec = true
+	return tgt, nil
 }
 
 // Result is the outcome of evaluating one target under one predictor.
@@ -307,11 +319,20 @@ type Result struct {
 	Coverage float64
 }
 
-// Evaluate replays the captured trace, offloading accepted occurrences of
-// the target under the given predictor. The target must have been built
-// from the replayed trace's profile. Passing a *spec.Oracle predictor
-// evaluates the oracle bound (invoke exactly when the invocation would
-// succeed).
+// Lane is one (target, predictor) pair to replay. The target must have been
+// built from the replayed trace's profile, and the predictor must be a
+// fresh one of its own: a lane's predictor learns from its lane only.
+// Passing a *spec.Oracle evaluates the oracle bound (invoke exactly when
+// the invocation would succeed).
+type Lane struct {
+	Target *Target
+	Pred   spec.Predictor
+}
+
+// Evaluate replays the captured trace once for every lane, offloading
+// accepted occurrences of each lane's target under its predictor, and
+// returns one result per lane. Lanes share nothing but the trace and
+// per-path tables, so a lane's result does not depend on the other lanes.
 //
 // Consecutive successful invocations pipeline on the resident fabric at the
 // schedule's initiation interval; a failure, a declined invocation, or an
@@ -319,107 +340,186 @@ type Result struct {
 // invocation pays the full frame latency again. Failures additionally pay
 // the rollback walk and the host's re-execution of the region, per the
 // paper's conservative Section VI-A model.
-func Evaluate(rp Replay, tgt *Target, pred spec.Predictor, cfg Config) Result {
-	tr := rp.Trace
-	res := Result{
-		Predictor:        pred.Name(),
-		BaselineCycles:   tr.BaselineCycles,
-		BaselineEnergyPJ: tr.BaselineEnergyPJ,
+func Evaluate(tr *Trace, lanes []Lane, cfg Config) []Result {
+	res := make([]Result, len(lanes))
+	for i, l := range lanes {
+		res[i] = Result{
+			Predictor:        l.Pred.Name(),
+			BaselineCycles:   tr.BaselineCycles,
+			BaselineEnergyPJ: tr.BaselineEnergyPJ,
+		}
 	}
 	if tr.BaselineCycles == 0 {
 		return res
 	}
 	perOpPJ := energy.PerOpPJ(cfg.CPU, tr.Mix, tr.CacheStats)
+	ops := make([]int64, len(tr.Profile.Paths)) // by rank
+	for r, p := range tr.Profile.Paths {
+		ops[r] = p.Ops
+	}
+	walk := make([]laneWalk, len(lanes))
+	for i, l := range lanes {
+		walk[i] = newLaneWalk(l, &res[i], tr.BaselineEnergyPJ, cfg)
+	}
+	// The walk is tiled: every lane advances over one tile of occurrences
+	// while the tile is in cache, and keeps its state in registers across
+	// the tile.
+	const tile = 1024
+	ranks := tr.Profile.Ranks[:len(tr.Occ)]
+	for lo := 0; lo < len(tr.Occ); lo += tile {
+		hi := min(lo+tile, len(tr.Occ))
+		for i := range walk {
+			walk[i].advance(tr.Occ[lo:hi], ranks[lo:hi], ops, perOpPJ)
+		}
+	}
+	for i := range walk {
+		r := &res[i]
+		w := &walk[i]
+		r.OffloadCycles = w.cycles
+		r.Improvement = float64(tr.BaselineCycles-w.cycles) / float64(tr.BaselineCycles)
+		r.OffloadEnergyPJ = w.energyPJ
+		r.EnergyReduction = energy.Reduction(tr.BaselineEnergyPJ, w.energyPJ)
+		if r.Invocations > 0 {
+			r.Precision = float64(r.Successes) / float64(r.Invocations)
+		}
+		if tr.Profile.TotalWeight > 0 {
+			r.Coverage = float64(w.weight) / float64(tr.Profile.TotalWeight)
+		}
+	}
+	return res
+}
 
-	oracle, isOracle := pred.(*spec.Oracle)
-	// The replay loop calls the predictor twice per opportunity; the common
-	// predictors are resolved to concrete types here so those calls inline
-	// instead of dispatching through the interface per occurrence.
-	histPred, _ := pred.(*spec.History)
-	var cycles int64
-	energyPJ := tr.BaselineEnergyPJ // adjusted incrementally
-	var acceleratedWeight int64
-	reconfigured := false
-	inRun := false
+// predKind resolves the common predictors to concrete types, so the walk
+// calls them directly instead of through the interface per occurrence.
+type predKind uint8
 
-	rank := rp.rank[:len(tr.Occ)]
-	for i, occ := range tr.Occ {
-		r := rank[i]
-		if !tgt.isOpp[r] {
+const (
+	predOther predKind = iota
+	predHistory
+	predOracle
+	predAlways
+)
+
+// laneWalk is one lane's replay state.
+type laneWalk struct {
+	tgt  *Target
+	res  *Result // counts accumulate here
+	kind predKind
+	pred spec.Predictor
+	hist *spec.History
+
+	// Per-invocation costs of the target's schedule.
+	reconfig, ii, invokeCycles, failCycles int64
+	transferPJ, failPJ, fullPJ             float64
+
+	cycles, weight      int64
+	energyPJ            float64 // adjusted incrementally from the baseline
+	reconfigured, inRun bool
+}
+
+func newLaneWalk(l Lane, res *Result, baselinePJ float64, cfg Config) laneWalk {
+	s := l.Target.Sched
+	w := laneWalk{
+		tgt:          l.Target,
+		res:          res,
+		pred:         l.Pred,
+		reconfig:     cfg.CGRA.ReconfigCycles,
+		ii:           s.II,
+		invokeCycles: s.InvokeCycles(),
+		failCycles:   s.FailCycles(),
+		transferPJ:   s.TransferPJ,
+		failPJ:       s.FailEnergyPJ() + s.TransferPJ,
+		fullPJ:       s.InvokeEnergyPJ(int64(len(l.Target.Frame.Ops))),
+		energyPJ:     baselinePJ,
+	}
+	switch p := l.Pred.(type) {
+	case *spec.History:
+		w.kind, w.hist = predHistory, p
+	case *spec.Oracle:
+		w.kind = predOracle
+	case spec.Always:
+		w.kind = predAlways
+	}
+	return w
+}
+
+// advance replays occs, whose paths' ranks are ranks, on the lane. ops
+// holds each path's dynamic op count by rank, and the host spends perOpPJ
+// per op.
+func (w *laneWalk) advance(occs []Occurrence, ranks []int32, ops []int64, perOpPJ float64) {
+	tgt := w.tgt
+	isOpp, accepts, k := tgt.isOpp, tgt.accepts, tgt.pathRank
+	sched, fullExec := tgt.Sched, tgt.fullExec
+	kind, hist, pred := w.kind, w.hist, w.pred
+	cycles, weight, energyPJ := w.cycles, w.weight, w.energyPJ
+	reconfigured, inRun := w.reconfigured, w.inRun
+	opps, invs, succs := w.res.Opportunities, w.res.Invocations, w.res.Successes
+	for i := range occs {
+		occ := &occs[i]
+		r := ranks[i]
+		if !isOpp[r] {
 			cycles += occ.Cycles
 			inRun = false
 			continue
 		}
-		res.Opportunities++
-		success := tgt.accepts[r]
-		if isOracle {
-			oracle.SetNext(success)
-		}
+		opps++
+		success := r == k || accepts != nil && accepts[r]
 		var invoke bool
-		switch {
-		case histPred != nil:
-			invoke = histPred.Predict(occ.Hist)
-		case isOracle:
+		switch kind {
+		case predHistory:
+			invoke = hist.Predict(occ.Hist)
+		case predOracle:
 			invoke = success
+		case predAlways:
+			invoke = true
 		default:
 			invoke = pred.Predict(occ.Hist)
 		}
 		if invoke {
-			res.Invocations++
+			invs++
 			if !reconfigured {
-				cycles += cfg.CGRA.ReconfigCycles
+				cycles += w.reconfig
 				reconfigured = true
 			}
-			occOps := rp.ops[r]
 			if success {
-				res.Successes++
+				succs++
 				if inRun {
-					cycles += tgt.Sched.II
+					cycles += w.ii
 				} else {
-					cycles += tgt.Sched.InvokeCycles()
-					energyPJ += tgt.Sched.TransferPJ
+					cycles += w.invokeCycles
+					energyPJ += w.transferPJ
 					inRun = true
 				}
 				// The host stops paying for these ops; the accelerator pays
 				// its own, with predicated-off frame ops gated (speculative
 				// frames) or fully powered (non-speculative hyperblocks).
-				execOps := occOps
-				if tgt.fullExec {
-					execOps = int64(len(tgt.Frame.Ops))
+				energyPJ -= float64(ops[r]) * perOpPJ
+				if fullExec {
+					energyPJ += w.fullPJ
+				} else {
+					energyPJ += sched.InvokeEnergyPJ(ops[r])
 				}
-				energyPJ -= float64(occOps) * perOpPJ
-				energyPJ += tgt.Sched.InvokeEnergyPJ(execOps)
-				acceleratedWeight += occOps
+				weight += ops[r]
 			} else {
 				// Wasted accelerator work, rollback, then host re-execution.
-				cycles += tgt.Sched.FailCycles() + occ.Cycles
-				energyPJ += tgt.Sched.FailEnergyPJ() + tgt.Sched.TransferPJ
+				cycles += w.failCycles + occ.Cycles
+				energyPJ += w.failPJ
 				inRun = false
 			}
 		} else {
 			cycles += occ.Cycles
 			inRun = false
 		}
-		switch {
-		case histPred != nil:
-			histPred.Update(occ.Hist, success)
-		case isOracle: // no-op update
-		default:
+		switch kind {
+		case predHistory:
+			hist.Update(occ.Hist, success)
+		case predOther:
 			pred.Update(occ.Hist, success)
 		}
 	}
-
-	res.OffloadCycles = cycles
-	res.Improvement = float64(tr.BaselineCycles-cycles) / float64(tr.BaselineCycles)
-	res.OffloadEnergyPJ = energyPJ
-	res.EnergyReduction = energy.Reduction(tr.BaselineEnergyPJ, energyPJ)
-	if res.Invocations > 0 {
-		res.Precision = float64(res.Successes) / float64(res.Invocations)
-	}
-	if tr.Profile.TotalWeight > 0 {
-		res.Coverage = float64(acceleratedWeight) / float64(tr.Profile.TotalWeight)
-	}
-	return res
+	w.cycles, w.weight, w.energyPJ = cycles, weight, energyPJ
+	w.reconfigured, w.inRun = reconfigured, inRun
+	w.res.Opportunities, w.res.Invocations, w.res.Successes = opps, invs, succs
 }
 
 // Candidate pairs an offload decision with its evaluation.
@@ -429,34 +529,85 @@ type Candidate struct {
 	Policy string        // "history", "always", or "none"
 }
 
-// SelectBraid reproduces Needle's filter-and-rank stage for braids: it
-// evaluates the top-k of the ranked braids (region.BuildBraids over the
-// replayed trace's profile) under both invocation policies and returns the
-// candidate with the fewest cycles, falling back to no offload when nothing
-// profits (Section IV-B: "NEEDLE provides a methodical framework to reason
-// about this tradeoff").
+// rowKind says which of the Sim backend's selections a candidate row
+// competes in.
+type rowKind uint8
+
+const (
+	rowPath rowKind = iota
+	rowBraid
+	rowHyperblock
+)
+
+// row is one lane of the candidate table.
+type row struct {
+	kind    rowKind
+	braid   *region.Braid // braid rows
+	target  *Target
+	newPred func() spec.Predictor
+
+	result *Result // set by Replay
+	// accepted says the filter let the row compete: braid rows that spend
+	// more energy than the host are rejected.
+	accepted bool
+}
+
+// Candidates is the candidate table of Needle's filter-and-rank stage over
+// one captured trace: the top-k paths under the oracle bound and the
+// invocation history table, the top-k braids under history and
+// always-invoke, and the non-speculative hyperblock under always-invoke,
+// one row per (target, predictor) lane, in that order. NewCandidates builds
+// the targets; Replay evaluates every row in one walk of the trace; the
+// selections are scans of the evaluated rows.
+type Candidates struct {
+	tr   *Trace
+	cfg  Config
+	rows []row
+}
+
+// NewCandidates frames, schedules and tabulates every candidate target
+// against tr. braids are the ranked braids over the trace's profile
+// (region.BuildBraids), of which the top topK compete. hot is the frame of
+// braids[0], built with cfg.Frame over the trace's analysis manager (the
+// pipeline's Frame stage builds exactly that), so the top braid is not
+// framed twice; a nil hot means braids[0] could not be framed. The
+// hyperblock is seeded at the hottest path's entry with coldFraction.
 //
-// hot is the frame of braids[0], built with cfg.Frame over the trace's
-// analysis manager (the pipeline's Frame stage builds exactly that), so the
-// top braid is not framed twice. A nil hot means braids[0] could not be
-// framed, and it is skipped as any unframeable candidate is.
-func SelectBraid(rp Replay, braids []*region.Braid, hot *frame.Frame, cfg Config, topK int) (Candidate, error) {
-	if len(braids) == 0 {
-		return Candidate{}, fmt.Errorf("sim: no braids")
-	}
+// A lower-ranked path or any braid that cannot be framed is skipped.
+// Without an executed path, without braids, or with an unframeable hottest
+// path or hyperblock there is nothing to compare against, and it fails.
+func NewCandidates(tr *Trace, braids []*region.Braid, hot *frame.Frame, cfg Config, topK int, coldFraction float64) (*Candidates, error) {
 	if topK <= 0 {
 		topK = 3
 	}
-	tr := rp.Trace
-	best := Candidate{
-		Result: Result{
-			Predictor:        "none",
-			BaselineCycles:   tr.BaselineCycles,
-			OffloadCycles:    tr.BaselineCycles,
-			BaselineEnergyPJ: tr.BaselineEnergyPJ,
-			OffloadEnergyPJ:  tr.BaselineEnergyPJ,
-		},
-		Policy: "none",
+	fp := tr.Profile
+	if len(fp.Paths) == 0 {
+		return nil, fmt.Errorf("evaluating paths: sim: no executed paths")
+	}
+	c := &Candidates{tr: tr, cfg: cfg, rows: make([]row, 0, 4*topK+1)}
+	history := func() spec.Predictor { return spec.NewHistory(cfg.HistBits) }
+	oracle := func() spec.Predictor { return &spec.Oracle{} }
+	always := func() spec.Predictor { return spec.Always{} }
+	add := func(kind rowKind, br *region.Braid, tgt *Target, preds ...func() spec.Predictor) {
+		for _, p := range preds {
+			c.rows = append(c.rows, row{kind: kind, braid: br, target: tgt, newPred: p})
+		}
+	}
+
+	opps := newOpportunities(fp)
+	for i := 0; i < topK && i < len(fp.Paths); i++ {
+		tgt, err := pathTarget(tr.AM, opps, fp.Paths[i], cfg)
+		if err != nil {
+			if i == 0 {
+				return nil, fmt.Errorf("evaluating paths: %w", err)
+			}
+			continue
+		}
+		add(rowPath, nil, tgt, oracle, history)
+	}
+
+	if len(braids) == 0 {
+		return nil, fmt.Errorf("evaluating braids: sim: no braids")
 	}
 	for i := 0; i < topK && i < len(braids); i++ {
 		br := braids[i]
@@ -470,94 +621,83 @@ func SelectBraid(rp Replay, braids []*region.Braid, hot *frame.Frame, cfg Config
 		if fr == nil {
 			continue // braids[0] could not be framed
 		}
-		tgt := braidTarget(tr.Profile, br, fr, cfg)
-		for _, pred := range []spec.Predictor{spec.NewHistory(cfg.HistBits), spec.Always{}} {
-			res := Evaluate(rp, tgt, pred, cfg)
-			// A candidate must not trade energy for speed: offload exists to
-			// save energy (Section I), so the filter requires both axes to
-			// be no worse than the host baseline.
-			if res.OffloadEnergyPJ > res.BaselineEnergyPJ {
-				continue
-			}
-			if res.OffloadCycles < best.Result.OffloadCycles {
-				best = Candidate{Result: res, Braid: br, Policy: pred.Name()}
-			}
-		}
+		add(rowBraid, br, braidTarget(opps, br, fr, cfg), history, always)
 	}
-	return best, nil
+
+	hb := region.BuildTunedHyperblock(tr.AM, fp, fp.HottestPath().Blocks[0], coldFraction, 0.05)
+	tgt, err := NewHyperblockTarget(tr.AM, fp, hb, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("evaluating hyperblock: %w", err)
+	}
+	add(rowHyperblock, nil, tgt, always)
+	return c, nil
 }
 
-// SelectPath is the path-side filter: it evaluates the top-k paths under the
-// history predictor (plus the oracle bound for reporting) and returns the
-// best history-policy candidate, falling back to no offload.
-func SelectPath(rp Replay, cfg Config, topK int) (history, oracle Result, err error) {
-	tr := rp.Trace
-	if len(tr.Profile.Paths) == 0 {
-		return history, oracle, fmt.Errorf("sim: no executed paths")
+// Replay evaluates every row in one walk of the trace, each under a fresh
+// predictor, and applies the filter.
+func (c *Candidates) Replay() {
+	lanes := make([]Lane, len(c.rows))
+	for i, r := range c.rows {
+		lanes[i] = Lane{Target: r.target, Pred: r.newPred()}
 	}
-	if topK <= 0 {
-		topK = 3
+	results := Evaluate(c.tr, lanes, c.cfg)
+	for i := range results {
+		r, res := &c.rows[i], &results[i]
+		r.result = res
+		// A braid must not trade energy for speed: offload exists to save
+		// energy (Section I), so the filter requires both axes to be no
+		// worse than the host baseline.
+		r.accepted = r.kind != rowBraid || res.OffloadEnergyPJ <= res.BaselineEnergyPJ
 	}
-	hot := tr.Profile.HottestPath()
-	tgt, err := NewPathTarget(tr.AM, tr.Profile, hot, cfg)
-	if err != nil {
-		return history, oracle, err
-	}
-	oracle = Evaluate(rp, tgt, &spec.Oracle{}, cfg)
-	history = Evaluate(rp, tgt, spec.NewHistory(cfg.HistBits), cfg)
-	for i := 1; i < topK && i < len(tr.Profile.Paths); i++ {
-		t2, err := NewPathTarget(tr.AM, tr.Profile, tr.Profile.Paths[i], cfg)
-		if err != nil {
+}
+
+// PathChoice is the path-side selection: the best path under the history
+// predictor and under the oracle bound, each the first row with the fewest
+// offload cycles. The hottest path's rows always take part.
+func (c *Candidates) PathChoice() (history, oracle Result) {
+	var h, o *Result
+	for i := range c.rows {
+		r := &c.rows[i]
+		if r.kind != rowPath {
 			continue
 		}
-		if r := Evaluate(rp, t2, spec.NewHistory(cfg.HistBits), cfg); r.OffloadCycles < history.OffloadCycles {
-			history = r
+		best := &h
+		if r.result.Predictor == "oracle" {
+			best = &o
 		}
-		if r := Evaluate(rp, t2, &spec.Oracle{}, cfg); r.OffloadCycles < oracle.OffloadCycles {
-			oracle = r
+		if *best == nil || r.result.OffloadCycles < (*best).OffloadCycles {
+			*best = r.result
 		}
 	}
-	return history, oracle, nil
+	return *h, *o
 }
 
-// NewHyperblockTarget builds the non-speculative predicated baseline of
-// Figure 2's middle column: the hyperblock executes all its (predicated)
-// operations on every invocation, cannot fail or roll back, and is invoked
-// only for flows it fully contains — everything else stays on the host.
-func NewHyperblockTarget(am *pm.Manager, fp *profile.FunctionProfile, hb *region.Hyperblock, cfg Config) (*Target, error) {
-	in := blockSet(fp.F, hb.Blocks)
-	accepts := make([]bool, len(fp.Paths))
-	for i, p := range fp.Paths {
-		accepts[i] = len(p.Blocks) > 0 && p.Blocks[0] == hb.Entry && within(in, p.Blocks)
+// BraidChoice reproduces Needle's filter-and-rank stage for braids: the
+// accepted braid row with the fewest cycles, the first among equals, or no
+// offload when nothing profits (Section IV-B: "NEEDLE provides a methodical
+// framework to reason about this tradeoff").
+func (c *Candidates) BraidChoice() Candidate {
+	tr := c.tr
+	best := Candidate{
+		Result: Result{
+			Predictor:        "none",
+			BaselineCycles:   tr.BaselineCycles,
+			OffloadCycles:    tr.BaselineCycles,
+			BaselineEnergyPJ: tr.BaselineEnergyPJ,
+			OffloadEnergyPJ:  tr.BaselineEnergyPJ,
+		},
+		Policy: "none",
 	}
-	fr, err := frame.Build(am, &hb.Region, cfg.Frame)
-	if err != nil {
-		return nil, err
+	for _, r := range c.rows {
+		if r.kind == rowBraid && r.accepted && r.result.OffloadCycles < best.Result.OffloadCycles {
+			best = Candidate{Result: *r.result, Braid: r.braid, Policy: r.result.Predictor}
+		}
 	}
-	return &Target{
-		Region:  &hb.Region,
-		Frame:   fr,
-		Sched:   cgra.Schedule(fr, cfg.CGRA),
-		accepts: accepts,
-		// Only covered flows are offload opportunities: uncovered paths run
-		// on the host with no penalty (non-speculative regions exit cleanly).
-		isOpp:    accepts,
-		fullExec: true,
-	}, nil
+	return best
 }
 
-// EvaluateHyperblock evaluates the non-speculative hyperblock baseline
-// seeded at the hottest path's entry, under always-invoke (it cannot fail).
-func EvaluateHyperblock(rp Replay, cfg Config, coldFraction float64) (Result, error) {
-	tr := rp.Trace
-	hot := tr.Profile.HottestPath()
-	if hot == nil {
-		return Result{}, fmt.Errorf("sim: no executed paths")
-	}
-	hb := region.BuildTunedHyperblock(tr.AM, tr.Profile, hot.Blocks[0], coldFraction, 0.05)
-	tgt, err := NewHyperblockTarget(tr.AM, tr.Profile, hb, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return Evaluate(rp, tgt, spec.Always{}, cfg), nil
+// Hyperblock is the non-speculative hyperblock baseline seeded at the
+// hottest path's entry, under always-invoke (it cannot fail).
+func (c *Candidates) Hyperblock() Result {
+	return *c.rows[len(c.rows)-1].result
 }

@@ -46,8 +46,8 @@ func hottestPath(t testing.TB, tr *Trace, cfg Config) (oracle, history Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp := NewReplay(tr)
-	return Evaluate(rp, tgt, &spec.Oracle{}, cfg), Evaluate(rp, tgt, spec.NewHistory(cfg.HistBits), cfg)
+	res := Evaluate(tr, []Lane{{tgt, &spec.Oracle{}}, {tgt, spec.NewHistory(cfg.HistBits)}}, cfg)
+	return res[0], res[1]
 }
 
 // hotFrame frames braids[0] as the pipeline's Frame stage does, or returns
@@ -74,7 +74,7 @@ func hottestBraid(t testing.TB, tr *Trace, cfg Config, pred spec.Predictor) (Res
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Evaluate(NewReplay(tr), tgt, pred, cfg), braids[0]
+	return Evaluate(tr, []Lane{{tgt, pred}}, cfg)[0], braids[0]
 }
 
 func TestCaptureAttributionSumsToBaseline(t *testing.T) {
@@ -151,15 +151,14 @@ func TestEvaluateAccountsFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp := NewReplay(tr)
-	always := Evaluate(rp, tgt, spec.Always{}, cfg)
+	res := Evaluate(tr, []Lane{{tgt, spec.Always{}}, {tgt, &spec.Oracle{}}}, cfg)
+	always, oracle := res[0], res[1]
 	if always.Invocations != always.Opportunities {
 		t.Fatal("always must invoke at every opportunity")
 	}
 	if always.Successes == always.Invocations {
 		t.Skip("no failures at this scale; nothing to check")
 	}
-	oracle := Evaluate(rp, tgt, &spec.Oracle{}, cfg)
 	if always.OffloadCycles <= oracle.OffloadCycles {
 		t.Fatal("failures must cost cycles versus the oracle")
 	}
@@ -271,10 +270,7 @@ func TestFunctionalOffloadMatchesPureExecution(t *testing.T) {
 func TestEvaluateHyperblockBaseline(t *testing.T) {
 	tr := capture(t, "186.crafty", 1500)
 	cfg := DefaultConfig()
-	hb, err := EvaluateHyperblock(NewReplay(tr), cfg, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hb := candidateTable(t, "186.crafty", tr, cfg).Hyperblock()
 	// Non-speculative predication cannot fail.
 	if hb.Successes != hb.Invocations {
 		t.Fatalf("hyperblock failed %d times; predication cannot fail", hb.Invocations-hb.Successes)
@@ -294,11 +290,7 @@ func TestSelectBraidRejectsEnergyLosers(t *testing.T) {
 	for _, name := range []string{"186.crafty", "458.sjeng", "401.bzip2"} {
 		tr := capture(t, name, 1500)
 		cfg := DefaultConfig()
-		braids := region.BuildBraids(tr.Profile, 0)
-		cand, err := SelectBraid(NewReplay(tr), braids, hotFrame(tr, braids, cfg), cfg, 3)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		cand := candidateTable(t, name, tr, cfg).BraidChoice()
 		if cand.Result.OffloadEnergyPJ > cand.Result.BaselineEnergyPJ+1e-6 {
 			t.Fatalf("%s: selected braid loses energy", name)
 		}
@@ -312,15 +304,17 @@ func TestSelectPathTriesLowerRanks(t *testing.T) {
 	tr := capture(t, "453.povray", 2000)
 	cfg := DefaultConfig()
 	// topK=1 must never beat topK=3 (the search is monotone in candidates).
-	rp := NewReplay(tr)
-	h1, o1, err := SelectPath(rp, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
+	braids := region.BuildBraids(tr.Profile, 0)
+	pathChoice := func(topK int) (history, oracle Result) {
+		c, err := NewCandidates(tr, braids, hotFrame(tr, braids, cfg), cfg, topK, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Replay()
+		return c.PathChoice()
 	}
-	h3, o3, err := SelectPath(rp, cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h1, o1 := pathChoice(1)
+	h3, o3 := pathChoice(3)
 	if h3.OffloadCycles > h1.OffloadCycles || o3.OffloadCycles > o1.OffloadCycles {
 		t.Fatal("widening the candidate search made the result worse")
 	}

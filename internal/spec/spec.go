@@ -201,7 +201,7 @@ func (Always) Name() string        { return "always" }
 // of 2-bit saturating counters indexed by the low bits of the global branch
 // history preceding the region entry.
 type History struct {
-	bits  uint
+	mask  uint64 // selects the history bits that index table
 	table []int8
 }
 
@@ -218,10 +218,10 @@ func NewHistory(bits uint) *History {
 	for i := range t {
 		t[i] = 3
 	}
-	return &History{bits: bits, table: t}
+	return &History{mask: 1<<bits - 1, table: t}
 }
 
-func (h *History) idx(history uint64) uint64 { return history & ((1 << h.bits) - 1) }
+func (h *History) idx(history uint64) uint64 { return history & h.mask }
 
 func (h *History) Predict(history uint64) bool { return h.table[h.idx(history)] >= 3 }
 

@@ -1,8 +1,6 @@
 package target
 
 import (
-	"fmt"
-
 	"needle/internal/pipeline"
 	"needle/internal/sim"
 )
@@ -32,33 +30,23 @@ type SimReport struct {
 // BackendName implements Report.
 func (*SimReport) BackendName() string { return "sim" }
 
-// Evaluate implements Backend.
+// Evaluate implements Backend: it builds the candidate table, evaluates
+// every candidate in one walk of the captured trace, and scans the table
+// for each selection.
 func (Sim) Evaluate(a *pipeline.Artifacts) (pipeline.Report, error) {
 	cfg := a.Config
-	rep := &SimReport{}
-	var err error
-
-	// One rank-coded replay of the trace serves every target below.
-	rp := sim.NewReplay(a.Profile.Trace)
-	psp := a.Span.Child("select: path")
-	rep.PathHistory, rep.PathOracle, err = sim.SelectPath(rp, cfg.Sim, cfg.SelectTopK)
-	psp.End()
-	if err != nil {
-		return nil, fmt.Errorf("evaluating paths: %w", err)
-	}
-	bsp := a.Span.Child("select: braid")
+	bsp := a.Span.Child("target: sim: build")
 	// The Frame stage framed the top braid with the same options and
-	// analysis manager; SelectBraid reuses that frame.
-	rep.BraidChoice, err = sim.SelectBraid(rp, a.Select.Braids, a.Frame.HotBraidFrame, cfg.Sim, cfg.SelectTopK)
+	// analysis manager; the braid candidates reuse that frame.
+	cands, err := sim.NewCandidates(a.Profile.Trace, a.Select.Braids, a.Frame.HotBraidFrame, cfg.Sim, cfg.SelectTopK, cfg.ColdFraction)
 	bsp.End()
 	if err != nil {
-		return nil, fmt.Errorf("evaluating braids: %w", err)
+		return nil, err
 	}
-	hsp := a.Span.Child("select: hyperblock")
-	rep.Hyperblock, err = sim.EvaluateHyperblock(rp, cfg.Sim, cfg.ColdFraction)
-	hsp.End()
-	if err != nil {
-		return nil, fmt.Errorf("evaluating hyperblock: %w", err)
-	}
+	rsp := a.Span.Child("target: sim: replay")
+	cands.Replay()
+	rsp.End()
+	rep := &SimReport{BraidChoice: cands.BraidChoice(), Hyperblock: cands.Hyperblock()}
+	rep.PathHistory, rep.PathOracle = cands.PathChoice()
 	return rep, nil
 }

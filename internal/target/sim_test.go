@@ -17,7 +17,6 @@ import (
 func referenceBraidChoice(a *pipeline.Artifacts) sim.Candidate {
 	cfg := a.Config
 	tr := a.Profile.Trace
-	rp := sim.NewReplay(tr)
 	best := sim.Candidate{
 		Result: sim.Result{
 			Predictor:        "none",
@@ -35,7 +34,7 @@ func referenceBraidChoice(a *pipeline.Artifacts) sim.Candidate {
 			continue
 		}
 		for _, pred := range []spec.Predictor{spec.NewHistory(cfg.Sim.HistBits), spec.Always{}} {
-			res := sim.Evaluate(rp, tgt, pred, cfg.Sim)
+			res := sim.Evaluate(tr, []sim.Lane{{Target: tgt, Pred: pred}}, cfg.Sim)[0]
 			if res.OffloadEnergyPJ > res.BaselineEnergyPJ {
 				continue
 			}
