@@ -18,17 +18,20 @@ const maxInlineDepth = 8
 // InlineAll clones f with every call (transitively) inlined, up to
 // maxInlineDepth nested levels. Functions without calls are returned
 // unchanged. Recursive call chains deeper than that are an error: Needle's
-// offload regions cannot contain calls.
+// offload regions cannot contain calls. Inlined bodies are numbered once
+// per call, not once per round, so a callee reached in two rounds (main
+// calls a, and calls b, which calls a) gets two distinct block prefixes.
 func InlineAll(f *ir.Function) (*ir.Function, error) {
 	if !hasCalls(f) {
 		return f, nil
 	}
 	cur := f
+	uniq := 0
 	for depth := 0; ; depth++ {
 		if depth >= maxInlineDepth {
 			return nil, fmt.Errorf("passes: %s still has calls after %d inlining rounds (recursion?)", f.Name, maxInlineDepth)
 		}
-		next, changed, err := inlineOnce(cur)
+		next, changed, err := inlineOnce(cur, &uniq)
 		if err != nil {
 			return nil, err
 		}
@@ -51,8 +54,9 @@ func hasCalls(f *ir.Function) bool {
 }
 
 // inlineOnce inlines every direct call site of f (one level) into a fresh
-// function.
-func inlineOnce(f *ir.Function) (*ir.Function, bool, error) {
+// function. *uniq numbers the inlined bodies; it carries over between
+// rounds so block prefixes never repeat.
+func inlineOnce(f *ir.Function, uniq *int) (*ir.Function, bool, error) {
 	out := &ir.Function{
 		Name:    f.Name,
 		Params:  append([]ir.Type(nil), f.Params...),
@@ -72,7 +76,6 @@ func inlineOnce(f *ir.Function) (*ir.Function, bool, error) {
 	}
 
 	changed := false
-	uniq := 0
 	// tailMap records, for each cloned caller block, the block holding its
 	// terminator after call-site splitting; phi incomings are retargeted to
 	// these tails below.
@@ -85,9 +88,9 @@ func inlineOnce(f *ir.Function) (*ir.Function, bool, error) {
 				continue
 			}
 			changed = true
-			uniq++
+			*uniq++
 			callee := in.Callee
-			prefix := fmt.Sprintf("%s.in%d.", callee.Name, uniq)
+			prefix := fmt.Sprintf("%s.in%d.", callee.Name, *uniq)
 
 			// Map callee registers into fresh registers of out; parameters
 			// map directly to the call arguments.

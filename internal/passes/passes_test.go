@@ -1,6 +1,8 @@
 package passes
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -114,6 +116,54 @@ entry:
 	}
 	if g != f {
 		t.Fatal("call-free function should be returned unchanged")
+	}
+}
+
+// TestInlineDiamondNamesBlocksOnce: examples/nir/diamond.nir's main calls
+// @a directly and again through @b, so @a is inlined in the first round
+// and again in the second. Each inlined body must get its own block
+// prefix (numbering restarted per round once named both "a.in1.*"), and
+// the result must compute what the original does.
+func TestInlineDiamondNamesBlocksOnce(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "nir", "diamond.nir"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ir.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := m.Func("main")
+	inlined, err := InlineAll(f)
+	if err != nil {
+		t.Fatalf("InlineAll: %v", err)
+	}
+	seen := make(map[string]bool)
+	bodies := 0
+	for _, b := range inlined.Blocks {
+		if seen[b.Name] {
+			t.Fatalf("duplicate block name %q", b.Name)
+		}
+		seen[b.Name] = true
+		if strings.HasPrefix(b.Name, "a.") && strings.HasSuffix(b.Name, ".entry") {
+			bodies++
+		}
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpCall {
+				t.Fatal("calls remain after InlineAll")
+			}
+		}
+	}
+	if bodies != 2 {
+		t.Fatalf("@a inlined %d times, want 2", bodies)
+	}
+	for _, n := range []int64{0, 1, 7, 64} {
+		args := []uint64{interp.IBits(n)}
+		want, err1 := interp.Run(f, args, nil, nil, 0)
+		got, err2 := interp.Run(inlined, args, nil, nil, 0)
+		if err1 != nil || err2 != nil || got.Ret != want.Ret {
+			t.Fatalf("n=%d: inlined returns %v (%v), original %v (%v)", n, got, err2, want, err1)
+		}
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -183,6 +185,29 @@ func TestAnalyzeSourceMatchesCLIBytes(t *testing.T) {
 	}
 	if want := nirCLIBytes(t, two, opts, core.DefaultConfig()); !bytes.Equal(rr.Body.Bytes(), want) {
 		t.Errorf("entry-selected response diverges from CLI bytes:\n got %s\nwant %s", rr.Body.Bytes(), want)
+	}
+}
+
+// TestAnalyzeDiamondInlines: examples/nir/diamond.nir reaches @a in two
+// inlining rounds (directly from main and through @b). The program
+// verifies, so POST /v1/analyze must answer 200 with the bytes
+// `needle -nir examples/nir/diamond.nir -args 64 -json` prints; the
+// inliner once named both inlined bodies of @a alike and failed with 500.
+func TestAnalyzeDiamondInlines(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "nir", "diamond.nir"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Jobs: 1})
+	defer s.Close()
+	rr := doReq(s, http.MethodPost, "/v1/analyze",
+		sourceReq(t, analyzeRequest{Source: string(src), Args: []string{"64"}}))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("diamond analyze: status %d (body %q)", rr.Code, rr.Body.String())
+	}
+	want := nirCLIBytes(t, string(src), program.LoadOptions{Args: []string{"64"}}, core.DefaultConfig())
+	if !bytes.Equal(rr.Body.Bytes(), want) {
+		t.Errorf("diamond response diverges from CLI bytes:\n got %s\nwant %s", rr.Body.Bytes(), want)
 	}
 }
 
