@@ -24,6 +24,7 @@ import (
 	"needle/internal/ir"
 	"needle/internal/mem"
 	"needle/internal/ooo"
+	"needle/internal/passes"
 	"needle/internal/pipeline"
 	"needle/internal/pm"
 	"needle/internal/profile"
@@ -191,9 +192,10 @@ func BenchmarkVet(b *testing.B) {
 // fresh-process warm-start win. "cold" runs the full sweep against an empty
 // cache directory per iteration (every stage computed and persisted);
 // "warm" opens a fresh DiskStore — empty memory tier, a new process's view —
-// on a pre-populated directory per iteration, so every cacheable stage is
-// decoded off disk instead of recomputed. scripts/bench.sh records both and
-// gates on the cold/warm ratio.
+// on a pre-populated directory per iteration, so every persisted stage
+// (profile and select) is decoded off disk instead of recomputed, and the
+// cheap inline and frame stages are recomputed around them. scripts/bench.sh
+// records both and gates on the cold/warm ratio.
 func BenchmarkSweepWarmStart(b *testing.B) {
 	cfg := core.DefaultConfig()
 	cfg.N = benchN
@@ -248,20 +250,28 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 	})
 }
 
+// inlineSink keeps BenchmarkStage/inline's artifact alive, so the compiler
+// cannot drop the allocations a real Inline stage makes.
+var inlineSink *pipeline.InlineArtifact
+
 // BenchmarkStage times single pipeline layers at the workloads' default
 // sizes on the two workloads whose Ball-Larus path-ID spaces are sparse and
 // large (186.crafty, 458.sjeng) and a dense one (164.gzip), each with every
 // upstream artifact taken from a pre-warmed in-memory Cache. scripts/bench.sh
 // records ns/op and allocs/op for each.
 //
-//   - inline-decode, opt-decode, profile-decode, select-decode and
-//     frame-decode each run the stage's codec decode (pipeline.Codec) on
-//     the bytes its encode stored, as a warm disk hit does: the positional
-//     payload read, the function built from arenas and verified (inline,
-//     and opt, whose pipeline runs with Opt on), path-trace rehydration
-//     with every count and branch history derived (profile), braid
-//     rebuilds (select) or frame re-resolution (frame), under a fresh
-//     analysis manager;
+//   - inline and frame compute the two stages that are never persisted,
+//     as a warm run recomputes them: inline runs passes.InlineAll on the
+//     program and gives the result a fresh analysis manager; frame builds
+//     the top braid's frame (frame.Build) under a fresh analysis manager,
+//     so every analysis it reads is computed in the iteration;
+//   - opt-decode, profile-decode and select-decode each run the stage's
+//     codec decode (pipeline.Codec) on the bytes its encode stored, as a
+//     warm disk hit does: the positional payload read, the function built
+//     from arenas and verified (opt, whose pipeline runs with Opt on),
+//     path-trace rehydration with every count and branch history derived
+//     (profile) or braid rebuilds (select), under a fresh analysis
+//     manager;
 //   - target runs every registered backend, so an iteration is the stage
 //     itself plus the cache hits that feed it;
 //   - capture runs sim.Capture on the Inline artifact's function over fresh
@@ -289,7 +299,7 @@ func BenchmarkStage(b *testing.B) {
 	}
 	// decodeRow times one stage's codec decode of its stored bytes. Each
 	// iteration gives the upstream inline artifact a fresh analysis manager,
-	// as a decoded one has, so no analysis is served from an earlier one.
+	// as a recomputed one has, so no analysis is served from an earlier one.
 	decodeRow := func(stage string, c pipeline.Config, out func(a *pipeline.Artifacts) any) func(b *testing.B) {
 		return func(b *testing.B) {
 			for _, name := range names {
@@ -318,11 +328,43 @@ func BenchmarkStage(b *testing.B) {
 			}
 		}
 	}
-	b.Run("inline-decode", decodeRow("inline", cfg, func(a *pipeline.Artifacts) any { return a.Inline }))
+	b.Run("inline", func(b *testing.B) {
+		for _, name := range names {
+			b.Run(name, func(b *testing.B) {
+				p, _, _ := warm(b, name, cfg)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					f, err := passes.InlineAll(p.F)
+					if err != nil {
+						b.Fatal(err)
+					}
+					inlineSink = &pipeline.InlineArtifact{AM: pm.NewManager(), F: f, Args: p.Args, Memory: p.Memory}
+				}
+			})
+		}
+	})
 	b.Run("opt-decode", decodeRow("opt", optCfg, func(a *pipeline.Artifacts) any { return a.Opt }))
 	b.Run("profile-decode", decodeRow("profile", cfg, func(a *pipeline.Artifacts) any { return a.Profile }))
 	b.Run("select-decode", decodeRow("select", cfg, func(a *pipeline.Artifacts) any { return a.Select }))
-	b.Run("frame-decode", decodeRow("frame", cfg, func(a *pipeline.Artifacts) any { return a.Frame }))
+	b.Run("frame", func(b *testing.B) {
+		for _, name := range names {
+			b.Run(name, func(b *testing.B) {
+				_, _, a := warm(b, name, cfg)
+				if len(a.Select.Braids) == 0 {
+					b.Fatalf("%s formed no braid to frame", name)
+				}
+				hot := &a.Select.Braids[0].Region
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := frame.Build(pm.NewManager(), hot, a.Config.Sim.Frame); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	})
 	b.Run("target", func(b *testing.B) {
 		for _, name := range names {
 			b.Run(name, func(b *testing.B) {

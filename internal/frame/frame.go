@@ -114,6 +114,10 @@ type Frame struct {
 	opts Options
 }
 
+// BuildOptions returns the options the frame was constructed with (after
+// normalization — defaults filled, predicated overrides applied).
+func (fr *Frame) BuildOptions() Options { return fr.opts }
+
 // CarriedPair links an entry phi (frame input) to the in-region register
 // feeding it on the next iteration.
 type CarriedPair struct {

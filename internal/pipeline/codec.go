@@ -1,11 +1,17 @@
-// Stage artifact codecs: the encode/decode pair each cacheable stage
-// declares so a DiskStore can persist its artifact. The split follows the
-// pure-data / rehydratable-state decomposition:
+// Stage artifact codecs: the encode/decode pair a stage declares when a
+// DiskStore should persist its artifact. A stage persists only when
+// decoding its artifact is cheaper than recomputing it: Opt, whose payload
+// is the optimized function; Profile, the instrumented run that is the
+// costly step of every analysis; and Select, whose braids are rebuilt from
+// path IDs. Inline and Frame are cheap passes over the IR that cost less to
+// rerun than to decode (docs/PIPELINE.md, "What persists"), and Target is
+// never cached, so those three have no codec and live in the memory tier.
+// The split follows the pure-data / rehydratable-state decomposition:
 //
 //   - The serializable core of each artifact lives next to its type
-//     (profile.Data, sim.TraceData, region.BraidData, frame.Data), holds no
-//     pointers into IR or analysis state, and writes and reads itself in
-//     the positional binary layout of package wire (docs/PIPELINE.md,
+//     (profile.Data, sim.TraceData, region.BraidData), holds no pointers
+//     into IR or analysis state, and writes and reads itself in the
+//     positional binary layout of package wire (docs/PIPELINE.md,
 //     "Payload layouts"). The same artifact always encodes to the same
 //     bytes.
 //   - The profile stores only what was measured: the path trace, as ranks
@@ -13,7 +19,7 @@
 //     cycles. Path counts, block and edge counts and every branch history
 //     are derived from the trace on decode, and checked against the
 //     captured values on encode.
-//   - Function bodies travel in ir's positional layout
+//   - The optimized function travels in ir's positional layout
 //     (ir.AppendFunction): register numbers, block order and instruction
 //     order are stored as they are, so every downstream artifact references
 //     registers by number and blocks/instructions by position. Decoding
@@ -21,24 +27,25 @@
 //     text is printed or parsed on the way in, and the encode-time
 //     self-check decodes the fresh bytes and compares the printed forms.
 //   - Decoding rehydrates attached state against the in-context upstream
-//     artifacts (a.Inline.F, a.Inline.AM, a.Profile.Trace.Profile), so an
-//     artifact decoded from disk plugs into upstream artifacts of any
-//     provenance — memory-cached, disk-decoded, or freshly computed — and
-//     the pipeline's output is byte-identical in all combinations.
+//     artifacts (the function a.HotFunc returns and its analysis manager,
+//     a.Profile.Trace.Profile), so an artifact decoded from disk plugs into
+//     upstream artifacts of any provenance — memory-cached, disk-decoded,
+//     or freshly computed — and the pipeline's output is byte-identical in
+//     all combinations.
 //   - Every decoder reads through wire.Reader, which bounds each count
 //     and length by the bytes left and rejects trailing bytes, so hostile
 //     bytes decode to an error, never a panic or a huge allocation.
 //
 // codecVersion participates in every artifact's content address and header;
 // bump it whenever any payload layout or any encoding-relevant IR semantics
-// change, and old entries silently become misses.
+// change, and old entries silently become misses. Files of stages that no
+// longer persist (inline-*.art and frame-*.art from earlier builds) are
+// never read again; a size-capped store evicts them like any other.
 package pipeline
 
 import (
-	"errors"
 	"fmt"
 
-	"needle/internal/frame"
 	"needle/internal/ir"
 	"needle/internal/pm"
 	"needle/internal/region"
@@ -52,7 +59,7 @@ const codecVersion = 4
 // Codec returns the named stage's persistent codec, the pair a DiskStore
 // applies to its artifact: encode serializes a.<stage>-shaped output, and
 // decode rehydrates it against a's upstream artifacts. ok is false for an
-// unknown stage and for one without a codec (target).
+// unknown stage and for one without a codec (inline, frame and target).
 func Codec(stage string) (encode func(a *Artifacts, out any) ([]byte, error), decode func(a *Artifacts, data []byte) (any, error), ok bool) {
 	for i := range stages {
 		if st := &stages[i]; st.Name == stage && st.encode != nil {
@@ -94,45 +101,6 @@ func readFunc(r *wire.Reader) (*pm.Manager, *ir.Function, error) {
 		return nil, nil, err
 	}
 	return pm.NewManager(), f, nil
-}
-
-// readWords reads a word list wire.AppendUints wrote. Unlike wire.Uints,
-// it bounds no element: a word is any 64-bit value. An empty list is nil.
-func readWords(r *wire.Reader) []uint64 {
-	n := r.Count()
-	if n == 0 {
-		return nil
-	}
-	words := make([]uint64, n)
-	for i := range words {
-		words[i] = r.Uvarint()
-	}
-	return words
-}
-
-// The inline payload is the inlined function, then the workload's pristine
-// arguments and memory.
-func inlineEncode(_ *Artifacts, out any) ([]byte, error) {
-	art := out.(*InlineArtifact)
-	b, err := appendFunc(nil, art.F, "inline")
-	if err != nil {
-		return nil, err
-	}
-	b = wire.AppendUints(b, art.Args)
-	return wire.AppendUints(b, art.Memory), nil
-}
-
-func inlineDecode(a *Artifacts, data []byte) (any, error) {
-	r := wire.NewReader(data)
-	am, f, err := readFunc(r)
-	if err != nil {
-		return nil, err
-	}
-	art := &InlineArtifact{AM: am, F: f, Args: readWords(r), Memory: readWords(r)}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return art, nil
 }
 
 // The opt payload is the optimized function, then the removal summary.
@@ -219,49 +187,6 @@ func selectDecode(a *Artifacts, data []byte) (any, error) {
 			return nil, err
 		}
 		art.Braids[i] = br
-	}
-	return art, nil
-}
-
-// The frame payload is a presence flag and the positional frame data when
-// a frame was built, then the build error's message ("" for none), rebuilt
-// as a flat error that preserves the reported text byte for byte.
-func frameEncode(_ *Artifacts, out any) ([]byte, error) {
-	art := out.(*FrameArtifact)
-	b := wire.AppendBool(nil, art.HotBraidFrame != nil)
-	if art.HotBraidFrame != nil {
-		b = art.HotBraidFrame.Data().Append(b)
-	}
-	msg := ""
-	if art.FrameErr != nil {
-		msg = art.FrameErr.Error()
-	}
-	return wire.AppendString(b, msg), nil
-}
-
-func frameDecode(a *Artifacts, data []byte) (any, error) {
-	r := wire.NewReader(data)
-	var d *frame.Data
-	if r.Bool() {
-		d = frame.ReadData(r)
-	}
-	msg := r.Text()
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	art := &FrameArtifact{}
-	if msg != "" {
-		art.FrameErr = errors.New(msg)
-	}
-	if d != nil {
-		if len(a.Select.Braids) == 0 {
-			return nil, errors.New("pipeline: frame artifact with no braid to attach to")
-		}
-		fr, err := frame.FromData(&a.Select.Braids[0].Region, d)
-		if err != nil {
-			return nil, err
-		}
-		art.HotBraidFrame = fr
 	}
 	return art, nil
 }

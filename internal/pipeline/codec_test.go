@@ -17,27 +17,24 @@ import (
 )
 
 // codecStages lists every stage with a codec, in pipeline order.
-var codecStages = []string{"inline", "opt", "profile", "select", "frame"}
+var codecStages = []string{"opt", "profile", "select"}
 
 // stageOutput returns the artifact a's run produced for the named stage.
 func stageOutput(a *Artifacts, stage string) any {
 	switch stage {
-	case "inline":
-		return a.Inline
 	case "opt":
 		return a.Opt
 	case "profile":
 		return a.Profile
-	case "select":
-		return a.Select
 	default:
-		return a.Frame
+		return a.Select
 	}
 }
 
 // TestDiskStoreFillsAreByteIdentical fills two stores from the same 29
 // programs and requires the same files with the same bytes: an artifact
-// always encodes to the same payload.
+// always encodes to the same payload. Each program persists its profile
+// and select artifacts, and nothing else.
 func TestDiskStoreFillsAreByteIdentical(t *testing.T) {
 	cfg := testConfig()
 	var dirs [2]string
@@ -61,8 +58,8 @@ func TestDiskStoreFillsAreByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) < 4*29 {
-		t.Fatalf("only %d artifacts for 29 programs", len(entries))
+	if len(entries) != 2*29 {
+		t.Fatalf("%d artifacts for 29 programs, want %d", len(entries), 2*29)
 	}
 	for _, e := range entries {
 		a, err := os.ReadFile(filepath.Join(dirs[0], e.Name()))
@@ -248,41 +245,36 @@ func funcDiff(got, want *ir.Function) string {
 	return ""
 }
 
-// lbmInline returns 470.lbm's inline artifact and its payload, and the
-// length of the payload's function and args, ahead of the memory image.
-func lbmInline(t *testing.T) (*Artifacts, []byte, int) {
+// lbmOpt returns 470.lbm's run under Opt and its opt payload.
+func lbmOpt(t *testing.T) (*Artifacts, []byte) {
 	t.Helper()
-	a, err := Run(testWorkload(t), testConfig(), RunOptions{Store: NewCache()})
+	cfg := testConfig()
+	cfg.Opt = true
+	a, err := Run(testWorkload(t), cfg, RunOptions{Store: NewCache()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := inlineEncode(a, a.Inline)
+	b, err := optEncode(a, a.Opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	head, err := appendFunc(nil, a.Inline.F, "inline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a, b, len(wire.AppendUints(head, a.Inline.Args))
+	return a, b
 }
 
-// TestInlinePayloadHostileBytes cuts and flips 470.lbm's inline payload:
-// every result must decode to an error, or to a function that verifies and
-// encodes again, and none may panic. Every prefix through the function and
-// args is tried, then every 257th through the memory image, whose words
-// any bytes decode to; every byte of the function and args is flipped
-// three ways.
-func TestInlinePayloadHostileBytes(t *testing.T) {
-	a, b, head := lbmInline(t)
-	_, decode, _ := Codec("inline")
+// TestOptPayloadHostileBytes cuts and flips 470.lbm's opt payload, the
+// optimized function and its removal summary: every result must decode to
+// an error, or to a function that verifies and encodes again, and none may
+// panic. Every prefix is tried, and every byte is flipped three ways.
+func TestOptPayloadHostileBytes(t *testing.T) {
+	a, b := lbmOpt(t)
+	_, decode, _ := Codec("opt")
 	try := func(what string, data []byte) {
 		t.Helper()
 		out, err := decode(a, data)
 		if err != nil {
 			return
 		}
-		f := out.(*InlineArtifact).F
+		f := out.(*OptArtifact).F
 		if err := ir.Verify(f); err != nil {
 			t.Fatalf("%s: decoded function does not verify: %v", what, err)
 		}
@@ -291,16 +283,11 @@ func TestInlinePayloadHostileBytes(t *testing.T) {
 		}
 	}
 	for n := 0; n < len(b); n++ {
-		if n > head && (n-head)%257 != 0 {
-			continue
-		}
 		try(fmt.Sprintf("cut at %d", n), b[:n])
 	}
-	// Flips run on the payload with its memory image emptied, so a flip
-	// that still decodes does not pay for reading 40960 untouched words.
-	data := wire.AppendUints(slices.Clone(b[:head]), []uint64{})
-	try("no memory", data)
-	for i := 0; i < head; i++ {
+	data := slices.Clone(b)
+	try("whole", data)
+	for i := range data {
 		for _, mask := range [...]byte{0x01, 0x80, 0xff} {
 			data[i] ^= mask
 			try(fmt.Sprintf("byte %d ^ %#x", i, mask), data)
@@ -309,19 +296,19 @@ func TestInlinePayloadHostileBytes(t *testing.T) {
 	}
 }
 
-// TestHugeInstrCountIsRejectedWithoutAllocating: an inline payload whose
+// TestHugeInstrCountIsRejectedWithoutAllocating: an opt payload whose
 // instruction total claims 2^60 instructions is an error, found before any
 // arena is allocated.
 func TestHugeInstrCountIsRejectedWithoutAllocating(t *testing.T) {
-	a, _, _ := lbmInline(t)
-	f := a.Inline.F
+	a, _ := lbmOpt(t)
+	f := a.Opt.F
 	b := wire.AppendString(nil, f.Name)
 	b = wire.AppendUints(b, f.Params)
 	b = wire.AppendUvarint(b, uint64(f.NumRegs()))
 	b = wire.AppendUvarint(b, uint64(len(f.Blocks)))
 	b = wire.AppendUvarint(b, 1<<60) // instructions
 	b = append(b, make([]byte, 64)...)
-	_, decode, _ := Codec("inline")
+	_, decode, _ := Codec("opt")
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := decode(a, b)
@@ -335,7 +322,7 @@ func TestHugeInstrCountIsRejectedWithoutAllocating(t *testing.T) {
 }
 
 // TestFuncEncodeRefusesCalls: a function that still calls has no
-// positional form, so neither payload stores one.
+// positional form, so the opt payload cannot store one.
 func TestFuncEncodeRefusesCalls(t *testing.T) {
 	m, err := ir.Parse(`func @main(i64) {
 entry:
@@ -351,9 +338,6 @@ entry:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inlineEncode(nil, &InlineArtifact{F: m.Funcs[0]}); err == nil {
-		t.Fatal("an inline artifact with a call encoded")
-	}
 	if _, err := optEncode(nil, &OptArtifact{F: m.Funcs[0]}); err == nil {
 		t.Fatal("an opt artifact with a call encoded")
 	}
@@ -362,7 +346,8 @@ entry:
 // FuzzArtifactDecode feeds arbitrary bytes straight to each stage's decode,
 // with no header or CRC in front: the result must be an error or an
 // artifact that encodes again, never a panic. Real payloads of every stage
-// seed the corpus.
+// seed the corpus: each whole, cut in half, one byte short and with one
+// trailing byte, the shapes wire.Reader's bounds and Done check.
 func FuzzArtifactDecode(f *testing.F) {
 	cfg := testConfig()
 	cfg.Opt = true
@@ -382,6 +367,8 @@ func FuzzArtifactDecode(f *testing.F) {
 		}
 		f.Add(uint8(i), b)
 		f.Add(uint8(i), b[:len(b)/2])
+		f.Add(uint8(i), b[:len(b)-1])
+		f.Add(uint8(i), append(slices.Clone(b), 0))
 	}
 	f.Fuzz(func(t *testing.T, stage uint8, data []byte) {
 		name := codecStages[int(stage)%len(codecStages)]

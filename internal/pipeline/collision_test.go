@@ -96,8 +96,8 @@ func TestNameCollisionNoWarmStoreCrossHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := cold.DiskLen(); n != 4 {
-		t.Fatalf("cold run persisted %d artifacts, want 4", n)
+	if n := cold.DiskLen(); n != 2 {
+		t.Fatalf("cold run persisted %d artifacts, want 2 (profile, select)", n)
 	}
 
 	warm, err := NewDiskStore(dir, 0)
@@ -133,7 +133,7 @@ func TestNameCollisionNoWarmStoreCrossHit(t *testing.T) {
 	for _, cs := range warm2.Stats() {
 		diskHits += cs.DiskHits
 	}
-	if diskHits != 4 {
-		t.Errorf("identical program warm-started %d stages from disk, want 4", diskHits)
+	if diskHits != 2 {
+		t.Errorf("identical program warm-started %d stages from disk, want 2", diskHits)
 	}
 }

@@ -96,7 +96,7 @@ func TestOptWarmStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A fresh memory tier over the same disk directory forces the disk
-	// path for every cacheable stage.
+	// path for every persisted stage.
 	warmStore, err := NewDiskStore(store.Dir(), 0)
 	if err != nil {
 		t.Fatal(err)

@@ -219,8 +219,10 @@ type Stage struct {
 	apply func(a *Artifacts, out any)
 	// encode/decode are the stage's persistent codec (codec.go): encode
 	// serializes the artifact's pure data; decode rehydrates attached state
-	// against the in-context upstream artifacts. Stages without a codec
-	// (Target, which is never cached) are served by the memory tier only.
+	// against the in-context upstream artifacts. A stage declares one only
+	// when decoding is cheaper than recomputing (Opt, Profile, Select);
+	// stages without a codec (Inline and Frame, cheap passes over the IR,
+	// and Target, which is never cached) are served by the memory tier only.
 	encode func(a *Artifacts, out any) ([]byte, error)
 	decode func(a *Artifacts, data []byte) (any, error)
 	// skip, when non-nil and true for a config, elides the stage entirely
@@ -294,9 +296,7 @@ var inlineStage = Stage{
 		// artifact. It holds no span, since those runs are not this one.
 		return &InlineArtifact{AM: pm.NewManager(), F: f, Args: p.Args, Memory: p.Memory}, nil
 	},
-	apply:  func(a *Artifacts, out any) { a.Inline = out.(*InlineArtifact) },
-	encode: inlineEncode,
-	decode: inlineDecode,
+	apply: func(a *Artifacts, out any) { a.Inline = out.(*InlineArtifact) },
 }
 
 var optStage = Stage{
@@ -426,9 +426,7 @@ var frameStage = Stage{
 		out.HotBraidFrame = fr
 		return out, nil
 	},
-	apply:  func(a *Artifacts, out any) { a.Frame = out.(*FrameArtifact) },
-	encode: frameEncode,
-	decode: frameDecode,
+	apply: func(a *Artifacts, out any) { a.Frame = out.(*FrameArtifact) },
 }
 
 var targetStage = Stage{
@@ -474,13 +472,15 @@ type RunOptions struct {
 
 // Run executes the staged pipeline on one program. Zero-valued Config
 // fields are filled from DefaultConfig field by field. With a Store, the
-// Inline/Profile/Select/Frame artifacts are reused whenever the program key
-// (name + content digest) and the cumulative upstream fingerprint match a
-// prior run — from the memory tier, or (for a DiskStore) rehydrated from a
-// previous process's persisted artifacts; the Target stage always evaluates
-// fresh against the (possibly shared) upstream artifacts. Output is
-// byte-identical whichever tier the artifacts come from. With a Ctx, the
-// run stops between stages once the context is done and returns its error.
+// Inline/Opt/Profile/Select/Frame artifacts are reused whenever the program
+// key (name + content digest) and the cumulative upstream fingerprint match
+// a prior run — from the memory tier, or (for a DiskStore) with the Opt,
+// Profile and Select artifacts rehydrated from a previous process's
+// persisted ones and Inline and Frame recomputed around them. The Target
+// stage always evaluates fresh against the (possibly shared) upstream
+// artifacts. Output is byte-identical whichever tier the artifacts come
+// from. With a Ctx, the run stops between stages once the context is done
+// and returns its error.
 func Run(p *program.Program, cfg Config, opts RunOptions) (*Artifacts, error) {
 	cfg = cfg.WithDefaults()
 	sp := opts.Parent.Child("analyze " + p.Name)

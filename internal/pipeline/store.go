@@ -2,7 +2,8 @@
 // behind, and the content-addressed on-disk tier that lets a sweep warm-start
 // from a previous process's artifacts.
 //
-// On-disk layout: one file per stage artifact, named
+// On-disk layout: one file per persisted stage artifact (opt, profile and
+// select; codec.go says why only those), named
 //
 //	<stage>-<sha256(codec version | cumulative cache key)[:32]>.art
 //
@@ -66,9 +67,11 @@ const (
 // DiskStore is the two-tier persistent artifact store: an in-memory Cache
 // in front of a content-addressed directory of encoded artifacts. Within a
 // process it behaves exactly like a Cache (singleflight, shared rehydrated
-// artifacts); across processes, a memory miss is served by decoding the
-// on-disk artifact instead of recomputing, which skips the expensive
-// inline/profile work entirely on a warm start.
+// artifacts); across processes, a memory miss of a stage with a codec (opt,
+// profile, select) is served by decoding the on-disk artifact instead of
+// recomputing, which skips the instrumented profiling run entirely on a
+// warm start. Stages without a codec (inline, frame) are cheaper to rerun
+// than to decode and live in the memory tier only.
 type DiskStore struct {
 	dir      string
 	maxBytes int64

@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,8 +78,9 @@ var hexAddr = regexp.MustCompile(`0x[0-9a-f]+`)
 
 // TestDiskStoreWarmStartIdentical is the heart of the persistent-store
 // contract: a second store opened on the same directory (a fresh process's
-// view: empty memory tier) serves every cacheable stage from disk and the
-// run's observable outputs are identical to the cold run's.
+// view: empty memory tier) serves every persisted stage (profile, select)
+// from disk, recomputes inline and frame around them, and the run's
+// observable outputs are identical to the cold run's.
 func TestDiskStoreWarmStartIdentical(t *testing.T) {
 	dir := t.TempDir()
 	w, cfg := testWorkload(t), testConfig()
@@ -92,8 +93,8 @@ func TestDiskStoreWarmStartIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := cold.DiskLen(); n != 4 {
-		t.Fatalf("cold run persisted %d artifacts, want 4", n)
+	if n := cold.DiskLen(); n != 2 {
+		t.Fatalf("cold run persisted %d artifacts, want 2", n)
 	}
 
 	warm, err := NewDiskStore(dir, 0)
@@ -108,8 +109,8 @@ func TestDiskStoreWarmStartIdentical(t *testing.T) {
 	for _, cs := range warm.Stats() {
 		diskHits += cs.DiskHits
 	}
-	if diskHits != 4 {
-		t.Fatalf("warm run had %d disk hits, want 4 (stats %+v)", diskHits, warm.Stats())
+	if diskHits != 2 {
+		t.Fatalf("warm run had %d disk hits, want 2 (stats %+v)", diskHits, warm.Stats())
 	}
 
 	s1, s2 := artifactSignature(a1), artifactSignature(a2)
@@ -163,8 +164,8 @@ func TestDiskStoreCorruptEntriesAreMisses(t *testing.T) {
 		}
 		corrupted++
 	}
-	if corrupted != 4 {
-		t.Fatalf("corrupted %d artifacts, want 4", corrupted)
+	if corrupted != 2 {
+		t.Fatalf("corrupted %d artifacts, want 2", corrupted)
 	}
 
 	warm, err := NewDiskStore(dir, 0)
@@ -356,25 +357,35 @@ func TestCacheDoesNotCachePanics(t *testing.T) {
 	}
 }
 
-// TestStagesDeclareCodecs pins which stages are persistable: every
-// cacheable stage must have a codec, the Target stage must not.
+// TestStagesDeclareCodecs pins which stages persist: a stage declares a
+// codec only when decoding its artifact is cheaper than recomputing it,
+// which holds for opt, profile and select. Inline and frame are cheap
+// passes over the IR and stay in the memory tier; target is never cached.
 func TestStagesDeclareCodecs(t *testing.T) {
+	var persisted []string
 	for i := range stages {
 		st := &stages[i]
-		hasCodec := st.encode != nil && st.decode != nil
-		if st.cacheable && !hasCodec {
-			t.Errorf("cacheable stage %q has no persistent codec", st.Name)
+		if (st.encode == nil) != (st.decode == nil) {
+			t.Errorf("stage %q declares half a codec", st.Name)
 		}
-		if !st.cacheable && hasCodec {
+		if st.encode == nil {
+			continue
+		}
+		if !st.cacheable {
 			t.Errorf("uncacheable stage %q declares a codec it can never use", st.Name)
 		}
+		persisted = append(persisted, st.Name)
+	}
+	if want := []string{"opt", "profile", "select"}; !slices.Equal(persisted, want) {
+		t.Errorf("persisted stages %v, want %v", persisted, want)
 	}
 }
 
-// TestDiskStoreMixedTiers decodes downstream artifacts against a freshly
-// computed upstream: delete only the inline artifact from disk, warm-start,
-// and expect profile/select/frame to decode against the recomputed function
-// with identical results.
+// TestDiskStoreMixedTiers decodes an artifact against a mix of tiers:
+// delete only the select artifact from disk, warm-start, and expect the
+// profile to decode against the recomputed inline function, select to be
+// recomputed against the decoded profile, and the frame built on those
+// braids, with identical results.
 func TestDiskStoreMixedTiers(t *testing.T) {
 	dir := t.TempDir()
 	w, cfg := testWorkload(t), testConfig()
@@ -389,7 +400,7 @@ func TestDiskStoreMixedTiers(t *testing.T) {
 	entries, _ := os.ReadDir(dir)
 	removed := 0
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "inline-") {
+		if strings.HasPrefix(e.Name(), "select-") {
 			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
 				t.Fatal(err)
 			}
@@ -397,7 +408,7 @@ func TestDiskStoreMixedTiers(t *testing.T) {
 		}
 	}
 	if removed != 1 {
-		t.Fatalf("removed %d inline artifacts, want 1", removed)
+		t.Fatalf("removed %d select artifacts, want 1", removed)
 	}
 	warm, err := NewDiskStore(dir, 0)
 	if err != nil {
@@ -408,14 +419,14 @@ func TestDiskStoreMixedTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := warm.Stats()
-	if stats["inline"].DiskHits != 0 || stats["profile"].DiskHits != 1 {
+	if stats["profile"].DiskHits != 1 || stats["select"].DiskHits != 0 {
 		t.Fatalf("unexpected tier mix: %+v", stats)
 	}
 	if s1, s2 := artifactSignature(a1), artifactSignature(a2); s1 != s2 {
 		t.Errorf("mixed-tier run diverged:\n%s\nvs\n%s", s1, s2)
 	}
-	if !reflect.DeepEqual(stats["select"].DiskHits, int64(1)) {
-		t.Errorf("select stage not served from disk: %+v", stats["select"])
+	if n := warm.DiskLen(); n != 2 {
+		t.Errorf("the recomputed select artifact was not persisted again: %d artifacts on disk", n)
 	}
 }
 

@@ -56,8 +56,9 @@ func sameCandidate(a, b sim.Candidate) bool {
 
 // TestSimReusesHotBraidFrame pins that the Sim backend's braid choice,
 // which reuses the Frame stage's hot-braid frame, is the one framing the
-// top braid afresh gives, on every workload at default size — both when
-// the frame was just built and when it was decoded from a disk store.
+// top braid afresh gives, on every workload at default size — both on a
+// cold run and on a warm one, whose profile and braids are decoded from a
+// disk store and whose frame is built on those decoded braids.
 func TestSimReusesHotBraidFrame(t *testing.T) {
 	all := workloads.All()
 	if len(all) < 29 {
@@ -89,8 +90,12 @@ func TestSimReusesHotBraidFrame(t *testing.T) {
 					pass, w.Name, rep.BraidChoice.Policy, rep.BraidChoice.Result, want.Policy, want.Result)
 			}
 		}
-		if hits := store.Stats()["frame"].DiskHits; pass == "warm" && hits != int64(len(all)) {
-			t.Fatalf("warm pass decoded %d frames from disk, want %d", hits, len(all))
+		if pass == "warm" {
+			for _, stage := range []string{"profile", "select"} {
+				if hits := store.Stats()[stage].DiskHits; hits != int64(len(all)) {
+					t.Fatalf("warm pass decoded %d %s artifacts from disk, want %d", hits, stage, len(all))
+				}
+			}
 		}
 	}
 }

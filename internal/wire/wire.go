@@ -2,9 +2,9 @@
 // artifact is written in. A payload is a fixed sequence of fields with no
 // names, tags or type information: integers as varints (unsigned for
 // counts, indices and IDs, zig-zag signed otherwise), floats as their eight
-// IEEE-754 bytes in little-endian order, booleans as one 0/1 byte, and
-// strings and slices as a uvarint length followed by their elements. Each
-// artifact type writes and reads its own fields, next to its definition.
+// IEEE-754 bytes in little-endian order, and strings and slices as a
+// uvarint length followed by their elements. Each artifact type writes and
+// reads its own fields, next to its definition.
 //
 // Reader is the one decoder they share. It treats its input as hostile: a
 // malformed varint, a length or count larger than the bytes left, and
@@ -40,14 +40,6 @@ func AppendFloat64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
-// AppendBool appends one byte, 1 for true.
-func AppendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
 // AppendString appends s's length as a uvarint, then its bytes.
 func AppendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
@@ -56,7 +48,7 @@ func AppendString(b []byte, s string) []byte {
 
 // AppendUints appends a list of non-negative integers: its length, then
 // each element, as uvarints.
-func AppendUints[T ~uint8 | ~int | ~int32 | ~int64 | ~uint64](b []byte, s []T) []byte {
+func AppendUints[T ~uint8 | ~int | ~int32 | ~int64](b []byte, s []T) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	for _, v := range s {
 		b = binary.AppendUvarint(b, uint64(v))
@@ -204,24 +196,6 @@ func (r *Reader) Float64() float64 {
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf))
 	r.buf = r.buf[8:]
 	return v
-}
-
-// Bool reads one byte that must be 0 or 1.
-func (r *Reader) Bool() bool {
-	if r.err != nil {
-		return false
-	}
-	if len(r.buf) == 0 {
-		r.truncated()
-		return false
-	}
-	b := r.buf[0]
-	if b > 1 {
-		r.fail(errRange)
-		return false
-	}
-	r.buf = r.buf[1:]
-	return b == 1
 }
 
 // Text reads a length-prefixed string, copying its bytes.

@@ -10,7 +10,6 @@ func TestRoundTrip(t *testing.T) {
 	b = AppendUvarint(b, math.MaxUint64)
 	b = AppendVarint(b, math.MinInt64)
 	b = AppendFloat64(b, -1.5)
-	b = AppendBool(b, true)
 	b = AppendString(b, "needle")
 	b = AppendUvarint(b, 3)
 	b = AppendVarint(b, -7)
@@ -23,9 +22,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if v := r.Float64(); v != -1.5 {
 		t.Errorf("Float64 = %v", v)
-	}
-	if !r.Bool() {
-		t.Error("Bool = false")
 	}
 	if s := r.Text(); s != "needle" {
 		t.Errorf("Text = %q", s)
@@ -47,7 +43,6 @@ func TestHostileInput(t *testing.T) {
 	cases := map[string]func(r *Reader){
 		"truncated varint": func(r *Reader) { r.Uvarint() },
 		"short float":      func(r *Reader) { r.Float64() },
-		"bool byte 2":      func(r *Reader) { r.Bool() },
 		"index past n":     func(r *Reader) { r.Index(2) },
 		"count past end":   func(r *Reader) { r.Count() },
 		"text past end":    func(r *Reader) { r.Text() },
@@ -56,7 +51,6 @@ func TestHostileInput(t *testing.T) {
 	inputs := map[string][]byte{
 		"truncated varint": {0x80},
 		"short float":      {1, 2, 3},
-		"bool byte 2":      {2},
 		"index past n":     {2},
 		"count past end":   {3, 1, 1},
 		"text past end":    {9, 'a'},

@@ -24,14 +24,14 @@
 #     that the lazily-computed vet analyses cost a default sweep nothing.
 #
 # It also records, ungated, seven BenchmarkStage rows on 186.crafty,
-# 458.sjeng and 164.gzip, as ns/op and allocs/op per workload: the
-# inline-decode, opt-decode, profile-decode, select-decode and
-# frame-decode rows (each the stage's full codec decode from its stored
+# 458.sjeng and 164.gzip, as ns/op and allocs/op per workload: inline and
+# frame (the two stages a warm run recomputes rather than decodes, each
+# computed on a fresh analysis manager), the opt-decode, profile-decode and
+# select-decode rows (each the stage's full codec decode from its stored
 # bytes, as on a warm disk hit: payload read, then the function built from
-# arenas and verified, path-trace rehydration, braid rebuilds or frame
-# re-resolution), target (the Target stage alone,
-# upstream artifacts served from a pre-warmed Cache) and capture
-# (sim.Capture on the Inline artifact's function).
+# arenas and verified, path-trace rehydration or braid rebuilds), target
+# (the Target stage alone, upstream artifacts served from a pre-warmed
+# Cache) and capture (sim.Capture on the Inline artifact's function).
 #
 #   ./scripts/bench.sh            (or: make bench)
 #   BENCH_TIME=10x ./scripts/bench.sh   # more iterations, less noise
@@ -67,7 +67,7 @@ allocs_of() {
     }'
 }
 stages=""
-for layer in inline-decode opt-decode profile-decode select-decode frame-decode target capture; do
+for layer in inline opt-decode profile-decode select-decode frame target capture; do
     for w in 186.crafty 458.sjeng 164.gzip; do
         stages="$stages BenchmarkStage/$layer/$w"
     done
