@@ -250,9 +250,13 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 	})
 }
 
-// inlineSink keeps BenchmarkStage/inline's artifact alive, so the compiler
-// cannot drop the allocations a real Inline stage makes.
-var inlineSink *pipeline.InlineArtifact
+// inlineSink and selectSink keep BenchmarkStage/inline's and /select's
+// artifacts alive, so the compiler cannot drop the allocations the real
+// stages make.
+var (
+	inlineSink *pipeline.InlineArtifact
+	selectSink *pipeline.SelectArtifact
+)
 
 // BenchmarkStage times single pipeline layers at the workloads' default
 // sizes on the two workloads whose Ball-Larus path-ID spaces are sparse and
@@ -265,6 +269,9 @@ var inlineSink *pipeline.InlineArtifact
 //     program and gives the result a fresh analysis manager; frame builds
 //     the top braid's frame (frame.Build) under a fresh analysis manager,
 //     so every analysis it reads is computed in the iteration;
+//   - select computes the Select stage cold, as a cache miss does:
+//     region.Characterize on the hot function under a fresh analysis
+//     manager, plus region.BuildBraids on the profile;
 //   - opt-decode, profile-decode and select-decode each run the stage's
 //     codec decode (pipeline.Codec) on the bytes its encode stored, as a
 //     warm disk hit does: the positional payload read, the function built
@@ -274,9 +281,10 @@ var inlineSink *pipeline.InlineArtifact
 //     manager;
 //   - target runs every registered backend, so an iteration is the stage
 //     itself plus the cache hits that feed it;
-//   - capture runs sim.Capture on the Inline artifact's function over fresh
-//     copies of its args and memory, sharing the artifact's analysis manager
-//     across iterations as BenchmarkCapture does.
+//   - capture is the Profile stage's cold compute: sim.Capture on the
+//     Inline artifact's function over fresh copies of its args and memory,
+//     sharing the artifact's analysis manager across iterations as
+//     BenchmarkCapture does.
 func BenchmarkStage(b *testing.B) {
 	cfg := pipeline.DefaultConfig()
 	names := []string{"186.crafty", "458.sjeng", "164.gzip"}
@@ -347,6 +355,23 @@ func BenchmarkStage(b *testing.B) {
 	b.Run("opt-decode", decodeRow("opt", optCfg, func(a *pipeline.Artifacts) any { return a.Opt }))
 	b.Run("profile-decode", decodeRow("profile", cfg, func(a *pipeline.Artifacts) any { return a.Profile }))
 	b.Run("select-decode", decodeRow("select", cfg, func(a *pipeline.Artifacts) any { return a.Select }))
+	b.Run("select", func(b *testing.B) {
+		for _, name := range names {
+			b.Run(name, func(b *testing.B) {
+				_, _, a := warm(b, name, cfg)
+				_, f := a.HotFunc()
+				fp := a.Profile.Trace.Profile
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					selectSink = &pipeline.SelectArtifact{
+						CFStats: region.Characterize(pm.NewManager(), f),
+						Braids:  region.BuildBraids(fp, 0),
+					}
+				}
+			})
+		}
+	})
 	b.Run("frame", func(b *testing.B) {
 		for _, name := range names {
 			b.Run(name, func(b *testing.B) {

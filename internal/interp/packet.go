@@ -1,12 +1,12 @@
-// Timing packets: the per-block half of the batched capture fast path. A
+// Timing packets: the unit of a timed run's feed to the host model. A
 // packet is the timing model's view of one planned basic block — opcode,
 // unit class, destination register, and source registers of every dynamic
 // instruction the block issues (phi-move prefix, body, terminator) — laid
 // out as a dense array of compact fixed-size entries. BuildPlan derives one
 // packet per block (backed by a single per-plan arena, so hot blocks walk
 // contiguous memory), and the capture loop hands the whole block to the
-// timing model in a single FeedBlock call: the model walks flat entries
-// instead of chasing *ir.Instr pointers one virtual Feed at a time.
+// timing model in a single Timing.FeedBlock call: the model walks flat
+// entries instead of chasing *ir.Instr pointers.
 package interp
 
 import "needle/internal/ir"
@@ -132,18 +132,4 @@ func compactPackets(pks []*TimingPacket) {
 		offArena = append(offArena, pk.SrcOff...)
 		pk.SrcOff = offArena[o0:len(offArena):len(offArena)]
 	}
-}
-
-// BlockTiming is a Timing that can consume a whole planned block in one
-// call. The batched capture loop prefers it over per-instruction Feed;
-// *ooo.Model implements it, and the hooked per-instruction path remains the
-// equivalence oracle (feeding a packet must be indistinguishable from
-// feeding its instructions sequentially).
-type BlockTiming interface {
-	Timing
-	// FeedBlock schedules the first n entries of the packet. addrs holds the
-	// effective word addresses of the memory entries among them, in entry
-	// order (extra trailing addresses are ignored, which lets a partial feed
-	// after a faulting memory op reuse the caller's scratch as-is).
-	FeedBlock(pk *TimingPacket, n int, addrs []int64)
 }

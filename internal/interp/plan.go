@@ -33,10 +33,10 @@ var (
 	obsPlanBuilds = obs.GetCounter("interp.plan.builds")
 )
 
-// ErrTimedCall is returned by a timed run (PlanOpts.Timing or History set) of
-// a plan whose body calls another function: callees run unprofiled, so the
-// timing model and the history register would miss their instructions. The
-// pipeline inlines every call before it captures.
+// ErrTimedCall is returned by a timed run (PlanOpts.Timing set) of a plan
+// whose body calls another function: callees run unprofiled, so the timing
+// model would miss their instructions and branches. The pipeline inlines
+// every call before it captures.
 var ErrTimedCall = errors.New("interp: timed run with calls")
 
 // noHooks is the empty hook set callees run under.
@@ -72,7 +72,7 @@ type planSucc struct {
 
 // planBlock is the flattened form of one basic block.
 type planBlock struct {
-	phis []*ir.Instr // phi prefix (kept for timing-model feeds)
+	phis []*ir.Instr // phi prefix (its length bounds the block's steps)
 	body []*ir.Instr // non-phi, non-terminator instructions
 	term *ir.Instr   // the terminator
 	// moves[predSlot] lists the phi assignments to perform when control
@@ -252,8 +252,8 @@ func BuildPlan(f *ir.Function) *Plan {
 	}
 
 	// Timing packets: the dynamic feed sequence of each block (phi prefix,
-	// body, terminator) flattened into dense arrays, so the batched capture
-	// path hands the timing model one FeedBlock per executed block. A plan
+	// body, terminator) flattened into dense arrays, so a timed run hands
+	// its Timing one FeedBlock per executed block. A plan
 	// with an error never executes, so it does not pay for packets.
 	if p.err == nil {
 		var seq []*ir.Instr
@@ -404,7 +404,9 @@ func (st *PathState) EachPath(fn func(id, freq int64)) {
 	}
 }
 
-func (st *PathState) record(id int64, onPath func(int64)) {
+// record counts one completed path, traces it, and reports it to timing
+// when the run is timed.
+func (st *PathState) record(id int64, timing Timing) {
 	if st.dense != nil {
 		st.dense[id]++
 	} else {
@@ -413,38 +415,40 @@ func (st *PathState) record(id int64, onPath func(int64)) {
 	if st.recordTrace {
 		st.Trace = append(st.Trace, id)
 	}
-	if onPath != nil {
-		onPath(id)
+	if timing != nil {
+		timing.EndPath(id)
 	}
 }
 
-// Timing consumes the dynamic instruction stream of a planned run, exactly
-// as the Instr/Mem/Edge hook combination feeds the host timing model on the
-// slow path. *ooo.Model implements it.
+// Timing is the one consumer of a timed run's dynamic stream: the executed
+// blocks as timing packets, the conditional-branch outcomes, and the path
+// completions, in program order. sim.Capture's consumer drives the host
+// timing model (ooo.Model supplies FeedBlock and NoteBranch) and attributes
+// cycles and branch history to each path occurrence in EndPath.
 type Timing interface {
-	// Feed schedules one dynamic instruction; addr is the effective word
-	// address for memory operations (0 otherwise).
-	Feed(in *ir.Instr, addr int64)
-	// NoteBranch reports a conditional branch outcome, after the branch
-	// instruction has been fed.
+	// FeedBlock schedules the first n entries of the packet. addrs holds the
+	// effective word addresses of the memory entries among them, in entry
+	// order (extra trailing addresses are ignored, which lets a partial feed
+	// after a faulting memory op reuse the caller's scratch as-is).
+	FeedBlock(pk *TimingPacket, n int, addrs []int64)
+	// NoteBranch reports a conditional branch outcome, after the block the
+	// branch ends has been fed and after the EndPath its edge completes.
 	NoteBranch(taken bool)
+	// EndPath reports a completed Ball-Larus path ID, after the profile
+	// counters update and before the completing branch's NoteBranch, so a
+	// consumer reading the branch history here sees it as of the path's
+	// last branch, without that branch's own bit.
+	EndPath(id int64)
 }
 
 // PlanOpts configures RunProfiled.
 type PlanOpts struct {
 	// MaxSteps bounds dynamic instructions (<= 0: the Run default).
 	MaxSteps int64
-	// Timing, when non-nil, receives every executed instruction in program
-	// order plus conditional-branch outcomes (the fused host-model feed).
+	// Timing, when non-nil, receives the run's dynamic stream: one FeedBlock
+	// per executed block, every conditional-branch outcome and every path
+	// completion.
 	Timing Timing
-	// History, when non-nil, is a branch-history shift register updated at
-	// every conditional branch: 1 shifted in when the taken arm ran.
-	History *uint64
-	// OnPath fires at every path completion with the completed path ID,
-	// after counters update but before the history register shifts the
-	// completing edge's bit (matching the hook ordering the system
-	// simulator's cycle attribution depends on).
-	OnPath func(id int64)
 }
 
 // RunProfiled executes a planned function over the fused profiling fast path:
@@ -470,7 +474,7 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 	if p.err != nil {
 		return Result{}, p.err
 	}
-	if p.calls && (opts.Timing != nil || opts.History != nil) {
+	if p.calls && opts.Timing != nil {
 		return Result{}, fmt.Errorf("%w in %s", ErrTimedCall, f.Name)
 	}
 	maxSteps := opts.MaxSteps
@@ -478,19 +482,15 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 		maxSteps = 1 << 32
 	}
 	timing := opts.Timing
-	hist := opts.History
-	onPath := opts.OnPath
+	timed := timing != nil
 
-	// Batched timing: a BlockTiming consumer receives one FeedBlock per
-	// executed block (walking the precompiled packet) instead of one virtual
-	// Feed per instruction. Error paths feed the partial packet up to the
+	// A timed run feeds one FeedBlock per executed block, walking the
+	// precompiled packet. Error paths feed the partial packet up to the
 	// last completed instruction, so the model's state matches the
 	// per-instruction oracle even on runs that fault mid-block. The address
 	// scratch is reused across every block of the run.
-	bt, batch := timing.(BlockTiming)
-	feedEach := timing != nil && !batch
 	var addrs []int64
-	if batch && p.maxMem > 0 {
+	if timed && p.maxMem > 0 {
 		addrs = make([]int64, 0, p.maxMem)
 	}
 
@@ -504,12 +504,6 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 	}
 
 	var steps int64
-	// pend mirrors the hook path's address capture: the Mem hook only fires
-	// for memory ops and nothing clears it, so a timing model sees the last
-	// memory address alongside every subsequent non-memory instruction. The
-	// value is only meaningful for memory ops, but the fast path reproduces
-	// the stale reads too so the two event streams are indistinguishable.
-	var pend int64
 	cur := 0
 	predSlot := int32(0)
 	pathReg := bl.EntryVal
@@ -522,7 +516,7 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 		// step budget, the per-instruction limit checks are skipped.
 		careful := steps+int64(len(b.phis)+len(b.body)+1) > maxSteps
 		nPhis := len(b.phis)
-		if batch {
+		if timed {
 			addrs = addrs[:0]
 		}
 
@@ -538,13 +532,10 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 				regs[moves[i].dst] = phiTmp[i]
 				steps++
 				if careful && steps > maxSteps {
-					if batch {
-						bt.FeedBlock(b.packet, i, addrs)
+					if timed {
+						timing.FeedBlock(b.packet, i, addrs)
 					}
 					return Result{Steps: steps}, fmt.Errorf("%w (limit %d) in %s", ErrStepLimit, maxSteps, f.Name)
-				}
-				if feedEach {
-					timing.Feed(b.phis[i], pend)
 				}
 			}
 		}
@@ -553,8 +544,8 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 			c := &b.code[j]
 			steps++
 			if careful && steps > maxSteps {
-				if batch {
-					bt.FeedBlock(b.packet, nPhis+j, addrs)
+				if timed {
+					timing.FeedBlock(b.packet, nPhis+j, addrs)
 				}
 				return Result{Steps: steps}, fmt.Errorf("%w (limit %d) in %s", ErrStepLimit, maxSteps, f.Name)
 			}
@@ -612,29 +603,27 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 				}
 			case ir.OpLoad:
 				addr := int64(regs[c.a0])
-				pend = addr
-				if batch {
+				if timed {
 					addrs = append(addrs, addr)
 				}
 				if uint64(addr) < uint64(len(mem)) {
 					regs[c.dst] = mem[addr]
 				} else if _, err := Eval(b.body[j], regs, mem); err != nil {
-					if batch {
-						bt.FeedBlock(b.packet, nPhis+j, addrs)
+					if timed {
+						timing.FeedBlock(b.packet, nPhis+j, addrs)
 					}
 					return Result{Steps: steps}, fmt.Errorf("%w in %s.%s", err, f.Name, f.Blocks[cur].Name)
 				}
 			case ir.OpStore:
 				addr := int64(regs[c.a0])
-				pend = addr
-				if batch {
+				if timed {
 					addrs = append(addrs, addr)
 				}
 				if uint64(addr) < uint64(len(mem)) {
 					mem[addr] = regs[c.a1]
 				} else if _, err := Eval(b.body[j], regs, mem); err != nil {
-					if batch {
-						bt.FeedBlock(b.packet, nPhis+j, addrs)
+					if timed {
+						timing.FeedBlock(b.packet, nPhis+j, addrs)
 					}
 					return Result{Steps: steps}, fmt.Errorf("%w in %s.%s", err, f.Name, f.Blocks[cur].Name)
 				}
@@ -652,16 +641,10 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 					careful = true
 					continue
 				}
-				if in.Op.IsMemory() {
-					pend = int64(regs[c.a0])
-					if batch {
-						addrs = append(addrs, pend)
-					}
-				}
 				v, err := Eval(in, regs, mem)
 				if err != nil {
-					if batch {
-						bt.FeedBlock(b.packet, nPhis+j, addrs)
+					if timed {
+						timing.FeedBlock(b.packet, nPhis+j, addrs)
 					}
 					return Result{Steps: steps}, fmt.Errorf("%w in %s.%s", err, f.Name, f.Blocks[cur].Name)
 				}
@@ -669,22 +652,17 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 					regs[in.Dst] = v
 				}
 			}
-			if feedEach {
-				timing.Feed(b.body[j], pend)
-			}
 		}
 
 		steps++
 		if careful && steps > maxSteps {
-			if batch {
-				bt.FeedBlock(b.packet, nPhis+len(b.body), addrs)
+			if timed {
+				timing.FeedBlock(b.packet, nPhis+len(b.body), addrs)
 			}
 			return Result{Steps: steps}, fmt.Errorf("%w (limit %d) in %s", ErrStepLimit, maxSteps, f.Name)
 		}
-		if batch {
-			bt.FeedBlock(b.packet, b.packet.Len(), addrs)
-		} else if timing != nil {
-			timing.Feed(b.term, pend)
+		if timed {
+			timing.FeedBlock(b.packet, b.packet.Len(), addrs)
 		}
 		switch b.kind {
 		case termRet:
@@ -692,14 +670,14 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 			if b.retReg != ir.NoReg {
 				ret = regs[b.retReg]
 			}
-			st.record(pathReg+bl.RetVal[cur], onPath)
+			st.record(pathReg+bl.RetVal[cur], timing)
 			return Result{Ret: ret, Steps: steps}, nil
 		case termBr:
 			s := &b.succs[0]
 			e := &bl.Succs[cur][0]
 			st.Edges[s.edgeSlot]++
 			if e.Flush {
-				st.record(pathReg+e.Inc, onPath)
+				st.record(pathReg+e.Inc, timing)
 				pathReg = e.Reset
 			} else {
 				pathReg += e.Inc
@@ -714,16 +692,13 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 			e := &bl.Succs[cur][k]
 			st.Edges[s.edgeSlot]++
 			if e.Flush {
-				st.record(pathReg+e.Inc, onPath)
+				st.record(pathReg+e.Inc, timing)
 				pathReg = e.Reset
 			} else {
 				pathReg += e.Inc
 			}
-			if timing != nil {
+			if timed {
 				timing.NoteBranch(s.taken != 0)
-			}
-			if hist != nil {
-				*hist = *hist<<1 | uint64(s.taken)
 			}
 			cur, predSlot = int(s.to), s.predSlot
 		}

@@ -145,19 +145,17 @@ func TestPlanCallsMatchRun(t *testing.T) {
 // with calls returns ErrTimedCall instead of a partial feed.
 func TestPlanTimedCallRefused(t *testing.T) {
 	f := parseModule(t, callSrc).Func("main")
-	var hist uint64
-	for _, opts := range []PlanOpts{{History: &hist}, {Timing: nopTiming{}}} {
-		res, err := runPlan(f, []uint64{IBits(2)}, make([]uint64, 4), opts)
-		if !errors.Is(err, ErrTimedCall) || res.Steps != 0 {
-			t.Errorf("timed run: %+v, %v; want ErrTimedCall before the first step", res, err)
-		}
+	res, err := runPlan(f, []uint64{IBits(2)}, make([]uint64, 4), PlanOpts{Timing: nopTiming{}})
+	if !errors.Is(err, ErrTimedCall) || res.Steps != 0 {
+		t.Errorf("timed run: %+v, %v; want ErrTimedCall before the first step", res, err)
 	}
 }
 
 type nopTiming struct{}
 
-func (nopTiming) Feed(*ir.Instr, int64) {}
-func (nopTiming) NoteBranch(bool)       {}
+func (nopTiming) FeedBlock(*TimingPacket, int, []int64) {}
+func (nopTiming) NoteBranch(bool)                       {}
+func (nopTiming) EndPath(int64)                         {}
 
 // TestPlanEntryPhiError: phis in the entry block make every run fail with
 // the hook interpreter's exact error, before the first step.

@@ -1,9 +1,11 @@
 // Package ooo is the host-core timing model: a streaming, dependence-based
 // out-of-order scheduler with the Table V parameters (4-wide issue, 96-entry
 // ROB, 6 ALUs, 2 FPUs, perfect branch prediction). It consumes the dynamic
-// instruction stream from interpreter hooks and reports the cycle count the
-// modeled core would need — the same first-order model the paper's
-// macsim-based simulator provides.
+// instruction stream one executed block at a time, as the compiled plan's
+// timing packets (interp.RunProfiled feeds FeedBlock and NoteBranch through
+// interp.Timing), and reports the cycle count the modeled core would need —
+// the same first-order model the paper's macsim-based simulator provides.
+// It also keeps the run's global branch-history register.
 package ooo
 
 import (
@@ -90,7 +92,10 @@ type OpMix struct {
 }
 
 // Model is the streaming timing model. Feed it the dynamic instruction
-// stream (via Hooks or direct Feed calls) and read Cycles at the end.
+// stream block by block with FeedBlock, report every conditional branch
+// with NoteBranch, and read Cycles at the end. The per-instruction Feed,
+// and Hooks built on it, are the oracle FeedBlock is tested against and
+// the hooked interpreter's feed.
 type Model struct {
 	cfg   Config
 	cache *mem.Cache
@@ -107,9 +112,13 @@ type Model struct {
 	lastDone int64 // max finish time
 	pendAddr int64 // address captured by the Mem hook for the next instr
 
+	// history is the global branch-history register: NoteBranch shifts in
+	// 1 for taken, 0 for fall-through. The predictor indexes its table
+	// with it.
+	history uint64
+
 	// Branch predictor state (RealBranchPredictor only).
 	bpTable    []int8
-	bpHistory  uint64
 	stallUntil int64 // fetch stalls until this cycle after a misprediction
 	lastBranch int64 // finish time of the most recent conditional branch
 
@@ -168,14 +177,17 @@ func (m *Model) Hooks() *interp.Hooks {
 	}
 }
 
-// NoteBranch informs the (optional) branch predictor of a conditional
-// branch outcome; call it right after feeding the branch instruction.
+// NoteBranch shifts a conditional branch outcome into the history register
+// and, when the real predictor is on, first predicts and trains it; call it
+// right after feeding the branch instruction.
 func (m *Model) NoteBranch(taken bool) {
+	h := m.history
+	m.history = h<<1 | b2u(taken)
 	if m.bpTable == nil {
 		return
 	}
 	m.Branches++
-	idx := m.bpHistory & uint64(len(m.bpTable)-1)
+	idx := h & uint64(len(m.bpTable)-1)
 	predictTaken := m.bpTable[idx] >= 2
 	if predictTaken != taken {
 		m.Mispredicts++
@@ -191,8 +203,11 @@ func (m *Model) NoteBranch(taken bool) {
 	} else if m.bpTable[idx] > 0 {
 		m.bpTable[idx]--
 	}
-	m.bpHistory = m.bpHistory<<1 | b2u(taken)
 }
+
+// History returns the global branch-history register: one bit per
+// conditional branch noted so far, the most recent in bit 0.
+func (m *Model) History() uint64 { return m.history }
 
 func b2u(v bool) uint64 {
 	if v {
@@ -282,13 +297,13 @@ func (m *Model) Feed(in *ir.Instr, addr int64) {
 }
 
 // FeedBlock schedules the first n entries of a precompiled timing packet —
-// the batched equivalent of n sequential Feed calls, and the entry point the
-// capture fast path uses once per executed block. addrs holds the effective
-// word addresses of the packet's memory entries in order (trailing extras
-// are ignored). All per-instruction state (fetch group, ROB slot, unit
-// pools, register-ready times) is walked with plain array indexing and
-// hoisted locals; no *ir.Instr is touched. Interleaving FeedBlock with Feed
-// and NoteBranch is legal — the hooked per-instruction path is the
+// the batched equivalent of n sequential Feed calls, and the model's one
+// feed in a timed interp.RunProfiled, once per executed block. addrs holds
+// the effective word addresses of the packet's memory entries in order
+// (trailing extras are ignored). All per-instruction state (fetch group,
+// ROB slot, unit pools, register-ready times) is walked with plain array
+// indexing and hoisted locals; no *ir.Instr is touched. Interleaving
+// FeedBlock with Feed and NoteBranch is legal — sequential Feed is the
 // equivalence oracle the ooo packet tests pin this against.
 func (m *Model) FeedBlock(pk *interp.TimingPacket, n int, addrs []int64) {
 	if n <= 0 {

@@ -264,7 +264,7 @@ func stateOf(m *Model) map[string]any {
 		"fetchRem":    m.fetchRem,
 		"lastDone":    m.lastDone,
 		"bpTable":     append([]int8(nil), m.bpTable...),
-		"bpHistory":   m.bpHistory,
+		"history":     m.history,
 		"stallUntil":  m.stallUntil,
 		"lastBranch":  m.lastBranch,
 		"Mix":         m.Mix,

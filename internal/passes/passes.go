@@ -7,6 +7,7 @@
 package passes
 
 import (
+	"errors"
 	"fmt"
 
 	"needle/internal/ir"
@@ -14,6 +15,10 @@ import (
 
 // maxInlineDepth bounds how many nested call levels InlineAll flattens.
 const maxInlineDepth = 8
+
+// ErrInlineDepth is returned by InlineAll for a function whose calls nest
+// deeper than maxInlineDepth levels, recursion included.
+var ErrInlineDepth = errors.New("passes: calls nest too deep to inline")
 
 // InlineAll clones f with every call (transitively) inlined, up to
 // maxInlineDepth nested levels. Functions without calls are returned
@@ -29,7 +34,7 @@ func InlineAll(f *ir.Function) (*ir.Function, error) {
 	uniq := 0
 	for depth := 0; ; depth++ {
 		if depth >= maxInlineDepth {
-			return nil, fmt.Errorf("passes: %s still has calls after %d inlining rounds (recursion?)", f.Name, maxInlineDepth)
+			return nil, fmt.Errorf("%w: %s still has calls after %d inlining rounds (recursion?)", ErrInlineDepth, f.Name, maxInlineDepth)
 		}
 		next, changed, err := inlineOnce(cur, &uniq)
 		if err != nil {

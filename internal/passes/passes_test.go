@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -178,8 +179,8 @@ func TestInlineRejectsRecursion(t *testing.T) {
 	}
 	f.Blocks = []*ir.Block{blk}
 	f.Finish()
-	if _, err := InlineAll(f); err == nil {
-		t.Fatal("expected recursion error")
+	if _, err := InlineAll(f); !errors.Is(err, ErrInlineDepth) {
+		t.Fatalf("InlineAll(rec) = %v, want ErrInlineDepth", err)
 	}
 }
 

@@ -13,25 +13,57 @@ import (
 	"needle/internal/workloads"
 )
 
-// feedEvent is one Timing.Feed observation.
+// feedEvent is one fed instruction: its opcode, its destination (-1 when it
+// defines none) and, for a memory op, its effective address.
 type feedEvent struct {
 	op   ir.Op
-	dst  ir.Reg
+	dst  int32
 	addr int64
 }
 
-// recTiming records the exact event stream a timing model would see, so the
-// fast path and the hook path can be compared instruction by instruction.
+// pathEnd is one completed path and the branch-history register when it
+// completed, which pins where path ends fall among the branch outcomes.
+type pathEnd struct {
+	id   int64
+	hist uint64
+}
+
+// recTiming records the exact stream a timing model would see — every fed
+// instruction, branch outcome and completed path, plus the branch-history
+// register the outcomes shift — so the fast path and the hook path can be
+// compared instruction by instruction.
 type recTiming struct {
 	feeds    []feedEvent
 	branches []bool
+	hist     uint64
+	ends     []pathEnd
 }
 
-func (r *recTiming) Feed(in *ir.Instr, addr int64) {
-	r.feeds = append(r.feeds, feedEvent{in.Op, in.Dst, addr})
+// FeedBlock expands the first n entries of the packet, pairing each memory
+// entry with the next address.
+func (r *recTiming) FeedBlock(pk *interp.TimingPacket, n int, addrs []int64) {
+	for _, e := range pk.Ent[:n] {
+		ev := feedEvent{op: ir.Op(e.Op), dst: e.Dst}
+		if e.Class == interp.TimingClassMem {
+			ev.addr, addrs = addrs[0], addrs[1:]
+		}
+		r.feeds = append(r.feeds, ev)
+	}
 }
 
-func (r *recTiming) NoteBranch(taken bool) { r.branches = append(r.branches, taken) }
+func (r *recTiming) NoteBranch(taken bool) {
+	r.branches = append(r.branches, taken)
+	r.hist = r.hist<<1 | b2u(taken)
+}
+
+func (r *recTiming) EndPath(id int64) { r.ends = append(r.ends, pathEnd{id, r.hist}) }
+
+func b2u(v bool) uint64 {
+	if v {
+		return 1
+	}
+	return 0
+}
 
 // hookOracle collects, on the hook interpreter, the profile the compiled
 // plan must reproduce: a Ball-Larus profiler plus block and edge counters
@@ -96,17 +128,27 @@ func (o *hookOracle) finish(t testing.TB) *FunctionProfile {
 	return fp
 }
 
-// timingHooks adapts a Timing to interpreter hooks exactly as ooo.Model
-// wires itself: the Mem event captures the effective address for the Instr
-// event that follows, and condbr edges report the branch outcome.
-func timingHooks(tm interp.Timing) *interp.Hooks {
+// timingHooks records on interpreter hooks the stream a recTiming records
+// on the plan: the Mem event captures the effective address of the memory
+// Instr event that follows, and condbr edges report the branch outcome.
+// It leaves r.hist to histHooks.
+func timingHooks(r *recTiming) *interp.Hooks {
 	var pend int64
 	return &interp.Hooks{
-		Mem:   func(_ *ir.Instr, addr int64) { pend = addr },
-		Instr: func(in *ir.Instr) { tm.Feed(in, pend) },
+		Mem: func(_ *ir.Instr, addr int64) { pend = addr },
+		Instr: func(in *ir.Instr) {
+			ev := feedEvent{op: in.Op, dst: -1}
+			if in.Op.HasDest() {
+				ev.dst = int32(in.Dst)
+			}
+			if in.Op.IsMemory() {
+				ev.addr = pend
+			}
+			r.feeds = append(r.feeds, ev)
+		},
 		Edge: func(from, to *ir.Block) {
 			if t := from.Term(); t != nil && t.Op == ir.OpCondBr {
-				tm.NoteBranch(t.Blocks[0] == to)
+				r.branches = append(r.branches, t.Blocks[0] == to)
 			}
 		},
 	}
@@ -129,42 +171,42 @@ func histHooks(h *uint64) *interp.Hooks {
 }
 
 // runStyle profiles f once, timed, and returns everything observable: the
-// result, the final memory, the timing event stream, the branch-history
-// register, the OnPath ID sequence, and the finished profile. hooked runs
-// the hook oracle instead of the collector.
+// result, the final memory, the timing stream (fed instructions, branch
+// outcomes, the branch-history register and the completed path IDs), and
+// the finished profile. hooked runs the hook oracle instead of the
+// collector, with the history register kept by histHooks and the path ends
+// by the Ball-Larus profiler's OnPath.
 func runStyle(t *testing.T, f *ir.Function, initMem []uint64, args []uint64, hooked bool, maxSteps int64) (
-	interp.Result, error, []uint64, *recTiming, uint64, []int64, *FunctionProfile,
+	interp.Result, error, []uint64, *recTiming, *FunctionProfile,
 ) {
 	t.Helper()
-	var ids []int64
-	onPath := func(id int64) { ids = append(ids, id) }
 	mem := append([]uint64(nil), initMem...)
 	tm := &recTiming{}
-	var hist uint64
 	var res interp.Result
 	var runErr error
 	var fp *FunctionProfile
 	if hooked {
 		o := newHookOracle(t, f)
-		o.prof.OnPath = onPath
-		res, runErr = interp.Run(f, args, mem, interp.CombineHooks(o.hooks(), timingHooks(tm), histHooks(&hist)), maxSteps)
+		// The profiler's hooks run before histHooks', as EndPath runs
+		// before the completing branch's NoteBranch.
+		o.prof.OnPath = tm.EndPath
+		res, runErr = interp.Run(f, args, mem, interp.CombineHooks(o.hooks(), timingHooks(tm), histHooks(&tm.hist)), maxSteps)
 		if runErr == nil {
 			fp = o.finish(t)
 		}
-		return res, runErr, mem, tm, hist, ids, fp
+		return res, runErr, mem, tm, fp
 	}
 	c, err := NewCollector(nil, f, true)
 	if err != nil {
 		t.Fatalf("NewCollector: %v", err)
 	}
-	c.SetOnPath(onPath)
-	res, runErr = c.RunTimed(args, mem, tm, &hist, maxSteps)
+	res, runErr = c.RunTimed(args, mem, tm, maxSteps)
 	if runErr == nil {
 		if fp, err = c.Finish(); err != nil {
 			t.Fatalf("Finish: %v", err)
 		}
 	}
-	return res, runErr, mem, tm, hist, ids, fp
+	return res, runErr, mem, tm, fp
 }
 
 func compareProfiles(t *testing.T, seed int64, fast, hook *FunctionProfile) {
@@ -197,8 +239,9 @@ func compareProfiles(t *testing.T, seed int64, fast, hook *FunctionProfile) {
 // compiled-plan fast path: across hundreds of random structured CFGs,
 // RunProfiled must be observationally identical to hook-based interp.Run —
 // same return value and step count, same final memory, same timing event
-// stream (Feed arguments and branch outcomes in order), same history
-// register, same OnPath sequence, and a byte-identical finished profile.
+// stream (fed instructions with memory addresses, and branch outcomes, in
+// order), same history register, same completed-path sequence, and a
+// byte-identical finished profile.
 func TestFastPathMatchesHooksOnRandomCFGs(t *testing.T) {
 	const seeds = 300
 	cfg := irgen.DefaultConfig()
@@ -206,8 +249,8 @@ func TestFastPathMatchesHooksOnRandomCFGs(t *testing.T) {
 		p := irgen.Generate(seed, cfg)
 		args := []uint64{uint64(seed*7 + 3)}
 
-		resF, errF, memF, tmF, histF, idsF, fpF := runStyle(t, p.F, p.Mem, args, false, 0)
-		resH, errH, memH, tmH, histH, idsH, fpH := runStyle(t, p.F, p.Mem, args, true, 0)
+		resF, errF, memF, tmF, fpF := runStyle(t, p.F, p.Mem, args, false, 0)
+		resH, errH, memH, tmH, fpH := runStyle(t, p.F, p.Mem, args, true, 0)
 		if errF != nil || errH != nil {
 			t.Fatalf("seed %d: run errors: fast=%v hook=%v", seed, errF, errH)
 		}
@@ -224,11 +267,11 @@ func TestFastPathMatchesHooksOnRandomCFGs(t *testing.T) {
 		if !reflect.DeepEqual(tmF.branches, tmH.branches) {
 			t.Fatalf("seed %d: branch outcome streams differ", seed)
 		}
-		if histF != histH {
-			t.Fatalf("seed %d: history register fast=%#x hook=%#x", seed, histF, histH)
+		if tmF.hist != tmH.hist {
+			t.Fatalf("seed %d: history register fast=%#x hook=%#x", seed, tmF.hist, tmH.hist)
 		}
-		if !reflect.DeepEqual(idsF, idsH) {
-			t.Fatalf("seed %d: OnPath sequences differ", seed)
+		if !reflect.DeepEqual(tmF.ends, tmH.ends) {
+			t.Fatalf("seed %d: completed-path sequences differ", seed)
 		}
 		compareProfiles(t, seed, fpF, fpH)
 	}
@@ -264,22 +307,22 @@ exit:
 		t.Fatalf("ParseFunction: %v", err)
 	}
 	args := []uint64{interp.IBits(25)}
-	resF, errF, _, tmF, histF, idsF, fpF := runStyle(t, f, nil, args, false, 0)
-	resH, errH, _, tmH, histH, idsH, fpH := runStyle(t, f, nil, args, true, 0)
+	resF, errF, _, tmF, fpF := runStyle(t, f, nil, args, false, 0)
+	resH, errH, _, tmH, fpH := runStyle(t, f, nil, args, true, 0)
 	if errF != nil || errH != nil {
 		t.Fatalf("run errors: fast=%v hook=%v", errF, errH)
 	}
 	if resF != resH {
 		t.Fatalf("result fast=%+v hook=%+v", resF, resH)
 	}
-	if histF != histH {
-		t.Fatalf("history fast=%#x hook=%#x", histF, histH)
+	if tmF.hist != tmH.hist {
+		t.Fatalf("history fast=%#x hook=%#x", tmF.hist, tmH.hist)
 	}
 	if !reflect.DeepEqual(tmF.branches, tmH.branches) {
 		t.Fatalf("branch streams differ:\nfast %v\nhook %v", tmF.branches, tmH.branches)
 	}
-	if !reflect.DeepEqual(idsF, idsH) {
-		t.Fatal("OnPath sequences differ")
+	if !reflect.DeepEqual(tmF.ends, tmH.ends) {
+		t.Fatal("completed-path sequences differ")
 	}
 	compareProfiles(t, -1, fpF, fpH)
 }
@@ -293,8 +336,8 @@ func TestFastPathStepLimitMatchesHooks(t *testing.T) {
 		p := irgen.Generate(seed, cfg)
 		args := []uint64{uint64(seed + 11)}
 		for _, limit := range []int64{1, 2, 3, 7, 50, 1000} {
-			resF, errF, _, _, _, _, _ := runStyle(t, p.F, p.Mem, args, false, limit)
-			resH, errH, _, _, _, _, _ := runStyle(t, p.F, p.Mem, args, true, limit)
+			resF, errF, _, _, _ := runStyle(t, p.F, p.Mem, args, false, limit)
+			resH, errH, _, _, _ := runStyle(t, p.F, p.Mem, args, true, limit)
 			if (errF == nil) != (errH == nil) {
 				t.Fatalf("seed %d limit %d: fast err %v, hook err %v", seed, limit, errF, errH)
 			}
@@ -345,48 +388,42 @@ exit:
 `
 
 // runUntimed profiles one untimed run of f, by the collector or by the hook
-// oracle, and returns the result, the final memory, the OnPath sequence and
-// the profile of whatever completed, faulting runs included.
+// oracle, and returns the result, the final memory and the profile of
+// whatever completed, faulting runs included.
 func runUntimed(t *testing.T, f *ir.Function, initMem, args []uint64, hooked bool, maxSteps int64) (
-	interp.Result, error, []uint64, []int64, *FunctionProfile,
+	interp.Result, error, []uint64, *FunctionProfile,
 ) {
 	t.Helper()
-	var ids []int64
-	onPath := func(id int64) { ids = append(ids, id) }
 	mem := append([]uint64(nil), initMem...)
 	if hooked {
 		o := newHookOracle(t, f)
-		o.prof.OnPath = onPath
 		res, err := interp.Run(f, args, mem, o.hooks(), maxSteps)
-		return res, err, mem, ids, o.finish(t)
+		return res, err, mem, o.finish(t)
 	}
 	c, err := NewCollector(nil, f, true)
 	if err != nil {
 		t.Fatalf("NewCollector: %v", err)
 	}
-	c.SetOnPath(onPath)
 	res, runErr := c.Run(args, mem, maxSteps)
 	fp, err := c.Finish()
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
-	return res, runErr, mem, ids, fp
+	return res, runErr, mem, fp
 }
 
 // assertUntimedMatchesOracle runs f both ways at one step limit and demands
-// the same result, error text, memory, OnPath sequence and profile.
+// the same result, error text, memory and profile. The profiles' rank-coded
+// traces (compareProfiles' Ranks check) pin the completed-path sequence.
 func assertUntimedMatchesOracle(t *testing.T, name string, f *ir.Function, mem, args []uint64, maxSteps int64) {
 	t.Helper()
-	resF, errF, memF, idsF, fpF := runUntimed(t, f, mem, args, false, maxSteps)
-	resH, errH, memH, idsH, fpH := runUntimed(t, f, mem, args, true, maxSteps)
+	resF, errF, memF, fpF := runUntimed(t, f, mem, args, false, maxSteps)
+	resH, errH, memH, fpH := runUntimed(t, f, mem, args, true, maxSteps)
 	if resF != resH || (errF == nil) != (errH == nil) || (errF != nil && errF.Error() != errH.Error()) {
 		t.Fatalf("%s limit %d: plan %+v, %v; oracle %+v, %v", name, maxSteps, resF, errF, resH, errH)
 	}
 	if !reflect.DeepEqual(memF, memH) {
 		t.Fatalf("%s limit %d: final memory differs", name, maxSteps)
-	}
-	if !reflect.DeepEqual(idsF, idsH) {
-		t.Fatalf("%s limit %d: OnPath sequences differ:\nplan   %v\noracle %v", name, maxSteps, idsF, idsH)
 	}
 	compareProfiles(t, maxSteps, fpF, fpH)
 }
@@ -410,7 +447,7 @@ func TestCallsMatchOracle(t *testing.T) {
 		assertUntimedMatchesOracle(t, "main", f, mem, args, limit)
 	}
 	// A timed run cannot feed the callee's instructions to a model.
-	if _, err, _, _, _, _, _ := runStyle(t, f, mem, args, false, 0); !errors.Is(err, interp.ErrTimedCall) {
+	if _, err, _, _, _ := runStyle(t, f, mem, args, false, 0); !errors.Is(err, interp.ErrTimedCall) {
 		t.Fatalf("timed run of a function with calls: %v, want ErrTimedCall", err)
 	}
 }

@@ -74,11 +74,10 @@ func (fp *FunctionProfile) PathByID(id int64) *Path { return fp.byID[id] }
 // recursive one included, runs its callee to completion unprofiled: the
 // profile covers the collector's own invocation of the function only.
 type Collector struct {
-	dag    *ballarus.DAG
-	plan   *interp.Plan // shared and immutable, served by the analysis manager
-	bl     *interp.BLPlan
-	state  *interp.PathState
-	onPath func(id int64)
+	dag   *ballarus.DAG
+	plan  *interp.Plan // shared and immutable, served by the analysis manager
+	bl    *interp.BLPlan
+	state *interp.PathState
 }
 
 // NewCollector prepares profiling for f. recordTrace enables path-trace
@@ -99,29 +98,21 @@ func NewCollector(am *pm.Manager, f *ir.Function, recordTrace bool) (*Collector,
 	}, nil
 }
 
-// SetOnPath registers a callback fired at every path completion with the
-// completed path's ID; the system simulator uses it to attribute host
-// cycles and branch history to path occurrences.
-func (c *Collector) SetOnPath(fn func(id int64)) { c.onPath = fn }
-
 // Run profiles one invocation of the function on args and mem.
 func (c *Collector) Run(args, mem []uint64, maxSteps int64) (interp.Result, error) {
-	return c.RunTimed(args, mem, nil, nil, maxSteps)
+	return c.RunTimed(args, mem, nil, maxSteps)
 }
 
-// RunTimed is Run with an attached timing model and optional branch-history
-// register, the system simulator's configuration. The model is fed by
-// direct calls — one block-batched FeedBlock per executed block when it
-// implements interp.BlockTiming (the OOO model does), per-instruction Feed
-// otherwise. A timed run of a function with calls fails with
+// RunTimed is Run with the run's dynamic stream fed to timing (see
+// interp.Timing), the system simulator's configuration: one FeedBlock per
+// executed block, every branch outcome, and every path completion. A nil
+// timing is Run. A timed run of a function with calls fails with
 // interp.ErrTimedCall.
-func (c *Collector) RunTimed(args, mem []uint64, timing interp.Timing, hist *uint64, maxSteps int64) (interp.Result, error) {
+func (c *Collector) RunTimed(args, mem []uint64, timing interp.Timing, maxSteps int64) (interp.Result, error) {
 	obsRuns.Add(1)
 	return interp.RunProfiled(c.plan, c.bl, args, mem, c.state, interp.PlanOpts{
 		MaxSteps: maxSteps,
 		Timing:   timing,
-		History:  hist,
-		OnPath:   c.onPath,
 	})
 }
 

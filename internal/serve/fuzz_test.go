@@ -1,0 +1,116 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"needle/internal/ballarus"
+	"needle/internal/core"
+	"needle/internal/interp"
+	"needle/internal/ir"
+	"needle/internal/irgen"
+	"needle/internal/passes"
+	"needle/internal/pipeline"
+	"needle/internal/program"
+)
+
+// pipelineRejections are the typed errors a verified program may fail the
+// pipeline with: calls the inliner cannot flatten, a fault or the step cap
+// while it is profiled, or a CFG the Ball-Larus numbering refuses.
+var pipelineRejections = []error{
+	passes.ErrInlineDepth,
+	interp.ErrDivideByZero,
+	interp.ErrOutOfBounds,
+	interp.ErrStepLimit,
+	interp.ErrCallDepth,
+	ballarus.ErrTooManyPaths,
+	ballarus.ErrIrreducible,
+}
+
+// FuzzAnalyze drives untrusted .nir text, with comma-separated entry
+// arguments, through what POST /v1/analyze does with it: ingestion under
+// DefaultLimits (the service's own resolveProgram), then the full pipeline
+// through core. The contract:
+//   - nothing panics;
+//   - a rejected input returns a typed error: ingestion wraps
+//     program.ErrInvalid or program.ErrTooLarge and maps to 422 or 413, and
+//     a pipeline failure wraps one of pipelineRejections;
+//   - a second analysis through a fresh pipeline.Cache gives byte-identical
+//     summary JSON, or the same error.
+func FuzzAnalyze(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "nir", "*.nir"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no example corpus: %v", err)
+	}
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src), "")
+		if filepath.Base(p) == "diamond.nir" {
+			f.Add(string(src), "64") // two inlining rounds reach one callee
+		}
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(ir.Print(irgen.Generate(seed, irgen.DefaultConfig()).F), fmt.Sprint(seed*7+3))
+	}
+
+	s := New(Config{Jobs: 1, Limits: DefaultLimits()})
+	f.Cleanup(s.Close)
+	f.Fuzz(func(t *testing.T, src, args string) {
+		if src == "" {
+			return // no source is a malformed request (400), not a program
+		}
+		req := &analyzeRequest{Source: src}
+		if args != "" {
+			req.Args = strings.Split(args, ",")
+		}
+		p, cfg, status, err := s.resolveProgram(req)
+		if err != nil {
+			typed := errors.Is(err, program.ErrInvalid) || errors.Is(err, program.ErrTooLarge)
+			if !typed || (status != http.StatusUnprocessableEntity && status != http.StatusRequestEntityTooLarge) {
+				t.Fatalf("ingestion rejected with status %d and untyped error: %v", status, err)
+			}
+			return
+		}
+		out, err := analyzeJSON(p, cfg)
+		again, errAgain := analyzeJSON(p, cfg)
+		if err != nil {
+			typed := false
+			for _, want := range pipelineRejections {
+				typed = typed || errors.Is(err, want)
+			}
+			if !typed {
+				t.Fatalf("pipeline rejected with an untyped error: %v", err)
+			}
+			if errAgain == nil || errAgain.Error() != err.Error() {
+				t.Fatalf("second run's error differs: %v, then %v", err, errAgain)
+			}
+			return
+		}
+		if errAgain != nil {
+			t.Fatalf("second run failed: %v", errAgain)
+		}
+		if !bytes.Equal(out, again) {
+			t.Fatalf("summary JSON differs between two fresh caches:\nfirst:\n%s\nsecond:\n%s", out, again)
+		}
+	})
+}
+
+// analyzeJSON runs p through the pipeline on a fresh in-memory Cache and
+// marshals its summary as the service does.
+func analyzeJSON(p *program.Program, cfg core.Config) ([]byte, error) {
+	a, err := core.New(core.WithStore(pipeline.NewCache())).Run(context.Background(), p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return core.MarshalSummaries([]*core.Analysis{a})
+}

@@ -101,11 +101,24 @@ func TestDerivedCountsMatchCaptureRandomPrograms(t *testing.T) {
 	}
 }
 
-// captureCut runs f exactly as Capture snapshots it — the history register
-// read at every path completion, before the path-ending branch shifts in —
-// but keeps what a run stopped by a step limit or a trap leaves: the
-// occurrences completed before it stopped, and a profile whose counts
-// include the partial path it stopped in. Cycles are not modeled.
+// cutFeed snapshots the history register as Capture does, at every path
+// completion before the path-ending branch shifts in, and models no cycles.
+type cutFeed struct {
+	h, before uint64
+	occ       []Occurrence
+}
+
+func (c *cutFeed) FeedBlock(*interp.TimingPacket, int, []int64) {}
+func (c *cutFeed) NoteBranch(taken bool)                        { c.h = c.h<<1 | b2u(taken) }
+func (c *cutFeed) EndPath(int64) {
+	c.occ = append(c.occ, Occurrence{Hist: c.before})
+	c.before = c.h
+}
+
+// captureCut runs f exactly as Capture snapshots it, but keeps what a run
+// stopped by a step limit or a trap leaves: the occurrences completed
+// before it stopped, and a profile whose counts include the partial path it
+// stopped in.
 func captureCut(t *testing.T, f *ir.Function, args, memory []uint64, maxSteps int64) (*Trace, error) {
 	t.Helper()
 	am := pm.NewManager()
@@ -113,18 +126,13 @@ func captureCut(t *testing.T, f *ir.Function, args, memory []uint64, maxSteps in
 	if err != nil {
 		t.Fatal(err)
 	}
-	var h, before uint64
-	var occ []Occurrence
-	c.SetOnPath(func(int64) {
-		occ = append(occ, Occurrence{Hist: before})
-		before = h
-	})
-	_, runErr := c.RunTimed(args, memory, nil, &h, maxSteps)
+	feed := &cutFeed{}
+	_, runErr := c.RunTimed(args, memory, feed, maxSteps)
 	fp, err := c.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Trace{Profile: fp, Occ: occ, AM: am}, runErr
+	return &Trace{Profile: fp, Occ: feed.occ, AM: am}, runErr
 }
 
 // Loop shapes the workloads and irgen never produce: their back edges are

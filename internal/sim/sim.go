@@ -98,32 +98,14 @@ func Capture(am *pm.Manager, f *ir.Function, args []uint64, memory []uint64, cfg
 		return nil, err
 	}
 	cache := mem.New(cfg.Mem)
-	model := ooo.New(cfg.OOO, f.NumRegs(), cache)
-	hist := &spec.HistoryTracker{}
+	host := &hostFeed{
+		Model:  ooo.New(cfg.OOO, f.NumRegs(), cache),
+		cycles: make([]int64, 0, 1024),
+		hists:  make([]uint64, 0, 1024),
+	}
 
-	tr := &Trace{AM: am}
-	var lastCycles int64
-	var histBefore uint64
-	// The collector fires OnPath at every path completion; snapshot
-	// the host cycle counter and history register around each occurrence.
-	// Only the primitive snapshots accumulate during the run — the
-	// Occurrence structs are assembled afterwards in one exact allocation
-	// from the collector's path-completion count (the recorded path trace).
-	occCycles := make([]int64, 0, 1024)
-	occHists := make([]uint64, 0, 1024)
-	collector.SetOnPath(func(id int64) {
-		now := model.Cycles()
-		occCycles = append(occCycles, now-lastCycles)
-		occHists = append(occHists, histBefore)
-		lastCycles = now
-		histBefore = hist.H
-	})
-
-	// The compiled plan feeds the timing model one block-batched FeedBlock
-	// per executed block over its precompiled timing packets, and updates the
-	// history register directly in its loop.
 	xsp := sp.Child("capture: execute")
-	if _, err := collector.RunTimed(args, memory, model, &hist.H, cfg.MaxSteps); err != nil {
+	if _, err := collector.RunTimed(args, memory, host, cfg.MaxSteps); err != nil {
 		xsp.End()
 		return nil, err
 	}
@@ -136,22 +118,49 @@ func Capture(am *pm.Manager, f *ir.Function, args []uint64, memory []uint64, cfg
 	}
 	// One exact allocation: the recorded path trace enumerates completed
 	// occurrences in order, so its length is the occurrence count.
-	if len(fp.Ranks) != len(occCycles) {
-		return nil, fmt.Errorf("sim: capture recorded %d occurrences but traced %d paths", len(occCycles), len(fp.Ranks))
+	if len(fp.Ranks) != len(host.cycles) {
+		return nil, fmt.Errorf("sim: capture recorded %d occurrences but traced %d paths", len(host.cycles), len(fp.Ranks))
 	}
-	tr.Occ = make([]Occurrence, len(fp.Ranks))
+	tr := &Trace{
+		Profile:          fp,
+		Occ:              make([]Occurrence, len(fp.Ranks)),
+		AM:               am,
+		BaselineCycles:   host.Cycles(),
+		BaselineEnergyPJ: energy.HostEnergyPJ(cfg.CPU, host.Mix, cache.Stats),
+		Mix:              host.Mix,
+		CacheStats:       cache.Stats,
+	}
 	for i := range tr.Occ {
-		tr.Occ[i] = Occurrence{Hist: occHists[i], Cycles: occCycles[i]}
+		tr.Occ[i] = Occurrence{Hist: host.hists[i], Cycles: host.cycles[i]}
 	}
-	tr.Profile = fp
-	tr.BaselineCycles = model.Cycles()
-	tr.Mix = model.Mix
-	tr.CacheStats = cache.Stats
-	tr.BaselineEnergyPJ = energy.HostEnergyPJ(cfg.CPU, model.Mix, cache.Stats)
 	obsL1Hits.Add(cache.Stats.L1Hits)
 	obsL1Misses.Add(cache.Stats.L1Misses)
 	obsHostCycles.Add(tr.BaselineCycles)
 	return tr, nil
+}
+
+// hostFeed is Capture's interp.Timing: the host timing model, which takes
+// the block feed and keeps the branch-history register, plus the cycle and
+// history snapshots taken at every path completion. Only the primitive
+// snapshots accumulate during the run; Capture assembles the Occurrence
+// structs afterwards in one exact allocation.
+type hostFeed struct {
+	*ooo.Model
+	lastCycles int64    // host cycles when the current path began
+	histBefore uint64   // history register when the current path began
+	cycles     []int64  // per occurrence: host cycles it cost
+	hists      []uint64 // per occurrence: history before it began
+}
+
+// EndPath closes one occurrence. The plan calls it before the completing
+// branch's NoteBranch, so the history read here becomes the next
+// occurrence's without the completing branch's bit.
+func (h *hostFeed) EndPath(int64) {
+	now := h.Cycles()
+	h.cycles = append(h.cycles, now-h.lastCycles)
+	h.hists = append(h.hists, h.histBefore)
+	h.lastCycles = now
+	h.histBefore = h.History()
 }
 
 // Target is an offload candidate: a framed region scheduled on the CGRA,

@@ -257,8 +257,9 @@ type HistoryTracker struct {
 }
 
 // Shift records one conditional-branch outcome: a 1 bit is shifted in for
-// taken, 0 for fall-through. The interpreter's compiled fast path calls it
-// directly; the hook path goes through Hooks.
+// taken, 0 for fall-through. Hooks calls it at every conditional-branch
+// edge; a capture on the compiled plan keeps its register in the host
+// model instead (ooo.Model.History).
 func (ht *HistoryTracker) Shift(taken bool) {
 	bit := uint64(0)
 	if taken {

@@ -23,15 +23,17 @@
 #     BenchmarkSweep gets a tight 2% gate against sweep_ns_per_op, pinning
 #     that the lazily-computed vet analyses cost a default sweep nothing.
 #
-# It also records, ungated, seven BenchmarkStage rows on 186.crafty,
+# It also records, ungated, eight BenchmarkStage rows on 186.crafty,
 # 458.sjeng and 164.gzip, as ns/op and allocs/op per workload: inline and
 # frame (the two stages a warm run recomputes rather than decodes, each
 # computed on a fresh analysis manager), the opt-decode, profile-decode and
 # select-decode rows (each the stage's full codec decode from its stored
 # bytes, as on a warm disk hit: payload read, then the function built from
-# arenas and verified, path-trace rehydration or braid rebuilds), target
-# (the Target stage alone, upstream artifacts served from a pre-warmed
-# Cache) and capture (sim.Capture on the Inline artifact's function).
+# arenas and verified, path-trace rehydration or braid rebuilds), select
+# (the Select stage computed cold, as on a miss), target (the Target stage
+# alone, upstream artifacts served from a pre-warmed Cache) and capture
+# (sim.Capture on the Inline artifact's function: the Profile stage's cold
+# compute).
 #
 #   ./scripts/bench.sh            (or: make bench)
 #   BENCH_TIME=10x ./scripts/bench.sh   # more iterations, less noise
@@ -67,7 +69,7 @@ allocs_of() {
     }'
 }
 stages=""
-for layer in inline opt-decode profile-decode select-decode frame target capture; do
+for layer in inline opt-decode profile-decode select-decode select frame target capture; do
     for w in 186.crafty 458.sjeng 164.gzip; do
         stages="$stages BenchmarkStage/$layer/$w"
     done

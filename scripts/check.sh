@@ -102,14 +102,17 @@ done
 rm -f "$ex_out"
 echo "exmpl  ok (every example matches its expected.txt)"
 
-# Opt-in fuzz smoke: CHECK_FUZZ=1 ./scripts/check.sh runs the parser/
-# verifier/printer round-trip fuzzer and the artifact-decode fuzzer briefly
-# on top of their corpora. The minimize cap keeps the decode fuzzer from
+# Opt-in fuzz smoke: CHECK_FUZZ=1 ./scripts/check.sh runs each fuzzer
+# briefly on top of its corpus: the parser/verifier/printer round trip, the
+# artifact decoders, the vet analyses, and the full analysis of untrusted
+# .nir as POST /v1/analyze runs it. The minimize caps keep a fuzzer from
 # spending the smoke's time minimizing one interesting input.
 if [ "${CHECK_FUZZ:-0}" = "1" ]; then
     go test -run '^$' -fuzz '^FuzzParseVerify$' -fuzztime 10s ./internal/ir
     go test -run '^$' -fuzz '^FuzzArtifactDecode$' -fuzztime 10s -fuzzminimizetime 2s ./internal/pipeline
-    echo "fuzz   ok (FuzzParseVerify, FuzzArtifactDecode, 10s smokes)"
+    go test -run '^$' -fuzz '^FuzzVetAnalyses$' -fuzztime 10s -fuzzminimizetime 2s ./internal/vet
+    go test -run '^$' -fuzz '^FuzzAnalyze$' -fuzztime 10s -fuzzminimizetime 2s ./internal/serve
+    echo "fuzz   ok (FuzzParseVerify, FuzzArtifactDecode, FuzzVetAnalyses, FuzzAnalyze, 10s smokes)"
 fi
 
 # Opt-in performance gate: CHECK_BENCH=1 ./scripts/check.sh also runs the
