@@ -22,6 +22,7 @@ import (
 	"needle/internal/frame"
 	"needle/internal/interp"
 	"needle/internal/ir"
+	"needle/internal/irgen"
 	"needle/internal/mem"
 	"needle/internal/ooo"
 	"needle/internal/passes"
@@ -430,6 +431,56 @@ func BenchmarkStage(b *testing.B) {
 }
 
 // ---- micro-benchmarks of the pipeline building blocks ----
+
+// BenchmarkIngest times what needled does with a program it is sent, over
+// irgen programs of seeds 1 to 16 in the shape the benchmark's
+// serve-nir-cold workload sends, one per iteration:
+//   - parse is ir.Parse of the text, verification included;
+//   - load is program.Load, the whole ingestion of one request: parse,
+//     instruction cap, arguments and memory image;
+//   - digest is the content digest of a loaded program with a 1024-word
+//     memory image, on a fresh Program each iteration (one allocation of
+//     the row is that Program).
+func BenchmarkIngest(b *testing.B) {
+	shape := irgen.Config{MaxDepth: 3, MaxStmts: 8, MaxLoopTrip: 24, MemWords: 1024}
+	opts := program.LoadOptions{MemWords: shape.MemWords, Args: []string{"5"}}
+	srcs := make([]string, 16)
+	progs := make([]*program.Program, len(srcs))
+	for i := range srcs {
+		srcs[i] = ir.Print(irgen.Generate(int64(i+1), shape).F)
+		p, err := program.Load(srcs[i], opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs[i] = p
+	}
+	b.Run("parse", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ir.Parse(srcs[i%len(srcs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := program.Load(srcs[i%len(srcs)], opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("digest", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p := progs[i%len(progs)]
+			fresh := &program.Program{Name: p.Name, Suite: p.Suite, F: p.F, Args: p.Args, Memory: p.Memory}
+			if fresh.Digest() != p.Digest() {
+				b.Fatal("digest is not deterministic")
+			}
+		}
+	})
+}
 
 // BenchmarkCapture measures the system-simulator capture alone — the
 // compiled interpreter fast path feeding the OOO model one block-batched

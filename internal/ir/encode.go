@@ -26,16 +26,35 @@ import (
 // the function Parse(Print(f)) builds. AppendFunction refuses a function
 // with a call, whose callee the layout cannot name.
 func AppendFunction(b []byte, f *Function) ([]byte, error) {
+	buf := wire.Buffer{B: b}
+	if err := encodeFunction(&buf, f, false); err != nil {
+		return nil, err
+	}
+	return buf.B, nil
+}
+
+// WriteFunction writes f to buf in AppendFunction's layout, except that a
+// call, which AppendFunction refuses, is written with its callee's name as
+// a string after its operands. That names every function a module's bytes
+// depend on, which is what a content digest needs; ReadFunction cannot read
+// a call back. Through a streaming buf it allocates nothing, whatever f's
+// size.
+func WriteFunction(buf *wire.Buffer, f *Function) error {
+	return encodeFunction(buf, f, true)
+}
+
+// encodeFunction writes f's layout; callees selects WriteFunction's form.
+func encodeFunction(buf *wire.Buffer, f *Function, callees bool) error {
 	numRegs, nameLen, instrs, args, refs := len(f.Params), 0, 0, 0, 0
 	for _, bl := range f.Blocks {
 		nameLen += len(bl.Name)
 		instrs += len(bl.Instrs)
 		for _, in := range bl.Instrs {
 			switch {
-			case in.Op == OpCall:
-				return nil, fmt.Errorf("ir: %s.%s: a call has no positional form", f.Name, bl.Name)
+			case in.Op == OpCall && !callees:
+				return fmt.Errorf("ir: %s.%s: a call has no positional form", f.Name, bl.Name)
 			case len(in.Blocks) != numRefs(in.Op, len(in.Args)):
-				return nil, fmt.Errorf("ir: %s.%s: %s has %d block references", f.Name, bl.Name, in.Op, len(in.Blocks))
+				return fmt.Errorf("ir: %s.%s: %s has %d block references", f.Name, bl.Name, in.Op, len(in.Blocks))
 			}
 			if in.Op.HasDest() {
 				numRegs = max(numRegs, int(in.Dst))
@@ -44,17 +63,20 @@ func AppendFunction(b []byte, f *Function) ([]byte, error) {
 			refs += len(in.Blocks)
 		}
 	}
-	b = wire.AppendString(b, f.Name)
-	b = wire.AppendUints(b, f.Params)
+	buf.String(f.Name)
+	buf.Uvarint(uint64(len(f.Params)))
+	for _, t := range f.Params {
+		buf.Uvarint(uint64(t))
+	}
 	for _, n := range [...]int{numRegs, len(f.Blocks), instrs, args, refs, nameLen} {
-		b = wire.AppendUvarint(b, uint64(n))
+		buf.Uvarint(uint64(n))
 	}
 	for _, bl := range f.Blocks {
-		b = append(b, bl.Name...)
+		buf.Raw(bl.Name)
 	}
 	for _, bl := range f.Blocks {
-		b = wire.AppendUvarint(b, uint64(len(bl.Name)))
-		b = wire.AppendUvarint(b, uint64(len(bl.Instrs)))
+		buf.Uvarint(uint64(len(bl.Name)))
+		buf.Uvarint(uint64(len(bl.Instrs)))
 	}
 	for _, bl := range f.Blocks {
 		for _, in := range bl.Instrs {
@@ -62,20 +84,26 @@ func AppendFunction(b []byte, f *Function) ([]byte, error) {
 			if opNeedsTypeSuffix(in.Op) {
 				code |= uint64(in.Type)
 			}
-			b = wire.AppendUvarint(b, code)
+			buf.Uvarint(code)
 			if in.Op.HasDest() {
-				b = wire.AppendUvarint(b, uint64(in.Dst))
+				buf.Uvarint(uint64(in.Dst))
 			}
-			b = wire.AppendUints(b, in.Args)
+			buf.Uvarint(uint64(len(in.Args)))
+			for _, a := range in.Args {
+				buf.Uvarint(uint64(a))
+			}
 			if in.Op == OpConst {
-				b = wire.AppendVarint(b, in.Imm)
+				buf.Varint(in.Imm)
+			}
+			if in.Op == OpCall {
+				buf.String(in.Callee.Name)
 			}
 			for _, t := range in.Blocks {
-				b = wire.AppendUvarint(b, uint64(t.Index))
+				buf.Uvarint(uint64(t.Index))
 			}
 		}
 	}
-	return b, nil
+	return nil
 }
 
 // numRefs is the number of block references an op with nargs operands

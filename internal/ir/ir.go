@@ -196,13 +196,19 @@ func (o Op) ResultType(declared Type) Type {
 // OpByName resolves a textual opcode name as produced by Instr.String.
 // It returns opCount and false for unknown names.
 func OpByName(name string) (Op, bool) {
-	for op, n := range opNames {
-		if n == name {
-			return Op(op), true
-		}
+	if op, ok := opByName[name]; ok {
+		return op, true
 	}
 	return opCount, false
 }
+
+var opByName = func() map[string]Op {
+	m := make(map[string]Op, len(opNames))
+	for op, n := range opNames {
+		m[n] = Op(op)
+	}
+	return m
+}()
 
 // Instr is a single IR instruction.
 //
@@ -335,11 +341,19 @@ func (f *Function) BlockByName(name string) *Block {
 // and predecessor lists. It must be called after any structural mutation and
 // before analyses run. Builders and the parser call it automatically.
 func (f *Function) Finish() {
-	f.blockByName = make(map[string]*Block, len(f.Blocks))
+	byName := make(map[string]*Block, len(f.Blocks))
+	for _, b := range f.Blocks {
+		byName[b.Name] = b
+	}
+	f.link(byName)
+}
+
+// link is Finish with the name lookup table already built.
+func (f *Function) link(byName map[string]*Block) {
+	f.blockByName = byName
 	for i, b := range f.Blocks {
 		b.Index = i
 		b.Preds = b.Preds[:0]
-		f.blockByName[b.Name] = b
 	}
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs() {

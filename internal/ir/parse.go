@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Parse reads the textual .nir format produced by Print and reconstructs a
@@ -25,16 +26,32 @@ import (
 // numbering exactly; ReadFunction decodes AppendFunction's bytes to that
 // same function. Any other identifier is assigned the lowest free number
 // in definition order, parameters first.
+//
+// Parse scans each function's lines once, by index, into scratch it reuses
+// for the next function, then builds the function from a fixed number of
+// arenas sized by that scan, as ReadFunction does. The names a function
+// keeps are copied into one string it owns, so the result does not keep
+// src alive.
 func Parse(src string) (*Module, error) {
-	p := &parser{lines: strings.Split(src, "\n")}
+	// Printed text holds about one instruction, two operands and half a
+	// block reference per 24 bytes, and a block per 128; the scratch starts
+	// at that size and grows past it when it must.
+	p := &parser{
+		src:    src,
+		blocks: make([]rawBlock, 0, len(src)/128),
+		instrs: make([]rawInstr, 0, len(src)/24),
+		args:   make([]string, 0, len(src)/12),
+		refs:   make([]string, 0, len(src)/48),
+	}
+	p.load()
 	m := &Module{}
-	var pendingCalls []pendingCall
+	var calls []pendingCall
 	for {
 		p.skipBlank()
-		if p.eof() {
+		if p.eof {
 			break
 		}
-		f, calls, err := p.parseFunc()
+		f, err := p.parseFunc(&calls)
 		if err != nil {
 			return nil, err
 		}
@@ -42,11 +59,10 @@ func Parse(src string) (*Module, error) {
 			return nil, fmt.Errorf("ir: duplicate function @%s", f.Name)
 		}
 		m.Add(f)
-		pendingCalls = append(pendingCalls, calls...)
 	}
 	// Resolve call targets module-wide (forward references allowed), then
 	// verify every function.
-	for _, pc := range pendingCalls {
+	for _, pc := range calls {
 		callee := m.Func(pc.name)
 		if callee == nil {
 			return nil, fmt.Errorf("ir: line %d: call to undefined function @%s", pc.line+1, pc.name)
@@ -80,228 +96,384 @@ func ParseFunction(src string) (*Function, error) {
 	return m.Funcs[0], nil
 }
 
+// parser walks src one line at a time and holds the scratch one function's
+// scan fills: its blocks, its instructions and their operand names, all
+// substrings of src.
 type parser struct {
-	lines []string
-	pos   int
+	src  string
+	off  int    // byte offset of the line after the current one
+	pos  int    // index of the current line
+	line string // the current line, comment stripped and trimmed
+	eof  bool   // past the last line
+
+	blocks []rawBlock
+	instrs []rawInstr
+	args   []string // operand register names of instrs
+	refs   []string // block names instrs refer to
+
+	// Register numbering of the function being built: state is indexed by
+	// register number, named maps the non-canonical names.
+	state []regState
+	named map[string]Reg
+	next  Reg // lowest number a non-canonical name may take
+	top   Reg // highest number defined
 }
 
-func (p *parser) eof() bool { return p.pos >= len(p.lines) }
+// regState is what holds one register number.
+type regState uint8
+
+const (
+	regFree   regState = iota
+	regPinned          // a parameter or a canonical r<N> definition
+	regNamed           // a definition under any other name
+)
+
+// rawBlock is a scanned block label; its instructions run from first to
+// the next block's first.
+type rawBlock struct {
+	name  string
+	first int
+}
+
+// rawInstr is an instruction scanned into names, before register
+// resolution: its operand names are args[arg:arg+nargs] of the parser and
+// its block references refs[ref:ref+nrefs].
+type rawInstr struct {
+	line       int
+	dst        string
+	mnemonic   string
+	callee     string // called function name for call instructions
+	imm        int64
+	arg, nargs int
+	ref, nrefs int
+}
 
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("ir: line %d: %s", p.pos+1, fmt.Sprintf(format, args...))
 }
 
-func (p *parser) cur() string {
-	line := p.lines[p.pos]
+// load makes the line at off current. Like strings.Split on "\n", the text
+// after the last newline is a line of its own, even when empty.
+func (p *parser) load() {
+	if p.off > len(p.src) {
+		p.eof, p.line = true, ""
+		return
+	}
+	rest := p.src[p.off:]
+	end := strings.IndexByte(rest, '\n')
+	if end < 0 {
+		end = len(rest)
+	}
+	line := rest[:end]
+	p.off += end + 1
 	if i := strings.IndexByte(line, ';'); i >= 0 {
 		line = line[:i]
 	}
-	return strings.TrimSpace(line)
+	p.line = strings.TrimSpace(line)
+}
+
+// advance moves to the next line.
+func (p *parser) advance() {
+	p.pos++
+	p.load()
 }
 
 func (p *parser) skipBlank() {
-	for !p.eof() && p.cur() == "" {
-		p.pos++
+	for !p.eof && p.line == "" {
+		p.advance()
 	}
 }
 
-// rawInstr is an instruction parsed into names, before register resolution.
-type rawInstr struct {
-	line     int
-	dst      string
-	mnemonic string
-	args     []string // register names
-	imm      int64
-	blocks   []string // branch targets / phi incoming blocks
-	callee   string   // called function name for call instructions
-}
-
-func (p *parser) parseFunc() (*Function, []pendingCall, error) {
-	header := p.cur()
+// parseFunc parses the function whose header is the current line, adding
+// its calls to calls.
+func (p *parser) parseFunc(calls *[]pendingCall) (*Function, error) {
+	header := p.line
 	if !strings.HasPrefix(header, "func @") {
-		return nil, nil, p.errf("expected 'func @name(...)', got %q", header)
+		return nil, p.errf("expected 'func @name(...)', got %q", header)
 	}
 	open := strings.IndexByte(header, '(')
 	closeP := strings.LastIndexByte(header, ')')
 	if open < 0 || closeP < open || !strings.HasSuffix(header, "{") {
-		return nil, nil, p.errf("malformed function header %q", header)
+		return nil, p.errf("malformed function header %q", header)
 	}
 	name := strings.TrimSpace(header[len("func @"):open])
 	if name == "" {
-		return nil, nil, p.errf("missing function name")
+		return nil, p.errf("missing function name")
 	}
-	var params []Type
-	paramSrc := strings.TrimSpace(header[open+1 : closeP])
-	if paramSrc != "" {
-		for _, ps := range strings.Split(paramSrc, ",") {
-			t, err := parseType(strings.TrimSpace(ps))
-			if err != nil {
-				return nil, nil, p.errf("%v", err)
-			}
-			params = append(params, t)
-		}
+	params, err := p.parseParams(strings.TrimSpace(header[open+1 : closeP]))
+	if err != nil {
+		return nil, err
 	}
-	p.pos++
+	p.advance()
 
-	// Collect blocks of raw instructions.
-	type rawBlock struct {
-		name   string
-		instrs []rawInstr
-	}
-	var blocks []*rawBlock
-	var cur *rawBlock
+	// Scan the body into blocks of raw instructions.
+	p.blocks, p.instrs, p.args, p.refs = p.blocks[:0], p.instrs[:0], p.args[:0], p.refs[:0]
 	for {
 		p.skipBlank()
-		if p.eof() {
-			return nil, nil, p.errf("unexpected end of input in function %s", name)
+		if p.eof {
+			return nil, p.errf("unexpected end of input in function %s", name)
 		}
-		line := p.cur()
+		line := p.line
 		if line == "}" {
-			p.pos++
+			p.advance()
 			break
 		}
 		if strings.HasSuffix(line, ":") && !strings.Contains(line, " ") {
-			cur = &rawBlock{name: strings.TrimSuffix(line, ":")}
-			blocks = append(blocks, cur)
-			p.pos++
+			p.blocks = append(p.blocks, rawBlock{name: line[:len(line)-1], first: len(p.instrs)})
+			p.advance()
 			continue
 		}
-		if cur == nil {
-			return nil, nil, p.errf("instruction before first block label")
+		if len(p.blocks) == 0 {
+			return nil, p.errf("instruction before first block label")
 		}
-		ri, err := p.parseInstrLine(line)
-		if err != nil {
-			return nil, nil, err
+		if err := p.scanInstr(line); err != nil {
+			return nil, err
 		}
-		cur.instrs = append(cur.instrs, ri)
-		p.pos++
+		p.advance()
 	}
-	if len(blocks) == 0 {
-		return nil, nil, p.errf("function %s has no blocks", name)
+	if len(p.blocks) == 0 {
+		return nil, p.errf("function %s has no blocks", name)
+	}
+	return p.build(name, params, calls)
+}
+
+// parseParams parses a header's comma-separated parameter types.
+func (p *parser) parseParams(src string) ([]Type, error) {
+	if src == "" {
+		return nil, nil
+	}
+	params := make([]Type, 0, strings.Count(src, ",")+1)
+	for {
+		part, rest, more := strings.Cut(src, ",")
+		t, err := parseType(strings.TrimSpace(part))
+		if err != nil {
+			return nil, p.errf("%v", err)
+		}
+		params = append(params, t)
+		if !more {
+			return params, nil
+		}
+		src = rest
+	}
+}
+
+// build makes the function the scan describes. Pass 1 creates its blocks
+// and instructions and numbers every definition; pass 2 resolves operand
+// registers and block references. Blocks, instructions, instruction
+// pointers, operand registers and block pointers (the block list, every
+// block reference and every block's predecessors) each come from one
+// arena, and every window of an arena has a capacity equal to its length,
+// so an append by a consumer copies instead of overwriting its neighbour.
+func (p *parser) build(name string, params []Type, calls *[]pendingCall) (*Function, error) {
+	nb, ni, nr := len(p.blocks), len(p.instrs), len(p.refs)
+	size := len(name)
+	for _, rb := range p.blocks {
+		size += len(rb.name)
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	sb.WriteString(name)
+	for _, rb := range p.blocks {
+		sb.WriteString(rb.name)
+	}
+	names := sb.String()
+
+	f := &Function{Name: names[:len(name)], Params: params}
+	blocks := make([]Block, nb)
+	instrs := make([]Instr, ni)
+	iptrs := make([]*Instr, ni)
+	// Predecessors are terminator references, so at most nr of them.
+	bptrs := make([]*Block, nb+2*nr)
+	f.Blocks = bptrs[:nb:nb]
+	byName := make(map[string]*Block, nb)
+	at := len(name)
+	for i, rb := range p.blocks {
+		b := &blocks[i]
+		b.Name = names[at : at+len(rb.name)]
+		at += len(rb.name)
+		if byName[b.Name] != nil {
+			return nil, fmt.Errorf("ir: %s: duplicate block %q", name, rb.name)
+		}
+		f.Blocks[i] = b
+		byName[b.Name] = b
+		end := ni
+		if i+1 < nb {
+			end = p.blocks[i+1].first
+		}
+		if end > rb.first {
+			b.Instrs = iptrs[rb.first:end:end]
+		}
 	}
 
-	// Pass 1: create function, blocks, and assign registers to definitions.
-	f := &Function{Name: name, Params: params, RegType: make([]Type, 1+len(params))}
-	for i, t := range params {
-		f.RegType[1+i] = t
-	}
-	blockByName := make(map[string]*Block, len(blocks))
-	for _, rb := range blocks {
-		if blockByName[rb.name] != nil {
-			return nil, nil, fmt.Errorf("ir: %s: duplicate block %q", name, rb.name)
-		}
-		b := &Block{Name: rb.name}
-		f.Blocks = append(f.Blocks, b)
-		blockByName[rb.name] = b
-	}
-	var calls []pendingCall
-	regByName := make(map[string]Reg)
-	used := make(map[Reg]bool)
-	for i := range params {
-		regByName[fmt.Sprintf("r%d", i+1)] = Reg(i + 1)
-		used[Reg(i+1)] = true
-	}
-	next := Reg(1 + len(params))
-	defReg := func(nm string, t Type, line int) (Reg, error) {
-		if _, ok := regByName[nm]; ok {
-			return NoReg, fmt.Errorf("ir: line %d: register %s defined more than once", line+1, nm)
-		}
-		var r Reg
-		if n, ok := canonicalRegNumber(nm); ok {
-			// Canonical r<N> names pin their number, preserving the printed
-			// function's numbering across a round trip.
-			if used[n] {
-				return NoReg, fmt.Errorf("ir: line %d: register %s conflicts with an earlier definition", line+1, nm)
+	// Pass 1: opcodes and definitions. A definition takes at most the
+	// number of parameters plus definitions so far, or the number its
+	// canonical name pins, so that bounds the register table.
+	defs, pinned, named := 0, 0, 0
+	for i := range p.instrs {
+		if dst := p.instrs[i].dst; dst != "" {
+			defs++
+			if n, ok := canonicalRegNumber(dst); ok {
+				pinned = max(pinned, int(n))
+			} else {
+				named++
 			}
-			r = n
-		} else {
-			for used[next] {
-				next++
+		}
+	}
+	regTop := max(len(params)+defs, pinned)
+	p.resetRegs(regTop+1, len(params), named)
+	regType := make([]Type, regTop+1)
+	copy(regType[1:], params)
+	for i := range p.instrs {
+		ri := &p.instrs[i]
+		op, declared, err := parseMnemonic(ri.mnemonic)
+		if err != nil {
+			return nil, fmt.Errorf("ir: line %d: %v", ri.line+1, err)
+		}
+		in := &instrs[i]
+		iptrs[i] = in
+		in.Op, in.Type, in.Imm = op, declared, ri.imm
+		if op.HasDest() {
+			if ri.dst == "" {
+				return nil, fmt.Errorf("ir: line %d: %s requires a destination", ri.line+1, op)
 			}
-			r = next
-		}
-		for len(f.RegType) <= int(r) {
-			f.RegType = append(f.RegType, I64)
-		}
-		f.RegType[r] = t
-		regByName[nm] = r
-		used[r] = true
-		return r, nil
-	}
-	type pending struct {
-		instr *Instr
-		raw   *rawInstr
-	}
-	var pendings []pending
-	for bi, rb := range blocks {
-		b := f.Blocks[bi]
-		for i := range rb.instrs {
-			ri := &rb.instrs[i]
-			op, declared, err := parseMnemonic(ri.mnemonic)
+			r, err := p.defReg(ri.dst, ri.line)
 			if err != nil {
-				return nil, nil, fmt.Errorf("ir: line %d: %v", ri.line+1, err)
+				return nil, err
 			}
-			in := &Instr{Op: op, Type: declared, Imm: ri.imm}
-			if op.HasDest() {
-				if ri.dst == "" {
-					return nil, nil, fmt.Errorf("ir: line %d: %s requires a destination", ri.line+1, op)
-				}
-				r, err := defReg(ri.dst, op.ResultType(declared), ri.line)
-				if err != nil {
-					return nil, nil, err
-				}
-				in.Dst = r
-			} else if ri.dst != "" {
-				return nil, nil, fmt.Errorf("ir: line %d: %s must not have a destination", ri.line+1, op)
-			}
-			b.Instrs = append(b.Instrs, in)
-			pendings = append(pendings, pending{in, ri})
+			in.Dst = r
+			regType[r] = op.ResultType(declared)
+		} else if ri.dst != "" {
+			return nil, fmt.Errorf("ir: line %d: %s must not have a destination", ri.line+1, op)
 		}
 	}
+	f.RegType = regType[: p.top+1 : p.top+1]
 
 	// Pass 2: resolve operand registers and block targets.
-	for _, pd := range pendings {
-		for _, an := range pd.raw.args {
-			r, ok := regByName[an]
-			if !ok {
-				return nil, nil, fmt.Errorf("ir: line %d: undefined register %s", pd.raw.line+1, an)
+	regs := make([]Reg, len(p.args))
+	rb := nb // next free block pointer
+	for i := range p.instrs {
+		ri, in := &p.instrs[i], &instrs[i]
+		if n := ri.nargs; n > 0 {
+			in.Args = regs[ri.arg : ri.arg+n : ri.arg+n]
+			for j, an := range p.args[ri.arg : ri.arg+n] {
+				r, ok := p.reg(an)
+				if !ok {
+					return nil, fmt.Errorf("ir: line %d: undefined register %s", ri.line+1, an)
+				}
+				in.Args[j] = r
 			}
-			pd.instr.Args = append(pd.instr.Args, r)
 		}
-		for _, bn := range pd.raw.blocks {
-			t, ok := blockByName[bn]
-			if !ok {
-				return nil, nil, fmt.Errorf("ir: line %d: undefined block %%%s", pd.raw.line+1, bn)
+		if n := ri.nrefs; n > 0 {
+			in.Blocks = bptrs[rb : rb+n : rb+n]
+			rb += n
+			for j, bn := range p.refs[ri.ref : ri.ref+n] {
+				t, ok := byName[bn]
+				if !ok {
+					return nil, fmt.Errorf("ir: line %d: undefined block %%%s", ri.line+1, bn)
+				}
+				in.Blocks[j] = t
 			}
-			pd.instr.Blocks = append(pd.instr.Blocks, t)
 		}
-		if pd.raw.callee != "" {
-			calls = append(calls, pendingCall{instr: pd.instr, name: pd.raw.callee, line: pd.raw.line})
+		if ri.callee != "" {
+			*calls = append(*calls, pendingCall{instr: in, name: ri.callee, line: ri.line})
 		}
 		// Returns carry the type of their operand (the mnemonic has no
 		// suffix to declare it).
-		if pd.instr.Op == OpRet && len(pd.instr.Args) == 1 {
-			pd.instr.Type = f.RegType[pd.instr.Args[0]]
+		if in.Op == OpRet && len(in.Args) == 1 {
+			in.Type = f.RegType[in.Args[0]]
 		}
 	}
 
-	f.Finish()
-	return f, calls, nil
+	// Carve each block a predecessor window of exactly the size link fills;
+	// Block.Index counts them until link assigns it.
+	for _, b := range f.Blocks {
+		for _, s := range b.Succs() {
+			s.Index++
+		}
+	}
+	for _, b := range f.Blocks {
+		if n := b.Index; n > 0 {
+			b.Preds = bptrs[rb : rb : rb+n]
+			rb += n
+		}
+	}
+	f.link(byName)
+	return f, nil
 }
 
-func (p *parser) parseInstrLine(line string) (rawInstr, error) {
-	ri := rawInstr{line: p.pos}
+// resetRegs readies the register table for a function whose definitions
+// take numbers below size, with nparams parameters and named definitions
+// under non-canonical names.
+func (p *parser) resetRegs(size, nparams, named int) {
+	if cap(p.state) < size {
+		p.state = make([]regState, size)
+	} else {
+		p.state = p.state[:size]
+		clear(p.state)
+	}
+	for r := 1; r <= nparams; r++ {
+		p.state[r] = regPinned
+	}
+	p.named = nil
+	if named > 0 {
+		p.named = make(map[string]Reg, named)
+	}
+	p.next, p.top = Reg(1+nparams), Reg(nparams)
+}
+
+// defReg numbers the register a definition names: a canonical r<N> keeps
+// N, preserving the printed function's numbering across a round trip, and
+// any other name takes the lowest free number.
+func (p *parser) defReg(nm string, line int) (Reg, error) {
+	n, canonical := canonicalRegNumber(nm)
+	if _, ok := p.reg(nm); ok {
+		return NoReg, fmt.Errorf("ir: line %d: register %s defined more than once", line+1, nm)
+	}
+	r := n
+	if canonical {
+		if p.state[n] != regFree {
+			return NoReg, fmt.Errorf("ir: line %d: register %s conflicts with an earlier definition", line+1, nm)
+		}
+		p.state[n] = regPinned
+	} else {
+		for p.state[p.next] != regFree {
+			p.next++
+		}
+		r = p.next
+		p.state[r] = regNamed
+		p.named[nm] = r
+	}
+	p.top = max(p.top, r)
+	return r, nil
+}
+
+// reg resolves a register name defined so far.
+func (p *parser) reg(nm string) (Reg, bool) {
+	if n, ok := canonicalRegNumber(nm); ok {
+		return n, int(n) < len(p.state) && p.state[n] == regPinned
+	}
+	r, ok := p.named[nm]
+	return r, ok
+}
+
+// scanInstr scans one instruction line into the scratch.
+func (p *parser) scanInstr(line string) error {
+	p.instrs = append(p.instrs, rawInstr{line: p.pos, arg: len(p.args), ref: len(p.refs)})
+	ri := &p.instrs[len(p.instrs)-1]
 	rest := line
 	if eq := strings.Index(rest, " = "); eq >= 0 {
 		ri.dst = strings.TrimSpace(rest[:eq])
 		rest = strings.TrimSpace(rest[eq+3:])
 	}
-	fields := strings.Fields(rest)
-	if len(fields) == 0 {
-		return ri, p.errf("empty instruction")
+	if rest == "" {
+		return p.errf("empty instruction")
 	}
-	ri.mnemonic = fields[0]
-	operands := strings.TrimSpace(strings.TrimPrefix(rest, fields[0]))
+	end := strings.IndexFunc(rest, unicode.IsSpace)
+	if end < 0 {
+		end = len(rest)
+	}
+	ri.mnemonic = rest[:end]
+	operands := strings.TrimSpace(rest[end:])
 
 	base := ri.mnemonic
 	if dot := strings.LastIndexByte(base, '.'); dot > 0 {
@@ -309,100 +481,129 @@ func (p *parser) parseInstrLine(line string) (rawInstr, error) {
 			base = base[:dot]
 		}
 	}
+	var err error
 	switch base {
 	case "call":
-		fields := strings.Fields(operands)
-		if len(fields) == 0 || !strings.HasPrefix(fields[0], "@") {
-			return ri, p.errf("call wants '@callee args...'")
+		callee, args := nextField(operands)
+		if !strings.HasPrefix(callee, "@") {
+			return p.errf("call wants '@callee args...'")
 		}
-		ri.callee = strings.TrimPrefix(fields[0], "@")
-		ri.args = fields[1:]
-		return ri, nil
+		ri.callee = callee[1:]
+		for f, rest := nextField(args); f != ""; f, rest = nextField(rest) {
+			p.args = append(p.args, f)
+		}
 	case "const":
-		return p.parseConst(ri, operands)
+		err = p.parseConst(ri, operands)
 	case "phi":
-		return p.parsePhi(ri, operands)
+		err = p.parsePhi(operands)
 	case "br":
-		t, err := parseBlockRef(operands)
-		if err != nil {
-			return ri, p.errf("%v", err)
+		t, berr := parseBlockRef(operands)
+		if berr != nil {
+			return p.errf("%v", berr)
 		}
-		ri.blocks = []string{t}
-		return ri, nil
+		p.refs = append(p.refs, t)
 	case "condbr":
-		parts := splitOperands(operands)
+		p.args = appendOperands(p.args, operands)
+		parts := p.args[ri.arg:]
 		if len(parts) != 3 {
-			return ri, p.errf("condbr wants 'cond, %%then, %%else'")
+			return p.errf("condbr wants 'cond, %%then, %%else'")
 		}
-		ri.args = []string{parts[0]}
+		p.args = p.args[:ri.arg+1]
 		for _, bp := range parts[1:] {
-			t, err := parseBlockRef(bp)
-			if err != nil {
-				return ri, p.errf("%v", err)
+			t, berr := parseBlockRef(bp)
+			if berr != nil {
+				return p.errf("%v", berr)
 			}
-			ri.blocks = append(ri.blocks, t)
+			p.refs = append(p.refs, t)
 		}
-		return ri, nil
 	default:
-		if operands != "" {
-			ri.args = splitOperands(operands)
-		}
-		return ri, nil
+		p.args = appendOperands(p.args, operands)
 	}
+	if err != nil {
+		return err
+	}
+	ri.nargs, ri.nrefs = len(p.args)-ri.arg, len(p.refs)-ri.ref
+	return nil
 }
 
-func (p *parser) parseConst(ri rawInstr, operands string) (rawInstr, error) {
+// nextField returns the first whitespace-separated field of s and what
+// follows it, as strings.Fields splits.
+func nextField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	end := strings.IndexFunc(s, unicode.IsSpace)
+	if end < 0 {
+		return s, ""
+	}
+	return s[:end], s[end:]
+}
+
+// appendOperands appends the comma-separated operands of s to dst,
+// trimmed, skipping empty ones.
+func appendOperands(dst []string, s string) []string {
+	for s != "" {
+		part, rest, _ := strings.Cut(s, ",")
+		if t := strings.TrimSpace(part); t != "" {
+			dst = append(dst, t)
+		}
+		s = rest
+	}
+	return dst
+}
+
+func (p *parser) parseConst(ri *rawInstr, operands string) error {
 	operands = strings.TrimSpace(operands)
 	if operands == "" {
-		return ri, p.errf("const requires a literal")
+		return p.errf("const requires a literal")
 	}
 	if strings.HasSuffix(ri.mnemonic, ".f64") {
 		if strings.HasPrefix(operands, "bits:") {
 			bits, err := strconv.ParseUint(strings.TrimPrefix(operands, "bits:"), 0, 64)
 			if err != nil {
-				return ri, p.errf("bad f64 bit pattern: %v", err)
+				return p.errf("bad f64 bit pattern: %v", err)
 			}
 			ri.imm = int64(bits)
-			return ri, nil
+			return nil
 		}
 		v, err := strconv.ParseFloat(operands, 64)
 		if err != nil {
-			return ri, p.errf("bad f64 literal: %v", err)
+			return p.errf("bad f64 literal: %v", err)
 		}
 		ri.imm = int64(math.Float64bits(v))
-		return ri, nil
+		return nil
 	}
 	v, err := strconv.ParseInt(operands, 0, 64)
 	if err != nil {
-		return ri, p.errf("bad i64 literal: %v", err)
+		return p.errf("bad i64 literal: %v", err)
 	}
 	ri.imm = v
-	return ri, nil
+	return nil
 }
 
-func (p *parser) parsePhi(ri rawInstr, operands string) (rawInstr, error) {
+func (p *parser) parsePhi(operands string) error {
 	rest := strings.TrimSpace(operands)
+	n := 0
 	for rest != "" {
 		if rest[0] != '[' {
-			return ri, p.errf("phi incoming must look like [block: reg]")
+			return p.errf("phi incoming must look like [block: reg]")
 		}
 		end := strings.IndexByte(rest, ']')
 		if end < 0 {
-			return ri, p.errf("unterminated phi incoming")
+			return p.errf("unterminated phi incoming")
 		}
 		inner := rest[1:end]
 		colon := strings.IndexByte(inner, ':')
 		if colon < 0 {
-			return ri, p.errf("phi incoming missing ':'")
+			return p.errf("phi incoming missing ':'")
 		}
-		ri.blocks = append(ri.blocks, strings.TrimSpace(inner[:colon]))
-		ri.args = append(ri.args, strings.TrimSpace(inner[colon+1:]))
+		p.refs = append(p.refs, strings.TrimSpace(inner[:colon]))
+		p.args = append(p.args, strings.TrimSpace(inner[colon+1:]))
+		n++
 		rest = strings.TrimSpace(rest[end+1:])
 	}
-	if len(ri.args) == 0 {
-		return ri, p.errf("phi requires at least one incoming edge")
+	if n == 0 {
+		return p.errf("phi requires at least one incoming edge")
 	}
-	return ri, nil
+	return nil
 }
 
 // maxCanonicalReg bounds the register number a canonical r<N> name may pin,
@@ -427,17 +628,6 @@ func canonicalRegNumber(nm string) (Reg, bool) {
 		}
 	}
 	return Reg(n), true
-}
-
-func splitOperands(s string) []string {
-	parts := strings.Split(s, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		if t := strings.TrimSpace(p); t != "" {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 func parseBlockRef(s string) (string, error) {

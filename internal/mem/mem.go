@@ -88,9 +88,12 @@ func New(cfg Config) *Cache {
 	if nSets < 1 {
 		nSets = 1
 	}
+	// Every set is a window of one arena of lines, cap equal to len.
+	ways := cfg.L1Ways
+	lines := make([]line, nSets*ways)
 	sets := make([][]line, nSets)
 	for i := range sets {
-		sets[i] = make([]line, cfg.L1Ways)
+		sets[i] = lines[i*ways : (i+1)*ways : (i+1)*ways]
 	}
 	c := &Cache{cfg: cfg, sets: sets, lineShift: -1}
 	if isPow2(cfg.L1LineWords) && isPow2(nSets) {

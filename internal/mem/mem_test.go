@@ -87,3 +87,17 @@ func TestNegativeAddressDoesNotPanic(t *testing.T) {
 	c := New(Config{})
 	_ = c.Access(-17)
 }
+
+// TestNewAllocatesOneArena: the sets are windows of one arena of lines, so
+// a new cache costs the same few allocations whatever its set count.
+func TestNewAllocatesOneArena(t *testing.T) {
+	if n := testing.AllocsPerRun(10, func() { New(Config{}) }); n > 3 {
+		t.Errorf("New allocates %.0f times, want at most 3 (cache, set table, line arena)", n)
+	}
+	c := New(Config{})
+	for i := range c.sets {
+		if len(c.sets[i]) != cap(c.sets[i]) {
+			t.Fatalf("set %d has capacity %d past its %d ways", i, cap(c.sets[i]), len(c.sets[i]))
+		}
+	}
+}

@@ -107,7 +107,8 @@ func LoadFile(path string, opts LoadOptions) (*Program, error) {
 }
 
 // FromModule materializes a parsed module's entry function as a Program.
-// The module must come from ParseModule (or otherwise verify).
+// The module must come from ParseModule (or otherwise verify): FromModule
+// does not verify it again.
 func FromModule(m *ir.Module, opts LoadOptions) (*Program, error) {
 	if len(m.Funcs) == 0 {
 		return nil, fmt.Errorf("%w: module has no functions", ErrInvalid)
@@ -132,13 +133,7 @@ func FromModule(m *ir.Module, opts LoadOptions) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := New(f.Name, SuiteUser, f, args, make([]uint64, memWords))
-	if err != nil {
-		// New re-verifies; a module from ParseModule already passed, so this
-		// is only reachable for hand-assembled modules.
-		return nil, fmt.Errorf("%w: %w", ErrInvalid, err)
-	}
-	return p, nil
+	return assemble(f.Name, SuiteUser, f, args, make([]uint64, memWords))
 }
 
 // ArgValues parses textual argument literals into the raw register values

@@ -9,21 +9,21 @@
 // persisted forms) used to be keyed by workload *name*, which silently
 // reused stale artifacts whenever a same-named kernel's body changed across
 // binary versions. A Program is content-addressed instead: the digest is a
-// SHA-256 over the canonical ir.Print rendering of the entry function and
-// everything it transitively calls, plus the entry point and the full
-// initial state (arguments and memory image). Two programs share a digest
-// exactly when the pipeline would produce byte-identical artifacts for
-// them; two different bodies behind one name never collide.
+// SHA-256 over the positional bytes (ir.WriteFunction) of the entry
+// function and everything it transitively calls, plus the entry point and
+// the full initial state (arguments and memory image). Two programs share
+// a digest exactly when the pipeline would produce byte-identical
+// artifacts for them; two different bodies behind one name never collide.
 package program
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"sync"
 
 	"needle/internal/ir"
+	"needle/internal/wire"
 )
 
 // Program is one analyzable unit: a verified entry function (with its
@@ -57,7 +57,7 @@ const SuiteUser = "user"
 
 // digestDomain separates program digests from any other SHA-256 use; bump
 // the version if the digested byte layout ever changes.
-const digestDomain = "needle-program-v1"
+const digestDomain = "needle-program-v2"
 
 // New builds a Program after verifying the entry function and every
 // function it transitively calls. The argument count must match the entry
@@ -72,6 +72,11 @@ func New(name, suite string, f *ir.Function, args, memory []uint64) (*Program, e
 			return nil, fmt.Errorf("program: %s: %w", name, err)
 		}
 	}
+	return assemble(name, suite, f, args, memory)
+}
+
+// assemble is New for a function already known to verify.
+func assemble(name, suite string, f *ir.Function, args, memory []uint64) (*Program, error) {
 	if len(args) != f.NumParams() {
 		return nil, fmt.Errorf("program: %s: entry @%s wants %d arguments, have %d",
 			name, f.Name, f.NumParams(), len(args))
@@ -79,32 +84,45 @@ func New(name, suite string, f *ir.Function, args, memory []uint64) (*Program, e
 	return &Program{Name: name, Suite: suite, F: f, Args: args, Memory: memory}, nil
 }
 
+// digestBufBytes is the size of the one buffer Digest writes through.
+const digestBufBytes = 4096
+
 // Digest returns the program's content digest: 32 hex characters of a
-// SHA-256 over the canonical printed module (entry first), the entry
-// function's name, and the full initial state. It is deterministic across
-// processes and binary versions — the property the persistent artifact
-// store's cache keys rely on — and is computed once, lazily.
+// SHA-256 over, in order, the domain, the entry function's name, the
+// positional bytes (ir.WriteFunction) of every function of its module in
+// ir.PrintModule's order, then the argument and memory words. Every list
+// is prefixed by its length, so the byte stream has one reading. It is
+// deterministic across processes and binary versions — the property the
+// persistent artifact store's cache keys rely on — and is computed once,
+// lazily, through one fixed buffer whatever the program's size.
 func (p *Program) Digest() string {
-	p.digestOnce.Do(func() {
-		h := sha256.New()
-		var word [8]byte
-		writeUint := func(v uint64) {
-			binary.LittleEndian.PutUint64(word[:], v)
-			h.Write(word[:])
-		}
-		fmt.Fprintf(h, "%s\nentry=%s\n", digestDomain, p.F.Name)
-		h.Write([]byte(ir.PrintModule(ir.ModuleOf(p.F))))
-		fmt.Fprintf(h, "\nargs=%d\n", len(p.Args))
-		for _, a := range p.Args {
-			writeUint(a)
-		}
-		fmt.Fprintf(h, "\nmem=%d\n", len(p.Memory))
-		for _, m := range p.Memory {
-			writeUint(m)
-		}
-		p.digest = hex.EncodeToString(h.Sum(nil))[:32]
-	})
+	p.digestOnce.Do(func() { p.digest = p.computeDigest() })
 	return p.digest
+}
+
+func (p *Program) computeDigest() string {
+	h := sha256.New()
+	buf := wire.Buffer{B: make([]byte, 0, digestBufBytes), Sink: h}
+	buf.String(digestDomain)
+	buf.String(p.F.Name)
+	funcs := ir.ModuleOf(p.F).Funcs
+	buf.Uvarint(uint64(len(funcs)))
+	for _, fn := range funcs {
+		if err := ir.WriteFunction(&buf, fn); err != nil {
+			// Only an unverified function fails; New verified these.
+			panic("program: digest of " + p.Name + ": " + err.Error())
+		}
+	}
+	for _, words := range [...][]uint64{p.Args, p.Memory} {
+		buf.Uvarint(uint64(len(words)))
+		for _, w := range words {
+			buf.Uint64(w)
+		}
+	}
+	buf.Flush()
+	sum := h.Sum(buf.B[:0])
+	hexed := hex.AppendEncode(sum[len(sum):], sum[:16])
+	return string(hexed)
 }
 
 // Key returns the human-readable cache-key base the pipeline uses:

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"needle/internal/ir"
+	"needle/internal/irgen"
 )
 
 const countSrc = `func @count(i64) {
@@ -62,7 +63,40 @@ func TestDigestDeterministicAndContentAddressed(t *testing.T) {
 	if mem.Digest() == p1.Digest() {
 		t.Error("changed memory image shares a digest")
 	}
+
+	// A module with calls digests its callees too, by name and body.
+	calls := mustLoad(t, callerSrc+stepSrc, opts)
+	if again := mustLoad(t, callerSrc+stepSrc, opts); again.Digest() != calls.Digest() {
+		t.Errorf("identical modules with calls digest differently: %s vs %s", calls.Digest(), again.Digest())
+	}
+	for change, src := range map[string]string{
+		"callee name":     strings.ReplaceAll(callerSrc+stepSrc, "@step", "@next"),
+		"block name":      callerSrc + strings.ReplaceAll(stepSrc, "entry", "start"),
+		"register number": callerSrc + strings.ReplaceAll(stepSrc, "r2", "r5"),
+		"callee body":     callerSrc + strings.Replace(stepSrc, "const.i64 1", "const.i64 2", 1),
+	} {
+		if p := mustLoad(t, src, opts); p.Digest() == calls.Digest() {
+			t.Errorf("changed %s shares a digest", change)
+		}
+	}
 }
+
+// callerSrc calls stepSrc twice.
+const callerSrc = `func @twice(i64) {
+entry:
+  r2 = call.i64 @step r1
+  r3 = call.i64 @step r2
+  ret r3
+}
+`
+
+const stepSrc = `func @step(i64) {
+entry:
+  r2 = const.i64 1
+  r3 = add r1, r2
+  ret r3
+}
+`
 
 func TestLoadDefaultsAndEntrySelection(t *testing.T) {
 	p := mustLoad(t, countSrc, LoadOptions{})
@@ -158,5 +192,28 @@ func TestNewRejectsMismatchedArgs(t *testing.T) {
 	}
 	if _, err := New("x", SuiteUser, nil, nil, nil); err == nil {
 		t.Error("New accepted a nil entry function")
+	}
+}
+
+// digestAllocsBefore is what computing the digest of the pool-shape
+// program below allocated when it printed the module with fmt and hashed
+// the text (1,291).
+const digestAllocsBefore = 1291
+
+// TestDigestAllocations: the digest writes through one fixed buffer, so it
+// allocates a small constant number of times whatever the program's size.
+func TestDigestAllocations(t *testing.T) {
+	shape := irgen.Config{MaxDepth: 3, MaxStmts: 8, MaxLoopTrip: 24, MemWords: 1024}
+	for _, tc := range []struct {
+		seed     int64
+		memWords int
+	}{{4, 1024}, {1, 1024}, {1, 1 << 16}} {
+		g := irgen.Generate(tc.seed, shape)
+		p := mustLoad(t, ir.Print(g.F), LoadOptions{MemWords: tc.memWords, Args: []string{"5"}})
+		allocs := testing.AllocsPerRun(20, func() { p.computeDigest() })
+		if allocs > 8 {
+			t.Errorf("seed %d, %d memory words (%d instructions): digest allocates %.0f times, want at most 8 (was %d)",
+				tc.seed, tc.memWords, g.F.NumInstrs(), allocs, digestAllocsBefore)
+		}
 	}
 }

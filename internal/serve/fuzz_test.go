@@ -11,28 +11,12 @@ import (
 	"strings"
 	"testing"
 
-	"needle/internal/ballarus"
 	"needle/internal/core"
-	"needle/internal/interp"
 	"needle/internal/ir"
 	"needle/internal/irgen"
-	"needle/internal/passes"
 	"needle/internal/pipeline"
 	"needle/internal/program"
 )
-
-// pipelineRejections are the typed errors a verified program may fail the
-// pipeline with: calls the inliner cannot flatten, a fault or the step cap
-// while it is profiled, or a CFG the Ball-Larus numbering refuses.
-var pipelineRejections = []error{
-	passes.ErrInlineDepth,
-	interp.ErrDivideByZero,
-	interp.ErrOutOfBounds,
-	interp.ErrStepLimit,
-	interp.ErrCallDepth,
-	ballarus.ErrTooManyPaths,
-	ballarus.ErrIrreducible,
-}
 
 // FuzzAnalyze drives untrusted .nir text, with comma-separated entry
 // arguments, through what POST /v1/analyze does with it: ingestion under
@@ -41,7 +25,7 @@ var pipelineRejections = []error{
 //   - nothing panics;
 //   - a rejected input returns a typed error: ingestion wraps
 //     program.ErrInvalid or program.ErrTooLarge and maps to 422 or 413, and
-//     a pipeline failure wraps one of pipelineRejections;
+//     a pipeline failure wraps one of pipelineRejections and maps to 422;
 //   - a second analysis through a fresh pipeline.Cache gives byte-identical
 //     summary JSON, or the same error.
 func FuzzAnalyze(f *testing.F) {
@@ -90,6 +74,9 @@ func FuzzAnalyze(f *testing.F) {
 			}
 			if !typed {
 				t.Fatalf("pipeline rejected with an untyped error: %v", err)
+			}
+			if status := errorStatus(err); status != http.StatusUnprocessableEntity {
+				t.Fatalf("pipeline rejection %v maps to status %d, want 422", err, status)
 			}
 			if errAgain == nil || errAgain.Error() != err.Error() {
 				t.Fatalf("second run's error differs: %v, then %v", err, errAgain)

@@ -14,9 +14,12 @@ import (
 	"sync"
 	"time"
 
+	"needle/internal/ballarus"
 	"needle/internal/core"
+	"needle/internal/interp"
 	"needle/internal/ir"
 	"needle/internal/obs"
+	"needle/internal/passes"
 	"needle/internal/pipeline"
 	"needle/internal/program"
 	"needle/internal/vet"
@@ -143,20 +146,49 @@ func requestStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// writeError emits a JSON error object with the status code err maps to.
-func (s *Server) writeError(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
+// pipelineRejections are the typed errors a verified program may fail the
+// pipeline with: calls the inliner cannot flatten, a fault or the step cap
+// while it is profiled, or a CFG the Ball-Larus numbering refuses. Each is
+// a property of the program the request sent, so each is a 422.
+var pipelineRejections = []error{
+	passes.ErrInlineDepth,
+	interp.ErrDivideByZero,
+	interp.ErrOutOfBounds,
+	interp.ErrStepLimit,
+	interp.ErrCallDepth,
+	ballarus.ErrTooManyPaths,
+	ballarus.ErrIrreducible,
+}
+
+// errorStatus maps the error a request failed with to its HTTP status.
+func errorStatus(err error) int {
 	switch {
 	case errors.Is(err, errQueueFull):
-		status = http.StatusTooManyRequests
-		w.Header().Set("Retry-After", "1")
+		return http.StatusTooManyRequests
 	case errors.Is(err, errDraining):
-		status = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", "5")
+		return http.StatusServiceUnavailable
 	case isCancellation(err):
 		// 499 (nginx convention): the request's deadline or client
 		// connection ended the run before it produced a response.
-		status = statusClientClosedRequest
+		return statusClientClosedRequest
+	}
+	for _, rejection := range pipelineRejections {
+		if errors.Is(err, rejection) {
+			return http.StatusUnprocessableEntity
+		}
+	}
+	return http.StatusInternalServerError
+}
+
+// writeError emits a JSON error object with the status code err maps to.
+func (s *Server) writeError(w http.ResponseWriter, err error) {
+	status := errorStatus(err)
+	switch status {
+	case http.StatusTooManyRequests:
+		w.Header().Set("Retry-After", "1")
+	case http.StatusServiceUnavailable:
+		w.Header().Set("Retry-After", "5")
+	case statusClientClosedRequest:
 		obsCancelled.Add(1)
 	}
 	writeJSONError(w, status, err.Error())

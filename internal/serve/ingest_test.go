@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"needle/internal/core"
+	"needle/internal/interp"
 	"needle/internal/obs"
 	"needle/internal/program"
 )
@@ -208,6 +209,26 @@ func TestAnalyzeDiamondInlines(t *testing.T) {
 	want := nirCLIBytes(t, string(src), program.LoadOptions{Args: []string{"64"}}, core.DefaultConfig())
 	if !bytes.Equal(rr.Body.Bytes(), want) {
 		t.Errorf("diamond response diverges from CLI bytes:\n got %s\nwant %s", rr.Body.Bytes(), want)
+	}
+}
+
+// TestAnalyzeSourcePipelineRejection: a program that verifies but faults
+// when it runs is the request's fault, so it is a 422 carrying the typed
+// error, not a 500.
+func TestAnalyzeSourcePipelineRejection(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "examples", "nir", "oob.nir"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Jobs: 1})
+	defer s.Close()
+	rr := doReq(s, http.MethodPost, "/v1/analyze", sourceReq(t, analyzeRequest{Source: string(src)}))
+	if rr.Code != http.StatusUnprocessableEntity {
+		t.Errorf("oob analyze: status %d, want 422 (body %q)", rr.Code, rr.Body.String())
+	}
+	var e map[string]string
+	if err := json.Unmarshal(rr.Body.Bytes(), &e); err != nil || !strings.Contains(e["error"], interp.ErrOutOfBounds.Error()) {
+		t.Errorf("oob analyze: error body %q does not name %q", rr.Body.String(), interp.ErrOutOfBounds)
 	}
 }
 

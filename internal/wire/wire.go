@@ -17,6 +17,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 )
 
@@ -68,6 +69,71 @@ func Uints[T ~uint8 | ~int | ~int32 | ~int64](r *Reader, limit int) []T {
 		s[i] = T(r.Index(limit))
 	}
 	return s
+}
+
+// Buffer appends fields in this package's conventions to B. With Sink set
+// it streams instead: before a field that might not fit in B's free
+// capacity it writes B to Sink and starts B over, so B never grows and a
+// payload of any size is written through one fixed buffer. A streaming
+// Buffer needs a capacity of at least binary.MaxVarintLen64 bytes, its
+// caller writes what is left with Flush, and its Sink must not fail, as a
+// hash.Hash never does: Flush drops the error.
+type Buffer struct {
+	B    []byte
+	Sink io.Writer
+}
+
+// room makes n bytes free in B when streaming.
+func (b *Buffer) room(n int) {
+	if b.Sink != nil && cap(b.B)-len(b.B) < n {
+		b.Flush()
+	}
+}
+
+// Flush writes B to Sink and empties B.
+func (b *Buffer) Flush() {
+	b.Sink.Write(b.B) //nolint:errcheck // a Sink never fails, see Buffer
+	b.B = b.B[:0]
+}
+
+// Uvarint appends v as AppendUvarint does.
+func (b *Buffer) Uvarint(v uint64) {
+	b.room(binary.MaxVarintLen64)
+	b.B = binary.AppendUvarint(b.B, v)
+}
+
+// Varint appends v as AppendVarint does.
+func (b *Buffer) Varint(v int64) {
+	b.room(binary.MaxVarintLen64)
+	b.B = binary.AppendVarint(b.B, v)
+}
+
+// Uint64 appends v's eight little-endian bytes.
+func (b *Buffer) Uint64(v uint64) {
+	b.room(8)
+	b.B = binary.LittleEndian.AppendUint64(b.B, v)
+}
+
+// Raw appends s's bytes with no length.
+func (b *Buffer) Raw(s string) {
+	if b.Sink == nil {
+		b.B = append(b.B, s...)
+		return
+	}
+	for {
+		n := copy(b.B[len(b.B):cap(b.B)], s)
+		b.B = b.B[:len(b.B)+n]
+		if s = s[n:]; s == "" {
+			return
+		}
+		b.Flush()
+	}
+}
+
+// String appends s as AppendString does.
+func (b *Buffer) String(s string) {
+	b.Uvarint(uint64(len(s)))
+	b.Raw(s)
 }
 
 // Reader decodes one payload. The zero Reader is an empty payload.

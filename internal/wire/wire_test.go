@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -89,5 +92,39 @@ func TestCountLargerThanInputAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("%v allocations rejecting a huge count", allocs)
+	}
+}
+
+// TestBufferStreamsLikeAppend: a streaming Buffer hands its sink exactly
+// the bytes the Append functions build, through a buffer that never grows.
+func TestBufferStreamsLikeAppend(t *testing.T) {
+	long := strings.Repeat("needle", 40)
+	var want []byte
+	want = AppendString(want, long)
+	want = AppendUvarint(want, math.MaxUint64)
+	want = AppendVarint(want, math.MinInt64)
+	want = binary.LittleEndian.AppendUint64(want, 42)
+	want = append(want, long...)
+
+	var sink bytes.Buffer
+	b := Buffer{B: make([]byte, 0, binary.MaxVarintLen64), Sink: &sink}
+	b.String(long)
+	b.Uvarint(math.MaxUint64)
+	b.Varint(math.MinInt64)
+	b.Uint64(42)
+	b.Raw(long)
+	if cap(b.B) != binary.MaxVarintLen64 {
+		t.Errorf("buffer grew to %d bytes", cap(b.B))
+	}
+	b.Flush()
+	if !bytes.Equal(sink.Bytes(), want) {
+		t.Errorf("streamed %x, want %x", sink.Bytes(), want)
+	}
+
+	// Without a sink it appends.
+	a := Buffer{}
+	a.String(long)
+	if !bytes.Equal(a.B, AppendString(nil, long)) {
+		t.Errorf("appended %x", a.B)
 	}
 }

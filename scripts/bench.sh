@@ -33,7 +33,10 @@
 # (the Select stage computed cold, as on a miss), target (the Target stage
 # alone, upstream artifacts served from a pre-warmed Cache) and capture
 # (sim.Capture on the Inline artifact's function: the Profile stage's cold
-# compute).
+# compute). Beside them it records, also ungated, the three BenchmarkIngest
+# rows: parse (ir.Parse), load (program.Load) and digest (Program.Digest)
+# over irgen programs of the shape needled is sent in the benchmark's
+# serve-nir-cold workload.
 #
 #   ./scripts/bench.sh            (or: make bench)
 #   BENCH_TIME=10x ./scripts/bench.sh   # more iterations, less noise
@@ -51,7 +54,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-benches='^(BenchmarkSweep|BenchmarkSweepWarmStart|BenchmarkCapture|BenchmarkInterpreter|BenchmarkPathProfiling|BenchmarkPathDecode|BenchmarkOOOModel|BenchmarkAblationPredictor|BenchmarkVet|BenchmarkStage)$'
+benches='^(BenchmarkSweep|BenchmarkSweepWarmStart|BenchmarkCapture|BenchmarkInterpreter|BenchmarkPathProfiling|BenchmarkPathDecode|BenchmarkOOOModel|BenchmarkAblationPredictor|BenchmarkVet|BenchmarkStage|BenchmarkIngest)$'
 benchtime="${BENCH_TIME:-5x}"
 
 echo "running sweep benchmarks (benchtime $benchtime)..."
@@ -73,6 +76,9 @@ for layer in inline opt-decode profile-decode select-decode select frame target 
     for w in 186.crafty 458.sjeng 164.gzip; do
         stages="$stages BenchmarkStage/$layer/$w"
     done
+done
+for step in parse load digest; do
+    stages="$stages BenchmarkIngest/$step"
 done
 
 sweep=$(ns_of BenchmarkSweep)
