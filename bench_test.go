@@ -482,6 +482,33 @@ func BenchmarkIngest(b *testing.B) {
 	})
 }
 
+// BenchmarkAnalysis times each per-function analysis needled recomputes
+// for every program it is sent (analysisRows), over the inlined irgen
+// programs of seeds 1 to 16 in the serve-nir-cold shape, one per
+// iteration.
+func BenchmarkAnalysis(b *testing.B) {
+	fs := make([]*ir.Function, 16)
+	for i := range fs {
+		f, err := passes.InlineAll(irgen.Generate(int64(i+1), poolShape).F)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fs[i] = f
+	}
+	for _, row := range analysisRows {
+		runs := make([]func(), len(fs))
+		for i, f := range fs {
+			runs[i] = row.prepare(f)
+		}
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				runs[i%len(runs)]()
+			}
+		})
+	}
+}
+
 // BenchmarkCapture measures the system-simulator capture alone — the
 // compiled interpreter fast path feeding the OOO model one block-batched
 // timing packet per executed block — on the heaviest workload. The analysis

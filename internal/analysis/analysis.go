@@ -260,49 +260,59 @@ type Liveness struct {
 // The transfer function is evaluated on register bitsets — the fixpoint
 // loop is pure word arithmetic (out |= in[succ]; in = use | (out &^ def)),
 // which keeps the pass linear-ish in practice where the old map-based
-// version paid a hash probe per register per round.
+// version paid a hash probe per register per round. The registers each
+// block supplies to its successors' phis sit in one table indexed by the
+// supplying block, sized by a counting pass.
 func ComputeLiveness(f *ir.Function) *Liveness {
 	n := len(f.Blocks)
 	words := (f.NumRegs() + 64) >> 6 // registers are 1-based; bit 0 unused
+	// In, Out, use and def, each n sets of words. use[b]: registers read in
+	// b before any redefinition, excluding phi operands (attributed to
+	// predecessors). def[b]: registers defined in b, including phi
+	// destinations.
 	arena := make([]uint64, 4*n*words)
-	sets := func(k int) []RegSet {
-		out := make([]RegSet, n)
-		for i := range out {
-			out[i] = RegSet(arena[(k*n+i)*words : (k*n+i+1)*words])
-		}
-		return out
+	sets := make([]RegSet, 4*n)
+	for i := range sets {
+		sets[i] = RegSet(arena[i*words : (i+1)*words : (i+1)*words])
 	}
-	lv := &Liveness{In: sets(0), Out: sets(1)}
+	lv := &Liveness{In: sets[:n:n], Out: sets[n : 2*n : 2*n]}
+	use, def := sets[2*n:3*n], sets[3*n:]
 
-	// use[b]: registers read in b before any redefinition, excluding phi
-	// operands (attributed to predecessors). def[b]: registers defined in b,
-	// including phi destinations.
-	use := sets(2)
-	def := sets(3)
-	// phiUse[p][s]: registers that predecessor p must supply to successor s's
-	// phis.
-	phiUse := make(map[*ir.Block]map[*ir.Block][]ir.Reg)
+	// phiUse[phiOff[p]:phiOff[p+1]]: the registers predecessor p must
+	// supply to its successors' phis, each with the successor it feeds.
+	// Counted into phiOff[p+2], summed, then filled through phiOff[p+1].
+	phiOff := make([]int32, n+2)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpPhi {
-				for i, from := range in.Blocks {
-					m := phiUse[from]
-					if m == nil {
-						m = make(map[*ir.Block][]ir.Reg)
-						phiUse[from] = m
-					}
-					m[b] = append(m[b], in.Args[i])
+				for _, from := range in.Blocks {
+					phiOff[from.Index+2]++
 				}
-				def[b.Index].Add(in.Dst)
+			}
+		}
+	}
+	for i := 2; i < len(phiOff); i++ {
+		phiOff[i] += phiOff[i-1]
+	}
+	phiUse := make([]phiSupply, phiOff[n+1])
+	for _, b := range f.Blocks {
+		use, def := use[b.Index], def[b.Index]
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpPhi {
+				for i, from := range in.Blocks {
+					phiUse[phiOff[from.Index+1]] = phiSupply{to: int32(b.Index), reg: in.Args[i]}
+					phiOff[from.Index+1]++
+				}
+				def.Add(in.Dst)
 				continue
 			}
-			in.Uses(func(r ir.Reg) {
-				if !def[b.Index].Has(r) {
-					use[b.Index].Add(r)
+			for _, r := range in.Args {
+				if r != ir.NoReg && !def.Has(r) {
+					use.Add(r)
 				}
-			})
+			}
 			if in.Op.HasDest() {
-				def[b.Index].Add(in.Dst)
+				def.Add(in.Dst)
 			}
 		}
 	}
@@ -312,6 +322,7 @@ func ComputeLiveness(f *ir.Function) *Liveness {
 		for i := len(f.Blocks) - 1; i >= 0; i-- {
 			b := f.Blocks[i]
 			out := lv.Out[b.Index]
+			supplies := phiUse[phiOff[b.Index]:phiOff[b.Index+1]]
 			for _, s := range b.Succs() {
 				for w, v := range lv.In[s.Index] {
 					if v&^out[w] != 0 {
@@ -319,9 +330,9 @@ func ComputeLiveness(f *ir.Function) *Liveness {
 						changed = true
 					}
 				}
-				for _, r := range phiUse[b][s] {
-					if !out.Has(r) {
-						out.Add(r)
+				for _, ps := range supplies {
+					if int(ps.to) == s.Index && !out.Has(ps.reg) {
+						out.Add(ps.reg)
 						changed = true
 					}
 				}
@@ -337,6 +348,13 @@ func ComputeLiveness(f *ir.Function) *Liveness {
 		}
 	}
 	return lv
+}
+
+// phiSupply is one phi operand a predecessor supplies: the register, and
+// the index of the successor block whose phi reads it.
+type phiSupply struct {
+	to  int32
+	reg ir.Reg
 }
 
 // VerifySSA checks the dominance property: every non-phi use of a register

@@ -316,7 +316,7 @@ func TestControlDependents(t *testing.T) {
 	pdom := PostDominators(f)
 	deps := ControlDependents(f, pdom)
 	entry := f.BlockByName("entry")
-	got := deps[entry]
+	got := deps.Of(entry)
 	if len(got) != 2 {
 		t.Fatalf("entry controls %v, want left and right", got)
 	}
@@ -337,7 +337,7 @@ func TestControlDependentsLoop(t *testing.T) {
 	// body is control dependent on head's branch; head itself is too (the
 	// back edge makes head's next iteration contingent on the branch).
 	names := map[string]bool{}
-	for _, b := range deps[head] {
+	for _, b := range deps.Of(head) {
 		names[b.Name] = true
 	}
 	if !names["body"] {

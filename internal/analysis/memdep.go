@@ -6,11 +6,7 @@
 // different offsets cannot alias, and anything else may alias.
 package analysis
 
-import (
-	"sort"
-
-	"needle/internal/ir"
-)
+import "needle/internal/ir"
 
 // AliasClass classifies a pair of memory accesses.
 type AliasClass uint8
@@ -112,86 +108,51 @@ func (md *MemDep) ClassifyRegs(a, b ir.Reg) AliasClass {
 
 // ComputeMemDep normalizes every register's address form in f and runs the
 // load-derived fixpoint. f must be verified IR; it is not mutated.
+//
+// Every form's Bases is a window of one of two arenas: opaque forms share
+// a table holding each register once (register r's singleton is
+// self[r:r+1]), and sums are merged in order into a growing arena, whose
+// windows are capped so no later append can write into them.
 func ComputeMemDep(f *ir.Function) *MemDep {
+	n := len(f.RegType)
+	flags := make([]bool, 3*n)
 	md := &MemDep{
 		f:           f,
-		forms:       make([]AddrForm, len(f.RegType)),
-		have:        make([]bool, len(f.RegType)),
-		loadDerived: make([]bool, len(f.RegType)),
+		forms:       make([]AddrForm, n),
+		have:        flags[:n:n],
+		loadDerived: flags[n : 2*n : 2*n],
 	}
-
-	def := make([]*ir.Instr, len(f.RegType))
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
+	b := memDepBuilder{
+		md:       md,
+		def:      make([]*ir.Instr, n),
+		visiting: flags[2*n:],
+		self:     make([]ir.Reg, n),
+	}
+	for r := range b.self {
+		b.self[r] = ir.Reg(r)
+	}
+	nAdd := 0
+	for _, blk := range f.Blocks {
+		for _, in := range blk.Instrs {
 			if in.Op.HasDest() && in.Dst != ir.NoReg {
-				def[in.Dst] = in
+				b.def[in.Dst] = in
+			}
+			if in.Op == ir.OpAdd {
+				nAdd++
 			}
 		}
 	}
-
-	// formOf normalizes r's expression. visiting guards against cycles
-	// through phis (a phi is always its own opaque base, but operand
-	// recursion could still loop through unverified self-references).
-	visiting := make([]bool, len(f.RegType))
-	var formOf func(r ir.Reg) AddrForm
-	opaque := func(r ir.Reg) AddrForm { return AddrForm{Bases: []ir.Reg{r}} }
-	formOf = func(r ir.Reg) AddrForm {
-		if r <= ir.NoReg || int(r) >= len(def) {
-			return AddrForm{}
-		}
-		if md.have[r] {
-			return md.forms[r]
-		}
-		if visiting[r] {
-			return opaque(r)
-		}
-		visiting[r] = true
-		defer func() {
-			visiting[r] = false
-			md.have[r] = true
-		}()
-		in := def[r]
-		if in == nil {
-			md.forms[r] = opaque(r) // parameter
-			return md.forms[r]
-		}
-		switch in.Op {
-		case ir.OpConst:
-			if in.Type == ir.I64 {
-				md.forms[r] = AddrForm{Offset: in.Imm}
-				return md.forms[r]
-			}
-		case ir.OpCopy:
-			md.forms[r] = formOf(in.Args[0])
-			return md.forms[r]
-		case ir.OpAdd:
-			a, b := formOf(in.Args[0]), formOf(in.Args[1])
-			bases := make([]ir.Reg, 0, len(a.Bases)+len(b.Bases))
-			bases = append(bases, a.Bases...)
-			bases = append(bases, b.Bases...)
-			if len(bases) <= maxAddrBases {
-				sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-				md.forms[r] = AddrForm{Bases: bases, Offset: a.Offset + b.Offset}
-				return md.forms[r]
-			}
-		case ir.OpSub:
-			a, b := formOf(in.Args[0]), formOf(in.Args[1])
-			if len(b.Bases) == 0 { // x - const
-				md.forms[r] = AddrForm{Bases: a.Bases, Offset: a.Offset - b.Offset}
-				return md.forms[r]
-			}
-		}
-		md.forms[r] = opaque(r)
-		return md.forms[r]
-	}
-	for r := ir.Reg(1); int(r) < len(def); r++ {
-		formOf(r)
+	// Most sums have one or two bases; the arena grows past that only for
+	// deeper address expressions.
+	b.sums = make([]ir.Reg, 0, 2*nAdd)
+	for r := ir.Reg(1); int(r) < n; r++ {
+		b.formOf(r)
 	}
 
 	// Load-derived fixpoint: seed with load destinations, then propagate
 	// through any instruction (including phis) reading a derived register.
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
+	for _, blk := range f.Blocks {
+		for _, in := range blk.Instrs {
 			if in.Op == ir.OpLoad && in.Dst != ir.NoReg {
 				md.loadDerived[in.Dst] = true
 			}
@@ -199,23 +160,104 @@ func ComputeMemDep(f *ir.Function) *MemDep {
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
+		for _, blk := range f.Blocks {
+			for _, in := range blk.Instrs {
 				if !in.Op.HasDest() || in.Dst == ir.NoReg || md.loadDerived[in.Dst] {
 					continue
 				}
-				derived := false
-				in.Uses(func(r ir.Reg) {
-					if md.loadDerived[r] {
-						derived = true
+				for _, r := range in.Args {
+					if r != ir.NoReg && md.loadDerived[r] {
+						md.loadDerived[in.Dst] = true
+						changed = true
+						break
 					}
-				})
-				if derived {
-					md.loadDerived[in.Dst] = true
-					changed = true
 				}
 			}
 		}
 	}
 	return md
+}
+
+// memDepBuilder normalizes address forms on demand: def maps registers to
+// their defining instructions, visiting guards against cycles through phis
+// (a phi is always its own opaque base, but operand recursion could still
+// loop through unverified self-references), self backs the opaque forms and
+// sums backs the merged base lists.
+type memDepBuilder struct {
+	md       *MemDep
+	def      []*ir.Instr
+	visiting []bool
+	self     []ir.Reg
+	sums     []ir.Reg
+}
+
+func (b *memDepBuilder) opaque(r ir.Reg) AddrForm {
+	return AddrForm{Bases: b.self[r : r+1 : r+1]}
+}
+
+// formOf returns r's normalized form, computing and recording it first.
+func (b *memDepBuilder) formOf(r ir.Reg) AddrForm {
+	md := b.md
+	if r <= ir.NoReg || int(r) >= len(b.def) {
+		return AddrForm{}
+	}
+	if md.have[r] {
+		return md.forms[r]
+	}
+	if b.visiting[r] {
+		return b.opaque(r)
+	}
+	b.visiting[r] = true
+	md.forms[r] = b.normalize(r)
+	b.visiting[r] = false
+	md.have[r] = true
+	return md.forms[r]
+}
+
+// normalize computes r's form from its defining instruction.
+func (b *memDepBuilder) normalize(r ir.Reg) AddrForm {
+	in := b.def[r]
+	if in == nil {
+		return b.opaque(r) // parameter
+	}
+	switch in.Op {
+	case ir.OpConst:
+		if in.Type == ir.I64 {
+			return AddrForm{Offset: in.Imm}
+		}
+	case ir.OpCopy:
+		return b.formOf(in.Args[0])
+	case ir.OpAdd:
+		x, y := b.formOf(in.Args[0]), b.formOf(in.Args[1])
+		if len(x.Bases)+len(y.Bases) <= maxAddrBases {
+			return AddrForm{Bases: b.merge(x.Bases, y.Bases), Offset: x.Offset + y.Offset}
+		}
+	case ir.OpSub:
+		x, y := b.formOf(in.Args[0]), b.formOf(in.Args[1])
+		if len(y.Bases) == 0 { // x - const
+			return AddrForm{Bases: x.Bases, Offset: x.Offset - y.Offset}
+		}
+	}
+	return b.opaque(r)
+}
+
+// merge returns the sorted multiset union of two sorted base lists, as a
+// capped window of the sums arena (nil when both are empty).
+func (b *memDepBuilder) merge(x, y []ir.Reg) []ir.Reg {
+	if len(x)+len(y) == 0 {
+		return nil
+	}
+	start := len(b.sums)
+	for len(x) > 0 && len(y) > 0 {
+		if y[0] < x[0] {
+			b.sums = append(b.sums, y[0])
+			y = y[1:]
+		} else {
+			b.sums = append(b.sums, x[0])
+			x = x[1:]
+		}
+	}
+	b.sums = append(b.sums, x...)
+	b.sums = append(b.sums, y...)
+	return b.sums[start:len(b.sums):len(b.sums)]
 }

@@ -1,6 +1,10 @@
 package analysis
 
-import "needle/internal/ir"
+import (
+	"slices"
+
+	"needle/internal/ir"
+)
 
 // PostDomTree holds immediate post-dominator information. Returning blocks
 // (and blocks on endless paths, which verified functions do not have)
@@ -15,43 +19,66 @@ type PostDomTree struct {
 
 // PostDominators computes the post-dominator tree using the iterative
 // algorithm over the reverse CFG with a virtual exit joining all returns.
+// The reverse graph is walked in place: a block's reverse successors are
+// its Preds, the exit's are the returning blocks, and a block's reverse
+// predecessors are its Succs (or the exit, for a returning block).
 func PostDominators(f *ir.Function) *PostDomTree {
 	n := len(f.Blocks)
 	exit := n
-	// Reverse-graph successors are preds; reverse-graph entry is exit.
-	// Build reverse postorder of the reverse graph starting at exit.
-	preds := make([][]int, n+1) // reverse-graph edges: preds[v] in reverse graph = succs of v in CFG
-	succs := make([][]int, n+1) // reverse-graph adjacency: from exit through preds
+	nRet := 0
 	for _, b := range f.Blocks {
-		if t := b.Term(); t != nil && t.Op == ir.OpRet {
-			succs[exit] = append(succs[exit], b.Index)
-			preds[b.Index] = append(preds[b.Index], exit)
+		if isReturn(b) {
+			nRet++
 		}
-		for _, s := range b.Succs() {
-			// CFG edge b->s is reverse edge s->b.
-			succs[s.Index] = append(succs[s.Index], b.Index)
-			preds[b.Index] = append(preds[b.Index], s.Index)
+	}
+	// One arena: rpoN, ipdom and order (kept by the tree), then the DFS
+	// stack's nodes and next-child cursors, then the returning blocks.
+	arena := make([]int, 5*(n+1)+nRet)
+	rpoN, ipdom, order := arena[:n+1:n+1], arena[n+1:2*(n+1):2*(n+1)], arena[2*(n+1):3*(n+1):3*(n+1)]
+	stack, next := arena[3*(n+1):4*(n+1)], arena[4*(n+1):5*(n+1)]
+	rets := arena[5*(n+1):]
+	nRet = 0
+	for _, b := range f.Blocks {
+		if isReturn(b) {
+			rets[nRet] = b.Index
+			nRet++
 		}
 	}
 
-	seen := make([]bool, n+1)
-	var post []int
-	var dfs func(v int)
-	dfs = func(v int) {
-		seen[v] = true
-		for _, w := range succs[v] {
-			if !seen[w] {
-				dfs(w)
+	// Depth-first postorder of the reverse graph from exit, each node's
+	// reverse successors taken in order, on an explicit stack. rpoN marks
+	// visited nodes until the numbering below overwrites it.
+	for i := range rpoN {
+		rpoN[i] = -1
+	}
+	post := order[:0]
+	stack[0], next[0], rpoN[exit] = exit, 0, 0
+	for sp := 0; sp >= 0; {
+		v := stack[sp]
+		w := -1
+		if v == exit {
+			if next[sp] < len(rets) {
+				w = rets[next[sp]]
 			}
+		} else if preds := f.Blocks[v].Preds; next[sp] < len(preds) {
+			w = preds[next[sp]].Index
 		}
-		post = append(post, v)
+		if w < 0 {
+			post = append(post, v)
+			sp--
+			continue
+		}
+		next[sp]++
+		if rpoN[w] < 0 {
+			rpoN[w] = 0
+			sp++
+			stack[sp], next[sp] = w, 0
+		}
 	}
-	dfs(exit)
-	order := make([]int, 0, len(post))
-	for i := len(post) - 1; i >= 0; i-- {
-		order = append(order, post[i])
+	order = order[:len(post):len(post)]
+	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
+		order[i], order[j] = order[j], order[i]
 	}
-	rpoN := make([]int, n+1)
 	for i := range rpoN {
 		rpoN[i] = -1
 	}
@@ -59,39 +86,30 @@ func PostDominators(f *ir.Function) *PostDomTree {
 		rpoN[v] = i
 	}
 
-	ipdom := make([]int, n+1)
 	for i := range ipdom {
 		ipdom[i] = -1
 	}
 	ipdom[exit] = exit
-
-	intersect := func(a, b int) int {
-		for a != b {
-			for rpoN[a] > rpoN[b] {
-				a = ipdom[a]
-			}
-			for rpoN[b] > rpoN[a] {
-				b = ipdom[b]
-			}
-		}
-		return a
-	}
-
 	for changed := true; changed; {
 		changed = false
 		for _, v := range order {
 			if v == exit {
 				continue
 			}
+			b := f.Blocks[v]
 			newIdom := -1
-			for _, p := range preds[v] { // predecessors in the reverse graph
+			if isReturn(b) {
+				newIdom = exit // the exit is processed first and never moves
+			}
+			for _, s := range b.Succs() { // predecessors in the reverse graph
+				p := s.Index
 				if rpoN[p] < 0 || ipdom[p] < 0 {
 					continue
 				}
 				if newIdom < 0 {
 					newIdom = p
 				} else {
-					newIdom = intersect(p, newIdom)
+					newIdom = intersect(p, newIdom, rpoN, ipdom)
 				}
 			}
 			if newIdom >= 0 && ipdom[v] != newIdom {
@@ -101,6 +119,26 @@ func PostDominators(f *ir.Function) *PostDomTree {
 		}
 	}
 	return &PostDomTree{f: f, ipdom: ipdom, exit: exit, order: order, rpoN: rpoN}
+}
+
+// isReturn reports whether b ends in a return.
+func isReturn(b *ir.Block) bool {
+	t := b.Term()
+	return t != nil && t.Op == ir.OpRet
+}
+
+// intersect walks two nodes up the tree under construction to their
+// nearest common ancestor (Cooper-Harvey-Kennedy).
+func intersect(a, b int, rpoN, idom []int) int {
+	for a != b {
+		for rpoN[a] > rpoN[b] {
+			a = idom[a]
+		}
+		for rpoN[b] > rpoN[a] {
+			b = idom[b]
+		}
+	}
+	return a
 }
 
 // Ipdom returns the immediate post-dominator of b, or nil when it is the
@@ -129,32 +167,83 @@ func (d *PostDomTree) PostDominates(a, b *ir.Block) bool {
 	}
 }
 
+// ControlDeps is the control-dependence relation of one function, dense
+// by Block.Index: the blocks control dependent on block i's conditional
+// branch are deps[off[i]:off[i+1]], in block order. A block that does not
+// end in a conditional branch controls nothing.
+type ControlDeps struct {
+	off  []int32
+	deps []*ir.Block
+}
+
+// Of returns the blocks control dependent on b's conditional branch, in
+// block order.
+func (c *ControlDeps) Of(b *ir.Block) []*ir.Block {
+	return c.deps[c.off[b.Index]:c.off[b.Index+1]:c.off[b.Index+1]]
+}
+
 // ControlDependents returns, for each conditional-branch block, the set of
 // blocks control dependent on it: following Ferrante/Ottenstein/Warren, a
 // block n is control dependent on branch b when n post-dominates some
 // successor of b but does not post-dominate b itself.
-func ControlDependents(f *ir.Function, pdom *PostDomTree) map[*ir.Block][]*ir.Block {
-	out := make(map[*ir.Block][]*ir.Block)
+//
+// Each branch stamps its own post-dominator chain, then walks up from each
+// successor until it meets the chain; a counting pass sizes the table and
+// a second pass fills it.
+func ControlDependents(f *ir.Function, pdom *PostDomTree) *ControlDeps {
+	n := len(f.Blocks)
+	c := &ControlDeps{off: make([]int32, n+1)}
+	// stamp[v] == 2*ep marks v as on the current branch's post-dominator
+	// chain, 2*ep+1 as recorded dependent; every walk takes a fresh ep.
+	stamp := make([]int32, n)
+	ep := int32(0)
+	total := 0
 	for _, b := range f.Blocks {
-		t := b.Term()
-		if t == nil || t.Op != ir.OpCondBr {
-			continue
+		if t := b.Term(); t != nil && t.Op == ir.OpCondBr {
+			ep++
+			total += controlled(b, t, pdom, stamp, ep, nil)
 		}
-		depSet := make(map[*ir.Block]bool)
-		for _, s := range t.Blocks {
-			// Walk the post-dominator chain from s up to (but excluding)
-			// b's post-dominator set.
-			for n := s; n != nil && !pdom.PostDominates(n, b); n = pdom.Ipdom(n) {
-				depSet[n] = true
-			}
-		}
-		deps := make([]*ir.Block, 0, len(depSet))
-		for _, blk := range f.Blocks { // deterministic order
-			if depSet[blk] {
-				deps = append(deps, blk)
-			}
-		}
-		out[b] = deps
+		c.off[b.Index+1] = int32(total)
 	}
-	return out
+	c.deps = make([]*ir.Block, total)
+	for _, b := range f.Blocks {
+		if t := b.Term(); t != nil && t.Op == ir.OpCondBr {
+			ep++
+			seg := c.deps[c.off[b.Index]:c.off[b.Index+1]]
+			controlled(b, t, pdom, stamp, ep, seg)
+			slices.SortFunc(seg, func(x, y *ir.Block) int { return x.Index - y.Index })
+		}
+	}
+	return c
+}
+
+// controlled counts the blocks control dependent on branch block b (whose
+// terminator is t), storing them in dst when it is non-nil.
+func controlled(b *ir.Block, t *ir.Instr, pdom *PostDomTree, stamp []int32, ep int32, dst []*ir.Block) int {
+	chain, dep := 2*ep, 2*ep+1
+	for v := b.Index; ; {
+		stamp[v] = chain
+		next := pdom.ipdom[v]
+		if next < 0 || next == v || next == pdom.exit {
+			break
+		}
+		v = next
+	}
+	k := 0
+	for _, s := range t.Blocks {
+		// Walk the post-dominator chain from s up to (but excluding) b's
+		// post-dominator set; a node already recorded leads up the same
+		// chain as before.
+		for m := s; m != nil && stamp[m.Index] != chain; m = pdom.Ipdom(m) {
+			if stamp[m.Index] == dep {
+				break
+			}
+			stamp[m.Index] = dep
+			if dst != nil {
+				dst[k] = m
+			}
+			k++
+		}
+	}
+	return k
 }

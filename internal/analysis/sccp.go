@@ -82,7 +82,9 @@ type SCCP struct {
 	f         *ir.Function
 	values    []LatticeValue // indexed by register
 	blockExec []bool         // indexed by block index
-	edgeExec  [][]bool       // [block index][terminator successor slot]
+	// edgeExec[edgeOff[i]+k] flags successor slot k of block i.
+	edgeOff  []int32
+	edgeExec []bool
 }
 
 // Value returns the lattice value of r. Parameters are bottom (unknown at
@@ -133,202 +135,238 @@ type flowEdge struct {
 	slot int
 }
 
+// sccpSolver is one run of the propagation: the result being built, the
+// def-use table (the sites reading register r are
+// uses[useOff[r]:useOff[r+1]], in program order) and the three worklists.
+type sccpSolver struct {
+	*SCCP
+	useOff  []int32
+	uses    []useSite
+	flowWL  []flowEdge
+	ssaWL   []ir.Reg
+	blockWL []*ir.Block
+}
+
 // ComputeSCCP runs sparse conditional constant propagation on f. The
 // function must be verified IR; f is not mutated.
 func ComputeSCCP(f *ir.Function) *SCCP {
-	s := &SCCP{
-		f:         f,
-		values:    make([]LatticeValue, len(f.RegType)),
-		blockExec: make([]bool, len(f.Blocks)),
-		edgeExec:  make([][]bool, len(f.Blocks)),
-	}
+	n := len(f.Blocks)
+	s := &sccpSolver{SCCP: &SCCP{
+		f:       f,
+		values:  make([]LatticeValue, len(f.RegType)),
+		edgeOff: make([]int32, n+1),
+	}}
 	for _, b := range f.Blocks {
-		s.edgeExec[b.Index] = make([]bool, len(b.Succs()))
+		s.edgeOff[b.Index+1] = s.edgeOff[b.Index] + int32(len(b.Succs()))
 	}
+	flags := make([]bool, n+int(s.edgeOff[n]))
+	s.blockExec, s.edgeExec = flags[:n:n], flags[n:]
 	// Parameters are runtime inputs: overdefined from the start.
 	for i := 0; i < f.NumParams(); i++ {
 		s.values[f.Param(i)] = bottomVal
 	}
 
-	uses := make([][]useSite, len(f.RegType))
+	// Count each register's uses into useOff[r+2], sum, then fill through
+	// useOff[r+1], which leaves useOff[r] at the start of r's sites.
+	s.useOff = make([]int32, len(f.RegType)+2)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			bb, ii := b, in
-			in.Uses(func(r ir.Reg) { uses[r] = append(uses[r], useSite{bb, ii}) })
+			for _, r := range in.Args {
+				if r != ir.NoReg {
+					s.useOff[r+2]++
+				}
+			}
+		}
+	}
+	for i := 2; i < len(s.useOff); i++ {
+		s.useOff[i] += s.useOff[i-1]
+	}
+	s.uses = make([]useSite, s.useOff[len(s.useOff)-1])
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			for _, r := range in.Args {
+				if r != ir.NoReg {
+					s.uses[s.useOff[r+1]] = useSite{b, in}
+					s.useOff[r+1]++
+				}
+			}
 		}
 	}
 
-	var flowWL []flowEdge
-	var ssaWL []ir.Reg
-	var blockWL []*ir.Block
+	// Every block is queued at most once; the other two lists start at one
+	// entry per edge and per register and grow only past that.
+	s.blockWL = make([]*ir.Block, 0, n)
+	s.flowWL = make([]flowEdge, 0, len(s.edgeExec))
+	s.ssaWL = make([]ir.Reg, 0, len(f.RegType))
+	s.markBlock(f.Entry())
 
-	// lower installs a new value for in.Dst if it lowers the lattice, and
-	// queues the SSA worklist on change. Evaluation is monotone, so a
-	// "raise" can only come from re-evaluating with stale inputs — those
-	// are ignored.
-	lower := func(in *ir.Instr, nv LatticeValue) {
-		old := s.values[in.Dst]
-		if nv.State == LatTop || old.State == LatBottom {
-			return
-		}
-		if old.State == nv.State && old.Bits == nv.Bits {
-			return
-		}
-		if old.State == LatConst && nv.State == LatConst {
-			nv = bottomVal // conflicting constants
-		}
-		s.values[in.Dst] = nv
-		ssaWL = append(ssaWL, in.Dst)
-	}
-
-	val := func(r ir.Reg) LatticeValue {
-		if r == ir.NoReg {
-			return bottomVal
-		}
-		return s.values[r]
-	}
-
-	// predEdgeExecutable: is any edge from p into b executable?
-	predEdgeExecutable := func(p, b *ir.Block) bool {
-		for slot, t := range p.Succs() {
-			if t == b && s.edgeExec[p.Index][slot] {
-				return true
-			}
-		}
-		return false
-	}
-
-	visit := func(b *ir.Block, in *ir.Instr) {
-		switch in.Op {
-		case ir.OpPhi:
-			nv := LatticeValue{State: LatTop}
-			for i, from := range in.Blocks {
-				if predEdgeExecutable(from, b) {
-					nv = meet(nv, val(in.Args[i]))
-				}
-			}
-			lower(in, nv)
-		case ir.OpLoad, ir.OpCall:
-			// Memory contents and call results are runtime facts.
-			lower(in, bottomVal)
-		case ir.OpStore:
-			// No destination, no flow effect.
-		case ir.OpBr:
-			flowWL = append(flowWL, flowEdge{b, 0})
-		case ir.OpCondBr:
-			switch c := val(in.Args[0]); c.State {
-			case LatConst:
-				if c.Bits != 0 {
-					flowWL = append(flowWL, flowEdge{b, 0})
-				} else {
-					flowWL = append(flowWL, flowEdge{b, 1})
-				}
-			case LatBottom:
-				flowWL = append(flowWL, flowEdge{b, 0}, flowEdge{b, 1})
-			}
-		case ir.OpRet:
-			// No successors.
-		case ir.OpConst:
-			lower(in, constVal(uint64(in.Imm)))
-		case ir.OpSelect:
-			c, t, e := val(in.Args[0]), val(in.Args[1]), val(in.Args[2])
-			switch c.State {
-			case LatConst:
-				if c.Bits != 0 {
-					lower(in, t)
-				} else {
-					lower(in, e)
-				}
-			case LatBottom:
-				lower(in, meet(t, e))
-			}
-		case ir.OpDiv, ir.OpRem:
-			d := val(in.Args[1])
-			if d.IsConst() && d.Bits == 0 {
-				// Guaranteed trap: never a constant.
-				lower(in, bottomVal)
-				return
-			}
-			a := val(in.Args[0])
-			switch {
-			case a.State == LatBottom || d.State == LatBottom:
-				lower(in, bottomVal)
-			case a.IsConst() && d.IsConst():
-				bits, _ := ir.EvalPure(in.Op, in.Imm, a.Bits, d.Bits, 0) // divisor is non-zero
-				lower(in, constVal(bits))
-			}
-		default:
-			// Pure value computation: constant when every operand is.
-			nv := LatticeValue{State: LatTop}
-			var vals [3]uint64
-			allConst := true
-			for i, a := range in.Args {
-				av := val(a)
-				if av.State == LatBottom {
-					nv = bottomVal
-					allConst = false
-					break
-				}
-				if av.State == LatTop {
-					allConst = false
-					continue
-				}
-				vals[i] = av.Bits
-			}
-			if allConst {
-				if bits, ok := ir.EvalPure(in.Op, in.Imm, vals[0], vals[1], vals[2]); ok {
-					nv = constVal(bits)
-				} else {
-					nv = bottomVal
-				}
-			}
-			lower(in, nv)
-		}
-	}
-
-	markBlock := func(b *ir.Block) {
-		if !s.blockExec[b.Index] {
-			s.blockExec[b.Index] = true
-			blockWL = append(blockWL, b)
-		}
-	}
-	markBlock(f.Entry())
-
-	for len(flowWL) > 0 || len(ssaWL) > 0 || len(blockWL) > 0 {
+	for len(s.flowWL) > 0 || len(s.ssaWL) > 0 || len(s.blockWL) > 0 {
 		switch {
-		case len(blockWL) > 0:
-			b := blockWL[len(blockWL)-1]
-			blockWL = blockWL[:len(blockWL)-1]
+		case len(s.blockWL) > 0:
+			b := s.blockWL[len(s.blockWL)-1]
+			s.blockWL = s.blockWL[:len(s.blockWL)-1]
 			for _, in := range b.Instrs {
-				visit(b, in)
+				s.visit(b, in)
 			}
-		case len(flowWL) > 0:
-			e := flowWL[len(flowWL)-1]
-			flowWL = flowWL[:len(flowWL)-1]
-			if s.edgeExec[e.b.Index][e.slot] {
+		case len(s.flowWL) > 0:
+			e := s.flowWL[len(s.flowWL)-1]
+			s.flowWL = s.flowWL[:len(s.flowWL)-1]
+			at := s.edgeOff[e.b.Index] + int32(e.slot)
+			if s.edgeExec[at] {
 				continue
 			}
-			s.edgeExec[e.b.Index][e.slot] = true
+			s.edgeExec[at] = true
 			to := e.b.Succs()[e.slot]
 			if !s.blockExec[to.Index] {
-				markBlock(to)
+				s.markBlock(to)
 			} else {
 				// A new incoming edge can only change the phis.
 				for _, phi := range to.Phis() {
-					visit(to, phi)
+					s.visit(to, phi)
 				}
 			}
 		default:
-			r := ssaWL[len(ssaWL)-1]
-			ssaWL = ssaWL[:len(ssaWL)-1]
-			for _, u := range uses[r] {
+			r := s.ssaWL[len(s.ssaWL)-1]
+			s.ssaWL = s.ssaWL[:len(s.ssaWL)-1]
+			for _, u := range s.uses[s.useOff[r]:s.useOff[r+1]] {
 				if s.blockExec[u.b.Index] {
-					visit(u.b, u.in)
+					s.visit(u.b, u.in)
 				}
 			}
 		}
 	}
-	return s
+	return s.SCCP
+}
+
+// lower installs a new value for in.Dst if it lowers the lattice, and
+// queues the SSA worklist on change. Evaluation is monotone, so a "raise"
+// can only come from re-evaluating with stale inputs — those are ignored.
+func (s *sccpSolver) lower(in *ir.Instr, nv LatticeValue) {
+	old := s.values[in.Dst]
+	if nv.State == LatTop || old.State == LatBottom {
+		return
+	}
+	if old.State == nv.State && old.Bits == nv.Bits {
+		return
+	}
+	if old.State == LatConst && nv.State == LatConst {
+		nv = bottomVal // conflicting constants
+	}
+	s.values[in.Dst] = nv
+	s.ssaWL = append(s.ssaWL, in.Dst)
+}
+
+func (s *sccpSolver) val(r ir.Reg) LatticeValue {
+	if r == ir.NoReg {
+		return bottomVal
+	}
+	return s.values[r]
+}
+
+// predEdgeExecutable reports whether any edge from p into b is executable.
+func (s *sccpSolver) predEdgeExecutable(p, b *ir.Block) bool {
+	exec := s.edgeExec[s.edgeOff[p.Index]:s.edgeOff[p.Index+1]]
+	for slot, t := range p.Succs() {
+		if t == b && exec[slot] {
+			return true
+		}
+	}
+	return false
+}
+
+func (s *sccpSolver) markBlock(b *ir.Block) {
+	if !s.blockExec[b.Index] {
+		s.blockExec[b.Index] = true
+		s.blockWL = append(s.blockWL, b)
+	}
+}
+
+func (s *sccpSolver) visit(b *ir.Block, in *ir.Instr) {
+	switch in.Op {
+	case ir.OpPhi:
+		nv := LatticeValue{State: LatTop}
+		for i, from := range in.Blocks {
+			if s.predEdgeExecutable(from, b) {
+				nv = meet(nv, s.val(in.Args[i]))
+			}
+		}
+		s.lower(in, nv)
+	case ir.OpLoad, ir.OpCall:
+		// Memory contents and call results are runtime facts.
+		s.lower(in, bottomVal)
+	case ir.OpStore:
+		// No destination, no flow effect.
+	case ir.OpBr:
+		s.flowWL = append(s.flowWL, flowEdge{b, 0})
+	case ir.OpCondBr:
+		switch c := s.val(in.Args[0]); c.State {
+		case LatConst:
+			if c.Bits != 0 {
+				s.flowWL = append(s.flowWL, flowEdge{b, 0})
+			} else {
+				s.flowWL = append(s.flowWL, flowEdge{b, 1})
+			}
+		case LatBottom:
+			s.flowWL = append(s.flowWL, flowEdge{b, 0}, flowEdge{b, 1})
+		}
+	case ir.OpRet:
+		// No successors.
+	case ir.OpConst:
+		s.lower(in, constVal(uint64(in.Imm)))
+	case ir.OpSelect:
+		c, t, e := s.val(in.Args[0]), s.val(in.Args[1]), s.val(in.Args[2])
+		switch c.State {
+		case LatConst:
+			if c.Bits != 0 {
+				s.lower(in, t)
+			} else {
+				s.lower(in, e)
+			}
+		case LatBottom:
+			s.lower(in, meet(t, e))
+		}
+	case ir.OpDiv, ir.OpRem:
+		d := s.val(in.Args[1])
+		if d.IsConst() && d.Bits == 0 {
+			// Guaranteed trap: never a constant.
+			s.lower(in, bottomVal)
+			return
+		}
+		a := s.val(in.Args[0])
+		switch {
+		case a.State == LatBottom || d.State == LatBottom:
+			s.lower(in, bottomVal)
+		case a.IsConst() && d.IsConst():
+			bits, _ := ir.EvalPure(in.Op, in.Imm, a.Bits, d.Bits, 0) // divisor is non-zero
+			s.lower(in, constVal(bits))
+		}
+	default:
+		// Pure value computation: constant when every operand is.
+		nv := LatticeValue{State: LatTop}
+		var vals [3]uint64
+		allConst := true
+		for i, a := range in.Args {
+			av := s.val(a)
+			if av.State == LatBottom {
+				nv = bottomVal
+				allConst = false
+				break
+			}
+			if av.State == LatTop {
+				allConst = false
+				continue
+			}
+			vals[i] = av.Bits
+		}
+		if allConst {
+			if bits, ok := ir.EvalPure(in.Op, in.Imm, vals[0], vals[1], vals[2]); ok {
+				nv = constVal(bits)
+			} else {
+				nv = bottomVal
+			}
+		}
+		s.lower(in, nv)
+	}
 }
 
 // DeadCodeFacts is the reachability/dead-code summary derived from an SCCP

@@ -41,17 +41,39 @@ var ErrIrreducible = errors.New("ballarus: irreducible control flow")
 // within int64.
 const maxPaths = int64(1) << 40
 
-type edgeKey struct{ from, to int } // block indices
+// Kinds of a successor slot's DAG edge.
+const (
+	edgeNone    = iota // out of an unreachable block: not in the DAG
+	edgeForward        // a forward CFG edge, kept in the DAG
+	edgeBack           // a back edge, replaced by u->EXIT and ENTRY->v
+)
 
-type backInfo struct {
-	exitVal  int64 // Val(u->EXIT dummy)
-	resetVal int64 // Val(ENTRY->w dummy)
+// slotEdge is the DAG edge of one successor slot: its kind and Val — the
+// increment for a forward edge, Val(u->EXIT) for a back edge.
+type slotEdge struct {
+	val  int64
+	kind uint8
 }
 
-// dagEdge is an ordered out-edge of a DAG node used for path decoding.
+// blockVals holds one block's edge values. Parallel slots (both condbr
+// targets identical) are one CFG edge and carry the same value.
+type blockVals struct {
+	succ [2]slotEdge
+	ret  int64 // Val(b->EXIT) when isRet
+	// reset is Val(ENTRY->b) when b is a back-edge target (hdr > 0): the
+	// path register's value after any back edge into b flushes. hdr is the
+	// position of that dummy edge among ENTRY's out-edges.
+	reset int64
+	hdr   int32
+	isRet bool
+}
+
+// dagEdge is an ordered out-edge of a DAG node used for path decoding;
+// slot is the successor slot a block's edge stands for.
 type dagEdge struct {
-	to  int // node id
-	val int64
+	to   int32 // node id
+	slot int32
+	val  int64
 }
 
 // DAG is the Ball-Larus path-numbering structure for one function.
@@ -61,124 +83,123 @@ type DAG struct {
 	numPaths int64
 	entryVal int64 // Val(ENTRY -> real entry block)
 
-	normVal map[edgeKey]int64    // forward CFG edges
-	backVal map[edgeKey]backInfo // back edges
-	retVal  map[int]int64        // Val(b->EXIT) for returning blocks
+	vals []blockVals // indexed by Block.Index
 
 	// Decoding structures. Node ids: 0 = ENTRY, 1+i = block with Index i,
-	// len(blocks)+1 = EXIT.
-	out      [][]dagEdge
-	nPaths   []int64 // paths from node to EXIT
+	// len(blocks)+1 = EXIT. Node v's out-edges, in increasing value, are
+	// out[outOff[v]:outOff[v+1]].
+	outOff   []int32
+	out      []dagEdge
 	exitNode int
 }
 
 // Build computes the path numbering for f. The function must be finished
 // and verified. Dominance facts come from am (nil for a one-shot manager).
+//
+// A counting pass classifies every successor slot and sizes each node's
+// out-edges; a second pass lays the edges out in one array; Kahn's
+// algorithm orders the nodes, and edge values follow in reverse
+// topological order.
 func Build(am *pm.Manager, f *ir.Function) (*DAG, error) {
 	obsDAGBuilds.Add(1)
 	am = pm.Ensure(am)
 	dom := am.Dominators(f)
-	back := make(map[edgeKey]bool)
-	for _, e := range am.BackEdges(f) {
-		back[edgeKey{e.From.Index, e.To.Index}] = true
-	}
 
 	nBlocks := len(f.Blocks)
+	nNodes := nBlocks + 2
 	entryNode := 0
 	exitNode := nBlocks + 1
-	node := func(b *ir.Block) int { return b.Index + 1 }
+	d := &DAG{F: f, vals: make([]blockVals, nBlocks), exitNode: exitNode}
+	// outOff, then the in-degrees and the topological order.
+	ints := make([]int32, 3*nNodes+1)
+	d.outOff = ints[: nNodes+1 : nNodes+1]
+	indeg, order := ints[nNodes+1:2*nNodes+1], ints[2*nNodes+1:2*nNodes+1]
 
-	d := &DAG{
-		F:        f,
-		normVal:  make(map[edgeKey]int64),
-		backVal:  make(map[edgeKey]backInfo),
-		retVal:   make(map[int]int64),
-		out:      make([][]dagEdge, nBlocks+2),
-		nPaths:   make([]int64, nBlocks+2),
-		exitNode: exitNode,
-	}
-
-	// Assemble ordered DAG out-edges. Reachability matters: unreachable
-	// blocks contribute no edges and no paths.
-	reachable := make([]bool, nBlocks)
-	for _, b := range dom.RPO() {
-		reachable[b.Index] = true
-	}
-
-	type rawEdge struct {
-		from, to int
-		key      edgeKey // original CFG edge this DAG edge represents
-		kind     int     // 0 normal, 1 backExit, 2 backReset, 3 retExit, 4 entry
-	}
-	var raw []rawEdge
-	raw = append(raw, rawEdge{entryNode, node(f.Entry()), edgeKey{}, 4})
-	// ENTRY -> back-edge targets, ordered by block index, deduplicated.
-	seenTarget := make(map[int]bool)
+	// Count each node's out-edges into outOff[node+1]. ENTRY reaches the
+	// entry block and every back-edge target (in order of first sight); a
+	// returning block reaches EXIT; any other block reaches each distinct
+	// successor, a back edge becoming an edge to EXIT. Reachability
+	// matters: unreachable blocks contribute no edges and no paths.
+	outOff := d.outOff
+	outOff[entryNode+1] = 1
+	nodesInGraph := 2 // ENTRY + EXIT
 	for _, b := range f.Blocks {
-		if !reachable[b.Index] {
+		if !dom.Reachable(b) {
 			continue
 		}
-		for _, s := range b.Succs() {
-			k := edgeKey{b.Index, s.Index}
-			if back[k] && !seenTarget[s.Index] {
-				seenTarget[s.Index] = true
-				raw = append(raw, rawEdge{entryNode, node(s), edgeKey{-1, s.Index}, 2})
-			}
-		}
-	}
-	for _, b := range f.Blocks {
-		if !reachable[b.Index] {
-			continue
-		}
+		nodesInGraph++
+		v := &d.vals[b.Index]
 		term := b.Term()
 		if term.Op == ir.OpRet {
-			raw = append(raw, rawEdge{node(b), exitNode, edgeKey{b.Index, -1}, 3})
+			v.isRet = true
+			outOff[b.Index+2]++
 			continue
 		}
-		// Normal successors in terminator order, back-edge exits afterward.
-		var backs []rawEdge
-		seen := make(map[int]bool)
-		for _, s := range b.Succs() {
-			if seen[s.Index] {
-				continue // parallel edge: both condbr targets identical
+		for k, s := range term.Blocks {
+			if k == 1 && parallel(b) {
+				v.succ[1].kind = v.succ[0].kind
+				continue
 			}
-			seen[s.Index] = true
-			k := edgeKey{b.Index, s.Index}
-			if back[k] {
-				backs = append(backs, rawEdge{node(b), exitNode, k, 1})
-			} else {
-				raw = append(raw, rawEdge{node(b), node(s), k, 0})
+			v.succ[k].kind = edgeForward
+			if dom.Dominates(s, b) {
+				v.succ[k].kind = edgeBack
+				if h := &d.vals[s.Index]; h.hdr == 0 {
+					h.hdr = outOff[entryNode+1]
+					outOff[entryNode+1]++
+				}
 			}
+			outOff[b.Index+2]++
 		}
-		raw = append(raw, backs...)
+	}
+	for i := 1; i <= nNodes; i++ {
+		outOff[i] += outOff[i-1]
 	}
 
-	outRaw := make([][]rawEdge, nBlocks+2)
-	indeg := make([]int, nBlocks+2)
-	for _, e := range raw {
-		outRaw[e.from] = append(outRaw[e.from], e)
-		indeg[e.to]++
+	// Lay the edges out: a block's forward successors in terminator order,
+	// then its back-edge exits.
+	d.out = make([]dagEdge, outOff[nNodes])
+	d.out[0] = dagEdge{to: int32(f.Entry().Index + 1)}
+	for _, b := range f.Blocks {
+		if !dom.Reachable(b) {
+			continue
+		}
+		seg := d.out[outOff[b.Index+1]:outOff[b.Index+2]]
+		v := &d.vals[b.Index]
+		if v.isRet {
+			seg[0] = dagEdge{to: int32(exitNode)}
+			continue
+		}
+		j := 0
+		for _, kind := range [2]uint8{edgeForward, edgeBack} {
+			for k, s := range b.Succs() {
+				if (k == 1 && parallel(b)) || v.succ[k].kind != kind {
+					continue
+				}
+				if kind == edgeForward {
+					seg[j] = dagEdge{to: int32(s.Index + 1), slot: int32(k)}
+				} else {
+					seg[j] = dagEdge{to: int32(exitNode), slot: int32(k)}
+					d.out[d.vals[s.Index].hdr] = dagEdge{to: int32(s.Index + 1)}
+				}
+				j++
+			}
+		}
 	}
 
 	// Topological order via Kahn's algorithm; a leftover node means the
-	// graph stayed cyclic after back-edge removal (irreducible CFG).
-	order := make([]int, 0, nBlocks+2)
-	queue := []int{entryNode}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		for _, e := range outRaw[n] {
+	// graph stayed cyclic after back-edge removal (irreducible CFG). The
+	// order array doubles as the FIFO queue.
+	for _, e := range d.out {
+		indeg[e.to]++
+	}
+	order = append(order, int32(entryNode))
+	for head := 0; head < len(order); head++ {
+		n := order[head]
+		for _, e := range d.out[outOff[n]:outOff[n+1]] {
 			indeg[e.to]--
 			if indeg[e.to] == 0 {
-				queue = append(queue, e.to)
+				order = append(order, e.to)
 			}
-		}
-	}
-	nodesInGraph := 2 // ENTRY + EXIT
-	for i := 0; i < nBlocks; i++ {
-		if reachable[i] {
-			nodesInGraph++
 		}
 	}
 	if len(order) != nodesInGraph {
@@ -186,39 +207,40 @@ func Build(am *pm.Manager, f *ir.Function) (*DAG, error) {
 	}
 
 	// NumPaths and edge values in reverse topological order.
-	d.nPaths[exitNode] = 1
+	nPaths := make([]int64, nNodes) // paths from node to EXIT
+	nPaths[exitNode] = 1
 	for i := len(order) - 1; i >= 0; i-- {
-		n := order[i]
+		n := int(order[i])
 		if n == exitNode {
 			continue
 		}
 		var sum int64
-		for _, e := range outRaw[n] {
+		edges := d.out[outOff[n]:outOff[n+1]]
+		for j := range edges {
+			e := &edges[j]
 			val := sum
-			tp := d.nPaths[e.to]
+			tp := nPaths[e.to]
 			if tp > maxPaths || sum > maxPaths-tp {
 				return nil, fmt.Errorf("%w in %s", ErrTooManyPaths, f.Name)
 			}
 			sum += tp
-			d.out[n] = append(d.out[n], dagEdge{to: e.to, val: val})
-			switch e.kind {
-			case 0:
-				d.normVal[e.key] = val
-			case 1:
-				bi := d.backVal[e.key]
-				bi.exitVal = val
-				d.backVal[e.key] = bi
-			case 2:
-				// Reset values are shared by every back edge targeting the
-				// same header; record per-target and fan out below.
-				d.retVal[-2-e.key.to] = val // stashed temporarily
-			case 3:
-				d.retVal[e.key.from] = val
-			case 4:
+			e.val = val
+			switch {
+			case n == entryNode && j == 0:
 				d.entryVal = val
+			case n == entryNode:
+				d.vals[e.to-1].reset = val
+			case d.vals[n-1].isRet:
+				d.vals[n-1].ret = val
+			default:
+				v := &d.vals[n-1]
+				v.succ[e.slot].val = val
+				if parallel(f.Blocks[n-1]) {
+					v.succ[1].val = val
+				}
 			}
 		}
-		d.nPaths[n] = sum
+		nPaths[n] = sum
 		if sum == 0 {
 			// A node with no out-edges other than through cycles; cannot
 			// happen in verified functions (every block terminates and EXIT
@@ -226,21 +248,32 @@ func Build(am *pm.Manager, f *ir.Function) (*DAG, error) {
 			return nil, fmt.Errorf("ballarus: block %d of %s reaches no exit", n-1, f.Name)
 		}
 	}
-	d.numPaths = d.nPaths[entryNode]
+	d.numPaths = nPaths[entryNode]
+	return d, nil
+}
 
-	// Fan reset values out to the individual back edges.
-	for k := range back {
-		stash := -2 - k.to
-		bi := d.backVal[k]
-		bi.resetVal = d.retVal[stash]
-		d.backVal[k] = bi
+// parallel reports whether b's two successor slots name the same block:
+// one CFG edge, which the DAG holds once and both slots share.
+func parallel(b *ir.Block) bool {
+	s := b.Succs()
+	return len(s) == 2 && s[0] == s[1]
+}
+
+// edge returns the DAG edge from block index from to block index to, or
+// nil when there is none (no such CFG edge, or one out of an unreachable
+// block).
+func (d *DAG) edge(from, to int) *slotEdge {
+	if from < 0 || from >= len(d.vals) {
+		return nil
 	}
-	for k := range d.retVal {
-		if k < 0 {
-			delete(d.retVal, k)
+	for k, s := range d.F.Blocks[from].Succs() {
+		if s.Index == to && k < len(d.vals[from].succ) {
+			if e := &d.vals[from].succ[k]; e.kind != edgeNone {
+				return e
+			}
 		}
 	}
-	return d, nil
+	return nil
 }
 
 // NumPaths returns the number of distinct acyclic paths through the DAG.
@@ -251,8 +284,8 @@ func (d *DAG) EntryVal() int64 { return d.entryVal }
 
 // IsBackEdge reports whether u->v is a back edge in the profiled CFG.
 func (d *DAG) IsBackEdge(u, v *ir.Block) bool {
-	_, ok := d.backVal[edgeKey{u.Index, v.Index}]
-	return ok
+	e := d.edge(u.Index, v.Index)
+	return e != nil && e.kind == edgeBack
 }
 
 // DecodeAppend expands a path ID into its sequence of basic blocks,
@@ -289,6 +322,14 @@ func (d *DAG) PathLen(id int64) (int, error) {
 	return k, nil
 }
 
+// block returns b's edge values, or nil when b is not one of d's blocks.
+func (d *DAG) block(b *ir.Block) *blockVals {
+	if b.Index < 0 || b.Index >= len(d.vals) || d.F.Blocks[b.Index] != b {
+		return nil
+	}
+	return &d.vals[b.Index]
+}
+
 func (d *DAG) checkID(id int64) error {
 	if id < 0 || id >= d.numPaths {
 		return fmt.Errorf("ballarus: path id %d out of range [0,%d) for %s", id, d.numPaths, d.F.Name)
@@ -304,18 +345,15 @@ func (d *DAG) stuck() error {
 // rem takes: the last edge whose value is <= rem. It returns the next node
 // and the remaining value, or -1 when n has no out-edges.
 func (d *DAG) step(n int, rem int64) (int, int64) {
-	edges := d.out[n]
+	edges := d.out[d.outOff[n]:d.outOff[n+1]]
 	if len(edges) == 0 {
 		return -1, rem
 	}
-	chosen := edges[0]
-	for _, e := range edges[1:] {
-		if e.val > rem {
-			break
-		}
-		chosen = e
+	chosen := &edges[0]
+	for i := 1; i < len(edges) && edges[i].val <= rem; i++ {
+		chosen = &edges[i]
 	}
-	return chosen.to, rem - chosen.val
+	return int(chosen.to), rem - chosen.val
 }
 
 // Encode computes the path ID of a block sequence (the inverse of
@@ -330,36 +368,30 @@ func (d *DAG) Encode(blocks []*ir.Block) (int64, error) {
 	first := blocks[0]
 	if first == d.F.Entry() {
 		id += d.entryVal
+	} else if v := d.block(first); v != nil && v.hdr > 0 {
+		// A back-edge target: paths restart there after the back edge.
+		id += v.reset
 	} else {
-		// Must be a back-edge target: find any back edge into it.
-		found := false
-		for k, bi := range d.backVal {
-			if k.to == first.Index {
-				id += bi.resetVal
-				found = true
-				break
-			}
-		}
-		if !found {
-			return 0, fmt.Errorf("ballarus: %s is not a valid path start", first.Name)
-		}
+		return 0, fmt.Errorf("ballarus: %s is not a valid path start", first.Name)
 	}
 	for i := 0; i+1 < len(blocks); i++ {
-		v, ok := d.normVal[edgeKey{blocks[i].Index, blocks[i+1].Index}]
-		if !ok {
+		e := d.edge(blocks[i].Index, blocks[i+1].Index)
+		if e == nil || e.kind != edgeForward {
 			return 0, fmt.Errorf("ballarus: %s->%s is not a forward edge", blocks[i].Name, blocks[i+1].Name)
 		}
-		id += v
+		id += e.val
 	}
 	last := blocks[len(blocks)-1]
-	if v, ok := d.retVal[last.Index]; ok {
-		id += v
-		return id, nil
+	v := d.block(last)
+	if v != nil && v.isRet {
+		return id + v.ret, nil
 	}
 	// Otherwise the path must end at a back-edge source.
-	for k, bi := range d.backVal {
-		if k.from == last.Index {
-			return id + bi.exitVal, nil
+	if v != nil {
+		for _, e := range v.succ {
+			if e.kind == edgeBack {
+				return id + e.val, nil
+			}
 		}
 	}
 	return 0, fmt.Errorf("ballarus: %s is not a valid path end", last.Name)
@@ -384,16 +416,16 @@ func (d *DAG) CompilePlan(p *interp.Plan) *interp.BLPlan {
 		Succs:    make([][2]interp.BLEdge, n),
 		RetVal:   make([]int64, n),
 	}
-	for i := 0; i < n; i++ {
-		if v, ok := d.retVal[i]; ok {
-			bl.RetVal[i] = v
-		}
+	for i := range d.vals {
+		v := &d.vals[i]
+		bl.RetVal[i] = v.ret
+		// The plan's successor slots are the terminator's, as d's are.
 		for k := 0; k < p.NumSuccs(i); k++ {
-			key := edgeKey{i, p.Succ(i, k)}
-			if bi, ok := d.backVal[key]; ok {
-				bl.Succs[i][k] = interp.BLEdge{Inc: bi.exitVal, Reset: bi.resetVal, Flush: true}
-			} else if v, ok := d.normVal[key]; ok {
-				bl.Succs[i][k] = interp.BLEdge{Inc: v}
+			switch e := v.succ[k]; e.kind {
+			case edgeBack:
+				bl.Succs[i][k] = interp.BLEdge{Inc: e.val, Reset: d.vals[p.Succ(i, k)].reset, Flush: true}
+			case edgeForward:
+				bl.Succs[i][k] = interp.BLEdge{Inc: e.val}
 			}
 		}
 	}
@@ -471,21 +503,22 @@ func (p *Profiler) Hooks() *interp.Hooks {
 			if !p.inside || !p.isMember(from) {
 				return
 			}
-			if bi, ok := p.dag.backVal[edgeKey{from.Index, to.Index}]; ok {
-				p.record(p.cur + bi.exitVal)
-				p.cur = bi.resetVal
-				return
-			}
-			if v, ok := p.dag.normVal[edgeKey{from.Index, to.Index}]; ok {
-				p.cur += v
+			e := p.dag.edge(from.Index, to.Index)
+			switch {
+			case e == nil:
+			case e.kind == edgeBack:
+				p.record(p.cur + e.val)
+				p.cur = p.dag.vals[to.Index].reset
+			default:
+				p.cur += e.val
 			}
 		},
 		Exit: func(from *ir.Block) {
 			if !p.inside || !p.isMember(from) {
 				return
 			}
-			if v, ok := p.dag.retVal[from.Index]; ok {
-				p.record(p.cur + v)
+			if v := &p.dag.vals[from.Index]; v.isRet {
+				p.record(p.cur + v.ret)
 			}
 			p.inside = false
 		},

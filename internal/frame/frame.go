@@ -167,6 +167,9 @@ func Build(am *pm.Manager, r *region.Region, opts Options) (*Frame, error) {
 	// live-in set and their incoming operands (already counted live-in by
 	// the region analysis) are what the host marshals.
 	seen := analysis.NewRegSet(numRegs)
+	if n := len(liveIn) + len(r.Entry.Phis()); n > 0 {
+		fr.LiveIn = make([]ir.Reg, 0, n)
+	}
 	for _, reg := range liveIn {
 		if !seen.Has(reg) {
 			seen.Add(reg)
@@ -206,7 +209,7 @@ func Build(am *pm.Manager, r *region.Region, opts Options) (*Frame, error) {
 		defIdx[i] = -1
 	}
 	lastStore := -1
-	var loadsSinceStore []int
+	loadsSinceStore := make([]int, 0, nLoad)
 	lastGuard := -1
 
 	// Static memory disambiguation for the conservative ordering: two
@@ -230,14 +233,13 @@ func Build(am *pm.Manager, r *region.Region, opts Options) (*Frame, error) {
 	// For predicated frames, each op depends on the predicates of the
 	// branches its block is control dependent on — not on every preceding
 	// branch (dataflow predication resolves in parallel).
-	var ctrlOf map[*ir.Block][]*ir.Block // block -> controlling branch blocks
-	branchOpIdx := make(map[*ir.Block]int)
+	var ctrl controllers
+	var branchOpIdx []int32 // by Block.Index: the op of the block's branch, or -1
 	if predicated {
-		ctrlOf = make(map[*ir.Block][]*ir.Block)
-		for br, deps := range am.ControlDependents(r.F) {
-			for _, dep := range deps {
-				ctrlOf[dep] = append(ctrlOf[dep], br)
-			}
+		ctrl = controllersOf(r.F, am.ControlDependents(r.F))
+		branchOpIdx = make([]int32, len(r.F.Blocks))
+		for i := range branchOpIdx {
+			branchOpIdx[i] = -1
 		}
 	}
 
@@ -250,7 +252,7 @@ func Build(am *pm.Manager, r *region.Region, opts Options) (*Frame, error) {
 	bound := nArgs
 	if predicated {
 		for _, blk := range r.Blocks {
-			bound += len(ctrlOf[blk]) * len(blk.Instrs)
+			bound += len(ctrl.of(blk)) * len(blk.Instrs)
 		}
 	} else if opts.Placement == GuardsSerialize {
 		bound += nInstr
@@ -277,9 +279,9 @@ func Build(am *pm.Manager, r *region.Region, opts Options) (*Frame, error) {
 			}
 		})
 		if predicated {
-			for _, br := range ctrlOf[op.Block] {
-				if idx, ok := branchOpIdx[br]; ok {
-					addDep(idx)
+			for _, br := range ctrl.of(op.Block) {
+				if idx := branchOpIdx[br.Index]; idx >= 0 {
+					addDep(int(idx))
 				}
 			}
 		} else if opts.Placement == GuardsSerialize && lastGuard >= 0 && !op.Guard {
@@ -336,7 +338,7 @@ func Build(am *pm.Manager, r *region.Region, opts Options) (*Frame, error) {
 				idx := emit(Op{Instr: in, Block: b, Guard: !predicated}, in)
 				lastGuard = idx
 				if predicated {
-					branchOpIdx[b] = idx
+					branchOpIdx[b.Index] = int32(idx)
 				}
 			case ir.OpBr, ir.OpRet:
 				// Control transfers disappear inside the frame.
@@ -388,10 +390,21 @@ func Build(am *pm.Manager, r *region.Region, opts Options) (*Frame, error) {
 			}
 		}
 	}
+	nCarried := 0
 	for _, phi := range r.Entry.Phis() {
 		for _, a := range phi.Args {
 			if defsIn.Has(a) {
-				fr.Carried = append(fr.Carried, CarriedPair{Phi: phi.Dst, Next: a})
+				nCarried++
+			}
+		}
+	}
+	if nCarried > 0 {
+		fr.Carried = make([]CarriedPair, 0, nCarried)
+		for _, phi := range r.Entry.Phis() {
+			for _, a := range phi.Args {
+				if defsIn.Has(a) {
+					fr.Carried = append(fr.Carried, CarriedPair{Phi: phi.Dst, Next: a})
+				}
 			}
 		}
 	}
@@ -408,6 +421,41 @@ func Build(am *pm.Manager, r *region.Region, opts Options) (*Frame, error) {
 		fr.HoistedMemOps = r.NumMemOps() - braidDependentMemOps(r)
 	}
 	return fr, nil
+}
+
+// controllers inverts a function's control dependences: the branch blocks
+// block i is control dependent on are blocks[off[i]:off[i+1]], in block
+// order.
+type controllers struct {
+	off    []int32
+	blocks []*ir.Block
+}
+
+func (c controllers) of(b *ir.Block) []*ir.Block {
+	return c.blocks[c.off[b.Index]:c.off[b.Index+1]]
+}
+
+// controllersOf counts each block's controlling branches into off[i+2],
+// sums, then fills through off[i+1], visiting branches in block order.
+func controllersOf(f *ir.Function, cd *analysis.ControlDeps) controllers {
+	c := controllers{off: make([]int32, len(f.Blocks)+2)}
+	for _, br := range f.Blocks {
+		for _, dep := range cd.Of(br) {
+			c.off[dep.Index+2]++
+		}
+	}
+	for i := 2; i < len(c.off); i++ {
+		c.off[i] += c.off[i-1]
+	}
+	c.blocks = make([]*ir.Block, c.off[len(c.off)-1])
+	for _, br := range f.Blocks {
+		for _, dep := range cd.Of(br) {
+			c.blocks[c.off[dep.Index+1]] = br
+			c.off[dep.Index+1]++
+		}
+	}
+	c.off = c.off[:len(f.Blocks)+1]
+	return c
 }
 
 // symAddr is a symbolic word address: base register (NoReg for absolute

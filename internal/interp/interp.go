@@ -67,6 +67,24 @@ func I(bits uint64) int64 { return int64(bits) }
 // IBits converts an int64 to raw bits.
 func IBits(v int64) uint64 { return uint64(v) }
 
+// ErrNoPhiEdge is wrapped by the fault a run raises when control enters a
+// block whose phi has no incoming value for the edge control took, or for
+// no edge at all: a phi in the entry block, which ir.Verify accepts.
+var ErrNoPhiEdge = errors.New("interp: phi has no incoming edge")
+
+// phiEdgeError is a missing-phi-edge fault: its text names the function,
+// block, phi and predecessor, and it wraps ErrNoPhiEdge.
+type phiEdgeError struct{ msg string }
+
+func (e *phiEdgeError) Error() string { return e.msg }
+func (e *phiEdgeError) Unwrap() error { return ErrNoPhiEdge }
+
+// phiEdgeFault returns the fault for a phi of block b in f reached from
+// pred (nil on function entry).
+func phiEdgeFault(f *ir.Function, b *ir.Block, phi *ir.Instr, pred *ir.Block) error {
+	return &phiEdgeError{fmt.Sprintf("interp: %s.%s: phi %s has no incoming edge from %s", f.Name, b.Name, phi.Dst, pred)}
+}
+
 // maxCallDepth bounds recursion through OpCall.
 const maxCallDepth = 256
 
@@ -138,8 +156,7 @@ func (ex *executor) exec(f *ir.Function, args []uint64, depth int) (uint64, erro
 					}
 				}
 				if idx < 0 {
-					return 0, fmt.Errorf("interp: %s.%s: phi %s has no incoming edge from %s",
-						f.Name, cur.Name, phi.Dst, prev)
+					return 0, phiEdgeFault(f, cur, phi, prev)
 				}
 				phiTmp = append(phiTmp, regs[phi.Args[idx]])
 			}
@@ -401,8 +418,7 @@ func (bx *BlockExec) Step(f *ir.Function, cur, prev *ir.Block, regs, mem []uint6
 				}
 			}
 			if idx < 0 {
-				return nil, 0, false, fmt.Errorf("interp: %s.%s: phi %s has no incoming edge from %v",
-					f.Name, cur.Name, phi.Dst, prev)
+				return nil, 0, false, phiEdgeFault(f, cur, phi, prev)
 			}
 			tmp[i] = regs[phi.Args[idx]]
 		}

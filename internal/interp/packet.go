@@ -3,7 +3,7 @@
 // unit class, destination register, and source registers of every dynamic
 // instruction the block issues (phi-move prefix, body, terminator) — laid
 // out as a dense array of compact fixed-size entries. BuildPlan derives one
-// packet per block (backed by a single per-plan arena, so hot blocks walk
+// packet per block (backed by per-plan arenas, so hot blocks walk
 // contiguous memory), and the capture loop hands the whole block to the
 // timing model in a single Timing.FeedBlock call: the model walks flat
 // entries instead of chasing *ir.Instr pointers.
@@ -58,15 +58,35 @@ type TimingPacket struct {
 // NewTimingPacket compiles an instruction sequence into a packet. The
 // sequence must list the instructions in dynamic feed order; phi entries
 // carry every incoming register as a source, exactly as the per-instruction
-// feed exposes them.
+// feed exposes them. BuildPlan lays its blocks' packets out the same way,
+// in windows of per-plan arenas.
 func NewTimingPacket(instrs []*ir.Instr) *TimingPacket {
-	n := len(instrs)
-	pk := &TimingPacket{
-		Ent:    make([]TimingEntry, n),
-		SrcOff: make([]int32, n+1),
+	pk := &TimingPacket{}
+	fillPacket(pk, instrs, make([]TimingEntry, len(instrs)), make([]int32, len(instrs)+1), make([]int32, packetSrcs(instrs)))
+	return pk
+}
+
+// packetSrcs returns the number of source registers a packet over instrs
+// holds.
+func packetSrcs(instrs []*ir.Instr) int {
+	n := 0
+	for _, in := range instrs {
+		for _, r := range in.Args {
+			if r != ir.NoReg {
+				n++
+			}
+		}
 	}
+	return n
+}
+
+// fillPacket lays instrs out as pk in the given storage: ent of
+// len(instrs), off of len(instrs)+1 and srcs of packetSrcs(instrs).
+func fillPacket(pk *TimingPacket, instrs []*ir.Instr, ent []TimingEntry, off, srcs []int32) {
+	pk.Ent, pk.SrcOff, pk.Srcs = ent, off, srcs
+	ns := 0
 	for i, in := range instrs {
-		e := &pk.Ent[i]
+		e := &ent[i]
 		e.Op = uint8(in.Op)
 		switch {
 		case in.Op.IsMemory():
@@ -81,55 +101,29 @@ func NewTimingPacket(instrs []*ir.Instr) *TimingPacket {
 		if in.Op.HasDest() {
 			e.Dst = int32(in.Dst)
 		}
-		pk.SrcOff[i] = int32(len(pk.Srcs))
+		off[i] = int32(ns)
 		for _, r := range in.Args {
 			if r != ir.NoReg {
-				pk.Srcs = append(pk.Srcs, int32(r))
+				srcs[ns] = int32(r)
+				ns++
 			}
 		}
-		switch ns := int(pk.SrcOff[i]); len(pk.Srcs) - ns {
+		switch first := int(off[i]); ns - first {
 		case 0:
 		case 1:
 			e.NSrc = 1
-			e.Src0 = pk.Srcs[ns]
+			e.Src0 = srcs[first]
 		case 2:
 			e.NSrc = 2
-			e.Src0, e.Src1 = pk.Srcs[ns], pk.Srcs[ns+1]
+			e.Src0, e.Src1 = srcs[first], srcs[first+1]
 		default:
 			e.NSrc = 3
-			e.Src0, e.Src1 = pk.Srcs[ns], pk.Srcs[ns+1]
+			e.Src0, e.Src1 = srcs[first], srcs[first+1]
 		}
 	}
-	pk.SrcOff[n] = int32(len(pk.Srcs))
-	pk.CondBr = n > 0 && instrs[n-1].Op == ir.OpCondBr
-	return pk
+	off[len(instrs)] = int32(ns)
+	pk.CondBr = len(instrs) > 0 && instrs[len(instrs)-1].Op == ir.OpCondBr
 }
 
 // Len returns the number of entries in the packet.
 func (pk *TimingPacket) Len() int { return len(pk.Ent) }
-
-// compactPackets re-backs the packets of a plan's blocks with shared arenas
-// so consecutive blocks' entries are contiguous: the capture loop bounces
-// between a handful of hot blocks, and one arena keeps all of them in a few
-// cache lines instead of one tiny allocation per parallel array per block.
-func compactPackets(pks []*TimingPacket) {
-	var totE, totS int
-	for _, pk := range pks {
-		totE += len(pk.Ent)
-		totS += len(pk.Srcs)
-	}
-	entArena := make([]TimingEntry, 0, totE)
-	srcArena := make([]int32, 0, totS)
-	offArena := make([]int32, 0, totE+len(pks))
-	for _, pk := range pks {
-		e0 := len(entArena)
-		entArena = append(entArena, pk.Ent...)
-		pk.Ent = entArena[e0:len(entArena):len(entArena)]
-		s0 := len(srcArena)
-		srcArena = append(srcArena, pk.Srcs...)
-		pk.Srcs = srcArena[s0:len(srcArena):len(srcArena)]
-		o0 := len(offArena)
-		offArena = append(offArena, pk.SrcOff...)
-		pk.SrcOff = offArena[o0:len(offArena):len(offArena)]
-	}
-}

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"needle/internal/ir"
 	"needle/internal/obs"
@@ -97,11 +98,14 @@ type planBlock struct {
 // once built and safe for concurrent use; they are cached per function by
 // pm.Manager (KindExecPlan).
 type Plan struct {
-	f        *ir.Function
-	blocks   []planBlock
-	preds    [][]*ir.Block // unique predecessors per block, for error paths
-	edgeFrom []int32       // dense edge slot -> source block index
-	edgeTo   []int32       // dense edge slot -> target block index
+	f      *ir.Function
+	blocks []planBlock
+	// preds[predOff[i]:predOff[i+1]] are block i's unique predecessors,
+	// which number its move tables; kept for error paths.
+	predOff  []int32
+	preds    []*ir.Block
+	edgeFrom []int32 // dense edge slot -> source block index
+	edgeTo   []int32 // dense edge slot -> target block index
 	maxPhis  int
 	maxMem   int // most memory ops in any one block (address-scratch size)
 	// calls is set when some body calls a function: timed runs then return
@@ -125,6 +129,10 @@ type execEntry struct {
 
 // BuildPlan compiles f into a Plan. Building always succeeds; a function the
 // plan cannot run records the error RunProfiled then returns.
+//
+// Every per-block table — unique predecessors, phi move tables, dense edge
+// slots, timing packets and execution records — is a window of one
+// per-plan arena, sized by a counting pass over the blocks.
 func BuildPlan(f *ir.Function) *Plan {
 	obsPlanBuilds.Add(1)
 	p := &Plan{f: f}
@@ -136,29 +144,63 @@ func BuildPlan(f *ir.Function) *Plan {
 	// fails before the first step.
 	entry := f.Entry()
 	if phis := entry.Phis(); len(phis) > 0 {
-		p.err = fmt.Errorf("interp: %s.%s: phi %s has no incoming edge from %s",
-			f.Name, entry.Name, phis[0].Dst, (*ir.Block)(nil))
+		p.err = phiEdgeFault(f, entry, phis[0], nil)
 	}
-	p.blocks = make([]planBlock, len(f.Blocks))
-	p.preds = make([][]*ir.Block, len(f.Blocks))
+	n := len(f.Blocks)
+	p.blocks = make([]planBlock, n)
+
+	// Count: predecessor entries (an upper bound on the unique ones), edge
+	// slots (parallel condbr edges share one), and everything the packets
+	// and execution records hold.
+	nPredRefs, nEdges, nInstrs, nSrcs := 0, 0, 0, 0
+	for _, b := range f.Blocks {
+		nPredRefs += len(b.Preds)
+		if t := b.Term(); t != nil && (t.Op == ir.OpBr || t.Op == ir.OpCondBr) {
+			for k, target := range t.Blocks {
+				if k != 1 || t.Blocks[0] != target {
+					nEdges++
+				}
+			}
+		}
+		nInstrs += len(b.Instrs)
+		for _, in := range b.Instrs {
+			for _, r := range in.Args {
+				if r != ir.NoReg {
+					nSrcs++
+				}
+			}
+		}
+	}
+	// One int32 arena: predecessor offsets, the two edge-slot tables, then
+	// the packets' source offsets and source registers.
+	ints := make([]int32, n+1+2*nEdges+nInstrs+n+nSrcs)
+	p.predOff = ints[: n+1 : n+1]
+	p.edgeFrom = ints[n+1 : n+1 : n+1+nEdges]
+	p.edgeTo = ints[n+1+nEdges : n+1+nEdges : n+1+2*nEdges]
+	offs, srcs := ints[n+1+2*nEdges:n+1+2*nEdges+nInstrs+n], ints[n+1+2*nEdges+nInstrs+n:]
 
 	// Unique predecessor lists index the phi move tables.
+	p.preds = make([]*ir.Block, 0, nPredRefs)
+	nHdrs, nMoves := 0, 0
 	for i, b := range f.Blocks {
-		seen := make(map[*ir.Block]bool, len(b.Preds))
+		start := len(p.preds)
 		for _, pr := range b.Preds {
-			if !seen[pr] {
-				seen[pr] = true
-				p.preds[i] = append(p.preds[i], pr)
+			if !slices.Contains(p.preds[start:], pr) {
+				p.preds = append(p.preds, pr)
 			}
+		}
+		p.predOff[i+1] = int32(len(p.preds))
+		if phis := len(b.Phis()); phis > 0 {
+			nHdrs += len(p.preds) - start
+			nMoves += phis * (len(p.preds) - start)
 		}
 	}
-	predSlotOf := func(to *ir.Block, from *ir.Block) int32 {
-		for k, pr := range p.preds[to.Index] {
-			if pr == from {
-				return int32(k)
-			}
-		}
-		return -1
+	var hdrs [][]phiMove
+	var moves []phiMove
+	nBody := 0
+	if nHdrs > 0 {
+		hdrs = make([][]phiMove, nHdrs)
+		moves = make([]phiMove, nMoves)
 	}
 
 	for i, b := range f.Blocks {
@@ -175,6 +217,7 @@ func BuildPlan(f *ir.Function) *Plan {
 		}
 		pb.term = term
 		pb.body = b.Instrs[len(phis) : len(b.Instrs)-1]
+		nBody += len(pb.body)
 		for _, in := range pb.body {
 			if in.Op == ir.OpCall {
 				p.calls = true
@@ -187,26 +230,22 @@ func BuildPlan(f *ir.Function) *Plan {
 		// phi prefix performs. A phi lacking an incoming edge leaves a nil
 		// table, reproducing the interpreter's runtime error on traversal.
 		if len(phis) > 0 {
-			pb.moves = make([][]phiMove, len(p.preds[i]))
-			for slot, pr := range p.preds[i] {
-				moves := make([]phiMove, 0, len(phis))
+			preds := p.preds[p.predOff[i]:p.predOff[i+1]]
+			pb.moves, hdrs = hdrs[:len(preds):len(preds)], hdrs[len(preds):]
+			for slot, pr := range preds {
+				table := moves[:len(phis):len(phis)]
 				ok := true
-				for _, phi := range phis {
-					idx := -1
-					for k, from := range phi.Blocks {
-						if from == pr {
-							idx = k
-							break
-						}
-					}
+				for j, phi := range phis {
+					idx := slices.Index(phi.Blocks, pr)
 					if idx < 0 {
 						ok = false
 						break
 					}
-					moves = append(moves, phiMove{dst: phi.Dst, src: phi.Args[idx]})
+					table[j] = phiMove{dst: phi.Dst, src: phi.Args[idx]}
 				}
 				if ok {
-					pb.moves[slot] = moves
+					pb.moves[slot] = table
+					moves = moves[len(phis):]
 				}
 			}
 		}
@@ -239,10 +278,11 @@ func BuildPlan(f *ir.Function) *Plan {
 				if term.Blocks[0] == target {
 					taken = 1
 				}
+				predSlot := int32(slices.Index(p.preds[p.predOff[target.Index]:p.predOff[target.Index+1]], b))
 				pb.succs[k] = planSucc{
 					to:       int32(target.Index),
 					edgeSlot: slot,
-					predSlot: predSlotOf(target, b),
+					predSlot: predSlot,
 					taken:    taken,
 				}
 			}
@@ -252,52 +292,43 @@ func BuildPlan(f *ir.Function) *Plan {
 	}
 
 	// Timing packets: the dynamic feed sequence of each block (phi prefix,
-	// body, terminator) flattened into dense arrays, so a timed run hands
-	// its Timing one FeedBlock per executed block. A plan
-	// with an error never executes, so it does not pay for packets.
-	if p.err == nil {
-		var seq []*ir.Instr
-		pks := make([]*TimingPacket, len(p.blocks))
-		nBody := 0
-		for i := range p.blocks {
-			pb := &p.blocks[i]
-			seq = seq[:0]
-			seq = append(seq, pb.phis...)
-			seq = append(seq, pb.body...)
-			seq = append(seq, pb.term)
-			pb.packet = NewTimingPacket(seq)
-			pks[i] = pb.packet
-			if pb.packet.NumMem > p.maxMem {
-				p.maxMem = pb.packet.NumMem
-			}
-			nBody += len(pb.body)
+	// body, terminator — the block's instructions in order) in dense
+	// arrays, so a timed run hands its Timing one FeedBlock per executed
+	// block; and the body's execution records, for the dispatch. A plan
+	// with an error never executes, so it pays for neither.
+	if p.err != nil {
+		return p
+	}
+	pks := make([]TimingPacket, n)
+	ent := make([]TimingEntry, nInstrs)
+	code := make([]execEntry, 0, nBody)
+	for i := range p.blocks {
+		pb := &p.blocks[i]
+		instrs := f.Blocks[i].Instrs
+		ns := packetSrcs(instrs)
+		fillPacket(&pks[i], instrs, ent[:len(instrs):len(instrs)], offs[:len(instrs)+1:len(instrs)+1], srcs[:ns:ns])
+		ent, offs, srcs = ent[len(instrs):], offs[len(instrs)+1:], srcs[ns:]
+		pb.packet = &pks[i]
+		if pb.packet.NumMem > p.maxMem {
+			p.maxMem = pb.packet.NumMem
 		}
-		compactPackets(pks)
 
-		// Dense execution records for the body dispatch, one arena for the
-		// whole plan.
-		code := make([]execEntry, nBody)
-		n := 0
-		for i := range p.blocks {
-			pb := &p.blocks[i]
-			pb.code = code[n : n+len(pb.body) : n+len(pb.body)]
-			for j, in := range pb.body {
-				e := &pb.code[j]
-				e.op = in.Op
-				e.dst = int32(in.Dst)
-				e.imm = in.Imm
-				switch len(in.Args) {
-				case 0:
-				case 1:
-					e.a0 = int32(in.Args[0])
-				case 2:
-					e.a0, e.a1 = int32(in.Args[0]), int32(in.Args[1])
-				default:
-					e.a0, e.a1, e.a2 = int32(in.Args[0]), int32(in.Args[1]), int32(in.Args[2])
-				}
+		// Dense execution records for the body dispatch.
+		c0 := len(code)
+		for _, in := range pb.body {
+			e := execEntry{op: in.Op, dst: int32(in.Dst), imm: in.Imm}
+			switch len(in.Args) {
+			case 0:
+			case 1:
+				e.a0 = int32(in.Args[0])
+			case 2:
+				e.a0, e.a1 = int32(in.Args[0]), int32(in.Args[1])
+			default:
+				e.a0, e.a1, e.a2 = int32(in.Args[0]), int32(in.Args[1]), int32(in.Args[2])
 			}
-			n += len(pb.body)
+			code = append(code, e)
 		}
+		pb.code = code[c0:len(code):len(code)]
 	}
 	return p
 }
@@ -722,18 +753,10 @@ func call(in *ir.Instr, regs, mem []uint64, steps, maxSteps int64) (uint64, int6
 // for the (block, predecessor slot) pair.
 func (p *Plan) phiEdgeError(cur int, predSlot int32) error {
 	b := p.f.Blocks[cur]
-	pred := p.preds[cur][predSlot]
+	pred := p.preds[p.predOff[cur]+predSlot]
 	for _, phi := range b.Phis() {
-		found := false
-		for _, from := range phi.Blocks {
-			if from == pred {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("interp: %s.%s: phi %s has no incoming edge from %s",
-				p.f.Name, b.Name, phi.Dst, pred)
+		if !slices.Contains(phi.Blocks, pred) {
+			return phiEdgeFault(p.f, b, phi, pred)
 		}
 	}
 	return fmt.Errorf("interp: %s.%s: phi resolution failed from %s", p.f.Name, b.Name, pred)

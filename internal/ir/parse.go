@@ -45,6 +45,9 @@ func Parse(src string) (*Module, error) {
 	}
 	p.load()
 	m := &Module{}
+	// byName resolves duplicates and call targets in one probe each, where
+	// Module.Func scans the whole list.
+	byName := make(map[string]*Function)
 	var calls []pendingCall
 	for {
 		p.skipBlank()
@@ -55,15 +58,16 @@ func Parse(src string) (*Module, error) {
 		if err != nil {
 			return nil, err
 		}
-		if m.Func(f.Name) != nil {
+		if byName[f.Name] != nil {
 			return nil, fmt.Errorf("ir: duplicate function @%s", f.Name)
 		}
+		byName[f.Name] = f
 		m.Add(f)
 	}
 	// Resolve call targets module-wide (forward references allowed), then
 	// verify every function.
 	for _, pc := range calls {
-		callee := m.Func(pc.name)
+		callee := byName[pc.name]
 		if callee == nil {
 			return nil, fmt.Errorf("ir: line %d: call to undefined function @%s", pc.line+1, pc.name)
 		}

@@ -45,7 +45,7 @@ const (
 	KindLiveness
 	// KindLoops is the natural-loop nest.
 	KindLoops
-	// KindControlDeps is the branch -> control-dependent-blocks map.
+	// KindControlDeps is the branch -> control-dependent-blocks table.
 	KindControlDeps
 	// KindExecPlan is the interpreter's compiled execution plan.
 	KindExecPlan
@@ -188,13 +188,13 @@ func (m *Manager) NaturalLoops(f *ir.Function) []*analysis.Loop {
 }
 
 // ControlDependents returns the cached branch -> control-dependent-blocks
-// map of f (Ferrante/Ottenstein/Warren over the post-dominator tree).
-func (m *Manager) ControlDependents(f *ir.Function) map[*ir.Block][]*ir.Block {
+// table of f (Ferrante/Ottenstein/Warren over the post-dominator tree).
+func (m *Manager) ControlDependents(f *ir.Function) *analysis.ControlDeps {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.lookup(f, KindControlDeps, func() any {
 		return analysis.ControlDependents(f, m.pdom(f))
-	}).(map[*ir.Block][]*ir.Block)
+	}).(*analysis.ControlDeps)
 }
 
 // ExecPlan returns the cached compiled execution plan of f (interp.BuildPlan).

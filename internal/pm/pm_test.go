@@ -66,7 +66,7 @@ func TestCacheHitIdentity(t *testing.T) {
 	}
 	cd1, cd2 := am.ControlDependents(f), am.ControlDependents(f)
 	if reflect.ValueOf(cd1).Pointer() != reflect.ValueOf(cd2).Pointer() {
-		t.Errorf("ControlDependents returned distinct maps")
+		t.Errorf("ControlDependents returned distinct tables")
 	}
 
 	st := am.Stats()

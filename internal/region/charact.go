@@ -32,11 +32,12 @@ func Characterize(am *pm.Manager, f *ir.Function) ControlFlowStats {
 		BackwardBranches: len(am.BackEdges(f)),
 	}
 
-	// Map from register to defining instruction for backward slicing.
-	defs := make(map[ir.Reg]*ir.Instr)
+	// Register -> defining instruction, dense over the register space, for
+	// backward slicing.
+	defs := make([]*ir.Instr, len(f.RegType))
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if in.Op.HasDest() {
+			if in.Op.HasDest() && int(in.Dst) < len(defs) {
 				defs[in.Dst] = in
 			}
 		}
@@ -46,6 +47,7 @@ func Characterize(am *pm.Manager, f *ir.Function) ControlFlowStats {
 	// (Ferrante/Ottenstein/Warren).
 	ctrlDeps := am.ControlDependents(f)
 
+	sl := slicer{defs: defs, seen: make([]int32, len(defs))}
 	var sumBranchMem, sumMemBranch int
 	for _, b := range f.Blocks {
 		t := b.Term()
@@ -54,8 +56,8 @@ func Characterize(am *pm.Manager, f *ir.Function) ControlFlowStats {
 		}
 		stats.Branches++
 		stats.PredicationBits++ // one predicate per if-converted branch
-		sumMemBranch += loadsInSlice(t.Args[0], defs)
-		for _, dep := range ctrlDeps[b] {
+		sumMemBranch += sl.loads(t.Args[0])
+		for _, dep := range ctrlDeps.Of(b) {
 			for _, in := range dep.Instrs {
 				if in.Op.IsMemory() {
 					sumBranchMem++
@@ -70,28 +72,37 @@ func Characterize(am *pm.Manager, f *ir.Function) ControlFlowStats {
 	return stats
 }
 
-// loadsInSlice counts load instructions in the backward data-dependence
-// slice of reg (phi operands included, cycles broken with a visited set).
-func loadsInSlice(reg ir.Reg, defs map[ir.Reg]*ir.Instr) int {
-	visited := make(map[ir.Reg]bool)
-	var walk func(r ir.Reg) int
-	walk = func(r ir.Reg) int {
-		if visited[r] {
-			return 0
+// slicer walks backward data-dependence slices over one function's dense
+// def table. seen[r] == epoch marks r as visited by the current walk, so
+// the marks need no clearing between walks; the stack is reused too.
+type slicer struct {
+	defs  []*ir.Instr
+	seen  []int32
+	epoch int32
+	stack []ir.Reg
+}
+
+// loads counts load instructions in the backward data-dependence slice of
+// reg (phi operands included, each register visited once).
+func (s *slicer) loads(reg ir.Reg) int {
+	s.epoch++
+	n := 0
+	s.stack = append(s.stack[:0], reg)
+	for len(s.stack) > 0 {
+		r := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
+		if r < 0 || int(r) >= len(s.defs) || s.seen[r] == s.epoch {
+			continue
 		}
-		visited[r] = true
-		in, ok := defs[r]
-		if !ok {
-			return 0 // parameter
+		s.seen[r] = s.epoch
+		in := s.defs[r]
+		if in == nil {
+			continue // parameter
 		}
-		n := 0
 		if in.Op == ir.OpLoad {
 			n++
 		}
-		for _, a := range in.Args {
-			n += walk(a)
-		}
-		return n
+		s.stack = append(s.stack, in.Args...)
 	}
-	return walk(reg)
+	return n
 }

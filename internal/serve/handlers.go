@@ -147,8 +147,9 @@ func requestStatus(err error) int {
 }
 
 // pipelineRejections are the typed errors a verified program may fail the
-// pipeline with: calls the inliner cannot flatten, a fault or the step cap
-// while it is profiled, or a CFG the Ball-Larus numbering refuses. Each is
+// pipeline with: calls the inliner cannot flatten, a fault (a phi with no
+// value for the edge taken included) or the step cap while it is profiled,
+// or a CFG the Ball-Larus numbering refuses. Each is
 // a property of the program the request sent, so each is a 422.
 var pipelineRejections = []error{
 	passes.ErrInlineDepth,
@@ -156,6 +157,7 @@ var pipelineRejections = []error{
 	interp.ErrOutOfBounds,
 	interp.ErrStepLimit,
 	interp.ErrCallDepth,
+	interp.ErrNoPhiEdge,
 	ballarus.ErrTooManyPaths,
 	ballarus.ErrIrreducible,
 }

@@ -250,7 +250,8 @@ exit:
 
 // TestEntryPhiFaultParity: a program the compiled plan cannot run fails
 // identically through the Analyzer (the `needle -nir` path) and through
-// POST /v1/analyze, with the hook interpreter's error text and status 500.
+// POST /v1/analyze, with the hook interpreter's error text; the fault is
+// typed (interp.ErrNoPhiEdge), so the service answers 422.
 func TestEntryPhiFaultParity(t *testing.T) {
 	const want = "pipeline: capturing ep: interp: ep.entry: phi r2 has no incoming edge from <nil>"
 	p, err := program.Load(entryPhiSrc, program.LoadOptions{Args: []string{"4"}})
@@ -264,8 +265,8 @@ func TestEntryPhiFaultParity(t *testing.T) {
 	s := New(Config{Jobs: 1})
 	defer s.Close()
 	rr := doReq(s, http.MethodPost, "/v1/analyze", sourceReq(t, analyzeRequest{Source: entryPhiSrc, Args: []string{"4"}}))
-	if rr.Code != http.StatusInternalServerError {
-		t.Errorf("status %d, want 500 (body %q)", rr.Code, rr.Body.String())
+	if rr.Code != http.StatusUnprocessableEntity {
+		t.Errorf("status %d, want 422 (body %q)", rr.Code, rr.Body.String())
 	}
 	var e map[string]string
 	if err := json.Unmarshal(rr.Body.Bytes(), &e); err != nil || e["error"] != want {

@@ -36,7 +36,10 @@
 # compute). Beside them it records, also ungated, the three BenchmarkIngest
 # rows: parse (ir.Parse), load (program.Load) and digest (Program.Digest)
 # over irgen programs of the shape needled is sent in the benchmark's
-# serve-nir-cold workload.
+# serve-nir-cold workload. Also ungated, the eight BenchmarkAnalysis rows
+# time the per-function analyses needled recomputes for every program
+# (ballarus, pdom, cdeps, liveness, sccp, memdep, plan, characterize) on
+# inlined programs of that same shape.
 #
 #   ./scripts/bench.sh            (or: make bench)
 #   BENCH_TIME=10x ./scripts/bench.sh   # more iterations, less noise
@@ -54,7 +57,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-benches='^(BenchmarkSweep|BenchmarkSweepWarmStart|BenchmarkCapture|BenchmarkInterpreter|BenchmarkPathProfiling|BenchmarkPathDecode|BenchmarkOOOModel|BenchmarkAblationPredictor|BenchmarkVet|BenchmarkStage|BenchmarkIngest)$'
+benches='^(BenchmarkSweep|BenchmarkSweepWarmStart|BenchmarkCapture|BenchmarkInterpreter|BenchmarkPathProfiling|BenchmarkPathDecode|BenchmarkOOOModel|BenchmarkAblationPredictor|BenchmarkVet|BenchmarkStage|BenchmarkIngest|BenchmarkAnalysis)$'
 benchtime="${BENCH_TIME:-5x}"
 
 echo "running sweep benchmarks (benchtime $benchtime)..."
@@ -79,6 +82,9 @@ for layer in inline opt-decode profile-decode select-decode select frame target 
 done
 for step in parse load digest; do
     stages="$stages BenchmarkIngest/$step"
+done
+for a in ballarus pdom cdeps liveness sccp memdep plan characterize; do
+    stages="$stages BenchmarkAnalysis/$a"
 done
 
 sweep=$(ns_of BenchmarkSweep)
