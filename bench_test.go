@@ -638,18 +638,73 @@ func BenchmarkCGRASchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkOOOModel measures the host timing model's streaming throughput.
+// blockStream is a timed run's dynamic stream as the host model receives
+// it: the executed blocks' timing packets in order, the branch outcome
+// noted after each (-1 for none), and the memory addresses of every fed
+// memory entry. It implements interp.Timing to record the stream once, so a
+// benchmark can replay it through the model with no interpreter in the timer.
+type blockStream struct {
+	pks   []*interp.TimingPacket
+	taken []int8
+	addrs []int64
+}
+
+func (s *blockStream) FeedBlock(pk *interp.TimingPacket, n int, addrs []int64) {
+	s.pks = append(s.pks, pk)
+	s.taken = append(s.taken, -1)
+	s.addrs = append(s.addrs, addrs[:pk.NumMem]...)
+}
+
+func (s *blockStream) NoteBranch(taken bool) {
+	s.taken[len(s.taken)-1] = 0
+	if taken {
+		s.taken[len(s.taken)-1] = 1
+	}
+}
+
+func (s *blockStream) EndPath(int64) {}
+
+// recordStream captures workload name's block stream at size n on its
+// inlined function, the function the pipeline captures.
+func recordStream(b *testing.B, name string, n int) (*blockStream, int) {
+	b.Helper()
+	f, args, memory := workloads.ByName(name).Instance(n)
+	f, err := passes.InlineAll(f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := profile.NewCollector(nil, f, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := &blockStream{}
+	if _, err := c.RunTimed(args, memory, s, 0); err != nil {
+		b.Fatal(err)
+	}
+	return s, f.NumRegs()
+}
+
+// replay feeds the stream to m as a timed run does: FeedBlock per block,
+// then the block's branch outcome.
+func (s *blockStream) replay(m *ooo.Model) {
+	addrs := s.addrs
+	for i, pk := range s.pks {
+		m.FeedBlock(pk, pk.Len(), addrs)
+		addrs = addrs[pk.NumMem:]
+		if t := s.taken[i]; t >= 0 {
+			m.NoteBranch(t == 1)
+		}
+	}
+}
+
+// BenchmarkOOOModel measures the host timing model's streaming throughput:
+// 183.equake's recorded block stream replayed through FeedBlock and
+// NoteBranch.
 func BenchmarkOOOModel(b *testing.B) {
-	w := workloads.ByName("183.equake")
-	f, args, memory := w.Instance(1000)
+	s, numRegs := recordStream(b, "183.equake", 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		work := make([]uint64, len(memory))
-		copy(work, memory)
-		m := ooo.New(ooo.DefaultConfig(), f.NumRegs(), mem.New(mem.Config{}))
-		if _, err := interp.Run(f, args, work, m.Hooks(), 0); err != nil {
-			b.Fatal(err)
-		}
+		s.replay(ooo.New(ooo.DefaultConfig(), numRegs, mem.New(mem.Config{})))
 	}
 }
 
@@ -884,8 +939,7 @@ func BenchmarkFigure2(b *testing.B) { benchTable(b, (*tables.Suite).Figure2) }
 // baseline against a gshare host: a weaker host makes offload look better,
 // which is why the paper's conservative choice matters.
 func BenchmarkAblationHostBranchPredictor(b *testing.B) {
-	w := workloads.ByName("186.crafty")
-	f, args, memory := w.Instance(3000)
+	s, numRegs := recordStream(b, "186.crafty", 3000)
 	for _, pc := range []struct {
 		name string
 		real bool
@@ -895,12 +949,8 @@ func BenchmarkAblationHostBranchPredictor(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := ooo.DefaultConfig()
 				cfg.RealBranchPredictor = pc.real
-				m := ooo.New(cfg, f.NumRegs(), mem.New(mem.Config{}))
-				work := make([]uint64, len(memory))
-				copy(work, memory)
-				if _, err := interp.Run(f, args, work, m.Hooks(), 0); err != nil {
-					b.Fatal(err)
-				}
+				m := ooo.New(cfg, numRegs, mem.New(mem.Config{}))
+				s.replay(m)
 				cycles = m.Cycles()
 			}
 			b.ReportMetric(float64(cycles), "host-cycles")

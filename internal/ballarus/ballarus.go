@@ -402,8 +402,7 @@ func (d *DAG) Encode(blocks []*ir.Block) (int64, error) {
 // annotations interp.RunProfiled consumes. The overlay is a separate object
 // so the structural Plan cached by the analysis manager stays immutable and
 // shareable. Edges absent from the numbering (out of unreachable blocks)
-// get a zero annotation, matching Profiler, which leaves the path register
-// untouched on them.
+// get a zero annotation: the path register stays untouched on them.
 func (d *DAG) CompilePlan(p *interp.Plan) *interp.BLPlan {
 	if p.F() != d.F {
 		panic("ballarus: CompilePlan called with a plan for a different function")
@@ -430,108 +429,6 @@ func (d *DAG) CompilePlan(p *interp.Plan) *interp.BLPlan {
 		}
 	}
 	return bl
-}
-
-// Profiler accumulates a Ball-Larus path profile while a function executes
-// on the hook interpreter. Attach it via Hooks. A single Profiler may observe
-// many invocations of the same function. Production profiling runs the
-// compiled plan (profile.Collector); Profiler is the reference the plan's
-// path counts are tested against.
-type Profiler struct {
-	dag *DAG
-
-	// Counts maps path ID to execution frequency.
-	Counts map[int64]int64
-	// Trace, when RecordTrace is set, is the sequence of completed path IDs
-	// in execution order (the "path trace" of Section IV-A).
-	Trace       []int64
-	RecordTrace bool
-	// OnPath, when non-nil, fires at every path completion with the path ID,
-	// letting the system simulator attribute costs to path occurrences.
-	OnPath func(id int64)
-
-	cur    int64
-	inside bool
-	// member is dense by Block.Index with an identity check: callee blocks
-	// carry their own (overlapping) index ranges, so the index alone is not
-	// enough, but the compare replaces a map lookup per event.
-	member []*ir.Block
-}
-
-// NewProfiler creates a profiler for the function described by dag.
-func NewProfiler(dag *DAG) *Profiler {
-	member := make([]*ir.Block, len(dag.F.Blocks))
-	for _, b := range dag.F.Blocks {
-		member[b.Index] = b
-	}
-	return &Profiler{dag: dag, Counts: make(map[int64]int64), member: member}
-}
-
-// isMember reports whether b belongs to the profiled function.
-func (p *Profiler) isMember(b *ir.Block) bool {
-	return b.Index < len(p.member) && p.member[b.Index] == b
-}
-
-// DAG returns the underlying path numbering.
-func (p *Profiler) DAG() *DAG { return p.dag }
-
-func (p *Profiler) record(id int64) {
-	p.Counts[id]++
-	if p.RecordTrace {
-		p.Trace = append(p.Trace, id)
-	}
-	if p.OnPath != nil {
-		p.OnPath(id)
-	}
-}
-
-// Hooks returns interpreter hooks that drive this profiler. The hooks only
-// react to blocks of the profiled function (membership-checked), so they are
-// safe to use even when other functions — callees included — run on the same
-// interpreter. Recursive invocations of the profiled function itself are not
-// supported; the pipeline inlines calls before profiling.
-func (p *Profiler) Hooks() *interp.Hooks {
-	f := p.dag.F
-	return &interp.Hooks{
-		Block: func(b *ir.Block) {
-			if !p.inside && b == f.Entry() {
-				p.inside = true
-				p.cur = p.dag.entryVal
-			}
-		},
-		Edge: func(from, to *ir.Block) {
-			if !p.inside || !p.isMember(from) {
-				return
-			}
-			e := p.dag.edge(from.Index, to.Index)
-			switch {
-			case e == nil:
-			case e.kind == edgeBack:
-				p.record(p.cur + e.val)
-				p.cur = p.dag.vals[to.Index].reset
-			default:
-				p.cur += e.val
-			}
-		},
-		Exit: func(from *ir.Block) {
-			if !p.inside || !p.isMember(from) {
-				return
-			}
-			if v := &p.dag.vals[from.Index]; v.isRet {
-				p.record(p.cur + v.ret)
-			}
-			p.inside = false
-		},
-	}
-}
-
-// TotalOccurrences returns the total number of recorded path executions.
-func (p *Profiler) TotalOccurrences() int64 {
-	var n int64
-	for _, c := range p.Counts {
-		n += c
-	}
-	return n
 }
 
 // PathOps returns the number of instructions attributed to one occurrence

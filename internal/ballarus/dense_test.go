@@ -84,6 +84,71 @@ func TestBuildMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCompilePlanMatchesReferenceSlots pins CompilePlan's overlay slot by
+// slot against the verbatim reference DAG's edge maps, on every workload's
+// function (raw, calls and all, and inlined) and 240 irgen programs: the
+// entry value and path count, every block's return value, and every
+// successor slot's increment, reset and flush. The hook profiler in package
+// oracle reads its edge values from this overlay, so this is what keeps
+// that oracle independent of the code it checks.
+func TestCompilePlanMatchesReferenceSlots(t *testing.T) {
+	var fs []*ir.Function
+	for _, w := range workloads.All() {
+		f := w.Function()
+		inl, err := passes.InlineAll(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs = append(fs, f, inl)
+	}
+	pool := irgen.Config{MaxDepth: 3, MaxStmts: 8, MaxLoopTrip: 24, MemWords: 1024}
+	for seed := int64(1); seed <= 120; seed++ {
+		fs = append(fs, irgen.Generate(seed, irgen.DefaultConfig()).F, irgen.Generate(seed, pool).F)
+	}
+	slots := 0
+	for _, f := range fs {
+		d, err := Build(nil, f)
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		rd, err := referenceBuild(nil, f)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", f.Name, err)
+		}
+		p := interp.BuildPlan(f)
+		bl := d.CompilePlan(p)
+		if bl.EntryVal != rd.entryVal || bl.NumPaths != rd.numPaths {
+			t.Fatalf("%s: entry value %d, %d paths; want %d, %d", f.Name, bl.EntryVal, bl.NumPaths, rd.entryVal, rd.numPaths)
+		}
+		if len(bl.Succs) != len(f.Blocks) || len(bl.RetVal) != len(f.Blocks) {
+			t.Fatalf("%s: %d slot pairs and %d return values for %d blocks", f.Name, len(bl.Succs), len(bl.RetVal), len(f.Blocks))
+		}
+		for i, b := range f.Blocks {
+			if got, want := bl.RetVal[i], rd.retVal[i]; got != want {
+				t.Fatalf("%s.%s: return value %d, want %d", f.Name, b.Name, got, want)
+			}
+			for k := range bl.Succs[i] {
+				var want interp.BLEdge
+				if k < p.NumSuccs(i) {
+					key := referenceEdgeKey{i, p.Succ(i, k)}
+					if bi, ok := rd.backVal[key]; ok {
+						want = interp.BLEdge{Inc: bi.exitVal, Reset: bi.resetVal, Flush: true}
+					} else {
+						want = interp.BLEdge{Inc: rd.normVal[key]}
+					}
+					slots++
+				}
+				if got := bl.Succs[i][k]; got != want {
+					t.Fatalf("%s.%s slot %d: %+v, want %+v", f.Name, b.Name, k, got, want)
+				}
+			}
+		}
+	}
+	if slots == 0 {
+		t.Fatal("no successor slot checked")
+	}
+}
+
 // nirCorpus returns the functions of every checked-in .nir program: the ir
 // testdata, whose shapes.nir holds CFG shapes the generated programs lack,
 // and the examples.

@@ -162,14 +162,14 @@ func TestDefaultConfigFillsZeroValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Config.TopPaths == 0 {
-		t.Fatal("zero-value config should be replaced by defaults")
+	if d := DefaultConfig(); a.Config.Sim != d.Sim || a.Config.SelectTopK != d.SelectTopK || a.Config.ColdFraction != d.ColdFraction {
+		t.Fatalf("zero-value config should be replaced by defaults: %+v", a.Config)
 	}
 }
 
 func TestConfigNormalizationKeepsCallerFields(t *testing.T) {
 	// A caller-supplied Sim and N must survive normalization even when
-	// TopPaths is zero — the old sentinel swap silently replaced the whole
+	// SelectTopK is zero — the old sentinel swap silently replaced the whole
 	// Config with DefaultConfig().
 	custom := sim.DefaultConfig()
 	custom.HistBits = 4
@@ -186,8 +186,7 @@ func TestConfigNormalizationKeepsCallerFields(t *testing.T) {
 		t.Fatalf("caller N discarded: %d", a.Config.N)
 	}
 	d := DefaultConfig()
-	if a.Config.TopPaths != d.TopPaths || a.Config.SelectTopK != d.SelectTopK ||
-		a.Config.ColdFraction != d.ColdFraction {
+	if a.Config.SelectTopK != d.SelectTopK || a.Config.ColdFraction != d.ColdFraction {
 		t.Fatalf("zero fields not defaulted: %+v", a.Config)
 	}
 }

@@ -40,9 +40,6 @@ type Hooks struct {
 	Edge  func(from, to *ir.Block)
 	Instr func(in *ir.Instr)
 	Exit  func(from *ir.Block)
-	// Store fires just before a store commits, exposing the old value so a
-	// speculation runtime can maintain an undo log.
-	Store func(in *ir.Instr, addr int64, old, new uint64)
 	// Mem fires for every load and store, just before the Instr event of the
 	// same operation, exposing the effective word address for cache and
 	// timing models.
@@ -231,14 +228,8 @@ func (ex *executor) exec(f *ir.Function, args []uint64, depth int) (uint64, erro
 				}
 				regs[in.Dst] = v
 			default:
-				if in.Op.IsMemory() {
-					addr := int64(regs[in.Args[0]])
-					if in.Op == ir.OpStore && hooks.Store != nil && addr >= 0 && addr < int64(len(mem)) {
-						hooks.Store(in, addr, mem[addr], regs[in.Args[1]])
-					}
-					if hooks.Mem != nil {
-						hooks.Mem(in, addr)
-					}
+				if hooks.Mem != nil && in.Op.IsMemory() {
+					hooks.Mem(in, int64(regs[in.Args[0]]))
 				}
 				v, err := Eval(in, regs, mem)
 				if err != nil {
@@ -298,185 +289,4 @@ func Eval(in *ir.Instr, regs []uint64, mem []uint64) (uint64, error) {
 		return v, nil
 	}
 	return 0, fmt.Errorf("interp: unhandled opcode %s", in.Op)
-}
-
-// CombineHooks merges several hook sets into one; each event fans out to
-// every non-nil handler in order. Nil entries are skipped.
-func CombineHooks(hooks ...*Hooks) *Hooks {
-	out := &Hooks{}
-	var blocks []func(*ir.Block)
-	var edges []func(*ir.Block, *ir.Block)
-	var instrs []func(*ir.Instr)
-	var exits []func(*ir.Block)
-	var stores []func(*ir.Instr, int64, uint64, uint64)
-	var mems []func(*ir.Instr, int64)
-	for _, h := range hooks {
-		if h == nil {
-			continue
-		}
-		if h.Store != nil {
-			stores = append(stores, h.Store)
-		}
-		if h.Mem != nil {
-			mems = append(mems, h.Mem)
-		}
-		if h.Block != nil {
-			blocks = append(blocks, h.Block)
-		}
-		if h.Edge != nil {
-			edges = append(edges, h.Edge)
-		}
-		if h.Instr != nil {
-			instrs = append(instrs, h.Instr)
-		}
-		if h.Exit != nil {
-			exits = append(exits, h.Exit)
-		}
-	}
-	if len(blocks) > 0 {
-		out.Block = func(b *ir.Block) {
-			for _, fn := range blocks {
-				fn(b)
-			}
-		}
-	}
-	if len(edges) > 0 {
-		out.Edge = func(from, to *ir.Block) {
-			for _, fn := range edges {
-				fn(from, to)
-			}
-		}
-	}
-	if len(instrs) > 0 {
-		out.Instr = func(in *ir.Instr) {
-			for _, fn := range instrs {
-				fn(in)
-			}
-		}
-	}
-	if len(exits) > 0 {
-		out.Exit = func(b *ir.Block) {
-			for _, fn := range exits {
-				fn(b)
-			}
-		}
-	}
-	if len(stores) > 0 {
-		out.Store = func(in *ir.Instr, addr int64, old, new uint64) {
-			for _, fn := range stores {
-				fn(in, addr, old, new)
-			}
-		}
-	}
-	if len(mems) > 0 {
-		out.Mem = func(in *ir.Instr, addr int64) {
-			for _, fn := range mems {
-				fn(in, addr)
-			}
-		}
-	}
-	return out
-}
-
-// BlockExec steps a function one basic block at a time, for drivers that
-// interleave host execution with accelerator frames (sim.FunctionalOffload):
-// the driver owns the program counter and can hand whole regions to a frame
-// executor between steps. Its scratch buffers are reused across blocks
-// instead of allocating a phi temp slice and call-argument slice per
-// block. The zero value is ready to use; a BlockExec must not be shared
-// across goroutines.
-type BlockExec struct {
-	phiTmp   []uint64
-	callArgs []uint64
-}
-
-// Step executes exactly one basic block — phi resolution against prev, the
-// body, and the terminator — mutating regs and mem. It returns the
-// successor block, or returned=true with the return bits when the block
-// ends in ret. Calls inside the block execute to completion recursively.
-// Hooks fire Edge/Exit events (no Block/Instr events, which block-level
-// drivers do not need).
-func (bx *BlockExec) Step(f *ir.Function, cur, prev *ir.Block, regs, mem []uint64, hooks *Hooks) (next *ir.Block, ret uint64, returned bool, err error) {
-	if hooks == nil {
-		hooks = &Hooks{}
-	}
-	phis := cur.Phis()
-	if len(phis) > 0 {
-		tmp := bx.phiTmp
-		if cap(tmp) < len(phis) {
-			tmp = make([]uint64, len(phis))
-			bx.phiTmp = tmp
-		} else {
-			tmp = tmp[:len(phis)]
-		}
-		for i, phi := range phis {
-			idx := -1
-			for k, from := range phi.Blocks {
-				if from == prev {
-					idx = k
-					break
-				}
-			}
-			if idx < 0 {
-				return nil, 0, false, phiEdgeFault(f, cur, phi, prev)
-			}
-			tmp[i] = regs[phi.Args[idx]]
-		}
-		for i, phi := range phis {
-			regs[phi.Dst] = tmp[i]
-		}
-	}
-	for _, in := range cur.Instrs[len(phis):] {
-		switch in.Op {
-		case ir.OpBr:
-			nb := in.Blocks[0]
-			if hooks.Edge != nil {
-				hooks.Edge(cur, nb)
-			}
-			return nb, 0, false, nil
-		case ir.OpCondBr:
-			nb := in.Blocks[1]
-			if regs[in.Args[0]] != 0 {
-				nb = in.Blocks[0]
-			}
-			if hooks.Edge != nil {
-				hooks.Edge(cur, nb)
-			}
-			return nb, 0, false, nil
-		case ir.OpRet:
-			var v uint64
-			if len(in.Args) == 1 {
-				v = regs[in.Args[0]]
-			}
-			if hooks.Exit != nil {
-				hooks.Exit(cur)
-			}
-			return nil, v, true, nil
-		case ir.OpCall:
-			callArgs := bx.callArgs
-			if cap(callArgs) < len(in.Args) {
-				callArgs = make([]uint64, len(in.Args))
-				bx.callArgs = callArgs
-			} else {
-				callArgs = callArgs[:len(in.Args)]
-			}
-			for i, a := range in.Args {
-				callArgs[i] = regs[a]
-			}
-			res, err := Run(in.Callee, callArgs, mem, nil, 0)
-			if err != nil {
-				return nil, 0, false, err
-			}
-			regs[in.Dst] = res.Ret
-		default:
-			v, err := Eval(in, regs, mem)
-			if err != nil {
-				return nil, 0, false, fmt.Errorf("%w in %s.%s", err, f.Name, cur.Name)
-			}
-			if in.Op.HasDest() {
-				regs[in.Dst] = v
-			}
-		}
-	}
-	return nil, 0, false, fmt.Errorf("interp: %s.%s: block fell off the end", f.Name, cur.Name)
 }

@@ -12,8 +12,8 @@
 // function. A call runs its callee to completion, unprofiled, on the general
 // executor; a shape the plan cannot run (phis in the entry block, or a CFG
 // ir.Verify rejects) becomes an error that every run returns. The hook-based
-// Run remains for `nir run`, sim.FunctionalOffload, and as the
-// differential-testing oracle (see profile's fast-path property tests).
+// Run remains for `nir run` and as the differential-testing oracle (see
+// profile's fast-path property tests and package oracle).
 package interp
 
 import (

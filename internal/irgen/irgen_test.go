@@ -9,10 +9,10 @@ import (
 	"needle/internal/frame"
 	"needle/internal/interp"
 	"needle/internal/ir"
+	"needle/internal/oracle"
 	"needle/internal/passes"
 	"needle/internal/profile"
 	"needle/internal/region"
-	"needle/internal/sim"
 	"needle/internal/spec"
 )
 
@@ -52,7 +52,7 @@ func TestBallLarusPartitionInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: Build: %v", seed, err)
 		}
-		prof := ballarus.NewProfiler(dag)
+		prof := oracle.NewProfiler(dag)
 		res, err := interp.Run(p.F, []uint64{interp.IBits(seed * 7)}, p.NewMem(), prof.Hooks(), 1<<22)
 		if err != nil {
 			t.Fatalf("seed %d: run: %v", seed, err)
@@ -235,55 +235,5 @@ func TestSpecRollbackOnRandomPrograms(t *testing.T) {
 	}
 	if checked < 10 {
 		t.Fatalf("only %d seeds produced checkable frames", checked)
-	}
-}
-
-// TestFunctionalOffloadOnRandomPrograms: the full speculation loop (frames,
-// undo log, rollback, host re-execution) must be observationally identical
-// to pure interpretation on random programs, for both path and braid
-// targets.
-func TestFunctionalOffloadOnRandomPrograms(t *testing.T) {
-	cfg := sim.DefaultConfig()
-	checked := 0
-	for seed := int64(0); seed < seeds; seed += 2 {
-		p := Generate(seed, Config{})
-		memPure := p.NewMem()
-		pure, err := interp.Run(p.F, []uint64{interp.IBits(21)}, memPure, nil, 1<<22)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-
-		tr, err := sim.Capture(nil, p.F, []uint64{interp.IBits(21)}, p.NewMem(), cfg)
-		if err != nil {
-			t.Fatalf("seed %d: capture: %v", seed, err)
-		}
-		targets := []*sim.Target{}
-		if tgt, err := sim.NewPathTarget(nil, tr.Profile, tr.Profile.HottestPath(), cfg); err == nil {
-			targets = append(targets, tgt)
-		}
-		if braids := region.BuildBraids(tr.Profile, 0); len(braids) > 0 {
-			if tgt, err := sim.NewBraidTarget(nil, tr.Profile, braids[0], cfg); err == nil {
-				targets = append(targets, tgt)
-			}
-		}
-		for ti, tgt := range targets {
-			memOff := p.NewMem()
-			res, err := sim.FunctionalOffload(p.F, []uint64{interp.IBits(21)}, memOff, tgt, spec.Always{}, 1<<22)
-			if err != nil {
-				t.Fatalf("seed %d target %d: %v", seed, ti, err)
-			}
-			if res.Ret != pure.Ret {
-				t.Fatalf("seed %d target %d: result %d != pure %d", seed, ti, res.Ret, pure.Ret)
-			}
-			for i := range memPure {
-				if memPure[i] != memOff[i] {
-					t.Fatalf("seed %d target %d: memory diverged at %d", seed, ti, i)
-				}
-			}
-			checked++
-		}
-	}
-	if checked < 50 {
-		t.Fatalf("only %d target runs checked", checked)
 	}
 }

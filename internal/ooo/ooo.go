@@ -57,29 +57,13 @@ func Latency(op ir.Op) int64 {
 	return 1
 }
 
-// Per-opcode class and latency tables: Feed runs once per dynamic
-// instruction, so the predicates and the Latency switch are folded into two
-// array lookups. Sized generously past the last opcode (OpRet).
-const (
-	classInt = iota
-	classFP
-	classMem
-)
-
-var (
-	opClass [64]uint8
-	opLat   [64]int64
-)
+// opLat is Latency as an array lookup, for FeedBlock's per-entry path.
+// Sized generously past the last opcode (OpRet).
+var opLat [64]int64
 
 func init() {
 	for op := ir.Op(0); op <= ir.OpRet; op++ {
 		opLat[op] = Latency(op)
-		switch {
-		case op.IsMemory():
-			opClass[op] = classMem
-		case op.IsFloat():
-			opClass[op] = classFP
-		}
 	}
 }
 
@@ -93,9 +77,7 @@ type OpMix struct {
 
 // Model is the streaming timing model. Feed it the dynamic instruction
 // stream block by block with FeedBlock, report every conditional branch
-// with NoteBranch, and read Cycles at the end. The per-instruction Feed,
-// and Hooks built on it, are the oracle FeedBlock is tested against and
-// the hooked interpreter's feed.
+// with NoteBranch, and read Cycles at the end.
 type Model struct {
 	cfg   Config
 	cache *mem.Cache
@@ -110,7 +92,6 @@ type Model struct {
 	fetch    int64 // count / Width, maintained incrementally
 	fetchRem int64 // count % Width
 	lastDone int64 // max finish time
-	pendAddr int64 // address captured by the Mem hook for the next instr
 
 	// history is the global branch-history register: NoteBranch shifts in
 	// 1 for taken, 0 for fall-through. The predictor indexes its table
@@ -162,21 +143,6 @@ func New(cfg Config, numRegs int, cache *mem.Cache) *Model {
 // Cache returns the cache model in use.
 func (m *Model) Cache() *mem.Cache { return m.cache }
 
-// Hooks returns interpreter hooks that stream execution into the model.
-func (m *Model) Hooks() *interp.Hooks {
-	return &interp.Hooks{
-		Mem:   func(_ *ir.Instr, addr int64) { m.pendAddr = addr },
-		Instr: func(in *ir.Instr) { m.Feed(in, m.pendAddr) },
-		Edge: func(from, to *ir.Block) {
-			t := from.Term()
-			if t == nil || t.Op != ir.OpCondBr {
-				return
-			}
-			m.NoteBranch(t.Blocks[0] == to)
-		},
-	}
-}
-
 // NoteBranch shifts a conditional branch outcome into the history register
 // and, when the real predictor is on, first predicts and trains it; call it
 // right after feeding the branch instruction.
@@ -216,95 +182,14 @@ func b2u(v bool) uint64 {
 	return 0
 }
 
-// Feed schedules one dynamic instruction. addr is the effective word
-// address for memory operations (ignored otherwise).
-func (m *Model) Feed(in *ir.Instr, addr int64) {
-	// fetch is count/Width, maintained incrementally to keep the integer
-	// division out of the per-instruction path.
-	fetch := m.fetch
-	m.fetchRem++
-	if m.fetchRem == int64(m.cfg.Width) {
-		m.fetchRem = 0
-		m.fetch++
-	}
-	m.count++
-	m.Mix.Total++
-
-	// ROB constraint: this instruction needs the slot of the instruction
-	// ROB-entries older, which must have completed.
-	slot := m.robHead
-	windowReady := m.rob[slot]
-
-	ready := fetch
-	if windowReady > ready {
-		ready = windowReady
-	}
-	if m.stallUntil > ready {
-		ready = m.stallUntil
-	}
-	regReady := m.regReady
-	for _, r := range in.Args {
-		if r != ir.NoReg && int(r) < len(regReady) && regReady[r] > ready {
-			ready = regReady[r]
-		}
-	}
-
-	var lat int64
-	var pool []int64
-	switch opClass[in.Op] {
-	case classMem:
-		m.Mix.Mem++
-		lat = m.cache.Access(addr)
-		pool = m.aluFree // address generation occupies an ALU slot
-	case classFP:
-		m.Mix.FP++
-		lat = opLat[in.Op]
-		pool = m.fpuFree
-	default:
-		m.Mix.Int++
-		lat = opLat[in.Op]
-		pool = m.aluFree
-	}
-
-	// Pick the earliest-free unit (units are pipelined: busy for 1 cycle).
-	best, bestT := 0, pool[0]
-	for i := 1; i < len(pool); i++ {
-		if t := pool[i]; t < bestT {
-			best, bestT = i, t
-		}
-	}
-	issue := ready
-	if bestT > issue {
-		issue = bestT
-	}
-	pool[best] = issue + 1
-	finish := issue + lat
-
-	if in.Op.HasDest() && int(in.Dst) < len(m.regReady) {
-		m.regReady[in.Dst] = finish
-	}
-	m.rob[slot] = finish
-	m.robHead = slot + 1
-	if m.robHead == len(m.rob) {
-		m.robHead = 0
-	}
-	if finish > m.lastDone {
-		m.lastDone = finish
-	}
-	if in.Op == ir.OpCondBr {
-		m.lastBranch = finish
-	}
-}
-
-// FeedBlock schedules the first n entries of a precompiled timing packet —
-// the batched equivalent of n sequential Feed calls, and the model's one
-// feed in a timed interp.RunProfiled, once per executed block. addrs holds
-// the effective word addresses of the packet's memory entries in order
-// (trailing extras are ignored). All per-instruction state (fetch group,
-// ROB slot, unit pools, register-ready times) is walked with plain array
-// indexing and hoisted locals; no *ir.Instr is touched. Interleaving
-// FeedBlock with Feed and NoteBranch is legal — sequential Feed is the
-// equivalence oracle the ooo packet tests pin this against.
+// FeedBlock schedules the first n entries of a precompiled timing packet,
+// the model's one feed: a timed interp.RunProfiled calls it once per
+// executed block. addrs holds the effective word addresses of the packet's
+// memory entries in order (trailing extras are ignored). All
+// per-instruction state (fetch group, ROB slot, unit pools, register-ready
+// times) is walked with plain array indexing and hoisted locals; no
+// *ir.Instr is touched. The package tests pin it against a per-instruction
+// reference feed.
 func (m *Model) FeedBlock(pk *interp.TimingPacket, n int, addrs []int64) {
 	if n <= 0 {
 		return

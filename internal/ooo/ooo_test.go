@@ -278,7 +278,9 @@ func stateOf(m *Model) map[string]any {
 // contract: feeding a timing packet through FeedBlock must leave the model in
 // exactly the state that feeding its instructions one Feed call at a time
 // does — including the gshare predictor path, small-ROB stalls, and partial
-// packets (a block abandoned mid-body by a fault or step limit).
+// packets (a block abandoned mid-body by a fault or step limit). Feeding each
+// instruction as its own one-entry packet must land there too: sim's capture
+// test drives the model from interpreter hooks that way.
 func TestFeedBlockMatchesSequentialFeed(t *testing.T) {
 	configs := []Config{
 		DefaultConfig(),
@@ -290,6 +292,7 @@ func TestFeedBlockMatchesSequentialFeed(t *testing.T) {
 	for ci, cfg := range configs {
 		rng := rand.New(rand.NewSource(int64(1000 + ci)))
 		batched := New(cfg, numRegs, mem.New(mem.Config{}))
+		single := New(cfg, numRegs, mem.New(mem.Config{}))
 		oracle := New(cfg, numRegs, mem.New(mem.Config{}))
 		for blk := 0; blk < 300; blk++ {
 			instrs, condBr := randBlock(rng, numRegs)
@@ -316,20 +319,28 @@ func TestFeedBlockMatchesSequentialFeed(t *testing.T) {
 					ai++
 				}
 				oracle.Feed(in, addr)
+				single.FeedBlock(interp.NewTimingPacket([]*ir.Instr{in}), 1, []int64{addr})
 			}
 			if condBr && !partial {
 				taken := rng.Intn(2) == 0
 				batched.NoteBranch(taken)
+				single.NoteBranch(taken)
 				oracle.NoteBranch(taken)
 			}
-			if got, want := stateOf(batched), stateOf(oracle); !reflect.DeepEqual(got, want) {
-				for k := range got {
-					if !reflect.DeepEqual(got[k], want[k]) {
-						t.Errorf("config %d block %d: %s diverged: batched %v, oracle %v",
-							ci, blk, k, got[k], want[k])
+			want := stateOf(oracle)
+			for _, fed := range []struct {
+				name string
+				m    *Model
+			}{{"whole packets", batched}, {"one-entry packets", single}} {
+				if got := stateOf(fed.m); !reflect.DeepEqual(got, want) {
+					for k := range got {
+						if !reflect.DeepEqual(got[k], want[k]) {
+							t.Errorf("config %d block %d: %s diverged: %s %v, oracle %v",
+								ci, blk, k, fed.name, got[k], want[k])
+						}
 					}
+					t.Fatalf("config %d: FeedBlock of %s diverged from sequential Feed at block %d", ci, fed.name, blk)
 				}
-				t.Fatalf("config %d: FeedBlock diverged from sequential Feed at block %d", ci, blk)
 			}
 		}
 		if batched.Cycles() == 0 || batched.Instructions() == 0 {

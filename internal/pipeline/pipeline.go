@@ -50,8 +50,6 @@ type Config struct {
 	Sim sim.Config
 	// N overrides the workload problem size; 0 keeps the default.
 	N int
-	// TopPaths bounds how many ranked paths detailed reports include.
-	TopPaths int
 	// ColdFraction is the hyperblock cold-op threshold (Figure 5).
 	ColdFraction float64
 	// SelectTopK bounds the filter-and-rank candidate search.
@@ -69,7 +67,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Sim:          sim.DefaultConfig(),
-		TopPaths:     5,
 		ColdFraction: 0.1,
 		SelectTopK:   3,
 	}
@@ -77,7 +74,7 @@ func DefaultConfig() Config {
 
 // WithDefaults normalizes a config field by field: every zero-valued field
 // takes its DefaultConfig value, and every field the caller set survives. A
-// partially-filled Config (say, a custom Sim with TopPaths left zero) is
+// partially-filled Config (say, a custom Sim with SelectTopK left zero) is
 // therefore honored rather than silently replaced wholesale — N is the one
 // exception, where zero legitimately means "the workload's default size".
 //
@@ -87,9 +84,6 @@ func (c Config) WithDefaults() Config {
 	d := DefaultConfig()
 	if c.Sim == (sim.Config{}) {
 		c.Sim = d.Sim
-	}
-	if c.TopPaths == 0 {
-		c.TopPaths = d.TopPaths
 	}
 	if c.ColdFraction == 0 {
 		c.ColdFraction = d.ColdFraction
@@ -432,8 +426,8 @@ var frameStage = Stage{
 var targetStage = Stage{
 	Name: "target",
 	Fingerprint: func(c Config) string {
-		return fmt.Sprintf("cgra=%+v cpu=%+v hist=%d topk=%d cold=%g top=%d",
-			c.Sim.CGRA, c.Sim.CPU, c.Sim.HistBits, c.SelectTopK, c.ColdFraction, c.TopPaths)
+		return fmt.Sprintf("cgra=%+v cpu=%+v hist=%d topk=%d cold=%g",
+			c.Sim.CGRA, c.Sim.CPU, c.Sim.HistBits, c.SelectTopK, c.ColdFraction)
 	},
 	cacheable: false,
 	run: func(a *Artifacts, sp *obs.Span) (any, error) {

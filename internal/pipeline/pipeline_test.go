@@ -188,7 +188,7 @@ func TestWithDefaultsIdempotent(t *testing.T) {
 		t.Fatal("WithDefaults not idempotent")
 	}
 	d := DefaultConfig()
-	if cfg.TopPaths != d.TopPaths || cfg.Sim != d.Sim {
+	if cfg.SelectTopK != d.SelectTopK || cfg.ColdFraction != d.ColdFraction || cfg.Sim != d.Sim {
 		t.Fatalf("zero fields not filled: %+v", cfg)
 	}
 	if cfg.N != 700 {

@@ -68,13 +68,14 @@ func (fp *FunctionProfile) Data() (*Data, error) {
 		}
 		live[s] = n
 	}
-	blocks, edges, err := traceCounts(succ, fp.Paths, d.Ranks, nil)
+	rule := tailRule{f: f, dag: fp.DAG, succ: succ}
+	blocks, edges, err := traceCounts(rule, fp.Paths, d.Ranks, nil)
 	if err != nil {
 		return nil, err
 	}
-	d.Tail = partialTail(f, succ, fp.Paths, d.Ranks, fp.BlockCounts, blocks, live, edges)
+	d.Tail = partialTail(rule, fp.Paths, d.Ranks, fp.BlockCounts, blocks, live, edges)
 	if d.Tail != nil {
-		if blocks, edges, err = traceCounts(succ, fp.Paths, d.Ranks, d.Tail); err != nil {
+		if blocks, edges, err = traceCounts(rule, fp.Paths, d.Ranks, d.Tail); err != nil {
 			return nil, err
 		}
 	}
@@ -84,14 +85,47 @@ func (fp *FunctionProfile) Data() (*Data, error) {
 	return d, nil
 }
 
+// tailRule is the one rule a partial tail obeys, which traceCounts checks
+// on decode and partialTail follows on encode. The tail starts where a run
+// resumes: at the entry block when no occurrence completed or the last one
+// returned, and otherwise across a back edge out of the last occurrence's
+// final block. From there it follows forward DAG edges only, since taking
+// a back edge would have completed the path.
+type tailRule struct {
+	f    *ir.Function
+	dag  *ballarus.DAG
+	succ succTable
+}
+
+// resume returns the block the last completed occurrence ended at when the
+// tail continues it across a back edge, or -1 when the tail starts at the
+// entry block instead. last is that block, -1 when no occurrence completed.
+func (r tailRule) resume(last int32) int32 {
+	if last < 0 || r.succ.returns(last) {
+		return -1
+	}
+	return last
+}
+
+// allows reports whether the tail may enter block v from u: its first
+// block (first set) from u = resume(...), a later block from the block
+// before it.
+func (r tailRule) allows(u, v int32, first bool) bool {
+	if first && u < 0 {
+		return int(v) == r.f.Entry().Index
+	}
+	if r.succ.slot(u, v) < 0 {
+		return false
+	}
+	return r.dag.IsBackEdge(r.f.Blocks[u], r.f.Blocks[v]) == first
+}
+
 // partialTail recovers the partial final path from what the counts hold
-// beyond the trace's: it starts at the boundary edge out of the last
-// completed path (at the entry block when there is none, or when it
-// returned) and follows the surplus edges through surplus blocks. It
-// returns nil when the trace accounts for every block. It counts the edges
-// it follows into edges; the caller checks the result by deriving the
-// counts again.
-func partialTail(f *ir.Function, succ succTable, table []*Path, ranks []int32, liveBlocks, blocks, liveEdges, edges []int64) []int32 {
+// beyond the trace's: from where tailRule starts it, it follows the
+// surplus edges tailRule allows through surplus blocks. It returns nil when
+// the trace accounts for every block. It counts the edges it follows into
+// edges; the caller checks the result by deriving the counts again.
+func partialTail(rule tailRule, table []*Path, ranks []int32, liveBlocks, blocks, liveEdges, edges []int64) []int32 {
 	extra := make([]int64, len(blocks))
 	surplus := false
 	for i := range blocks {
@@ -101,28 +135,29 @@ func partialTail(f *ir.Function, succ succTable, table []*Path, ranks []int32, l
 	if !surplus {
 		return nil
 	}
+	succ := rule.succ
 	// next returns the successor of block b the surplus edges lead to, or -1.
-	next := func(b int32) int32 {
+	next := func(b int32, first bool) int32 {
 		for s := 2 * b; s < 2*b+2 && succ[s] >= 0; s++ {
-			if v := succ[s]; liveEdges[s] > edges[s] && extra[v] > 0 {
+			if v := succ[s]; liveEdges[s] > edges[s] && extra[v] > 0 && rule.allows(b, v, first) {
 				edges[s]++
 				return v
 			}
 		}
 		return -1
 	}
-	cur := int32(f.Entry().Index)
+	cur := int32(rule.f.Entry().Index)
 	if len(ranks) > 0 {
 		p := table[ranks[len(ranks)-1]]
-		if last := int32(p.Blocks[len(p.Blocks)-1].Index); !succ.returns(last) {
-			cur = next(last)
+		if last := rule.resume(int32(p.Blocks[len(p.Blocks)-1].Index)); last >= 0 {
+			cur = next(last, true)
 		}
 	}
 	var tail []int32
-	for cur >= 0 && extra[cur] > 0 && len(tail) < len(f.Blocks) {
+	for cur >= 0 && extra[cur] > 0 {
 		tail = append(tail, cur)
 		extra[cur]--
-		cur = next(cur)
+		cur = next(cur, false)
 	}
 	return tail
 }
@@ -163,7 +198,7 @@ func FromData(am *pm.Manager, f *ir.Function, d *Data) (*FunctionProfile, error)
 	}
 	// fp.Paths is still in table order, the order the ranks index.
 	succ := newSuccTable(f)
-	blocks, edges, err := traceCounts(succ, fp.Paths, d.Ranks, d.Tail)
+	blocks, edges, err := traceCounts(tailRule{f: f, dag: dag, succ: succ}, fp.Paths, d.Ranks, d.Tail)
 	if err != nil {
 		return nil, err
 	}
@@ -243,9 +278,10 @@ func (t succTable) edgeMap(edges []int64) map[Edge]int64 {
 // boundary edge from each occurrence into the next (none after a path that
 // ends at a return: the run ended there), and the blocks and edges of the
 // partial tail, entered over the boundary edge out of the last occurrence.
-// table is indexed by rank, and each path's Freq must be its occurrence
-// count.
-func traceCounts(succ succTable, table []*Path, ranks, tail []int32) (blocks, edges []int64, err error) {
+// A tail that breaks the tail rule is an error. table is indexed by rank,
+// and each path's Freq must be its occurrence count.
+func traceCounts(rule tailRule, table []*Path, ranks, tail []int32) (blocks, edges []int64, err error) {
+	succ := rule.succ
 	blocks = make([]int64, len(succ)/2)
 	edges = make([]int64, len(succ))
 	// ends[2*r] and ends[2*r+1]: the first and last block of the rank-r path.
@@ -281,26 +317,18 @@ func traceCounts(succ succTable, table []*Path, ranks, tail []int32) (blocks, ed
 	}
 	prev := int32(-1)
 	if len(ranks) > 0 {
-		prev = ends[2*ranks[len(ranks)-1]+1]
+		prev = rule.resume(ends[2*ranks[len(ranks)-1]+1])
 	}
 	for i, t := range tail {
 		if t < 0 || int(t) >= len(blocks) {
 			return nil, nil, fmt.Errorf("profile: partial path block %d of %d", t, len(blocks))
 		}
-		blocks[t]++
-		ok := true
-		switch {
-		case i > 0:
-			if s := succ.slot(prev, t); s >= 0 {
-				edges[s]++
-			} else {
-				ok = false
-			}
-		case prev >= 0:
-			ok = boundary(prev, t)
+		if !rule.allows(prev, t, i == 0) {
+			return nil, nil, fmt.Errorf("profile: partial path enters block %d from block %d, not where a run resumes or along a forward edge", t, prev)
 		}
-		if !ok {
-			return nil, nil, fmt.Errorf("profile: partial path enters block %d from block %d along no edge", t, prev)
+		blocks[t]++
+		if prev >= 0 {
+			edges[succ.slot(prev, t)]++
 		}
 		prev = t
 	}

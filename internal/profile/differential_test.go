@@ -9,6 +9,7 @@ import (
 	"needle/internal/interp"
 	"needle/internal/ir"
 	"needle/internal/irgen"
+	"needle/internal/oracle"
 	"needle/internal/pm"
 	"needle/internal/workloads"
 )
@@ -71,7 +72,7 @@ func b2u(v bool) uint64 {
 // blocks are not profiled.
 type hookOracle struct {
 	f      *ir.Function
-	prof   *ballarus.Profiler
+	prof   *oracle.Profiler
 	blocks []int64
 	edges  map[Edge]int64
 }
@@ -82,7 +83,7 @@ func newHookOracle(t testing.TB, f *ir.Function) *hookOracle {
 	if err != nil {
 		t.Fatalf("ballarus.Build: %v", err)
 	}
-	prof := ballarus.NewProfiler(dag)
+	prof := oracle.NewProfiler(dag)
 	prof.RecordTrace = true
 	return &hookOracle{f: f, prof: prof, blocks: make([]int64, len(f.Blocks)), edges: make(map[Edge]int64)}
 }
@@ -105,11 +106,14 @@ func (o *hookOracle) hooks() *interp.Hooks {
 			}
 		},
 	}
-	return interp.CombineHooks(own, o.prof.Hooks())
+	return oracle.CombineHooks(own, o.prof.Hooks())
 }
 
 // finish ranks the oracle's counts as a FunctionProfile, keeping the block
-// and edge counts the hooks measured.
+// and edge counts the hooks measured. Those counts must be the ones the
+// path trace implies: the profiler takes its edge values from the compiled
+// plan overlay the collector runs too, so this decode of its path IDs
+// through the DAG is what ties both to the blocks that really ran.
 func (o *hookOracle) finish(t testing.TB) *FunctionProfile {
 	t.Helper()
 	var recs []Path
@@ -124,6 +128,9 @@ func (o *hookOracle) finish(t testing.TB) *FunctionProfile {
 	var err error
 	if fp.Ranks, err = rankTrace(fp.Paths, o.prof.Trace); err != nil {
 		t.Fatalf("oracle rankTrace: %v", err)
+	}
+	if _, err := fp.Data(); err != nil {
+		t.Fatalf("oracle path trace disagrees with the blocks and edges that ran: %v", err)
 	}
 	return fp
 }
@@ -155,7 +162,7 @@ func timingHooks(r *recTiming) *interp.Hooks {
 }
 
 // histHooks updates a branch-history shift register from edge events, as
-// spec.HistoryTracker does.
+// oracle.HistoryTracker does.
 func histHooks(h *uint64) *interp.Hooks {
 	return &interp.Hooks{
 		Edge: func(from, to *ir.Block) {
@@ -190,7 +197,7 @@ func runStyle(t *testing.T, f *ir.Function, initMem []uint64, args []uint64, hoo
 		// The profiler's hooks run before histHooks', as EndPath runs
 		// before the completing branch's NoteBranch.
 		o.prof.OnPath = tm.EndPath
-		res, runErr = interp.Run(f, args, mem, interp.CombineHooks(o.hooks(), timingHooks(tm), histHooks(&tm.hist)), maxSteps)
+		res, runErr = interp.Run(f, args, mem, oracle.CombineHooks(o.hooks(), timingHooks(tm), histHooks(&tm.hist)), maxSteps)
 		if runErr == nil {
 			fp = o.finish(t)
 		}

@@ -10,27 +10,28 @@ import (
 	"needle/internal/ir"
 	"needle/internal/mem"
 	"needle/internal/ooo"
+	"needle/internal/oracle"
 	"needle/internal/pm"
 	"needle/internal/profile"
-	"needle/internal/spec"
 	"needle/internal/workloads"
 )
 
 // captureHooked is the oracle Capture must match event for event: the hook
 // interpreter with a Ball-Larus profiler, block and edge counters that
-// ignore blocks outside f, the timing model and the history tracker wired
-// through CombineHooks, and the profile rehydrated with profile.FromData.
+// ignore blocks outside f, the timing model (fed one instruction at a time
+// by modelHooks) and the history tracker wired through CombineHooks, and
+// the profile rehydrated with profile.FromData.
 func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, error) {
 	am := pm.NewManager()
 	dag, err := ballarus.Build(am, f)
 	if err != nil {
 		return nil, err
 	}
-	prof := ballarus.NewProfiler(dag)
+	prof := oracle.NewProfiler(dag)
 	prof.RecordTrace = true
 	cache := mem.New(cfg.Mem)
 	model := ooo.New(cfg.OOO, f.NumRegs(), cache)
-	hist := &spec.HistoryTracker{}
+	hist := &oracle.HistoryTracker{}
 
 	tr := &Trace{AM: am}
 	var lastCycles int64
@@ -56,7 +57,7 @@ func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, e
 			}
 		},
 	}
-	all := interp.CombineHooks(counters, prof.Hooks(), model.Hooks(), hist.Hooks())
+	all := oracle.CombineHooks(counters, prof.Hooks(), modelHooks(model), hist.Hooks())
 	if _, err := interp.Run(f, args, memory, all, cfg.MaxSteps); err != nil {
 		return nil, err
 	}
@@ -84,6 +85,31 @@ func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, e
 	tr.CacheStats = cache.Stats
 	tr.BaselineEnergyPJ = energy.HostEnergyPJ(cfg.CPU, model.Mix, cache.Stats)
 	return tr, nil
+}
+
+// modelHooks streams a hooked run into the timing model one instruction at
+// a time: each instruction is fed as a one-entry timing packet (ooo's tests
+// pin that this equals the per-instruction reference feed), with the
+// address the Mem event of a memory operation reported.
+func modelHooks(m *ooo.Model) *interp.Hooks {
+	var addr [1]int64
+	packets := make(map[*ir.Instr]*interp.TimingPacket)
+	return &interp.Hooks{
+		Mem: func(_ *ir.Instr, a int64) { addr[0] = a },
+		Instr: func(in *ir.Instr) {
+			pk := packets[in]
+			if pk == nil {
+				pk = interp.NewTimingPacket([]*ir.Instr{in})
+				packets[in] = pk
+			}
+			m.FeedBlock(pk, 1, addr[:])
+		},
+		Edge: func(from, to *ir.Block) {
+			if t := from.Term(); t != nil && t.Op == ir.OpCondBr {
+				m.NoteBranch(t.Blocks[0] == to)
+			}
+		},
+	}
 }
 
 // assertCaptureEquivalent runs the system-simulator capture both ways on one

@@ -1,8 +1,7 @@
 // Package spec implements the speculation runtime around software frames:
 // the undo log that makes frames atomic, a functional frame executor with
-// rollback, the global branch-history tracker, and the accelerator
-// invocation predictors of Section V ("When to invoke a BL-Path
-// accelerator?").
+// rollback, and the accelerator invocation predictors of Section V ("When
+// to invoke a BL-Path accelerator?").
 package spec
 
 import (
@@ -248,35 +247,3 @@ func (o *Oracle) SetNext(success bool) { o.next = success }
 func (o *Oracle) Predict(uint64) bool { return o.next }
 func (o *Oracle) Update(uint64, bool) {}
 func (o *Oracle) Name() string        { return "oracle" }
-
-// HistoryTracker maintains the global branch-history shift register from
-// interpreter edge events: a 1 bit is shifted in when a conditional branch
-// is taken, 0 when it falls through.
-type HistoryTracker struct {
-	H uint64
-}
-
-// Shift records one conditional-branch outcome: a 1 bit is shifted in for
-// taken, 0 for fall-through. Hooks calls it at every conditional-branch
-// edge; a capture on the compiled plan keeps its register in the host
-// model instead (ooo.Model.History).
-func (ht *HistoryTracker) Shift(taken bool) {
-	bit := uint64(0)
-	if taken {
-		bit = 1
-	}
-	ht.H = ht.H<<1 | bit
-}
-
-// Hooks returns interpreter hooks that update the history register.
-func (ht *HistoryTracker) Hooks() *interp.Hooks {
-	return &interp.Hooks{
-		Edge: func(from, to *ir.Block) {
-			t := from.Term()
-			if t == nil || t.Op != ir.OpCondBr {
-				return
-			}
-			ht.Shift(t.Blocks[0] == to)
-		},
-	}
-}

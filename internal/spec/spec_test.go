@@ -7,6 +7,7 @@ import (
 	"needle/internal/frame"
 	"needle/internal/interp"
 	"needle/internal/ir"
+	"needle/internal/oracle"
 	"needle/internal/profile"
 	"needle/internal/region"
 )
@@ -256,7 +257,7 @@ func TestHistoryTracker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ht := &HistoryTracker{}
+	ht := &oracle.HistoryTracker{}
 	mem := make([]uint64, 4)
 	if _, err := interp.Run(f, []uint64{interp.IBits(0), interp.IBits(4)}, mem, ht.Hooks(), 0); err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 // characteristics (Table V fabric).
 type CGRA struct{}
 
-// Name implements Backend.
+// Name implements pipeline.Backend.
 func (CGRA) Name() string { return "cgra" }
 
 // CGRAReport is the CGRA backend's typed report. Scheduled is false (and
@@ -32,10 +32,10 @@ type CGRAReport struct {
 	TransferPJ float64
 }
 
-// BackendName implements Report.
+// BackendName implements pipeline.Report.
 func (*CGRAReport) BackendName() string { return "cgra" }
 
-// Evaluate implements Backend.
+// Evaluate implements pipeline.Backend.
 func (CGRA) Evaluate(a *pipeline.Artifacts) (pipeline.Report, error) {
 	fr := a.Frame.HotBraidFrame
 	if fr == nil {

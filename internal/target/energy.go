@@ -10,7 +10,7 @@ import (
 // energy reduction.
 type Energy struct{}
 
-// Name implements Backend.
+// Name implements pipeline.Backend.
 func (Energy) Name() string { return "energy" }
 
 // EnergyReport is the Energy backend's typed report.
@@ -23,10 +23,10 @@ type EnergyReport struct {
 	PerOpPJ float64
 }
 
-// BackendName implements Report.
+// BackendName implements pipeline.Report.
 func (*EnergyReport) BackendName() string { return "energy" }
 
-// Evaluate implements Backend.
+// Evaluate implements pipeline.Backend.
 func (Energy) Evaluate(a *pipeline.Artifacts) (pipeline.Report, error) {
 	tr := a.Profile.Trace
 	return &EnergyReport{

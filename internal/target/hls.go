@@ -10,7 +10,7 @@ import (
 // NEEDLE identified Braids").
 type HLS struct{}
 
-// Name implements Backend.
+// Name implements pipeline.Backend.
 func (HLS) Name() string { return "hls" }
 
 // HLSReport is the HLS backend's typed report. Synthesized is false (and
@@ -20,10 +20,10 @@ type HLSReport struct {
 	hls.Report
 }
 
-// BackendName implements Report.
+// BackendName implements pipeline.Report.
 func (*HLSReport) BackendName() string { return "hls" }
 
-// Evaluate implements Backend.
+// Evaluate implements pipeline.Backend.
 func (HLS) Evaluate(a *pipeline.Artifacts) (pipeline.Report, error) {
 	fr := a.Frame.HotBraidFrame
 	if fr == nil {

@@ -12,7 +12,7 @@ import (
 // baseline of Figure 2's middle column.
 type Sim struct{}
 
-// Name implements Backend.
+// Name implements pipeline.Backend.
 func (Sim) Name() string { return "sim" }
 
 // SimReport is the Sim backend's typed report.
@@ -27,7 +27,7 @@ type SimReport struct {
 	Hyperblock sim.Result
 }
 
-// BackendName implements Report.
+// BackendName implements pipeline.Report.
 func (*SimReport) BackendName() string { return "sim" }
 
 // Evaluate implements Backend: it builds the candidate table, evaluates

@@ -2,29 +2,15 @@
 // pipeline's Target stage. Each backend wraps one evaluation substrate —
 // the whole-system offload simulator (sim), the CGRA mapper (cgra), the
 // Cyclone V synthesis estimator (hls), and the host energy model (energy) —
-// behind the Backend interface, and registers itself with the pipeline at
-// init. The pipeline invokes targets only through this interface, so a new
-// accelerator model plugs in by adding a backend here (or anywhere) and
-// registering it; the pipeline and core packages never change.
-//
-// Backend and Report are aliases of the pipeline's interfaces: the
-// interface contract lives with the stage that calls it, the
+// behind the pipeline.Backend interface, and registers itself with the
+// pipeline at init. The pipeline invokes targets only through this
+// interface, so a new accelerator model plugs in by adding a backend here
+// (or anywhere) and registering it; the pipeline and core packages never
+// change. The interfaces live with the stage that calls them; the
 // implementations and their typed reports live here.
 package target
 
 import "needle/internal/pipeline"
-
-// Report is the typed result of one backend's evaluation.
-type Report = pipeline.Report
-
-// Backend is a pluggable evaluation target (Name + Evaluate).
-type Backend = pipeline.Backend
-
-// Register adds a backend to the pipeline's Target stage.
-func Register(b Backend) { pipeline.Register(b) }
-
-// All returns the registered backends in registration (= evaluation) order.
-func All() []Backend { return pipeline.Backends() }
 
 func init() {
 	// Registration order is evaluation order; sim first, since its results

@@ -8,7 +8,7 @@ import (
 
 func TestBackendsRegisteredInOrder(t *testing.T) {
 	want := []string{"sim", "cgra", "hls", "energy"}
-	bs := All()
+	bs := pipeline.Backends()
 	if len(bs) != len(want) {
 		t.Fatalf("got %d backends, want %d", len(bs), len(want))
 	}
@@ -21,7 +21,7 @@ func TestBackendsRegisteredInOrder(t *testing.T) {
 
 func TestReportBackendNamesMatch(t *testing.T) {
 	reports := []pipeline.Report{&SimReport{}, &CGRAReport{}, &HLSReport{}, &EnergyReport{}}
-	for i, b := range All() {
+	for i, b := range pipeline.Backends() {
 		if got := reports[i].BackendName(); got != b.Name() {
 			t.Errorf("report %d names backend %q, want %q", i, got, b.Name())
 		}
@@ -57,5 +57,5 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	Register(Sim{})
+	pipeline.Register(Sim{})
 }

@@ -36,6 +36,23 @@ fi
 go build ./...
 echo "build  ok"
 
+# The hook-driven reference engines live in internal/oracle and in _test.go
+# files only: no binary or example may link the oracle package, and no other
+# non-test file may declare one of them again.
+if go list -deps ./cmd/... ./examples/... | grep -qx 'needle/internal/oracle'; then
+    echo "check: FAIL — a command or example depends on needle/internal/oracle" >&2
+    exit 1
+fi
+strays=$(grep -rlE --include='*.go' --exclude='*_test.go' \
+    '^(func( \([^)]*\))?|type|var|const) (NewProfiler|CombineHooks|BlockExec|HistoryTracker|FunctionalOffload)\b' \
+    cmd examples internal | grep -v '^internal/oracle/' || true)
+if [ -n "$strays" ]; then
+    echo "check: FAIL — test oracles declared outside internal/oracle and _test.go files:" >&2
+    echo "$strays" >&2
+    exit 1
+fi
+echo "oracle ok (no binary links internal/oracle; oracles declared only there and in tests)"
+
 # The service stack first: the serving layer and the pipeline/core API it
 # fronts are the most concurrency-sensitive packages (worker pools,
 # singleflight, cancellation), so their race-detector run fails fast and
