@@ -280,7 +280,7 @@ var (
 //     path-trace rehydration with every count and branch history derived
 //     (profile) or braid rebuilds (select), under a fresh analysis
 //     manager;
-//   - target runs every registered backend, so an iteration is the stage
+//   - target runs the sim and hls evaluations, so an iteration is the stage
 //     itself plus the cache hits that feed it;
 //   - capture is the Profile stage's cold compute: sim.Capture on the
 //     Inline artifact's function over fresh copies of its args and memory,
@@ -402,8 +402,8 @@ func BenchmarkStage(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if len(a.Target.Reports) == 0 {
-						b.Fatal("no target reports")
+					if a.Target.PathOracle.BaselineCycles == 0 {
+						b.Fatal("no target results")
 					}
 				}
 			})

@@ -102,9 +102,9 @@ type ProgressFunc func(Progress)
 
 // Run executes the full pipeline on one program: aggressive inlining of
 // call-bearing kernels (Section II-A), profiling, braid/path selection,
-// frame construction, and every registered target backend. The program can
-// come from anywhere — the workload registry (see RunWorkload) or
-// program.Load over user source. Zero-valued Config fields are filled from
+// frame construction, and the target evaluations (offload simulation and
+// the HLS estimate). The program can come from anywhere — the workload
+// registry (see RunWorkload) or program.Load over user source. Zero-valued Config fields are filled from
 // DefaultConfig field by field. Cancelling ctx stops the run between
 // pipeline stages and returns ctx.Err(); a cancelled run never memoizes
 // its interruption in the store.
@@ -127,7 +127,7 @@ func (az *Analyzer) run(ctx context.Context, p *program.Program, cfg Config, par
 	if err != nil {
 		return nil, err
 	}
-	return fromArtifacts(arts)
+	return fromArtifacts(arts), nil
 }
 
 func (az *Analyzer) runWorkload(ctx context.Context, w *workloads.Workload, cfg Config, parent *obs.Span) (*Analysis, error) {

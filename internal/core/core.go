@@ -13,8 +13,8 @@
 // a user just loaded — making "analyze this workload" and "analyze this
 // file" the same operation; RunWorkload is the registry-backed adapter.
 // The heavy lifting lives in internal/pipeline (named stages over typed
-// artifacts) and internal/target (pluggable evaluation backends); the
-// Analyzer flattens the staged artifacts into the Analysis struct.
+// artifacts); the Analyzer flattens the staged artifacts into the Analysis
+// struct.
 package core
 
 import (
@@ -29,7 +29,6 @@ import (
 	"needle/internal/program"
 	"needle/internal/region"
 	"needle/internal/sim"
-	"needle/internal/target"
 	"needle/internal/workloads"
 )
 
@@ -63,9 +62,7 @@ type Analysis struct {
 	AM *pm.Manager
 
 	// Artifacts is the staged artifact set this analysis was flattened
-	// from; Artifacts.Report exposes the typed report of every registered
-	// target backend (including cgra and energy, which have no flattened
-	// field here).
+	// from.
 	Artifacts *pipeline.Artifacts
 
 	// Trace is the captured baseline execution (profile + host costs).
@@ -98,35 +95,27 @@ type Analysis struct {
 	HLS           hls.Report
 }
 
-// fromArtifacts flattens the staged artifacts into the Analysis struct,
-// pulling the typed reports of the sim and hls backends into their
-// dedicated fields.
-func fromArtifacts(arts *pipeline.Artifacts) (*Analysis, error) {
+// fromArtifacts flattens the staged artifacts into the Analysis struct.
+func fromArtifacts(arts *pipeline.Artifacts) *Analysis {
 	am, _ := arts.HotFunc()
-	a := &Analysis{
-		Program:       arts.Program,
-		Config:        arts.Config,
-		AM:            am,
-		Artifacts:     arts,
-		Trace:         arts.Profile.Trace,
-		Profile:       arts.Profile.Trace.Profile,
-		CFStats:       arts.Select.CFStats,
-		Braids:        arts.Select.Braids,
-		HotBraidFrame: arts.Frame.HotBraidFrame,
-		FrameErr:      arts.Frame.FrameErr,
+	t := arts.Target
+	return &Analysis{
+		Program:          arts.Program,
+		Config:           arts.Config,
+		AM:               am,
+		Artifacts:        arts,
+		Trace:            arts.Profile.Trace,
+		Profile:          arts.Profile.Trace.Profile,
+		CFStats:          arts.Select.CFStats,
+		Braids:           arts.Select.Braids,
+		PathOracle:       t.PathOracle,
+		PathHistory:      t.PathHistory,
+		BraidChoice:      t.BraidChoice,
+		HyperblockResult: t.Hyperblock,
+		HotBraidFrame:    arts.Frame.HotBraidFrame,
+		FrameErr:         arts.Frame.FrameErr,
+		HLS:              t.HLS,
 	}
-	rep, ok := arts.Report("sim").(*target.SimReport)
-	if !ok {
-		return nil, fmt.Errorf("core: %s: no sim target report (backend not registered?)", a.Program.Name)
-	}
-	a.PathOracle = rep.PathOracle
-	a.PathHistory = rep.PathHistory
-	a.BraidChoice = rep.BraidChoice
-	a.HyperblockResult = rep.Hyperblock
-	if h, ok := arts.Report("hls").(*target.HLSReport); ok && h.Synthesized {
-		a.HLS = h.Report
-	}
-	return a, nil
 }
 
 // HottestBraid returns the top-ranked braid, or nil.

@@ -265,7 +265,7 @@ func TestObservabilitySpansAndCounters(t *testing.T) {
 		"inline", "profile", "select", "frame", "target",
 		"capture", "characterize", "braids",
 		"target: sim: build", "target: sim: replay",
-		"target: sim", "target: cgra", "target: hls", "target: energy",
+		"target: sim", "target: hls",
 	} {
 		if names[stage] != nw {
 			t.Errorf("stage %q: %d spans, want %d", stage, names[stage], nw)

@@ -1,53 +1,72 @@
 package pipeline
 
 import (
-	"fmt"
-	"sync"
+	"needle/internal/hls"
+	"needle/internal/sim"
 )
 
-// Report is the typed result of one target backend's evaluation. Concrete
-// report types live next to their backends (internal/target); consumers
-// retrieve them with Artifacts.Report and a type assertion.
-type Report interface {
-	// BackendName echoes the producing backend's Name.
-	BackendName() string
-}
-
-// Backend is a pluggable evaluation target. The Target stage calls every
-// registered backend against the run's artifacts; sim, cgra, hls, and
-// energy are the built-in implementations (internal/target), and new
-// accelerator models plug in by registering here — the pipeline itself
-// never changes.
+// Backend is one of the Target stage's two evaluations: sim, the paper's
+// filter-and-rank offload selection over the captured trace, and hls, the
+// synthesis estimate of the hot-braid frame. The stage runs both, in
+// Backends order, into one TargetArtifact, each under a "target: <name>"
+// span.
 //
-// Evaluate must treat the artifacts as read-only: with a Cache in play the
-// upstream artifacts are shared across runs and goroutines.
-type Backend interface {
-	Name() string
-	Evaluate(a *Artifacts) (Report, error)
+// An evaluation treats the artifacts as read-only: with a Store in play
+// the upstream artifacts are shared across runs and goroutines.
+type Backend struct {
+	name string
+	eval func(a *Artifacts, out *TargetArtifact) error
 }
 
-var registry struct {
-	mu       sync.RWMutex
-	backends []Backend
-}
+// Name returns the evaluation's name ("sim" or "hls").
+func (b Backend) Name() string { return b.name }
 
-// Register adds a backend to the Target stage's evaluation set. Backends
-// run in registration order; registering two backends with the same name
-// panics (it is a wiring bug, like a duplicate flag registration).
-func Register(b Backend) {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	for _, x := range registry.backends {
-		if x.Name() == b.Name() {
-			panic(fmt.Sprintf("pipeline: backend %q registered twice", b.Name()))
-		}
+// Evaluate runs the evaluation on its own, into a fresh TargetArtifact
+// whose other fields stay zero.
+func (b Backend) Evaluate(a *Artifacts) (*TargetArtifact, error) {
+	out := &TargetArtifact{}
+	if err := b.eval(a, out); err != nil {
+		return nil, err
 	}
-	registry.backends = append(registry.backends, b)
+	return out, nil
 }
 
-// Backends returns the registered backends in registration order.
+// Backends returns the Target stage's evaluations in the order it runs
+// them: sim, then hls.
 func Backends() []Backend {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	return append([]Backend(nil), registry.backends...)
+	return []Backend{{"sim", evalSim}, {"hls", evalHLS}}
+}
+
+// evalSim reproduces the paper's filter-and-rank selection — best BL-Path
+// under the oracle bound and the invocation history table (Figure 9), the
+// braid choice (Figures 9, 10), and the non-speculative predicated
+// hyperblock baseline of Figure 2's middle column. It builds the candidate
+// table, evaluates every candidate in one walk of the captured trace, and
+// scans the table for each selection.
+func evalSim(a *Artifacts, out *TargetArtifact) error {
+	cfg := a.Config
+	bsp := a.Span.Child("target: sim: build")
+	// The Frame stage framed the top braid with the same options and
+	// analysis manager; the braid candidates reuse that frame.
+	cands, err := sim.NewCandidates(a.Profile.Trace, a.Select.Braids, a.Frame.HotBraidFrame, cfg.Sim, cfg.SelectTopK, cfg.ColdFraction)
+	bsp.End()
+	if err != nil {
+		return err
+	}
+	rsp := a.Span.Child("target: sim: replay")
+	cands.Replay()
+	rsp.End()
+	out.BraidChoice, out.Hyperblock = cands.BraidChoice(), cands.Hyperblock()
+	out.PathHistory, out.PathOracle = cands.PathChoice()
+	return nil
+}
+
+// evalHLS estimates mapping the hot-braid frame onto the paper's Altera
+// Cyclone V device (Section VI, "HLS for NEEDLE identified Braids"). With
+// no frame the estimate stays the zero Report.
+func evalHLS(a *Artifacts, out *TargetArtifact) error {
+	if fr := a.Frame.HotBraidFrame; fr != nil {
+		out.HLS = hls.Synthesize(fr, hls.CycloneV())
+	}
+	return nil
 }

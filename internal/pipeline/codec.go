@@ -38,9 +38,9 @@
 //
 // codecVersion participates in every artifact's content address and header;
 // bump it whenever any payload layout or any encoding-relevant IR semantics
-// change, and old entries silently become misses. Files of stages that no
-// longer persist (inline-*.art and frame-*.art from earlier builds) are
-// never read again; a size-capped store evicts them like any other.
+// change, and old entries silently become misses. Files of stages without
+// a codec (inline-*.art and frame-*.art from earlier builds) are never read
+// again: NewDiskStore removes them when it opens a directory.
 package pipeline
 
 import (

@@ -6,24 +6,19 @@ import (
 
 	"needle/internal/pipeline"
 	"needle/internal/sim"
-	"needle/internal/target"
 	"needle/internal/workloads"
 )
 
-// simOutcome is the comparable part of a sim report: every result, and the
-// chosen braid policy.
+// simOutcome is the comparable part of the sim evaluation: every result,
+// and the chosen braid policy.
 type simOutcome struct {
 	PathOracle, PathHistory, Braid, Hyperblock sim.Result
 	Policy                                     string
 }
 
-func simOutcomeOf(t *testing.T, a *pipeline.Artifacts) simOutcome {
-	t.Helper()
-	rep, ok := a.Report("sim").(*target.SimReport)
-	if !ok {
-		t.Fatal("run produced no sim report")
-	}
-	return simOutcome{rep.PathOracle, rep.PathHistory, rep.BraidChoice.Result, rep.Hyperblock, rep.BraidChoice.Policy}
+func simOutcomeOf(a *pipeline.Artifacts) simOutcome {
+	t := a.Target
+	return simOutcome{t.PathOracle, t.PathHistory, t.BraidChoice.Result, t.Hyperblock, t.BraidChoice.Policy}
 }
 
 // TestConcurrentTargetsShareProfile runs Target stages that differ only in
@@ -47,7 +42,7 @@ func TestConcurrentTargetsShareProfile(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			want[i] = simOutcomeOf(t, a)
+			want[i] = simOutcomeOf(a)
 		}
 
 		shared := pipeline.NewCache()
@@ -69,7 +64,7 @@ func TestConcurrentTargetsShareProfile(t *testing.T) {
 			if a.Profile != arts[0].Profile {
 				t.Fatalf("%s: concurrent runs did not share the Profile artifact", name)
 			}
-			if got := simOutcomeOf(t, a); got != want[i] {
+			if got := simOutcomeOf(a); got != want[i] {
 				t.Errorf("%s HistBits=%d: shared-profile run differs\n got  %+v\n want %+v",
 					name, cfgs[i].Sim.HistBits, got, want[i])
 			}

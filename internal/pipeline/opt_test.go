@@ -115,8 +115,8 @@ func TestOptWarmStoreRoundTrip(t *testing.T) {
 	if f != warm.Opt.F {
 		t.Fatal("warm profile attached to the wrong function")
 	}
-	if got, want := len(warm.Target.Reports), len(cold.Target.Reports); got != want {
-		t.Fatalf("warm target reports = %d, want %d", got, want)
+	if got, want := warm.Target.BraidChoice.Result, cold.Target.BraidChoice.Result; got != want {
+		t.Fatalf("warm braid choice = %+v, want %+v", got, want)
 	}
 }
 

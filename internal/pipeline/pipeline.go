@@ -2,19 +2,18 @@
 // paper's Figure 1): Inline → Profile → Select → Frame → Target. Each stage
 // is a pure (artifacts, config) → artifacts step with a typed artifact
 // struct, and each declares a fingerprint over exactly the Config fields it
-// reads. That split buys two things:
+// reads. The fingerprints buy cross-config artifact reuse: a Cache keys
+// each stage's artifact by (program key, cumulative upstream fingerprint),
+// so a sweep over downstream knobs — predictor history bits, guard
+// placement, CGRA parameters — shares the expensive Inline/Profile/Select
+// artifacts instead of re-profiling the program per configuration. The
+// program key embeds a content digest of the IR and initial state, so a
+// persistent DiskStore never serves a stale artifact after a same-named
+// program's body changes across binary versions.
 //
-//   - Pluggable targets: the Target stage evaluates every registered
-//     Backend (internal/target provides sim, cgra, hls, and energy), so new
-//     accelerator models plug in without touching the pipeline.
-//   - Cross-config artifact reuse: a Cache keys each stage's artifact by
-//     (program key, cumulative upstream fingerprint), so a sweep over
-//     downstream knobs — predictor history bits, guard placement, CGRA
-//     parameters — shares the expensive Inline/Profile/Select artifacts
-//     instead of re-profiling the program per configuration. The program
-//     key embeds a content digest of the IR and initial state, so a
-//     persistent DiskStore never serves a stale artifact after a
-//     same-named program's body changes across binary versions.
+// The last stage, Target, is never cached. It runs its two evaluations, sim
+// (the offload selections) and hls (the synthesis estimate of the hot-braid
+// frame), into the typed fields of one TargetArtifact.
 //
 // Run is the only way to execute the pipeline; core.Analyzer is the
 // embedders' front door over it.
@@ -25,6 +24,7 @@ import (
 	"fmt"
 
 	"needle/internal/frame"
+	"needle/internal/hls"
 	"needle/internal/ir"
 	"needle/internal/obs"
 	"needle/internal/passes"
@@ -142,10 +142,21 @@ type FrameArtifact struct {
 	FrameErr      error
 }
 
-// TargetArtifact is the Target stage's output: one typed Report per
-// registered backend, in registration order.
+// TargetArtifact is the Target stage's output: the sim evaluation's offload
+// selections (Figures 2, 9 and 10) and the hls evaluation's synthesis
+// estimate of the hot-braid frame (Section VI).
 type TargetArtifact struct {
-	Reports []Report
+	// PathOracle and PathHistory evaluate the best BL-Path offload under
+	// the oracle bound and the invocation history table.
+	PathOracle  sim.Result
+	PathHistory sim.Result
+	// BraidChoice is the filter-and-rank braid selection.
+	BraidChoice sim.Candidate
+	// Hyperblock is the non-speculative predicated baseline.
+	Hyperblock sim.Result
+	// HLS is the estimated FPGA synthesis of the hot-braid frame: the zero
+	// Report when the Frame stage built no frame.
+	HLS hls.Report
 }
 
 // Artifacts is the artifact context threaded through the stages: the run's
@@ -155,8 +166,9 @@ type TargetArtifact struct {
 type Artifacts struct {
 	Program *program.Program
 	Config  Config
-	// Span is the run's observability span; stages and backends parent
-	// their spans under it. The run's pm.Manager travels in Inline.AM.
+	// Span is the run's observability span; stages and the Target stage's
+	// evaluations parent their spans under it. The run's pm.Manager
+	// travels in Inline.AM.
 	Span *obs.Span
 
 	Inline  *InlineArtifact
@@ -175,20 +187,6 @@ func (a *Artifacts) HotFunc() (*pm.Manager, *ir.Function) {
 		return a.Opt.AM, a.Opt.F
 	}
 	return a.Inline.AM, a.Inline.F
-}
-
-// Report returns the named backend's report, or nil if the Target stage has
-// not run or the backend is not registered.
-func (a *Artifacts) Report(name string) Report {
-	if a.Target == nil {
-		return nil
-	}
-	for _, r := range a.Target.Reports {
-		if r.BackendName() == name {
-			return r
-		}
-	}
-	return nil
 }
 
 // Stage is one named step of the pipeline.
@@ -431,16 +429,14 @@ var targetStage = Stage{
 	},
 	cacheable: false,
 	run: func(a *Artifacts, sp *obs.Span) (any, error) {
-		bs := Backends()
-		out := &TargetArtifact{Reports: make([]Report, 0, len(bs))}
-		for _, b := range bs {
-			bsp := sp.Child("target: " + b.Name())
-			rep, err := b.Evaluate(a)
+		out := &TargetArtifact{}
+		for _, b := range Backends() {
+			bsp := sp.Child("target: " + b.name)
+			err := b.eval(a, out)
 			bsp.End()
 			if err != nil {
-				return nil, fmt.Errorf("pipeline: target %s on %s: %w", b.Name(), a.Program.Name, err)
+				return nil, fmt.Errorf("pipeline: target %s on %s: %w", b.name, a.Program.Name, err)
 			}
-			out.Reports = append(out.Reports, rep)
 		}
 		return out, nil
 	},

@@ -84,18 +84,37 @@ type DiskStore struct {
 // NewDiskStore opens (creating if needed) a persistent artifact store in
 // dir. maxMB bounds the directory's total artifact size: after each write,
 // least-recently-used artifacts are evicted until the total fits (<= 0
-// means unbounded). Safe for concurrent use, including by concurrent
-// processes sharing dir.
+// means unbounded). Opening removes the files of stages without a codec,
+// which an earlier build may have written and no DiskStore reads. Safe for
+// concurrent use, including by concurrent processes sharing dir.
 func NewDiskStore(dir string, maxMB int) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("pipeline: opening artifact store: %w", err)
 	}
+	clearUnread(dir)
 	return &DiskStore{
 		dir:      dir,
 		maxBytes: int64(maxMB) * 1 << 20,
 		mem:      NewCache(),
 		disk:     make(map[string]*CacheStats),
 	}, nil
+}
+
+// clearUnread removes every <stage>-*.art file in dir whose stage has no
+// codec. Failures are silent, as every other disk-tier failure is.
+func clearUnread(dir string) {
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasSuffix(name, artifactExt) {
+			continue
+		}
+		for i := range stages {
+			if st := &stages[i]; st.encode == nil && strings.HasPrefix(name, st.Name+"-") {
+				os.Remove(filepath.Join(dir, name))
+			}
+		}
+	}
 }
 
 // Dir returns the store's directory.

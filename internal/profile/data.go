@@ -56,7 +56,8 @@ func (fp *FunctionProfile) Data() (*Data, error) {
 	if len(fp.BlockCounts) != len(f.Blocks) {
 		return nil, fmt.Errorf("profile: %d block counts for the %d blocks of %s", len(fp.BlockCounts), len(f.Blocks), f.Name)
 	}
-	succ := newSuccTable(f)
+	rule := newTailRule(f, fp.DAG)
+	succ := rule.succ
 	live := make([]int64, len(succ))
 	for e, n := range fp.EdgeCounts {
 		s := -1
@@ -68,7 +69,6 @@ func (fp *FunctionProfile) Data() (*Data, error) {
 		}
 		live[s] = n
 	}
-	rule := tailRule{f: f, dag: fp.DAG, succ: succ}
 	blocks, edges, err := traceCounts(rule, fp.Paths, d.Ranks, nil)
 	if err != nil {
 		return nil, err
@@ -85,20 +85,34 @@ func (fp *FunctionProfile) Data() (*Data, error) {
 	return d, nil
 }
 
-// tailRule is the one rule a partial tail obeys, which traceCounts checks
-// on decode and partialTail follows on encode. The tail starts where a run
-// resumes: at the entry block when no occurrence completed or the last one
-// returned, and otherwise across a back edge out of the last occurrence's
-// final block. From there it follows forward DAG edges only, since taking
-// a back edge would have completed the path.
+// tailRule is the one rule a path of the trace obeys, which traceCounts
+// checks on decode and partialTail follows on encode. Every completed
+// occurrence and the partial tail start where a run resumes: at the entry
+// block when no occurrence precedes them or the one before returned, and
+// otherwise across a back edge out of that occurrence's final block. The
+// tail then follows forward DAG edges only, since taking a back edge would
+// have completed the path.
 type tailRule struct {
 	f    *ir.Function
-	dag  *ballarus.DAG
 	succ succTable
+	// back[s] reports whether the edge in successor slot s is a back edge
+	// of the Ball-Larus DAG.
+	back []bool
 }
 
-// resume returns the block the last completed occurrence ended at when the
-// tail continues it across a back edge, or -1 when the tail starts at the
+func newTailRule(f *ir.Function, dag *ballarus.DAG) tailRule {
+	succ := newSuccTable(f)
+	back := make([]bool, len(succ))
+	for s, v := range succ {
+		if v >= 0 {
+			back[s] = dag.IsBackEdge(f.Blocks[s/2], f.Blocks[v])
+		}
+	}
+	return tailRule{f: f, succ: succ, back: back}
+}
+
+// resume returns the block an occurrence ended at when the next path
+// continues it across a back edge, or -1 when the next path starts at the
 // entry block instead. last is that block, -1 when no occurrence completed.
 func (r tailRule) resume(last int32) int32 {
 	if last < 0 || r.succ.returns(last) {
@@ -107,17 +121,15 @@ func (r tailRule) resume(last int32) int32 {
 	return last
 }
 
-// allows reports whether the tail may enter block v from u: its first
-// block (first set) from u = resume(...), a later block from the block
+// allows reports whether a path may enter block v from u: its first block
+// (first set) from u = resume(...), a later tail block from the block
 // before it.
 func (r tailRule) allows(u, v int32, first bool) bool {
 	if first && u < 0 {
 		return int(v) == r.f.Entry().Index
 	}
-	if r.succ.slot(u, v) < 0 {
-		return false
-	}
-	return r.dag.IsBackEdge(r.f.Blocks[u], r.f.Blocks[v]) == first
+	s := r.succ.slot(u, v)
+	return s >= 0 && r.back[s] == first
 }
 
 // partialTail recovers the partial final path from what the counts hold
@@ -197,13 +209,13 @@ func FromData(am *pm.Manager, f *ir.Function, d *Data) (*FunctionProfile, error)
 		return nil, err
 	}
 	// fp.Paths is still in table order, the order the ranks index.
-	succ := newSuccTable(f)
-	blocks, edges, err := traceCounts(tailRule{f: f, dag: dag, succ: succ}, fp.Paths, d.Ranks, d.Tail)
+	rule := newTailRule(f, dag)
+	blocks, edges, err := traceCounts(rule, fp.Paths, d.Ranks, d.Tail)
 	if err != nil {
 		return nil, err
 	}
 	fp.BlockCounts = blocks
-	fp.EdgeCounts = succ.edgeMap(edges)
+	fp.EdgeCounts = rule.succ.edgeMap(edges)
 	if !slices.IsSortedFunc(fp.Paths, rankOrder) {
 		// Data writes its table in rank order, so only a table from
 		// elsewhere gets here: rank it and recode the trace to match.
@@ -278,13 +290,16 @@ func (t succTable) edgeMap(edges []int64) map[Edge]int64 {
 // boundary edge from each occurrence into the next (none after a path that
 // ends at a return: the run ended there), and the blocks and edges of the
 // partial tail, entered over the boundary edge out of the last occurrence.
-// A tail that breaks the tail rule is an error. table is indexed by rank,
-// and each path's Freq must be its occurrence count.
+// Each occurrence starts, as the tail does, where tailRule says a run
+// resumes, and each tail block follows a forward edge; anything else is an
+// error. table is indexed by rank, and each path's Freq must be its
+// occurrence count.
 func traceCounts(rule tailRule, table []*Path, ranks, tail []int32) (blocks, edges []int64, err error) {
 	succ := rule.succ
 	blocks = make([]int64, len(succ)/2)
 	edges = make([]int64, len(succ))
-	// ends[2*r] and ends[2*r+1]: the first and last block of the rank-r path.
+	// ends[2*r] is the first block of the rank-r path, and ends[2*r+1]
+	// where a run resumes after it (tailRule.resume of its last block).
 	ends := make([]int32, 2*len(table))
 	for r, p := range table {
 		prev := int32(-1)
@@ -296,28 +311,20 @@ func traceCounts(rule tailRule, table []*Path, ranks, tail []int32) (blocks, edg
 			}
 			prev = i
 		}
-		ends[2*r], ends[2*r+1] = int32(p.Blocks[0].Index), prev
+		ends[2*r], ends[2*r+1] = int32(p.Blocks[0].Index), rule.resume(prev)
 	}
-	// boundary counts the edge from block u, where a path ended, into block
-	// v, where the next began.
-	boundary := func(u, v int32) bool {
-		if succ.returns(u) {
-			return true
-		}
-		s := succ.slot(u, v)
-		if s >= 0 {
-			edges[s]++
-		}
-		return s >= 0
-	}
-	for j := 1; j < len(ranks); j++ {
-		if !boundary(ends[2*ranks[j-1]+1], ends[2*ranks[j]]) {
-			return nil, nil, fmt.Errorf("profile: occurrence %d does not continue occurrence %d along an edge", j, j-1)
-		}
-	}
+	// Every occurrence, and then the tail, starts where a run resumes after
+	// the occurrence before it; the edge it enters over is counted.
 	prev := int32(-1)
-	if len(ranks) > 0 {
-		prev = rule.resume(ends[2*ranks[len(ranks)-1]+1])
+	for j, r := range ranks {
+		start := ends[2*r]
+		if !rule.allows(prev, start, true) {
+			return nil, nil, fmt.Errorf("profile: occurrence %d starts at block %d, not where a run resumes", j, start)
+		}
+		if prev >= 0 {
+			edges[succ.slot(prev, start)]++
+		}
+		prev = ends[2*r+1]
 	}
 	for i, t := range tail {
 		if t < 0 || int(t) >= len(blocks) {

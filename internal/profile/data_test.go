@@ -8,11 +8,11 @@ import (
 	"needle/internal/ir"
 )
 
-// TestFromDataTailRule: decode accepts a partial tail only where a run
-// resumes — the entry block with no completed occurrence or after a
-// returning one, across the back edge after one that ended at a latch —
-// continuing along forward edges, and every tail it accepts encodes back
-// to the same Data.
+// TestFromDataTailRule: decode accepts a completed occurrence or a partial
+// tail only where a run resumes — the entry block first and after a
+// returning occurrence, across the back edge after one that ended at a
+// latch — with the tail continuing along forward edges, and every trace it
+// accepts encodes back to the same Data.
 func TestFromDataTailRule(t *testing.T) {
 	f, err := ir.ParseFunction(biasedLoopSrc)
 	if err != nil {
@@ -37,23 +37,32 @@ func TestFromDataTailRule(t *testing.T) {
 	}
 	toLatch := path(0, 1, 2, 4, 5) // ends at the back edge's source
 	returns := path(0, 1, 6)
+	loop := path(1, 2, 4, 5) // starts across the back edge
+	leave := path(1, 6)      // likewise, and returns
 	for _, tc := range []struct {
 		name  string
 		paths []int64
+		ranks []int32 // nil: the one path once, when there is one
 		tail  []int32
 		ok    bool
 	}{
-		{"fresh run from entry", nil, []int32{0, 1, 2}, true},
-		{"fresh run off entry", nil, []int32{4}, false},
-		{"fresh run across the back edge", nil, []int32{0, 1, 2, 4, 5, 1}, false},
-		{"after a latch, across its back edge", []int64{toLatch}, []int32{1, 2, 3}, true},
-		{"after a latch, at the entry", []int64{toLatch}, []int32{0}, false},
-		{"after a latch, around the loop again", []int64{toLatch}, []int32{1, 2, 3, 5, 1}, false},
-		{"after a return, from entry", []int64{returns}, []int32{0, 1}, true},
-		{"after a return, at the header", []int64{returns}, []int32{1, 2}, false},
+		{"first occurrence off entry", []int64{loop}, []int32{0, 0}, nil, false},
+		{"occurrences around the loop", []int64{loop, toLatch}, []int32{1, 0, 0}, nil, true},
+		{"an occurrence leaving the loop", []int64{toLatch, leave}, []int32{0, 1}, nil, true},
+		{"an occurrence at the entry after a latch", []int64{toLatch}, []int32{0, 0}, nil, false},
+		{"an occurrence at the header after a return", []int64{returns, leave}, []int32{0, 1}, nil, false},
+		{"two runs from entry", []int64{returns}, []int32{0, 0}, nil, true},
+		{"fresh run from entry", nil, nil, []int32{0, 1, 2}, true},
+		{"fresh run off entry", nil, nil, []int32{4}, false},
+		{"fresh run across the back edge", nil, nil, []int32{0, 1, 2, 4, 5, 1}, false},
+		{"after a latch, across its back edge", []int64{toLatch}, nil, []int32{1, 2, 3}, true},
+		{"after a latch, at the entry", []int64{toLatch}, nil, []int32{0}, false},
+		{"after a latch, around the loop again", []int64{toLatch}, nil, []int32{1, 2, 3, 5, 1}, false},
+		{"after a return, from entry", []int64{returns}, nil, []int32{0, 1}, true},
+		{"after a return, at the header", []int64{returns}, nil, []int32{1, 2}, false},
 	} {
-		d := &Data{Paths: tc.paths, Tail: tc.tail}
-		if tc.paths != nil {
+		d := &Data{Paths: tc.paths, Ranks: tc.ranks, Tail: tc.tail}
+		if tc.paths != nil && tc.ranks == nil {
 			d.Ranks = []int32{0}
 		}
 		fp, err := FromData(nil, f, d)
@@ -67,7 +76,7 @@ func TestFromDataTailRule(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: accepted tail does not encode: %v", tc.name, err)
 		}
-		if !slices.Equal(back.Tail, d.Tail) || !slices.Equal(back.Paths, d.Paths) {
+		if !slices.Equal(back.Tail, d.Tail) || !slices.Equal(back.Paths, d.Paths) || !slices.Equal(back.Ranks, d.Ranks) {
 			t.Fatalf("%s: encodes to %+v, want %+v", tc.name, back, d)
 		}
 	}

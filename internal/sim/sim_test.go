@@ -209,13 +209,19 @@ func TestFunctionalOffloadMatchesPureExecution(t *testing.T) {
 	for _, tc := range []struct {
 		workload string
 		braid    bool
+		// undoesStores marks a target whose failing invocations store
+		// before they diverge, so only the undo log keeps memory intact;
+		// the case asserts that it rolls back at least once.
+		undoesStores bool
 	}{
-		{"181.mcf", false},
-		{"456.hmmer", true},
-		{"bodytrack", true}, // noisy: exercises failures+rollbacks
-		{"164.gzip", false}, // early-exit chains
-		{"470.lbm", true},   // store-heavy
-		{"freqmine", false}, // store-bearing divergent paths
+		{"181.mcf", false, false},
+		{"456.hmmer", true, false},
+		{"bodytrack", true, false}, // noisy: exercises failures+rollbacks
+		{"164.gzip", false, false}, // early-exit chains
+		{"470.lbm", true, false},   // store-heavy
+		{"freqmine", false, false}, // store-bearing divergent paths
+		{"dwt53", false, true},
+		{"sar-backprojection", true, true},
 	} {
 		tc := tc
 		t.Run(tc.workload, func(t *testing.T) {
@@ -260,6 +266,9 @@ func TestFunctionalOffloadMatchesPureExecution(t *testing.T) {
 			}
 			if res.Invocations == 0 {
 				t.Fatal("the target was never invoked")
+			}
+			if tc.undoesStores && res.Rollbacks == 0 {
+				t.Fatal("no invocation rolled back")
 			}
 			t.Logf("%s: %d invocations, %d successes, %d rollbacks, %d frame ops",
 				tc.workload, res.Invocations, res.Successes, res.Rollbacks, res.FrameOps)

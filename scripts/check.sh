@@ -67,14 +67,19 @@ echo "tests  ok"
 
 # needlebench/ is its own module (it replaces needle with ../), so the root
 # `go test ./...` never builds it: an internal API change could break the
-# benchmark unnoticed. Vet and test it offline against this checkout.
+# benchmark unnoticed. Vet and test it offline against this checkout, then
+# run one short traced pass of every workload: the per-layer probe (which
+# calls the pipeline's target evaluations directly) runs only there.
 (
     cd needlebench
     export GOFLAGS=-mod=mod GOPROXY=off GOTOOLCHAIN=local
     go vet ./...
     go test ./...
+    nbdir=$(mktemp -d)
+    trap 'rm -rf "$nbdir"' EXIT
+    go run . -workload all -seed 1 -seconds 1 -trace 1 -dir "$nbdir" > /dev/null
 )
-echo "nbench ok (needlebench module vets and tests)"
+echo "nbench ok (needlebench module vets, tests, and runs a traced pass)"
 
 # Every checked-in .nir program must parse and verify: the examples are
 # the documented entry points for `needle -nir` and the ir testdata seeds
