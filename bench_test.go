@@ -487,18 +487,14 @@ func BenchmarkIngest(b *testing.B) {
 // programs of seeds 1 to 16 in the serve-nir-cold shape, one per
 // iteration.
 func BenchmarkAnalysis(b *testing.B) {
-	fs := make([]*ir.Function, 16)
-	for i := range fs {
-		f, err := passes.InlineAll(irgen.Generate(int64(i+1), poolShape).F)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fs[i] = f
+	ins := make([]analysisInput, 16)
+	for i := range ins {
+		ins[i] = poolInput(b, int64(i+1))
 	}
 	for _, row := range analysisRows {
-		runs := make([]func(), len(fs))
-		for i, f := range fs {
-			runs[i] = row.prepare(f)
+		runs := make([]func(), len(ins))
+		for i, in := range ins {
+			runs[i] = row.prepare(in)
 		}
 		b.Run(row.name, func(b *testing.B) {
 			b.ReportAllocs()

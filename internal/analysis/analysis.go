@@ -13,25 +13,42 @@ import (
 // ReversePostorder returns the blocks of f reachable from the entry in
 // reverse postorder. Unreachable blocks are omitted.
 func ReversePostorder(f *ir.Function) []*ir.Block {
-	seen := make([]bool, len(f.Blocks))
-	var post []*ir.Block
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		seen[b.Index] = true
-		for _, s := range b.Succs() {
-			if !seen[s.Index] {
-				dfs(s)
+	n := len(f.Blocks)
+	return reversePostorder(f, make([]int, 3*n), make([]*ir.Block, n))
+}
+
+// reversePostorder is ReversePostorder over caller-sized tables. scratch
+// holds 3·len(f.Blocks) ints: visit marks, then the depth-first stack's
+// nodes and next-successor cursors. out has a slot per block; the
+// postorder is written into it from the back, so its tail is the reverse
+// postorder with no reversal pass, and that tail is returned.
+func reversePostorder(f *ir.Function, scratch []int, out []*ir.Block) []*ir.Block {
+	n := len(f.Blocks)
+	entry := f.Entry()
+	if entry == nil {
+		return nil
+	}
+	seen, stack, next := scratch[:n], scratch[n:2*n], scratch[2*n:3*n]
+	clear(seen)
+	k := n // out[k:] is the postorder so far, last-finished first
+	stack[0], next[0], seen[entry.Index] = entry.Index, 0, 1
+	for sp := 0; sp >= 0; {
+		b := f.Blocks[stack[sp]]
+		if succs := b.Succs(); next[sp] < len(succs) {
+			s := succs[next[sp]]
+			next[sp]++
+			if seen[s.Index] == 0 {
+				seen[s.Index] = 1
+				sp++
+				stack[sp], next[sp] = s.Index, 0
 			}
+			continue
 		}
-		post = append(post, b)
+		k--
+		out[k] = b
+		sp--
 	}
-	if e := f.Entry(); e != nil {
-		dfs(e)
-	}
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
+	return out[k:n:n]
 }
 
 // DomTree holds immediate-dominator information for a function.
@@ -45,15 +62,20 @@ type DomTree struct {
 // Dominators computes the dominator tree using the Cooper-Harvey-Kennedy
 // iterative algorithm over reverse postorder.
 func Dominators(f *ir.Function) *DomTree {
-	rpo := ReversePostorder(f)
-	rpoN := make([]int, len(f.Blocks))
+	n := len(f.Blocks)
+	// Two arenas: rpoN (kept by the tree) then the postorder walk's
+	// scratch; the reverse postorder then idom.
+	arena := make([]int, 4*n)
+	rpoN := arena[:n:n]
+	blocks := make([]*ir.Block, 2*n)
+	rpo := reversePostorder(f, arena[n:], blocks[:n:n])
+	idom := blocks[n:]
 	for i := range rpoN {
 		rpoN[i] = -1
 	}
 	for i, b := range rpo {
 		rpoN[b.Index] = i
 	}
-	idom := make([]*ir.Block, len(f.Blocks))
 	entry := f.Entry()
 	idom[entry.Index] = entry
 
@@ -136,8 +158,22 @@ type Edge struct {
 // BackEdges returns the back edges of f: edges u->v where v dominates u.
 // These are exactly the edges the Ball-Larus transformation removes, and the
 // "backward branches" Table I counts.
+//
+// A counting pass sizes the result, so it is one allocation (none when f
+// has no back edge).
 func BackEdges(f *ir.Function, dom *DomTree) []Edge {
-	var edges []Edge
+	n := 0
+	for _, b := range dom.RPO() {
+		for _, s := range b.Succs() {
+			if dom.Dominates(s, b) {
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	edges := make([]Edge, 0, n)
 	for _, b := range dom.RPO() {
 		for _, s := range b.Succs() {
 			if dom.Dominates(s, b) {
@@ -152,43 +188,72 @@ func BackEdges(f *ir.Function, dom *DomTree) []Edge {
 // back edge into the header without leaving the loop.
 type Loop struct {
 	Header *ir.Block
-	Blocks map[*ir.Block]bool
+	in     []bool // membership by Block.Index
 }
 
 // Contains reports whether the loop body includes b.
-func (l *Loop) Contains(b *ir.Block) bool { return l.Blocks[b] }
+func (l *Loop) Contains(b *ir.Block) bool { return b.Index < len(l.in) && l.in[b.Index] }
 
 // NaturalLoops finds all natural loops of f, merging loops that share a
-// header. Loops are returned in header RPO order.
+// header. Loops are returned in the order their headers' first back edges
+// appear in BackEdges. A first pass over the back edges numbers the
+// headers; the loops, their pointers and one membership table per loop
+// are then sized by that count, and a second pass fills the tables.
 func NaturalLoops(f *ir.Function, dom *DomTree) []*Loop {
-	byHeader := make(map[*ir.Block]*Loop)
-	var order []*ir.Block
-	for _, e := range BackEdges(f, dom) {
-		l := byHeader[e.To]
-		if l == nil {
-			l = &Loop{Header: e.To, Blocks: map[*ir.Block]bool{e.To: true}}
-			byHeader[e.To] = l
-			order = append(order, e.To)
+	n := len(f.Blocks)
+	// loopOf[h] numbers the loop headed by block h (-1: none); then the
+	// predecessor walk's stack, which holds each block at most once.
+	ints := make([]int32, 2*n)
+	loopOf, stack := ints[:n:n], ints[n:n:2*n]
+	for i := range loopOf {
+		loopOf[i] = -1
+	}
+	k := 0
+	for _, b := range dom.RPO() {
+		for _, s := range b.Succs() {
+			if loopOf[s.Index] < 0 && dom.Dominates(s, b) {
+				loopOf[s.Index] = int32(k)
+				k++
+			}
 		}
-		// Walk predecessors from the back-edge source until the header.
-		stack := []*ir.Block{e.From}
-		for len(stack) > 0 {
-			b := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if l.Blocks[b] {
+	}
+	loops := make([]Loop, k)
+	out := make([]*Loop, k)
+	member := make([]bool, k*n)
+	for i := range loops {
+		loops[i].in = member[i*n : (i+1)*n : (i+1)*n]
+		out[i] = &loops[i]
+	}
+	for _, b := range dom.RPO() {
+		for _, s := range b.Succs() {
+			if !dom.Dominates(s, b) {
 				continue
 			}
-			l.Blocks[b] = true
-			for _, p := range b.Preds {
-				stack = append(stack, p)
+			l := &loops[loopOf[s.Index]]
+			if l.Header == nil {
+				l.Header = s
+				l.in[s.Index] = true
+			}
+			// Walk predecessors from the back-edge source until the
+			// header, marking each block as it is pushed.
+			if l.in[b.Index] {
+				continue
+			}
+			l.in[b.Index] = true
+			stack = append(stack[:0], int32(b.Index))
+			for len(stack) > 0 {
+				v := f.Blocks[stack[len(stack)-1]]
+				stack = stack[:len(stack)-1]
+				for _, p := range v.Preds {
+					if !l.in[p.Index] {
+						l.in[p.Index] = true
+						stack = append(stack, int32(p.Index))
+					}
+				}
 			}
 		}
 	}
-	loops := make([]*Loop, 0, len(order))
-	for _, h := range order {
-		loops = append(loops, byHeader[h])
-	}
-	return loops
+	return out
 }
 
 // DefBlock returns, for each register, the block defining it (nil for
@@ -214,6 +279,27 @@ type RegSet []uint64
 // virtual registers (registers are 1-based, so the set spans [0, numRegs]).
 func NewRegSet(numRegs int) RegSet { return make(RegSet, (numRegs+64)>>6) }
 
+// Reset returns an empty set wide enough for numRegs registers, reusing
+// s's storage when it has room.
+func (s RegSet) Reset(numRegs int) RegSet {
+	w := (numRegs + 64) >> 6
+	if cap(s) < w {
+		return make(RegSet, w)
+	}
+	s = s[:w]
+	clear(s)
+	return s
+}
+
+// Len returns the number of registers in the set.
+func (s RegSet) Len() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // Has reports whether r is in the set.
 func (s RegSet) Has(r ir.Reg) bool {
 	i := uint(r) >> 6
@@ -227,11 +313,7 @@ func (s RegSet) Add(r ir.Reg) {
 
 // Regs returns the set's members in increasing order.
 func (s RegSet) Regs() []ir.Reg {
-	n := 0
-	for _, w := range s {
-		n += bits.OnesCount64(w)
-	}
-	out := make([]ir.Reg, 0, n)
+	out := make([]ir.Reg, 0, s.Len())
 	s.ForEach(func(r ir.Reg) { out = append(out, r) })
 	return out
 }

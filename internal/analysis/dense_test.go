@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"needle/internal/ir"
@@ -35,10 +36,36 @@ func denseCorpus(t *testing.T) []*ir.Function {
 
 // TestDenseAnalysesMatchReference checks every rewritten analysis against
 // its previous implementation (reference_test.go) on the corpus: the
-// post-dominator tree, control dependence, liveness, the SCCP fixpoint
-// and the memory-dependence forms must be identical.
+// reverse postorder, the dominator tree, the back edges, the natural
+// loops, the post-dominator tree, control dependence, liveness, the SCCP
+// fixpoint and the memory-dependence forms must be identical.
 func TestDenseAnalysesMatchReference(t *testing.T) {
 	for _, f := range denseCorpus(t) {
+		if got, want := ReversePostorder(f), referenceReversePostorder(f); !slices.Equal(got, want) {
+			t.Fatalf("%s: reverse postorder %v, want %v", f.Name, got, want)
+		}
+		dom, rdom := Dominators(f), referenceDominators(f)
+		if !slices.Equal(dom.idom, rdom.idom) || !slices.Equal(dom.rpo, rdom.rpo) || !slices.Equal(dom.rpoN, rdom.rpoN) {
+			t.Fatalf("%s: dominator tree differs:\nidom %v\nwant %v", f.Name, dom.idom, rdom.idom)
+		}
+		if got, want := BackEdges(f, dom), referenceBackEdges(f, rdom); !slices.Equal(got, want) {
+			t.Fatalf("%s: back edges %v, want %v", f.Name, got, want)
+		}
+		loops, rloops := NaturalLoops(f, dom), referenceNaturalLoops(f, rdom)
+		if len(loops) != len(rloops) {
+			t.Fatalf("%s: %d natural loops, want %d", f.Name, len(loops), len(rloops))
+		}
+		for i, l := range loops {
+			if l.Header != rloops[i].Header {
+				t.Fatalf("%s: loop %d has header %s, want %s", f.Name, i, l.Header.Name, rloops[i].Header.Name)
+			}
+			for _, b := range f.Blocks {
+				if l.Contains(b) != rloops[i].Blocks[b] {
+					t.Fatalf("%s: loop at %s: Contains(%s) = %t", f.Name, l.Header.Name, b.Name, l.Contains(b))
+				}
+			}
+		}
+
 		pd, rpd := PostDominators(f), referencePostDominators(f)
 		if !reflect.DeepEqual(pd.ipdom, rpd.ipdom) || !reflect.DeepEqual(pd.order, rpd.order) ||
 			!reflect.DeepEqual(pd.rpoN, rpd.rpoN) || pd.exit != rpd.exit {

@@ -546,3 +546,134 @@ func referenceComputeMemDep(f *ir.Function) *MemDep {
 	}
 	return md
 }
+
+// referenceReversePostorder returns the blocks of f reachable from the entry in
+// reverse postorder. Unreachable blocks are omitted.
+func referenceReversePostorder(f *ir.Function) []*ir.Block {
+	seen := make([]bool, len(f.Blocks))
+	var post []*ir.Block
+	var dfs func(b *ir.Block)
+	dfs = func(b *ir.Block) {
+		seen[b.Index] = true
+		for _, s := range b.Succs() {
+			if !seen[s.Index] {
+				dfs(s)
+			}
+		}
+		post = append(post, b)
+	}
+	if e := f.Entry(); e != nil {
+		dfs(e)
+	}
+	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
+		post[i], post[j] = post[j], post[i]
+	}
+	return post
+}
+
+// referenceDominators computes the dominator tree using the Cooper-Harvey-Kennedy
+// iterative algorithm over reverse postorder.
+func referenceDominators(f *ir.Function) *DomTree {
+	rpo := referenceReversePostorder(f)
+	rpoN := make([]int, len(f.Blocks))
+	for i := range rpoN {
+		rpoN[i] = -1
+	}
+	for i, b := range rpo {
+		rpoN[b.Index] = i
+	}
+	idom := make([]*ir.Block, len(f.Blocks))
+	entry := f.Entry()
+	idom[entry.Index] = entry
+
+	intersect := func(a, b *ir.Block) *ir.Block {
+		for a != b {
+			for rpoN[a.Index] > rpoN[b.Index] {
+				a = idom[a.Index]
+			}
+			for rpoN[b.Index] > rpoN[a.Index] {
+				b = idom[b.Index]
+			}
+		}
+		return a
+	}
+
+	for changed := true; changed; {
+		changed = false
+		for _, b := range rpo {
+			if b == entry {
+				continue
+			}
+			var newIdom *ir.Block
+			for _, p := range b.Preds {
+				if rpoN[p.Index] < 0 || idom[p.Index] == nil {
+					continue // unreachable or not yet processed
+				}
+				if newIdom == nil {
+					newIdom = p
+				} else {
+					newIdom = intersect(p, newIdom)
+				}
+			}
+			if newIdom != nil && idom[b.Index] != newIdom {
+				idom[b.Index] = newIdom
+				changed = true
+			}
+		}
+	}
+	return &DomTree{f: f, idom: idom, rpo: rpo, rpoN: rpoN}
+}
+
+// referenceLoop is a natural loop: a header plus the set of blocks that can reach a
+// back edge into the header without leaving the loop.
+type referenceLoop struct {
+	Header *ir.Block
+	Blocks map[*ir.Block]bool
+}
+
+// referenceNaturalLoops finds all natural loops of f, merging loops that share a
+// header. Loops are returned in header RPO order.
+func referenceNaturalLoops(f *ir.Function, dom *DomTree) []*referenceLoop {
+	byHeader := make(map[*ir.Block]*referenceLoop)
+	var order []*ir.Block
+	for _, e := range BackEdges(f, dom) {
+		l := byHeader[e.To]
+		if l == nil {
+			l = &referenceLoop{Header: e.To, Blocks: map[*ir.Block]bool{e.To: true}}
+			byHeader[e.To] = l
+			order = append(order, e.To)
+		}
+		// Walk predecessors from the back-edge source until the header.
+		stack := []*ir.Block{e.From}
+		for len(stack) > 0 {
+			b := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if l.Blocks[b] {
+				continue
+			}
+			l.Blocks[b] = true
+			for _, p := range b.Preds {
+				stack = append(stack, p)
+			}
+		}
+	}
+	loops := make([]*referenceLoop, 0, len(order))
+	for _, h := range order {
+		loops = append(loops, byHeader[h])
+	}
+	return loops
+}
+
+// referenceBackEdges returns the back edges of f: edges u->v where v
+// dominates u.
+func referenceBackEdges(f *ir.Function, dom *DomTree) []Edge {
+	var edges []Edge
+	for _, b := range dom.RPO() {
+		for _, s := range b.Succs() {
+			if dom.Dominates(s, b) {
+				edges = append(edges, Edge{From: b, To: s})
+			}
+		}
+	}
+	return edges
+}

@@ -16,6 +16,8 @@
 package cgra
 
 import (
+	"slices"
+
 	"needle/internal/frame"
 	"needle/internal/ir"
 )
@@ -118,7 +120,12 @@ type Sched struct {
 	RollbackCycles int64
 }
 
-// Schedule maps a frame onto the fabric configuration.
+// cycleUse counts the ops issued in one cycle and, of them, the memory ops.
+type cycleUse struct{ fu, mem int32 }
+
+// Schedule maps a frame onto the fabric configuration. A config with no
+// function units or no memory ports has no schedule; sim.Config.Check
+// rejects one before it gets here.
 func Schedule(fr *frame.Frame, cfg Config) *Sched {
 	if cfg.Rows == 0 {
 		cfg = DefaultConfig()
@@ -126,9 +133,14 @@ func Schedule(fr *frame.Frame, cfg Config) *Sched {
 	capacity := cfg.Rows * cfg.Cols
 	s := &Sched{Frame: fr}
 
-	finish := make([]int64, len(fr.Ops))
-	fuUsed := make(map[int64]int)
-	memUsed := make(map[int64]int)
+	// finish[i] is op i's completion cycle; depth is recurrenceDepth's
+	// table, shared by the carried pairs.
+	n := len(fr.Ops)
+	times := make([]int64, 2*n)
+	finish, depth := times[:n:n], times[n:]
+	// use[c] is the reservation of cycle c, dense by cycle and grown only
+	// as the schedule reaches later cycles.
+	use := make([]cycleUse, 0, n+1)
 
 	// Spatial placement decides how far operands travel.
 	var placement *Placement
@@ -170,16 +182,22 @@ func Schedule(fr *frame.Frame, cfg Config) *Sched {
 			}
 		}
 		isMem := op.Instr.Op.IsMemory()
+		// The first cycle from ready with a free unit (and a free port for
+		// memory); a cycle past the table is unreserved.
 		at := ready
-		for {
-			if fuUsed[at] < capacity && (!isMem || memUsed[at] < cfg.MemPorts) {
+		for ; at < int64(len(use)); at++ {
+			if u := use[at]; int(u.fu) < capacity && (!isMem || int(u.mem) < cfg.MemPorts) {
 				break
 			}
-			at++
 		}
-		fuUsed[at]++
+		if at >= int64(len(use)) {
+			old := len(use)
+			use = slices.Grow(use, int(at)+1-old)[:at+1]
+			clear(use[old:])
+		}
+		use[at].fu++
 		if isMem {
-			memUsed[at]++
+			use[at].mem++
 			memOps++
 		}
 		lat := FULatency(op.Instr.Op)
@@ -219,7 +237,7 @@ func Schedule(fr *frame.Frame, cfg Config) *Sched {
 	// pipeline freely, so each carried pair is measured independently.
 	s.RecurrenceII = 1
 	for _, cp := range fr.Carried {
-		if d := recurrenceDepth(fr, cfg, cp); d > s.RecurrenceII {
+		if d := recurrenceDepth(fr, cfg, cp, depth); d > s.RecurrenceII {
 			s.RecurrenceII = d
 		}
 	}
@@ -267,13 +285,13 @@ func Schedule(fr *frame.Frame, cfg Config) *Sched {
 // recurrenceDepth returns the latency of the dependence cycle through one
 // carried pair: the longest chain starting at a use of cp.Phi and ending at
 // the op that defines cp.Next (0 when the next value does not depend on the
-// phi, i.e. no true cycle).
-func recurrenceDepth(fr *frame.Frame, cfg Config, cp frame.CarriedPair) int64 {
-	target, ok := fr.Def[cp.Next]
-	if !ok {
+// phi, i.e. no true cycle). depth is a table of one entry per op, which it
+// overwrites.
+func recurrenceDepth(fr *frame.Frame, cfg Config, cp frame.CarriedPair, depth []int64) int64 {
+	target := cp.NextOp
+	if target < 0 {
 		return 0
 	}
-	depth := make([]int64, len(fr.Ops))
 	for i := range depth {
 		depth[i] = -1
 	}

@@ -28,7 +28,12 @@ type Placement struct {
 // original linear nearest-free scan, precomputed so each placement walks
 // only as far as the first free slot instead of scoring the whole grid.
 // Orders are cached per geometry: the sweep places every frame on the same
-// fabric, so the table is built once.
+// fabric, so the table is built once. The cache holds at most
+// maxSpiralGeometries geometries and is emptied when a new one would
+// exceed that, so configs that vary the grid cannot grow it without bound.
+// A geometry's table is (Rows·Cols)² slots, which sim.Config.Check bounds.
+const maxSpiralGeometries = 8
+
 var (
 	spiralMu    sync.Mutex
 	spiralCache = map[int][][]uint16{}
@@ -62,6 +67,9 @@ func spiralOrders(rows, cols int) [][]uint16 {
 			}
 		}
 		orders[want] = o
+	}
+	if len(spiralCache) >= maxSpiralGeometries {
+		clear(spiralCache)
 	}
 	spiralCache[key] = orders
 	return orders

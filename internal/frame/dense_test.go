@@ -4,18 +4,39 @@ import (
 	"reflect"
 	"testing"
 
-	"needle/internal/passes"
+	"needle/internal/corpus"
+	"needle/internal/ir"
 	"needle/internal/pm"
 	"needle/internal/profile"
 	"needle/internal/region"
-	"needle/internal/workloads"
 )
 
-// TestBuildMatchesReference builds, for every workload, frames of its top
-// paths, braids and the hyperblocks grown from the braids' entries, under
-// every option combination, and checks each against referenceBuild: the
-// ops, their dependences, the live values, the carried pairs, the def map
-// and every counter must be identical.
+// corpusRegions returns the regions framed for one profile: its top four
+// paths, its top four braids and the hyperblocks grown from their entries,
+// and the hyperblock the Sim backend builds at the hottest path's entry.
+func corpusRegions(am *pm.Manager, fp *profile.FunctionProfile) []*region.Region {
+	var rs []*region.Region
+	for _, p := range fp.TopK(4) {
+		rs = append(rs, region.FromPath(fp.F, p))
+	}
+	for i, br := range region.BuildBraids(fp, 0) {
+		if i == 4 {
+			break
+		}
+		rs = append(rs, &br.Region, &region.BuildHyperblock(am, fp, br.Entry, 0.1).Region)
+	}
+	if hot := fp.HottestPath(); hot != nil {
+		rs = append(rs, &region.BuildTunedHyperblock(am, fp, hot.Blocks[0], 0.1, 0.05).Region)
+	}
+	return rs
+}
+
+// TestBuildMatchesReference frames every corpus region under every option
+// combination, all regions of one function through one Scratch, and
+// checks each frame against referenceBuild: the ops, their dependences,
+// the live values, the carried pairs and their producing ops, and every
+// counter must be identical. Each path frame's expansions must match
+// referenceExpand's the same way.
 func TestBuildMatchesReference(t *testing.T) {
 	allOpts := []Options{
 		{},
@@ -23,42 +44,61 @@ func TestBuildMatchesReference(t *testing.T) {
 		{Ordering: MemConservative},
 		{Placement: GuardsSerialize, Ordering: MemConservative, UndoOpsPerStore: 3},
 	}
-	for _, w := range workloads.All() {
-		f, args, mem := w.Instance(0)
-		f, err := passes.InlineAll(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		am := pm.NewManager()
-		fp, err := profile.CollectFunction(am, f, args, mem, false, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
-		}
-		var regions []*region.Region
-		for i, p := range fp.Paths {
-			if i == 4 {
-				break
-			}
-			regions = append(regions, region.FromPath(f, p))
-		}
-		for _, br := range region.BuildBraids(fp, 4) {
-			regions = append(regions, &br.Region)
-			regions = append(regions, &region.BuildHyperblock(am, fp, br.Entry, 0.1).Region)
-		}
-		for _, r := range regions {
+	frames := 0
+	var sc Scratch
+	for _, pr := range corpus.Profiles(t) {
+		for _, r := range corpusRegions(pr.AM, pr.FP) {
 			for _, opts := range allOpts {
-				got, err := Build(am, r, opts)
-				want, werr := referenceBuild(am, r, opts)
+				got, err := Build(pr.AM, r, opts, &sc)
+				want, def, werr := referenceBuild(pr.AM, r, opts)
 				if (err == nil) != (werr == nil) {
-					t.Fatalf("%s %s: error %v, want %v", w.Name, r.Kind, err, werr)
+					t.Fatalf("%s %s: error %v, want %v", pr.Name, r.Kind, err, werr)
 				}
 				if err != nil {
 					continue
 				}
+				frames++
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s %s %+v: frame differs from the reference", w.Name, r.Kind, opts)
+					t.Fatalf("%s %s %+v: frame differs from the reference", pr.Name, r.Kind, opts)
+				}
+				if r.Kind == region.KindPath {
+					for _, unroll := range []int{2, 3} {
+						checkExpandLikeReference(t, pr.Name, got, want, def, unroll)
+					}
 				}
 			}
 		}
+	}
+	if frames < 1000 {
+		t.Fatalf("only %d frames compared", frames)
+	}
+}
+
+func checkExpandLikeReference(t *testing.T, name string, fr, ref *Frame, def map[ir.Reg]int, unroll int) {
+	t.Helper()
+	got, err := Expand(fr, unroll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantDef, err := referenceExpand(ref, def, unroll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Carried) != len(want.Carried) {
+		t.Fatalf("%s: expanded x%d frame has %d carried pairs, want %d", name, unroll, len(got.Carried), len(want.Carried))
+	}
+	for i, cp := range got.Carried {
+		next, ok := wantDef[cp.Next]
+		if !ok {
+			next = -1
+		}
+		if w := want.Carried[i]; cp.Phi != w.Phi || cp.Next != w.Next || cp.NextOp != next {
+			t.Fatalf("%s: expanded x%d carried pair %+v, want %+v producing op %d", name, unroll, cp, w, next)
+		}
+	}
+	g, w := *got, *want
+	g.Carried, w.Carried = nil, nil
+	if !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: expanded x%d frame differs from the reference", name, unroll)
 	}
 }

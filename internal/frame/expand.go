@@ -26,6 +26,7 @@ func Expand(fr *Frame, unroll int) (*Frame, error) {
 	if unroll == 1 {
 		return fr, nil
 	}
+	n := len(fr.Ops)
 	out := &Frame{
 		Region:        fr.Region,
 		LiveIn:        fr.LiveIn,
@@ -36,19 +37,17 @@ func Expand(fr *Frame, unroll int) (*Frame, error) {
 		Stores:        fr.Stores * unroll,
 		UndoOps:       fr.UndoOps * unroll,
 		HoistedMemOps: fr.HoistedMemOps * unroll,
-		Carried:       fr.Carried,
 		Unroll:        unroll,
-		Def:           make(map[ir.Reg]int),
 		opts:          fr.opts,
 	}
-
-	n := len(fr.Ops)
-	// carriedNext[phi] = op index (within a copy) producing the phi's next
-	// value; used to stitch copy c's phi uses to copy c-1's producer.
-	carriedNext := make(map[ir.Reg]int)
-	for _, cp := range fr.Carried {
-		if idx, ok := fr.Def[cp.Next]; ok {
-			carriedNext[cp.Phi] = idx
+	// The carried values the host reads back come from the last copy.
+	if len(fr.Carried) > 0 {
+		out.Carried = make([]CarriedPair, len(fr.Carried))
+		for i, cp := range fr.Carried {
+			if cp.NextOp >= 0 {
+				cp.NextOp += (unroll - 1) * n
+			}
+			out.Carried[i] = cp
 		}
 	}
 
@@ -62,7 +61,7 @@ func Expand(fr *Frame, unroll int) (*Frame, error) {
 			if c > 0 {
 				// Wire carried-phi uses to the previous copy's producers.
 				op.Instr.Uses(func(r ir.Reg) {
-					if prev, ok := carriedNext[r]; ok {
+					if prev := fr.carriedProducer(r); prev >= 0 {
 						nop.Deps = append(nop.Deps, (c-1)*n+prev)
 					}
 				})
@@ -70,11 +69,20 @@ func Expand(fr *Frame, unroll int) (*Frame, error) {
 			out.Ops = append(out.Ops, nop)
 		}
 	}
-	// Def maps to the last copy (the values the host reads back).
-	for r, idx := range fr.Def {
-		out.Def[r] = (unroll-1)*n + idx
-	}
 	return out, nil
+}
+
+// carriedProducer returns the op (within one copy) producing the next value
+// of carried phi r, or -1 when r is not carried or has no producing op.
+// When several pairs carry r, the last one with a producer wins.
+func (fr *Frame) carriedProducer(r ir.Reg) int {
+	prev := -1
+	for _, cp := range fr.Carried {
+		if cp.Phi == r && cp.NextOp >= 0 {
+			prev = cp.NextOp
+		}
+	}
+	return prev
 }
 
 // IterationsPerInvocation returns how many path instances one invocation of

@@ -8,6 +8,7 @@ package frame
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"needle/internal/analysis"
@@ -103,10 +104,6 @@ type Frame struct {
 	// initiation interval is bounded by the latency of these recurrences.
 	Carried []CarriedPair
 
-	// Def maps every register defined inside the frame to the index of the
-	// producing op in Ops. Cancelled phis alias their forwarded producer.
-	Def map[ir.Reg]int
-
 	// Unroll is the target-expansion factor (Section IV-A); 0 or 1 means a
 	// single path instance per invocation.
 	Unroll int
@@ -123,6 +120,43 @@ func (fr *Frame) BuildOptions() Options { return fr.opts }
 type CarriedPair struct {
 	Phi  ir.Reg
 	Next ir.Reg
+	// NextOp is the index in Ops of the op producing Next (a cancelled
+	// phi's forwarded producer), or -1 when no op of the frame does.
+	NextOp int
+}
+
+// Scratch holds the tables Build sizes by the function's register and
+// block counts: the register-to-op table, the symbolic-address tables, the
+// region's live-value sets, and the control dependences predicated frames
+// read. Build refills them in place, so framing several regions of one
+// function through one Scratch sizes them once; a region of another
+// function resizes them. A Scratch is not safe for concurrent use. The
+// zero value is ready to use.
+type Scratch struct {
+	f        *ir.Function // the function the tables below describe
+	live     region.LiveSets
+	defIdx   []int32 // register -> producing op index, -1 for none
+	addrs    addrTable
+	loads    []int       // loads emitted since the last store
+	ctrl     controllers // of f; off is nil until a predicated frame needs it
+	branchOp []int32     // by Block.Index: the op of the block's branch, or -1
+}
+
+// use points the scratch at f, dropping the tables of another function.
+func (sc *Scratch) use(f *ir.Function) {
+	if sc.f != f {
+		sc.f = f
+		sc.ctrl = controllers{}
+	}
+}
+
+// resized returns s with length n, reusing its storage when it has room.
+// The contents are unspecified.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Build constructs the offload unit for a region. Path and braid regions
@@ -133,8 +167,10 @@ type CarriedPair struct {
 // log — the design Needle's software speculation is compared against.
 // Superblocks have multiple exits with a single flow of control and cannot
 // be framed. Liveness and control-dependence facts are served by am (nil
-// for a one-shot manager).
-func Build(am *pm.Manager, r *region.Region, opts Options) (*Frame, error) {
+// for a one-shot manager). A caller framing several regions of one
+// function passes one Scratch as sc to every call; without it Build uses a
+// fresh one.
+func Build(am *pm.Manager, r *region.Region, opts Options, sc ...*Scratch) (*Frame, error) {
 	am = pm.Ensure(am)
 	predicated := r.Kind == region.KindHyperblock
 	if r.Kind != region.KindPath && r.Kind != region.KindBraid && !predicated {
@@ -159,34 +195,33 @@ func Build(am *pm.Manager, r *region.Region, opts Options) (*Frame, error) {
 	if opts.UndoOpsPerStore < 0 {
 		opts.UndoOpsPerStore = 0
 	}
+	s := new(Scratch)
+	if len(sc) > 0 && sc[0] != nil {
+		s = sc[0]
+	}
+	s.use(r.F)
 	fr := &Frame{Region: r, opts: opts}
 
-	numRegs := r.F.NumRegs()
-	liveIn, liveOut := r.LiveValues(am)
+	r.LiveValues(am, &s.live)
 	// Entry phis become frame arguments: their destinations join the
 	// live-in set and their incoming operands (already counted live-in by
 	// the region analysis) are what the host marshals.
-	seen := analysis.NewRegSet(numRegs)
-	if n := len(liveIn) + len(r.Entry.Phis()); n > 0 {
+	liveIn := s.live.In
+	if n := liveIn.Len() + len(r.Entry.Phis()); n > 0 {
 		fr.LiveIn = make([]ir.Reg, 0, n)
-	}
-	for _, reg := range liveIn {
-		if !seen.Has(reg) {
-			seen.Add(reg)
-			fr.LiveIn = append(fr.LiveIn, reg)
+		liveIn.ForEach(func(reg ir.Reg) { fr.LiveIn = append(fr.LiveIn, reg) })
+		for _, phi := range r.Entry.Phis() {
+			if !liveIn.Has(phi.Dst) {
+				liveIn.Add(phi.Dst)
+				fr.LiveIn = append(fr.LiveIn, phi.Dst)
+			}
 		}
 	}
-	for _, phi := range r.Entry.Phis() {
-		if !seen.Has(phi.Dst) {
-			seen.Add(phi.Dst)
-			fr.LiveIn = append(fr.LiveIn, phi.Dst)
-		}
-	}
-	fr.LiveOut = liveOut
+	fr.LiveOut = s.live.Out.Regs()
 
-	// Linearize the region into dataflow ops. Sizing the op list and the
-	// def map up front (region instructions plus undo-log headroom) keeps
-	// the emit loop from repeatedly regrowing both.
+	// Linearize the region into dataflow ops. Sizing the op list up front
+	// (region instructions plus undo-log headroom) keeps the emit loop from
+	// repeatedly regrowing it.
 	nInstr, nStore, nLoad, nArgs := 0, 0, 0, 0
 	for _, blk := range r.Blocks {
 		nInstr += len(blk.Instrs)
@@ -202,14 +237,14 @@ func Build(am *pm.Manager, r *region.Region, opts Options) (*Frame, error) {
 	}
 	fr.Ops = make([]Op, 0, nInstr+nStore*opts.UndoOpsPerStore+8)
 	// Register -> producing op index, dense over the function's register
-	// space for the emit loop (every use probes it); the exported map view
-	// is materialized once at the end.
-	defIdx := make([]int32, numRegs+1)
+	// space: every use probes it.
+	s.defIdx = resized(s.defIdx, r.F.NumRegs()+1)
+	defIdx := s.defIdx
 	for i := range defIdx {
 		defIdx[i] = -1
 	}
 	lastStore := -1
-	loadsSinceStore := make([]int, 0, nLoad)
+	loadsSinceStore := slices.Grow(s.loads[:0], nLoad)
 	lastGuard := -1
 
 	// Static memory disambiguation for the conservative ordering: two
@@ -217,7 +252,10 @@ func Build(am *pm.Manager, r *region.Region, opts Options) (*Frame, error) {
 	// same base register plus different constant offsets (or two different
 	// constants). Symbolic addresses are recovered by walking Add/Const
 	// chains in the region.
-	addrOf := buildAddrMap(r)
+	addrOf := &s.addrs
+	if opts.Ordering == MemConservative {
+		addrOf.build(r)
+	}
 	mayAlias := func(a, b ir.Reg) bool {
 		ka, oka := addrOf.get(a)
 		kb, okb := addrOf.get(b)
@@ -236,8 +274,12 @@ func Build(am *pm.Manager, r *region.Region, opts Options) (*Frame, error) {
 	var ctrl controllers
 	var branchOpIdx []int32 // by Block.Index: the op of the block's branch, or -1
 	if predicated {
-		ctrl = controllersOf(r.F, am.ControlDependents(r.F))
-		branchOpIdx = make([]int32, len(r.F.Blocks))
+		if s.ctrl.off == nil {
+			s.ctrl = controllersOf(r.F, am.ControlDependents(r.F))
+		}
+		ctrl = s.ctrl
+		s.branchOp = resized(s.branchOp, len(r.F.Blocks))
+		branchOpIdx = s.branchOp
 		for i := range branchOpIdx {
 			branchOpIdx[i] = -1
 		}
@@ -372,24 +414,12 @@ func Build(am *pm.Manager, r *region.Region, opts Options) (*Frame, error) {
 			}
 		}
 	}
-
-	fr.Def = make(map[ir.Reg]int, nInstr)
-	for reg, idx := range defIdx {
-		if idx >= 0 {
-			fr.Def[ir.Reg(reg)] = int(idx)
-		}
-	}
+	s.loads = loadsSinceStore
 
 	// Loop-carried recurrences: entry phis whose incoming value is defined
-	// inside the region (arriving over a back edge from a region block).
-	defsIn := analysis.NewRegSet(numRegs)
-	for _, blk := range r.Blocks {
-		for _, in := range blk.Instrs {
-			if in.Op.HasDest() {
-				defsIn.Add(in.Dst)
-			}
-		}
-	}
+	// inside the region (arriving over a back edge from a region block),
+	// each with the op producing it.
+	defsIn := s.live.Defs
 	nCarried := 0
 	for _, phi := range r.Entry.Phis() {
 		for _, a := range phi.Args {
@@ -403,7 +433,7 @@ func Build(am *pm.Manager, r *region.Region, opts Options) (*Frame, error) {
 		for _, phi := range r.Entry.Phis() {
 			for _, a := range phi.Args {
 				if defsIn.Has(a) {
-					fr.Carried = append(fr.Carried, CarriedPair{Phi: phi.Dst, Next: a})
+					fr.Carried = append(fr.Carried, CarriedPair{Phi: phi.Dst, Next: a, NextOp: int(defIdx[a])})
 				}
 			}
 		}
@@ -418,7 +448,7 @@ func Build(am *pm.Manager, r *region.Region, opts Options) (*Frame, error) {
 	} else if r.Kind == region.KindPath {
 		fr.HoistedMemOps = r.NumMemOps()
 	} else {
-		fr.HoistedMemOps = r.NumMemOps() - braidDependentMemOps(r)
+		fr.HoistedMemOps = r.NumMemOps() - r.BranchMemDeps()
 	}
 	return fr, nil
 }
@@ -466,8 +496,10 @@ type symAddr struct {
 }
 
 // addrTable holds recovered symbolic addresses, dense over the function's
-// register space: have[r] marks registers whose address is known.
+// register space: have[r] marks registers whose address is known, and
+// defs[r] is r's defining instruction inside the region.
 type addrTable struct {
+	defs []*ir.Instr
 	addr []symAddr
 	have []bool
 }
@@ -479,66 +511,70 @@ func (t *addrTable) get(r ir.Reg) (symAddr, bool) {
 	return t.addr[r], t.have[r]
 }
 
-// buildAddrMap recovers symbolic addresses for registers defined in the
-// region by folding Add-with-constant and Const chains. Registers whose
-// value cannot be expressed as base+constant are simply absent.
-func buildAddrMap(r *region.Region) *addrTable {
+// build recovers symbolic addresses for the address operands of the
+// region's memory operations by folding Add-with-constant and Const chains,
+// refilling the tables in place. Registers whose value cannot be expressed
+// as base+constant are simply absent.
+func (t *addrTable) build(r *region.Region) {
 	n := r.F.NumRegs() + 1
-	defs := make([]*ir.Instr, n)
+	t.defs, t.addr, t.have = resized(t.defs, n), resized(t.addr, n), resized(t.have, n)
+	clear(t.defs)
+	clear(t.have)
 	for _, b := range r.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op.HasDest() {
-				defs[in.Dst] = in
+				t.defs[in.Dst] = in
 			}
 		}
-	}
-	t := &addrTable{addr: make([]symAddr, n), have: make([]bool, n)}
-	set := func(reg ir.Reg, a symAddr) (symAddr, bool) {
-		t.addr[reg] = a
-		t.have[reg] = true
-		return a, true
-	}
-	var walk func(reg ir.Reg, depth int) (symAddr, bool)
-	walk = func(reg ir.Reg, depth int) (symAddr, bool) {
-		if t.have[reg] {
-			return t.addr[reg], true
-		}
-		if depth > 16 {
-			return symAddr{}, false
-		}
-		in := defs[reg]
-		if in == nil {
-			// Defined outside the region: itself a base.
-			return set(reg, symAddr{base: reg})
-		}
-		switch in.Op {
-		case ir.OpConst:
-			return set(reg, symAddr{base: ir.NoReg, off: in.Imm})
-		case ir.OpAdd:
-			// base + const (either order).
-			for i := 0; i < 2; i++ {
-				if c, ok := walk(in.Args[i], depth+1); ok && c.base == ir.NoReg {
-					if b, ok := walk(in.Args[1-i], depth+1); ok {
-						return set(reg, symAddr{base: b.base, off: b.off + c.off})
-					}
-				}
-			}
-		case ir.OpCopy:
-			if a, ok := walk(in.Args[0], depth+1); ok {
-				return set(reg, a)
-			}
-		}
-		// Opaque computation: treat the register itself as a fresh base.
-		return set(reg, symAddr{base: reg})
 	}
 	for _, b := range r.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op.IsMemory() {
-				walk(in.Args[0], 0)
+				t.walk(in.Args[0], 0)
 			}
 		}
 	}
-	return t
+}
+
+func (t *addrTable) set(reg ir.Reg, a symAddr) (symAddr, bool) {
+	t.addr[reg] = a
+	t.have[reg] = true
+	return a, true
+}
+
+// walk returns reg's symbolic address, recording it and every address the
+// chain below it resolves.
+func (t *addrTable) walk(reg ir.Reg, depth int) (symAddr, bool) {
+	if t.have[reg] {
+		return t.addr[reg], true
+	}
+	if depth > 16 {
+		return symAddr{}, false
+	}
+	in := t.defs[reg]
+	if in == nil {
+		// Defined outside the region: itself a base.
+		return t.set(reg, symAddr{base: reg})
+	}
+	switch in.Op {
+	case ir.OpConst:
+		return t.set(reg, symAddr{base: ir.NoReg, off: in.Imm})
+	case ir.OpAdd:
+		// base + const (either order).
+		for i := 0; i < 2; i++ {
+			if c, ok := t.walk(in.Args[i], depth+1); ok && c.base == ir.NoReg {
+				if b, ok := t.walk(in.Args[1-i], depth+1); ok {
+					return t.set(reg, symAddr{base: b.base, off: b.off + c.off})
+				}
+			}
+		}
+	case ir.OpCopy:
+		if a, ok := t.walk(in.Args[0], depth+1); ok {
+			return t.set(reg, a)
+		}
+	}
+	// Opaque computation: treat the register itself as a fresh base.
+	return t.set(reg, symAddr{base: reg})
 }
 
 // pathPhiIncoming returns the incoming value of a phi along a single path
@@ -560,51 +596,6 @@ func pathPhiIncoming(r *region.Region, b *ir.Block, phi *ir.Instr) ir.Reg {
 		}
 	}
 	return ir.NoReg
-}
-
-// braidDependentMemOps counts memory ops in blocks not shared by all merged
-// paths (these stay control dependent on the braid's internal IFs).
-func braidDependentMemOps(r *region.Region) int {
-	if len(r.Paths) == 0 {
-		return 0
-	}
-	// Dense per-block counters indexed by Block.Index (all blocks belong to
-	// one function, so indices are unique here).
-	maxIdx := 0
-	for _, b := range r.Blocks {
-		if b.Index > maxIdx {
-			maxIdx = b.Index
-		}
-	}
-	for _, p := range r.Paths {
-		for _, b := range p.Blocks {
-			if b.Index > maxIdx {
-				maxIdx = b.Index
-			}
-		}
-	}
-	onAll := make([]int, maxIdx+1)
-	lastSeen := make([]int, maxIdx+1)
-	for i, p := range r.Paths {
-		for _, b := range p.Blocks {
-			if lastSeen[b.Index] != i+1 {
-				lastSeen[b.Index] = i + 1
-				onAll[b.Index]++
-			}
-		}
-	}
-	n := 0
-	for _, b := range r.Blocks {
-		if onAll[b.Index] == len(r.Paths) {
-			continue
-		}
-		for _, in := range b.Instrs {
-			if in.Op.IsMemory() {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // NumOps returns the number of dataflow operations in the frame, excluding

@@ -9,15 +9,27 @@ import (
 	"needle/internal/region"
 )
 
-// referenceBuild is Build as it was before the dense-table rewrite, kept
-// as the oracle dense_test.go checks Build against. It is verbatim but for
-// its name and one adaptation: control dependences are read through
-// ControlDeps.Of in block order, where the old code ranged over a map.
-func referenceBuild(am *pm.Manager, r *region.Region, opts Options) (*Frame, error) {
+// referenceBuild is Build as it was before the frame's tables moved into a
+// reusable Scratch, kept as the oracle dense_test.go checks Build against,
+// with the two helpers it called. It is verbatim but for its names and
+// three adaptations: it reads the region's live values through
+// LiveSets, it returns the register-to-op map the Frame no longer carries
+// instead of storing it, and it fills each carried pair's NextOp from that
+// map.
+// referenceBuild constructs the offload unit for a region. Path and braid regions
+// become speculative software frames. Hyperblock regions become the
+// non-speculative predicated configuration of Figure 2's middle column:
+// branches turn into predicate computations every subsequent operation
+// depends on, memory stays conservatively ordered, and there is no undo
+// log — the design Needle's software speculation is compared against.
+// Superblocks have multiple exits with a single flow of control and cannot
+// be framed. Liveness and control-dependence facts are served by am (nil
+// for a one-shot manager).
+func referenceBuild(am *pm.Manager, r *region.Region, opts Options) (*Frame, map[ir.Reg]int, error) {
 	am = pm.Ensure(am)
 	predicated := r.Kind == region.KindHyperblock
 	if r.Kind != region.KindPath && r.Kind != region.KindBraid && !predicated {
-		return nil, fmt.Errorf("frame: cannot frame a %s region", r.Kind)
+		return nil, nil, fmt.Errorf("frame: cannot frame a %s region", r.Kind)
 	}
 	if predicated {
 		// Non-speculative execution: per-op predication, conservative
@@ -28,7 +40,7 @@ func referenceBuild(am *pm.Manager, r *region.Region, opts Options) (*Frame, err
 	for _, blk := range r.Blocks {
 		for _, in := range blk.Instrs {
 			if in.Op == ir.OpCall {
-				return nil, fmt.Errorf("frame: region in %s contains a call; inline with passes.InlineAll first", r.F.Name)
+				return nil, nil, fmt.Errorf("frame: region in %s contains a call; inline with passes.InlineAll first", r.F.Name)
 			}
 		}
 	}
@@ -41,11 +53,16 @@ func referenceBuild(am *pm.Manager, r *region.Region, opts Options) (*Frame, err
 	fr := &Frame{Region: r, opts: opts}
 
 	numRegs := r.F.NumRegs()
-	liveIn, liveOut := r.LiveValues(am)
+	var live region.LiveSets
+	r.LiveValues(am, &live)
+	liveIn, liveOut := live.In.Regs(), live.Out.Regs()
 	// Entry phis become frame arguments: their destinations join the
 	// live-in set and their incoming operands (already counted live-in by
 	// the region analysis) are what the host marshals.
 	seen := analysis.NewRegSet(numRegs)
+	if n := len(liveIn) + len(r.Entry.Phis()); n > 0 {
+		fr.LiveIn = make([]ir.Reg, 0, n)
+	}
 	for _, reg := range liveIn {
 		if !seen.Has(reg) {
 			seen.Add(reg)
@@ -85,7 +102,7 @@ func referenceBuild(am *pm.Manager, r *region.Region, opts Options) (*Frame, err
 		defIdx[i] = -1
 	}
 	lastStore := -1
-	var loadsSinceStore []int
+	loadsSinceStore := make([]int, 0, nLoad)
 	lastGuard := -1
 
 	// Static memory disambiguation for the conservative ordering: two
@@ -93,7 +110,7 @@ func referenceBuild(am *pm.Manager, r *region.Region, opts Options) (*Frame, err
 	// same base register plus different constant offsets (or two different
 	// constants). Symbolic addresses are recovered by walking Add/Const
 	// chains in the region.
-	addrOf := buildAddrMap(r)
+	addrOf := referenceBuildAddrMap(r)
 	mayAlias := func(a, b ir.Reg) bool {
 		ka, oka := addrOf.get(a)
 		kb, okb := addrOf.get(b)
@@ -109,15 +126,13 @@ func referenceBuild(am *pm.Manager, r *region.Region, opts Options) (*Frame, err
 	// For predicated frames, each op depends on the predicates of the
 	// branches its block is control dependent on — not on every preceding
 	// branch (dataflow predication resolves in parallel).
-	var ctrlOf map[*ir.Block][]*ir.Block // block -> controlling branch blocks
-	branchOpIdx := make(map[*ir.Block]int)
+	var ctrl controllers
+	var branchOpIdx []int32 // by Block.Index: the op of the block's branch, or -1
 	if predicated {
-		ctrlOf = make(map[*ir.Block][]*ir.Block)
-		cd := am.ControlDependents(r.F)
-		for _, br := range r.F.Blocks {
-			for _, dep := range cd.Of(br) {
-				ctrlOf[dep] = append(ctrlOf[dep], br)
-			}
+		ctrl = controllersOf(r.F, am.ControlDependents(r.F))
+		branchOpIdx = make([]int32, len(r.F.Blocks))
+		for i := range branchOpIdx {
+			branchOpIdx[i] = -1
 		}
 	}
 
@@ -130,7 +145,7 @@ func referenceBuild(am *pm.Manager, r *region.Region, opts Options) (*Frame, err
 	bound := nArgs
 	if predicated {
 		for _, blk := range r.Blocks {
-			bound += len(ctrlOf[blk]) * len(blk.Instrs)
+			bound += len(ctrl.of(blk)) * len(blk.Instrs)
 		}
 	} else if opts.Placement == GuardsSerialize {
 		bound += nInstr
@@ -157,9 +172,9 @@ func referenceBuild(am *pm.Manager, r *region.Region, opts Options) (*Frame, err
 			}
 		})
 		if predicated {
-			for _, br := range ctrlOf[op.Block] {
-				if idx, ok := branchOpIdx[br]; ok {
-					addDep(idx)
+			for _, br := range ctrl.of(op.Block) {
+				if idx := branchOpIdx[br.Index]; idx >= 0 {
+					addDep(int(idx))
 				}
 			}
 		} else if opts.Placement == GuardsSerialize && lastGuard >= 0 && !op.Guard {
@@ -216,7 +231,7 @@ func referenceBuild(am *pm.Manager, r *region.Region, opts Options) (*Frame, err
 				idx := emit(Op{Instr: in, Block: b, Guard: !predicated}, in)
 				lastGuard = idx
 				if predicated {
-					branchOpIdx[b] = idx
+					branchOpIdx[b.Index] = int32(idx)
 				}
 			case ir.OpBr, ir.OpRet:
 				// Control transfers disappear inside the frame.
@@ -251,10 +266,10 @@ func referenceBuild(am *pm.Manager, r *region.Region, opts Options) (*Frame, err
 		}
 	}
 
-	fr.Def = make(map[ir.Reg]int, nInstr)
+	def := make(map[ir.Reg]int, nInstr)
 	for reg, idx := range defIdx {
 		if idx >= 0 {
-			fr.Def[ir.Reg(reg)] = int(idx)
+			def[ir.Reg(reg)] = int(idx)
 		}
 	}
 
@@ -268,10 +283,25 @@ func referenceBuild(am *pm.Manager, r *region.Region, opts Options) (*Frame, err
 			}
 		}
 	}
+	nCarried := 0
 	for _, phi := range r.Entry.Phis() {
 		for _, a := range phi.Args {
 			if defsIn.Has(a) {
-				fr.Carried = append(fr.Carried, CarriedPair{Phi: phi.Dst, Next: a})
+				nCarried++
+			}
+		}
+	}
+	if nCarried > 0 {
+		fr.Carried = make([]CarriedPair, 0, nCarried)
+		for _, phi := range r.Entry.Phis() {
+			for _, a := range phi.Args {
+				if defsIn.Has(a) {
+					next, ok := def[a]
+					if !ok {
+						next = -1
+					}
+					fr.Carried = append(fr.Carried, CarriedPair{Phi: phi.Dst, Next: a, NextOp: next})
+				}
 			}
 		}
 	}
@@ -285,7 +315,175 @@ func referenceBuild(am *pm.Manager, r *region.Region, opts Options) (*Frame, err
 	} else if r.Kind == region.KindPath {
 		fr.HoistedMemOps = r.NumMemOps()
 	} else {
-		fr.HoistedMemOps = r.NumMemOps() - braidDependentMemOps(r)
+		fr.HoistedMemOps = r.NumMemOps() - referenceBraidDependentMemOps(r)
 	}
-	return fr, nil
+	return fr, def, nil
+}
+
+// referenceBuildAddrMap recovers symbolic addresses for registers defined in the
+// region by folding Add-with-constant and Const chains. Registers whose
+// value cannot be expressed as base+constant are simply absent.
+func referenceBuildAddrMap(r *region.Region) *addrTable {
+	n := r.F.NumRegs() + 1
+	defs := make([]*ir.Instr, n)
+	for _, b := range r.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op.HasDest() {
+				defs[in.Dst] = in
+			}
+		}
+	}
+	t := &addrTable{addr: make([]symAddr, n), have: make([]bool, n)}
+	set := func(reg ir.Reg, a symAddr) (symAddr, bool) {
+		t.addr[reg] = a
+		t.have[reg] = true
+		return a, true
+	}
+	var walk func(reg ir.Reg, depth int) (symAddr, bool)
+	walk = func(reg ir.Reg, depth int) (symAddr, bool) {
+		if t.have[reg] {
+			return t.addr[reg], true
+		}
+		if depth > 16 {
+			return symAddr{}, false
+		}
+		in := defs[reg]
+		if in == nil {
+			// Defined outside the region: itself a base.
+			return set(reg, symAddr{base: reg})
+		}
+		switch in.Op {
+		case ir.OpConst:
+			return set(reg, symAddr{base: ir.NoReg, off: in.Imm})
+		case ir.OpAdd:
+			// base + const (either order).
+			for i := 0; i < 2; i++ {
+				if c, ok := walk(in.Args[i], depth+1); ok && c.base == ir.NoReg {
+					if b, ok := walk(in.Args[1-i], depth+1); ok {
+						return set(reg, symAddr{base: b.base, off: b.off + c.off})
+					}
+				}
+			}
+		case ir.OpCopy:
+			if a, ok := walk(in.Args[0], depth+1); ok {
+				return set(reg, a)
+			}
+		}
+		// Opaque computation: treat the register itself as a fresh base.
+		return set(reg, symAddr{base: reg})
+	}
+	for _, b := range r.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op.IsMemory() {
+				walk(in.Args[0], 0)
+			}
+		}
+	}
+	return t
+}
+
+// referenceBraidDependentMemOps counts memory ops in blocks not shared by all merged
+// paths (these stay control dependent on the braid's internal IFs).
+func referenceBraidDependentMemOps(r *region.Region) int {
+	if len(r.Paths) == 0 {
+		return 0
+	}
+	// Dense per-block counters indexed by Block.Index (all blocks belong to
+	// one function, so indices are unique here).
+	maxIdx := 0
+	for _, b := range r.Blocks {
+		if b.Index > maxIdx {
+			maxIdx = b.Index
+		}
+	}
+	for _, p := range r.Paths {
+		for _, b := range p.Blocks {
+			if b.Index > maxIdx {
+				maxIdx = b.Index
+			}
+		}
+	}
+	onAll := make([]int, maxIdx+1)
+	lastSeen := make([]int, maxIdx+1)
+	for i, p := range r.Paths {
+		for _, b := range p.Blocks {
+			if lastSeen[b.Index] != i+1 {
+				lastSeen[b.Index] = i + 1
+				onAll[b.Index]++
+			}
+		}
+	}
+	n := 0
+	for _, b := range r.Blocks {
+		if onAll[b.Index] == len(r.Paths) {
+			continue
+		}
+		for _, in := range b.Instrs {
+			if in.Op.IsMemory() {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// referenceExpand is Expand as it was before carried pairs recorded their
+// producing op: verbatim but for its name and for taking and returning the
+// register-to-op map the Frame no longer carries.
+func referenceExpand(fr *Frame, def map[ir.Reg]int, unroll int) (*Frame, map[ir.Reg]int, error) {
+	if unroll < 1 {
+		return nil, nil, fmt.Errorf("frame: unroll factor %d out of range", unroll)
+	}
+	if unroll == 1 {
+		return fr, def, nil
+	}
+	out := &Frame{
+		Region:        fr.Region,
+		LiveIn:        fr.LiveIn,
+		LiveOut:       fr.LiveOut,
+		Guards:        fr.Guards * unroll,
+		Selects:       fr.Selects * unroll,
+		Cancelled:     fr.Cancelled * unroll,
+		Stores:        fr.Stores * unroll,
+		UndoOps:       fr.UndoOps * unroll,
+		HoistedMemOps: fr.HoistedMemOps * unroll,
+		Carried:       fr.Carried,
+		Unroll:        unroll,
+		opts:          fr.opts,
+	}
+
+	n := len(fr.Ops)
+	// carriedNext[phi] = op index (within a copy) producing the phi's next
+	// value; used to stitch copy c's phi uses to copy c-1's producer.
+	carriedNext := make(map[ir.Reg]int)
+	for _, cp := range fr.Carried {
+		if idx, ok := def[cp.Next]; ok {
+			carriedNext[cp.Phi] = idx
+		}
+	}
+
+	for c := 0; c < unroll; c++ {
+		base := c * n
+		for _, op := range fr.Ops {
+			nop := Op{Instr: op.Instr, Block: op.Block, Guard: op.Guard, Select: op.Select}
+			for _, d := range op.Deps {
+				nop.Deps = append(nop.Deps, base+d)
+			}
+			if c > 0 {
+				// Wire carried-phi uses to the previous copy's producers.
+				op.Instr.Uses(func(r ir.Reg) {
+					if prev, ok := carriedNext[r]; ok {
+						nop.Deps = append(nop.Deps, (c-1)*n+prev)
+					}
+				})
+			}
+			out.Ops = append(out.Ops, nop)
+		}
+	}
+	// Def maps to the last copy (the values the host reads back).
+	outDef := make(map[ir.Reg]int)
+	for r, idx := range def {
+		outDef[r] = (unroll-1)*n + idx
+	}
+	return out, outDef, nil
 }

@@ -470,9 +470,13 @@ type RunOptions struct {
 // stage always evaluates fresh against the (possibly shared) upstream
 // artifacts. Output is byte-identical whichever tier the artifacts come
 // from. With a Ctx, the run stops between stages once the context is done
-// and returns its error.
+// and returns its error. A hardware config that fails sim.Config.Check is
+// rejected before any stage runs.
 func Run(p *program.Program, cfg Config, opts RunOptions) (*Artifacts, error) {
 	cfg = cfg.WithDefaults()
+	if err := cfg.Sim.Check(); err != nil {
+		return nil, err
+	}
 	sp := opts.Parent.Child("analyze " + p.Name)
 	defer sp.End()
 	obsRuns.Add(1)

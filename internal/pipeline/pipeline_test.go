@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"needle/internal/program"
+	"needle/internal/sim"
 	"needle/internal/workloads"
 )
 
@@ -268,5 +269,21 @@ func TestRunCtxCancelsBetweenStages(t *testing.T) {
 	}
 	if arts.Target == nil || arts.Frame == nil {
 		t.Fatal("post-cancellation run incomplete")
+	}
+}
+
+// TestRunRejectsInvalidConfig: a hardware config sim.Config.Check rejects
+// fails Run with sim.ErrConfig before any stage runs, so the CLI reports
+// it as a plain error instead of spinning in the CGRA scheduler.
+func TestRunRejectsInvalidConfig(t *testing.T) {
+	p := prog(t, workloads.ByName("164.gzip"), 600)
+	cfg := DefaultConfig()
+	cfg.Sim.CGRA.MemPorts = 0
+	cache := NewCache()
+	if _, err := Run(p, cfg, RunOptions{Store: cache}); !errors.Is(err, sim.ErrConfig) {
+		t.Fatalf("Run with no memory ports: %v, want sim.ErrConfig", err)
+	}
+	if n := cache.Len(); n != 0 {
+		t.Fatalf("rejected run memoized %d artifacts", n)
 	}
 }

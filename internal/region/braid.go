@@ -1,7 +1,8 @@
 package region
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"needle/internal/ir"
 	"needle/internal/profile"
@@ -26,7 +27,8 @@ type Braid struct {
 	IFs int
 }
 
-// braidKey groups paths by (entry block, exit block).
+// braidKey groups paths by (entry block, exit block); path trees group by
+// entry alone, with exit -1.
 type braidKey struct{ entry, exit int }
 
 // BuildBraids merges every executed path of the profile into braids keyed by
@@ -35,29 +37,68 @@ type braidKey struct{ entry, exit int }
 // the paper merges all overlapping hot paths, which is the default used by
 // the pipeline.
 func BuildBraids(fp *profile.FunctionProfile, maxPaths int) []*Braid {
-	groups := make(map[braidKey][]*profile.Path)
-	var order []braidKey
-	// fp.Paths is already ranked by weight, so each group's slice is too.
-	for _, p := range fp.Paths {
+	return mergeGroups(fp, groupPaths(fp, maxPaths, func(p *profile.Path) braidKey {
+		return braidKey{p.Blocks[0].Index, p.Blocks[len(p.Blocks)-1].Index}
+	}))
+}
+
+// groupPaths groups fp's executed paths by key, in the order of each
+// group's first path, keeping at most maxPaths (<= 0: all) per group.
+// fp.Paths is ranked by weight, so each group is too. A counting pass
+// sizes the groups, which are then filled as windows of one arena.
+func groupPaths(fp *profile.FunctionProfile, maxPaths int, key func(*profile.Path) braidKey) [][]*profile.Path {
+	ids := make(map[braidKey]int32)
+	gid := make([]int32, len(fp.Paths)) // each path's group, -1 when left out
+	var count []int32
+	total := 0
+	for i, p := range fp.Paths {
+		gid[i] = -1
 		if len(p.Blocks) == 0 {
 			continue
 		}
-		k := braidKey{p.Blocks[0].Index, p.Blocks[len(p.Blocks)-1].Index}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+		k := key(p)
+		g, ok := ids[k]
+		if !ok {
+			g = int32(len(count))
+			ids[k] = g
+			count = append(count, 0)
 		}
-		if maxPaths > 0 && len(groups[k]) >= maxPaths {
+		if maxPaths > 0 && int(count[g]) >= maxPaths {
 			continue
 		}
-		groups[k] = append(groups[k], p)
+		count[g]++
+		gid[i] = g
+		total++
 	}
+	groups := make([][]*profile.Path, len(count))
+	arena := make([]*profile.Path, total)
+	off := 0
+	for g, c := range count {
+		groups[g] = arena[off : off : off+int(c)]
+		off += int(c)
+	}
+	for i, p := range fp.Paths {
+		if g := gid[i]; g >= 0 {
+			groups[g] = append(groups[g], p)
+		}
+	}
+	return groups
+}
 
-	braids := make([]*Braid, 0, len(order))
-	for _, k := range order {
-		braids = append(braids, buildBraid(fp, groups[k]))
+// mergeGroups merges each group of paths into one braid, ranked by weight
+// descending (stable). The braids and their membership tables are windows
+// of two arenas.
+func mergeGroups(fp *profile.FunctionProfile, groups [][]*profile.Path) []*Braid {
+	n := len(fp.F.Blocks)
+	arena := make([]Braid, len(groups))
+	in := make([]bool, len(groups)*n)
+	braids := make([]*Braid, len(groups))
+	for i, g := range groups {
+		buildBraid(fp, g, &arena[i], in[i*n:(i+1)*n:(i+1)*n])
+		braids[i] = &arena[i]
 	}
-	sort.SliceStable(braids, func(i, j int) bool {
-		return braidWeight(braids[i]) > braidWeight(braids[j])
+	slices.SortStableFunc(braids, func(a, b *Braid) int {
+		return cmp.Compare(braidWeight(b), braidWeight(a))
 	})
 	return braids
 }
@@ -70,10 +111,11 @@ func braidWeight(b *Braid) int64 {
 	return w
 }
 
-func buildBraid(fp *profile.FunctionProfile, paths []*profile.Path) *Braid {
+// buildBraid merges paths into br, marking its blocks in in, a zeroed
+// table of one entry per block of fp.F that br keeps.
+func buildBraid(fp *profile.FunctionProfile, paths []*profile.Path, br *Braid, in []bool) {
 	entry := paths[0].Blocks[0]
 	exit := paths[0].Blocks[len(paths[0].Blocks)-1]
-	in := make([]bool, len(fp.F.Blocks)) // membership by Block.Index
 	n := 0
 	for _, p := range paths {
 		for _, b := range p.Blocks {
@@ -98,12 +140,11 @@ func buildBraid(fp *profile.FunctionProfile, paths []*profile.Path) *Braid {
 		blocks = append(blocks, exit)
 	}
 
-	br := &Braid{Region: *newRegion(fp.F, KindBraid, blocks)}
+	*br = Braid{Region: newRegion(fp.F, KindBraid, blocks, in)}
 	br.Entry = entry
 	br.Exit = exit
 	br.Paths = paths
 	br.classifyBranches(in)
-	return br
 }
 
 // classifyBranches splits the braid's conditional branches into guards and
@@ -135,39 +176,6 @@ func (br *Braid) classifyBranches(in []bool) {
 // MergedPathCount returns how many paths were merged into the braid.
 func (br *Braid) MergedPathCount() int { return len(br.Paths) }
 
-// BranchMemDeps counts memory operations in the braid that remain
-// control-dependent on an internal IF: memory ops in blocks that are not
-// on every merged path (Section IV-B "Braids enable memory speculation").
-// Memory ops in common blocks become control independent once the guards
-// speculate the region as a unit.
-func (br *Braid) BranchMemDeps() int {
-	if len(br.Paths) == 0 {
-		return 0
-	}
-	common := make(map[*ir.Block]int)
-	for _, p := range br.Paths {
-		seen := make(map[*ir.Block]bool)
-		for _, b := range p.Blocks {
-			if !seen[b] {
-				seen[b] = true
-				common[b]++
-			}
-		}
-	}
-	n := 0
-	for _, b := range br.Blocks {
-		if common[b] == len(br.Paths) {
-			continue // on every path: control independent after framing
-		}
-		for _, in := range b.Instrs {
-			if in.Op.IsMemory() {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // BuildPathTrees implements the DySER-style merge policy the paper
 // contrasts braids with (Section IV-B "Relationship to Hyperblocks,
 // Path-Trees"): paths are grouped by shared *entry only*, so a tree may
@@ -175,40 +183,24 @@ func (br *Braid) BranchMemDeps() int {
 // property that forces extra live-out plumbing and makes the paper prefer
 // braids. Returned trees are ranked by total weight.
 func BuildPathTrees(fp *profile.FunctionProfile, maxPaths int) []*Braid {
-	groups := make(map[int][]*profile.Path)
-	var order []int
-	for _, p := range fp.Paths {
-		if len(p.Blocks) == 0 {
-			continue
-		}
-		k := p.Blocks[0].Index
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		if maxPaths > 0 && len(groups[k]) >= maxPaths {
-			continue
-		}
-		groups[k] = append(groups[k], p)
-	}
-	trees := make([]*Braid, 0, len(order))
-	for _, k := range order {
-		trees = append(trees, buildBraid(fp, groups[k]))
-	}
-	sort.SliceStable(trees, func(i, j int) bool {
-		return braidWeight(trees[i]) > braidWeight(trees[j])
-	})
-	return trees
+	return mergeGroups(fp, groupPaths(fp, maxPaths, func(p *profile.Path) braidKey {
+		return braidKey{p.Blocks[0].Index, -1}
+	}))
 }
 
 // LiveOutSpread returns how many distinct exit blocks a merged region's
 // constituent paths end at: 1 for braids by construction, possibly more
 // for path trees (each exit implies its own live-out set).
 func (br *Braid) LiveOutSpread() int {
-	exits := make(map[*ir.Block]bool)
+	seen := make([]bool, len(br.F.Blocks)) // exit blocks by Block.Index
+	n := 0
 	for _, p := range br.Paths {
 		if len(p.Blocks) > 0 {
-			exits[p.Blocks[len(p.Blocks)-1]] = true
+			if e := p.Blocks[len(p.Blocks)-1]; !seen[e.Index] {
+				seen[e.Index] = true
+				n++
+			}
 		}
 	}
-	return len(exits)
+	return n
 }

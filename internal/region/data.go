@@ -41,7 +41,9 @@ func BraidFromData(fp *profile.FunctionProfile, d BraidData) (*Braid, error) {
 		}
 		paths[i] = p
 	}
-	return buildBraid(fp, paths), nil
+	br := new(Braid)
+	buildBraid(fp, paths, br, make([]bool, len(fp.F.Blocks)))
+	return br, nil
 }
 
 // Append appends d in its positional layout: the path IDs as a uvarint

@@ -63,8 +63,10 @@ func buildHyperblock(am *pm.Manager, fp *profile.FunctionProfile, entry *ir.Bloc
 	dom := pm.Ensure(am).Dominators(f)
 	isBack := func(u, v *ir.Block) bool { return dom.Dominates(v, u) }
 
-	set := map[*ir.Block]bool{entry: true}
-	order := []*ir.Block{entry}
+	set := make([]bool, len(f.Blocks)) // region membership by Block.Index
+	set[entry.Index] = true
+	order := make([]*ir.Block, 1, len(f.Blocks))
+	order[0] = entry
 	tailDup := 0
 	// Iterate to a fixed point: a successor is admitted once all its forward
 	// predecessors are in the region.
@@ -73,7 +75,7 @@ func buildHyperblock(am *pm.Manager, fp *profile.FunctionProfile, entry *ir.Bloc
 		for i := 0; i < len(order); i++ {
 			b := order[i]
 			for _, s := range b.Succs() {
-				if set[s] || isBack(b, s) || s == entry {
+				if set[s.Index] || isBack(b, s) || s == entry {
 					continue
 				}
 				if includeFraction > 0 &&
@@ -85,7 +87,7 @@ func buildHyperblock(am *pm.Manager, fp *profile.FunctionProfile, entry *ir.Bloc
 					if isBack(p, s) {
 						continue
 					}
-					if !set[p] {
+					if !set[p.Index] {
 						allIn = false
 						break
 					}
@@ -95,7 +97,7 @@ func buildHyperblock(am *pm.Manager, fp *profile.FunctionProfile, entry *ir.Bloc
 				}
 				// Never grow past a returning block's successors implicitly;
 				// returning blocks simply have none.
-				set[s] = true
+				set[s.Index] = true
 				order = append(order, s)
 				changed = true
 			}
@@ -104,7 +106,7 @@ func buildHyperblock(am *pm.Manager, fp *profile.FunctionProfile, entry *ir.Bloc
 	// Count tail-duplication candidates: blocks with at least one forward
 	// predecessor inside and at least one outside.
 	for _, b := range f.Blocks {
-		if set[b] {
+		if set[b.Index] {
 			continue
 		}
 		in, out := false, false
@@ -112,7 +114,7 @@ func buildHyperblock(am *pm.Manager, fp *profile.FunctionProfile, entry *ir.Bloc
 			if isBack(p, b) {
 				continue
 			}
-			if set[p] {
+			if set[p.Index] {
 				in = true
 			} else {
 				out = true
@@ -123,7 +125,7 @@ func buildHyperblock(am *pm.Manager, fp *profile.FunctionProfile, entry *ir.Bloc
 		}
 	}
 
-	hb := &Hyperblock{Region: *newRegion(f, KindHyperblock, order), TailDup: tailDup, ColdFraction: coldFraction}
+	hb := &Hyperblock{Region: newRegion(f, KindHyperblock, order, set), TailDup: tailDup, ColdFraction: coldFraction}
 	hb.Entry = entry
 	hb.Exit = order[len(order)-1]
 
@@ -132,7 +134,7 @@ func buildHyperblock(am *pm.Manager, fp *profile.FunctionProfile, entry *ir.Bloc
 	for _, b := range order {
 		t := b.Term()
 		if t != nil && t.Op == ir.OpCondBr {
-			bothIn := set[t.Blocks[0]] && set[t.Blocks[1]] &&
+			bothIn := set[t.Blocks[0].Index] && set[t.Blocks[1].Index] &&
 				!isBack(b, t.Blocks[0]) && !isBack(b, t.Blocks[1])
 			if bothIn {
 				hb.PredBits++

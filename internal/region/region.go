@@ -44,19 +44,25 @@ type Region struct {
 	F      *ir.Function
 	Kind   Kind
 	Blocks []*ir.Block
-	Set    map[*ir.Block]bool
 	Entry  *ir.Block
 	Exit   *ir.Block
 
 	// Paths holds the constituent profiled paths (BL-Path and Braid kinds).
 	Paths []*profile.Path
+
+	in []bool // membership by Block.Index
 }
 
-func newRegion(f *ir.Function, kind Kind, blocks []*ir.Block) *Region {
-	r := &Region{F: f, Kind: kind, Blocks: blocks, Set: make(map[*ir.Block]bool, len(blocks))}
-	for _, b := range blocks {
-		r.Set[b] = true
+// newRegion assembles a region of f over blocks. in marks the members by
+// Block.Index when the builder already has that table; nil builds it.
+func newRegion(f *ir.Function, kind Kind, blocks []*ir.Block, in []bool) Region {
+	if in == nil {
+		in = make([]bool, len(f.Blocks))
+		for _, b := range blocks {
+			in[b.Index] = true
+		}
 	}
+	r := Region{F: f, Kind: kind, Blocks: blocks, in: in}
 	if len(blocks) > 0 {
 		r.Entry = blocks[0]
 		r.Exit = blocks[len(blocks)-1]
@@ -64,8 +70,8 @@ func newRegion(f *ir.Function, kind Kind, blocks []*ir.Block) *Region {
 	return r
 }
 
-// Contains reports whether the region includes b.
-func (r *Region) Contains(b *ir.Block) bool { return r.Set[b] }
+// Contains reports whether the region includes b, a block of r.F.
+func (r *Region) Contains(b *ir.Block) bool { return b.Index < len(r.in) && r.in[b.Index] }
 
 // NumOps returns the number of non-terminator instructions in the region
 // (the "#Ins." columns of Tables II and IV).
@@ -118,14 +124,23 @@ func (r *Region) PhiCancel() int {
 	return n
 }
 
+// LiveSets holds a region's live values as register bitsets: Defs are the
+// registers the region defines, In its live-ins and Out its live-outs.
+// LiveValues refills them in place, so one LiveSets serves every region of
+// a function without reallocating. The zero value is ready to use.
+type LiveSets struct {
+	Defs, In, Out analysis.RegSet
+}
+
 // LiveValues computes the live-in and live-out registers of the region
-// (the ↓,↑ columns): live-ins are registers read inside the region but
-// defined outside it (parameters included); live-outs are registers defined
-// inside the region that are consumed after it. Function liveness is served
-// by am (nil for a one-shot manager).
-func (r *Region) LiveValues(am *pm.Manager) (liveIn, liveOut []ir.Reg) {
+// (the ↓,↑ columns) into s: live-ins are registers read inside the region
+// but defined outside it (parameters included); live-outs are registers
+// defined inside the region that are consumed after it. Function liveness
+// is served by am (nil for a one-shot manager).
+func (r *Region) LiveValues(am *pm.Manager, s *LiveSets) {
 	nr := r.F.NumRegs()
-	defsIn := analysis.NewRegSet(nr)
+	s.Defs, s.In, s.Out = s.Defs.Reset(nr), s.In.Reset(nr), s.Out.Reset(nr)
+	defsIn, inSet, outSet := s.Defs, s.In, s.Out
 	for _, b := range r.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op.HasDest() {
@@ -133,7 +148,6 @@ func (r *Region) LiveValues(am *pm.Manager) (liveIn, liveOut []ir.Reg) {
 			}
 		}
 	}
-	inSet := analysis.NewRegSet(nr)
 	for _, b := range r.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpPhi && b == r.Entry {
@@ -156,13 +170,12 @@ func (r *Region) LiveValues(am *pm.Manager) (liveIn, liveOut []ir.Reg) {
 	}
 
 	lv := pm.Ensure(am).Liveness(r.F)
-	outSet := analysis.NewRegSet(nr)
 	// A region-defined value is live-out if it is live on any edge leaving
 	// the region (including the exit block's successors): word-AND the
 	// successor's live-in set against the region's defs.
 	for _, b := range r.Blocks {
 		for _, s := range b.Succs() {
-			if r.Set[s] && b != r.Exit {
+			if r.Contains(s) && b != r.Exit {
 				continue
 			}
 			for w, v := range lv.In[s.Index] {
@@ -182,22 +195,57 @@ func (r *Region) LiveValues(am *pm.Manager) (liveIn, liveOut []ir.Reg) {
 	if t := r.Exit.Term(); t != nil && t.Op == ir.OpRet && len(t.Args) == 1 && defsIn.Has(t.Args[0]) {
 		outSet.Add(t.Args[0])
 	}
+}
 
-	return inSet.Regs(), outSet.Regs()
+// BranchMemDeps counts the region's memory operations that stay control
+// dependent on an internal IF: those in blocks not on every constituent
+// path (Section IV-B "Braids enable memory speculation"). Memory ops in
+// blocks common to all paths become control independent once the guards
+// speculate the region as a unit. A region without paths counts none.
+func (r *Region) BranchMemDeps() int {
+	if len(r.Paths) == 0 {
+		return 0
+	}
+	// onAll[i] counts the paths through block i; last[i] is the 1-based
+	// number of the last path that counted it.
+	n := len(r.F.Blocks)
+	t := make([]int32, 2*n)
+	onAll, last := t[:n], t[n:]
+	for i, p := range r.Paths {
+		for _, b := range p.Blocks {
+			if last[b.Index] != int32(i+1) {
+				last[b.Index] = int32(i + 1)
+				onAll[b.Index]++
+			}
+		}
+	}
+	deps := 0
+	for _, b := range r.Blocks {
+		if int(onAll[b.Index]) == len(r.Paths) {
+			continue // on every path: control independent after framing
+		}
+		for _, in := range b.Instrs {
+			if in.Op.IsMemory() {
+				deps++
+			}
+		}
+	}
+	return deps
 }
 
 // FromBlock builds a single-basic-block region: the offload granularity of
 // the compound-function-unit designs in Figure 2's first column (BERET-like
 // accelerators that terminate fusion at branches).
 func FromBlock(f *ir.Function, b *ir.Block) *Region {
-	return newRegion(f, KindPath, []*ir.Block{b})
+	r := newRegion(f, KindPath, []*ir.Block{b}, nil)
+	return &r
 }
 
 // FromPath builds a single-flow region from a profiled BL-Path.
 func FromPath(f *ir.Function, p *profile.Path) *Region {
-	r := newRegion(f, KindPath, p.Blocks)
+	r := newRegion(f, KindPath, p.Blocks, nil)
 	r.Paths = []*profile.Path{p}
-	return r
+	return &r
 }
 
 // Coverage returns the fraction of the function's dynamic instructions the

@@ -130,7 +130,9 @@ func TestLiveValues(t *testing.T) {
 	fp := collect(t, f, interp.IBits(100))
 	hot := fp.HottestPath() // iteration path starting at head
 	r := FromPath(f, hot)
-	liveIn, liveOut := r.LiveValues(nil)
+	var live LiveSets
+	r.LiveValues(nil, &live)
+	liveIn, liveOut := live.In.Regs(), live.Out.Regs()
 	// Live-ins include the loop bound r1 and the phi inputs (r2 consts from
 	// entry plus r9/r10 from latch — but r9/r10 are defined inside latch,
 	// which is in the region, so the cross-iteration values come in via the

@@ -30,11 +30,11 @@ type Superblock struct {
 // edge's bias falls below minBias (pass 0 to grow maximally).
 func BuildSuperblock(fp *profile.FunctionProfile, seed *ir.Block, minBias float64) *Superblock {
 	var blocks []*ir.Block
-	in := make(map[*ir.Block]bool)
+	in := make([]bool, len(fp.F.Blocks)) // trace membership by Block.Index
 	cur := seed
-	for cur != nil && !in[cur] {
+	for cur != nil && !in[cur.Index] {
 		blocks = append(blocks, cur)
-		in[cur] = true
+		in[cur.Index] = true
 		t := cur.Term()
 		if t == nil || t.Op == ir.OpRet {
 			break
@@ -60,7 +60,7 @@ func BuildSuperblock(fp *profile.FunctionProfile, seed *ir.Block, minBias float6
 		cur = best
 	}
 
-	sb := &Superblock{Region: *newRegion(fp.F, KindSuperblock, blocks)}
+	sb := &Superblock{Region: newRegion(fp.F, KindSuperblock, blocks, in)}
 	sb.Feasible = sequenceExecuted(fp, blocks)
 	if hot := fp.HottestPath(); hot != nil {
 		sb.HottestPath = sameBlockSeq(blocks, hot.Blocks)

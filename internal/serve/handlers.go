@@ -22,6 +22,7 @@ import (
 	"needle/internal/passes"
 	"needle/internal/pipeline"
 	"needle/internal/program"
+	"needle/internal/sim"
 	"needle/internal/vet"
 	"needle/internal/workloads"
 )
@@ -100,8 +101,10 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any, all
 }
 
 // resolveConfig builds the effective pipeline config from a request, the
-// same way cmd/needle does (explicit config, then the n override).
-func resolveConfig(cfg *core.Config, n int) core.Config {
+// same way cmd/needle does (explicit config, then the n override). A
+// hardware config the models cannot run fails sim.Config.Check here, before
+// any work is queued (400).
+func resolveConfig(cfg *core.Config, n int) (core.Config, error) {
 	out := core.DefaultConfig()
 	if cfg != nil {
 		out = *cfg
@@ -109,7 +112,7 @@ func resolveConfig(cfg *core.Config, n int) core.Config {
 	if n != 0 {
 		out.N = n
 	}
-	return out
+	return out, out.Sim.Check()
 }
 
 // requestContext applies the effective deadline: the server cap, tightened
@@ -173,6 +176,8 @@ func errorStatus(err error) int {
 		// 499 (nginx convention): the request's deadline or client
 		// connection ended the run before it produced a response.
 		return statusClientClosedRequest
+	case errors.Is(err, sim.ErrConfig):
+		return http.StatusBadRequest
 	}
 	for _, rejection := range pipelineRejections {
 		if errors.Is(err, rejection) {
@@ -326,8 +331,10 @@ func (s *Server) vetBytes(ctx context.Context, p *program.Program) ([]byte, erro
 // effective config, applying the server's ingestion limits. On failure it
 // returns the HTTP status the error maps to.
 func (s *Server) resolveProgram(req *analyzeRequest) (*program.Program, core.Config, int, error) {
-	cfg := resolveConfig(req.Config, req.N)
+	cfg, err := resolveConfig(req.Config, req.N)
 	switch {
+	case err != nil:
+		return nil, cfg, http.StatusBadRequest, err
 	case req.Workload != "" && req.Source != "":
 		return nil, cfg, http.StatusBadRequest, errors.New("workload and source are mutually exclusive")
 	case req.Workload != "":
@@ -468,7 +475,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, requestStatus(err), err.Error())
 		return
 	}
-	cfg := resolveConfig(req.Config, req.N)
+	cfg, err := resolveConfig(req.Config, req.N)
+	if err != nil {
+		writeJSONError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
 

@@ -341,3 +341,49 @@ func waitUntil(t *testing.T, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestRejectsUnrunnableHardwareConfigs sends /v1/analyze and /v1/sweep, on
+// the real pipeline, each hardware config that used to hang, panic or
+// exhaust memory: no CGRA memory ports (the scheduler searched for a free
+// port forever), no fabric columns (placement divided by zero), a 256x256
+// fabric (a multi-gigabyte placement table), an empty host reorder buffer,
+// an oversized L1 and an oversized undo log. Each must answer 400 with an
+// error object well within its 2 s deadline.
+func TestRejectsUnrunnableHardwareConfigs(t *testing.T) {
+	s := New(Config{Jobs: 1})
+	defer s.Close()
+	cases := map[string]func(*core.Config){
+		"no memory ports": func(c *core.Config) { c.Sim.CGRA.MemPorts = 0 },
+		"no columns":      func(c *core.Config) { c.Sim.CGRA.Cols = 0 },
+		"256x256 fabric":  func(c *core.Config) { c.Sim.CGRA.Rows, c.Sim.CGRA.Cols = 256, 256 },
+		"empty rob":       func(c *core.Config) { c.Sim.OOO.ROB = 0 },
+		"huge l1":         func(c *core.Config) { c.Sim.Mem.L1Words = 1 << 40 },
+		"huge undo log":   func(c *core.Config) { c.Sim.Frame.UndoOpsPerStore = 1 << 40 },
+	}
+	const deadline = 2 * time.Second
+	for name, mutate := range cases {
+		cfg := core.DefaultConfig()
+		mutate(&cfg)
+		for path, req := range map[string]any{
+			"/v1/analyze": map[string]any{"workload": "164.gzip", "config": cfg, "timeoutMs": deadline.Milliseconds()},
+			"/v1/sweep":   map[string]any{"config": cfg, "timeoutMs": deadline.Milliseconds()},
+		} {
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			rr := doReq(s, http.MethodPost, path, string(body))
+			if took := time.Since(start); took > deadline {
+				t.Errorf("%s %s: took %v, past its %v deadline", name, path, took, deadline)
+			}
+			if rr.Code != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400 (body %q)", name, path, rr.Code, rr.Body.String())
+			}
+			var e map[string]string
+			if err := json.Unmarshal(rr.Body.Bytes(), &e); err != nil || !strings.Contains(e["error"], "invalid hardware config") {
+				t.Errorf("%s %s: body %q is not a config error", name, path, rr.Body.String())
+			}
+		}
+	}
+}

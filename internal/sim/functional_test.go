@@ -79,13 +79,17 @@ func FunctionalOffload(f *ir.Function, args []uint64, mem []uint64, tgt *Target,
 					res.Ret = out.Ret
 					return res, nil
 				}
-				// Commit live values back to the host: everything the frame
-				// defined, plus the region entry phis it resolved.
-				for r := range tgt.Frame.Def {
-					regs[r] = fregs[r]
-				}
-				for _, phi := range tgt.Region.Entry.Phis() {
-					regs[phi.Dst] = fregs[phi.Dst]
+				// Commit live values back to the host: every register the
+				// region's blocks define, the entry phis it resolved
+				// included. A register of a block the invocation did not
+				// run still holds the host's value, so copying it back
+				// changes nothing.
+				for _, b := range tgt.Region.Blocks {
+					for _, in := range b.Instrs {
+						if in.Op.HasDest() {
+							regs[in.Dst] = fregs[in.Dst]
+						}
+					}
 				}
 				prev, cur = out.Prev, out.Next
 				continue

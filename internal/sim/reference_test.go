@@ -115,8 +115,12 @@ func referenceEvaluate(tr *Trace, tgt refTarget, pred spec.Predictor, cfg Config
 	return res
 }
 
-// inSet reports whether every block of p is in set.
-func inSet(set map[*ir.Block]bool, p *profile.Path) bool {
+// inSet reports whether every block of p is one of blocks.
+func inSet(blocks []*ir.Block, p *profile.Path) bool {
+	set := make(map[*ir.Block]bool, len(blocks))
+	for _, b := range blocks {
+		set[b] = true
+	}
 	for _, b := range p.Blocks {
 		if !set[b] {
 			return false
@@ -164,11 +168,11 @@ func refTargetOf(fp *profile.FunctionProfile, r row) refTarget {
 		br := r.braid
 		return newRefTarget(fp, tgt, func(q *profile.Path) bool {
 			n := len(q.Blocks)
-			return n > 0 && q.Blocks[0] == br.Entry && q.Blocks[n-1] == br.Exit && inSet(br.Set, q)
+			return n > 0 && q.Blocks[0] == br.Entry && q.Blocks[n-1] == br.Exit && inSet(br.Blocks, q)
 		})
 	}
 	return newRefTarget(fp, tgt, func(q *profile.Path) bool {
-		return len(q.Blocks) > 0 && q.Blocks[0] == tgt.Region.Entry && inSet(tgt.Region.Set, q)
+		return len(q.Blocks) > 0 && q.Blocks[0] == tgt.Region.Entry && inSet(tgt.Region.Blocks, q)
 	})
 }
 

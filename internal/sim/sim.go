@@ -8,6 +8,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -53,6 +54,66 @@ func DefaultConfig() Config {
 		CPU:      energy.DefaultCPU(),
 		HistBits: 12,
 	}
+}
+
+// ErrConfig marks a hardware config Check rejects.
+var ErrConfig = errors.New("invalid hardware config")
+
+// Bounds Check enforces. Each is far above the Table V system and keeps a
+// model's tables small: the CGRA placement caches (Rows·Cols)² slot
+// orders, the CGRA schedule reserves one entry per cycle of a frame, and
+// the host core and cache allocate per unit, entry and line.
+const (
+	maxFabricSlots = 1024    // CGRA Rows·Cols
+	maxLatency     = 1024    // CGRA memory latency, cycles
+	maxCoreUnits   = 64      // host Width, ALUs and FPUs
+	maxROB         = 4096    // host reorder-buffer entries
+	maxL1Words     = 1 << 20 // host L1 capacity, words
+	maxL1Ways      = 64
+	maxUndoOps     = 64 // frame undo-log ops per store
+)
+
+// Check rejects a config the models cannot run: one that would hang,
+// panic or exhaust memory. A zero CGRA (Rows 0) or host core (Width 0)
+// selects the Table V default and passes, as do non-positive cache fields,
+// which the cache model defaults one by one. Every pipeline run checks its
+// config, and the service rejects a failing one before queueing it.
+func (c Config) Check() error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: %s", ErrConfig, fmt.Sprintf(format, args...))
+	}
+	if g := c.CGRA; g.Rows != 0 {
+		switch {
+		case g.Rows < 1 || g.Cols < 1 || g.Rows > maxFabricSlots || g.Cols > maxFabricSlots || g.Rows*g.Cols > maxFabricSlots:
+			return bad("CGRA fabric %dx%d: Rows and Cols must be positive with Rows*Cols <= %d", g.Rows, g.Cols, maxFabricSlots)
+		case g.MemPorts < 1 || g.MemPorts > maxFabricSlots:
+			return bad("CGRA.MemPorts %d: must be in [1, %d]", g.MemPorts, maxFabricSlots)
+		case g.MemLatency < 0 || g.MemLatency > maxLatency:
+			return bad("CGRA.MemLatency %d: must be in [0, %d]", g.MemLatency, maxLatency)
+		}
+	}
+	if o := c.OOO; o.Width != 0 {
+		switch {
+		case o.Width < 1 || o.Width > maxCoreUnits:
+			return bad("OOO.Width %d: must be in [1, %d]", o.Width, maxCoreUnits)
+		case o.ROB < 1 || o.ROB > maxROB:
+			return bad("OOO.ROB %d: must be in [1, %d]", o.ROB, maxROB)
+		case o.ALUs < 1 || o.ALUs > maxCoreUnits || o.FPUs < 1 || o.FPUs > maxCoreUnits:
+			return bad("OOO.ALUs %d, OOO.FPUs %d: each must be in [1, %d]", o.ALUs, o.FPUs, maxCoreUnits)
+		}
+	}
+	switch m := c.Mem; {
+	case m.L1Words > maxL1Words:
+		return bad("Mem.L1Words %d: must be at most %d", m.L1Words, maxL1Words)
+	case m.L1Ways > maxL1Ways:
+		return bad("Mem.L1Ways %d: must be at most %d", m.L1Ways, maxL1Ways)
+	case m.L1LineWords > maxL1Words:
+		return bad("Mem.L1LineWords %d: must be at most %d", m.L1LineWords, maxL1Words)
+	}
+	if u := c.Frame.UndoOpsPerStore; u > maxUndoOps {
+		return bad("Frame.UndoOpsPerStore %d: must be at most %d", u, maxUndoOps)
+	}
+	return nil
 }
 
 // Occurrence is one executed Ball-Larus path instance with its host cost
@@ -189,34 +250,36 @@ type Target struct {
 // there.
 type opportunities struct {
 	fp      *profile.FunctionProfile
-	byEntry map[*ir.Block][]bool
+	byEntry [][]bool // by the entry's Block.Index; nil until asked
 }
 
 func newOpportunities(fp *profile.FunctionProfile) *opportunities {
-	return &opportunities{fp: fp, byEntry: make(map[*ir.Block][]bool)}
+	return &opportunities{fp: fp, byEntry: make([][]bool, len(fp.F.Blocks))}
 }
 
 func (o *opportunities) at(entry *ir.Block) []bool {
-	if opp, ok := o.byEntry[entry]; ok {
+	if opp := o.byEntry[entry.Index]; opp != nil {
 		return opp
 	}
 	opp := make([]bool, len(o.fp.Paths))
 	for i, p := range o.fp.Paths {
 		opp[i] = len(p.Blocks) > 0 && p.Blocks[0] == entry
 	}
-	o.byEntry[entry] = opp
+	o.byEntry[entry.Index] = opp
 	return opp
 }
 
 // NewPathTarget builds the offload target for a single BL-Path region.
 func NewPathTarget(am *pm.Manager, fp *profile.FunctionProfile, p *profile.Path, cfg Config) (*Target, error) {
-	return pathTarget(am, newOpportunities(fp), p, cfg)
+	return pathTarget(am, newOpportunities(fp), p, cfg, nil)
 }
 
-func pathTarget(am *pm.Manager, opps *opportunities, p *profile.Path, cfg Config) (*Target, error) {
+// pathTarget is NewPathTarget over shared opportunity tables, framing
+// through sc (nil for a fresh scratch).
+func pathTarget(am *pm.Manager, opps *opportunities, p *profile.Path, cfg Config, sc *frame.Scratch) (*Target, error) {
 	fp := opps.fp
 	r := region.FromPath(fp.F, p)
-	fr, err := frame.Build(am, r, cfg.Frame)
+	fr, err := frame.Build(am, r, cfg.Frame, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -240,29 +303,18 @@ func NewBraidTarget(am *pm.Manager, fp *profile.FunctionProfile, br *region.Brai
 // braidTarget is NewBraidTarget with the braid's frame already built.
 func braidTarget(opps *opportunities, br *region.Braid, fr *frame.Frame, cfg Config) *Target {
 	fp := opps.fp
-	in := blockSet(fp.F, br.Blocks)
 	accepts := make([]bool, len(fp.Paths))
 	for i, p := range fp.Paths {
 		n := len(p.Blocks)
-		accepts[i] = n > 0 && p.Blocks[0] == br.Entry && p.Blocks[n-1] == br.Exit && within(in, p.Blocks)
+		accepts[i] = n > 0 && p.Blocks[0] == br.Entry && p.Blocks[n-1] == br.Exit && within(&br.Region, p.Blocks)
 	}
 	return newTarget(&br.Region, fr, opps.at(br.Entry), accepts, -1, cfg)
 }
 
-// blockSet marks blocks, all of f, in a table indexed by Block.Index, so
-// testing every executed path for containment costs one load per block.
-func blockSet(f *ir.Function, blocks []*ir.Block) []bool {
-	in := make([]bool, len(f.Blocks))
+// within reports whether every block of a path is in r.
+func within(r *region.Region, blocks []*ir.Block) bool {
 	for _, b := range blocks {
-		in[b.Index] = true
-	}
-	return in
-}
-
-// within reports whether every block of a path is marked in set.
-func within(set []bool, blocks []*ir.Block) bool {
-	for _, b := range blocks {
-		if !set[b.Index] {
+		if !r.Contains(b) {
 			return false
 		}
 	}
@@ -280,17 +332,17 @@ func newTarget(r *region.Region, fr *frame.Frame, isOpp, accepts []bool, pathRan
 	}
 }
 
-// NewHyperblockTarget builds the non-speculative predicated baseline of
-// Figure 2's middle column: the hyperblock executes all its (predicated)
-// operations on every invocation, cannot fail or roll back, and is invoked
-// only for flows it fully contains — everything else stays on the host.
-func NewHyperblockTarget(am *pm.Manager, fp *profile.FunctionProfile, hb *region.Hyperblock, cfg Config) (*Target, error) {
-	in := blockSet(fp.F, hb.Blocks)
+// hyperblockTarget builds the non-speculative predicated baseline of
+// Figure 2's middle column, framing through sc: the hyperblock executes
+// all its (predicated) operations on every invocation, cannot fail or roll
+// back, and is invoked only for flows it fully contains — everything else
+// stays on the host.
+func hyperblockTarget(am *pm.Manager, fp *profile.FunctionProfile, hb *region.Hyperblock, cfg Config, sc *frame.Scratch) (*Target, error) {
 	accepts := make([]bool, len(fp.Paths))
 	for i, p := range fp.Paths {
-		accepts[i] = len(p.Blocks) > 0 && p.Blocks[0] == hb.Entry && within(in, p.Blocks)
+		accepts[i] = len(p.Blocks) > 0 && p.Blocks[0] == hb.Entry && within(&hb.Region, p.Blocks)
 	}
-	fr, err := frame.Build(am, &hb.Region, cfg.Frame)
+	fr, err := frame.Build(am, &hb.Region, cfg.Frame, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -581,6 +633,8 @@ type Candidates struct {
 // pipeline's Frame stage builds exactly that), so the top braid is not
 // framed twice; a nil hot means braids[0] could not be framed. The
 // hyperblock is seeded at the hottest path's entry with coldFraction.
+// Every frame is built through one frame.Scratch, so the per-function
+// tables are sized once.
 //
 // A lower-ranked path or any braid that cannot be framed is skipped.
 // Without an executed path, without braids, or with an unframeable hottest
@@ -593,7 +647,8 @@ func NewCandidates(tr *Trace, braids []*region.Braid, hot *frame.Frame, cfg Conf
 	if len(fp.Paths) == 0 {
 		return nil, fmt.Errorf("evaluating paths: sim: no executed paths")
 	}
-	c := &Candidates{tr: tr, cfg: cfg, rows: make([]row, 0, 4*topK+1)}
+	nPaths, nBraids := min(topK, len(fp.Paths)), min(topK, len(braids))
+	c := &Candidates{tr: tr, cfg: cfg, rows: make([]row, 0, 2*nPaths+2*nBraids+1)}
 	history := func() spec.Predictor { return spec.NewHistory(cfg.HistBits) }
 	oracle := func() spec.Predictor { return &spec.Oracle{} }
 	always := func() spec.Predictor { return spec.Always{} }
@@ -604,8 +659,9 @@ func NewCandidates(tr *Trace, braids []*region.Braid, hot *frame.Frame, cfg Conf
 	}
 
 	opps := newOpportunities(fp)
-	for i := 0; i < topK && i < len(fp.Paths); i++ {
-		tgt, err := pathTarget(tr.AM, opps, fp.Paths[i], cfg)
+	var sc frame.Scratch
+	for i := 0; i < nPaths; i++ {
+		tgt, err := pathTarget(tr.AM, opps, fp.Paths[i], cfg, &sc)
 		if err != nil {
 			if i == 0 {
 				return nil, fmt.Errorf("evaluating paths: %w", err)
@@ -618,12 +674,12 @@ func NewCandidates(tr *Trace, braids []*region.Braid, hot *frame.Frame, cfg Conf
 	if len(braids) == 0 {
 		return nil, fmt.Errorf("evaluating braids: sim: no braids")
 	}
-	for i := 0; i < topK && i < len(braids); i++ {
+	for i := 0; i < nBraids; i++ {
 		br := braids[i]
 		fr := hot
 		if i > 0 {
 			var err error
-			if fr, err = frame.Build(tr.AM, &br.Region, cfg.Frame); err != nil {
+			if fr, err = frame.Build(tr.AM, &br.Region, cfg.Frame, &sc); err != nil {
 				continue // e.g. unframeable region; skip candidate
 			}
 		}
@@ -634,7 +690,7 @@ func NewCandidates(tr *Trace, braids []*region.Braid, hot *frame.Frame, cfg Conf
 	}
 
 	hb := region.BuildTunedHyperblock(tr.AM, fp, fp.HottestPath().Blocks[0], coldFraction, 0.05)
-	tgt, err := NewHyperblockTarget(tr.AM, fp, hb, cfg)
+	tgt, err := hyperblockTarget(tr.AM, fp, hb, cfg, &sc)
 	if err != nil {
 		return nil, fmt.Errorf("evaluating hyperblock: %w", err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 
 	"needle/internal/frame"
@@ -393,4 +394,41 @@ func TestBraidRejectsPathsEndingInsideIt(t *testing.T) {
 		return
 	}
 	t.Fatal("no braid head→latch formed")
+}
+
+// TestConfigCheck accepts the Table V system, the zero config and the
+// bounds themselves, and rejects, with ErrConfig, each config that would
+// spin the CGRA scheduler, divide by zero in placement, index an empty
+// host-core table, or size a model's tables past its bound.
+func TestConfigCheck(t *testing.T) {
+	edge := DefaultConfig()
+	edge.CGRA.Rows, edge.CGRA.Cols, edge.CGRA.MemPorts, edge.CGRA.MemLatency = 32, 32, 1024, 1024
+	edge.OOO.ROB, edge.Frame.UndoOpsPerStore, edge.Mem.L1Words = 4096, 64, 1<<20
+	for _, ok := range []Config{DefaultConfig(), {}, {HistBits: 40}, edge} {
+		if err := ok.Check(); err != nil {
+			t.Errorf("Check(%+v) = %v, want nil", ok, err)
+		}
+	}
+	bad := map[string]func(*Config){
+		"no memory ports":    func(c *Config) { c.CGRA.MemPorts = 0 },
+		"no columns":         func(c *Config) { c.CGRA.Cols = 0 },
+		"negative rows":      func(c *Config) { c.CGRA.Rows = -1 },
+		"256x256 fabric":     func(c *Config) { c.CGRA.Rows, c.CGRA.Cols = 256, 256 },
+		"overflowing grid":   func(c *Config) { c.CGRA.Rows, c.CGRA.Cols = 1<<40, 1<<40 },
+		"huge mem latency":   func(c *Config) { c.CGRA.MemLatency = 1 << 40 },
+		"no rob":             func(c *Config) { c.OOO.ROB = 0 },
+		"no alus":            func(c *Config) { c.OOO.ALUs = 0 },
+		"no fpus":            func(c *Config) { c.OOO.FPUs = 0 },
+		"huge rob":           func(c *Config) { c.OOO.ROB = 1 << 30 },
+		"huge l1":            func(c *Config) { c.Mem.L1Words = 1 << 40 },
+		"huge associativity": func(c *Config) { c.Mem.L1Ways = 1 << 30 },
+		"huge undo log":      func(c *Config) { c.Frame.UndoOpsPerStore = 1 << 40 },
+	}
+	for name, mutate := range bad {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		if err := cfg.Check(); !errors.Is(err, ErrConfig) {
+			t.Errorf("%s: Check = %v, want ErrConfig", name, err)
+		}
+	}
 }

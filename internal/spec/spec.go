@@ -168,7 +168,7 @@ func ExecuteFrame(fr *frame.Frame, regs []uint64, mem []uint64, prev *ir.Block) 
 			}
 			pathIdx++
 		default:
-			if !r.Set[next] || next == r.Entry {
+			if !r.Contains(next) || next == r.Entry {
 				return fail(cur)
 			}
 		}

@@ -245,10 +245,11 @@ func (s *Suite) TableIV() string {
 			merged += float64(br.MergedPathCount())
 		}
 		merged /= float64(len(a.Braids))
-		liveIn, liveOut := top.LiveValues(a.AM)
+		var live region.LiveSets
+		top.LiveValues(a.AM, &live)
 		fmt.Fprintf(&sb, "%-20s %8d %7.1f %5.0f%% %6d %4d %4d %4d,%-4d\n",
 			a.Workload.Name, len(a.Braids), merged, top.Coverage(a.Profile)*100,
-			top.NumOps(), top.Guards, top.IFs, len(liveIn), len(liveOut))
+			top.NumOps(), top.Guards, top.IFs, live.In.Len(), live.Out.Len())
 	}
 	return sb.String()
 }

@@ -36,10 +36,12 @@
 # compute). Beside them it records, also ungated, the three BenchmarkIngest
 # rows: parse (ir.Parse), load (program.Load) and digest (Program.Digest)
 # over irgen programs of the shape needled is sent in the benchmark's
-# serve-nir-cold workload. Also ungated, the eight BenchmarkAnalysis rows
+# serve-nir-cold workload. Also ungated, the fourteen BenchmarkAnalysis rows
 # time the per-function analyses needled recomputes for every program
-# (ballarus, pdom, cdeps, liveness, sccp, memdep, plan, characterize) on
-# inlined programs of that same shape.
+# (ballarus, pdom, cdeps, liveness, sccp, memdep, plan, characterize,
+# dominators, loops) and the Target build under them (braids, frame,
+# schedule, and candidates, all of sim.NewCandidates) on inlined programs
+# of that same shape.
 #
 #   ./scripts/bench.sh            (or: make bench)
 #   BENCH_TIME=10x ./scripts/bench.sh   # more iterations, less noise
@@ -83,7 +85,7 @@ done
 for step in parse load digest; do
     stages="$stages BenchmarkIngest/$step"
 done
-for a in ballarus pdom cdeps liveness sccp memdep plan characterize; do
+for a in ballarus pdom cdeps liveness sccp memdep plan characterize dominators loops braids frame schedule candidates; do
     stages="$stages BenchmarkAnalysis/$a"
 done
 
