@@ -112,7 +112,7 @@ var analysisRows = []analysisRow{
 		}
 		cfg := cgra.DefaultConfig()
 		return func() { cgra.Schedule(fr, cfg) }
-	}, 8},
+	}, 4},
 	{"candidates", func(in analysisInput) func() {
 		tr := captureInput(in)
 		braids := region.BuildBraids(tr.Profile, 0)
@@ -126,7 +126,7 @@ var analysisRows = []analysisRow{
 				panic(err)
 			}
 		}
-	}, 135},
+	}, 112},
 }
 
 // captureInput captures in's baseline run on the Table V system, as the

@@ -674,7 +674,7 @@ func recordStream(b *testing.B, name string, n int) (*blockStream, int) {
 		b.Fatal(err)
 	}
 	s := &blockStream{}
-	if _, err := c.RunTimed(args, memory, s, 0); err != nil {
+	if _, err := c.RunTimed(args, memory, interp.PlanOpts{Timing: s}); err != nil {
 		b.Fatal(err)
 	}
 	return s, f.NumRegs()

@@ -20,7 +20,8 @@
 // -nir analyzes an arbitrary program through the exact pipeline the
 // built-in workloads use; combine with -json, -dot, or the default report.
 // `needle -nir file -json` is byte-identical to POSTing the same source to
-// a needled daemon's /v1/analyze.
+// a needled daemon's /v1/analyze; like the daemon, -nir bounds the run by
+// program.DefaultLimits' steps and path occurrences.
 //
 // -vet runs the static-analysis suite (SCCP, reachability, value ranges,
 // memory dependence) over a -nir program or a -workload kernel without
@@ -135,8 +136,8 @@ func writeCacheStats(w *os.File, store pipeline.Store) {
 		if !ok {
 			continue
 		}
-		fmt.Fprintf(w, "  %-8s hits=%d misses=%d disk_hits=%d evictions=%d\n",
-			name, cs.Hits, cs.Misses, cs.DiskHits, cs.Evictions)
+		fmt.Fprintf(w, "  %-8s hits=%d misses=%d disk_hits=%d evictions=%d mem_evictions=%d\n",
+			name, cs.Hits, cs.Misses, cs.DiskHits, cs.Evictions, cs.MemEvictions)
 	}
 }
 
@@ -197,6 +198,11 @@ func dispatch(ctx context.Context, o options, store pipeline.Store) {
 		if err != nil {
 			fatal("load %s: %v", o.nirFile, err)
 		}
+		// A user program may never exit: it runs under needled's default
+		// step and occurrence bounds, which change only how a runaway
+		// program fails, never the output of one that finishes.
+		lim := program.DefaultLimits()
+		cfg.Sim.MaxSteps, cfg.Sim.MaxOccurrences = lim.MaxSteps, lim.MaxOccurrences
 		a, err := az.Run(ctx, p, cfg)
 		if err != nil {
 			fatal("analyze: %v", err)

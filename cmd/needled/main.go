@@ -38,6 +38,7 @@ import (
 
 	"needle/internal/obs"
 	"needle/internal/pipeline"
+	"needle/internal/program"
 	"needle/internal/serve"
 )
 
@@ -52,7 +53,7 @@ func main() {
 		drainGrace = flag.Duration("drain-grace", 30*time.Second, "how long shutdown waits for in-flight requests")
 
 		// Inline-source ingestion caps (0 = the serve-layer default shown).
-		def         = serve.DefaultLimits()
+		def         = program.DefaultLimits()
 		maxBodyKB   = flag.Int("max-body-kb", 0, fmt.Sprintf("request-body cap in KiB (0 = %d)", 1<<10))
 		maxSourceKB = flag.Int("max-source-kb", 0, fmt.Sprintf("inline .nir source cap in KiB (0 = %d)", def.MaxSourceBytes>>10))
 		maxInstrs   = flag.Int("max-instrs", 0, fmt.Sprintf("static instruction cap for inline source (0 = %d)", def.MaxInstrs))

@@ -134,27 +134,26 @@ func Schedule(fr *frame.Frame, cfg Config) *Sched {
 	s := &Sched{Frame: fr}
 
 	// finish[i] is op i's completion cycle; depth is recurrenceDepth's
-	// table, shared by the carried pairs.
+	// table, shared by the carried pairs; pos[i] is op i's FU and used the
+	// fabric's occupancy bit set, place's tables.
 	n := len(fr.Ops)
-	times := make([]int64, 2*n)
-	finish, depth := times[:n:n], times[n:]
+	times := make([]int64, 3*n+(capacity+63)/64)
+	finish, depth, pos, used := times[:n:n], times[n:2*n:2*n], times[2*n:3*n:3*n], times[3*n:]
 	// use[c] is the reservation of cycle c, dense by cycle and grown only
 	// as the schedule reaches later cycles.
 	use := make([]cycleUse, 0, n+1)
 
 	// Spatial placement decides how far operands travel.
-	var placement *Placement
-	if !cfg.UniformRouting {
-		placement = Place(fr, cfg)
-		s.AvgHops = placement.AvgHops
-	} else {
+	if cfg.UniformRouting {
 		s.AvgHops = 1
+	} else {
+		s.AvgHops, _ = place(fr, cfg.Rows, cfg.Cols, pos, used)
 	}
 	hops := func(i int, dep int) float64 {
-		if placement == nil {
+		if cfg.UniformRouting {
 			return 1
 		}
-		a, b := placement.Pos[dep], placement.Pos[i]
+		a, b := int(pos[dep]), int(pos[i])
 		ar, ac := a/cfg.Cols, a%cfg.Cols
 		br, bc := b/cfg.Cols, b%cfg.Cols
 		d := ar - br

@@ -6,26 +6,9 @@ import (
 	"needle/internal/frame"
 )
 
-// Placement is a spatial mapping of a frame's dataflow graph onto the FU
-// grid: each op gets a function unit, and operand routes are charged their
-// Manhattan hop distance through the switched network. When a frame has
-// more ops than FUs, units are time-multiplexed (ops wrap around the grid),
-// exactly what the 16-cycle reconfigurable fabric does for large frames.
-type Placement struct {
-	Rows, Cols int
-	// Pos assigns op i the FU at (Pos[i]/Cols, Pos[i]%Cols).
-	Pos []int
-	// TotalHops is the summed Manhattan length of all operand routes;
-	// AvgHops the mean per route (0 when there are no routes).
-	TotalHops int
-	AvgHops   float64
-	// Multiplexed counts ops sharing an FU with an earlier op.
-	Multiplexed int
-}
-
 // spiralOrders[want] lists every slot of a rows×cols grid sorted by
 // (Manhattan distance from want, slot index) — the exact visit order of the
-// original linear nearest-free scan, precomputed so each placement walks
+// linear nearest-free scan, precomputed so each placement walks
 // only as far as the first free slot instead of scoring the whole grid.
 // Orders are cached per geometry: the sweep places every frame on the same
 // fabric, so the table is built once. The cache holds at most
@@ -75,19 +58,23 @@ func spiralOrders(rows, cols int) [][]uint16 {
 	return orders
 }
 
-// Place maps the frame greedily: ops are placed in dependence order at the
-// free FU nearest the centroid of their producers (network locality), with
-// a spiral search for the nearest free slot. This mirrors the locality-
-// driven placement CGRA compilers use and makes the 12 pJ "switch+link"
-// energy a per-hop cost instead of a per-edge constant.
-func Place(fr *frame.Frame, cfg Config) *Placement {
-	if cfg.Rows == 0 {
-		cfg = DefaultConfig()
-	}
-	rows, cols := cfg.Rows, cfg.Cols
+// place maps the frame onto a rows×cols fabric greedily: ops are placed in
+// dependence order at the free FU nearest the centroid of their producers
+// (network locality), with a spiral search for the nearest free slot. This
+// mirrors the locality-driven placement CGRA compilers use and makes the
+// 12 pJ "switch+link" energy a per-hop cost instead of a per-edge constant.
+// When a frame has more ops than FUs, units are time-multiplexed (ops wrap
+// around the grid), exactly what the 16-cycle reconfigurable fabric does
+// for large frames.
+//
+// place writes op i's FU, at (pos[i]/cols, pos[i]%cols), into pos (one
+// entry per op) and marks occupied FUs in used, a zeroed bit set of
+// (rows·cols+63)/64 words; both are the caller's tables, so placing
+// allocates nothing. It returns
+// the mean Manhattan hop distance of the operand routes (0 when there are
+// none) and how many ops share an FU with an earlier op.
+func place(fr *frame.Frame, rows, cols int, pos, used []int64) (avgHops float64, multiplexed int) {
 	capacity := rows * cols
-	p := &Placement{Rows: rows, Cols: cols, Pos: make([]int, len(fr.Ops))}
-	used := make([]bool, capacity)
 	placed := 0
 	orders := spiralOrders(rows, cols)
 
@@ -103,25 +90,25 @@ func Place(fr *frame.Frame, cfg Config) *Placement {
 		return abs(ar-br) + abs(ac-bc)
 	}
 	// nearestFree finds the unused FU closest to want: the first free slot
-	// in the precomputed (distance, index) spiral order, which matches the
-	// original full-grid scan's lowest-index-at-minimum-distance choice.
+	// in the precomputed (distance, index) spiral order, which matches a
+	// full-grid scan's lowest-index-at-minimum-distance choice.
 	nearestFree := func(want int) int {
 		for _, s := range orders[want] {
-			if !used[s] {
+			if used[s>>6]&(1<<(s&63)) == 0 {
 				return int(s)
 			}
 		}
 		return -1
 	}
 
-	routes := 0
+	routes, totalHops := 0, 0
 	for i, op := range fr.Ops {
 		want := capacity / 2 // default: middle of the fabric
 		if len(op.Deps) > 0 {
 			var sr, sc int
 			for _, d := range op.Deps {
-				sr += p.Pos[d] / cols
-				sc += p.Pos[d] % cols
+				sr += int(pos[d]) / cols
+				sc += int(pos[d]) % cols
 			}
 			want = (sr/len(op.Deps))*cols + sc/len(op.Deps)
 		}
@@ -132,19 +119,19 @@ func Place(fr *frame.Frame, cfg Config) *Placement {
 		if slot < 0 {
 			// Grid full: time-multiplex onto the desired unit.
 			slot = want % capacity
-			p.Multiplexed++
+			multiplexed++
 		} else {
-			used[slot] = true
+			used[slot>>6] |= 1 << (slot & 63)
 			placed++
 		}
-		p.Pos[i] = slot
+		pos[i] = int64(slot)
 		for _, d := range op.Deps {
-			p.TotalHops += dist(p.Pos[d], slot)
+			totalHops += dist(int(pos[d]), slot)
 			routes++
 		}
 	}
 	if routes > 0 {
-		p.AvgHops = float64(p.TotalHops) / float64(routes)
+		avgHops = float64(totalHops) / float64(routes)
 	}
-	return p
+	return avgHops, multiplexed
 }

@@ -25,20 +25,27 @@ func workloadFrame(t testing.TB, name string, n int) *frame.Frame {
 	return fr
 }
 
+// placeFrame places fr on cfg's fabric, into fresh tables.
+func placeFrame(fr *frame.Frame, cfg Config) (pos []int64, avgHops float64, multiplexed int) {
+	pos = make([]int64, len(fr.Ops))
+	avgHops, multiplexed = place(fr, cfg.Rows, cfg.Cols, pos, make([]int64, (cfg.Rows*cfg.Cols+63)/64))
+	return pos, avgHops, multiplexed
+}
+
 func TestPlaceAssignsDistinctFUsWhenTheyFit(t *testing.T) {
 	fr := workloadFrame(t, "429.mcf", 600) // small frame
 	cfg := DefaultConfig()
-	pl := Place(fr, cfg)
-	if pl.Multiplexed != 0 {
-		t.Fatalf("small frame multiplexed %d ops on a %d-FU grid", pl.Multiplexed, cfg.Rows*cfg.Cols)
+	placed, _, multiplexed := placeFrame(fr, cfg)
+	if multiplexed != 0 {
+		t.Fatalf("small frame multiplexed %d ops on a %d-FU grid", multiplexed, cfg.Rows*cfg.Cols)
 	}
-	seen := make(map[int]bool)
-	for _, pos := range pl.Pos {
+	seen := make(map[int64]bool)
+	for _, pos := range placed {
 		if seen[pos] {
 			t.Fatal("two ops share an FU despite free capacity")
 		}
 		seen[pos] = true
-		if pos < 0 || pos >= cfg.Rows*cfg.Cols {
+		if pos < 0 || pos >= int64(cfg.Rows*cfg.Cols) {
 			t.Fatalf("position %d outside the grid", pos)
 		}
 	}
@@ -47,11 +54,11 @@ func TestPlaceAssignsDistinctFUsWhenTheyFit(t *testing.T) {
 func TestPlaceTimeMultiplexesLargeFrames(t *testing.T) {
 	fr := workloadFrame(t, "470.lbm", 400) // ~380 ops > 128 FUs
 	cfg := DefaultConfig()
-	pl := Place(fr, cfg)
-	if pl.Multiplexed == 0 {
+	_, _, multiplexed := placeFrame(fr, cfg)
+	if multiplexed == 0 {
 		t.Fatal("lbm's frame exceeds the grid; expected multiplexing")
 	}
-	if got := len(fr.Ops) - pl.Multiplexed; got != cfg.Rows*cfg.Cols {
+	if got := len(fr.Ops) - multiplexed; got != cfg.Rows*cfg.Cols {
 		t.Fatalf("placed %d ops on a %d-FU grid", got, cfg.Rows*cfg.Cols)
 	}
 }
@@ -59,7 +66,7 @@ func TestPlaceTimeMultiplexesLargeFrames(t *testing.T) {
 func TestPlaceBeatsRandomPlacement(t *testing.T) {
 	fr := workloadFrame(t, "456.hmmer", 600)
 	cfg := DefaultConfig()
-	pl := Place(fr, cfg)
+	_, avgHops, _ := placeFrame(fr, cfg)
 
 	// Random placement baseline (averaged over a few shuffles).
 	r := rand.New(rand.NewSource(1))
@@ -87,8 +94,8 @@ func TestPlaceBeatsRandomPlacement(t *testing.T) {
 		randHops += float64(total) / float64(routes)
 	}
 	randHops /= trials
-	if pl.AvgHops >= randHops {
-		t.Fatalf("greedy placement (%.2f avg hops) should beat random (%.2f)", pl.AvgHops, randHops)
+	if avgHops >= randHops {
+		t.Fatalf("greedy placement (%.2f avg hops) should beat random (%.2f)", avgHops, randHops)
 	}
 }
 

@@ -27,35 +27,30 @@ type Program struct {
 	FP   *profile.FunctionProfile
 }
 
-// Profiles profiles the corpus: the 29 workloads at their default size, 200
-// irgen programs in two shapes (the default, and the one the service
-// benchmark sends), and every checked-in .nir program run from its first
-// function with zero arguments. Each function is inlined first. Programs
-// that fault leave no profile and are skipped.
-func Profiles(tb testing.TB) []Program {
+// Programs returns the corpus programs: the 29 workloads at their default
+// size, 200 irgen programs in two shapes (the default, and the one the
+// service benchmark sends), and every checked-in .nir program from its first
+// function with zero arguments. Every call builds fresh functions and
+// memory images, so a caller may measure what they cost.
+func Programs(tb testing.TB) []*program.Program {
 	tb.Helper()
-	var out []Program
-	add := func(name string, f *ir.Function, args, mem []uint64) {
-		f, err := passes.InlineAll(f)
+	var out []*program.Program
+	add := func(name, suite string, f *ir.Function, args, mem []uint64) {
+		p, err := program.New(name, suite, f, args, mem)
 		if err != nil {
 			tb.Fatalf("%s: %v", name, err)
 		}
-		am := pm.NewManager()
-		fp, err := profile.CollectFunction(am, f, args, mem, true, 1<<22)
-		if err != nil {
-			return
-		}
-		out = append(out, Program{name, am, fp})
+		out = append(out, p)
 	}
 	for _, w := range workloads.All() {
-		f, args, mem := w.Instance(0)
-		add(w.Name, f, args, mem)
+		_, args, mem := w.Instance(0)
+		add(w.Name, w.Suite, w.Build(), args, mem)
 	}
 	pool := irgen.Config{MaxDepth: 3, MaxStmts: 8, MaxLoopTrip: 24, MemWords: 1024}
 	for seed := int64(1); seed <= 100; seed++ {
 		for _, cfg := range []irgen.Config{irgen.DefaultConfig(), pool} {
 			p := irgen.Generate(seed, cfg)
-			add(p.F.Name, p.F, []uint64{interp.IBits(seed)}, p.NewMem())
+			add(p.F.Name, program.SuiteUser, p.F, []uint64{interp.IBits(seed)}, p.NewMem())
 		}
 	}
 	for _, path := range nirFiles(tb) {
@@ -63,7 +58,27 @@ func Profiles(tb testing.TB) []Program {
 		if err != nil {
 			tb.Fatalf("%s: %v", path, err)
 		}
-		add(path, p.F, append([]uint64(nil), p.Args...), append([]uint64(nil), p.Memory...))
+		add(path, program.SuiteUser, p.F, p.Args, p.Memory)
+	}
+	return out
+}
+
+// Profiles profiles the corpus Programs, each function inlined first.
+// Programs that fault leave no profile and are skipped.
+func Profiles(tb testing.TB) []Program {
+	tb.Helper()
+	var out []Program
+	for _, p := range Programs(tb) {
+		f, err := passes.InlineAll(p.F)
+		if err != nil {
+			tb.Fatalf("%s: %v", p.Name, err)
+		}
+		am := pm.NewManager()
+		fp, err := profile.CollectFunction(am, f, append([]uint64(nil), p.Args...), append([]uint64(nil), p.Memory...), true, 1<<22)
+		if err != nil {
+			continue
+		}
+		out = append(out, Program{p.Name, am, fp})
 	}
 	if len(out) < 29+200 {
 		tb.Fatalf("only %d corpus programs profiled", len(out))

@@ -27,6 +27,9 @@ var (
 	ErrDivideByZero = errors.New("interp: integer divide by zero")
 	ErrOutOfBounds  = errors.New("interp: memory access out of bounds")
 	ErrStepLimit    = errors.New("interp: step limit exceeded")
+	// ErrOccurrenceLimit stops a profiled run that would complete more
+	// path occurrences than PlanOpts.MaxOccurrences allows.
+	ErrOccurrenceLimit = errors.New("interp: path occurrence limit exceeded")
 )
 
 // Hooks receives dynamic execution events. Any field may be nil. Events fire

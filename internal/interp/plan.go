@@ -476,6 +476,10 @@ type Timing interface {
 type PlanOpts struct {
 	// MaxSteps bounds dynamic instructions (<= 0: the Run default).
 	MaxSteps int64
+	// MaxOccurrences bounds the path occurrences the run completes (<= 0:
+	// unbounded). The run stops with ErrOccurrenceLimit instead of
+	// completing one more, so a recorded trace never outgrows the bound.
+	MaxOccurrences int64
 	// Timing, when non-nil, receives the run's dynamic stream: one FeedBlock
 	// per executed block, every conditional-branch outcome and every path
 	// completion.
@@ -512,6 +516,11 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 	if maxSteps <= 0 {
 		maxSteps = 1 << 32
 	}
+	maxOcc := opts.MaxOccurrences
+	if maxOcc <= 0 {
+		maxOcc = math.MaxInt64
+	}
+	var occ int64 // path occurrences completed so far
 	timing := opts.Timing
 	timed := timing != nil
 
@@ -701,6 +710,9 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 			if b.retReg != ir.NoReg {
 				ret = regs[b.retReg]
 			}
+			if occ++; occ > maxOcc {
+				return Result{Steps: steps}, occurrenceLimit(maxOcc, f)
+			}
 			st.record(pathReg+bl.RetVal[cur], timing)
 			return Result{Ret: ret, Steps: steps}, nil
 		case termBr:
@@ -708,6 +720,9 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 			e := &bl.Succs[cur][0]
 			st.Edges[s.edgeSlot]++
 			if e.Flush {
+				if occ++; occ > maxOcc {
+					return Result{Steps: steps}, occurrenceLimit(maxOcc, f)
+				}
 				st.record(pathReg+e.Inc, timing)
 				pathReg = e.Reset
 			} else {
@@ -723,6 +738,9 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 			e := &bl.Succs[cur][k]
 			st.Edges[s.edgeSlot]++
 			if e.Flush {
+				if occ++; occ > maxOcc {
+					return Result{Steps: steps}, occurrenceLimit(maxOcc, f)
+				}
 				st.record(pathReg+e.Inc, timing)
 				pathReg = e.Reset
 			} else {
@@ -734,6 +752,12 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 			cur, predSlot = int(s.to), s.predSlot
 		}
 	}
+}
+
+// occurrenceLimit is the error a run stops with when it would complete
+// path occurrence max+1 of f.
+func occurrenceLimit(max int64, f *ir.Function) error {
+	return fmt.Errorf("%w (limit %d) in %s", ErrOccurrenceLimit, max, f.Name)
 }
 
 // call runs in's callee to completion, unprofiled, on the general executor,

@@ -348,10 +348,11 @@ var profileStage = Stage{
 	Name: "profile",
 	Fingerprint: func(c Config) string {
 		// Capture reads the host model only: OOO core, cache hierarchy,
-		// CPU energy constants, and the step bound. CGRA/frame/predictor
-		// parameters are downstream knobs and must not fragment the key.
-		return fmt.Sprintf("ooo=%+v mem=%+v cpu=%+v maxsteps=%d",
-			c.Sim.OOO, c.Sim.Mem, c.Sim.CPU, c.Sim.MaxSteps)
+		// CPU energy constants, and the step and occurrence bounds.
+		// CGRA/frame/predictor parameters are downstream knobs and must not
+		// fragment the key.
+		return fmt.Sprintf("ooo=%+v mem=%+v cpu=%+v maxsteps=%d maxocc=%d",
+			c.Sim.OOO, c.Sim.Mem, c.Sim.CPU, c.Sim.MaxSteps, c.Sim.MaxOccurrences)
 	},
 	cacheable: true,
 	run: func(a *Artifacts, sp *obs.Span) (any, error) {

@@ -207,7 +207,7 @@ func runStyle(t *testing.T, f *ir.Function, initMem []uint64, args []uint64, hoo
 	if err != nil {
 		t.Fatalf("NewCollector: %v", err)
 	}
-	res, runErr = c.RunTimed(args, mem, tm, maxSteps)
+	res, runErr = c.RunTimed(args, mem, interp.PlanOpts{MaxSteps: maxSteps, Timing: tm})
 	if runErr == nil {
 		if fp, err = c.Finish(); err != nil {
 			t.Fatalf("Finish: %v", err)

@@ -100,20 +100,18 @@ func NewCollector(am *pm.Manager, f *ir.Function, recordTrace bool) (*Collector,
 
 // Run profiles one invocation of the function on args and mem.
 func (c *Collector) Run(args, mem []uint64, maxSteps int64) (interp.Result, error) {
-	return c.RunTimed(args, mem, nil, maxSteps)
+	return c.RunTimed(args, mem, interp.PlanOpts{MaxSteps: maxSteps})
 }
 
-// RunTimed is Run with the run's dynamic stream fed to timing (see
+// RunTimed is Run under the full set of run options: step and occurrence
+// bounds, and the run's dynamic stream fed to opts.Timing (see
 // interp.Timing), the system simulator's configuration: one FeedBlock per
 // executed block, every branch outcome, and every path completion. A nil
-// timing is Run. A timed run of a function with calls fails with
+// Timing is Run. A timed run of a function with calls fails with
 // interp.ErrTimedCall.
-func (c *Collector) RunTimed(args, mem []uint64, timing interp.Timing, maxSteps int64) (interp.Result, error) {
+func (c *Collector) RunTimed(args, mem []uint64, opts interp.PlanOpts) (interp.Result, error) {
 	obsRuns.Add(1)
-	return interp.RunProfiled(c.plan, c.bl, args, mem, c.state, interp.PlanOpts{
-		MaxSteps: maxSteps,
-		Timing:   timing,
-	})
+	return interp.RunProfiled(c.plan, c.bl, args, mem, c.state, opts)
 }
 
 // Finish decodes and ranks the collected paths into a FunctionProfile, and

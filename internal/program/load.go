@@ -41,10 +41,27 @@ type Limits struct {
 	MaxInstrs int
 	// MaxMemWords caps the requested memory image size.
 	MaxMemWords int
-	// MaxSteps caps the interpreter step bound an untrusted request may
-	// run with. It is not enforced by Load (which never executes anything)
-	// — the serve layer applies it to the analysis config.
-	MaxSteps int64
+	// MaxSteps and MaxOccurrences cap the interpreter step bound and the
+	// traced path-occurrence bound an untrusted request may run with. Load
+	// never executes anything, so it enforces neither: the serve layer
+	// applies them to the analysis config.
+	MaxSteps       int64
+	MaxOccurrences int64
+}
+
+// DefaultLimits is the bound needled applies to untrusted requests when it
+// is given none, and whose run bounds `needle -nir` applies: generous
+// enough for any of the built-in kernels (the largest traces 36k path
+// occurrences) and their printed forms, small enough that a hostile request
+// cannot exhaust the process.
+func DefaultLimits() Limits {
+	return Limits{
+		MaxSourceBytes: 512 << 10,   // 512 KiB of .nir text
+		MaxInstrs:      1 << 16,     // 65536 static instructions
+		MaxMemWords:    1 << 22,     // 4M words (32 MiB image)
+		MaxSteps:       100_000_000, // interpreter step bound
+		MaxOccurrences: 1 << 20,     // traced path occurrences
+	}
 }
 
 // LoadOptions selects the entry point and initial state of a loaded

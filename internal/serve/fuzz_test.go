@@ -26,8 +26,9 @@ import (
 //   - a rejected input returns a typed error: ingestion wraps
 //     program.ErrInvalid or program.ErrTooLarge and maps to 422 or 413, and
 //     a pipeline failure wraps one of pipelineRejections and maps to 422;
-//   - a second analysis through a fresh pipeline.Cache gives byte-identical
-//     summary JSON, or the same error.
+//   - a second analysis, through a warm pipeline.DiskStore that the first
+//     analysis filled from cold, gives byte-identical summary JSON (its
+//     profile decoded from disk), or the same error.
 func FuzzAnalyze(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "nir", "*.nir"))
 	if err != nil || len(paths) == 0 {
@@ -47,7 +48,7 @@ func FuzzAnalyze(f *testing.F) {
 		f.Add(ir.Print(irgen.Generate(seed, irgen.DefaultConfig()).F), fmt.Sprint(seed*7+3))
 	}
 
-	s := New(Config{Jobs: 1, Limits: DefaultLimits()})
+	s := New(Config{Jobs: 1, Limits: program.DefaultLimits()})
 	f.Cleanup(s.Close)
 	f.Fuzz(func(t *testing.T, src, args string) {
 		if src == "" {
@@ -65,8 +66,9 @@ func FuzzAnalyze(f *testing.F) {
 			}
 			return
 		}
-		out, err := analyzeJSON(p, cfg)
-		again, errAgain := analyzeJSON(p, cfg)
+		dir := t.TempDir()
+		out, err := analyzeJSON(t, p, cfg, dir)
+		again, errAgain := analyzeJSON(t, p, cfg, dir)
 		if err != nil {
 			typed := false
 			for _, want := range pipelineRejections {
@@ -87,17 +89,34 @@ func FuzzAnalyze(f *testing.F) {
 			t.Fatalf("second run failed: %v", errAgain)
 		}
 		if !bytes.Equal(out, again) {
-			t.Fatalf("summary JSON differs between two fresh caches:\nfirst:\n%s\nsecond:\n%s", out, again)
+			t.Fatalf("summary JSON differs between a cold and a warm store:\ncold:\n%s\nwarm:\n%s", out, again)
 		}
 	})
 }
 
-// analyzeJSON runs p through the pipeline on a fresh in-memory Cache and
-// marshals its summary as the service does.
-func analyzeJSON(p *program.Program, cfg core.Config) ([]byte, error) {
-	a, err := core.New(core.WithStore(pipeline.NewCache())).Run(context.Background(), p, cfg)
+// analyzeJSON runs p through the pipeline on a new DiskStore handle over
+// dir, and marshals its summary as the service does. When dir already
+// holds p's artifacts, it requires the run to have decoded its profile.
+func analyzeJSON(t *testing.T, p *program.Program, cfg core.Config, dir string) ([]byte, error) {
+	warm := len(mustGlob(t, filepath.Join(dir, "profile-*"))) > 0
+	store, err := pipeline.NewDiskStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := core.New(core.WithStore(store)).Run(context.Background(), p, cfg)
 	if err != nil {
 		return nil, err
 	}
+	if hits := store.Stats()["profile"].DiskHits; warm && hits != 1 {
+		t.Fatalf("warm run decoded %d profiles, want 1", hits)
+	}
 	return core.MarshalSummaries([]*core.Analysis{a})
+}
+
+func mustGlob(t *testing.T, pattern string) []string {
+	m, err := filepath.Glob(pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

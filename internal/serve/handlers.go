@@ -151,14 +151,15 @@ func requestStatus(err error) int {
 
 // pipelineRejections are the typed errors a verified program may fail the
 // pipeline with: calls the inliner cannot flatten, a fault (a phi with no
-// value for the edge taken included) or the step cap while it is profiled,
-// or a CFG the Ball-Larus numbering refuses. Each is
+// value for the edge taken included) or the step or occurrence cap while it
+// is profiled, or a CFG the Ball-Larus numbering refuses. Each is
 // a property of the program the request sent, so each is a 422.
 var pipelineRejections = []error{
 	passes.ErrInlineDepth,
 	interp.ErrDivideByZero,
 	interp.ErrOutOfBounds,
 	interp.ErrStepLimit,
+	interp.ErrOccurrenceLimit,
 	interp.ErrCallDepth,
 	interp.ErrNoPhiEdge,
 	ballarus.ErrTooManyPaths,
@@ -328,8 +329,8 @@ func (s *Server) vetBytes(ctx context.Context, p *program.Program) ([]byte, erro
 }
 
 // resolveProgram turns an analyze request into the program to run and the
-// effective config, applying the server's ingestion limits. On failure it
-// returns the HTTP status the error maps to.
+// effective config, applying the server's limits. On failure it returns
+// the HTTP status the error maps to.
 func (s *Server) resolveProgram(req *analyzeRequest) (*program.Program, core.Config, int, error) {
 	cfg, err := resolveConfig(req.Config, req.N)
 	switch {
@@ -337,49 +338,73 @@ func (s *Server) resolveProgram(req *analyzeRequest) (*program.Program, core.Con
 		return nil, cfg, http.StatusBadRequest, err
 	case req.Workload != "" && req.Source != "":
 		return nil, cfg, http.StatusBadRequest, errors.New("workload and source are mutually exclusive")
-	case req.Workload != "":
-		if req.Entry != "" || req.MemWords != 0 || len(req.Args) != 0 {
-			return nil, cfg, http.StatusBadRequest, errors.New("entry/memWords/args apply only to source requests")
-		}
+	case req.Workload == "" && req.Source == "":
+		return nil, cfg, http.StatusBadRequest, errors.New("missing workload name or source")
+	case req.Workload != "" && (req.Entry != "" || req.MemWords != 0 || len(req.Args) != 0):
+		return nil, cfg, http.StatusBadRequest, errors.New("entry/memWords/args apply only to source requests")
+	}
+	// No request runs unbounded: the effective config is materialized so
+	// the run caps can be enforced — an explicit bound over a cap is
+	// rejected, an absent (unlimited) one is clamped. A cap changes only
+	// how a runaway program fails, never the summary bytes of one that
+	// finishes under it, so CLI/serve byte-identity holds for every such
+	// program.
+	cfg = cfg.WithDefaults()
+	if err := clampRun(&cfg, s.cfg.Limits); err != nil {
+		return nil, cfg, http.StatusUnprocessableEntity, err
+	}
+	if req.Workload != "" {
 		wl := workloads.ByName(req.Workload)
 		if wl == nil {
 			return nil, cfg, http.StatusNotFound, fmt.Errorf("unknown workload %q (see /v1/workloads)", req.Workload)
+		}
+		n := cfg.N
+		if n <= 0 {
+			n = wl.DefaultN
+		}
+		if max := s.cfg.Limits.MaxMemWords; max > 0 && wl.MemWords(n) > max {
+			err := fmt.Errorf("%w: %s at n=%d needs a memory image of %d words, cap is %d",
+				program.ErrTooLarge, wl.Name, n, wl.MemWords(n), max)
+			return nil, cfg, http.StatusRequestEntityTooLarge, err
 		}
 		p, err := wl.Program(cfg.N)
 		if err != nil {
 			return nil, cfg, http.StatusInternalServerError, err
 		}
 		return p, cfg, 0, nil
-	case req.Source != "":
-		// Untrusted source must not run unbounded: the effective config is
-		// materialized so the step cap can be enforced — an explicit bound
-		// over the cap is rejected, an absent (unlimited) one is clamped.
-		// The cap changes only how a runaway program fails, never the
-		// summary bytes of one that terminates, so CLI/serve byte-identity
-		// holds for every program that completes under it.
-		cfg = cfg.WithDefaults()
-		if max := s.cfg.Limits.MaxSteps; max > 0 {
-			if cfg.Sim.MaxSteps > max {
-				return nil, cfg, http.StatusUnprocessableEntity,
-					fmt.Errorf("config.sim maxSteps %d exceeds the server cap %d", cfg.Sim.MaxSteps, max)
-			}
-			if cfg.Sim.MaxSteps == 0 {
-				cfg.Sim.MaxSteps = max
-			}
-		}
-		p, err := program.Load(req.Source, program.LoadOptions{
-			Entry:    req.Entry,
-			MemWords: req.MemWords,
-			Args:     req.Args,
-			Limits:   s.cfg.Limits,
-		})
-		if err != nil {
-			return nil, cfg, requestStatus(err), err
-		}
-		return p, cfg, 0, nil
-	default:
-		return nil, cfg, http.StatusBadRequest, errors.New("missing workload name or source")
 	}
+	p, err := program.Load(req.Source, program.LoadOptions{
+		Entry:    req.Entry,
+		MemWords: req.MemWords,
+		Args:     req.Args,
+		Limits:   s.cfg.Limits,
+	})
+	if err != nil {
+		return nil, cfg, requestStatus(err), err
+	}
+	return p, cfg, 0, nil
+}
+
+// clampRun applies lim's run caps to cfg: a bound over its cap is an
+// error, and an unset one (zero or negative: unbounded) takes the cap.
+func clampRun(cfg *core.Config, lim program.Limits) error {
+	for _, b := range []struct {
+		name string
+		val  *int64
+		max  int64
+	}{
+		{"maxSteps", &cfg.Sim.MaxSteps, lim.MaxSteps},
+		{"maxOccurrences", &cfg.Sim.MaxOccurrences, lim.MaxOccurrences},
+	} {
+		switch {
+		case b.max <= 0:
+		case *b.val > b.max:
+			return fmt.Errorf("config.sim %s %d exceeds the server cap %d", b.name, *b.val, b.max)
+		case *b.val <= 0:
+			*b.val = b.max
+		}
+	}
+	return nil
 }
 
 // handleAnalyzeTrace runs the analysis under a private observability
@@ -478,6 +503,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	cfg, err := resolveConfig(req.Config, req.N)
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	cfg = cfg.WithDefaults()
+	if err := clampRun(&cfg, s.cfg.Limits); err != nil {
+		writeJSONError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
@@ -601,7 +631,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			continue
 		}
-		fmt.Fprintf(w, "cache %s hits=%d misses=%d disk_hits=%d evictions=%d\n",
-			name, cs.Hits, cs.Misses, cs.DiskHits, cs.Evictions)
+		fmt.Fprintf(w, "cache %s hits=%d misses=%d disk_hits=%d evictions=%d mem_evictions=%d\n",
+			name, cs.Hits, cs.Misses, cs.DiskHits, cs.Evictions, cs.MemEvictions)
 	}
 }

@@ -51,7 +51,7 @@ func sourceReq(t *testing.T, req analyzeRequest) string {
 // payloads and programs are 413, malformed programs are 422, shape
 // conflicts are 400 — and none of them reach the pipeline.
 func TestAnalyzeSourceRejections(t *testing.T) {
-	lim := DefaultLimits()
+	lim := program.DefaultLimits()
 	lim.MaxSourceBytes = 1 << 10
 	lim.MaxInstrs = 64
 	lim.MaxMemWords = 1 << 16
@@ -109,7 +109,7 @@ func TestAnalyzeSourceRejections(t *testing.T) {
 // cap is rejected with 422; an absent bound is clamped and the request
 // succeeds.
 func TestAnalyzeSourceStepCap(t *testing.T) {
-	lim := DefaultLimits()
+	lim := program.DefaultLimits()
 	lim.MaxSteps = 1_000_000
 	s := New(Config{Jobs: 1, Limits: lim})
 	defer s.Close()
@@ -124,6 +124,77 @@ func TestAnalyzeSourceStepCap(t *testing.T) {
 	rr = doReq(s, http.MethodPost, "/v1/analyze", sourceReq(t, analyzeRequest{Source: ingestSrc, Args: []string{"10"}}))
 	if rr.Code != http.StatusOK {
 		t.Errorf("clamped request: status %d (body %q)", rr.Code, rr.Body.String())
+	}
+}
+
+// TestAnalyzeOccurrenceCap: a run that would trace more path occurrences
+// than the server allows stops with 422, an explicit bound above the cap is
+// rejected, and an absent one is clamped.
+func TestAnalyzeOccurrenceCap(t *testing.T) {
+	lim := program.DefaultLimits()
+	lim.MaxOccurrences = 1000
+	s := New(Config{Jobs: 1, Limits: lim})
+	defer s.Close()
+
+	over := core.DefaultConfig()
+	over.Sim.MaxOccurrences = lim.MaxOccurrences + 1
+	rr := doReq(s, http.MethodPost, "/v1/analyze", sourceReq(t, analyzeRequest{Source: ingestSrc, Config: &over}))
+	if rr.Code != http.StatusUnprocessableEntity {
+		t.Errorf("over-cap maxOccurrences: status %d, want 422 (body %q)", rr.Code, rr.Body.String())
+	}
+	rr = doReq(s, http.MethodPost, "/v1/analyze", sourceReq(t, analyzeRequest{Source: ingestSrc, Args: []string{"5000"}}))
+	if rr.Code != http.StatusUnprocessableEntity || !strings.Contains(rr.Body.String(), "occurrence limit") {
+		t.Errorf("5000 iterations under a 1000-occurrence cap: status %d, want 422 (body %q)", rr.Code, rr.Body.String())
+	}
+	rr = doReq(s, http.MethodPost, "/v1/analyze", sourceReq(t, analyzeRequest{Source: ingestSrc, Args: []string{"500"}}))
+	if rr.Code != http.StatusOK {
+		t.Errorf("500 iterations: status %d (body %q)", rr.Code, rr.Body.String())
+	}
+}
+
+// TestWorkloadRequestBounds: a workload request's size and run are bounded
+// like a source request's. An n whose memory image exceeds the cap is 413
+// before anything is materialized; a huge n runs into the occurrence cap
+// (422); an unset or negative run bound takes the server's cap; and many
+// distinct sizes are each served.
+func TestWorkloadRequestBounds(t *testing.T) {
+	lim := program.DefaultLimits()
+	lim.MaxOccurrences = 1 << 14
+	s := New(Config{Jobs: 1, Limits: lim})
+	defer s.Close()
+
+	if rr := doReq(s, http.MethodPost, "/v1/analyze", `{"workload":"164.gzip","n":1e12}`); rr.Code != http.StatusBadRequest {
+		t.Errorf("n 1e12 (not an integer literal): status %d, want 400 (body %q)", rr.Code, rr.Body.String())
+	}
+	rr := doReq(s, http.MethodPost, "/v1/analyze", `{"workload":"164.gzip","n":1000000000000}`)
+	if rr.Code != http.StatusUnprocessableEntity || !strings.Contains(rr.Body.String(), "occurrence limit") {
+		t.Errorf("n 10^12: status %d, want 422 from the occurrence cap (body %q)", rr.Code, rr.Body.String())
+	}
+	for n := 100; n < 124; n++ {
+		if rr := doReq(s, http.MethodPost, "/v1/analyze", fmt.Sprintf(`{"workload":"164.gzip","n":%d}`, n)); rr.Code != http.StatusOK {
+			t.Fatalf("n %d: status %d (body %q)", n, rr.Code, rr.Body.String())
+		}
+	}
+
+	small := program.DefaultLimits()
+	small.MaxMemWords = 1024 // 164.gzip's image is 16384 words
+	s2 := New(Config{Jobs: 1, Limits: small})
+	defer s2.Close()
+	var ran []core.Config
+	s2.analyze = func(_ context.Context, _ *obs.Span, _ *program.Program, cfg core.Config) (*core.Analysis, error) {
+		ran = append(ran, cfg)
+		return nil, interp.ErrStepLimit
+	}
+	if rr := doReq(s2, http.MethodPost, "/v1/analyze", `{"workload":"164.gzip","n":100}`); rr.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("over-cap memory image: status %d, want 413 (body %q)", rr.Code, rr.Body.String())
+	}
+	if len(ran) != 0 {
+		t.Fatal("an over-cap workload request reached the analyze seam")
+	}
+	s2.cfg.Limits.MaxMemWords = 0
+	doReq(s2, http.MethodPost, "/v1/analyze", `{"workload":"470.lbm","config":{"Sim":{"MaxSteps":-1,"MaxOccurrences":-5}}}`)
+	if len(ran) != 1 || ran[0].Sim.MaxSteps != small.MaxSteps || ran[0].Sim.MaxOccurrences != small.MaxOccurrences {
+		t.Fatalf("negative run bounds reached the pipeline as %+v, want the caps", ran)
 	}
 }
 

@@ -88,25 +88,17 @@ type Config struct {
 	// MaxBodyBytes caps every request body (413 beyond it). <= 0 selects
 	// 1 MiB.
 	MaxBodyBytes int64
-	// Limits bounds inline-source analysis requests (the "source" field of
-	// /v1/analyze): source size, static instruction count, memory image,
-	// and interpreter steps. The zero value selects DefaultLimits — a
-	// service facing untrusted input is never accidentally unbounded.
+	// Limits bounds analysis requests: an inline source's size, static
+	// instruction count and memory image, a workload's memory image, and
+	// every run's interpreter steps and traced path occurrences. The zero
+	// value selects program.DefaultLimits — a service facing untrusted input is
+	// never accidentally unbounded.
 	Limits program.Limits
 }
 
-// DefaultLimits is the inline-source request bound the server applies when
-// Config.Limits is zero: generous enough for any of the built-in kernels'
-// printed forms, small enough that a hostile request cannot exhaust the
-// process.
-func DefaultLimits() program.Limits {
-	return program.Limits{
-		MaxSourceBytes: 512 << 10,   // 512 KiB of .nir text
-		MaxInstrs:      1 << 16,     // 65536 static instructions
-		MaxMemWords:    1 << 22,     // 4M words (32 MiB image)
-		MaxSteps:       100_000_000, // interpreter step bound
-	}
-}
+// DefaultLimits is program.DefaultLimits, the bound the server applies
+// when Config.Limits is zero. The needlebench module calls it by this name.
+func DefaultLimits() program.Limits { return program.DefaultLimits() }
 
 // Server is the HTTP handler plus its worker pool. Create with New, serve
 // with net/http, and on shutdown call Drain (stop accepting), then let
@@ -146,7 +138,7 @@ func New(cfg Config) *Server {
 		cfg.MaxBodyBytes = 1 << 20
 	}
 	if cfg.Limits == (program.Limits{}) {
-		cfg.Limits = DefaultLimits()
+		cfg.Limits = program.DefaultLimits()
 	}
 	s := &Server{
 		cfg:   cfg,

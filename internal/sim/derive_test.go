@@ -127,7 +127,7 @@ func captureCut(t *testing.T, f *ir.Function, args, memory []uint64, maxSteps in
 		t.Fatal(err)
 	}
 	feed := &cutFeed{}
-	_, runErr := c.RunTimed(args, memory, feed, maxSteps)
+	_, runErr := c.RunTimed(args, memory, interp.PlanOpts{MaxSteps: maxSteps, Timing: feed})
 	fp, err := c.Finish()
 	if err != nil {
 		t.Fatal(err)

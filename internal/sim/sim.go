@@ -15,6 +15,7 @@ import (
 	"needle/internal/cgra"
 	"needle/internal/energy"
 	"needle/internal/frame"
+	"needle/internal/interp"
 	"needle/internal/ir"
 	"needle/internal/mem"
 	"needle/internal/obs"
@@ -42,7 +43,12 @@ type Config struct {
 	CPU      energy.CPU
 	Frame    frame.Options
 	HistBits uint
-	MaxSteps int64
+	// MaxSteps bounds the interpreter steps of a capture (<= 0: the
+	// interpreter's default), and MaxOccurrences the path occurrences it
+	// traces (<= 0: unbounded); a capture past either fails with
+	// interp.ErrStepLimit or interp.ErrOccurrenceLimit.
+	MaxSteps       int64
+	MaxOccurrences int64
 }
 
 // DefaultConfig returns the Table V system.
@@ -166,7 +172,9 @@ func Capture(am *pm.Manager, f *ir.Function, args []uint64, memory []uint64, cfg
 	}
 
 	xsp := sp.Child("capture: execute")
-	if _, err := collector.RunTimed(args, memory, host, cfg.MaxSteps); err != nil {
+	if _, err := collector.RunTimed(args, memory, interp.PlanOpts{
+		MaxSteps: cfg.MaxSteps, MaxOccurrences: cfg.MaxOccurrences, Timing: host,
+	}); err != nil {
 		xsp.End()
 		return nil, err
 	}

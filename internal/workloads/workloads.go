@@ -48,7 +48,17 @@ type Workload struct {
 	cached    *ir.Function
 
 	progMu sync.Mutex
-	progs  map[int]*program.Program
+	progs  []sizedProgram // most recently used first, at most maxCachedSizes
+}
+
+// maxCachedSizes bounds how many problem sizes of one workload Program
+// keeps materialized: a sweep uses one or two, and a service asked for
+// many distinct sizes must not keep every one.
+const maxCachedSizes = 4
+
+type sizedProgram struct {
+	n int
+	p *program.Program
 }
 
 // Function returns the kernel's hot function, building it on first use.
@@ -74,28 +84,35 @@ func (w *Workload) Instance(n int) (*ir.Function, []uint64, []uint64) {
 // DefaultN) as the pipeline's first-class input: the built kernel plus its
 // deterministic initial state, content-digested. Setup is deterministic, so
 // the instance for a given n never changes within a process; the Program
-// (and its lazily computed digest) is cached per size, making repeated
-// analyses — a config sweep, the warm-start benchmark — share one
-// materialization. The returned Program's Args/Memory are the pristine
-// read-only images the pipeline contract requires.
+// (and its lazily computed digest) is cached for the maxCachedSizes most
+// recently used sizes, making repeated analyses — a config sweep, the
+// warm-start benchmark — share one materialization. A size that fell out
+// is materialized again, with the same digest. The returned Program's
+// Args/Memory are the pristine read-only images the pipeline contract
+// requires.
 func (w *Workload) Program(n int) (*program.Program, error) {
 	if n <= 0 {
 		n = w.DefaultN
 	}
 	w.progMu.Lock()
 	defer w.progMu.Unlock()
-	if p, ok := w.progs[n]; ok {
-		return p, nil
+	for i, sp := range w.progs {
+		if sp.n == n {
+			copy(w.progs[1:i+1], w.progs[:i])
+			w.progs[0] = sp
+			return sp.p, nil
+		}
 	}
 	f, args, mem := w.Instance(n)
 	p, err := program.New(w.Name, w.Suite, f, args, mem)
 	if err != nil {
 		return nil, fmt.Errorf("workloads: %s at n=%d: %w", w.Name, n, err)
 	}
-	if w.progs == nil {
-		w.progs = make(map[int]*program.Program)
+	if len(w.progs) < maxCachedSizes {
+		w.progs = append(w.progs, sizedProgram{})
 	}
-	w.progs[n] = p
+	copy(w.progs[1:], w.progs)
+	w.progs[0] = sizedProgram{n, p}
 	return p, nil
 }
 

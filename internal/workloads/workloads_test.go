@@ -293,3 +293,38 @@ func TestKernelsRoundTripTextualIR(t *testing.T) {
 		})
 	}
 }
+
+// TestProgramCacheKeepsFewSizes: asking for many distinct problem sizes
+// keeps only the most recent few materialized, and a size that fell out
+// comes back with the same content digest.
+func TestProgramCacheKeepsFewSizes(t *testing.T) {
+	w := ByName("164.gzip")
+	first, err := w.Program(11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 12; n < 60; n++ {
+		if _, err := w.Program(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.progMu.Lock()
+	kept := len(w.progs)
+	w.progMu.Unlock()
+	if kept > maxCachedSizes {
+		t.Fatalf("%d sizes kept, want at most %d", kept, maxCachedSizes)
+	}
+	again, err := w.Program(11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == first {
+		t.Fatal("n=11 stayed materialized behind 48 later sizes")
+	}
+	if again.Key() != first.Key() {
+		t.Fatalf("rematerialized key %q, want %q", again.Key(), first.Key())
+	}
+	if p, _ := w.Program(11); p != again {
+		t.Fatal("the most recent size was not reused")
+	}
+}
