@@ -190,14 +190,7 @@ func dispatch(ctx context.Context, o options, store pipeline.Store) {
 	case o.benchOut:
 		benchJSON(ctx, az, cfg, o.jobs)
 	case o.nirFile != "":
-		p, err := program.LoadFile(o.nirFile, program.LoadOptions{
-			Entry:    o.entry,
-			MemWords: o.memWords,
-			Args:     splitArgs(o.argList),
-		})
-		if err != nil {
-			fatal("load %s: %v", o.nirFile, err)
-		}
+		p := loadNIR(o)
 		// A user program may never exit: it runs under needled's default
 		// step and occurrence bounds, which change only how a runaway
 		// program fails, never the output of one that finishes.
@@ -232,51 +225,8 @@ func dispatch(ctx context.Context, o options, store pipeline.Store) {
 			fatal("json: %v", err)
 		}
 		fmt.Println(string(out))
-	case o.figure == "3":
-		fmt.Println(tables.Figure3())
 	case o.table != "" || o.figure != "" || o.all:
-		s, err := tables.Run(ctx, az, cfg)
-		if err != nil {
-			fatal("analysis sweep: %v", err)
-		}
-		switch {
-		case o.all:
-			fmt.Println(s.All())
-		case o.table != "":
-			switch strings.ToUpper(o.table) {
-			case "I":
-				fmt.Println(s.TableI())
-			case "II":
-				fmt.Println(s.TableII())
-			case "III":
-				fmt.Println(s.TableIII())
-			case "IV":
-				fmt.Println(s.TableIV())
-			case "V":
-				fmt.Println(s.TableV())
-			case "HLS":
-				fmt.Println(s.TableHLS())
-			default:
-				fatal("unknown table %q", o.table)
-			}
-		default:
-			switch o.figure {
-			case "2":
-				fmt.Println(s.Figure2())
-			case "4":
-				fmt.Println(s.Figure4())
-			case "5":
-				fmt.Println(s.Figure5())
-			case "6":
-				fmt.Println(s.Figure6())
-			case "9":
-				fmt.Println(s.Figure9())
-			case "10":
-				fmt.Println(s.Figure10())
-			default:
-				fatal("unknown figure %q", o.figure)
-			}
-		}
+		renderParts(ctx, az, cfg, o)
 	case o.observing:
 		// Observability-only run (`needle -trace out.json`): sweep every
 		// workload so the exported timeline covers the whole pipeline, but
@@ -292,6 +242,52 @@ func dispatch(ctx context.Context, o options, store pipeline.Store) {
 	}
 }
 
+// loadNIR loads the -nir program with the -entry, -mem and -args options.
+func loadNIR(o options) *program.Program {
+	p, err := program.LoadFile(o.nirFile, program.LoadOptions{
+		Entry:    o.entry,
+		MemWords: o.memWords,
+		Args:     splitArgs(o.argList),
+	})
+	if err != nil {
+		fatal("load %s: %v", o.nirFile, err)
+	}
+	return p
+}
+
+// renderParts prints every table and figure (-all), or the one -table or
+// -figure names, running the sweep only when the output needs it.
+func renderParts(ctx context.Context, az *core.Analyzer, cfg core.Config, o options) {
+	parts := tables.Parts
+	if !o.all {
+		name, kind, id := "Figure"+o.figure, "figure", o.figure
+		if o.table != "" {
+			name, kind, id = "Table"+strings.ToUpper(o.table), "table", o.table
+		}
+		parts = nil
+		for i, p := range tables.Parts {
+			if p.Name == name {
+				parts = tables.Parts[i : i+1]
+			}
+		}
+		if parts == nil {
+			fatal("unknown %s %q", kind, id)
+		}
+	}
+	var s *tables.Suite
+	if o.all || parts[0].Sweep {
+		var err error
+		if s, err = tables.Run(ctx, az, cfg); err != nil {
+			fatal("analysis sweep: %v", err)
+		}
+	}
+	out := make([]string, len(parts))
+	for i, p := range parts {
+		out[i] = p.Render(s)
+	}
+	fmt.Println(strings.Join(out, "\n"))
+}
+
 // runVet loads the selected program (a -nir file or a -workload kernel),
 // runs the static-analysis diagnostic suite over it, prints the report
 // (-json for the machine-readable form, byte-identical to the needled
@@ -301,15 +297,7 @@ func runVet(o options) {
 	var p *program.Program
 	switch {
 	case o.nirFile != "":
-		var err error
-		p, err = program.LoadFile(o.nirFile, program.LoadOptions{
-			Entry:    o.entry,
-			MemWords: o.memWords,
-			Args:     splitArgs(o.argList),
-		})
-		if err != nil {
-			fatal("load %s: %v", o.nirFile, err)
-		}
+		p = loadNIR(o)
 	case o.workload != "":
 		w := workloads.ByName(o.workload)
 		if w == nil {
@@ -374,20 +362,10 @@ func benchJSON(ctx context.Context, az *core.Analyzer, cfg core.Config, jobs int
 	sweepMs := time.Since(start).Seconds() * 1000
 
 	var timings []timing
-	renderers := []struct {
-		name string
-		fn   func() string
-	}{
-		{"TableI", s.TableI}, {"TableII", s.TableII}, {"TableIII", s.TableIII},
-		{"TableIV", s.TableIV}, {"TableV", s.TableV}, {"TableHLS", s.TableHLS},
-		{"Figure2", s.Figure2}, {"Figure3", tables.Figure3}, {"Figure4", s.Figure4},
-		{"Figure5", s.Figure5}, {"Figure6", s.Figure6}, {"Figure9", s.Figure9},
-		{"Figure10", s.Figure10},
-	}
-	for _, r := range renderers {
+	for _, p := range tables.Parts {
 		t0 := time.Now()
-		_ = r.fn()
-		timings = append(timings, timing{Name: r.name, Ms: time.Since(t0).Seconds() * 1000})
+		_ = p.Render(s)
+		timings = append(timings, timing{Name: p.Name, Ms: time.Since(t0).Seconds() * 1000})
 	}
 	out, err := json.MarshalIndent(struct {
 		Jobs      int      `json:"jobs"`

@@ -52,13 +52,13 @@ func main() {
 		cacheMaxMB = flag.Int("cache-max-mb", 0, "evict least-recently-used artifacts when -cache-dir exceeds this size (0 = unbounded)")
 		drainGrace = flag.Duration("drain-grace", 30*time.Second, "how long shutdown waits for in-flight requests")
 
-		// Inline-source ingestion caps (0 = the serve-layer default shown).
+		// Request caps (0 = the serve-layer default shown).
 		def         = program.DefaultLimits()
 		maxBodyKB   = flag.Int("max-body-kb", 0, fmt.Sprintf("request-body cap in KiB (0 = %d)", 1<<10))
 		maxSourceKB = flag.Int("max-source-kb", 0, fmt.Sprintf("inline .nir source cap in KiB (0 = %d)", def.MaxSourceBytes>>10))
 		maxInstrs   = flag.Int("max-instrs", 0, fmt.Sprintf("static instruction cap for inline source (0 = %d)", def.MaxInstrs))
-		maxMemWords = flag.Int("max-mem-words", 0, fmt.Sprintf("memory-image cap in words for inline source (0 = %d)", def.MaxMemWords))
-		maxSteps    = flag.Int64("max-steps", 0, fmt.Sprintf("interpreter step cap for inline source (0 = %d)", def.MaxSteps))
+		maxMemWords = flag.Int("max-mem-words", 0, fmt.Sprintf("memory-image cap in words for inline source and workload requests (0 = %d)", def.MaxMemWords))
+		maxSteps    = flag.Int64("max-steps", 0, fmt.Sprintf("interpreter step cap for every analysis and sweep run (0 = %d)", def.MaxSteps))
 	)
 	flag.Parse()
 

@@ -8,16 +8,11 @@
 //	nir run file.nir [-f func] [-mem words] [args...]
 //	nir paths file.nir [-f func] [-mem words] [args...]
 //	nir stats file.nir [-f func]
-//	nir vet file.nir [-f func] [-mem words] [-json]
 //
 // Arguments are int64 literals, or float literals prefixed with "f:"
 // (e.g. f:3.5). The run exit prints the return value; paths additionally
-// prints the Ball-Larus path profile of the executed function.
-//
-// vet runs the static-analysis diagnostic suite (SCCP, reachability,
-// value ranges, memory dependence) without executing the program and
-// exits non-zero when any error-severity diagnostic is present; its
-// -json output matches `needle -vet -json` for the same program.
+// prints the Ball-Larus path profile of the executed function. The
+// static-analysis diagnostics are `needle -vet -nir file.nir`.
 package main
 
 import (
@@ -34,7 +29,6 @@ import (
 	"needle/internal/profile"
 	"needle/internal/program"
 	"needle/internal/region"
-	"needle/internal/vet"
 )
 
 func main() {
@@ -45,7 +39,6 @@ func main() {
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	funcName := fs.String("f", "", "function to run (default: first)")
 	memWords := fs.Int("mem", 4096, "memory size in words")
-	jsonOut := fs.Bool("json", false, "emit the vet report as JSON (vet only)")
 	if err := fs.Parse(os.Args[3:]); err != nil {
 		fatal("%v", err)
 	}
@@ -78,27 +71,6 @@ func main() {
 			fmt.Printf("Ball-Larus: %d static acyclic paths\n", dag.NumPaths())
 		}
 		_ = memWords
-	case "vet":
-		// Route through the same Program materialization the needle CLI and
-		// the needled service use so all three frontends produce identical
-		// reports for identical input.
-		p, err := program.FromModule(m, program.LoadOptions{Entry: *funcName, MemWords: *memWords})
-		if err != nil {
-			fatal("%v", err)
-		}
-		rep := vet.Check(nil, p)
-		if *jsonOut {
-			out, err := vet.MarshalReport(rep)
-			if err != nil {
-				fatal("%v", err)
-			}
-			fmt.Println(string(out))
-		} else {
-			fmt.Print(rep.Text())
-		}
-		if rep.HasErrors() {
-			os.Exit(1)
-		}
 	case "verify":
 		for _, f := range m.Funcs {
 			if err := analysis.VerifySSA(f); err != nil {
@@ -182,7 +154,7 @@ func printResult(f *ir.Function, res interp.Result) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: nir {verify|print|run|paths|stats|vet} file.nir [-f func] [-mem words] [-json] [args...]")
+	fmt.Fprintln(os.Stderr, "usage: nir {verify|print|run|paths|stats} file.nir [-f func] [-mem words] [args...]")
 	os.Exit(2)
 }
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"needle/internal/obs"
 	"needle/internal/pipeline"
@@ -144,11 +145,12 @@ func (az *Analyzer) runWorkload(ctx context.Context, w *workloads.Workload, cfg 
 }
 
 // RunAll runs the pipeline over every registered workload on the bounded
-// worker pool. Each workload's analysis owns its manager and shares no
-// mutable state with the others (beyond store-shared read-only artifacts),
-// so the result slice is in registration order and identical to a serial
-// run; on failure the error of the earliest-registered failing workload is
-// returned.
+// worker pool (one worker at WithJobs(1)). Each workload's analysis owns
+// its manager and shares no mutable state with the others (beyond
+// store-shared read-only artifacts), so the result slice is in
+// registration order and identical at every pool size; on failure the
+// error of the earliest-registered failing workload is returned, and no
+// workload registered after it is started.
 //
 // Cancelling ctx stops the sweep promptly — between workloads and between
 // the stages of any analysis in flight — and returns ctx.Err().
@@ -181,21 +183,12 @@ func (az *Analyzer) RunAll(ctx context.Context, cfg Config) ([]*Analysis, error)
 
 	out := make([]*Analysis, len(ws))
 	errs := make([]error, len(ws))
-	if jobs <= 1 {
-		for i, w := range ws {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			a, err := az.runWorkload(ctx, w, cfg, root)
-			report(i, a, err)
-			if err != nil {
-				return nil, err
-			}
-			obsSweepUnits.Add(1)
-			out[i] = a
-		}
-		return out, nil
-	}
+	// failed is the index of the earliest workload seen to fail. No worker
+	// starts a workload registered after it, so a sweep stops at its first
+	// failure at every -j; one registered before it still runs, so the
+	// error returned is the earliest-registered failure's.
+	var failed atomic.Int64
+	failed.Store(int64(len(ws)))
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for j := 0; j < jobs; j++ {
@@ -207,13 +200,19 @@ func (az *Analyzer) RunAll(ctx context.Context, cfg Config) ([]*Analysis, error)
 			wsp := root.ChildOnTrack(fmt.Sprintf("worker-%d", j+1), j+1)
 			defer wsp.End()
 			for i := range idx {
-				if ctx.Err() != nil {
+				if ctx.Err() != nil || int64(i) > failed.Load() {
 					continue
 				}
 				out[i], errs[i] = az.runWorkload(ctx, ws[i], cfg, wsp)
 				report(i, out[i], errs[i])
 				if errs[i] == nil {
 					obsSweepUnits.Add(1)
+					continue
+				}
+				for f := failed.Load(); int64(i) < f; f = failed.Load() {
+					if failed.CompareAndSwap(f, int64(i)) {
+						break
+					}
 				}
 			}
 		}(j)

@@ -208,6 +208,34 @@ func TestRunAllCancellation(t *testing.T) {
 	}
 }
 
+// TestRunAllStopsAtFirstFailure: when every workload fails, a one-worker
+// sweep starts only the first, and a sweep at any pool size returns the
+// first-registered workload's error.
+func TestRunAllStopsAtFirstFailure(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.N = 600
+	cfg.Sim.MaxSteps = 10
+	want := ""
+	for _, jobs := range []int{1, 4} {
+		var started []string
+		_, err := New(WithJobs(jobs), WithProgress(func(p Progress) {
+			started = append(started, p.Workload.Name)
+		})).RunAll(context.Background(), cfg)
+		if err == nil {
+			t.Fatalf("-j %d: a sweep capped at 10 steps succeeded", jobs)
+		}
+		if jobs == 1 {
+			want = err.Error()
+			if len(started) != 1 || started[0] != workloads.All()[0].Name {
+				t.Errorf("-j 1 ran %v after the first failure, want only %s", started, workloads.All()[0].Name)
+			}
+		}
+		if err.Error() != want {
+			t.Errorf("-j %d: error %q, want the first workload's %q", jobs, err, want)
+		}
+	}
+}
+
 func TestRunAllMidSweepCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})

@@ -120,6 +120,9 @@ func TestLoadDefaultsAndEntrySelection(t *testing.T) {
 	}
 }
 
+// TestLoadTypedErrors covers every way Load rejects its input: each
+// failure wraps ErrInvalid or ErrTooLarge, which is all needled's status
+// mapping looks for (422 and 413).
 func TestLoadTypedErrors(t *testing.T) {
 	if _, err := Load("not nir at all", LoadOptions{}); !errors.Is(err, ErrInvalid) {
 		t.Errorf("parse failure: %v, want ErrInvalid", err)
@@ -152,6 +155,15 @@ func TestLoadTypedErrors(t *testing.T) {
 	}
 	if _, err := Load(countSrc, LoadOptions{Args: []string{"not-a-number"}}); !errors.Is(err, ErrInvalid) {
 		t.Errorf("bad literal: %v, want ErrInvalid", err)
+	}
+	if _, err := Load(countSrc, LoadOptions{Args: []string{"f:zebra"}}); !errors.Is(err, ErrInvalid) {
+		t.Errorf("bad float literal: %v, want ErrInvalid", err)
+	}
+	if _, err := Load(countSrc, LoadOptions{Entry: "missing"}); !errors.Is(err, ErrInvalid) {
+		t.Errorf("unknown entry: %v, want ErrInvalid", err)
+	}
+	if _, err := Load("", LoadOptions{}); !errors.Is(err, ErrInvalid) {
+		t.Errorf("empty module: %v, want ErrInvalid", err)
 	}
 }
 

@@ -58,8 +58,9 @@ func FuzzAnalyze(f *testing.F) {
 		if args != "" {
 			req.Args = strings.Split(args, ",")
 		}
-		p, cfg, status, err := s.resolveProgram(req)
+		p, cfg, err := s.resolveProgram(req)
 		if err != nil {
+			status := errorStatus(err)
 			typed := errors.Is(err, program.ErrInvalid) || errors.Is(err, program.ErrTooLarge)
 			if !typed || (status != http.StatusUnprocessableEntity && status != http.StatusRequestEntityTooLarge) {
 				t.Fatalf("ingestion rejected with status %d and untyped error: %v", status, err)

@@ -17,7 +17,6 @@ import (
 	"needle/internal/ballarus"
 	"needle/internal/core"
 	"needle/internal/interp"
-	"needle/internal/ir"
 	"needle/internal/obs"
 	"needle/internal/passes"
 	"needle/internal/pipeline"
@@ -29,12 +28,22 @@ import (
 
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/analyze", s.handleAnalyze)
-	s.mux.HandleFunc("/v1/vet", s.handleVet)
-	s.mux.HandleFunc("/v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("/v1/workloads", s.handleWorkloads)
+	s.mux.HandleFunc("/v1/analyze", s.handle(s.handleAnalyze))
+	s.mux.HandleFunc("/v1/vet", s.handle(s.handleVet))
+	s.mux.HandleFunc("/v1/sweep", s.handle(s.handleSweep))
+	s.mux.HandleFunc("/v1/workloads", s.handle(s.handleWorkloads))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
+}
+
+// handle adapts an endpoint that returns its failure: the error is
+// answered by writeError.
+func (s *Server) handle(h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if err := h(w, r); err != nil {
+			s.writeError(w, err)
+		}
+	}
 }
 
 // analyzeRequest is the POST /v1/analyze payload. Exactly one of Workload
@@ -74,37 +83,56 @@ type sweepRequest struct {
 	TimeoutMs int64        `json:"timeoutMs"`
 }
 
+// statusError is a request the server refuses with a status of its own
+// choosing; its text is the wrapped error's, unchanged.
+type statusError struct {
+	status int
+	err    error
+}
+
+func (e *statusError) Error() string { return e.err.Error() }
+func (e *statusError) Unwrap() error { return e.err }
+
+// statusErr formats an error that answers with status.
+func statusErr(status int, format string, args ...any) error {
+	return &statusError{status, fmt.Errorf(format, args...)}
+}
+
 // decodeBody strictly decodes a JSON request body into dst, bounded by the
 // server's body cap. An empty body is accepted when allowEmpty is set (dst
 // is left zero). An over-cap body surfaces as *http.MaxBytesError in the
-// chain, which requestStatus maps to 413.
+// chain, which errorStatus maps to 413; every other failure is a 400.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any, allowEmpty bool) error {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		return fmt.Errorf("reading request body: %w", err)
+		return statusErr(http.StatusBadRequest, "reading request body: %w", err)
 	}
 	if len(body) == 0 {
 		if allowEmpty {
 			return nil
 		}
-		return errors.New("empty request body")
+		return statusErr(http.StatusBadRequest, "empty request body")
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("decoding request: %w", err)
+		return statusErr(http.StatusBadRequest, "decoding request: %w", err)
 	}
 	if dec.More() {
-		return errors.New("trailing data after request object")
+		return statusErr(http.StatusBadRequest, "trailing data after request object")
 	}
 	return nil
 }
 
-// resolveConfig builds the effective pipeline config from a request, the
-// same way cmd/needle does (explicit config, then the n override). A
-// hardware config the models cannot run fails sim.Config.Check here, before
-// any work is queued (400).
-func resolveConfig(cfg *core.Config, n int) (core.Config, error) {
+// resolveConfig builds a request's effective pipeline config the way
+// cmd/needle does — the explicit config, then the n override — and bounds
+// its run, before any work is queued. A hardware config the models cannot
+// run fails sim.Config.Check (400). The config is then materialized so the
+// run caps can be enforced: an explicit bound over a cap is rejected
+// (422), an absent (unlimited) one is clamped. A cap changes only how a
+// runaway program fails, never the summary bytes of one that finishes
+// under it, so CLI/serve byte-identity holds for every such program.
+func (s *Server) resolveConfig(cfg *core.Config, n int) (core.Config, error) {
 	out := core.DefaultConfig()
 	if cfg != nil {
 		out = *cfg
@@ -112,7 +140,27 @@ func resolveConfig(cfg *core.Config, n int) (core.Config, error) {
 	if n != 0 {
 		out.N = n
 	}
-	return out, out.Sim.Check()
+	if err := out.Sim.Check(); err != nil {
+		return out, err
+	}
+	out = out.WithDefaults()
+	for _, b := range []struct {
+		name string
+		val  *int64
+		max  int64
+	}{
+		{"maxSteps", &out.Sim.MaxSteps, s.cfg.Limits.MaxSteps},
+		{"maxOccurrences", &out.Sim.MaxOccurrences, s.cfg.Limits.MaxOccurrences},
+	} {
+		switch {
+		case b.max <= 0:
+		case *b.val > b.max:
+			return out, statusErr(http.StatusUnprocessableEntity, "config.sim %s %d exceeds the server cap %d", b.name, *b.val, b.max)
+		case *b.val <= 0:
+			*b.val = b.max
+		}
+	}
+	return out, nil
 }
 
 // requestContext applies the effective deadline: the server cap, tightened
@@ -129,24 +177,6 @@ func (s *Server) requestContext(r *http.Request, timeoutMs int64) (context.Conte
 		return r.Context(), func() {}
 	}
 	return context.WithTimeout(r.Context(), d)
-}
-
-// requestStatus maps an ingestion error to its HTTP status: over-cap
-// payloads and over-limit programs are 413, structurally invalid programs
-// are 422, everything else is a plain 400.
-func requestStatus(err error) int {
-	var tooBig *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooBig), errors.Is(err, program.ErrTooLarge):
-		return http.StatusRequestEntityTooLarge
-	case errors.Is(err, program.ErrInvalid):
-		return http.StatusUnprocessableEntity
-	}
-	var verr *ir.VerifyError
-	if errors.As(err, &verr) {
-		return http.StatusUnprocessableEntity
-	}
-	return http.StatusBadRequest
 }
 
 // pipelineRejections are the typed errors a verified program may fail the
@@ -166,9 +196,20 @@ var pipelineRejections = []error{
 	ballarus.ErrIrreducible,
 }
 
-// errorStatus maps the error a request failed with to its HTTP status.
+// errorStatus maps the error a request failed with to its HTTP status. It
+// is the only place a failed request's status is chosen.
 func errorStatus(err error) int {
+	var (
+		tooBig  *http.MaxBytesError
+		refused *statusError
+	)
 	switch {
+	case errors.As(err, &tooBig), errors.Is(err, program.ErrTooLarge):
+		return http.StatusRequestEntityTooLarge
+	case errors.As(err, &refused):
+		return refused.status
+	case errors.Is(err, program.ErrInvalid):
+		return http.StatusUnprocessableEntity
 	case errors.Is(err, errQueueFull):
 		return http.StatusTooManyRequests
 	case errors.Is(err, errDraining):
@@ -199,58 +240,95 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	case statusClientClosedRequest:
 		obsCancelled.Add(1)
 	}
-	writeJSONError(w, status, err.Error())
-}
-
-func writeJSONError(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg}) //nolint:errcheck // response write
+	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()}) //nolint:errcheck // response write
+}
+
+// serveProgram is the prologue /v1/analyze and /v1/vet share — the method
+// check, the body, the program and its config, and the request's
+// deadline — after which it hands the request to serve.
+func (s *Server) serveProgram(w http.ResponseWriter, r *http.Request, serve func(context.Context, *program.Program, core.Config) error) error {
+	if r.Method != http.MethodPost {
+		return statusErr(http.StatusMethodNotAllowed, "POST required")
+	}
+	var req analyzeRequest
+	if err := s.decodeBody(w, r, &req, false); err != nil {
+		return err
+	}
+	p, cfg, err := s.resolveProgram(&req)
+	if err != nil {
+		return err
+	}
+	ctx, cancel := s.requestContext(r, req.TimeoutMs)
+	defer cancel()
+	return serve(ctx, p, cfg)
+}
+
+// resolveProgram turns an analyze or vet request into the program to run
+// and the effective config, applying the server's limits.
+func (s *Server) resolveProgram(req *analyzeRequest) (*program.Program, core.Config, error) {
+	cfg, err := s.resolveConfig(req.Config, req.N)
+	switch {
+	case err != nil:
+		return nil, cfg, err
+	case req.Workload != "" && req.Source != "":
+		return nil, cfg, statusErr(http.StatusBadRequest, "workload and source are mutually exclusive")
+	case req.Workload == "" && req.Source == "":
+		return nil, cfg, statusErr(http.StatusBadRequest, "missing workload name or source")
+	case req.Workload != "" && (req.Entry != "" || req.MemWords != 0 || len(req.Args) != 0):
+		return nil, cfg, statusErr(http.StatusBadRequest, "entry/memWords/args apply only to source requests")
+	case req.Source != "":
+		p, err := program.Load(req.Source, program.LoadOptions{
+			Entry:    req.Entry,
+			MemWords: req.MemWords,
+			Args:     req.Args,
+			Limits:   s.cfg.Limits,
+		})
+		return p, cfg, err
+	}
+	wl := workloads.ByName(req.Workload)
+	if wl == nil {
+		return nil, cfg, statusErr(http.StatusNotFound, "unknown workload %q (see /v1/workloads)", req.Workload)
+	}
+	n := cfg.N
+	if n <= 0 {
+		n = wl.DefaultN
+	}
+	if max := s.cfg.Limits.MaxMemWords; max > 0 && wl.MemWords(n) > max {
+		return nil, cfg, fmt.Errorf("%w: %s at n=%d needs a memory image of %d words, cap is %d",
+			program.ErrTooLarge, wl.Name, n, wl.MemWords(n), max)
+	}
+	p, err := wl.Program(cfg.N)
+	return p, cfg, err
 }
 
 // handleAnalyze serves POST /v1/analyze: one program — a built-in workload
 // or inline .nir source — one config, the exact bytes `needle -json` would
 // print for the same input. With ?trace=1 the response is instead a
 // request-scoped Chrome trace of the run.
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSONError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req analyzeRequest
-	if err := s.decodeBody(w, r, &req, false); err != nil {
-		writeJSONError(w, requestStatus(err), err.Error())
-		return
-	}
-	p, cfg, errStatus, err := s.resolveProgram(&req)
-	if err != nil {
-		writeJSONError(w, errStatus, err.Error())
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-
-	if wantTrace(r) {
-		s.handleAnalyzeTrace(w, ctx, p, cfg)
-		return
-	}
-
-	// Identical concurrent requests collapse onto one pipeline run: the key
-	// is the pipeline's own cumulative fingerprint (program content digest
-	// included), so two requests share a flight exactly when their runs
-	// would be byte-identical — same-named but different-bodied inline
-	// programs never collapse onto each other.
-	key := pipeline.Fingerprint(p, cfg)
-	body, err, _ := s.flights.do(ctx, key,
-		func() { s.collapsed.Add(1); obsCollapsed.Add(1) },
-		func() ([]byte, error) { return s.analyzeBytes(ctx, nil, p, cfg) })
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Needle-Schema-Version", fmt.Sprint(core.SummarySchemaVersion))
-	w.Write(body) //nolint:errcheck // response write
+func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) error {
+	return s.serveProgram(w, r, func(ctx context.Context, p *program.Program, cfg core.Config) error {
+		if wantTrace(r) {
+			return s.analyzeTrace(ctx, w, p, cfg)
+		}
+		// Identical concurrent requests collapse onto one pipeline run: the
+		// key is the pipeline's own cumulative fingerprint (program content
+		// digest included), so two requests share a flight exactly when
+		// their runs would be byte-identical — same-named but
+		// different-bodied inline programs never collapse onto each other.
+		key := pipeline.Fingerprint(p, cfg)
+		body, err := s.flights.do(ctx, key,
+			func() { s.collapsed.Add(1); obsCollapsed.Add(1) },
+			func() ([]byte, error) { return s.analyzeBytes(ctx, nil, p, cfg) })
+		if err != nil {
+			return err
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Needle-Schema-Version", fmt.Sprint(core.SummarySchemaVersion))
+		w.Write(body) //nolint:errcheck // response write
+		return nil
+	})
 }
 
 // handleVet serves POST /v1/vet: the static-analysis diagnostic suite over
@@ -260,170 +338,45 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // `needle -vet -json` for the same program (plus the trailing newline
 // Println emits). Diagnostics, including error severity, are the payload:
 // the HTTP status is 200 whenever the program ingests.
-func (s *Server) handleVet(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSONError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req analyzeRequest
-	if err := s.decodeBody(w, r, &req, false); err != nil {
-		writeJSONError(w, requestStatus(err), err.Error())
-		return
-	}
-	p, _, errStatus, err := s.resolveProgram(&req)
-	if err != nil {
-		writeJSONError(w, errStatus, err.Error())
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMs)
-	defer cancel()
-	body, err := s.vetBytes(ctx, p)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Needle-Vet-Schema-Version", fmt.Sprint(vet.ReportSchemaVersion))
-	w.Write(body) //nolint:errcheck // response write
-}
-
-// vetBytes queues one vet run and marshals its report into the
-// CLI-identical payload. Vet is pure static analysis — cheap relative to a
-// pipeline run — but it still parses and walks untrusted programs, so it
-// occupies a pool slot like every other unit of work.
-func (s *Server) vetBytes(ctx context.Context, p *program.Program) ([]byte, error) {
-	var (
-		body []byte
-		rerr error
-		ran  bool
-	)
-	j := &job{ctx: ctx, done: make(chan struct{})}
-	j.run = func() {
-		ran = true
-		rep := vet.Check(nil, p)
-		out, err := vet.MarshalReport(rep)
+//
+// Vet is pure static analysis — cheap relative to a pipeline run — but it
+// still walks untrusted programs, so it occupies a pool slot like every
+// other unit of work.
+func (s *Server) handleVet(w http.ResponseWriter, r *http.Request) error {
+	return s.serveProgram(w, r, func(ctx context.Context, p *program.Program, _ core.Config) error {
+		var body []byte
+		err := s.runJob(ctx, func() (err error) {
+			body, err = vet.MarshalReport(vet.Check(nil, p))
+			return err
+		}, false)
 		if err != nil {
-			rerr = err
-			return
+			return err
 		}
-		body = append(out, '\n')
-	}
-	if err := s.submit(j); err != nil {
-		return nil, err
-	}
-	select {
-	case <-j.done:
-		if !ran {
-			return nil, ctx.Err()
-		}
-		if j.err != nil {
-			return nil, j.err
-		}
-		if rerr == nil {
-			obsVetOK.Add(1)
-		}
-		return body, rerr
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// resolveProgram turns an analyze request into the program to run and the
-// effective config, applying the server's limits. On failure it returns
-// the HTTP status the error maps to.
-func (s *Server) resolveProgram(req *analyzeRequest) (*program.Program, core.Config, int, error) {
-	cfg, err := resolveConfig(req.Config, req.N)
-	switch {
-	case err != nil:
-		return nil, cfg, http.StatusBadRequest, err
-	case req.Workload != "" && req.Source != "":
-		return nil, cfg, http.StatusBadRequest, errors.New("workload and source are mutually exclusive")
-	case req.Workload == "" && req.Source == "":
-		return nil, cfg, http.StatusBadRequest, errors.New("missing workload name or source")
-	case req.Workload != "" && (req.Entry != "" || req.MemWords != 0 || len(req.Args) != 0):
-		return nil, cfg, http.StatusBadRequest, errors.New("entry/memWords/args apply only to source requests")
-	}
-	// No request runs unbounded: the effective config is materialized so
-	// the run caps can be enforced — an explicit bound over a cap is
-	// rejected, an absent (unlimited) one is clamped. A cap changes only
-	// how a runaway program fails, never the summary bytes of one that
-	// finishes under it, so CLI/serve byte-identity holds for every such
-	// program.
-	cfg = cfg.WithDefaults()
-	if err := clampRun(&cfg, s.cfg.Limits); err != nil {
-		return nil, cfg, http.StatusUnprocessableEntity, err
-	}
-	if req.Workload != "" {
-		wl := workloads.ByName(req.Workload)
-		if wl == nil {
-			return nil, cfg, http.StatusNotFound, fmt.Errorf("unknown workload %q (see /v1/workloads)", req.Workload)
-		}
-		n := cfg.N
-		if n <= 0 {
-			n = wl.DefaultN
-		}
-		if max := s.cfg.Limits.MaxMemWords; max > 0 && wl.MemWords(n) > max {
-			err := fmt.Errorf("%w: %s at n=%d needs a memory image of %d words, cap is %d",
-				program.ErrTooLarge, wl.Name, n, wl.MemWords(n), max)
-			return nil, cfg, http.StatusRequestEntityTooLarge, err
-		}
-		p, err := wl.Program(cfg.N)
-		if err != nil {
-			return nil, cfg, http.StatusInternalServerError, err
-		}
-		return p, cfg, 0, nil
-	}
-	p, err := program.Load(req.Source, program.LoadOptions{
-		Entry:    req.Entry,
-		MemWords: req.MemWords,
-		Args:     req.Args,
-		Limits:   s.cfg.Limits,
+		obsVetOK.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Needle-Vet-Schema-Version", fmt.Sprint(vet.ReportSchemaVersion))
+		w.Write(append(body, '\n')) //nolint:errcheck // response write
+		return nil
 	})
-	if err != nil {
-		return nil, cfg, requestStatus(err), err
-	}
-	return p, cfg, 0, nil
 }
 
-// clampRun applies lim's run caps to cfg: a bound over its cap is an
-// error, and an unset one (zero or negative: unbounded) takes the cap.
-func clampRun(cfg *core.Config, lim program.Limits) error {
-	for _, b := range []struct {
-		name string
-		val  *int64
-		max  int64
-	}{
-		{"maxSteps", &cfg.Sim.MaxSteps, lim.MaxSteps},
-		{"maxOccurrences", &cfg.Sim.MaxOccurrences, lim.MaxOccurrences},
-	} {
-		switch {
-		case b.max <= 0:
-		case *b.val > b.max:
-			return fmt.Errorf("config.sim %s %d exceeds the server cap %d", b.name, *b.val, b.max)
-		case *b.val <= 0:
-			*b.val = b.max
-		}
-	}
-	return nil
-}
-
-// handleAnalyzeTrace runs the analysis under a private observability
-// registry and responds with its Chrome trace-event timeline. Trace
-// requests bypass the singleflight (a collapsed request would download
-// another tenant's spans) but still occupy a pool slot.
-func (s *Server) handleAnalyzeTrace(w http.ResponseWriter, ctx context.Context, p *program.Program, cfg core.Config) {
+// analyzeTrace runs the analysis under a private observability registry
+// and responds with its Chrome trace-event timeline. Trace requests bypass
+// the singleflight (a collapsed request would download another tenant's
+// spans) but still occupy a pool slot.
+func (s *Server) analyzeTrace(ctx context.Context, w http.ResponseWriter, p *program.Program, cfg core.Config) error {
 	reg := &obs.Registry{}
 	reg.Enable()
 	root := reg.StartOnTrack("request: analyze "+p.Name, 0)
 	_, err := s.analyzeBytes(ctx, root, p, cfg)
 	root.End()
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return err
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", "needle-trace-"+p.Name+".json"))
 	reg.WriteChromeTrace(w) //nolint:errcheck // response write
+	return nil
 }
 
 // wantTrace reports whether the request asked for a per-request Chrome
@@ -440,48 +393,20 @@ func wantTrace(r *http.Request) bool {
 // CLI-identical payload (MarshalSummaries plus the trailing newline
 // `needle -json`'s Println emits).
 func (s *Server) analyzeBytes(ctx context.Context, parent *obs.Span, p *program.Program, cfg core.Config) ([]byte, error) {
-	var (
-		body []byte
-		rerr error
-		ran  bool
-	)
-	j := &job{ctx: ctx, done: make(chan struct{})}
-	j.run = func() {
-		ran = true
+	var body []byte
+	err := s.runJob(ctx, func() error {
 		a, err := s.analyze(ctx, parent, p, cfg)
 		if err != nil {
-			rerr = err
-			return
+			return err
 		}
-		out, err := core.MarshalSummaries([]*core.Analysis{a})
-		if err != nil {
-			rerr = err
-			return
-		}
-		body = append(out, '\n')
-	}
-	if err := s.submit(j); err != nil {
+		body, err = core.MarshalSummaries([]*core.Analysis{a})
+		return err
+	}, false)
+	if err != nil {
 		return nil, err
 	}
-	select {
-	case <-j.done:
-		if !ran {
-			// The worker skipped the job because the context had already
-			// ended while it sat in the queue.
-			return nil, ctx.Err()
-		}
-		if j.err != nil {
-			return nil, j.err
-		}
-		if rerr == nil {
-			obsAnalyzeOK.Add(1)
-		}
-		return body, rerr
-	case <-ctx.Done():
-		// The job keeps its queue slot; the worker will skip it (or the
-		// pipeline will stop between stages) now that the context is done.
-		return nil, ctx.Err()
-	}
+	obsAnalyzeOK.Add(1)
+	return append(body, '\n'), nil
 }
 
 // handleSweep serves POST /v1/sweep: the full whole-program sweep over
@@ -490,37 +415,24 @@ func (s *Server) analyzeBytes(ctx context.Context, parent *obs.Span, p *program.
 // finishes. A failed workload contributes an {"workload", "error"} line
 // instead; a sweep-level failure terminates the stream with an {"error"}
 // line.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 	if r.Method != http.MethodPost {
-		writeJSONError(w, http.StatusMethodNotAllowed, "POST required")
-		return
+		return statusErr(http.StatusMethodNotAllowed, "POST required")
 	}
 	var req sweepRequest
 	if err := s.decodeBody(w, r, &req, true); err != nil {
-		writeJSONError(w, requestStatus(err), err.Error())
-		return
+		return err
 	}
-	cfg, err := resolveConfig(req.Config, req.N)
+	cfg, err := s.resolveConfig(req.Config, req.N)
 	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	cfg = cfg.WithDefaults()
-	if err := clampRun(&cfg, s.cfg.Limits); err != nil {
-		writeJSONError(w, http.StatusUnprocessableEntity, err.Error())
-		return
+		return err
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
 
-	// The sweep occupies a single pool slot and parallelizes internally
-	// with the server's worker count, so the queue bounds concurrent
-	// sweeps exactly like single analyses.
 	var (
 		wmu   sync.Mutex
 		wrote bool
-		werr  error
-		ran   bool
 	)
 	flusher, _ := w.(http.Flusher)
 	writeLine := func(v any) {
@@ -540,54 +452,39 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-	j := &job{ctx: ctx, done: make(chan struct{})}
-	j.run = func() {
-		ran = true
+	// The sweep occupies a single pool slot and parallelizes internally
+	// with the server's worker count, so the queue bounds concurrent
+	// sweeps exactly like single analyses. Unlike analyze, the handler
+	// waits for the job however ctx ends: the worker writes to the
+	// ResponseWriter, which dies when this handler returns. Cancellation
+	// still ends the job promptly — the sweep stops between stages and
+	// workloads once ctx is done.
+	err = s.runJob(ctx, func() error {
 		obsSweeps.Add(1)
-		werr = s.sweep(ctx, cfg, func(p core.Progress) {
+		return s.sweep(ctx, cfg, func(p core.Progress) {
 			if p.Err != nil {
 				writeLine(map[string]string{"workload": p.Workload.Name, "error": p.Err.Error()})
 				return
 			}
 			writeLine(core.Summarize(p.Analysis))
 		})
+	}, true)
+	// The job is over, so nothing else writes to w: a failure before the
+	// first line is an error response, one after it the stream's last line.
+	if err == nil || !wrote {
+		return err
 	}
-	if err := s.submit(j); err != nil {
-		s.writeError(w, err)
-		return
+	writeLine(map[string]string{"error": err.Error()})
+	if isCancellation(err) {
+		obsCancelled.Add(1)
 	}
-	// Unlike analyze, the handler must outlive the job unconditionally:
-	// the worker goroutine writes to the ResponseWriter, which dies when
-	// this handler returns. Cancellation still ends the job promptly — the
-	// sweep stops between stages and workloads once ctx is done.
-	<-j.done
-	if !ran {
-		s.writeError(w, ctx.Err())
-		return
-	}
-	if j.err != nil {
-		werr = j.err
-	}
-	if werr != nil {
-		wmu.Lock()
-		headersSent := wrote
-		wmu.Unlock()
-		if !headersSent {
-			s.writeError(w, werr)
-			return
-		}
-		writeLine(map[string]string{"error": werr.Error()})
-		if isCancellation(werr) {
-			obsCancelled.Add(1)
-		}
-	}
+	return nil
 }
 
 // handleWorkloads serves GET /v1/workloads: the registered workload set.
-func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) error {
 	if r.Method != http.MethodGet {
-		writeJSONError(w, http.StatusMethodNotAllowed, "GET required")
-		return
+		return statusErr(http.StatusMethodNotAllowed, "GET required")
 	}
 	type workloadInfo struct {
 		Name     string `json:"name"`
@@ -605,6 +502,7 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(out) //nolint:errcheck // response write
+	return nil
 }
 
 // handleHealthz serves GET /healthz: 200 while serving, 503 once draining

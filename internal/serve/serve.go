@@ -165,19 +165,17 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Store returns the shared artifact store requests run against.
-func (s *Server) Store() pipeline.Store { return s.store }
-
 // Collapsed returns how many requests were collapsed onto another
 // request's pipeline run by the singleflight layer.
 func (s *Server) Collapsed() int64 { return s.collapsed.Load() }
 
 // job is one unit of queued work. run executes on a worker unless ctx is
 // already done by then; done closes when the job is finished or skipped.
-// err is errPanicked when run panicked, and is read after done closes.
+// err, read after done closes, is ctx's error for a skipped job,
+// errPanicked when run panicked, and run's own error otherwise.
 type job struct {
 	ctx  context.Context
-	run  func()
+	run  func() error
 	done chan struct{}
 	err  error
 }
@@ -188,8 +186,8 @@ func (s *Server) worker() {
 	for j := range s.queue {
 		// A request that gave up while queued (client gone, deadline past)
 		// is skipped, so abandoned work cannot clog the pool.
-		if j.ctx.Err() == nil {
-			j.contain()
+		if j.err = j.ctx.Err(); j.err == nil {
+			j.err = j.contain()
 		}
 		close(j.done)
 	}
@@ -198,15 +196,36 @@ func (s *Server) worker() {
 // contain runs j, confining a panic to it: the job fails with errPanicked,
 // serve.panics ticks and the stack goes to the log, and the worker goes on
 // serving.
-func (j *job) contain() {
+func (j *job) contain() (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			obsPanics.Add(1)
 			log.Printf("serve: job panicked: %v\n%s", p, debug.Stack())
-			j.err = errPanicked
+			err = errPanicked
 		}
 	}()
-	j.run()
+	return j.run()
+}
+
+// runJob queues run as one job and waits for it, returning the job's err.
+// It fails at once with errDraining during drain and errQueueFull when the
+// queue is at depth. Unless wait is set it also returns ctx's error as soon
+// as ctx ends: the job keeps its queue slot, and the worker skips it (or
+// the pipeline stops between stages) now that ctx is done.
+func (s *Server) runJob(ctx context.Context, run func() error, wait bool) error {
+	j := &job{ctx: ctx, run: run, done: make(chan struct{})}
+	if err := s.submit(j); err != nil {
+		return err
+	}
+	if !wait {
+		select {
+		case <-j.done:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	<-j.done
+	return j.err
 }
 
 // submit enqueues a job, rejecting with errDraining during drain and

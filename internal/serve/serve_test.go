@@ -155,6 +155,30 @@ func TestPanickingAnalysisIsContained(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &sums); err != nil || len(sums) != 1 || sums[0].Workload != "164.gzip" {
 		t.Fatalf("after the panic: body %q does not hold the analysis (%v)", rr.Body.String(), err)
 	}
+
+	// A sweep that panics before it streams anything fails the same way,
+	// and the next sweep is served.
+	var sweeps atomic.Int32
+	s.sweep = func(_ context.Context, _ core.Config, progress core.ProgressFunc) error {
+		if sweeps.Add(1) == 1 {
+			panic("sweep exploded")
+		}
+		progress(core.Progress{Workload: workloads.All()[0], Err: errors.New("stub workload failed")})
+		return nil
+	}
+	before = obsPanics.Value()
+	rr = doReq(s, http.MethodPost, "/v1/sweep", `{}`)
+	var e map[string]string
+	if rr.Code != http.StatusInternalServerError || json.Unmarshal(rr.Body.Bytes(), &e) != nil || e["error"] == "" {
+		t.Fatalf("panicking sweep: status %d body %q, want 500 with an error object", rr.Code, rr.Body.String())
+	}
+	if n := obsPanics.Value() - before; n != 1 {
+		t.Errorf("serve.panics rose by %d after the sweep panic, want 1", n)
+	}
+	rr = doReq(s, http.MethodPost, "/v1/sweep", `{}`)
+	if want := fmt.Sprintf(`{"error":"stub workload failed","workload":%q}`+"\n", workloads.All()[0].Name); rr.Code != http.StatusOK || rr.Body.String() != want {
+		t.Fatalf("after the sweep panic: status %d body %q, want 200 %q", rr.Code, rr.Body.String(), want)
+	}
 }
 
 // TestQueueOverflowRejectsWith429: with one worker and queue depth one, a

@@ -27,27 +27,26 @@ type flightGroup struct {
 }
 
 // do returns the response bytes for key, computing them with fn exactly
-// once across all concurrent callers. leader reports whether this caller
-// ran fn. A follower whose own ctx expires stops waiting and returns the
-// context error; a follower whose leader was cancelled (the leader's
-// deadline, not the follower's) retries as a fresh flight rather than
-// inheriting an interruption that says nothing about its own request.
-func (g *flightGroup) do(ctx context.Context, key string, joined func(), fn func() ([]byte, error)) (body []byte, err error, leader bool) {
+// once across all concurrent callers; joined runs for each caller that
+// waits on another's run. A follower whose own ctx expires stops waiting
+// and returns the context error; a follower whose leader was cancelled
+// (the leader's deadline, not the follower's) retries as a fresh flight
+// rather than inheriting an interruption that says nothing about its own
+// request.
+func (g *flightGroup) do(ctx context.Context, key string, joined func(), fn func() ([]byte, error)) ([]byte, error) {
 	for {
 		g.mu.Lock()
 		if f, ok := g.m[key]; ok {
 			g.mu.Unlock()
-			if joined != nil {
-				joined()
-			}
+			joined()
 			select {
 			case <-f.done:
 				if isCancellation(f.err) && ctx.Err() == nil {
 					continue
 				}
-				return f.body, f.err, false
+				return f.body, f.err
 			case <-ctx.Done():
-				return nil, ctx.Err(), false
+				return nil, ctx.Err()
 			}
 		}
 		f := &flight{done: make(chan struct{})}
@@ -59,7 +58,7 @@ func (g *flightGroup) do(ctx context.Context, key string, joined func(), fn func
 		delete(g.m, key)
 		g.mu.Unlock()
 		close(f.done)
-		return f.body, f.err, true
+		return f.body, f.err
 	}
 }
 

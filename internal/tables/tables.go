@@ -431,14 +431,37 @@ func Figure3() string {
 	return out.String()
 }
 
+// Parts lists every table and figure, in the order All renders them.
+// Name is the part's -bench-json entry ("TableII", "Figure9"), and Render
+// draws it from a sweep. Sweep is false only for Figure 3, which builds its
+// own kernel: its Render ignores the Suite, which may be nil.
+var Parts = []struct {
+	Name   string
+	Sweep  bool
+	Render func(*Suite) string
+}{
+	{"TableV", true, (*Suite).TableV},
+	{"TableI", true, (*Suite).TableI},
+	{"Figure2", true, (*Suite).Figure2},
+	{"Figure3", false, func(*Suite) string { return Figure3() }},
+	{"Figure4", true, (*Suite).Figure4},
+	{"Figure5", true, (*Suite).Figure5},
+	{"Figure6", true, (*Suite).Figure6},
+	{"TableII", true, (*Suite).TableII},
+	{"TableIII", true, (*Suite).TableIII},
+	{"TableIV", true, (*Suite).TableIV},
+	{"Figure9", true, (*Suite).Figure9},
+	{"Figure10", true, (*Suite).Figure10},
+	{"TableHLS", true, (*Suite).TableHLS},
+}
+
 // All renders every table and figure.
 func (s *Suite) All() string {
-	parts := []string{
-		s.TableV(), s.TableI(), s.Figure2(), Figure3(), s.Figure4(), s.Figure5(),
-		s.Figure6(), s.TableII(), s.TableIII(), s.TableIV(), s.Figure9(),
-		s.Figure10(), s.TableHLS(),
+	out := make([]string, len(Parts))
+	for i, p := range Parts {
+		out[i] = p.Render(s)
 	}
-	return strings.Join(parts, "\n")
+	return strings.Join(out, "\n")
 }
 
 // figure3Workload is the alternating-outcome kernel of Figure 3: two

@@ -1,9 +1,8 @@
 // Package vet is the typed diagnostics engine over the semantic static
 // analyses (SCCP, reachability, value ranges, memory dependence): it turns
 // their facts into a deterministic, machine-readable report. The same
-// Check/MarshalReport pair backs `needle -vet`, `nir vet`, and the
-// needled service's POST /v1/vet, so all three emit byte-identical JSON
-// for the same program.
+// Check/MarshalReport pair backs `needle -vet` and the needled service's
+// POST /v1/vet, so both emit byte-identical JSON for the same program.
 package vet
 
 import (

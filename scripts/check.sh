@@ -208,8 +208,10 @@ fi
 
 # Opt-in service smoke test: CHECK_SERVE=1 ./scripts/check.sh builds
 # needled, starts it against a temporary cache dir, waits for /healthz,
-# and fails unless POST /v1/analyze responds with exactly the bytes
-# `needle -json -workload` prints for the same workload and config.
+# and fails unless POST /v1/analyze and POST /v1/vet respond with exactly
+# the bytes `needle -json -workload` and `needle -vet -json -workload`
+# print for the same workload and config, and GET /v1/analyze answers 405
+# with a JSON error object.
 if [ "${CHECK_SERVE:-0}" = "1" ]; then
     servedir=$(mktemp -d)
     # This trap replaces the CHECK_CACHE one, so it must clean up both.
@@ -235,8 +237,20 @@ if [ "${CHECK_SERVE:-0}" = "1" ]; then
         echo "check: FAIL — /v1/analyze response differs from needle -json" >&2
         exit 1
     fi
+    curl -fsS -d '{"workload":"456.hmmer"}' "http://$addr/v1/vet" > "$servedir/served-vet.json"
+    go run ./cmd/needle -vet -workload 456.hmmer -json > "$servedir/cli-vet.json"
+    if ! cmp -s "$servedir/served-vet.json" "$servedir/cli-vet.json"; then
+        echo "check: FAIL — /v1/vet response differs from needle -vet -json" >&2
+        exit 1
+    fi
+    status=$(curl -sS -o "$servedir/get.json" -w '%{http_code}' "http://$addr/v1/analyze")
+    if [ "$status" != "405" ] || ! grep -q '^{"error":".*"}$' "$servedir/get.json"; then
+        echo "check: FAIL — GET /v1/analyze answered $status, want 405 with an error object:" >&2
+        cat "$servedir/get.json" >&2
+        exit 1
+    fi
     kill "$needled_pid"
     wait "$needled_pid" 2>/dev/null || true
     needled_pid=""
-    echo "serve  ok (needled analyze byte-identical to CLI)"
+    echo "serve  ok (needled analyze and vet byte-identical to CLI; GET answers 405)"
 fi
