@@ -178,15 +178,11 @@ func selectDecode(a *Artifacts, data []byte) (any, error) {
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	art := &SelectArtifact{CFStats: stats, Braids: make([]*region.Braid, len(stored))}
 	// The stored order is the rank order BuildBraids produced; rebuild each
 	// braid from its paths and keep that order rather than re-sorting.
-	for i, bd := range stored {
-		br, err := region.BraidFromData(a.Profile.Trace.Profile, bd)
-		if err != nil {
-			return nil, err
-		}
-		art.Braids[i] = br
+	braids, err := region.BraidsFromData(a.Profile.Trace.Profile, stored)
+	if err != nil {
+		return nil, err
 	}
-	return art, nil
+	return &SelectArtifact{CFStats: stats, Braids: braids}, nil
 }

@@ -185,6 +185,12 @@ func partialTail(rule tailRule, table []*Path, ranks []int32, liveBlocks, blocks
 // have come from a run of f is an error. The profile keeps d.Ranks as its
 // rank column when d's table is in rank order, as Data writes it.
 func FromData(am *pm.Manager, f *ir.Function, d *Data) (*FunctionProfile, error) {
+	return fromData(am, f, d, decodeFloor)
+}
+
+// fromData is FromData with rankCounts' work floor as a parameter, so a
+// test can force one worker or several.
+func fromData(am *pm.Manager, f *ir.Function, d *Data, floor int) (*FunctionProfile, error) {
 	dag, err := ballarus.Build(pm.Ensure(am), f)
 	if err != nil {
 		return nil, fmt.Errorf("profile: rebuilding DAG for %s: %w", f.Name, err)
@@ -205,7 +211,7 @@ func FromData(am *pm.Manager, f *ir.Function, d *Data) (*FunctionProfile, error)
 		}
 	}
 	fp := &FunctionProfile{F: f, DAG: dag, Ranks: d.Ranks}
-	if err := fp.rankCounts(recs); err != nil {
+	if err := fp.rankCounts(recs, floor); err != nil {
 		return nil, err
 	}
 	// fp.Paths is still in table order, the order the ranks index.

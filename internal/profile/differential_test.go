@@ -121,7 +121,7 @@ func (o *hookOracle) finish(t testing.TB) *FunctionProfile {
 		recs = append(recs, Path{ID: id, Freq: n})
 	}
 	fp := &FunctionProfile{F: o.f, DAG: o.prof.DAG(), EdgeCounts: o.edges, BlockCounts: o.blocks}
-	if err := fp.rankCounts(recs); err != nil {
+	if err := fp.rankCounts(recs, decodeFloor); err != nil {
 		t.Fatalf("oracle rankCounts: %v", err)
 	}
 	sortPaths(fp.Paths)

@@ -14,6 +14,7 @@ import (
 	"needle/internal/interp"
 	"needle/internal/ir"
 	"needle/internal/obs"
+	"needle/internal/par"
 	"needle/internal/pm"
 )
 
@@ -117,7 +118,19 @@ func (c *Collector) RunTimed(args, mem []uint64, opts interp.PlanOpts) (interp.R
 // Finish decodes and ranks the collected paths into a FunctionProfile, and
 // codes the recorded path trace by rank. The profile shares the collector's
 // block counts, so the collector must not run again.
-func (c *Collector) Finish() (*FunctionProfile, error) {
+func (c *Collector) Finish() (*FunctionProfile, error) { return c.finish(decodeFloor) }
+
+// decodeFloor is the path records each rankCounts worker must have. A
+// record costs about 1.2 µs to size and decode (186.crafty: 6,897 paths of
+// 241k blocks in 8 ms), so the floor is about 0.6 ms of work per worker.
+// Handing a range to a parked P and joining it costs about 11 µs on a
+// 2-vCPU guest, 1 µs when the P is still awake (BenchmarkRangesHandoff in
+// package par).
+const decodeFloor = 512
+
+// finish is Finish with rankCounts' work floor as a parameter, so a test
+// can force one worker or several.
+func (c *Collector) finish(floor int) (*FunctionProfile, error) {
 	st := c.state
 	n := 0
 	st.EachPath(func(int64, int64) { n++ })
@@ -136,7 +149,7 @@ func (c *Collector) Finish() (*FunctionProfile, error) {
 		EdgeCounts:  edges,
 		BlockCounts: st.Blocks,
 	}
-	if err := fp.rankCounts(recs); err != nil {
+	if err := fp.rankCounts(recs, floor); err != nil {
 		return nil, err
 	}
 	sortPaths(fp.Paths)
@@ -177,7 +190,8 @@ func rankTrace(paths []*Path, ids []int64) ([]int32, error) {
 // weight — and points fp.Paths at them in record order, for the caller to
 // rank with sortPaths: the shared recipe behind Finish and FromData, so a
 // profile rehydrated from a stored trace is bit-identical to one built
-// live. A path listed twice is an error.
+// live. A path listed twice is an error, as is one the DAG cannot decode;
+// of several, the first in record order is reported.
 //
 // It allocates a fixed number of times, however many paths executed: every
 // Path lives in the caller's record array, and every path's blocks in one
@@ -185,17 +199,59 @@ func rankTrace(paths []*Path, ids []int64) ([]int32, error) {
 // window of the arena whose capacity equals its length, so an append by a
 // consumer copies instead of overwriting the next path's blocks. Per-path
 // sums read per-block tables instead of every instruction of every path.
-func (fp *FunctionProfile) rankCounts(recs []Path) error {
-	size := 0
-	for i := range recs {
-		n, err := fp.DAG.PathLen(recs[i].ID)
-		if err != nil {
-			return fmt.Errorf("profile: decoding path %d of %s: %w", recs[i].ID, fp.F.Name, err)
+//
+// Both walks split the records into contiguous ranges, one per worker,
+// when there are at least floor records per worker (package par). The
+// arena holds the paths in record order whatever the split: each range
+// decodes into the arena from the summed sizes of the ranges before it, so
+// the profile is identical for any GOMAXPROCS.
+func (fp *FunctionProfile) rankCounts(recs []Path, floor int) error {
+	w := par.Workers(len(recs), floor)
+	type span struct {
+		size  int   // blocks the range's paths decode to
+		start int   // where they start in the arena
+		bad   int   // the range's first undecodable record, or -1
+		err   error // why it is undecodable
+	}
+	spans := make([]span, w)
+	par.Ranges(len(recs), w, func(k, lo, hi int) {
+		s := span{bad: -1}
+		for i := lo; i < hi; i++ {
+			n, err := fp.DAG.PathLen(recs[i].ID)
+			if err != nil {
+				s.bad, s.err = i, err
+				break
+			}
+			s.size += n
 		}
-		size += n
+		spans[k] = s
+	})
+	size := 0
+	for k := range spans {
+		if s := spans[k]; s.err != nil {
+			return fmt.Errorf("profile: decoding path %d of %s: %w", recs[s.bad].ID, fp.F.Name, s.err)
+		}
+		spans[k].start = size
+		size += spans[k].size
 	}
 	sums := blockSums(fp.F)
-	arena := make([]*ir.Block, 0, size)
+	arena := make([]*ir.Block, size)
+	par.Ranges(len(recs), w, func(k, lo, hi int) {
+		at := arena[spans[k].start:spans[k].start]
+		for i := lo; i < hi; i++ {
+			p := &recs[i]
+			start := len(at)
+			at, _ = fp.DAG.DecodeAppend(at, p.ID) // PathLen accepted the ID
+			p.Blocks = at[start:len(at):len(at)]
+			for _, b := range p.Blocks {
+				s := &sums[b.Index]
+				p.Ops += s.ops
+				p.Branches += s.branch
+				p.MemOps += s.mem
+			}
+			p.Weight = p.Freq * p.Ops
+		}
+	})
 	fp.Paths = make([]*Path, len(recs))
 	fp.byID = make(map[int64]*Path, len(recs))
 	for i := range recs {
@@ -203,16 +259,6 @@ func (fp *FunctionProfile) rankCounts(recs []Path) error {
 		if fp.byID[p.ID] != nil {
 			return fmt.Errorf("profile: path %d of %s listed twice", p.ID, fp.F.Name)
 		}
-		start := len(arena)
-		arena, _ = fp.DAG.DecodeAppend(arena, p.ID) // PathLen accepted the ID
-		p.Blocks = arena[start:len(arena):len(arena)]
-		for _, b := range p.Blocks {
-			s := &sums[b.Index]
-			p.Ops += s.ops
-			p.Branches += s.branch
-			p.MemOps += s.mem
-		}
-		p.Weight = p.Freq * p.Ops
 		fp.TotalWeight += p.Weight
 		fp.Paths[i] = p
 		fp.byID[p.ID] = p

@@ -86,17 +86,9 @@ func groupPaths(fp *profile.FunctionProfile, maxPaths int, key func(*profile.Pat
 }
 
 // mergeGroups merges each group of paths into one braid, ranked by weight
-// descending (stable). The braids and their membership tables are windows
-// of two arenas.
+// descending (stable).
 func mergeGroups(fp *profile.FunctionProfile, groups [][]*profile.Path) []*Braid {
-	n := len(fp.F.Blocks)
-	arena := make([]Braid, len(groups))
-	in := make([]bool, len(groups)*n)
-	braids := make([]*Braid, len(groups))
-	for i, g := range groups {
-		buildBraid(fp, g, &arena[i], in[i*n:(i+1)*n:(i+1)*n])
-		braids[i] = &arena[i]
-	}
+	braids := buildBraids(fp, groups)
 	slices.SortStableFunc(braids, func(a, b *Braid) int {
 		return cmp.Compare(braidWeight(b), braidWeight(a))
 	})
@@ -111,11 +103,30 @@ func braidWeight(b *Braid) int64 {
 	return w
 }
 
-// buildBraid merges paths into br, marking its blocks in in, a zeroed
-// table of one entry per block of fp.F that br keeps.
-func buildBraid(fp *profile.FunctionProfile, paths []*profile.Path, br *Braid, in []bool) {
-	entry := paths[0].Blocks[0]
-	exit := paths[0].Blocks[len(paths[0].Blocks)-1]
+// buildBraids merges each group of paths into one braid, in group order.
+// The braids, their membership tables and their block lists are windows of
+// three arenas, whatever the number of braids: a first pass marks every
+// braid's members and counts them, and a second lays out the blocks.
+func buildBraids(fp *profile.FunctionProfile, groups [][]*profile.Path) []*Braid {
+	n := len(fp.F.Blocks)
+	arena := make([]Braid, len(groups))
+	in := make([]bool, len(groups)*n)
+	braids := make([]*Braid, len(groups))
+	size := 0
+	for i, g := range groups {
+		size += markMembers(g, in[i*n:(i+1)*n])
+	}
+	blocks := make([]*ir.Block, 0, size)
+	for i, g := range groups {
+		blocks = buildBraid(fp, g, &arena[i], in[i*n:(i+1)*n:(i+1)*n], blocks)
+		braids[i] = &arena[i]
+	}
+	return braids
+}
+
+// markMembers marks the blocks of paths in in, a zeroed table of one entry
+// per block of the function, and returns how many it marked.
+func markMembers(paths []*profile.Path, in []bool) int {
 	n := 0
 	for _, p := range paths {
 		for _, b := range p.Blocks {
@@ -125,26 +136,36 @@ func buildBraid(fp *profile.FunctionProfile, paths []*profile.Path, br *Braid, i
 			}
 		}
 	}
+	return n
+}
+
+// buildBraid merges paths into br, whose blocks markMembers marked in in, a
+// table br keeps. It appends br's blocks to arena, whose capacity must hold
+// them, and returns the extended arena.
+func buildBraid(fp *profile.FunctionProfile, paths []*profile.Path, br *Braid, in []bool, arena []*ir.Block) []*ir.Block {
+	entry := paths[0].Blocks[0]
+	exit := paths[0].Blocks[len(paths[0].Blocks)-1]
 	// Topological order within the braid: entry first, exit last, and the
 	// other members in function block order, which our builders keep
 	// topological for acyclic sub-regions. Block.Index is a block's
 	// position in F.Blocks, so this is the members sorted by index.
-	blocks := make([]*ir.Block, 0, n)
-	blocks = append(blocks, entry)
+	start := len(arena)
+	arena = append(arena, entry)
 	for _, b := range fp.F.Blocks {
 		if in[b.Index] && b != entry && b != exit {
-			blocks = append(blocks, b)
+			arena = append(arena, b)
 		}
 	}
 	if exit != entry {
-		blocks = append(blocks, exit)
+		arena = append(arena, exit)
 	}
 
-	*br = Braid{Region: newRegion(fp.F, KindBraid, blocks, in)}
+	*br = Braid{Region: newRegion(fp.F, KindBraid, arena[start:len(arena):len(arena)], in)}
 	br.Entry = entry
 	br.Exit = exit
 	br.Paths = paths
 	br.classifyBranches(in)
+	return arena
 }
 
 // classifyBranches splits the braid's conditional branches into guards and

@@ -11,7 +11,7 @@ import (
 // BraidData is the pure serializable core of a Braid: the IDs of its merged
 // paths, in merge order. Everything else about a braid — block set, entry
 // and exit, topological order, guard/IF classification — is a deterministic
-// function of those paths, recomputed by BraidFromData.
+// function of those paths, recomputed by BraidsFromData.
 type BraidData struct {
 	PathIDs []int64
 }
@@ -25,25 +25,33 @@ func (br *Braid) Data() BraidData {
 	return d
 }
 
-// BraidFromData rebuilds a braid from its merged-path IDs against a
-// (possibly rehydrated) profile, reproducing buildBraid exactly. The paths
-// must all exist in fp and agree on entry and exit blocks, as the original
-// braid's did.
-func BraidFromData(fp *profile.FunctionProfile, d BraidData) (*Braid, error) {
-	if len(d.PathIDs) == 0 {
-		return nil, fmt.Errorf("region: braid data has no paths")
-	}
-	paths := make([]*profile.Path, len(d.PathIDs))
-	for i, id := range d.PathIDs {
-		p := fp.PathByID(id)
-		if p == nil {
-			return nil, fmt.Errorf("region: braid path %d not in profile of %s", id, fp.F.Name)
+// BraidsFromData rebuilds braids from their merged-path IDs against a
+// (possibly rehydrated) profile, reproducing BuildBraids' braids exactly, in
+// the order given. Each braid's paths must all exist in fp and agree on
+// entry and exit blocks, as the original braid's did. The braids, their
+// path lists, membership tables and block lists are windows of one arena
+// each, however many braids there are.
+func BraidsFromData(fp *profile.FunctionProfile, ds []BraidData) ([]*Braid, error) {
+	size := 0
+	for _, d := range ds {
+		if len(d.PathIDs) == 0 {
+			return nil, fmt.Errorf("region: braid data has no paths")
 		}
-		paths[i] = p
+		size += len(d.PathIDs)
 	}
-	br := new(Braid)
-	buildBraid(fp, paths, br, make([]bool, len(fp.F.Blocks)))
-	return br, nil
+	arena := make([]*profile.Path, size)
+	groups := make([][]*profile.Path, len(ds))
+	for i, d := range ds {
+		g := arena[:len(d.PathIDs):len(d.PathIDs)]
+		arena = arena[len(d.PathIDs):]
+		for j, id := range d.PathIDs {
+			if g[j] = fp.PathByID(id); g[j] == nil {
+				return nil, fmt.Errorf("region: braid path %d not in profile of %s", id, fp.F.Name)
+			}
+		}
+		groups[i] = g
+	}
+	return buildBraids(fp, groups), nil
 }
 
 // Append appends d in its positional layout: the path IDs as a uvarint

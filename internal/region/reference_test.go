@@ -71,7 +71,8 @@ func referenceBuildBraid(fp *profile.FunctionProfile, paths []*profile.Path) *Br
 }
 
 // assertBraidLikeReference compares br with the reference built from the
-// same paths: kind, entry, exit, member set, block order and guard counts.
+// same paths: kind, entry, exit, member set, block order and guard counts,
+// and that its block and path lists end at their length.
 func assertBraidLikeReference(t *testing.T, name string, fp *profile.FunctionProfile, br *Braid) {
 	t.Helper()
 	want := referenceBuildBraid(fp, br.Paths)
@@ -83,6 +84,10 @@ func assertBraidLikeReference(t *testing.T, name string, fp *profile.FunctionPro
 	}
 	if len(br.Blocks) != len(want.Blocks) {
 		t.Fatalf("%s: braid at %s has %d blocks, reference %d", name, br.Entry.Name, len(br.Blocks), len(want.Blocks))
+	}
+	if cap(br.Blocks) != len(br.Blocks) || cap(br.Paths) != len(br.Paths) {
+		t.Fatalf("%s: braid at %s: blocks cap %d > len %d or paths cap %d > len %d, so an append overwrites the next braid's",
+			name, br.Entry.Name, cap(br.Blocks), len(br.Blocks), cap(br.Paths), len(br.Paths))
 	}
 	for i, b := range br.Blocks {
 		if b != want.Blocks[i] {
@@ -103,13 +108,17 @@ func assertBraidLikeReference(t *testing.T, name string, fp *profile.FunctionPro
 func assertBraidsLikeReference(t *testing.T, name string, fp *profile.FunctionProfile) int {
 	t.Helper()
 	braids := BuildBraids(fp, 0)
-	for _, br := range braids {
+	stored := make([]BraidData, len(braids))
+	for i, br := range braids {
 		assertBraidLikeReference(t, name+" braid", fp, br)
-		re, err := BraidFromData(fp, br.Data())
-		if err != nil {
-			t.Fatalf("%s: BraidFromData: %v", name, err)
-		}
-		assertBraidLikeReference(t, name+" BraidFromData", fp, re)
+		stored[i] = br.Data()
+	}
+	rebuilt, err := BraidsFromData(fp, stored)
+	if err != nil {
+		t.Fatalf("%s: BraidsFromData: %v", name, err)
+	}
+	for _, re := range rebuilt {
+		assertBraidLikeReference(t, name+" BraidsFromData", fp, re)
 	}
 	for _, tr := range BuildPathTrees(fp, 0) {
 		assertBraidLikeReference(t, name+" path tree", fp, tr)

@@ -20,6 +20,7 @@ import (
 	"needle/internal/mem"
 	"needle/internal/obs"
 	"needle/internal/ooo"
+	"needle/internal/par"
 	"needle/internal/pm"
 	"needle/internal/profile"
 	"needle/internal/region"
@@ -401,7 +402,10 @@ type Lane struct {
 // Evaluate replays the captured trace once for every lane, offloading
 // accepted occurrences of each lane's target under its predictor, and
 // returns one result per lane. Lanes share nothing but the trace and
-// per-path tables, so a lane's result does not depend on the other lanes.
+// per-rank tables, so a lane's result does not depend on the other lanes,
+// and Evaluate splits the lanes across idle Ps (package par) when the
+// trace is long enough to pay for it (replayFloor): the results are
+// identical for any GOMAXPROCS.
 //
 // Consecutive successful invocations pipeline on the resident fabric at the
 // schedule's initiation interval; a failure, a declined invocation, or an
@@ -410,6 +414,19 @@ type Lane struct {
 // the rollback walk and the host's re-execution of the region, per the
 // paper's conservative Section VI-A model.
 func Evaluate(tr *Trace, lanes []Lane, cfg Config) []Result {
+	return evaluate(tr, lanes, cfg, replayFloor)
+}
+
+// replayFloor is the work, in lane-occurrences, each replay worker must
+// have. A lane-occurrence costs 8–14 ns, so the floor is 0.3–0.45 ms of
+// replay per worker. Handing a range to a parked P and joining it costs
+// about 11 µs on a 2-vCPU guest, 1 µs when the P is still awake
+// (BenchmarkRangesHandoff in package par).
+const replayFloor = 1 << 15
+
+// evaluate is Evaluate with the work floor as a parameter, so a test can
+// force one worker or several.
+func evaluate(tr *Trace, lanes []Lane, cfg Config, floor int) []Result {
 	res := make([]Result, len(lanes))
 	for i, l := range lanes {
 		res[i] = Result{
@@ -421,26 +438,11 @@ func Evaluate(tr *Trace, lanes []Lane, cfg Config) []Result {
 	if tr.BaselineCycles == 0 {
 		return res
 	}
-	perOpPJ := energy.PerOpPJ(cfg.CPU, tr.Mix, tr.CacheStats)
-	ops := make([]int64, len(tr.Profile.Paths)) // by rank
-	for r, p := range tr.Profile.Paths {
-		ops[r] = p.Ops
-	}
-	walk := make([]laneWalk, len(lanes))
-	for i, l := range lanes {
-		walk[i] = newLaneWalk(l, &res[i], tr.BaselineEnergyPJ, cfg)
-	}
-	// The walk is tiled: every lane advances over one tile of occurrences
-	// while the tile is in cache, and keeps its state in registers across
-	// the tile.
-	const tile = 1024
+	costs, walk := replayTables(tr, lanes, res, cfg)
 	ranks := tr.Profile.Ranks[:len(tr.Occ)]
-	for lo := 0; lo < len(tr.Occ); lo += tile {
-		hi := min(lo+tile, len(tr.Occ))
-		for i := range walk {
-			walk[i].advance(tr.Occ[lo:hi], ranks[lo:hi], ops, perOpPJ)
-		}
-	}
+	par.Ranges(len(walk), par.Workers(len(walk)*len(tr.Occ), floor), func(_, lo, hi int) {
+		replay(walk[lo:hi], tr.Occ, ranks, costs)
+	})
 	for i := range walk {
 		r := &res[i]
 		w := &walk[i]
@@ -458,6 +460,77 @@ func Evaluate(tr *Trace, lanes []Lane, cfg Config) []Result {
 	return res
 }
 
+// replay advances every lane of walk over the whole trace. The walk is
+// tiled: every lane advances over one tile of occurrences while the tile
+// is in cache, and keeps its state in registers across the tile.
+func replay(walk []laneWalk, occs []Occurrence, ranks []int32, costs []rankCost) {
+	const tile = 1024
+	for lo := 0; lo < len(occs); lo += tile {
+		hi := min(lo+tile, len(occs))
+		for i := range walk {
+			walk[i].advance(occs[lo:hi], ranks[lo:hi], costs)
+		}
+	}
+}
+
+// rankCost is what one occurrence of a path costs the host, by rank.
+type rankCost struct {
+	ops    int64   // dynamic ops
+	hostPJ float64 // their host energy: float64(ops) * energy.PerOpPJ
+}
+
+// A path's class on one target, by rank.
+const (
+	classHost    uint8 = iota // not an opportunity: the path stays on the host
+	classFail                 // an opportunity the target does not complete
+	classSuccess              // an opportunity the target completes
+)
+
+// replayTables builds what one Evaluate reads per occurrence, in two
+// allocations, never stored on the shared trace or targets: one cost table
+// by rank for all lanes, and one class table by rank per distinct target
+// (lanes of one target share it). It returns the cost table and each lane's
+// walk state.
+func replayTables(tr *Trace, lanes []Lane, res []Result, cfg Config) ([]rankCost, []laneWalk) {
+	paths := tr.Profile.Paths
+	perOpPJ := energy.PerOpPJ(cfg.CPU, tr.Mix, tr.CacheStats)
+	costs := make([]rankCost, len(paths))
+	for r, p := range paths {
+		costs[r] = rankCost{ops: p.Ops, hostPJ: float64(p.Ops) * perOpPJ}
+	}
+	// first returns the first lane with lane i's target.
+	first := func(i int) int {
+		return slices.IndexFunc(lanes, func(m Lane) bool { return m.Target == lanes[i].Target })
+	}
+	targets := 0
+	for i := range lanes {
+		if first(i) == i {
+			targets++
+		}
+	}
+	classes := make([]uint8, targets*len(paths))
+	walk := make([]laneWalk, len(lanes))
+	for i, l := range lanes {
+		if o := first(i); o < i {
+			walk[i] = newLaneWalk(l, walk[o].class, costs, &res[i], tr.BaselineEnergyPJ, cfg)
+			continue
+		}
+		class := classes[:len(paths):len(paths)]
+		classes = classes[len(paths):]
+		t := l.Target
+		for r := range class {
+			if t.isOpp[r] {
+				class[r] = classFail
+				if int32(r) == t.pathRank || t.accepts != nil && t.accepts[r] {
+					class[r] = classSuccess
+				}
+			}
+		}
+		walk[i] = newLaneWalk(l, class, costs, &res[i], tr.BaselineEnergyPJ, cfg)
+	}
+	return costs, walk
+}
+
 // predKind resolves the common predictors to concrete types, so the walk
 // calls them directly instead of through the interface per occurrence.
 type predKind uint8
@@ -471,25 +544,32 @@ const (
 
 // laneWalk is one lane's replay state.
 type laneWalk struct {
-	tgt  *Target
-	res  *Result // counts accumulate here
-	kind predKind
-	pred spec.Predictor
-	hist *spec.History
+	class []uint8 // the target's class of each rank
+	sched *cgra.Sched
+	res   *Result // counts accumulate here
+	kind  predKind
+	pred  spec.Predictor
+	hist  *spec.History
 
-	// Per-invocation costs of the target's schedule.
+	// Per-invocation costs of the target's schedule. A success costs the
+	// accelerator successPJ, except on a braid (perRankPJ), whose paths
+	// differ in the frame ops they leave gated: there it is
+	// Sched.InvokeEnergyPJ of the path's ops.
 	reconfig, ii, invokeCycles, failCycles int64
-	transferPJ, failPJ, fullPJ             float64
+	transferPJ, failPJ, successPJ          float64
+	perRankPJ                              bool
 
 	cycles, weight      int64
 	energyPJ            float64 // adjusted incrementally from the baseline
 	reconfigured, inRun bool
 }
 
-func newLaneWalk(l Lane, res *Result, baselinePJ float64, cfg Config) laneWalk {
-	s := l.Target.Sched
+func newLaneWalk(l Lane, class []uint8, costs []rankCost, res *Result, baselinePJ float64, cfg Config) laneWalk {
+	t := l.Target
+	s := t.Sched
 	w := laneWalk{
-		tgt:          l.Target,
+		class:        class,
+		sched:        s,
 		res:          res,
 		pred:         l.Pred,
 		reconfig:     cfg.CGRA.ReconfigCycles,
@@ -498,8 +578,17 @@ func newLaneWalk(l Lane, res *Result, baselinePJ float64, cfg Config) laneWalk {
 		failCycles:   s.FailCycles(),
 		transferPJ:   s.TransferPJ,
 		failPJ:       s.FailEnergyPJ() + s.TransferPJ,
-		fullPJ:       s.InvokeEnergyPJ(int64(len(l.Target.Frame.Ops))),
 		energyPJ:     baselinePJ,
+	}
+	switch {
+	case t.fullExec:
+		// Every frame op runs on every invocation.
+		w.successPJ = s.InvokeEnergyPJ(int64(len(t.Frame.Ops)))
+	case t.pathRank >= 0:
+		// Only the target's own path completes.
+		w.successPJ = s.InvokeEnergyPJ(costs[t.pathRank].ops)
+	default:
+		w.perRankPJ = true
 	}
 	switch p := l.Pred.(type) {
 	case *spec.History:
@@ -512,27 +601,26 @@ func newLaneWalk(l Lane, res *Result, baselinePJ float64, cfg Config) laneWalk {
 	return w
 }
 
-// advance replays occs, whose paths' ranks are ranks, on the lane. ops
-// holds each path's dynamic op count by rank, and the host spends perOpPJ
-// per op.
-func (w *laneWalk) advance(occs []Occurrence, ranks []int32, ops []int64, perOpPJ float64) {
-	tgt := w.tgt
-	isOpp, accepts, k := tgt.isOpp, tgt.accepts, tgt.pathRank
-	sched, fullExec := tgt.Sched, tgt.fullExec
+// advance replays occs, whose paths' ranks are ranks, on the lane. costs
+// holds each path's host cost by rank.
+func (w *laneWalk) advance(occs []Occurrence, ranks []int32, costs []rankCost) {
+	class, sched := w.class, w.sched
 	kind, hist, pred := w.kind, w.hist, w.pred
+	successPJ, perRankPJ := w.successPJ, w.perRankPJ
 	cycles, weight, energyPJ := w.cycles, w.weight, w.energyPJ
 	reconfigured, inRun := w.reconfigured, w.inRun
 	opps, invs, succs := w.res.Opportunities, w.res.Invocations, w.res.Successes
 	for i := range occs {
 		occ := &occs[i]
 		r := ranks[i]
-		if !isOpp[r] {
+		c := class[r]
+		if c == classHost {
 			cycles += occ.Cycles
 			inRun = false
 			continue
 		}
 		opps++
-		success := r == k || accepts != nil && accepts[r]
+		success := c == classSuccess
 		var invoke bool
 		switch kind {
 		case predHistory:
@@ -562,13 +650,14 @@ func (w *laneWalk) advance(occs []Occurrence, ranks []int32, ops []int64, perOpP
 				// The host stops paying for these ops; the accelerator pays
 				// its own, with predicated-off frame ops gated (speculative
 				// frames) or fully powered (non-speculative hyperblocks).
-				energyPJ -= float64(ops[r]) * perOpPJ
-				if fullExec {
-					energyPJ += w.fullPJ
+				cost := &costs[r]
+				energyPJ -= cost.hostPJ
+				if perRankPJ {
+					energyPJ += sched.InvokeEnergyPJ(cost.ops)
 				} else {
-					energyPJ += sched.InvokeEnergyPJ(ops[r])
+					energyPJ += successPJ
 				}
-				weight += ops[r]
+				weight += cost.ops
 			} else {
 				// Wasted accelerator work, rollback, then host re-execution.
 				cycles += w.failCycles + occ.Cycles

@@ -198,17 +198,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 				i, serial.Analyses[i].Workload.Name, par.Analyses[i].Workload.Name)
 		}
 	}
-	renders := map[string]func(*Suite) string{
-		"TableI": (*Suite).TableI, "TableII": (*Suite).TableII,
-		"TableIII": (*Suite).TableIII, "TableIV": (*Suite).TableIV,
-		"TableV": (*Suite).TableV, "TableHLS": (*Suite).TableHLS,
-		"Figure2": (*Suite).Figure2, "Figure4": (*Suite).Figure4,
-		"Figure5": (*Suite).Figure5, "Figure6": (*Suite).Figure6,
-		"Figure9": (*Suite).Figure9, "Figure10": (*Suite).Figure10,
-	}
-	for name, fn := range renders {
-		if got, want := fn(par), fn(serial); got != want {
-			t.Errorf("%s differs between parallel and serial runs", name)
+	for _, p := range Parts {
+		if got, want := p.Render(par), p.Render(serial); got != want {
+			t.Errorf("%s differs between parallel and serial runs", p.Name)
 		}
 	}
 }

@@ -43,6 +43,12 @@
 # schedule, and candidates, all of sim.NewCandidates) on inlined programs
 # of that same shape.
 #
+# A second, ungated run records the two stages one analysis splits across
+# idle Ps, BenchmarkStage/target/186.crafty (the replay's lanes) and
+# BenchmarkStage/profile-decode/186.crafty (rankCounts' two walks), at
+# -cpu 1 and at -cpu 2, so the trajectory shows both the split's gain and
+# what it costs when no second P is free.
+#
 #   ./scripts/bench.sh            (or: make bench)
 #   BENCH_TIME=10x ./scripts/bench.sh   # more iterations, less noise
 #   BENCH_TRACE=trace.json ./scripts/bench.sh
@@ -65,6 +71,9 @@ benchtime="${BENCH_TIME:-5x}"
 echo "running sweep benchmarks (benchtime $benchtime)..."
 out=$(go test -run '^$' -bench "$benches" -benchtime "$benchtime" -benchmem .)
 echo "$out"
+split_out=$(go test -run '^$' -bench '^BenchmarkStage$/^(target|profile-decode)$/^186\.crafty$' \
+    -benchtime "$benchtime" -benchmem -cpu 1,2 .)
+echo "$split_out"
 
 # Benchmark lines look like:  BenchmarkSweep[-N]  5  132523001 ns/op [...]
 # Sub-benchmark names pass through verbatim (e.g. BenchmarkAblationPredictor/cached).
@@ -74,6 +83,13 @@ ns_of() {
 allocs_of() {
     echo "$out" | awk -v name="$1" '$1 ~ "^"name"(-[0-9]+)?$" {
         for (i = 4; i <= NF; i++) if ($i == "allocs/op") { print $(i-1); exit }
+    }'
+}
+# split_of NAME UNIT: the value before UNIT on the -cpu 1,2 run's line named
+# exactly NAME (at -cpu 1 a name has no -N suffix).
+split_of() {
+    echo "$split_out" | awk -v name="$1" -v unit="$2" '$1 == name {
+        for (i = 4; i <= NF; i++) if ($i == unit) { print $(i-1); exit }
     }'
 }
 stages=""
@@ -158,6 +174,21 @@ done
         [ "$first" = 1 ] || echo ","
         first=0
         printf '    "%s": {"ns_per_op": %s, "allocs_per_op": %s}' "$b" "$ns" "$(allocs_of "$b")"
+    done
+    echo ""
+    echo "  },"
+    echo "  \"split_stages\": {"
+    first=1
+    for b in BenchmarkStage/target/186.crafty BenchmarkStage/profile-decode/186.crafty; do
+        for cpu in 1 2; do
+            name=$b
+            [ "$cpu" = 1 ] || name="$b-$cpu"
+            ns=$(split_of "$name" ns/op)
+            [ -z "$ns" ] && continue
+            [ "$first" = 1 ] || echo ","
+            first=0
+            printf '    "%s -cpu %s": {"ns_per_op": %s, "allocs_per_op": %s}' "$b" "$cpu" "$ns" "$(split_of "$name" allocs/op)"
+        done
     done
     echo ""
     echo "  }"
