@@ -282,6 +282,9 @@ var (
 //     manager;
 //   - target runs the sim and hls evaluations, so an iteration is the stage
 //     itself plus the cache hits that feed it;
+//   - replay is sim's Candidates.Replay alone, on a candidate table built
+//     once outside the timer from the warm artifacts (164.gzip and
+//     186.crafty only): the trace replay the Target stage pays per run;
 //   - capture is the Profile stage's cold compute: sim.Capture on the
 //     Inline artifact's function over fresh copies of its args and memory,
 //     sharing the artifact's analysis manager across iterations as
@@ -405,6 +408,23 @@ func BenchmarkStage(b *testing.B) {
 					if a.Target.PathOracle.BaselineCycles == 0 {
 						b.Fatal("no target results")
 					}
+				}
+			})
+		}
+	})
+	b.Run("replay", func(b *testing.B) {
+		for _, name := range []string{"164.gzip", "186.crafty"} {
+			b.Run(name, func(b *testing.B) {
+				_, _, a := warm(b, name, cfg)
+				c := a.Config
+				cands, err := sim.NewCandidates(a.Profile.Trace, a.Select.Braids, a.Frame.HotBraidFrame, c.Sim, c.SelectTopK, c.ColdFraction)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					cands.Replay()
 				}
 			})
 		}

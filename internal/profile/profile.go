@@ -206,52 +206,35 @@ func rankTrace(paths []*Path, ids []int64) ([]int32, error) {
 // decodes into the arena from the summed sizes of the ranges before it, so
 // the profile is identical for any GOMAXPROCS.
 func (fp *FunctionProfile) rankCounts(recs []Path, floor int) error {
-	w := par.Workers(len(recs), floor)
-	type span struct {
-		size  int   // blocks the range's paths decode to
-		start int   // where they start in the arena
-		bad   int   // the range's first undecodable record, or -1
-		err   error // why it is undecodable
-	}
-	spans := make([]span, w)
-	par.Ranges(len(recs), w, func(k, lo, hi int) {
-		s := span{bad: -1}
-		for i := lo; i < hi; i++ {
-			n, err := fp.DAG.PathLen(recs[i].ID)
-			if err != nil {
-				s.bad, s.err = i, err
-				break
-			}
-			s.size += n
-		}
-		spans[k] = s
-	})
-	size := 0
-	for k := range spans {
-		if s := spans[k]; s.err != nil {
-			return fmt.Errorf("profile: decoding path %d of %s: %w", recs[s.bad].ID, fp.F.Name, s.err)
-		}
-		spans[k].start = size
-		size += spans[k].size
-	}
 	sums := blockSums(fp.F)
-	arena := make([]*ir.Block, size)
-	par.Ranges(len(recs), w, func(k, lo, hi int) {
-		at := arena[spans[k].start:spans[k].start]
-		for i := lo; i < hi; i++ {
-			p := &recs[i]
-			start := len(at)
-			at, _ = fp.DAG.DecodeAppend(at, p.ID) // PathLen accepted the ID
-			p.Blocks = at[start:len(at):len(at)]
-			for _, b := range p.Blocks {
-				s := &sums[b.Index]
-				p.Ops += s.ops
-				p.Branches += s.branch
-				p.MemOps += s.mem
-			}
-			p.Weight = p.Freq * p.Ops
+	// The one-worker case has calls of its own: a closure handed to
+	// par.Ranges is heap-allocated whether or not a second worker runs.
+	if w := par.Workers(len(recs), floor); w == 1 {
+		s := fp.pathsLen(recs)
+		if s.err != nil {
+			return fp.decodeErr(recs, s)
 		}
-	})
+		fp.decodeInto(make([]*ir.Block, 0, s.size), recs, sums)
+	} else {
+		spans := make([]span, w)
+		par.Ranges(len(recs), w, func(k, lo, hi int) {
+			spans[k] = fp.pathsLen(recs[lo:hi])
+			spans[k].bad += lo
+		})
+		size := 0
+		for k := range spans {
+			if s := spans[k]; s.err != nil {
+				return fp.decodeErr(recs, s)
+			}
+			spans[k].start = size
+			size += spans[k].size
+		}
+		arena := make([]*ir.Block, size)
+		par.Ranges(len(recs), w, func(k, lo, hi int) {
+			start := spans[k].start
+			fp.decodeInto(arena[start:start], recs[lo:hi], sums)
+		})
+	}
 	fp.Paths = make([]*Path, len(recs))
 	fp.byID = make(map[int64]*Path, len(recs))
 	for i := range recs {
@@ -264,6 +247,52 @@ func (fp *FunctionProfile) rankCounts(recs []Path, floor int) error {
 		fp.byID[p.ID] = p
 	}
 	return nil
+}
+
+// span is what pathsLen finds in a range of records.
+type span struct {
+	size  int   // blocks the range's paths decode to
+	start int   // where they start in the arena
+	bad   int   // the range's first undecodable record, when err is set
+	err   error // why it is undecodable
+}
+
+// pathsLen sums the blocks recs' paths decode to, stopping at the first
+// record the DAG cannot decode.
+func (fp *FunctionProfile) pathsLen(recs []Path) span {
+	var s span
+	for i := range recs {
+		n, err := fp.DAG.PathLen(recs[i].ID)
+		if err != nil {
+			s.bad, s.err = i, err
+			break
+		}
+		s.size += n
+	}
+	return s
+}
+
+// decodeErr reports the undecodable record s found in recs.
+func (fp *FunctionProfile) decodeErr(recs []Path, s span) error {
+	return fmt.Errorf("profile: decoding path %d of %s: %w", recs[s.bad].ID, fp.F.Name, s.err)
+}
+
+// decodeInto decodes recs' paths into at, whose capacity pathsLen sized,
+// and sums each path's metrics and weight from the per-block sums.
+func (fp *FunctionProfile) decodeInto(at []*ir.Block, recs []Path, sums []blockSum) {
+	for i := range recs {
+		p := &recs[i]
+		start := len(at)
+		at, _ = fp.DAG.DecodeAppend(at, p.ID) // PathLen accepted the ID
+		p.Blocks = at[start:len(at):len(at)]
+		for _, b := range p.Blocks {
+			s := &sums[b.Index]
+			p.Ops += s.ops
+			p.Branches += s.branch
+			p.MemOps += s.mem
+		}
+		p.Weight = p.Freq * p.Ops
+	}
 }
 
 // sortPaths ranks paths by weight, descending, ties broken by ascending ID.

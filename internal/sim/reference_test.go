@@ -201,7 +201,7 @@ func assertReplayMatchesReference(t *testing.T, name string, tr *Trace, cfg Conf
 		cut.Occ = tr.Occ[:k]
 		c := candidateTable(t, name, &cut, cfg)
 		for i, r := range c.rows {
-			want := referenceEvaluate(&cut, refTargetOf(fp, r), r.newPred(), cfg)
+			want := referenceEvaluate(&cut, refTargetOf(fp, r), r.pred.predictor(cfg.HistBits), cfg)
 			if !sameResult(*r.result, want) {
 				t.Fatalf("%s, first %d of %d occurrences, %s: replay differs from reference\n got  %+v\n want %+v",
 					name, k, n, rowLabel(i, r), r.result, want)
@@ -222,11 +222,11 @@ func assertLanesIndependent(t *testing.T, name string, tr *Trace, cfg Config) {
 	c := candidateTable(t, name, tr, cfg)
 	rev := make([]Lane, len(c.rows))
 	for i, r := range c.rows {
-		alone := Evaluate(tr, []Lane{{Target: r.target, Pred: r.newPred()}}, cfg)[0]
+		alone := Evaluate(tr, []Lane{{Target: r.target, Pred: r.pred.predictor(cfg.HistBits)}}, cfg)[0]
 		if !sameResult(alone, *r.result) {
 			t.Fatalf("%s %s: alone %+v, in the walk %+v", name, rowLabel(i, r), alone, r.result)
 		}
-		rev[len(rev)-1-i] = Lane{Target: r.target, Pred: r.newPred()}
+		rev[len(rev)-1-i] = Lane{Target: r.target, Pred: r.pred.predictor(cfg.HistBits)}
 	}
 	for j, got := range Evaluate(tr, rev, cfg) {
 		i := len(rev) - 1 - j

@@ -34,15 +34,8 @@ func TestSplitReplayMatchesSerial(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		lanes := func() []Lane {
-			ls := make([]Lane, len(c.rows))
-			for i, r := range c.rows {
-				ls[i] = Lane{Target: r.target, Pred: r.newPred()}
-			}
-			return ls
-		}
-		one := evaluate(tr, lanes(), cfg, math.MaxInt)
-		split := evaluate(tr, lanes(), cfg, 1)
+		one := evaluate(tr, c.lanes(), cfg, math.MaxInt)
+		split := evaluate(tr, c.lanes(), cfg, 1)
 		for i := range one {
 			if !sameResult(one[i], split[i]) {
 				t.Fatalf("%s lane %d: one worker %+v, four %+v", p.Name, i, one[i], split[i])

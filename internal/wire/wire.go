@@ -136,9 +136,12 @@ func (b *Buffer) String(s string) {
 	b.Raw(s)
 }
 
-// Reader decodes one payload. The zero Reader is an empty payload.
+// Reader decodes one payload. It advances an offset into a buffer that
+// never changes, so a read stores no pointer, and takes no GC write
+// barrier while a collection marks. The zero Reader is an empty payload.
 type Reader struct {
 	buf []byte
+	off int // bytes of buf already read
 	err error
 }
 
@@ -148,10 +151,13 @@ func NewReader(b []byte) *Reader { return &Reader{buf: b} }
 // Err returns the first error the reader met, or nil.
 func (r *Reader) Err() error { return r.err }
 
+// left returns the bytes not yet read.
+func (r *Reader) left() []byte { return r.buf[r.off:] }
+
 // Done returns the first error, or an error when bytes are left over: a
 // decoder calls it after its last field.
 func (r *Reader) Done() error {
-	if r.err == nil && len(r.buf) != 0 {
+	if r.err == nil && r.off != len(r.buf) {
 		r.err = errTrailing
 	}
 	return r.err
@@ -166,7 +172,7 @@ func (r *Reader) fail(err error) {
 
 func (r *Reader) truncated() {
 	r.fail(errTruncated)
-	r.buf = nil
+	r.off = len(r.buf)
 }
 
 // Uvarint reads an unsigned varint.
@@ -174,12 +180,12 @@ func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(r.buf)
+	v, n := binary.Uvarint(r.left())
 	if n <= 0 {
 		r.truncated()
 		return 0
 	}
-	r.buf = r.buf[n:]
+	r.off += n
 	return v
 }
 
@@ -188,12 +194,12 @@ func (r *Reader) Varint() int64 {
 	if r.err != nil {
 		return 0
 	}
-	v, n := binary.Varint(r.buf)
+	v, n := binary.Varint(r.left())
 	if n <= 0 {
 		r.truncated()
 		return 0
 	}
-	r.buf = r.buf[n:]
+	r.off += n
 	return v
 }
 
@@ -222,7 +228,7 @@ func (r *Reader) Index(n int) int {
 // allocates for it.
 func (r *Reader) Count() int {
 	v := r.Uvarint()
-	if r.err == nil && v > uint64(len(r.buf)) {
+	if r.err == nil && v > uint64(len(r.buf)-r.off) {
 		r.fail(errCount)
 		return 0
 	}
@@ -233,7 +239,7 @@ func (r *Reader) Count() int {
 // follow, failing the reader if not: the check for a count the layout
 // implies instead of storing.
 func (r *Reader) Fits(n int) bool {
-	if r.err == nil && n > len(r.buf) {
+	if r.err == nil && n > len(r.buf)-r.off {
 		r.fail(errCount)
 	}
 	return r.err == nil
@@ -245,8 +251,8 @@ func (r *Reader) Rest() []byte {
 	if r.err != nil {
 		return nil
 	}
-	b := r.buf
-	r.buf = nil
+	b := r.left()
+	r.off = len(r.buf)
 	return b
 }
 
@@ -255,12 +261,12 @@ func (r *Reader) Float64() float64 {
 	if r.err != nil {
 		return 0
 	}
-	if len(r.buf) < 8 {
+	if len(r.buf)-r.off < 8 {
 		r.truncated()
 		return 0
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf))
-	r.buf = r.buf[8:]
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.left()))
+	r.off += 8
 	return v
 }
 
@@ -270,7 +276,7 @@ func (r *Reader) Text() string {
 	if r.err != nil {
 		return ""
 	}
-	s := string(r.buf[:n])
-	r.buf = r.buf[n:]
+	s := string(r.buf[r.off : r.off+n])
+	r.off += n
 	return s
 }

@@ -47,7 +47,12 @@
 # idle Ps, BenchmarkStage/target/186.crafty (the replay's lanes) and
 # BenchmarkStage/profile-decode/186.crafty (rankCounts' two walks), at
 # -cpu 1 and at -cpu 2, so the trajectory shows both the split's gain and
-# what it costs when no second P is free.
+# what it costs when no second P is free. A third, also ungated, records
+# BenchmarkStage/replay/{164.gzip,186.crafty} (Candidates.Replay alone)
+# at -cpu 1. Both run each row 10 times, the split rows at 20 iterations
+# and the replay rows at 200, and record its median ns/op with the
+# interquartile range beside it: one run's spread is wider than the effects
+# these rows track.
 #
 #   ./scripts/bench.sh            (or: make bench)
 #   BENCH_TIME=10x ./scripts/bench.sh   # more iterations, less noise
@@ -72,8 +77,10 @@ echo "running sweep benchmarks (benchtime $benchtime)..."
 out=$(go test -run '^$' -bench "$benches" -benchtime "$benchtime" -benchmem .)
 echo "$out"
 split_out=$(go test -run '^$' -bench '^BenchmarkStage$/^(target|profile-decode)$/^186\.crafty$' \
-    -benchtime "$benchtime" -benchmem -cpu 1,2 .)
+    -benchtime 20x -count 10 -benchmem -cpu 1,2 .)
 echo "$split_out"
+replay_out=$(go test -run '^$' -bench '^BenchmarkStage$/^replay$/' -benchtime 200x -count 10 -benchmem -cpu 1 .)
+echo "$replay_out"
 
 # Benchmark lines look like:  BenchmarkSweep[-N]  5  132523001 ns/op [...]
 # Sub-benchmark names pass through verbatim (e.g. BenchmarkAblationPredictor/cached).
@@ -85,12 +92,29 @@ allocs_of() {
         for (i = 4; i <= NF; i++) if ($i == "allocs/op") { print $(i-1); exit }
     }'
 }
-# split_of NAME UNIT: the value before UNIT on the -cpu 1,2 run's line named
-# exactly NAME (at -cpu 1 a name has no -N suffix).
-split_of() {
-    echo "$split_out" | awk -v name="$1" -v unit="$2" '$1 == name {
-        for (i = 4; i <= NF; i++) if ($i == unit) { print $(i-1); exit }
-    }'
+# spread_of OUT NAME UNIT: the median and interquartile range of the values
+# before UNIT on OUT's lines named exactly NAME (at -cpu 1 a name has no -N
+# suffix), as "median iqr", quartiles interpolated between order statistics.
+spread_of() {
+    echo "$1" | awk -v name="$2" -v unit="$3" '$1 == name {
+        for (i = 4; i <= NF; i++) if ($i == unit) print $(i-1)
+    }' | sort -g | awk '
+        function q(p,   h, i) {
+            h = (NR - 1) * p + 1
+            i = int(h)
+            return i < NR ? v[i] + (h - i) * (v[i+1] - v[i]) : v[NR]
+        }
+        { v[NR] = $1 }
+        END { if (NR > 0) printf "%.0f %.0f\n", q(0.5), q(0.75) - q(0.25) }'
+}
+# spread_json OUT NAME: NAME's ns/op and allocs/op spreads on OUT as a JSON
+# object, or nothing when OUT has no such line.
+spread_json() {
+    ns=$(spread_of "$1" "$2" ns/op)
+    [ -z "$ns" ] && return
+    allocs=$(spread_of "$1" "$2" allocs/op)
+    printf '{"ns_per_op": %s, "ns_per_op_iqr": %s, "allocs_per_op": %s, "runs": 10}' \
+        "${ns% *}" "${ns#* }" "${allocs% *}"
 }
 stages=""
 for layer in inline opt-decode profile-decode select-decode select frame target capture; do
@@ -183,12 +207,23 @@ done
         for cpu in 1 2; do
             name=$b
             [ "$cpu" = 1 ] || name="$b-$cpu"
-            ns=$(split_of "$name" ns/op)
-            [ -z "$ns" ] && continue
+            row=$(spread_json "$split_out" "$name")
+            [ -z "$row" ] && continue
             [ "$first" = 1 ] || echo ","
             first=0
-            printf '    "%s -cpu %s": {"ns_per_op": %s, "allocs_per_op": %s}' "$b" "$cpu" "$ns" "$(split_of "$name" allocs/op)"
+            printf '    "%s -cpu %s": %s' "$b" "$cpu" "$row"
         done
+    done
+    echo ""
+    echo "  },"
+    echo "  \"replay_stages\": {"
+    first=1
+    for b in BenchmarkStage/replay/164.gzip BenchmarkStage/replay/186.crafty; do
+        row=$(spread_json "$replay_out" "$b")
+        [ -z "$row" ] && continue
+        [ "$first" = 1 ] || echo ","
+        first=0
+        printf '    "%s -cpu 1": %s' "$b" "$row"
     done
     echo ""
     echo "  }"
