@@ -278,13 +278,14 @@ var (
 //     warm disk hit does: the positional payload read, the function built
 //     from arenas and verified (opt, whose pipeline runs with Opt on),
 //     path-trace rehydration with every count and branch history derived
-//     (profile) or braid rebuilds (select), under a fresh analysis
-//     manager;
+//     (profile, on 197.parser too) or braid rebuilds (select), under a
+//     fresh analysis manager;
 //   - target runs the sim and hls evaluations, so an iteration is the stage
 //     itself plus the cache hits that feed it;
 //   - replay is sim's Candidates.Replay alone, on a candidate table built
-//     once outside the timer from the warm artifacts (164.gzip and
-//     186.crafty only): the trace replay the Target stage pays per run;
+//     once outside the timer from the warm artifacts (164.gzip,
+//     186.crafty and 197.parser, whose trace has the shortest runs of one
+//     path): the trace replay the Target stage pays per run;
 //   - capture is the Profile stage's cold compute: sim.Capture on the
 //     Inline artifact's function over fresh copies of its args and memory,
 //     sharing the artifact's analysis manager across iterations as
@@ -312,7 +313,7 @@ func BenchmarkStage(b *testing.B) {
 	// decodeRow times one stage's codec decode of its stored bytes. Each
 	// iteration gives the upstream inline artifact a fresh analysis manager,
 	// as a recomputed one has, so no analysis is served from an earlier one.
-	decodeRow := func(stage string, c pipeline.Config, out func(a *pipeline.Artifacts) any) func(b *testing.B) {
+	decodeRow := func(stage string, c pipeline.Config, names []string, out func(a *pipeline.Artifacts) any) func(b *testing.B) {
 		return func(b *testing.B) {
 			for _, name := range names {
 				b.Run(name, func(b *testing.B) {
@@ -356,9 +357,9 @@ func BenchmarkStage(b *testing.B) {
 			})
 		}
 	})
-	b.Run("opt-decode", decodeRow("opt", optCfg, func(a *pipeline.Artifacts) any { return a.Opt }))
-	b.Run("profile-decode", decodeRow("profile", cfg, func(a *pipeline.Artifacts) any { return a.Profile }))
-	b.Run("select-decode", decodeRow("select", cfg, func(a *pipeline.Artifacts) any { return a.Select }))
+	b.Run("opt-decode", decodeRow("opt", optCfg, names, func(a *pipeline.Artifacts) any { return a.Opt }))
+	b.Run("profile-decode", decodeRow("profile", cfg, append(names, "197.parser"), func(a *pipeline.Artifacts) any { return a.Profile }))
+	b.Run("select-decode", decodeRow("select", cfg, names, func(a *pipeline.Artifacts) any { return a.Select }))
 	b.Run("select", func(b *testing.B) {
 		for _, name := range names {
 			b.Run(name, func(b *testing.B) {
@@ -413,7 +414,7 @@ func BenchmarkStage(b *testing.B) {
 		}
 	})
 	b.Run("replay", func(b *testing.B) {
-		for _, name := range []string{"164.gzip", "186.crafty"} {
+		for _, name := range []string{"164.gzip", "186.crafty", "197.parser"} {
 			b.Run(name, func(b *testing.B) {
 				_, _, a := warm(b, name, cfg)
 				c := a.Config

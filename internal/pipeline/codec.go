@@ -14,9 +14,9 @@
 //     positional binary layout of package wire (docs/PIPELINE.md,
 //     "Payload layouts"). The same artifact always encodes to the same
 //     bytes.
-//   - The profile stores only what was measured: the path trace, as ranks
-//     into a table of executed path IDs, and each occurrence's host
-//     cycles. Path counts, block and edge counts and every branch history
+//   - The profile stores only what was measured: the path trace, as runs
+//     of one path, each naming its path by rank in a table of executed
+//     path IDs, and each occurrence's host cycles. Path counts, block and edge counts and every branch history
 //     are derived from the trace on decode, and checked against the
 //     captured values on encode.
 //   - The optimized function travels in ir's positional layout
@@ -54,7 +54,7 @@ import (
 )
 
 // codecVersion versions every on-disk artifact payload.
-const codecVersion = 4
+const codecVersion = 5
 
 // Codec returns the named stage's persistent codec, the pair a DiskStore
 // applies to its artifact: encode serializes a.<stage>-shaped output, and

@@ -3,15 +3,18 @@ package pipeline
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"needle/internal/ir"
 	"needle/internal/irgen"
 	"needle/internal/passes"
+	"needle/internal/profile"
 	"needle/internal/wire"
 	"needle/internal/workloads"
 )
@@ -144,6 +147,101 @@ func TestHugeCountIsRejectedWithoutAllocating(t *testing.T) {
 	}
 	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<10 {
 		t.Fatalf("rejecting a 2^60 count allocated %d bytes", n)
+	}
+}
+
+// hostileRuns returns profile payloads built from a's, each with runs that
+// are not the maximal runs of a trace its packed cycles hold, and the text
+// its decode error must contain. Run-length coding gives a payload new ways
+// to be wrong: a run that claims more occurrences than the packed cycles
+// can hold, whose decode must not allocate for them, and runs that code a
+// trace some other way than the one the encoder writes (an empty run, one
+// run split in two, a rank outside the path table), which keep the
+// occurrence count but would give one profile a second payload.
+func hostileRuns(t testing.TB, a *Artifacts) []struct {
+	name, want string
+	payload    []byte
+} {
+	t.Helper()
+	d, err := a.Profile.Trace.Data()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := d.Profile.Runs
+	long := slices.IndexFunc(runs, func(r profile.Run) bool { return r.Len >= 2 })
+	if len(d.Profile.Paths) < 2 || long < 0 {
+		t.Fatalf("%d paths in %d runs: need two paths and a run of two occurrences", len(d.Profile.Paths), len(runs))
+	}
+	last := runs[len(runs)-1]
+	split := slices.Clone(runs)
+	split[long].Len--
+	split = slices.Insert(split, long, profile.Run{Rank: runs[long].Rank, Len: 1})
+	outside := slices.Clone(runs)
+	outside[0].Rank = int32(len(d.Profile.Paths))
+	huge := slices.Clone(runs)
+	huge[long].Len = math.MaxInt32 - 1
+	with := func(runs []profile.Run) []byte {
+		pd := *d.Profile
+		pd.Runs = runs
+		td := *d
+		td.Profile = &pd
+		return td.Append(nil)
+	}
+	return []struct {
+		name, want string
+		payload    []byte
+	}{
+		{"huge run", "packed cycles", with(huge)},
+		{"empty run", "0 occurrences", with(append(slices.Clone(runs), profile.Run{Rank: (last.Rank + 1) % 2, Len: 0}))},
+		{"split run", "both of rank", with(split)},
+		{"rank outside the table", "out of range", with(outside)},
+	}
+}
+
+// TestHugeRunIsRejectedWithoutAllocating: a profile payload that is the
+// stored one but for a run that claims 2^31-2 occurrences, against packed
+// cycles of a few thousand bytes, is an error, found before anything is
+// allocated: not the occurrences, nor the profile rebuilt first.
+func TestHugeRunIsRejectedWithoutAllocating(t *testing.T) {
+	a, err := Run(testWorkload(t), testConfig(), RunOptions{Store: NewCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := hostileRuns(t, a)[0]
+	_, decode, _ := Codec("profile")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = decode(a, huge.payload)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), huge.want) {
+		t.Fatalf("a run of 2^31-2 occurrences decoded with error %v, want one about %s", err, huge.want)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<10 {
+		t.Fatalf("rejecting a run of 2^31-2 occurrences allocated %d bytes", n)
+	}
+}
+
+// TestProfileRunsHaveOneCoding: a profile payload whose runs are not the
+// maximal runs of its trace is a decode error, though its occurrences
+// still match its packed cycles, while the payload it was made from
+// decodes.
+func TestProfileRunsHaveOneCoding(t *testing.T) {
+	a, err := Run(testWorkload(t), testConfig(), RunOptions{Store: NewCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode, decode, _ := Codec("profile")
+	b, err := encode(a, a.Profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decode(a, b); err != nil {
+		t.Fatalf("the stored payload does not decode: %v", err)
+	}
+	for _, h := range hostileRuns(t, a)[1:] {
+		if _, err := decode(a, h.payload); err == nil || !strings.Contains(err.Error(), h.want) {
+			t.Errorf("%s: decode error %v, want one about %s", h.name, err, h.want)
+		}
 	}
 }
 
@@ -347,7 +445,8 @@ entry:
 // with no header or CRC in front: the result must be an error or an
 // artifact that encodes again, never a panic. Real payloads of every stage
 // seed the corpus: each whole, cut in half, one byte short and with one
-// trailing byte, the shapes wire.Reader's bounds and Done check.
+// trailing byte, the shapes wire.Reader's bounds and Done check; so do the
+// profile payloads of hostileRuns, whose runs the decode must refuse.
 func FuzzArtifactDecode(f *testing.F) {
 	cfg := testConfig()
 	cfg.Opt = true
@@ -369,6 +468,9 @@ func FuzzArtifactDecode(f *testing.F) {
 		f.Add(uint8(i), b[:len(b)/2])
 		f.Add(uint8(i), b[:len(b)-1])
 		f.Add(uint8(i), append(slices.Clone(b), 0))
+	}
+	for _, h := range hostileRuns(f, a) {
+		f.Add(uint8(slices.Index(codecStages, "profile")), h.payload)
 	}
 	f.Fuzz(func(t *testing.T, stage uint8, data []byte) {
 		name := codecStages[int(stage)%len(codecStages)]

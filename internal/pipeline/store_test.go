@@ -464,12 +464,12 @@ func TestDiskStoreMixedTiers(t *testing.T) {
 }
 
 // TestDiskStoreTruncatedOccurrencesAreMisses rewrites the profile artifact
-// with its rank stream, then its cycle stream, one entry short of the
-// other, under a valid header and CRC: the decode must fail, and the warm
+// with its run stream one run short, then its cycle stream one entry
+// short, under a valid header and CRC: the decode must fail, and the warm
 // run must recompute the profile with identical results instead of
 // replaying a short trace.
 func TestDiskStoreTruncatedOccurrencesAreMisses(t *testing.T) {
-	for _, stream := range []string{"rank", "cycle"} {
+	for _, stream := range []string{"run", "cycle"} {
 		t.Run(stream, func(t *testing.T) {
 			dir := t.TempDir()
 			w, cfg := testWorkload(t), testConfig()
@@ -485,9 +485,9 @@ func TestDiskStoreTruncatedOccurrencesAreMisses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if stream == "rank" {
+			if stream == "run" {
 				pd := *d.Profile
-				pd.Ranks = pd.Ranks[:len(pd.Ranks)-1]
+				pd.Runs = pd.Runs[:len(pd.Runs)-1]
 				d.Profile = &pd
 			} else {
 				// Drop the last cycle's varint: its final byte and any

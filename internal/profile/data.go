@@ -20,8 +20,9 @@ import (
 type Data struct {
 	// Paths lists every executed path ID once, in the profile's rank order.
 	Paths []int64
-	// Ranks is the path trace: occurrence i executed Paths[Ranks[i]].
-	Ranks []int32
+	// Runs is the path trace as maximal runs of one path (see
+	// FunctionProfile.Runs), each naming its path by index into Paths.
+	Runs []Run
 	// Tail lists, in execution order, the block indices of a partial final
 	// path: one a step limit or trap cut short before it completed. Its
 	// blocks and edges were counted, but it is not an occurrence. Empty when
@@ -33,18 +34,18 @@ type Data struct {
 // trace does not reproduce the profile's counts (a profile collected
 // without a trace), since FromData could not rebuild it; it is also the
 // encode-time check that the derivation FromData applies is exact. The
-// result shares the profile's rank column.
+// result shares the profile's run column.
 func (fp *FunctionProfile) Data() (*Data, error) {
-	d := &Data{Paths: make([]int64, len(fp.Paths)), Ranks: fp.Ranks}
+	d := &Data{Paths: make([]int64, len(fp.Paths)), Runs: fp.Runs}
 	for r, p := range fp.Paths {
 		d.Paths[r] = p.ID
 	}
+	if err := checkRuns(fp.Runs, len(fp.Paths), fp.F.Name); err != nil {
+		return nil, err
+	}
 	freq := make([]int64, len(fp.Paths))
-	for i, r := range fp.Ranks {
-		if r < 0 || int(r) >= len(fp.Paths) {
-			return nil, fmt.Errorf("profile: occurrence %d of %s has rank %d of %d paths", i, fp.F.Name, r, len(fp.Paths))
-		}
-		freq[r]++
+	for _, run := range fp.Runs {
+		freq[run.Rank] += int64(run.Len)
 	}
 	for r, p := range fp.Paths {
 		if freq[r] != p.Freq {
@@ -69,13 +70,13 @@ func (fp *FunctionProfile) Data() (*Data, error) {
 		}
 		live[s] = n
 	}
-	blocks, edges, err := traceCounts(rule, fp.Paths, d.Ranks, nil)
+	blocks, edges, err := traceCounts(rule, fp.Paths, d.Runs, nil)
 	if err != nil {
 		return nil, err
 	}
-	d.Tail = partialTail(rule, fp.Paths, d.Ranks, fp.BlockCounts, blocks, live, edges)
+	d.Tail = partialTail(rule, fp.Paths, d.Runs, fp.BlockCounts, blocks, live, edges)
 	if d.Tail != nil {
-		if blocks, edges, err = traceCounts(rule, fp.Paths, d.Ranks, d.Tail); err != nil {
+		if blocks, edges, err = traceCounts(rule, fp.Paths, d.Runs, d.Tail); err != nil {
 			return nil, err
 		}
 	}
@@ -83,6 +84,24 @@ func (fp *FunctionProfile) Data() (*Data, error) {
 		return nil, fmt.Errorf("profile: the path trace of %s does not reproduce its block and edge counts", f.Name)
 	}
 	return d, nil
+}
+
+// checkRuns reports the first run of function f's trace that is not one of
+// its maximal runs over a table of n paths: an empty run, a rank outside
+// the table, or a run of the same path as the run before it. A trace has
+// exactly one such coding, so each profile encodes to one payload.
+func checkRuns(runs []Run, n int, f string) error {
+	for i, run := range runs {
+		switch {
+		case run.Rank < 0 || int(run.Rank) >= n:
+			return fmt.Errorf("profile: run %d of %s has rank %d of %d paths", i, f, run.Rank, n)
+		case run.Len <= 0:
+			return fmt.Errorf("profile: run %d of %s has %d occurrences", i, f, run.Len)
+		case i > 0 && run.Rank == runs[i-1].Rank:
+			return fmt.Errorf("profile: runs %d and %d of %s are both of rank %d", i-1, i, f, run.Rank)
+		}
+	}
+	return nil
 }
 
 // tailRule is the one rule a path of the trace obeys, which traceCounts
@@ -137,7 +156,7 @@ func (r tailRule) allows(u, v int32, first bool) bool {
 // surplus edges tailRule allows through surplus blocks. It returns nil when
 // the trace accounts for every block. It counts the edges it follows into
 // edges; the caller checks the result by deriving the counts again.
-func partialTail(rule tailRule, table []*Path, ranks []int32, liveBlocks, blocks, liveEdges, edges []int64) []int32 {
+func partialTail(rule tailRule, table []*Path, runs []Run, liveBlocks, blocks, liveEdges, edges []int64) []int32 {
 	extra := make([]int64, len(blocks))
 	surplus := false
 	for i := range blocks {
@@ -159,8 +178,8 @@ func partialTail(rule tailRule, table []*Path, ranks []int32, liveBlocks, blocks
 		return -1
 	}
 	cur := int32(rule.f.Entry().Index)
-	if len(ranks) > 0 {
-		p := table[ranks[len(ranks)-1]]
+	if len(runs) > 0 {
+		p := table[runs[len(runs)-1].Rank]
 		if last := rule.resume(int32(p.Blocks[len(p.Blocks)-1].Index)); last >= 0 {
 			cur = next(last, true)
 		}
@@ -182,8 +201,8 @@ func partialTail(rule tailRule, table []*Path, ranks []int32, liveBlocks, blocks
 // indistinguishable from the profile the collector produced in the process
 // that ran the workload, provided f is structurally identical to the
 // profiled function (same blocks in the same order). Data that could not
-// have come from a run of f is an error. The profile keeps d.Ranks as its
-// rank column when d's table is in rank order, as Data writes it.
+// have come from a run of f is an error. The profile keeps d.Runs as its
+// run column when d's table is in rank order, as Data writes it.
 func FromData(am *pm.Manager, f *ir.Function, d *Data) (*FunctionProfile, error) {
 	return fromData(am, f, d, decodeFloor)
 }
@@ -191,6 +210,9 @@ func FromData(am *pm.Manager, f *ir.Function, d *Data) (*FunctionProfile, error)
 // fromData is FromData with rankCounts' work floor as a parameter, so a
 // test can force one worker or several.
 func fromData(am *pm.Manager, f *ir.Function, d *Data, floor int) (*FunctionProfile, error) {
+	if err := checkRuns(d.Runs, len(d.Paths), f.Name); err != nil {
+		return nil, err
+	}
 	dag, err := ballarus.Build(pm.Ensure(am), f)
 	if err != nil {
 		return nil, fmt.Errorf("profile: rebuilding DAG for %s: %w", f.Name, err)
@@ -199,24 +221,21 @@ func fromData(am *pm.Manager, f *ir.Function, d *Data, floor int) (*FunctionProf
 	for r, id := range d.Paths {
 		recs[r].ID = id
 	}
-	for i, r := range d.Ranks {
-		if r < 0 || int(r) >= len(d.Paths) {
-			return nil, fmt.Errorf("profile: occurrence %d has rank %d of %d paths", i, r, len(d.Paths))
-		}
-		recs[r].Freq++
+	for _, run := range d.Runs {
+		recs[run.Rank].Freq += int64(run.Len)
 	}
 	for r := range recs {
 		if recs[r].Freq == 0 {
 			return nil, fmt.Errorf("profile: path %d of %s never occurs in the trace", recs[r].ID, f.Name)
 		}
 	}
-	fp := &FunctionProfile{F: f, DAG: dag, Ranks: d.Ranks}
+	fp := &FunctionProfile{F: f, DAG: dag, Runs: d.Runs}
 	if err := fp.rankCounts(recs, floor); err != nil {
 		return nil, err
 	}
 	// fp.Paths is still in table order, the order the ranks index.
 	rule := newTailRule(f, dag)
-	blocks, edges, err := traceCounts(rule, fp.Paths, d.Ranks, d.Tail)
+	blocks, edges, err := traceCounts(rule, fp.Paths, d.Runs, d.Tail)
 	if err != nil {
 		return nil, err
 	}
@@ -224,15 +243,16 @@ func fromData(am *pm.Manager, f *ir.Function, d *Data, floor int) (*FunctionProf
 	fp.EdgeCounts = rule.succ.edgeMap(edges)
 	if !slices.IsSortedFunc(fp.Paths, rankOrder) {
 		// Data writes its table in rank order, so only a table from
-		// elsewhere gets here: rank it and recode the trace to match.
+		// elsewhere gets here: rank it and recode the trace to match. A
+		// recoding is one to one, so the runs stay maximal.
 		sortPaths(fp.Paths)
 		rankOf := make(map[int64]int32, len(fp.Paths))
 		for r, p := range fp.Paths {
 			rankOf[p.ID] = int32(r)
 		}
-		fp.Ranks = make([]int32, len(d.Ranks))
-		for i, r := range d.Ranks {
-			fp.Ranks[i] = rankOf[d.Paths[r]]
+		fp.Runs = make([]Run, len(d.Runs))
+		for i, run := range d.Runs {
+			fp.Runs[i] = Run{Rank: rankOf[d.Paths[run.Rank]], Len: run.Len}
 		}
 	}
 	return fp, nil
@@ -299,8 +319,9 @@ func (t succTable) edgeMap(edges []int64) map[Edge]int64 {
 // Each occurrence starts, as the tail does, where tailRule says a run
 // resumes, and each tail block follows a forward edge; anything else is an
 // error. table is indexed by rank, and each path's Freq must be its
-// occurrence count.
-func traceCounts(rule tailRule, table []*Path, ranks, tail []int32) (blocks, edges []int64, err error) {
+// occurrence count. The trace is read a run at a time: the occurrences of
+// one run after its first all enter over the same boundary edge.
+func traceCounts(rule tailRule, table []*Path, runs []Run, tail []int32) (blocks, edges []int64, err error) {
 	succ := rule.succ
 	blocks = make([]int64, len(succ)/2)
 	edges = make([]int64, len(succ))
@@ -322,15 +343,25 @@ func traceCounts(rule tailRule, table []*Path, ranks, tail []int32) (blocks, edg
 	// Every occurrence, and then the tail, starts where a run resumes after
 	// the occurrence before it; the edge it enters over is counted.
 	prev := int32(-1)
-	for j, r := range ranks {
-		start := ends[2*r]
+	occ := 0 // occurrences before the run
+	for _, run := range runs {
+		start, resume := ends[2*run.Rank], ends[2*run.Rank+1]
 		if !rule.allows(prev, start, true) {
-			return nil, nil, fmt.Errorf("profile: occurrence %d starts at block %d, not where a run resumes", j, start)
+			return nil, nil, fmt.Errorf("profile: occurrence %d starts at block %d, not where a run resumes", occ, start)
 		}
 		if prev >= 0 {
 			edges[succ.slot(prev, start)]++
 		}
-		prev = ends[2*r+1]
+		if run.Len > 1 {
+			if !rule.allows(resume, start, true) {
+				return nil, nil, fmt.Errorf("profile: occurrence %d starts at block %d, not where a run resumes", occ+1, start)
+			}
+			if resume >= 0 {
+				edges[succ.slot(resume, start)] += int64(run.Len) - 1
+			}
+		}
+		prev = resume
+		occ += int(run.Len)
 	}
 	for i, t := range tail {
 		if t < 0 || int(t) >= len(blocks) {
@@ -349,20 +380,31 @@ func traceCounts(rule tailRule, table []*Path, ranks, tail []int32) (blocks, edg
 }
 
 // Append appends d in its positional layout (docs/PIPELINE.md): the path-ID
-// table, the trace as ranks into it, and the partial tail's block indices,
-// each a uvarint list.
+// table as a uvarint list, the runs as their count and then each run's
+// rank and length as uvarints, and the partial tail's block indices as a
+// uvarint list.
 func (d *Data) Append(b []byte) []byte {
 	b = wire.AppendUints(b, d.Paths)
-	b = wire.AppendUints(b, d.Ranks)
+	b = wire.AppendUvarint(b, uint64(len(d.Runs)))
+	for _, run := range d.Runs {
+		b = wire.AppendUvarint(b, uint64(run.Rank))
+		b = wire.AppendUvarint(b, uint64(run.Len))
+	}
 	return wire.AppendUints(b, d.Tail)
 }
 
-// ReadData reads the layout Append writes. It checks the layout only;
-// FromData checks the contents against the function. The result is
-// meaningful only when r has not failed.
+// ReadData reads the layout Append writes. It checks the layout only, each
+// rank against the path table and each length against math.MaxInt32;
+// FromData checks the runs against each other and the contents against
+// the function. The result is meaningful only when r has not failed.
 func ReadData(r *wire.Reader) *Data {
 	d := &Data{Paths: wire.Uints[int64](r, math.MaxInt)}
-	d.Ranks = wire.Uints[int32](r, len(d.Paths))
+	if n := r.Count(); n > 0 {
+		d.Runs = make([]Run, n)
+		for i := range d.Runs {
+			d.Runs[i] = Run{Rank: int32(r.Index(len(d.Paths))), Len: int32(r.Index(math.MaxInt32))}
+		}
+	}
 	d.Tail = wire.Uints[int32](r, math.MaxInt32)
 	return d
 }

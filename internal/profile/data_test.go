@@ -61,9 +61,9 @@ func TestFromDataTailRule(t *testing.T) {
 		{"after a return, from entry", []int64{returns}, nil, []int32{0, 1}, true},
 		{"after a return, at the header", []int64{returns}, nil, []int32{1, 2}, false},
 	} {
-		d := &Data{Paths: tc.paths, Ranks: tc.ranks, Tail: tc.tail}
+		d := &Data{Paths: tc.paths, Runs: runsOf(tc.ranks), Tail: tc.tail}
 		if tc.paths != nil && tc.ranks == nil {
-			d.Ranks = []int32{0}
+			d.Runs = []Run{{Rank: 0, Len: 1}}
 		}
 		fp, err := FromData(nil, f, d)
 		if (err == nil) != tc.ok {
@@ -76,8 +76,21 @@ func TestFromDataTailRule(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: accepted tail does not encode: %v", tc.name, err)
 		}
-		if !slices.Equal(back.Tail, d.Tail) || !slices.Equal(back.Paths, d.Paths) || !slices.Equal(back.Ranks, d.Ranks) {
+		if !slices.Equal(back.Tail, d.Tail) || !slices.Equal(back.Paths, d.Paths) || !slices.Equal(back.Runs, d.Runs) {
 			t.Fatalf("%s: encodes to %+v, want %+v", tc.name, back, d)
 		}
 	}
+}
+
+// runsOf codes a trace of ranks as its maximal runs.
+func runsOf(ranks []int32) []Run {
+	var runs []Run
+	for _, r := range ranks {
+		if n := len(runs); n > 0 && runs[n-1].Rank == r {
+			runs[n-1].Len++
+			continue
+		}
+		runs = append(runs, Run{Rank: r, Len: 1})
+	}
+	return runs
 }

@@ -3,6 +3,7 @@ package profile
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"needle/internal/ballarus"
@@ -126,8 +127,8 @@ func (o *hookOracle) finish(t testing.TB) *FunctionProfile {
 	}
 	sortPaths(fp.Paths)
 	var err error
-	if fp.Ranks, err = rankTrace(fp.Paths, o.prof.Trace); err != nil {
-		t.Fatalf("oracle rankTrace: %v", err)
+	if fp.Runs, err = runTrace(fp.Paths, o.prof.Trace); err != nil {
+		t.Fatalf("oracle runTrace: %v", err)
 	}
 	if _, err := fp.Data(); err != nil {
 		t.Fatalf("oracle path trace disagrees with the blocks and edges that ran: %v", err)
@@ -231,8 +232,8 @@ func compareProfiles(t *testing.T, seed int64, fast, hook *FunctionProfile) {
 				seed, i, a.ID, a.Freq, a.Ops, b.ID, b.Freq, b.Ops)
 		}
 	}
-	if !reflect.DeepEqual(fast.Ranks, hook.Ranks) {
-		t.Fatalf("seed %d: traces differ (fast %d entries, hook %d)", seed, len(fast.Ranks), len(hook.Ranks))
+	if !reflect.DeepEqual(fast.Runs, hook.Runs) {
+		t.Fatalf("seed %d: traces differ (fast %d runs, hook %d)", seed, len(fast.Runs), len(hook.Runs))
 	}
 	if !reflect.DeepEqual(fast.BlockCounts, hook.BlockCounts) {
 		t.Fatalf("seed %d: block counts differ\nfast %v\nhook %v", seed, fast.BlockCounts, hook.BlockCounts)
@@ -420,8 +421,8 @@ func runUntimed(t *testing.T, f *ir.Function, initMem, args []uint64, hooked boo
 }
 
 // assertUntimedMatchesOracle runs f both ways at one step limit and demands
-// the same result, error text, memory and profile. The profiles' rank-coded
-// traces (compareProfiles' Ranks check) pin the completed-path sequence.
+// the same result, error text, memory and profile. The profiles' run-coded
+// traces (compareProfiles' Runs check) pin the completed-path sequence.
 func assertUntimedMatchesOracle(t *testing.T, name string, f *ir.Function, mem, args []uint64, maxSteps int64) {
 	t.Helper()
 	resF, errF, memF, fpF := runUntimed(t, f, mem, args, false, maxSteps)
@@ -513,7 +514,7 @@ rec:
 	if want := steps(6) - steps(5); fp.TotalWeight != want {
 		t.Fatalf("TotalWeight = %d, want %d (steps of fact 6 minus fact 5)", fp.TotalWeight, want)
 	}
-	if len(fp.Paths) != 1 || len(fp.Ranks) != 1 {
-		t.Fatalf("fact(6)'s outer frame ran %d paths (trace %v), want one", len(fp.Paths), fp.Ranks)
+	if len(fp.Paths) != 1 || !slices.Equal(fp.Runs, []Run{{Rank: 0, Len: 1}}) {
+		t.Fatalf("fact(6)'s outer frame ran %d paths (trace %v), want one", len(fp.Paths), fp.Runs)
 	}
 }

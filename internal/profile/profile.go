@@ -8,6 +8,7 @@ package profile
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"needle/internal/ballarus"
@@ -56,14 +57,33 @@ type FunctionProfile struct {
 	// TotalWeight is Fwt: the sum of all path weights, which equals the
 	// function's total dynamic instruction count.
 	TotalWeight int64
-	// Ranks is the path trace, when trace recording was enabled on the
-	// collector: occurrence i executed Paths[Ranks[i]].
-	Ranks []int32
+	// Runs is the path trace, when trace recording was enabled on the
+	// collector, as maximal runs of one path: the occurrences in execution
+	// order are Runs[0].Len occurrences of Paths[Runs[0].Rank], then those
+	// of Runs[1], and so on. Adjacent runs have different ranks.
+	Runs []Run
 
 	EdgeCounts  map[Edge]int64
 	BlockCounts []int64 // indexed by block index
 
 	byID map[int64]*Path
+}
+
+// Run is Len back-to-back occurrences of the path of rank Rank: loops
+// complete the same path again and again, so the trace is stored, decoded
+// and replayed a run at a time.
+type Run struct {
+	Rank int32
+	Len  int32
+}
+
+// Occurrences returns the number of path occurrences runs hold.
+func Occurrences(runs []Run) int {
+	n := 0
+	for _, r := range runs {
+		n += int(r.Len)
+	}
+	return n
 }
 
 // PathByID returns the executed path with the given ID, or nil.
@@ -116,8 +136,8 @@ func (c *Collector) RunTimed(args, mem []uint64, opts interp.PlanOpts) (interp.R
 }
 
 // Finish decodes and ranks the collected paths into a FunctionProfile, and
-// codes the recorded path trace by rank. The profile shares the collector's
-// block counts, so the collector must not run again.
+// codes the recorded path trace as runs of one rank. The profile shares
+// the collector's block counts, so the collector must not run again.
 func (c *Collector) Finish() (*FunctionProfile, error) { return c.finish(decodeFloor) }
 
 // decodeFloor is the path records each rankCounts worker must have. A
@@ -154,35 +174,46 @@ func (c *Collector) finish(floor int) (*FunctionProfile, error) {
 	}
 	sortPaths(fp.Paths)
 	var err error
-	fp.Ranks, err = rankTrace(fp.Paths, st.Trace)
+	fp.Runs, err = runTrace(fp.Paths, st.Trace)
 	return fp, err
 }
 
-// rankTrace codes a trace of path IDs by each path's rank in paths. A nil
-// trace (none was recorded) stays nil.
-func rankTrace(paths []*Path, ids []int64) ([]int32, error) {
+// runTrace codes a trace of path IDs as maximal runs of one path, each
+// path by its rank in paths. A nil trace (none was recorded) stays nil.
+func runTrace(paths []*Path, ids []int64) ([]Run, error) {
 	if ids == nil {
 		return nil, nil
+	}
+	n := 0
+	last := int64(-1) // path IDs are never negative
+	for _, id := range ids {
+		if id != last {
+			n++
+			last = id
+		}
 	}
 	rankOf := make(map[int64]int32, len(paths))
 	for r, p := range paths {
 		rankOf[p.ID] = int32(r)
 	}
-	ranks := make([]int32, len(ids))
-	// Loops complete the same path back to back, so remembering the last
-	// lookup skips most map probes. Path IDs are never negative.
-	last, lastRank := int64(-1), int32(0)
-	for i, id := range ids {
-		if id != last {
-			r, ok := rankOf[id]
-			if !ok {
-				return nil, fmt.Errorf("profile: traced path %d is not in the profile", id)
-			}
-			last, lastRank = id, r
+	runs := make([]Run, 0, n)
+	for i := 0; i < len(ids); {
+		id := ids[i]
+		j := i + 1
+		for j < len(ids) && ids[j] == id {
+			j++
 		}
-		ranks[i] = lastRank
+		r, ok := rankOf[id]
+		if !ok {
+			return nil, fmt.Errorf("profile: traced path %d is not in the profile", id)
+		}
+		if j-i >= math.MaxInt32 {
+			return nil, fmt.Errorf("profile: path %d ran %d times back to back, more than a run holds", id, j-i)
+		}
+		runs = append(runs, Run{Rank: r, Len: int32(j - i)})
+		i = j
 	}
-	return ranks, nil
+	return runs, nil
 }
 
 // rankCounts completes executed-path records that hold only an ID and a
@@ -474,11 +505,19 @@ func (fp *FunctionProfile) SequenceBias(pathID int64) (SequenceStats, bool) {
 	k := int32(slices.IndexFunc(fp.Paths, func(p *Path) bool { return p.ID == pathID }))
 	succ := make([]int64, len(fp.Paths)) // by rank
 	var follows int64
-	for i := 0; i+1 < len(fp.Ranks); i++ {
-		if fp.Ranks[i] == k {
-			succ[fp.Ranks[i+1]]++
+	for i, run := range fp.Runs {
+		if run.Rank != k {
+			continue
+		}
+		// Within the run the path follows itself; its last occurrence is
+		// followed by the next run's path, if any.
+		n := int64(run.Len) - 1
+		if i+1 < len(fp.Runs) {
+			succ[fp.Runs[i+1].Rank]++
 			follows++
 		}
+		succ[k] += n
+		follows += n
 	}
 	if follows == 0 {
 		return SequenceStats{PathID: pathID}, false

@@ -103,6 +103,50 @@ func assertFinishAndFromDataMatchReference(t *testing.T, name string, fp *Functi
 		t.Fatalf("%s: FromData: %v", name, err)
 	}
 	assertRankedLikeReference(t, name+" (FromData)", re)
+	for _, p := range fp.TopK(3) {
+		got, gok := fp.SequenceBias(p.ID)
+		want, wok := referenceSequenceBias(fp, p.ID)
+		if got != want || gok != wok {
+			t.Fatalf("%s: SequenceBias(%d) = %+v, %v; reference %+v, %v", name, p.ID, got, gok, want, wok)
+		}
+	}
+}
+
+// referenceSequenceBias is SequenceBias one occurrence at a time: each
+// occurrence of the path that has a successor in the trace counts that
+// successor.
+func referenceSequenceBias(fp *FunctionProfile, pathID int64) (SequenceStats, bool) {
+	var ids []int64
+	for _, run := range fp.Runs {
+		for range run.Len {
+			ids = append(ids, fp.Paths[run.Rank].ID)
+		}
+	}
+	succ := map[int64]int64{}
+	var follows int64
+	for i := 0; i+1 < len(ids); i++ {
+		if ids[i] == pathID {
+			succ[ids[i+1]]++
+			follows++
+		}
+	}
+	if follows == 0 {
+		return SequenceStats{PathID: pathID}, false
+	}
+	st := SequenceStats{PathID: pathID, Follows: follows}
+	for id, c := range succ {
+		if c > st.BestCount || c == st.BestCount && id < st.BestNext {
+			st.BestNext, st.BestCount = id, c
+		}
+	}
+	st.Bias = float64(st.BestCount) / float64(follows)
+	st.SamePath = st.BestNext == pathID
+	self, next := fp.PathByID(pathID), fp.PathByID(st.BestNext)
+	if self != nil && next != nil && self.Ops > 0 {
+		st.GrowthOps = self.Ops + next.Ops
+		st.ExpandFrac = float64(st.GrowthOps) / float64(self.Ops)
+	}
+	return st, true
 }
 
 func TestRankCountsMatchesReferenceWorkloads(t *testing.T) {

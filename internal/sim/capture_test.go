@@ -63,7 +63,8 @@ func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, e
 	}
 	// Rank the hooked trace with FromData, then keep the counts the hooks
 	// measured rather than the ones FromData derives from the trace.
-	d := &profile.Data{Ranks: make([]int32, len(prof.Trace))}
+	ranks := make([]int32, len(prof.Trace))
+	d := &profile.Data{}
 	rank := make(map[int64]int32)
 	for i, id := range prof.Trace {
 		r, ok := rank[id]
@@ -72,14 +73,16 @@ func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, e
 			rank[id] = r
 			d.Paths = append(d.Paths, id)
 		}
-		d.Ranks[i] = r
+		ranks[i] = r
 	}
+	d.Runs = runsOf(ranks)
 	fp, err := profile.FromData(am, f, d)
 	if err != nil {
 		return nil, err
 	}
 	fp.BlockCounts, fp.EdgeCounts = blocks, edges
 	tr.Profile = fp
+	tr.RunCycles = runSums(fp.Runs, tr.Occ)
 	tr.BaselineCycles = model.Cycles()
 	tr.Mix = model.Mix
 	tr.CacheStats = cache.Stats
@@ -158,7 +161,7 @@ func assertCaptureEquivalent(t *testing.T, w *workloads.Workload, n int) {
 			t.Fatalf("%s: path %d differs", name, i)
 		}
 	}
-	if !reflect.DeepEqual(fp.Ranks, sp.Ranks) {
+	if !reflect.DeepEqual(fp.Runs, sp.Runs) || !reflect.DeepEqual(fast.RunCycles, slow.RunCycles) {
 		t.Fatalf("%s: path traces differ", name)
 	}
 	if !reflect.DeepEqual(fp.BlockCounts, sp.BlockCounts) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"needle/internal/ir"
 	"needle/internal/mem"
@@ -20,9 +21,9 @@ import (
 type TraceData struct {
 	Profile *profile.Data
 	// Cycles packs each occurrence's host cycles as varints, in trace
-	// order: occurrence i executed Profile.Paths[Profile.Ranks[i]]. They
-	// stay packed as stored, so TraceFromData decodes them straight into
-	// the trace's occurrences.
+	// order: the occurrences of each run of Profile.Runs in turn. They stay
+	// packed as stored, so TraceFromData decodes them straight into the
+	// trace's occurrences.
 	Cycles []byte
 
 	BaselineCycles   int64
@@ -33,18 +34,20 @@ type TraceData struct {
 
 // Data extracts the serializable core of the trace. Like profile's Data, it
 // fails when the path trace does not reproduce what was captured — here,
-// any occurrence's branch history — so a stored trace always rehydrates to
-// the captured one.
+// any occurrence's branch history or any run's host cycles — so a stored
+// trace always rehydrates to the captured one.
 func (tr *Trace) Data() (*TraceData, error) {
 	pd, err := tr.Profile.Data()
 	if err != nil {
 		return nil, err
 	}
-	if len(tr.Occ) != len(pd.Ranks) {
-		return nil, fmt.Errorf("sim: %d occurrences for %d traced paths", len(tr.Occ), len(pd.Ranks))
+	if n := profile.Occurrences(pd.Runs); len(tr.Occ) != n || len(tr.RunCycles) != len(pd.Runs) {
+		return nil, fmt.Errorf("sim: %d occurrences and %d run sums for %d traced paths in %d runs",
+			len(tr.Occ), len(tr.RunCycles), n, len(pd.Runs))
 	}
-	occ := make([]Occurrence, len(tr.Occ))
-	fillHist(tr.Profile.Paths, pd.Ranks, occ)
+	occ := slices.Clone(tr.Occ)
+	sums := make([]int64, len(pd.Runs))
+	fillHist(tr.Profile.Paths, pd.Runs, occ, sums)
 	// Cycle deltas take one or two bytes each on the workloads.
 	cycles := make([]byte, 0, 2*len(tr.Occ))
 	for i, o := range tr.Occ {
@@ -53,6 +56,12 @@ func (tr *Trace) Data() (*TraceData, error) {
 				i, tr.Profile.F.Name, occ[i].Hist, o.Hist)
 		}
 		cycles = wire.AppendVarint(cycles, o.Cycles)
+	}
+	for j, sum := range sums {
+		if sum != tr.RunCycles[j] {
+			return nil, fmt.Errorf("sim: run %d of %s: occurrences cost %d host cycles, run sum %d",
+				j, tr.Profile.F.Name, sum, tr.RunCycles[j])
+		}
 	}
 	return &TraceData{
 		Profile:          pd,
@@ -66,31 +75,36 @@ func (tr *Trace) Data() (*TraceData, error) {
 
 // TraceFromData rehydrates a Trace: the profile is rebuilt against f (see
 // profile.FromData), every occurrence's branch history is rebuilt from the
-// path trace (see fillHist), and the trace adopts am as its analysis
-// manager, exactly as a live Capture would. f must be structurally
-// identical to the function the trace was captured from. Packed cycles
-// that do not hold exactly one varint per traced path are an error.
+// path trace and each run's host cycles summed (see fillHist), and the
+// trace adopts am as its analysis manager, exactly as a live Capture would.
+// f must be structurally identical to the function the trace was captured
+// from. Packed cycles that do not hold exactly one varint per traced path
+// are an error, found before anything is allocated when the runs claim
+// more occurrences than the packed bytes can hold.
 func TraceFromData(am *pm.Manager, f *ir.Function, d *TraceData) (*Trace, error) {
+	n := profile.Occurrences(d.Profile.Runs)
+	r := wire.NewReader(d.Cycles)
+	if !r.Fits(n) {
+		return nil, fmt.Errorf("sim: packed cycles for %d traced paths: %w", n, r.Err())
+	}
 	am = pm.Ensure(am)
 	fp, err := profile.FromData(am, f, d.Profile)
 	if err != nil {
 		return nil, err
 	}
-	r := wire.NewReader(d.Cycles)
-	if !r.Fits(len(fp.Ranks)) {
-		return nil, fmt.Errorf("sim: packed cycles for %d traced paths: %w", len(fp.Ranks), r.Err())
-	}
-	occ := make([]Occurrence, len(fp.Ranks))
+	occ := make([]Occurrence, n)
 	for i := range occ {
 		occ[i].Cycles = r.Varint()
 	}
 	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("sim: packed cycles for %d traced paths: %w", len(fp.Ranks), err)
+		return nil, fmt.Errorf("sim: packed cycles for %d traced paths: %w", n, err)
 	}
-	fillHist(fp.Paths, fp.Ranks, occ)
+	sums := make([]int64, len(fp.Runs))
+	fillHist(fp.Paths, fp.Runs, occ, sums)
 	return &Trace{
 		Profile:          fp,
 		Occ:              occ,
+		RunCycles:        sums,
 		AM:               am,
 		BaselineCycles:   d.BaselineCycles,
 		BaselineEnergyPJ: d.BaselineEnergyPJ,
@@ -108,8 +122,11 @@ func TraceFromData(am *pm.Manager, f *ir.Function, d *TraceData) (*Trace, error)
 // before i-1, oldest first, a 1 for the taken arm (Blocks[0]). Each path
 // contributes its inner branches as one (bits, length) entry; a boundary
 // branch is the one ending a path that ends in a condbr (a back edge), its
-// bit telling whether the next occurrence starts at the taken arm.
-func fillHist(table []*profile.Path, ranks []int32, occ []Occurrence) {
+// bit telling whether the next occurrence starts at the taken arm. Inside
+// a run the next occurrence is the same path, so each run looks its path
+// up once and knows its boundary bit before it starts. The same pass sums
+// each run's host cycles, read from occ, into sums (indexed like runs).
+func fillHist(table []*profile.Path, runs []profile.Run, occ []Occurrence, sums []int64) {
 	type entry struct {
 		bits  uint64    // inner branch outcomes, the latest in bit 0
 		n     uint      // inner branches; bits keeps the latest 64
@@ -131,14 +148,32 @@ func fillHist(table []*profile.Path, ranks []int32, occ []Occurrence) {
 		}
 	}
 	var h, snap uint64
-	for i, r := range ranks {
-		occ[i].Hist = snap
-		e := &tab[r]
-		h = h<<e.n | e.bits // a shift by 64 or more clears h
-		snap = h
-		if e.taken != nil && i+1 < len(ranks) {
-			h = h<<1 | b2u(e.taken == tab[ranks[i+1]].first)
+	k := 0
+	for j, run := range runs {
+		e := &tab[run.Rank]
+		// A boundary branch shifts in one bit: inside the run, whether the
+		// path's own first block is the taken arm.
+		var shift uint
+		var self uint64
+		if e.taken != nil {
+			shift, self = 1, b2u(e.taken == e.first)
 		}
+		var sum int64
+		for last := k + int(run.Len) - 1; k < last; k++ {
+			occ[k].Hist = snap
+			sum += occ[k].Cycles
+			h = h<<e.n | e.bits // a shift by 64 or more clears h
+			snap = h
+			h = h<<shift | self
+		}
+		occ[k].Hist = snap
+		sums[j] = sum + occ[k].Cycles
+		h = h<<e.n | e.bits
+		snap = h
+		if e.taken != nil && j+1 < len(runs) {
+			h = h<<1 | b2u(e.taken == tab[runs[j+1].Rank].first)
+		}
+		k++
 	}
 }
 

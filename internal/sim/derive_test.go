@@ -52,7 +52,7 @@ func assertDerivedMatchesCaptured(t *testing.T, name string, f *ir.Function, tr 
 			t.Fatalf("%s: rank %d is path %d, captured %d", name, i, got.Paths[i].ID, want.Paths[i].ID)
 		}
 	}
-	if !slices.Equal(got.Ranks, want.Ranks) {
+	if !slices.Equal(got.Runs, want.Runs) || !slices.Equal(back.RunCycles, tr.RunCycles) {
 		t.Fatalf("%s: path traces differ", name)
 	}
 	if !reflect.DeepEqual(got.BlockCounts, want.BlockCounts) {
@@ -132,7 +132,7 @@ func captureCut(t *testing.T, f *ir.Function, args, memory []uint64, maxSteps in
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Trace{Profile: fp, Occ: feed.occ, AM: am}, runErr
+	return &Trace{Profile: fp, Occ: feed.occ, RunCycles: runSums(fp.Runs, feed.occ), AM: am}, runErr
 }
 
 // Loop shapes the workloads and irgen never produce: their back edges are

@@ -56,8 +56,9 @@ func referenceEvaluate(tr *Trace, tgt refTarget, pred spec.Predictor, cfg Config
 	var cycles, acceleratedWeight int64
 	energyPJ := tr.BaselineEnergyPJ
 	reconfigured, inRun := false, false
+	ranks := ranksOf(tr.Profile.Runs)
 	for i, occ := range tr.Occ {
-		id := tr.Profile.Paths[tr.Profile.Ranks[i]].ID
+		id := tr.Profile.Paths[ranks[i]].ID
 		if !tgt.isOpp[id] {
 			cycles += occ.Cycles
 			inRun = false
@@ -176,6 +177,67 @@ func refTargetOf(fp *profile.FunctionProfile, r row) refTarget {
 	})
 }
 
+// predictorOf returns a fresh predictor of kind k, a history table of
+// bits bits for predHistory.
+func predictorOf(k predKind, bits uint) spec.Predictor {
+	switch k {
+	case predHistory:
+		return spec.NewHistory(bits)
+	case predOracle:
+		return &spec.Oracle{}
+	}
+	return spec.Always{}
+}
+
+// runsOf codes a trace of ranks as its maximal runs.
+func runsOf(ranks []int32) []profile.Run {
+	var runs []profile.Run
+	for _, r := range ranks {
+		if n := len(runs); n > 0 && runs[n-1].Rank == r {
+			runs[n-1].Len++
+			continue
+		}
+		runs = append(runs, profile.Run{Rank: r, Len: 1})
+	}
+	return runs
+}
+
+// ranksOf lists the rank of every occurrence runs hold, in order.
+func ranksOf(runs []profile.Run) []int32 {
+	var ranks []int32
+	for _, run := range runs {
+		for range run.Len {
+			ranks = append(ranks, run.Rank)
+		}
+	}
+	return ranks
+}
+
+// runSums sums occ's host cycles by run.
+func runSums(runs []profile.Run, occ []Occurrence) []int64 {
+	sums := make([]int64, len(runs))
+	k := 0
+	for j, run := range runs {
+		for range run.Len {
+			sums[j] += occ[k].Cycles
+			k++
+		}
+	}
+	return sums
+}
+
+// prefixTrace is tr cut to its first k occurrences, over the same path
+// table and baselines.
+func prefixTrace(tr *Trace, k int) *Trace {
+	fp := *tr.Profile
+	fp.Runs = runsOf(ranksOf(tr.Profile.Runs)[:k])
+	cut := *tr
+	cut.Profile = &fp
+	cut.Occ = tr.Occ[:k]
+	cut.RunCycles = runSums(fp.Runs, cut.Occ)
+	return &cut
+}
+
 // rowLabel names a row in failure messages.
 func rowLabel(i int, r row) string {
 	return fmt.Sprintf("row %d (kind %d, %s)", i, r.kind, r.result.Predictor)
@@ -197,11 +259,10 @@ func assertReplayMatchesReference(t *testing.T, name string, tr *Trace, cfg Conf
 	n := len(tr.Occ)
 	rows := 0
 	for _, k := range []int{n, 0, 1, n / 3, max(n-1, 0)} {
-		cut := *tr
-		cut.Occ = tr.Occ[:k]
-		c := candidateTable(t, name, &cut, cfg)
+		cut := prefixTrace(tr, k)
+		c := candidateTable(t, name, cut, cfg)
 		for i, r := range c.rows {
-			want := referenceEvaluate(&cut, refTargetOf(fp, r), r.pred.predictor(cfg.HistBits), cfg)
+			want := referenceEvaluate(cut, refTargetOf(fp, r), predictorOf(r.pred, cfg.HistBits), cfg)
 			if !sameResult(*r.result, want) {
 				t.Fatalf("%s, first %d of %d occurrences, %s: replay differs from reference\n got  %+v\n want %+v",
 					name, k, n, rowLabel(i, r), r.result, want)
@@ -222,11 +283,11 @@ func assertLanesIndependent(t *testing.T, name string, tr *Trace, cfg Config) {
 	c := candidateTable(t, name, tr, cfg)
 	rev := make([]Lane, len(c.rows))
 	for i, r := range c.rows {
-		alone := Evaluate(tr, []Lane{{Target: r.target, Pred: r.pred.predictor(cfg.HistBits)}}, cfg)[0]
+		alone := Evaluate(tr, []Lane{{Target: r.target, Pred: predictorOf(r.pred, cfg.HistBits)}}, cfg)[0]
 		if !sameResult(alone, *r.result) {
 			t.Fatalf("%s %s: alone %+v, in the walk %+v", name, rowLabel(i, r), alone, r.result)
 		}
-		rev[len(rev)-1-i] = Lane{Target: r.target, Pred: r.pred.predictor(cfg.HistBits)}
+		rev[len(rev)-1-i] = Lane{Target: r.target, Pred: predictorOf(r.pred, cfg.HistBits)}
 	}
 	for j, got := range Evaluate(tr, rev, cfg) {
 		i := len(rev) - 1 - j
@@ -280,5 +341,52 @@ func TestReplayMatchesReferenceRandomPrograms(t *testing.T) {
 	}
 	if pairs < 300 {
 		t.Fatalf("only %d (target, predictor) pairs compared", pairs)
+	}
+}
+
+// TestReplayMatchesReferenceHistBits replays candidate tables whose history
+// lanes index 1, 4 and 20 bits of history instead of the default 12, on
+// workloads with long and short runs of one path and on generated
+// programs, and tables whose history lanes mix 4 and 12 bits, so that the
+// lanes of one replay find their runs' stable points under different
+// masks.
+func TestReplayMatchesReferenceHistBits(t *testing.T) {
+	names := []string{"164.gzip", "197.parser", "fft-2d", "444.namd", "streamcluster"}
+	for _, bits := range []uint{1, 4, 20} {
+		cfg := DefaultConfig()
+		cfg.HistBits = bits
+		for _, name := range names {
+			assertReplayMatchesReference(t, fmt.Sprintf("%s, %d history bits", name, bits), capture(t, name, 0), cfg)
+		}
+		for seed := int64(0); seed < 30; seed++ {
+			p := irgen.Generate(seed, irgen.Config{})
+			tr, err := Capture(nil, p.F, []uint64{interp.IBits(seed)}, p.NewMem(), cfg)
+			if err != nil {
+				t.Fatalf("seed %d: capture: %v", seed, err)
+			}
+			assertReplayMatchesReference(t, fmt.Sprintf("seed %d, %d history bits", seed, bits), tr, cfg)
+		}
+	}
+	// The path rows come first, so each order gives the first history
+	// lane one of the two masks.
+	cfg := DefaultConfig()
+	for _, name := range names {
+		tr := capture(t, name, 0)
+		c := candidateTable(t, name, tr, cfg)
+		for _, bits := range [][2]uint{{4, 12}, {12, 4}} {
+			bitsOf := func(i int) uint { return bits[i%2] }
+			lanes := make([]Lane, len(c.rows))
+			for i, r := range c.rows {
+				lanes[i] = Lane{Target: r.target, Pred: predictorOf(r.pred, bitsOf(i))}
+			}
+			for i, got := range Evaluate(tr, lanes, cfg) {
+				r := c.rows[i]
+				want := referenceEvaluate(tr, refTargetOf(tr.Profile, r), predictorOf(r.pred, bitsOf(i)), cfg)
+				if !sameResult(got, want) {
+					t.Fatalf("%s, history bits %v, %s: replay differs from reference\n got  %+v\n want %+v",
+						name, bits, rowLabel(i, r), got, want)
+				}
+			}
+		}
 	}
 }

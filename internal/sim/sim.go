@@ -134,9 +134,12 @@ type Occurrence struct {
 // Trace is the captured baseline execution.
 type Trace struct {
 	Profile *profile.FunctionProfile
-	// Occ holds one entry per path completion, in execution order: Occ[i]
-	// is an occurrence of path Profile.Paths[Profile.Ranks[i]].
+	// Occ holds one entry per path completion, in execution order: the
+	// occurrences of each run of Profile.Runs in turn.
 	Occ []Occurrence
+	// RunCycles holds, for each run of Profile.Runs, the host cycles of its
+	// occurrences summed.
+	RunCycles []int64
 
 	// AM is the analysis manager the capture used; target construction and
 	// evaluation against this trace reuse it, so dominators/liveness for the
@@ -188,20 +191,28 @@ func Capture(am *pm.Manager, f *ir.Function, args []uint64, memory []uint64, cfg
 	}
 	// One exact allocation: the recorded path trace enumerates completed
 	// occurrences in order, so its length is the occurrence count.
-	if len(fp.Ranks) != len(host.cycles) {
-		return nil, fmt.Errorf("sim: capture recorded %d occurrences but traced %d paths", len(host.cycles), len(fp.Ranks))
+	if n := profile.Occurrences(fp.Runs); n != len(host.cycles) {
+		return nil, fmt.Errorf("sim: capture recorded %d occurrences but traced %d paths", len(host.cycles), n)
 	}
 	tr := &Trace{
 		Profile:          fp,
-		Occ:              make([]Occurrence, len(fp.Ranks)),
+		Occ:              make([]Occurrence, len(host.cycles)),
+		RunCycles:        make([]int64, len(fp.Runs)),
 		AM:               am,
 		BaselineCycles:   host.Cycles(),
 		BaselineEnergyPJ: energy.HostEnergyPJ(cfg.CPU, host.Mix, cache.Stats),
 		Mix:              host.Mix,
 		CacheStats:       cache.Stats,
 	}
-	for i := range tr.Occ {
-		tr.Occ[i] = Occurrence{Hist: host.hists[i], Cycles: host.cycles[i]}
+	k := 0
+	for j, run := range fp.Runs {
+		var sum int64
+		for end := k + int(run.Len); k < end; k++ {
+			c := host.cycles[k]
+			tr.Occ[k] = Occurrence{Hist: host.hists[k], Cycles: c}
+			sum += c
+		}
+		tr.RunCycles[j] = sum
 	}
 	obsL1Hits.Add(cache.Stats.L1Hits)
 	obsL1Misses.Add(cache.Stats.L1Misses)
@@ -391,9 +402,10 @@ type Result struct {
 
 // Lane is one (target, predictor) pair to replay. The target must have been
 // built from the replayed trace's profile, and the predictor must be a
-// fresh one of its own: a lane's predictor learns from its lane only.
-// Passing a *spec.Oracle evaluates the oracle bound (invoke exactly when
-// the invocation would succeed).
+// fresh one of its own: a lane's predictor learns from its lane only. The
+// predictor is a *spec.History, a *spec.Oracle or a spec.Always; passing a
+// *spec.Oracle evaluates the oracle bound (invoke exactly when the
+// invocation would succeed).
 type Lane struct {
 	Target *Target
 	Pred   spec.Predictor
@@ -405,7 +417,8 @@ type Lane struct {
 // per-rank tables, so a lane's result does not depend on the other lanes,
 // and Evaluate splits the lanes across idle Ps (package par) when the
 // trace is long enough to pay for it (replayFloor): the results are
-// identical for any GOMAXPROCS.
+// identical for any GOMAXPROCS. It panics on a lane whose predictor is of
+// another type than the three Lane names.
 //
 // Consecutive successful invocations pipeline on the resident fabric at the
 // schedule's initiation interval; a failure, a declined invocation, or an
@@ -418,12 +431,12 @@ func Evaluate(tr *Trace, lanes []Lane, cfg Config) []Result {
 }
 
 // replayFloor is the work, in the units predKind.cost counts, each replay
-// worker must have: 2^17 units, at about 1.4 ns each, is 0.18 ms of
-// replay per worker, so the 13 lanes of a candidate table split from
-// about 4,000 occurrences. Handing a range to a parked P and joining it
-// costs 5–11 µs on a 2-vCPU guest, 1 µs when the P is still awake
-// (BenchmarkRangesHandoff in package par).
-const replayFloor = 1 << 17
+// worker must have: 2^16 units, at about 2.2 ns each, is 0.14 ms of replay
+// per worker, so a 13-lane candidate table, 48 units per run and per eight
+// occurrences, splits from about 1,400 runs of eight occurrences. Handing
+// a range to a parked P and joining it costs 5–11 µs on a 2-vCPU guest,
+// 1 µs when the P is still awake (BenchmarkRangesHandoff in package par).
+const replayFloor = 1 << 16
 
 // evaluate is Evaluate with the work floor as a parameter, so a test can
 // force one worker or several.
@@ -440,18 +453,18 @@ func evaluate(tr *Trace, lanes []Lane, cfg Config, floor int) []Result {
 		return res
 	}
 	costs, walk := replayTables(tr, lanes, res, cfg)
-	ranks := tr.Profile.Ranks[:len(tr.Occ)]
 	work := 0
 	for i := range walk {
 		work += walk[i].kind.cost()
 	}
 	// The one-worker case has a call of its own: a closure handed to
 	// par.Ranges is heap-allocated whether or not a second worker runs.
-	if w := par.Workers(work*len(tr.Occ), floor); w == 1 {
-		replay(walk, tr.Occ, ranks, costs)
+	work *= len(tr.RunCycles) + len(tr.Occ)/8
+	if w := par.Workers(work, floor); w == 1 {
+		replay(walk, tr, costs)
 	} else {
 		par.Ranges(len(walk), w, func(_, lo, hi int) {
-			replay(walk[lo:hi], tr.Occ, ranks, costs)
+			replay(walk[lo:hi], tr, costs)
 		})
 	}
 	for i := range walk {
@@ -471,20 +484,68 @@ func evaluate(tr *Trace, lanes []Lane, cfg Config, floor int) []Result {
 	return res
 }
 
-// replay advances every lane of walk over the whole trace. The walk is
-// tiled: every lane advances over one tile of occurrences while the tile
-// is in cache. A run of equal rank that crosses a tile boundary is walked
-// as two runs, which the lane's carried state (inRun, reconfigured) makes
-// equal to one. What the tile costs the host is summed once for all lanes.
-func replay(walk []laneWalk, occs []Occurrence, ranks []int32, costs []rankCost) {
-	const tile = 1024
-	for lo := 0; lo < len(occs); lo += tile {
-		hi := min(lo+tile, len(occs))
-		host := hostCycles(occs[lo:hi])
-		for i := range walk {
-			walk[i].advance(occs[lo:hi], ranks[lo:hi], costs, host)
+// tile is how many runs every lane of a replay advances over before the
+// next tile: the tile's runs, their occurrences and the stable points of
+// its runs stay in cache across the lanes.
+const tile = 512
+
+// replay advances every lane of walk over the whole trace, a tile of runs
+// at a time. What the tile costs the host is summed once for all lanes,
+// and so are its runs' stable points (see stablePoints), found again only
+// when a history lane's mask differs from the one before.
+func replay(walk []laneWalk, tr *Trace, costs []rankCost) {
+	var stable [tile]int32
+	runs, sums := tr.Profile.Runs, tr.RunCycles
+	k := 0 // occurrences before the tile
+	for lo := 0; lo < len(runs); lo += tile {
+		hi := min(lo+tile, len(runs))
+		var host int64
+		n := 0
+		for j := lo; j < hi; j++ {
+			host += sums[j]
+			n += int(runs[j].Len)
 		}
+		t := span{runs: runs[lo:hi], sums: sums[lo:hi], occ: tr.Occ[k : k+n]}
+		var filled uint64 // the mask stable holds the tile's points for; no mask is 0
+		for i := range walk {
+			w := &walk[i]
+			if w.kind != predHistory {
+				w.walkFixed(&t, costs, host)
+				continue
+			}
+			if m := w.hist.Mask(); m != filled {
+				stablePoints(&t, m, stable[:len(t.runs)])
+				filled = m
+			}
+			w.walkHistory(&t, stable[:len(t.runs)], costs, host)
+		}
+		k += n
 	}
+}
+
+// stablePoints sets stable[j] to the first occurrence of run j of t from
+// which every occurrence of the run indexes one history entry under mask:
+// the recorded histories agree on the masked bits from there to the end.
+func stablePoints(t *span, mask uint64, stable []int32) {
+	end := 0
+	for j, run := range t.runs {
+		start := end
+		end += int(run.Len)
+		last := t.occ[end-1].Hist & mask
+		i := end - 1
+		for i > start && t.occ[i-1].Hist&mask == last {
+			i--
+		}
+		stable[j] = int32(i - start)
+	}
+}
+
+// span is a stretch of the trace: whole runs, each run's host cycles, and
+// their occurrences.
+type span struct {
+	runs []profile.Run
+	sums []int64
+	occ  []Occurrence
 }
 
 // rankCost is what one occurrence of a path costs the host, by rank.
@@ -500,11 +561,10 @@ const (
 	classSuccess              // an opportunity the target completes
 )
 
-// replayTables builds what one Evaluate reads per occurrence, in two
-// allocations, never stored on the shared trace or targets: one cost table
-// by rank for all lanes, and one class table by rank per distinct target
-// (lanes of one target share it). It returns the cost table and each lane's
-// walk state.
+// replayTables builds what one Evaluate reads per run, in two allocations,
+// never stored on the shared trace or targets: one cost table by rank for
+// all lanes, and one class table by rank per distinct target (lanes of one
+// target share it). It returns the cost table and each lane's walk state.
 func replayTables(tr *Trace, lanes []Lane, res []Result, cfg Config) ([]rankCost, []laneWalk) {
 	paths := tr.Profile.Paths
 	perOpPJ := energy.PerOpPJ(cfg.CPU, tr.Mix, tr.CacheStats)
@@ -547,44 +607,30 @@ func replayTables(tr *Trace, lanes []Lane, res []Result, cfg Config) ([]rankCost
 
 // predKind is a lane's predictor resolved to its concrete type: each kind
 // has a walk of its own, which calls the predictor directly, if at all,
-// instead of through the interface per occurrence.
+// instead of through the interface.
 type predKind uint8
 
 const (
-	predOther predKind = iota
-	predHistory
+	predHistory predKind = iota
 	predOracle
 	predAlways
 )
 
-// cost is what a lane of kind k costs per occurrence of the trace, in
-// units of about 1.4 ns (medians over the 29 workloads' candidate tables,
-// 2-vCPU guest, Go 1.24): 2.4–2.9 ns for the oracle and always-invoke
-// walks, which pay per run, 4.3 ns for the history walk, which consults
-// its table on every opportunity, and 10.6 ns for the per-occurrence walk,
-// which calls the predictor through its interface twice per opportunity.
+// cost is what a lane of kind k costs per run of the trace and per eight
+// of its occurrences (a lane pays for each run and, on a success, for
+// every occurrence's energy), in units of about 2.2 ns: medians over the
+// 29 workloads' candidate tables, 2-vCPU guest, Go 1.24, of 4.4 ns for the
+// oracle walk, 7.1 ns for always-invoke, which also prices its failures,
+// and 11 ns for the history walk, which steps its table until each run's
+// entry is stable.
 func (k predKind) cost() int {
 	switch k {
-	case predOracle, predAlways:
+	case predOracle:
 		return 2
-	case predHistory:
+	case predAlways:
 		return 3
 	}
-	return 8
-}
-
-// predictor returns a fresh predictor of kind k; a history table indexes
-// histBits bits of branch history.
-func (k predKind) predictor(histBits uint) spec.Predictor {
-	switch k {
-	case predHistory:
-		return spec.NewHistory(histBits)
-	case predOracle:
-		return &spec.Oracle{}
-	case predAlways:
-		return spec.Always{}
-	}
-	panic(fmt.Sprintf("sim: no predictor of kind %d", k))
+	return 5
 }
 
 // laneWalk is one lane's replay state.
@@ -593,8 +639,7 @@ type laneWalk struct {
 	sched *cgra.Sched
 	res   *Result // counts accumulate here
 	kind  predKind
-	pred  spec.Predictor
-	hist  *spec.History
+	hist  *spec.History // a history lane's table
 
 	// Per-invocation costs of the target's schedule. A success costs the
 	// accelerator successPJ, except on a braid (perRankPJ), whose paths
@@ -616,7 +661,6 @@ func newLaneWalk(l Lane, class []uint8, costs []rankCost, res *Result, baselineP
 		class:        class,
 		sched:        s,
 		res:          res,
-		pred:         l.Pred,
 		reconfig:     cfg.CGRA.ReconfigCycles,
 		ii:           s.II,
 		invokeCycles: s.InvokeCycles(),
@@ -642,6 +686,8 @@ func newLaneWalk(l Lane, class []uint8, costs []rankCost, res *Result, baselineP
 		w.kind = predOracle
 	case spec.Always:
 		w.kind = predAlways
+	default:
+		panic(fmt.Sprintf("sim: no replay for a predictor of type %T", l.Pred))
 	}
 	return w
 }
@@ -655,62 +701,28 @@ func (w *laneWalk) successPJAt(ops int64) float64 {
 	return w.successPJ
 }
 
-// advance replays occs, whose paths' ranks are ranks and whose host cycles
-// sum to host, on the lane. costs holds each path's host cost by rank.
-func (w *laneWalk) advance(occs []Occurrence, ranks []int32, costs []rankCost, host int64) {
-	switch w.kind {
-	case predOracle, predAlways:
-		w.walkFixed(occs, ranks, costs, host)
-	case predHistory:
-		w.walkHistory(occs, ranks, costs, host)
-	default:
-		w.walkEach(occs, ranks, costs, host)
-	}
-}
-
-// runEnd returns the end of the run of equal rank that starts at i.
-func runEnd(ranks []int32, i int) int {
-	r := ranks[i]
-	j := i + 1
-	for j < len(ranks) && ranks[j] == r {
-		j++
-	}
-	return j
-}
-
-// hostCycles is what occs cost the host.
-func hostCycles(occs []Occurrence) int64 {
-	var c int64
-	for i := range occs {
-		c += occs[i].Cycles
-	}
-	return c
-}
-
 // The walks below start from what the occurrences cost the host and take
 // an occurrence's host cycles back out when it completes on the
 // accelerator, so an occurrence that stays on the host costs a walk
-// nothing. They advance over runs of equal rank, so one class, found in
-// place in ranks, and settle a run's counts, weight and cycles once:
-// integer sums are exact in any order. Energy is not a sum that may be
-// reordered: every occurrence still adjusts energyPJ in trace order with
-// the expression it always had, and only its operands are priced once per
-// run.
+// nothing. They advance a run at a time, so one class, and settle a
+// stretch's counts, weight and cycles once: integer sums are exact in any
+// order. Energy is not a sum that may be reordered: every occurrence that
+// fires still adjusts energyPJ in trace order with the expression it
+// always had, and only its operands are priced once per run.
 
 // walkFixed is the walk of an oracle or always-invoke lane, whose every
 // decision the class fixes: the oracle invokes exactly the successes, and
 // always-invoke every opportunity. A run of successes costs one invocation
 // and n-1 initiation intervals, or n when it continues the previous run's
-// pipeline.
-func (w *laneWalk) walkFixed(occs []Occurrence, ranks []int32, costs []rankCost, host int64) {
+// pipeline, and gives back the run's host cycles. It reads no occurrence.
+func (w *laneWalk) walkFixed(t *span, costs []rankCost, host int64) {
 	invokeFails := w.kind == predAlways
 	class := w.class
 	cycles, weight, energyPJ, inRun := w.cycles+host, w.weight, w.energyPJ, w.inRun
 	var opps, invs, succs int64
-	for i := 0; i < len(ranks); {
-		r := ranks[i]
-		j := runEnd(ranks, i)
-		n := int64(j - i)
+	for j, run := range t.runs {
+		r := run.Rank
+		n := int64(run.Len)
 		switch class[r] {
 		case classHost:
 			inRun = false
@@ -730,7 +742,7 @@ func (w *laneWalk) walkFixed(occs []Occurrence, ranks []int32, costs []rankCost,
 			opps += n
 			invs += n
 			succs += n
-			cycles -= hostCycles(occs[i:j])
+			cycles -= t.sums[j]
 			if inRun {
 				cycles += n * w.ii
 			} else {
@@ -749,49 +761,60 @@ func (w *laneWalk) walkFixed(occs []Occurrence, ranks []int32, costs []rankCost,
 			}
 			weight += n * cost.ops
 		}
-		i = j
 	}
 	w.settle(cycles, weight, energyPJ, inRun, opps, invs, succs)
 }
 
-// walkHistory is the walk of a history lane: the table is consulted and
-// trained on every opportunity, in trace order, but inside a run with no
-// branch on the class.
-func (w *laneWalk) walkHistory(occs []Occurrence, ranks []int32, costs []rankCost, host int64) {
+// walkHistory is the walk of a history lane. Inside a run every
+// opportunity has one outcome, so the table steps, predicting and training
+// in one lookup, per occurrence only until the run reaches its stable
+// point (stable[j], see stablePoints) and the one entry indexed from there
+// on saturates toward the outcome. Each later occurrence would predict
+// alike and leave the table as it is, so the rest of the run is settled in
+// bulk: a failing run's rest declines, a succeeding run's rest invokes and
+// gives back the run's host cycles less those of the stepped occurrences.
+func (w *laneWalk) walkHistory(t *span, stable []int32, costs []rankCost, host int64) {
 	class, hist := w.class, w.hist
 	cycles, weight, energyPJ, inRun := w.cycles+host, w.weight, w.energyPJ, w.inRun
 	var opps, invs, succs int64
-	for i := 0; i < len(ranks); {
-		r := ranks[i]
-		j := runEnd(ranks, i)
-		run := occs[i:j]
-		switch class[r] {
+	k := 0
+	for j, run := range t.runs {
+		o := t.occ[k : k+int(run.Len)]
+		k += len(o)
+		s := int(stable[j])
+		switch class[run.Rank] {
 		case classHost:
 			inRun = false
 		case classFail:
-			opps += int64(len(run))
+			opps += int64(len(o))
 			var fired int64
-			for k := range run {
-				h := run[k].Hist
-				if hist.Predict(h) {
+			for i := range o {
+				invoke, saturated := hist.Step(o[i].Hist, false)
+				if invoke {
 					fired++
 					energyPJ += w.failPJ
 				}
-				hist.Update(h, false)
+				if saturated && i >= s {
+					break
+				}
 			}
 			invs += fired
 			cycles += fired * w.failCycles
 			inRun = false
 		default:
-			opps += int64(len(run))
-			cost := costs[r]
+			opps += int64(len(o))
+			cost := costs[run.Rank]
 			accPJ := w.successPJAt(cost.ops)
-			var fired int64
-			for k := range run {
-				o := &run[k]
-				if hist.Predict(o.Hist) {
+			var fired, stepped int64 // stepped: host cycles of the stepped occurrences
+			i := 0
+			for i < len(o) {
+				x := &o[i]
+				invoke, saturated := hist.Step(x.Hist, true)
+				i++
+				stepped += x.Cycles
+				if invoke {
 					fired++
-					cycles -= o.Cycles
+					cycles -= x.Cycles
 					if inRun {
 						cycles += w.ii
 					} else {
@@ -804,58 +827,29 @@ func (w *laneWalk) walkHistory(occs []Occurrence, ranks []int32, costs []rankCos
 				} else {
 					inRun = false
 				}
-				hist.Update(o.Hist, true)
+				if saturated && i > s {
+					break
+				}
+			}
+			if m := int64(len(o) - i); m > 0 {
+				fired += m
+				cycles -= t.sums[j] - stepped
+				if inRun {
+					cycles += m * w.ii
+				} else {
+					cycles += w.invokeCycles + (m-1)*w.ii
+					energyPJ += w.transferPJ
+					inRun = true
+				}
+				for range m {
+					energyPJ -= cost.hostPJ
+					energyPJ += accPJ
+				}
 			}
 			invs += fired
 			succs += fired
 			weight += fired * cost.ops
 		}
-		i = j
-	}
-	w.settle(cycles, weight, energyPJ, inRun, opps, invs, succs)
-}
-
-// walkEach is the walk of a lane whose predictor is of no kind above, one
-// occurrence at a time through the spec.Predictor interface.
-func (w *laneWalk) walkEach(occs []Occurrence, ranks []int32, costs []rankCost, host int64) {
-	class, pred := w.class, w.pred
-	cycles, weight, energyPJ, inRun := w.cycles+host, w.weight, w.energyPJ, w.inRun
-	var opps, invs, succs int64
-	for i := range occs {
-		o := &occs[i]
-		r := ranks[i]
-		c := class[r]
-		if c == classHost {
-			inRun = false
-			continue
-		}
-		opps++
-		success := c == classSuccess
-		switch {
-		case !pred.Predict(o.Hist):
-			inRun = false
-		case success:
-			invs++
-			succs++
-			cycles -= o.Cycles
-			if inRun {
-				cycles += w.ii
-			} else {
-				cycles += w.invokeCycles
-				energyPJ += w.transferPJ
-				inRun = true
-			}
-			cost := &costs[r]
-			energyPJ -= cost.hostPJ
-			energyPJ += w.successPJAt(cost.ops)
-			weight += cost.ops
-		default:
-			invs++
-			cycles += w.failCycles
-			energyPJ += w.failPJ
-			inRun = false
-		}
-		pred.Update(o.Hist, success)
 	}
 	w.settle(cycles, weight, energyPJ, inRun, opps, invs, succs)
 }
@@ -1000,11 +994,28 @@ func (c *Candidates) Replay() {
 	}
 }
 
-// lanes returns one lane per row, each with a fresh predictor.
+// lanes returns one lane per row, each with a fresh predictor. The history
+// lanes' tables are carved from one allocation.
 func (c *Candidates) lanes() []Lane {
+	n := 0
+	for _, r := range c.rows {
+		if r.pred == predHistory {
+			n++
+		}
+	}
+	hists := spec.NewHistories(n, c.cfg.HistBits)
 	lanes := make([]Lane, len(c.rows))
 	for i, r := range c.rows {
-		lanes[i] = Lane{Target: r.target, Pred: r.pred.predictor(c.cfg.HistBits)}
+		var p spec.Predictor
+		switch r.pred {
+		case predHistory:
+			p, hists = &hists[0], hists[1:]
+		case predOracle:
+			p = &spec.Oracle{}
+		default:
+			p = spec.Always{}
+		}
+		lanes[i] = Lane{Target: r.target, Pred: p}
 	}
 	return lanes
 }

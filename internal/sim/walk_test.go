@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"needle/internal/spec"
@@ -56,7 +58,7 @@ func braidWithEveryClass(t *testing.T, cfg Config) (*Trace, *Candidates, braidRa
 // cycles.
 func handTrace(tr *Trace, ranks []int32, hists []uint64) *Trace {
 	fp := *tr.Profile
-	fp.Ranks = ranks
+	fp.Runs = runsOf(ranks)
 	ht := *tr
 	ht.Profile = &fp
 	ht.Occ = make([]Occurrence, len(ranks))
@@ -65,26 +67,34 @@ func handTrace(tr *Trace, ranks []int32, hists []uint64) *Trace {
 		ht.Occ[i] = Occurrence{Hist: hists[i], Cycles: int64(5 + i%7)}
 		ht.BaselineCycles += ht.Occ[i].Cycles
 	}
+	ht.RunCycles = runSums(fp.Runs, ht.Occ)
 	return &ht
 }
 
-// declineFirst is a predictor of none of the kinds the replay resolves: it
-// declines its first n opportunities, then invokes when the opportunity
-// before succeeded.
-type declineFirst struct {
-	n    int
-	last bool
-}
+// otherPredictor is a predictor of none of the types the replay resolves.
+type otherPredictor struct{}
 
-func (d *declineFirst) Predict(uint64) bool {
-	if d.n > 0 {
-		d.n--
-		return false
+func (otherPredictor) Predict(uint64) bool { return true }
+func (otherPredictor) Update(uint64, bool) {}
+func (otherPredictor) Name() string        { return "other" }
+
+// TestEvaluateRefusesOtherPredictors: a lane whose predictor is not a
+// history table, an oracle or always-invoke is a programming error, which
+// Evaluate reports by panicking before it replays anything.
+func TestEvaluateRefusesOtherPredictors(t *testing.T) {
+	cfg := DefaultConfig()
+	tr := capture(t, "164.gzip", 0)
+	tgt, err := NewPathTarget(tr.AM, tr.Profile, tr.Profile.HottestPath(), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return d.last
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "sim.otherPredictor") {
+			t.Fatalf("Evaluate of a lane of another predictor type: recovered %v, want a panic naming the type", r)
+		}
+	}()
+	Evaluate(tr, []Lane{{Target: tgt, Pred: spec.Always{}}, {Target: tgt, Pred: otherPredictor{}}}, cfg)
 }
-func (d *declineFirst) Update(_ uint64, success bool) { d.last = success }
-func (d *declineFirst) Name() string                  { return "decline-first" }
 
 // declinedHist is a branch history a trained history table declines.
 const declinedHist = 5
@@ -98,11 +108,26 @@ func trainedHistory(bits uint) spec.Predictor {
 	return h
 }
 
+// acrossTiles is a trace of 1,300 runs of k's ranks, more than two tiles
+// of the replay, of 1 to 5 occurrences each. The ranks cycle with a
+// period of 8, which divides the tile, so the last run of a tile and the
+// first of the next are two paths the braid completes.
+func acrossTiles(k braidRanks) []int32 {
+	cycle := []int32{k.s1, k.s2, k.fail, k.s1, k.host, k.s2, k.s1, k.s2}
+	var ranks []int32
+	for j := range 1300 {
+		for range 1 + j%5 {
+			ranks = append(ranks, cycle[j%len(cycle)])
+		}
+	}
+	return ranks
+}
+
 // TestReplayHandBuiltTraces replays hand-built traces over a braid target
 // whose paths fall in every class, and every other candidate of its table,
 // and demands the reference's result for each lane, bit for bit, on one
-// worker and split. Each lane runs under its row's predictor, a history
-// table trained to decline one history, and a predictor of a fourth type.
+// worker and split. Each lane runs under its row's predictor and under a
+// history table trained to decline one history.
 func TestReplayHandBuiltTraces(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	cfg := DefaultConfig()
@@ -140,20 +165,18 @@ func TestReplayHandBuiltTraces(t *testing.T) {
 		{"one success", rep(k.s1, 1), func(int) uint64 { return 1 }},
 		{"one failure", rep(k.fail, 1), func(int) uint64 { return 1 }},
 		{"one host", rep(k.host, 1), func(int) uint64 { return 1 }},
-		// Runs across the replay's 1024-occurrence tile boundaries: one
-		// of successes over the first, failures and successes around the
-		// second, one host run over the third.
-		{"across tiles", cat(rep(k.host, 1000), rep(k.s1, 100), rep(k.fail, 900), rep(k.s2, 100), rep(k.fail, 30),
-			rep(k.host, 1000), rep(k.s2, 3)),
-			func(i int) uint64 { return uint64(i % 4) }},
+		// Runs across the replay's tile boundaries: 1,300 runs of 1 to 5
+		// occurrences cycling through every class, so the braid's
+		// pipeline of successes carries across a tile's end, under
+		// histories that hold for three occurrences at a time.
+		{"across tiles", acrossTiles(k), func(i int) uint64 { return uint64(i / 3 % 5) }},
 	}
 	preds := []struct {
 		name string
 		make func(r row) spec.Predictor
 	}{
-		{"row", func(r row) spec.Predictor { return r.pred.predictor(cfg.HistBits) }},
+		{"row", func(r row) spec.Predictor { return predictorOf(r.pred, cfg.HistBits) }},
 		{"trained history", func(row) spec.Predictor { return trainedHistory(cfg.HistBits) }},
-		{"fourth type", func(row) spec.Predictor { return &declineFirst{n: 2} }},
 	}
 	fp := tr.Profile
 	for _, tc := range cases {

@@ -208,32 +208,59 @@ type History struct {
 // history (table size 2^bits). Counters start at the invocation threshold;
 // the predictor only offloads from strongly-confident entries, so noisy
 // patterns quickly stop invoking (rollback is far more expensive than a
-// missed opportunity).
-func NewHistory(bits uint) *History {
+// missed opportunity). bits outside [1, 20] selects 12.
+func NewHistory(bits uint) *History { return &NewHistories(1, bits)[0] }
+
+// NewHistories creates n independent history predictors, as NewHistory
+// does, with all their tables carved from one allocation.
+func NewHistories(n int, bits uint) []History {
 	if bits == 0 || bits > 20 {
 		bits = 12
 	}
-	t := make([]int8, 1<<bits)
-	for i := range t {
-		t[i] = 3
+	size := 1 << bits
+	t := make([]int8, n*size)
+	if len(t) > 0 {
+		t[0] = 3
+		for k := 1; k < len(t); k *= 2 {
+			copy(t[k:], t[:k])
+		}
 	}
-	return &History{mask: 1<<bits - 1, table: t}
+	hs := make([]History, n)
+	for i := range hs {
+		hs[i] = History{mask: uint64(size - 1), table: t[i*size : (i+1)*size : (i+1)*size]}
+	}
+	return hs
 }
 
 func (h *History) idx(history uint64) uint64 { return history & h.mask }
 
 func (h *History) Predict(history uint64) bool { return h.table[h.idx(history)] >= 3 }
 
-func (h *History) Update(history uint64, success bool) {
-	i := h.idx(history)
+func (h *History) Update(history uint64, success bool) { h.Step(history, success) }
+
+// Step is Predict then Update on one entry, found once: it reports whether
+// the table invokes for history, and trains the entry with the outcome.
+// saturated reports that the entry now holds the outcome's extreme, so
+// that further steps with the same outcome on the same entry would change
+// nothing: each would invoke exactly when success is set.
+func (h *History) Step(history uint64, success bool) (invoke, saturated bool) {
+	c := &h.table[h.idx(history)]
+	invoke = *c >= 3
 	if success {
-		if h.table[i] < 3 {
-			h.table[i]++
+		if *c < 3 {
+			*c++
 		}
-	} else if h.table[i] > 0 {
-		h.table[i]--
+		return invoke, *c == 3
 	}
+	if *c > 0 {
+		*c--
+	}
+	return invoke, *c == 0
 }
+
+// Mask returns the history bits that index the table: two histories index
+// the same entry exactly when they agree on them.
+func (h *History) Mask() uint64 { return h.mask }
 
 func (h *History) Name() string { return "history" }
 

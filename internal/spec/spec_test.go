@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -237,6 +238,79 @@ func TestHistoryPredictorIndexMasking(t *testing.T) {
 	h.Update(0b00, false)
 	if h.Predict(0b100) {
 		t.Error("aliased entries should share state")
+	}
+}
+
+// TestHistoryStep drives a table through Step and a plain array of 2-bit
+// saturating counters through one sequence of histories and outcomes, and
+// demands the same predictions and counters throughout, Predict agreeing
+// with Step; saturated must say exactly when another step of the same
+// outcome on the entry would invoke alike and leave it as it is.
+func TestHistoryStep(t *testing.T) {
+	for _, bits := range []uint{1, 2, 4, 12, 20} {
+		h := NewHistory(bits)
+		ref := make([]int8, 1<<bits)
+		for i := range ref {
+			ref[i] = 3
+		}
+		x := uint64(88172645463325252)
+		for i := 0; i < 5000; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			hist, success := x>>8, x&7 < 5
+			e := hist & (1<<bits - 1)
+			want := ref[e] >= 3
+			if success {
+				ref[e] = min(ref[e]+1, 3)
+			} else {
+				ref[e] = max(ref[e]-1, 0)
+			}
+			if p := h.Predict(hist); p != want {
+				t.Fatalf("bits %d, step %d: Predict %v, want %v", bits, i, p, want)
+			}
+			got, saturated := h.Step(hist, success)
+			if got != want {
+				t.Fatalf("bits %d, step %d: Step invoked %v, want %v", bits, i, got, want)
+			}
+			if stays := ref[e] == 3 && success || ref[e] == 0 && !success; saturated != stays {
+				t.Fatalf("bits %d, step %d: saturated %v with counter %d after outcome %v", bits, i, saturated, ref[e], success)
+			}
+			if !slices.Equal(h.table, ref) {
+				t.Fatalf("bits %d, step %d: counters differ from the reference", bits, i)
+			}
+		}
+	}
+}
+
+// TestNewHistoriesAreFreshAndApart: every table NewHistories carves starts
+// at the invocation threshold, has NewHistory's size and mask, and trains
+// apart from the others.
+func TestNewHistoriesAreFreshAndApart(t *testing.T) {
+	for _, bits := range []uint{0, 1, 3, 12, 20, 21} {
+		hs := NewHistories(5, bits)
+		one := NewHistory(bits)
+		for i := range hs {
+			h := &hs[i]
+			if h.Mask() != one.Mask() || len(h.table) != len(one.table) || cap(h.table) != len(h.table) {
+				t.Fatalf("bits %d, table %d: mask %#x, %d entries (cap %d), want mask %#x, %d entries",
+					bits, i, h.Mask(), len(h.table), cap(h.table), one.Mask(), len(one.table))
+			}
+			if !slices.Equal(h.table, one.table) {
+				t.Fatalf("bits %d, table %d: does not start at the invocation threshold", bits, i)
+			}
+		}
+		for range 3 {
+			hs[2].Update(1, false)
+		}
+		for i := range hs {
+			if got := hs[i].Predict(1); got != (i != 2) {
+				t.Fatalf("bits %d: table %d predicts %v after table 2 was trained to decline", bits, i, got)
+			}
+		}
+	}
+	if hs := NewHistories(0, 12); len(hs) != 0 {
+		t.Fatalf("NewHistories(0) made %d tables", len(hs))
 	}
 }
 

@@ -33,7 +33,9 @@
 # (the Select stage computed cold, as on a miss), target (the Target stage
 # alone, upstream artifacts served from a pre-warmed Cache) and capture
 # (sim.Capture on the Inline artifact's function: the Profile stage's cold
-# compute). Beside them it records, also ungated, the three BenchmarkIngest
+# compute), plus profile-decode on 197.parser, the workload whose path
+# trace has the shortest runs of one path. Beside them it records, also
+# ungated, the three BenchmarkIngest
 # rows: parse (ir.Parse), load (program.Load) and digest (Program.Digest)
 # over irgen programs of the shape needled is sent in the benchmark's
 # serve-nir-cold workload. Also ungated, the fourteen BenchmarkAnalysis rows
@@ -48,7 +50,7 @@
 # BenchmarkStage/profile-decode/186.crafty (rankCounts' two walks), at
 # -cpu 1 and at -cpu 2, so the trajectory shows both the split's gain and
 # what it costs when no second P is free. A third, also ungated, records
-# BenchmarkStage/replay/{164.gzip,186.crafty} (Candidates.Replay alone)
+# BenchmarkStage/replay/{164.gzip,186.crafty,197.parser} (Candidates.Replay alone)
 # at -cpu 1. Both run each row 10 times, the split rows at 20 iterations
 # and the replay rows at 200, and record its median ns/op with the
 # interquartile range beside it: one run's spread is wider than the effects
@@ -122,6 +124,7 @@ for layer in inline opt-decode profile-decode select-decode select frame target 
         stages="$stages BenchmarkStage/$layer/$w"
     done
 done
+stages="$stages BenchmarkStage/profile-decode/197.parser"
 for step in parse load digest; do
     stages="$stages BenchmarkIngest/$step"
 done
@@ -218,7 +221,7 @@ done
     echo "  },"
     echo "  \"replay_stages\": {"
     first=1
-    for b in BenchmarkStage/replay/164.gzip BenchmarkStage/replay/186.crafty; do
+    for b in BenchmarkStage/replay/164.gzip BenchmarkStage/replay/186.crafty BenchmarkStage/replay/197.parser; do
         row=$(spread_json "$replay_out" "$b")
         [ -z "$row" ] && continue
         [ "$first" = 1 ] || echo ","
