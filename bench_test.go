@@ -25,6 +25,7 @@ import (
 	"needle/internal/irgen"
 	"needle/internal/mem"
 	"needle/internal/ooo"
+	"needle/internal/oracle"
 	"needle/internal/passes"
 	"needle/internal/pipeline"
 	"needle/internal/pm"
@@ -94,7 +95,7 @@ func BenchmarkFigure6(b *testing.B) { benchTable(b, (*tables.Suite).Figure6) }
 func BenchmarkFigure3(b *testing.B) {
 	var out string
 	for i := 0; i < b.N; i++ {
-		out = tables.Figure3()
+		out = tables.Figure3(core.New())
 	}
 	if !strings.Contains(out, "feasible=false") {
 		b.Fatalf("figure 3 lost its point:\n%s", out)
@@ -560,7 +561,7 @@ func BenchmarkInterpreter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		work := make([]uint64, len(memory))
 		copy(work, memory)
-		res, err := interp.Run(f, args, work, nil, 0)
+		res, err := oracle.Run(f, args, work, nil, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -274,7 +274,7 @@ func renderParts(ctx context.Context, az *core.Analyzer, cfg core.Config, o opti
 			fatal("unknown %s %q", kind, id)
 		}
 	}
-	var s *tables.Suite
+	s := &tables.Suite{Cfg: cfg, Analyzer: az}
 	if o.all || parts[0].Sweep {
 		var err error
 		if s, err = tables.Run(ctx, az, cfg); err != nil {

@@ -85,7 +85,7 @@ func main() {
 		args := parseArgs(fs.Args(), f)
 		mem := make([]uint64, *memWords)
 		if cmd == "run" {
-			res, err := interp.Run(f, args, mem, nil, 0)
+			res, err := interp.Exec(interp.BuildPlan(f), args, mem, 0)
 			if err != nil {
 				fatal("%v", err)
 			}

@@ -99,7 +99,7 @@ func main() {
 	hot := m.Func("hot")
 
 	// Semantics are identical before and after inlining.
-	before, err := interp.Run(hot, []uint64{interp.IBits(600)}, nil, nil, 0)
+	before, err := interp.Exec(interp.BuildPlan(hot), []uint64{interp.IBits(600)}, nil, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func main() {
 		log.Fatal(err)
 	}
 	passes.Optimize(inlined)
-	after, err := interp.Run(inlined, []uint64{interp.IBits(600)}, nil, nil, 0)
+	after, err := interp.Exec(interp.BuildPlan(inlined), []uint64{interp.IBits(600)}, nil, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestProfilerCountsMatchExecution(t *testing.T) {
 	}
 	p := oracle.NewProfiler(d)
 	p.RecordTrace = true
-	res, err := interp.Run(f, []uint64{interp.IBits(6)}, nil, p.Hooks(), 0)
+	res, err := oracle.Run(f, []uint64{interp.IBits(6)}, nil, p.Hooks(), 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -68,7 +68,7 @@ func TestProfilerPartitionProperty(t *testing.T) {
 	check := func(nRaw uint8) bool {
 		n := int64(nRaw % 50)
 		p := oracle.NewProfiler(d)
-		res, err := interp.Run(f, []uint64{interp.IBits(n)}, nil, p.Hooks(), 0)
+		res, err := oracle.Run(f, []uint64{interp.IBits(n)}, nil, p.Hooks(), 0)
 		if err != nil {
 			return false
 		}
@@ -95,7 +95,7 @@ func TestProfilerMultipleInvocations(t *testing.T) {
 	}
 	p := oracle.NewProfiler(d)
 	for i := 0; i < 3; i++ {
-		if _, err := interp.Run(f, []uint64{interp.IBits(4)}, nil, p.Hooks(), 0); err != nil {
+		if _, err := oracle.Run(f, []uint64{interp.IBits(4)}, nil, p.Hooks(), 0); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 	}

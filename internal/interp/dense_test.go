@@ -43,6 +43,7 @@ func comparePlans(t *testing.T, f *ir.Function, got, want *Plan, wantPreds [][]*
 		got.maxPhis != want.maxPhis || got.maxMem != want.maxMem || got.calls != want.calls {
 		t.Fatalf("%s: plan edges or sizes differ", f.Name)
 	}
+	calls := 0
 	for i := range want.blocks {
 		g, w := &got.blocks[i], &want.blocks[i]
 		if preds := got.preds[got.predOff[i]:got.predOff[i+1]]; !slices.Equal(preds, wantPreds[i]) {
@@ -70,9 +71,25 @@ func comparePlans(t *testing.T, f *ir.Function, got, want *Plan, wantPreds [][]*
 				t.Fatalf("%s block %d: timing packet %+v, want %+v", f.Name, i, gp, wp)
 			}
 		}
-		if !slices.Equal(g.code, w.code) {
+		// A call record's immediate numbers its call site, whose linked
+		// plan must be its callee's; the reference records the
+		// instruction's own immediate.
+		code := slices.Clone(g.code)
+		for j, in := range g.body {
+			if in.Op == ir.OpCall && code != nil {
+				if code[j].imm != int64(calls) || got.callees[calls].f != in.Callee {
+					t.Fatalf("%s block %d: call %d links %d, want call site %d to @%s", f.Name, i, j, code[j].imm, calls, in.Callee.Name)
+				}
+				code[j].imm = in.Imm
+				calls++
+			}
+		}
+		if !slices.Equal(code, w.code) {
 			t.Fatalf("%s block %d: execution records differ", f.Name, i)
 		}
+	}
+	if len(got.callees) != calls {
+		t.Fatalf("%s: %d linked call sites, want %d", f.Name, len(got.callees), calls)
 	}
 }
 

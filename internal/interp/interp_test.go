@@ -1,13 +1,21 @@
-package interp
+package interp_test
 
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"needle/internal/ballarus"
+	"needle/internal/interp"
 	"needle/internal/ir"
+	"needle/internal/oracle"
 )
+
+// These tests run every program on both entries of the compiled plan and
+// on the tree-walking oracle (see run), so each semantic check holds for
+// all three engines at once.
 
 func parse(t testing.TB, src string) *ir.Function {
 	t.Helper()
@@ -16,6 +24,55 @@ func parse(t testing.TB, src string) *ir.Function {
 		t.Fatalf("ParseFunction: %v", err)
 	}
 	return f
+}
+
+func parseModule(t testing.TB, src string) *ir.Module {
+	t.Helper()
+	m, err := ir.Parse(src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	return m
+}
+
+func errText(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
+}
+
+// run executes f three ways, each over its own copy of mem: on its plan
+// unprofiled (interp.Exec) and profiled under its Ball-Larus overlay
+// (interp.RunProfiled), and on the tree-walking oracle.Run. It fails t
+// unless all three agree on the result, step count, error text and final
+// memory, and returns Exec's result and error, leaving mem as Exec left it.
+func run(t testing.TB, f *ir.Function, args, mem []uint64, maxSteps int64) (interp.Result, error) {
+	t.Helper()
+	memO, memP := slices.Clone(mem), slices.Clone(mem)
+	resO, errO := oracle.Run(f, args, memO, nil, maxSteps)
+	resP, errP := profiled(t, f, args, memP, interp.PlanOpts{MaxSteps: maxSteps})
+	res, err := interp.Exec(interp.BuildPlan(f), args, mem, maxSteps)
+	if res != resO || errText(err) != errText(errO) || !slices.Equal(mem, memO) {
+		t.Fatalf("%s (limit %d): Exec %+v, %v, mem %v; oracle %+v, %v, mem %v",
+			f.Name, maxSteps, res, err, mem, resO, errO, memO)
+	}
+	if resP != resO || errText(errP) != errText(errO) || !slices.Equal(memP, memO) {
+		t.Fatalf("%s (limit %d): RunProfiled %+v, %v, mem %v; oracle %+v, %v, mem %v",
+			f.Name, maxSteps, resP, errP, memP, resO, errO, memO)
+	}
+	return res, err
+}
+
+// profiled runs f's plan under the Ball-Larus overlay its DAG compiles.
+func profiled(t testing.TB, f *ir.Function, args, mem []uint64, opts interp.PlanOpts) (interp.Result, error) {
+	t.Helper()
+	dag, err := ballarus.Build(nil, f)
+	if err != nil {
+		t.Fatalf("%s: %v", f.Name, err)
+	}
+	p := interp.BuildPlan(f)
+	return interp.RunProfiled(p, dag.CompilePlan(p), args, mem, interp.NewPathState(p, dag.NumPaths(), false), opts)
 }
 
 func buildSumLoop(t testing.TB) *ir.Function {
@@ -57,12 +114,12 @@ func buildSumLoop(t testing.TB) *ir.Function {
 
 func TestRunSumLoop(t *testing.T) {
 	f := buildSumLoop(t)
-	res, err := Run(f, []uint64{IBits(10)}, nil, nil, 0)
+	res, err := run(t, f, []uint64{interp.IBits(10)}, nil, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if I(res.Ret) != 45 {
-		t.Fatalf("sum(10) = %d, want 45", I(res.Ret))
+	if interp.I(res.Ret) != 45 {
+		t.Fatalf("sum(10) = %d, want 45", interp.I(res.Ret))
 	}
 	if res.Steps == 0 {
 		t.Fatal("no steps counted")
@@ -72,11 +129,11 @@ func TestRunSumLoop(t *testing.T) {
 func TestRunSumLoopProperty(t *testing.T) {
 	f := buildSumLoop(t)
 	check := func(n uint8) bool {
-		res, err := Run(f, []uint64{IBits(int64(n))}, nil, nil, 0)
+		res, err := run(t, f, []uint64{interp.IBits(int64(n))}, nil, 0)
 		if err != nil {
 			return false
 		}
-		return I(res.Ret) == int64(n)*int64(n-1)/2 || n == 0 && res.Ret == 0
+		return interp.I(res.Ret) == int64(n)*int64(n-1)/2 || n == 0 && res.Ret == 0
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
@@ -94,11 +151,11 @@ entry:
 }
 `
 	f := parse(t, src)
-	res, err := Run(f, []uint64{FBits(3), FBits(4)}, nil, nil, 0)
+	res, err := run(t, f, []uint64{interp.FBits(3), interp.FBits(4)}, nil, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if got := F(res.Ret); math.Abs(got-5) > 1e-12 {
+	if got := interp.F(res.Ret); math.Abs(got-5) > 1e-12 {
 		t.Fatalf("dist(3,4) = %v, want 5", got)
 	}
 }
@@ -125,14 +182,14 @@ exit:
 }
 `
 	f := parse(t, src)
-	mem := []uint64{IBits(2), IBits(3), IBits(4)}
-	if _, err := Run(f, []uint64{IBits(0), IBits(3)}, mem, nil, 0); err != nil {
+	mem := []uint64{interp.IBits(2), interp.IBits(3), interp.IBits(4)}
+	if _, err := run(t, f, []uint64{interp.IBits(0), interp.IBits(3)}, mem, 0); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	want := []int64{4, 9, 16}
 	for i, w := range want {
-		if I(mem[i]) != w {
-			t.Errorf("mem[%d] = %d, want %d", i, I(mem[i]), w)
+		if interp.I(mem[i]) != w {
+			t.Errorf("mem[%d] = %d, want %d", i, interp.I(mem[i]), w)
 		}
 	}
 }
@@ -145,8 +202,8 @@ entry:
 }
 `
 	f := parse(t, divSrc)
-	if _, err := Run(f, []uint64{IBits(1), IBits(0)}, nil, nil, 0); !errors.Is(err, ErrDivideByZero) {
-		t.Errorf("want ErrDivideByZero, got %v", err)
+	if _, err := run(t, f, []uint64{interp.IBits(1), interp.IBits(0)}, nil, 0); !errors.Is(err, interp.ErrDivideByZero) {
+		t.Errorf("want interp.ErrDivideByZero, got %v", err)
 	}
 
 	oobSrc := `func @o(i64) {
@@ -156,19 +213,19 @@ entry:
 }
 `
 	g := parse(t, oobSrc)
-	if _, err := Run(g, []uint64{IBits(99)}, make([]uint64, 4), nil, 0); !errors.Is(err, ErrOutOfBounds) {
-		t.Errorf("want ErrOutOfBounds, got %v", err)
+	if _, err := run(t, g, []uint64{interp.IBits(99)}, make([]uint64, 4), 0); !errors.Is(err, interp.ErrOutOfBounds) {
+		t.Errorf("want interp.ErrOutOfBounds, got %v", err)
 	}
-	if _, err := Run(g, []uint64{IBits(-1)}, make([]uint64, 4), nil, 0); !errors.Is(err, ErrOutOfBounds) {
-		t.Errorf("negative address: want ErrOutOfBounds, got %v", err)
+	if _, err := run(t, g, []uint64{interp.IBits(-1)}, make([]uint64, 4), 0); !errors.Is(err, interp.ErrOutOfBounds) {
+		t.Errorf("negative address: want interp.ErrOutOfBounds, got %v", err)
 	}
 
 	loop := buildSumLoop(t)
-	if _, err := Run(loop, []uint64{IBits(1 << 40)}, nil, nil, 100); !errors.Is(err, ErrStepLimit) {
-		t.Errorf("want ErrStepLimit, got %v", err)
+	if _, err := run(t, loop, []uint64{interp.IBits(1 << 40)}, nil, 100); !errors.Is(err, interp.ErrStepLimit) {
+		t.Errorf("want interp.ErrStepLimit, got %v", err)
 	}
 
-	if _, err := Run(loop, nil, nil, nil, 0); err == nil {
+	if _, err := run(t, loop, nil, nil, 0); err == nil {
 		t.Error("want arity error")
 	}
 }
@@ -179,13 +236,13 @@ func TestHooksFireInOrder(t *testing.T) {
 	var edges []string
 	var instrs int
 	exited := ""
-	hooks := &Hooks{
+	hooks := &oracle.Hooks{
 		Block: func(b *ir.Block) { blocks = append(blocks, b.Name) },
 		Edge:  func(from, to *ir.Block) { edges = append(edges, from.Name+"->"+to.Name) },
 		Instr: func(in *ir.Instr) { instrs++ },
 		Exit:  func(b *ir.Block) { exited = b.Name },
 	}
-	res, err := Run(f, []uint64{IBits(2)}, nil, hooks, 0)
+	res, err := oracle.Run(f, []uint64{interp.IBits(2)}, nil, hooks, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -226,19 +283,19 @@ entry:
 }
 `
 	f := parse(t, src)
-	res, err := Run(f, []uint64{IBits(20)}, nil, nil, 0)
+	res, err := run(t, f, []uint64{interp.IBits(20)}, nil, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if I(res.Ret) != 50 {
-		t.Fatalf("sel(20) = %d, want 50", I(res.Ret))
+	if interp.I(res.Ret) != 50 {
+		t.Fatalf("sel(20) = %d, want 50", interp.I(res.Ret))
 	}
-	res, err = Run(f, []uint64{IBits(3)}, nil, nil, 0)
+	res, err = run(t, f, []uint64{interp.IBits(3)}, nil, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if I(res.Ret) != 10 {
-		t.Fatalf("sel(3) = %d, want 10", I(res.Ret))
+	if interp.I(res.Ret) != 10 {
+		t.Fatalf("sel(3) = %d, want 10", interp.I(res.Ret))
 	}
 }
 
@@ -254,8 +311,8 @@ entry:
 	f := parse(t, src)
 	// a&b ^ a|b == a^b for all a, b.
 	check := func(x, y int64) bool {
-		res, err := Run(f, []uint64{IBits(x), IBits(y)}, nil, nil, 0)
-		return err == nil && I(res.Ret) == x^y
+		res, err := run(t, f, []uint64{interp.IBits(x), interp.IBits(y)}, nil, 0)
+		return err == nil && interp.I(res.Ret) == x^y
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
@@ -282,12 +339,12 @@ entry:
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(m.Func("main"), []uint64{IBits(3)}, nil, nil, 0)
+	res, err := run(t, m.Func("main"), []uint64{interp.IBits(3)}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if I(res.Ret) != 100 { // (3*3+1)^2
-		t.Fatalf("main(3) = %d, want 100", I(res.Ret))
+	if interp.I(res.Ret) != 100 { // (3*3+1)^2
+		t.Fatalf("main(3) = %d, want 100", interp.I(res.Ret))
 	}
 }
 
@@ -301,8 +358,8 @@ func TestCallDepthLimit(t *testing.T) {
 	}
 	f.Blocks = []*ir.Block{blk}
 	f.Finish()
-	if _, err := Run(f, []uint64{0}, nil, nil, 0); !errors.Is(err, ErrCallDepth) {
-		t.Fatalf("want ErrCallDepth, got %v", err)
+	if _, err := run(t, f, []uint64{0}, nil, 0); !errors.Is(err, interp.ErrCallDepth) {
+		t.Fatalf("want interp.ErrCallDepth, got %v", err)
 	}
 }
 
@@ -323,8 +380,8 @@ entry:
 		t.Fatal(err)
 	}
 	var blocks []string
-	hooks := &Hooks{Block: func(b *ir.Block) { blocks = append(blocks, b.Name) }}
-	if _, err := Run(m.Func("main"), []uint64{IBits(7)}, nil, hooks, 0); err != nil {
+	hooks := &oracle.Hooks{Block: func(b *ir.Block) { blocks = append(blocks, b.Name) }}
+	if _, err := oracle.Run(m.Func("main"), []uint64{interp.IBits(7)}, nil, hooks, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Both functions' entry blocks fire (same name, two functions).

@@ -8,12 +8,14 @@
 // The plan plays the role the instrumented binary plays in the original
 // Needle system: the Ball-Larus instrumentation is "a handful of adds per
 // edge", and the plan brings the reproduction's profiling cost to the same
-// shape. It is the one profiling engine, and BuildPlan accepts every verified
-// function. A call runs its callee to completion, unprofiled, on the general
-// executor; a shape the plan cannot run (phis in the entry block, or a CFG
-// ir.Verify rejects) becomes an error that every run returns. The hook-based
-// Run remains for `nir run` and as the differential-testing oracle (see
-// profile's fast-path property tests and package oracle).
+// shape. It is the one engine, and BuildPlan accepts every verified
+// function. BuildPlan links each call site to its callee's plan, so a call
+// runs its callee to completion on that plan, unprofiled and untimed,
+// within the caller's step budget; Exec is the same loop with nothing
+// profiled. A shape the plan cannot run (phis in the entry block, or a CFG
+// ir.Verify rejects) becomes an error that every run returns. The
+// tree-walking reference the differential tests check the plan against is
+// package oracle's Run.
 package interp
 
 import (
@@ -26,8 +28,8 @@ import (
 	"needle/internal/obs"
 )
 
-// Fast-path observability counters, the complement of interp.go's hook-path
-// pair. One Add per run keeps the profiled inner loop untouched.
+// Observability counters. One Add per run keeps the inner loop untouched;
+// a callee's steps count in its caller's run.
 var (
 	obsFastRuns   = obs.GetCounter("interp.runs.fast")
 	obsFastInstrs = obs.GetCounter("interp.instrs.fast")
@@ -39,9 +41,6 @@ var (
 // model would miss their instructions and branches. The pipeline inlines
 // every call before it captures.
 var ErrTimedCall = errors.New("interp: timed run with calls")
-
-// noHooks is the empty hook set callees run under.
-var noHooks Hooks
 
 func b2u(v bool) uint64 {
 	if v {
@@ -109,9 +108,14 @@ type Plan struct {
 	maxPhis  int
 	maxMem   int // most memory ops in any one block (address-scratch size)
 	// calls is set when some body calls a function: timed runs then return
-	// ErrTimedCall.
-	calls bool
-	// err, when set, is what every run returns: the hook interpreter's
+	// ErrTimedCall. callees[k] is the plan of the k-th call site, in block
+	// order, whose execution record holds k as its immediate.
+	calls   bool
+	callees []*Plan
+	// zero, set on a plan some call site links to, is the zeroOverlay its
+	// callee runs use.
+	zero *BLPlan
+	// err, when set, is what every run returns: the tree-walker's
 	// entry-phi error, or the first shape ir.Verify rejects.
 	err error
 }
@@ -127,24 +131,62 @@ type execEntry struct {
 	imm        int64
 }
 
-// BuildPlan compiles f into a Plan. Building always succeeds; a function the
-// plan cannot run records the error RunProfiled then returns.
+// BuildPlan compiles f into a Plan, linked to the plan of every function
+// its calls reach. Building always succeeds; a function the plan cannot run
+// records the error RunProfiled then returns.
+func BuildPlan(f *ir.Function) *Plan {
+	p := compile(f)
+	if p.calls {
+		p.link(map[*ir.Function]*Plan{f: p})
+	}
+	return p
+}
+
+// link points each call record of p at its callee's plan. built holds the
+// plans compiled so far, so each reachable function is compiled once and a
+// recursive cycle shares one plan; a call-free plan links nothing.
+func (p *Plan) link(built map[*ir.Function]*Plan) {
+	if !p.calls || p.err != nil {
+		return
+	}
+	for i := range p.blocks {
+		pb := &p.blocks[i]
+		for j, in := range pb.body {
+			if in.Op != ir.OpCall {
+				continue
+			}
+			q, ok := built[in.Callee]
+			if !ok {
+				q = compile(in.Callee)
+				built[in.Callee] = q
+				q.link(built)
+			}
+			if q.zero == nil {
+				q.zero = zeroOverlay(q)
+			}
+			pb.code[j].imm = int64(len(p.callees))
+			p.callees = append(p.callees, q)
+		}
+	}
+}
+
+// compile builds f's plan without linking its calls.
 //
 // Every per-block table — unique predecessors, phi move tables, dense edge
 // slots, timing packets and execution records — is a window of one
 // per-plan arena, sized by a counting pass over the blocks.
-func BuildPlan(f *ir.Function) *Plan {
+func compile(f *ir.Function) *Plan {
 	obsPlanBuilds.Add(1)
 	p := &Plan{f: f}
 	if len(f.Blocks) == 0 {
 		p.err = fmt.Errorf("interp: %s has no blocks", f.Name)
 		return p
 	}
-	// The hook interpreter resolves entry phis against no predecessor, which
+	// The tree-walker resolves entry phis against no predecessor, which
 	// fails before the first step.
 	entry := f.Entry()
 	if phis := entry.Phis(); len(phis) > 0 {
-		p.err = phiEdgeFault(f, entry, phis[0], nil)
+		p.err = PhiEdgeFault(f, entry, phis[0], nil)
 	}
 	n := len(f.Blocks)
 	p.blocks = make([]planBlock, n)
@@ -474,7 +516,7 @@ type Timing interface {
 
 // PlanOpts configures RunProfiled.
 type PlanOpts struct {
-	// MaxSteps bounds dynamic instructions (<= 0: the Run default).
+	// MaxSteps bounds dynamic instructions (<= 0: a default of 1<<32).
 	MaxSteps int64
 	// MaxOccurrences bounds the path occurrences the run completes (<= 0:
 	// unbounded). The run stops with ErrOccurrenceLimit instead of
@@ -489,28 +531,48 @@ type PlanOpts struct {
 // RunProfiled executes a planned function over the fused profiling fast path:
 // block, edge, and Ball-Larus path counters update by direct array
 // increments, with no hook closures in the inner loop. Results, step counts,
-// errors, and memory are identical to the hook-based Run's, and the profile
-// to a member-filtered Ball-Larus profiler's on that Run — the property the
-// differential tests pin down. A callee runs to completion on the general
-// executor within the same step budget; its blocks are not profiled, and a
-// timed run of a plan with calls returns ErrTimedCall.
+// errors, and memory are identical to the tree-walking oracle.Run's, and the
+// profile to a member-filtered Ball-Larus profiler's on that Run — the
+// property the differential tests pin down. A callee runs to completion on
+// its own plan within the same step budget; its blocks are not profiled,
+// and a timed run of a plan with calls returns ErrTimedCall.
 func RunProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts PlanOpts) (Result, error) {
-	res, err := runProfiled(p, bl, args, mem, st, opts)
+	res, err := runProfiled(p, bl, args, mem, st, opts, 0, 0)
 	obsFastRuns.Add(1)
 	obsFastInstrs.Add(res.Steps)
 	return res, err
 }
 
-func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts PlanOpts) (Result, error) {
+// Exec runs p on args over mem with nothing profiled or timed, bounded by
+// maxSteps dynamic instructions (<= 0: a default of 1<<32). Argument and
+// return values are raw 64-bit patterns; use F/FBits for float parameters.
+func Exec(p *Plan, args, mem []uint64, maxSteps int64) (Result, error) {
+	bl := p.zero
+	if bl == nil {
+		bl = zeroOverlay(p)
+	}
+	return RunProfiled(p, bl, args, mem, NewPathState(p, 1, false), PlanOpts{MaxSteps: maxSteps})
+}
+
+// zeroOverlay returns a Ball-Larus overlay for p whose every increment and
+// path ID is 0: an unprofiled run's, whose counters nobody reads.
+func zeroOverlay(p *Plan) *BLPlan {
+	return &BLPlan{NumPaths: 1, Succs: make([][2]BLEdge, len(p.blocks)), RetVal: make([]int64, len(p.blocks))}
+}
+
+// runProfiled is RunProfiled for a run that starts with steps already
+// executed, depth calls deep: a callee's run (see call) continues its
+// caller's count.
+func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts PlanOpts, steps int64, depth int) (Result, error) {
 	f := p.f
 	if len(args) != f.NumParams() {
-		return Result{}, fmt.Errorf("interp: %s wants %d args, got %d", f.Name, f.NumParams(), len(args))
+		return Result{Steps: steps}, fmt.Errorf("interp: %s wants %d args, got %d", f.Name, f.NumParams(), len(args))
 	}
 	if p.err != nil {
-		return Result{}, p.err
+		return Result{Steps: steps}, p.err
 	}
 	if p.calls && opts.Timing != nil {
-		return Result{}, fmt.Errorf("%w in %s", ErrTimedCall, f.Name)
+		return Result{Steps: steps}, fmt.Errorf("%w in %s", ErrTimedCall, f.Name)
 	}
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
@@ -543,7 +605,6 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 		phiTmp = make([]uint64, p.maxPhis)
 	}
 
-	var steps int64
 	cur := 0
 	predSlot := int32(0)
 	pathReg := bl.EntryVal
@@ -670,7 +731,7 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 			default:
 				in := b.body[j]
 				if c.op == ir.OpCall {
-					v, n, err := call(in, regs, mem, steps, maxSteps)
+					v, n, err := p.call(c.imm, in, regs, mem, steps, maxSteps, depth)
 					steps = n
 					if err != nil {
 						return Result{Steps: steps}, err
@@ -760,27 +821,32 @@ func occurrenceLimit(max int64, f *ir.Function) error {
 	return fmt.Errorf("%w (limit %d) in %s", ErrOccurrenceLimit, max, f.Name)
 }
 
-// call runs in's callee to completion, unprofiled, on the general executor,
-// continuing the caller's step count under the same budget. It returns the
-// callee's result and the step count after the call.
-func call(in *ir.Instr, regs, mem []uint64, steps, maxSteps int64) (uint64, int64, error) {
+// call runs the callee of call site k (the instruction in) to completion
+// on its plan, through runProfiled under the plan's zero Ball-Larus overlay
+// and a throwaway counter state, unprofiled and untimed. It continues the
+// caller's step count under the same budget, one call deeper, and returns
+// the callee's result and the step count after the call.
+func (p *Plan) call(k int64, in *ir.Instr, regs, mem []uint64, steps, maxSteps int64, depth int) (uint64, int64, error) {
+	q := p.callees[k]
+	if depth >= maxCallDepth {
+		return 0, steps, fmt.Errorf("%w in %s", ErrCallDepth, q.f.Name)
+	}
 	args := make([]uint64, len(in.Args))
 	for i, a := range in.Args {
 		args[i] = regs[a]
 	}
-	ex := executor{mem: mem, hooks: &noHooks, maxSteps: maxSteps, steps: steps}
-	v, err := ex.exec(in.Callee, args, 1)
-	return v, ex.steps, err
+	res, err := runProfiled(q, q.zero, args, mem, NewPathState(q, 1, false), PlanOpts{MaxSteps: maxSteps}, steps, depth+1)
+	return res.Ret, res.Steps, err
 }
 
-// phiEdgeError reproduces the general interpreter's missing-phi-edge error
+// phiEdgeError reproduces the tree-walker's missing-phi-edge error
 // for the (block, predecessor slot) pair.
 func (p *Plan) phiEdgeError(cur int, predSlot int32) error {
 	b := p.f.Blocks[cur]
 	pred := p.preds[p.predOff[cur]+predSlot]
 	for _, phi := range b.Phis() {
 		if !slices.Contains(phi.Blocks, pred) {
-			return phiEdgeFault(p.f, b, phi, pred)
+			return PhiEdgeFault(p.f, b, phi, pred)
 		}
 	}
 	return fmt.Errorf("interp: %s.%s: phi resolution failed from %s", p.f.Name, b.Name, pred)

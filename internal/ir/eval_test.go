@@ -9,6 +9,7 @@ import (
 	"needle/internal/analysis"
 	"needle/internal/interp"
 	"needle/internal/ir"
+	"needle/internal/oracle"
 	"needle/internal/passes"
 	"needle/internal/profile"
 )
@@ -142,8 +143,8 @@ func TestPureEvaluatorsAgree(t *testing.T) {
 		}
 		f, in := c.build(t)
 
-		res, err := interp.Run(f, nil, nil, nil, 0)
-		agrees("interp.Run", res.Ret, err)
+		res, err := oracle.Run(f, nil, nil, nil, 0)
+		agrees("oracle.Run", res.Ret, err)
 
 		col, cerr := profile.NewCollector(nil, f, false)
 		if cerr != nil {

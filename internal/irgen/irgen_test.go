@@ -31,11 +31,11 @@ func TestGeneratedProgramsAreWellFormed(t *testing.T) {
 		if _, err := ir.ParseFunction(text); err != nil {
 			t.Fatalf("seed %d: reparse: %v\n%s", seed, err, text)
 		}
-		r1, err := interp.Run(p.F, []uint64{interp.IBits(seed)}, p.NewMem(), nil, 1<<22)
+		r1, err := oracle.Run(p.F, []uint64{interp.IBits(seed)}, p.NewMem(), nil, 1<<22)
 		if err != nil {
 			t.Fatalf("seed %d: run: %v", seed, err)
 		}
-		r2, err := interp.Run(p.F, []uint64{interp.IBits(seed)}, p.NewMem(), nil, 1<<22)
+		r2, err := oracle.Run(p.F, []uint64{interp.IBits(seed)}, p.NewMem(), nil, 1<<22)
 		if err != nil || r1.Ret != r2.Ret || r1.Steps != r2.Steps {
 			t.Fatalf("seed %d: nondeterministic", seed)
 		}
@@ -53,7 +53,7 @@ func TestBallLarusPartitionInvariant(t *testing.T) {
 			t.Fatalf("seed %d: Build: %v", seed, err)
 		}
 		prof := oracle.NewProfiler(dag)
-		res, err := interp.Run(p.F, []uint64{interp.IBits(seed * 7)}, p.NewMem(), prof.Hooks(), 1<<22)
+		res, err := oracle.Run(p.F, []uint64{interp.IBits(seed * 7)}, p.NewMem(), prof.Hooks(), 1<<22)
 		if err != nil {
 			t.Fatalf("seed %d: run: %v", seed, err)
 		}
@@ -81,7 +81,7 @@ func TestOptimizePreservesSemanticsOnRandomPrograms(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		p := Generate(seed, Config{})
 		mem1 := p.NewMem()
-		r1, err := interp.Run(p.F, []uint64{interp.IBits(11)}, mem1, nil, 1<<22)
+		r1, err := oracle.Run(p.F, []uint64{interp.IBits(11)}, mem1, nil, 1<<22)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -91,7 +91,7 @@ func TestOptimizePreservesSemanticsOnRandomPrograms(t *testing.T) {
 			t.Fatalf("seed %d: optimized SSA: %v", seed, err)
 		}
 		mem2 := p.NewMem()
-		r2, err := interp.Run(clone, []uint64{interp.IBits(11)}, mem2, nil, 1<<22)
+		r2, err := oracle.Run(clone, []uint64{interp.IBits(11)}, mem2, nil, 1<<22)
 		if err != nil {
 			t.Fatalf("seed %d: optimized run: %v", seed, err)
 		}

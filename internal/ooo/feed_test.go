@@ -1,8 +1,8 @@
 package ooo
 
 import (
-	"needle/internal/interp"
 	"needle/internal/ir"
+	"needle/internal/oracle"
 )
 
 // The per-instruction feed: the reference FeedBlock is tested against, and
@@ -113,9 +113,9 @@ func (m *Model) Feed(in *ir.Instr, addr int64) {
 // Hooks returns interpreter hooks that stream execution into the model one
 // instruction at a time: the Mem event's address is held for the Instr
 // event of the same memory operation.
-func (m *Model) Hooks() *interp.Hooks {
+func (m *Model) Hooks() *oracle.Hooks {
 	var pend int64
-	return &interp.Hooks{
+	return &oracle.Hooks{
 		Mem:   func(_ *ir.Instr, addr int64) { pend = addr },
 		Instr: func(in *ir.Instr) { m.Feed(in, pend) },
 		Edge: func(from, to *ir.Block) {

@@ -8,6 +8,7 @@ import (
 	"needle/internal/interp"
 	"needle/internal/ir"
 	"needle/internal/mem"
+	"needle/internal/oracle"
 )
 
 // feedN feeds n copies of a simple independent int op.
@@ -121,7 +122,7 @@ exit:
 		t.Fatal(err)
 	}
 	m := New(DefaultConfig(), f.NumRegs(), nil)
-	res, err := interp.Run(f, []uint64{interp.IBits(50)}, nil, m.Hooks(), 0)
+	res, err := oracle.Run(f, []uint64{interp.IBits(50)}, nil, m.Hooks(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ exit:
 		m := New(cfg, f.NumRegs(), nil)
 		work := make([]uint64, len(memory))
 		copy(work, memory)
-		if _, err := interp.Run(f, args, work, m.Hooks(), 0); err != nil {
+		if _, err := oracle.Run(f, args, work, m.Hooks(), 0); err != nil {
 			t.Fatal(err)
 		}
 		return m

@@ -1,20 +1,21 @@
-// Package oracle holds the hook-driven reference engines the differential
-// tests check the production engines against: a Ball-Larus path profiler
-// (the compiled plan's path counts), a global branch-history register and a
-// hook combiner, all on interp.Run's hooks. No production binary imports
-// it. It imports only ballarus, interp and ir, so the in-package tests of
-// every package above those (profile, sim, spec, irgen) can use it.
+// Package oracle holds the reference engines the differential tests check
+// the production engines against: the hook-driven tree-walking interpreter
+// (Run and its Hooks), which the compiled plans (interp.RunProfiled and
+// interp.Exec) must match in results, steps, errors and memory; a
+// Ball-Larus path profiler (the plan's path counts); a global
+// branch-history register; and a hook combiner. No production binary
+// imports it. It imports only ballarus, interp and ir, so the tests of
+// every package above those (profile, sim, spec, irgen) can use it in
+// package, and the tests of ir, interp and ballarus from an external test
+// package.
 package oracle
 
-import (
-	"needle/internal/interp"
-	"needle/internal/ir"
-)
+import "needle/internal/ir"
 
 // CombineHooks merges several hook sets into one; each event fans out to
 // every non-nil handler in order. Nil entries are skipped.
-func CombineHooks(hooks ...*interp.Hooks) *interp.Hooks {
-	out := &interp.Hooks{}
+func CombineHooks(hooks ...*Hooks) *Hooks {
+	out := &Hooks{}
 	var blocks []func(*ir.Block)
 	var edges []func(*ir.Block, *ir.Block)
 	var instrs []func(*ir.Instr)
@@ -98,8 +99,8 @@ func (ht *HistoryTracker) Shift(taken bool) {
 }
 
 // Hooks returns interpreter hooks that update the history register.
-func (ht *HistoryTracker) Hooks() *interp.Hooks {
-	return &interp.Hooks{
+func (ht *HistoryTracker) Hooks() *Hooks {
+	return &Hooks{
 		Edge: func(from, to *ir.Block) {
 			t := from.Term()
 			if t == nil || t.Op != ir.OpCondBr {

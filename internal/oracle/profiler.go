@@ -7,7 +7,7 @@ import (
 )
 
 // Profiler accumulates a Ball-Larus path profile while a function executes
-// on the hook interpreter. Attach it via Hooks. A single Profiler may observe
+// on the tree-walking Run. Attach it via Hooks. A single Profiler may observe
 // many invocations of the same function. Production profiling runs the
 // compiled plan (profile.Collector); Profiler is the reference the plan's
 // path counts are tested against. It reads the edge values from the
@@ -83,9 +83,9 @@ func (p *Profiler) record(id int64) {
 // safe to use even when other functions — callees included — run on the same
 // interpreter. Recursive invocations of the profiled function itself are not
 // supported; the pipeline inlines calls before profiling.
-func (p *Profiler) Hooks() *interp.Hooks {
+func (p *Profiler) Hooks() *Hooks {
 	f := p.dag.F
-	return &interp.Hooks{
+	return &Hooks{
 		Block: func(b *ir.Block) {
 			if !p.inside && b == f.Entry() {
 				p.inside = true

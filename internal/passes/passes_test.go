@@ -11,6 +11,7 @@ import (
 	"needle/internal/analysis"
 	"needle/internal/interp"
 	"needle/internal/ir"
+	"needle/internal/oracle"
 	"needle/internal/profile"
 )
 
@@ -71,8 +72,8 @@ func TestInlineAllPreservesSemantics(t *testing.T) {
 	}
 	check := func(x, y int16) bool {
 		a := []uint64{interp.IBits(int64(x)), interp.IBits(int64(y))}
-		r1, err1 := interp.Run(f, a, nil, nil, 0)
-		r2, err2 := interp.Run(inlined, a, nil, nil, 0)
+		r1, err1 := oracle.Run(f, a, nil, nil, 0)
+		r2, err2 := oracle.Run(inlined, a, nil, nil, 0)
 		return err1 == nil && err2 == nil && r1.Ret == r2.Ret
 	}
 	if err := quick.Check(check, nil); err != nil {
@@ -160,8 +161,8 @@ func TestInlineDiamondNamesBlocksOnce(t *testing.T) {
 	}
 	for _, n := range []int64{0, 1, 7, 64} {
 		args := []uint64{interp.IBits(n)}
-		want, err1 := interp.Run(f, args, nil, nil, 0)
-		got, err2 := interp.Run(inlined, args, nil, nil, 0)
+		want, err1 := oracle.Run(f, args, nil, nil, 0)
+		got, err2 := oracle.Run(inlined, args, nil, nil, 0)
 		if err1 != nil || err2 != nil || got.Ret != want.Ret {
 			t.Fatalf("n=%d: inlined returns %v (%v), original %v (%v)", n, got, err2, want, err1)
 		}
@@ -201,7 +202,7 @@ entry:
 	if removed := DeadCodeElim(f); removed != 2 {
 		t.Fatalf("removed %d, want 2", removed)
 	}
-	res, err := interp.Run(f, []uint64{interp.IBits(21)}, nil, nil, 0)
+	res, err := oracle.Run(f, []uint64{interp.IBits(21)}, nil, nil, 0)
 	if err != nil || interp.I(res.Ret) != 42 {
 		t.Fatalf("semantics broken: %v %v", res, err)
 	}
@@ -261,7 +262,7 @@ entry:
 	if folded := ConstFold(f); folded != 3 {
 		t.Fatalf("folded %d, want 3", folded)
 	}
-	res, err := interp.Run(f, nil, nil, nil, 0)
+	res, err := oracle.Run(f, nil, nil, nil, 0)
 	if err != nil || interp.I(res.Ret) != 43 {
 		t.Fatalf("semantics broken: ret=%d err=%v", interp.I(res.Ret), err)
 	}
@@ -291,7 +292,7 @@ entry:
 	if folded := ConstFold(f); folded != 1 {
 		t.Fatalf("folded %d, want 1", folded)
 	}
-	res, _ := interp.Run(f, nil, nil, nil, 0)
+	res, _ := oracle.Run(f, nil, nil, nil, 0)
 	if interp.F(res.Ret) != 3.75 {
 		t.Fatalf("fmul folded wrong: %v", interp.F(res.Ret))
 	}
@@ -319,7 +320,7 @@ end:
 	if len(f.Blocks) != 1 {
 		t.Fatalf("blocks = %d, want 1", len(f.Blocks))
 	}
-	res, _ := interp.Run(f, []uint64{interp.IBits(3)}, nil, nil, 0)
+	res, _ := oracle.Run(f, []uint64{interp.IBits(3)}, nil, nil, 0)
 	if interp.I(res.Ret) != 36 {
 		t.Fatalf("semantics broken: %d", interp.I(res.Ret))
 	}
@@ -352,7 +353,7 @@ func TestOptimizePipelinePreservesSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := interp.Run(inlined, []uint64{interp.IBits(10), interp.IBits(4)}, nil, nil, 0)
+	before, err := oracle.Run(inlined, []uint64{interp.IBits(10), interp.IBits(4)}, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +364,7 @@ func TestOptimizePipelinePreservesSemantics(t *testing.T) {
 	if err := analysis.VerifySSA(inlined); err != nil {
 		t.Fatalf("optimized SSA invalid: %v", err)
 	}
-	after, err := interp.Run(inlined, []uint64{interp.IBits(10), interp.IBits(4)}, nil, nil, 0)
+	after, err := oracle.Run(inlined, []uint64{interp.IBits(10), interp.IBits(4)}, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,14 +420,14 @@ entry:
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, _ := interp.Run(f, []uint64{interp.IBits(6), interp.IBits(7)}, nil, nil, 0)
+	before, _ := oracle.Run(f, []uint64{interp.IBits(6), interp.IBits(7)}, nil, nil, 0)
 	if removed := LocalCSE(f); removed != 2 {
 		t.Fatalf("removed %d duplicates, want 2", removed)
 	}
 	if err := analysis.VerifySSA(f); err != nil {
 		t.Fatalf("CSE broke SSA: %v", err)
 	}
-	after, err := interp.Run(f, []uint64{interp.IBits(6), interp.IBits(7)}, nil, nil, 0)
+	after, err := oracle.Run(f, []uint64{interp.IBits(6), interp.IBits(7)}, nil, nil, 0)
 	if err != nil || after.Ret != before.Ret {
 		t.Fatalf("CSE changed semantics: %v vs %v (%v)", after.Ret, before.Ret, err)
 	}
@@ -473,14 +474,14 @@ b:
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, _ := interp.Run(f, []uint64{interp.IBits(5)}, nil, nil, 0)
+	before, _ := oracle.Run(f, []uint64{interp.IBits(5)}, nil, nil, 0)
 	if removed := LocalCSE(f); removed != 1 {
 		t.Fatalf("removed %d, want 1", removed)
 	}
 	if err := analysis.VerifySSA(f); err != nil {
 		t.Fatalf("cross-block rewrite broke SSA: %v", err)
 	}
-	after, _ := interp.Run(f, []uint64{interp.IBits(5)}, nil, nil, 0)
+	after, _ := oracle.Run(f, []uint64{interp.IBits(5)}, nil, nil, 0)
 	if after.Ret != before.Ret {
 		t.Fatal("cross-block CSE changed semantics")
 	}

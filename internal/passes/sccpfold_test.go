@@ -10,6 +10,7 @@ import (
 	"needle/internal/interp"
 	"needle/internal/ir"
 	"needle/internal/irgen"
+	"needle/internal/oracle"
 	"needle/internal/passes"
 	"needle/internal/program"
 	"needle/internal/workloads"
@@ -61,7 +62,7 @@ join:
 	}
 	// The phi must have become the constant 20.
 	mem := make([]uint64, 8)
-	res, err := interp.Run(out, []uint64{0}, mem, nil, 0)
+	res, err := oracle.Run(out, []uint64{0}, mem, nil, 0)
 	if err != nil || interp.I(res.Ret) != 20 {
 		t.Fatalf("optimized run = %d, %v; want 20", interp.I(res.Ret), err)
 	}
@@ -76,7 +77,7 @@ entry:
   ret r1
 }`)
 	out := optimize(t, f)
-	_, err := interp.Run(out, nil, make([]uint64, 8), nil, 0)
+	_, err := oracle.Run(out, nil, make([]uint64, 8), nil, 0)
 	if !errors.Is(err, interp.ErrDivideByZero) {
 		t.Fatalf("optimizer erased the divide-by-zero trap (err = %v):\n%s", err, ir.Print(out))
 	}
@@ -90,7 +91,7 @@ entry:
   ret r1
 }`)
 	out := optimize(t, f)
-	_, err := interp.Run(out, nil, make([]uint64, 64), nil, 0)
+	_, err := oracle.Run(out, nil, make([]uint64, 64), nil, 0)
 	if !errors.Is(err, interp.ErrOutOfBounds) {
 		t.Fatalf("optimizer erased the out-of-bounds fault (err = %v):\n%s", err, ir.Print(out))
 	}
@@ -114,7 +115,7 @@ join:
 }`)
 	out := optimize(t, f)
 	mem := make([]uint64, 8)
-	res, err := interp.Run(out, []uint64{100}, mem, nil, 0)
+	res, err := oracle.Run(out, []uint64{100}, mem, nil, 0)
 	if err != nil || interp.I(res.Ret) != 105 {
 		t.Fatalf("optimized run = %d, %v; want 105", interp.I(res.Ret), err)
 	}
@@ -141,11 +142,11 @@ func faultClass(err error) error {
 func checkEquivalent(t *testing.T, label string, f *ir.Function, args []uint64, memImage []uint64, maxSteps int64) {
 	t.Helper()
 	mem1 := append([]uint64(nil), memImage...)
-	r1, err1 := interp.Run(f, args, mem1, nil, maxSteps)
+	r1, err1 := oracle.Run(f, args, mem1, nil, maxSteps)
 
 	opt := optimize(t, f)
 	mem2 := append([]uint64(nil), memImage...)
-	r2, err2 := interp.Run(opt, args, mem2, nil, maxSteps)
+	r2, err2 := oracle.Run(opt, args, mem2, nil, maxSteps)
 
 	if faultClass(err1) != faultClass(err2) {
 		t.Fatalf("%s: fault changed under -O: %v vs %v", label, err1, err2)

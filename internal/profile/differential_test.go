@@ -94,8 +94,8 @@ func (o *hookOracle) member(b *ir.Block) bool {
 }
 
 // hooks returns the interpreter hooks that feed the oracle.
-func (o *hookOracle) hooks() *interp.Hooks {
-	own := &interp.Hooks{
+func (o *hookOracle) hooks() *oracle.Hooks {
+	own := &oracle.Hooks{
 		Block: func(b *ir.Block) {
 			if o.member(b) {
 				o.blocks[b.Index]++
@@ -140,9 +140,9 @@ func (o *hookOracle) finish(t testing.TB) *FunctionProfile {
 // on the plan: the Mem event captures the effective address of the memory
 // Instr event that follows, and condbr edges report the branch outcome.
 // It leaves r.hist to histHooks.
-func timingHooks(r *recTiming) *interp.Hooks {
+func timingHooks(r *recTiming) *oracle.Hooks {
 	var pend int64
-	return &interp.Hooks{
+	return &oracle.Hooks{
 		Mem: func(_ *ir.Instr, addr int64) { pend = addr },
 		Instr: func(in *ir.Instr) {
 			ev := feedEvent{op: in.Op, dst: -1}
@@ -164,8 +164,8 @@ func timingHooks(r *recTiming) *interp.Hooks {
 
 // histHooks updates a branch-history shift register from edge events, as
 // oracle.HistoryTracker does.
-func histHooks(h *uint64) *interp.Hooks {
-	return &interp.Hooks{
+func histHooks(h *uint64) *oracle.Hooks {
+	return &oracle.Hooks{
 		Edge: func(from, to *ir.Block) {
 			if t := from.Term(); t != nil && t.Op == ir.OpCondBr {
 				bit := uint64(0)
@@ -198,7 +198,7 @@ func runStyle(t *testing.T, f *ir.Function, initMem []uint64, args []uint64, hoo
 		// The profiler's hooks run before histHooks', as EndPath runs
 		// before the completing branch's NoteBranch.
 		o.prof.OnPath = tm.EndPath
-		res, runErr = interp.Run(f, args, mem, oracle.CombineHooks(o.hooks(), timingHooks(tm), histHooks(&tm.hist)), maxSteps)
+		res, runErr = oracle.Run(f, args, mem, oracle.CombineHooks(o.hooks(), timingHooks(tm), histHooks(&tm.hist)), maxSteps)
 		if runErr == nil {
 			fp = o.finish(t)
 		}
@@ -245,7 +245,7 @@ func compareProfiles(t *testing.T, seed int64, fast, hook *FunctionProfile) {
 
 // TestFastPathMatchesHooksOnRandomCFGs is the differential oracle for the
 // compiled-plan fast path: across hundreds of random structured CFGs,
-// RunProfiled must be observationally identical to hook-based interp.Run —
+// RunProfiled must be observationally identical to hook-based oracle.Run —
 // same return value and step count, same final memory, same timing event
 // stream (fed instructions with memory addresses, and branch outcomes, in
 // order), same history register, same completed-path sequence, and a
@@ -405,7 +405,7 @@ func runUntimed(t *testing.T, f *ir.Function, initMem, args []uint64, hooked boo
 	mem := append([]uint64(nil), initMem...)
 	if hooked {
 		o := newHookOracle(t, f)
-		res, err := interp.Run(f, args, mem, o.hooks(), maxSteps)
+		res, err := oracle.Run(f, args, mem, o.hooks(), maxSteps)
 		return res, err, mem, o.finish(t)
 	}
 	c, err := NewCollector(nil, f, true)
@@ -447,7 +447,7 @@ func TestCallsMatchOracle(t *testing.T) {
 	f := m.Func("main")
 	mem := []uint64{0, 1, 2, 3, 4, 5, 6, 7}
 	args := []uint64{interp.IBits(8)}
-	full, err := interp.Run(f, args, append([]uint64(nil), mem...), nil, 0)
+	full, err := oracle.Run(f, args, append([]uint64(nil), mem...), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +501,7 @@ rec:
 		t.Fatal(err)
 	}
 	steps := func(n int64) int64 {
-		res, err := interp.Run(f, []uint64{interp.IBits(n)}, nil, nil, 0)
+		res, err := oracle.Run(f, []uint64{interp.IBits(n)}, nil, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,6 @@
-// Ingestion tests for inline-source analysis: request caps (413), invalid
-// programs (422), mutual exclusion with workload requests (400), and the
-// CLI byte-identity contract for accepted source.
+// Ingestion tests for inline-source analysis: the server's run bounds and
+// the CLI byte-identity contract for accepted source. Every rejection's
+// status and body is pinned in responses_test.go's TestResponseTable.
 package serve
 
 import (
@@ -45,64 +45,6 @@ func sourceReq(t *testing.T, req analyzeRequest) string {
 		t.Fatal(err)
 	}
 	return string(body)
-}
-
-// TestAnalyzeSourceRejections pins the ingestion status mapping: over-cap
-// payloads and programs are 413, malformed programs are 422, shape
-// conflicts are 400 — and none of them reach the pipeline.
-func TestAnalyzeSourceRejections(t *testing.T) {
-	lim := program.DefaultLimits()
-	lim.MaxSourceBytes = 1 << 10
-	lim.MaxInstrs = 64
-	lim.MaxMemWords = 1 << 16
-	s := New(Config{Jobs: 1, MaxBodyBytes: 16 << 10, Limits: lim})
-	defer s.Close()
-	ran := false
-	s.analyze = func(context.Context, *obs.Span, *program.Program, core.Config) (*core.Analysis, error) {
-		ran = true
-		return nil, nil
-	}
-
-	cases := []struct {
-		name string
-		body string
-		want int
-	}{
-		{"oversized request body", sourceReq(t, analyzeRequest{Source: ingestSrc + strings.Repeat(";x\n", 8<<10)}), http.StatusRequestEntityTooLarge},
-		{"oversized source", sourceReq(t, analyzeRequest{Source: "; pad\n" + strings.Repeat("; padding line\n", 80) + ingestSrc}), http.StatusRequestEntityTooLarge},
-		{"oversized memory image", sourceReq(t, analyzeRequest{Source: ingestSrc, MemWords: 1 << 20}), http.StatusRequestEntityTooLarge},
-		{"unparsable source", sourceReq(t, analyzeRequest{Source: "this is not nir"}), http.StatusUnprocessableEntity},
-		{"unverifiable source", sourceReq(t, analyzeRequest{Source: "func @f(i64) {\nentry:\n  condbr r1, %a, %b\na:\n  ret r1\nb:\n  ret\n}\n"}), http.StatusUnprocessableEntity},
-		{"unknown entry", sourceReq(t, analyzeRequest{Source: ingestSrc, Entry: "missing"}), http.StatusUnprocessableEntity},
-		{"excess arguments", sourceReq(t, analyzeRequest{Source: ingestSrc, Args: []string{"1", "2"}}), http.StatusUnprocessableEntity},
-		{"bad argument literal", sourceReq(t, analyzeRequest{Source: ingestSrc, Args: []string{"zebra"}}), http.StatusUnprocessableEntity},
-		{"workload and source", sourceReq(t, analyzeRequest{Workload: "164.gzip", Source: ingestSrc}), http.StatusBadRequest},
-		{"source options on workload", sourceReq(t, analyzeRequest{Workload: "164.gzip", Args: []string{"1"}}), http.StatusBadRequest},
-		{"neither workload nor source", `{"n":100}`, http.StatusBadRequest},
-	}
-	for _, tc := range cases {
-		rr := doReq(s, http.MethodPost, "/v1/analyze", tc.body)
-		if rr.Code != tc.want {
-			t.Errorf("%s: status %d, want %d (body %q)", tc.name, rr.Code, tc.want, rr.Body.String())
-		}
-		var e map[string]string
-		if err := json.Unmarshal(rr.Body.Bytes(), &e); err != nil || e["error"] == "" {
-			t.Errorf("%s: rejection body is not an error object: %q", tc.name, rr.Body.String())
-		}
-	}
-	if ran {
-		t.Error("a rejected request reached the analyze seam")
-	}
-
-	// A static-instruction bomb: many tiny functions under the source cap.
-	var instrBomb strings.Builder
-	for i := 0; i < 40; i++ {
-		fmt.Fprintf(&instrBomb, "func @f%d() {\nentry:\n  r1 = const.i64 %d\n  ret r1\n}\n", i, i)
-	}
-	rr := doReq(s, http.MethodPost, "/v1/analyze", sourceReq(t, analyzeRequest{Source: instrBomb.String()}))
-	if rr.Code != http.StatusRequestEntityTooLarge {
-		t.Errorf("instruction bomb: status %d, want 413 (body %q)", rr.Code, rr.Body.String())
-	}
 }
 
 // TestAnalyzeSourceStepCap: an explicit interpreter bound above the server
@@ -321,7 +263,7 @@ exit:
 
 // TestEntryPhiFaultParity: a program the compiled plan cannot run fails
 // identically through the Analyzer (the `needle -nir` path) and through
-// POST /v1/analyze, with the hook interpreter's error text; the fault is
+// POST /v1/analyze, with the tree-walker's error text; the fault is
 // typed (interp.ErrNoPhiEdge), so the service answers 422.
 func TestEntryPhiFaultParity(t *testing.T) {
 	const want = "pipeline: capturing ep: interp: ep.entry: phi r2 has no incoming edge from <nil>"

@@ -51,7 +51,9 @@ func checkResponse(t *testing.T, name string, rr *httptest.ResponseRecorder, wan
 // tests send: malformed requests (400), unknown workloads (404), over-cap
 // bodies, sources and memory images (413), unprocessable programs and
 // run bounds (422), unrunnable hardware configs (400 on every endpoint),
-// and the pipeline's own rejections (422).
+// and the pipeline's own rejections (422). A rejected request runs no
+// analysis or sweep: only the pipeline's rejection runs one, the analysis
+// that fails.
 func TestResponseTable(t *testing.T) {
 	lim := program.DefaultLimits()
 	lim.MaxSourceBytes = 4 << 10
@@ -59,6 +61,16 @@ func TestResponseTable(t *testing.T) {
 	lim.MaxMemWords = 8192 // 181.mcf's image is 12288 words
 	s := New(Config{Jobs: 1, MaxBodyBytes: 16 << 10, Limits: lim})
 	defer s.Close()
+	var runs atomic.Int32
+	analyze, sweep := s.analyze, s.sweep
+	s.analyze = func(ctx context.Context, sp *obs.Span, p *program.Program, cfg core.Config) (*core.Analysis, error) {
+		runs.Add(1)
+		return analyze(ctx, sp, p, cfg)
+	}
+	s.sweep = func(ctx context.Context, cfg core.Config, progress core.ProgressFunc) error {
+		runs.Add(1)
+		return sweep(ctx, cfg, progress)
+	}
 
 	oob, err := os.ReadFile(filepath.Join("..", "..", "examples", "nir", "oob.nir"))
 	if err != nil {
@@ -114,7 +126,7 @@ func TestResponseTable(t *testing.T) {
 		{"analyze over-cap maxSteps", http.MethodPost, "/v1/analyze", `{"source":` + jsonString(ingestSrc) + `,"config":` + overSteps + `}`, unprocessable(`config.sim maxSteps 100000001 exceeds the server cap 100000000`)},
 		{"analyze over-cap maxOccurrences", http.MethodPost, "/v1/analyze", `{"source":` + jsonString(ingestSrc) + `,"config":` + overOccurrences + `}`, unprocessable(`config.sim maxOccurrences 1048577 exceeds the server cap 1048576`)},
 		{"analyze bad hardware config", http.MethodPost, "/v1/analyze", `{"workload":"164.gzip","config":` + noPorts + `}`, badRequest(badPorts)},
-		{"analyze pipeline rejection", http.MethodPost, "/v1/analyze", src(analyzeRequest{Source: string(oob)}), unprocessable(`pipeline: capturing oob: interp: memory access out of bounds: load of word 5000 (mem size 4096) in oob.entry`)},
+		{pipelineRejection, http.MethodPost, "/v1/analyze", src(analyzeRequest{Source: string(oob)}), unprocessable(`pipeline: capturing oob: interp: memory access out of bounds: load of word 5000 (mem size 4096) in oob.entry`)},
 
 		{"vet wrong method", http.MethodGet, "/v1/vet", "", response{http.StatusMethodNotAllowed, errorBody("POST required"), ""}},
 		{"vet empty body", http.MethodPost, "/v1/vet", "", badRequest("empty request body")},
@@ -135,9 +147,21 @@ func TestResponseTable(t *testing.T) {
 		{"workloads wrong method", http.MethodPost, "/v1/workloads", "{}", response{http.StatusMethodNotAllowed, errorBody("GET required"), ""}},
 	}
 	for _, tc := range cases {
+		before := runs.Load()
 		checkResponse(t, tc.name, doReq(s, tc.method, tc.path, tc.body), tc.want)
+		want := int32(0)
+		if tc.name == pipelineRejection {
+			want = 1
+		}
+		if got := runs.Load() - before; got != want {
+			t.Errorf("%s: ran %d analyses or sweeps, want %d", tc.name, got, want)
+		}
 	}
 }
+
+// pipelineRejection names the one row of TestResponseTable whose program
+// ingests and then fails in the pipeline.
+const pipelineRejection = "analyze pipeline rejection"
 
 func jsonString(s string) string {
 	b, err := json.Marshal(s)

@@ -1,6 +1,6 @@
-// Behavioural tests for the serving layer: request validation, queue
-// bounds, deadlines, drain, and singleflight — pinned deterministically by
-// substituting the analyze/sweep seams so no real pipeline runs.
+// Behavioural tests for the serving layer: queue bounds, deadlines, drain,
+// and singleflight — pinned deterministically by substituting the
+// analyze/sweep seams so no real pipeline runs.
 package serve
 
 import (
@@ -35,58 +35,6 @@ func doReq(s *Server, method, path, body string) *httptest.ResponseRecorder {
 	rr := httptest.NewRecorder()
 	s.ServeHTTP(rr, r)
 	return rr
-}
-
-func TestAnalyzeRejectsBadRequests(t *testing.T) {
-	s := New(Config{Jobs: 1})
-	defer s.Close()
-	var runs int32
-	s.analyze = func(context.Context, *obs.Span, *program.Program, core.Config) (*core.Analysis, error) {
-		atomic.AddInt32(&runs, 1)
-		return nil, errors.New("must not run")
-	}
-	cases := []struct {
-		name   string
-		method string
-		body   string
-		want   int
-	}{
-		{"wrong method", http.MethodGet, "", http.StatusMethodNotAllowed},
-		{"empty body", http.MethodPost, "", http.StatusBadRequest},
-		{"malformed json", http.MethodPost, "{nope", http.StatusBadRequest},
-		{"unknown field", http.MethodPost, `{"workload":"164.gzip","bogus":1}`, http.StatusBadRequest},
-		{"missing workload", http.MethodPost, `{"n":100}`, http.StatusBadRequest},
-		{"trailing data", http.MethodPost, `{"workload":"164.gzip"}{}`, http.StatusBadRequest},
-		{"unknown workload", http.MethodPost, `{"workload":"999.nope"}`, http.StatusNotFound},
-	}
-	for _, tc := range cases {
-		rr := doReq(s, tc.method, "/v1/analyze", tc.body)
-		if rr.Code != tc.want {
-			t.Errorf("%s: status %d, want %d (body %q)", tc.name, rr.Code, tc.want, rr.Body.String())
-		}
-		var e map[string]string
-		if err := json.Unmarshal(rr.Body.Bytes(), &e); err != nil || e["error"] == "" {
-			t.Errorf("%s: rejection body is not an error object: %q", tc.name, rr.Body.String())
-		}
-	}
-	if n := atomic.LoadInt32(&runs); n != 0 {
-		t.Errorf("rejected requests ran %d analyses", n)
-	}
-}
-
-func TestSweepRejectsBadRequests(t *testing.T) {
-	s := New(Config{Jobs: 1})
-	defer s.Close()
-	s.sweep = func(context.Context, core.Config, core.ProgressFunc) error {
-		return errors.New("must not run")
-	}
-	if rr := doReq(s, http.MethodGet, "/v1/sweep", ""); rr.Code != http.StatusMethodNotAllowed {
-		t.Errorf("GET sweep: status %d, want 405", rr.Code)
-	}
-	// The sweep payload has no workload field; a strict decoder rejects it.
-	if rr := doReq(s, http.MethodPost, "/v1/sweep", `{"workload":"164.gzip"}`); rr.Code != http.StatusBadRequest {
-		t.Errorf("sweep with workload field: status %d, want 400", rr.Code)
-	}
 }
 
 func TestWorkloadsEndpoint(t *testing.T) {

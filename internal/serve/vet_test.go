@@ -88,31 +88,6 @@ func TestVetWorkload(t *testing.T) {
 	}
 }
 
-// TestVetIngestionRules: vet shares analyze's ingestion: bad methods,
-// invalid source, unknown workloads, and mutually exclusive selectors all
-// fail with the same statuses.
-func TestVetIngestionRules(t *testing.T) {
-	s := New(Config{Jobs: 1})
-	defer s.Close()
-	cases := []struct {
-		name, method, body string
-		want               int
-	}{
-		{"get", http.MethodGet, "", http.StatusMethodNotAllowed},
-		{"empty", http.MethodPost, "", http.StatusBadRequest},
-		{"no program", http.MethodPost, `{}`, http.StatusBadRequest},
-		{"both", http.MethodPost, `{"workload":"164.gzip","source":"x"}`, http.StatusBadRequest},
-		{"unknown workload", http.MethodPost, `{"workload":"nope"}`, http.StatusNotFound},
-		{"invalid source", http.MethodPost, `{"source":"func @f( {"}`, http.StatusUnprocessableEntity},
-	}
-	for _, tc := range cases {
-		rr := doReq(s, tc.method, "/v1/vet", tc.body)
-		if rr.Code != tc.want {
-			t.Errorf("%s: status %d, want %d (body %q)", tc.name, rr.Code, tc.want, rr.Body.String())
-		}
-	}
-}
-
 // TestVetDeterministicAcrossRequests: two identical requests produce
 // byte-identical responses (vet bypasses the singleflight; determinism is
 // a property of the analyses themselves).

@@ -45,7 +45,7 @@ func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, e
 	member := func(b *ir.Block) bool { return b.Index < len(f.Blocks) && f.Blocks[b.Index] == b }
 	edges := make(map[profile.Edge]int64)
 	blocks := make([]int64, len(f.Blocks))
-	counters := &interp.Hooks{
+	counters := &oracle.Hooks{
 		Block: func(b *ir.Block) {
 			if member(b) {
 				blocks[b.Index]++
@@ -58,7 +58,7 @@ func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, e
 		},
 	}
 	all := oracle.CombineHooks(counters, prof.Hooks(), modelHooks(model), hist.Hooks())
-	if _, err := interp.Run(f, args, memory, all, cfg.MaxSteps); err != nil {
+	if _, err := oracle.Run(f, args, memory, all, cfg.MaxSteps); err != nil {
 		return nil, err
 	}
 	// Rank the hooked trace with FromData, then keep the counts the hooks
@@ -94,10 +94,10 @@ func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, e
 // a time: each instruction is fed as a one-entry timing packet (ooo's tests
 // pin that this equals the per-instruction reference feed), with the
 // address the Mem event of a memory operation reported.
-func modelHooks(m *ooo.Model) *interp.Hooks {
+func modelHooks(m *ooo.Model) *oracle.Hooks {
 	var addr [1]int64
 	packets := make(map[*ir.Instr]*interp.TimingPacket)
-	return &interp.Hooks{
+	return &oracle.Hooks{
 		Mem: func(_ *ir.Instr, a int64) { addr[0] = a },
 		Instr: func(in *ir.Instr) {
 			pk := packets[in]

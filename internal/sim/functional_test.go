@@ -119,9 +119,9 @@ func FunctionalOffload(f *ir.Function, args []uint64, mem []uint64, tgt *Target,
 // FunctionalOffload owns the program counter and can hand whole regions to
 // the frame executor between steps. It returns the successor block, or
 // returned=true with the return bits when the block ends in ret. Calls
-// inside the block execute to completion on interp.Run. Hooks fire
+// inside the block execute to completion on oracle.Run. Hooks fire
 // Edge/Exit events only.
-func stepBlock(f *ir.Function, cur, prev *ir.Block, regs, mem []uint64, hooks *interp.Hooks) (next *ir.Block, ret uint64, returned bool, err error) {
+func stepBlock(f *ir.Function, cur, prev *ir.Block, regs, mem []uint64, hooks *oracle.Hooks) (next *ir.Block, ret uint64, returned bool, err error) {
 	phis := cur.Phis()
 	if len(phis) > 0 {
 		tmp := make([]uint64, len(phis))
@@ -173,7 +173,7 @@ func stepBlock(f *ir.Function, cur, prev *ir.Block, regs, mem []uint64, hooks *i
 			for i, a := range in.Args {
 				callArgs[i] = regs[a]
 			}
-			res, err := interp.Run(in.Callee, callArgs, mem, nil, 0)
+			res, err := oracle.Run(in.Callee, callArgs, mem, nil, 0)
 			if err != nil {
 				return nil, 0, false, err
 			}
@@ -206,7 +206,7 @@ next:
 		t.Fatal(err)
 	}
 	regs := make([]uint64, len(f.RegType))
-	if _, _, _, err := stepBlock(f, f.Blocks[1], nil, regs, nil, &interp.Hooks{}); !errors.Is(err, interp.ErrNoPhiEdge) {
+	if _, _, _, err := stepBlock(f, f.Blocks[1], nil, regs, nil, &oracle.Hooks{}); !errors.Is(err, interp.ErrNoPhiEdge) {
 		t.Fatalf("phi entered along no edge: %v, want ErrNoPhiEdge", err)
 	}
 }
@@ -221,7 +221,7 @@ func TestFunctionalOffloadOnRandomPrograms(t *testing.T) {
 	for seed := int64(0); seed < 150; seed += 2 {
 		p := irgen.Generate(seed, irgen.Config{})
 		memPure := p.NewMem()
-		pure, err := interp.Run(p.F, []uint64{interp.IBits(21)}, memPure, nil, 1<<22)
+		pure, err := oracle.Run(p.F, []uint64{interp.IBits(21)}, memPure, nil, 1<<22)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"needle/internal/frame"
-	"needle/internal/interp"
 	"needle/internal/ir"
+	"needle/internal/oracle"
 	"needle/internal/passes"
 	"needle/internal/region"
 	"needle/internal/spec"
@@ -228,7 +228,7 @@ func TestFunctionalOffloadMatchesPureExecution(t *testing.T) {
 		t.Run(tc.workload, func(t *testing.T) {
 			w := workloads.ByName(tc.workload)
 			f, args, mem1 := w.Instance(900)
-			pure, err := interp.Run(f, args, mem1, nil, 0)
+			pure, err := oracle.Run(f, args, mem1, nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

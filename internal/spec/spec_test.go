@@ -333,7 +333,7 @@ func TestHistoryTracker(t *testing.T) {
 	}
 	ht := &oracle.HistoryTracker{}
 	mem := make([]uint64, 4)
-	if _, err := interp.Run(f, []uint64{interp.IBits(0), interp.IBits(4)}, mem, ht.Hooks(), 0); err != nil {
+	if _, err := oracle.Run(f, []uint64{interp.IBits(0), interp.IBits(4)}, mem, ht.Hooks(), 0); err != nil {
 		t.Fatal(err)
 	}
 	// 4 iterations: head taken x4 (1), body latch-taken x4 (1), final head

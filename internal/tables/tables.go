@@ -22,6 +22,9 @@ import (
 type Suite struct {
 	Cfg      core.Config
 	Analyses []*core.Analysis
+	// Analyzer ran the sweep. Figure 3 analyzes its kernel on it too, so
+	// the kernel shares the sweep's store.
+	Analyzer *core.Analyzer
 }
 
 // Run analyzes every workload on az under ctx: cancelling it stops the
@@ -33,7 +36,7 @@ func Run(ctx context.Context, az *core.Analyzer, cfg core.Config) (*Suite, error
 	if err != nil {
 		return nil, err
 	}
-	return &Suite{Cfg: cfg, Analyses: as}, nil
+	return &Suite{Cfg: cfg, Analyses: as, Analyzer: az}, nil
 }
 
 // ByName returns the analysis for a workload name, or nil.
@@ -403,9 +406,10 @@ func (s *Suite) TableV() string {
 // Figure3 demonstrates the Superblock/Hyperblock construction pitfall on
 // the overlapping-path example (Section II-B): the edge-profile superblock
 // is infeasible while the path profile identifies both hot paths exactly.
-// It is self-contained (builds its own kernel) so it does not need a Suite.
-func Figure3() string {
-	a, err := core.New().RunWorkload(context.Background(), figure3Workload, core.DefaultConfig())
+// It builds its own kernel, so it needs no sweep: az analyzes the kernel,
+// and with a store it reuses the kernel's stored stages.
+func Figure3(az *core.Analyzer) string {
+	a, err := az.RunWorkload(context.Background(), figure3Workload, core.DefaultConfig())
 	if err != nil {
 		return "figure 3 kernel failed: " + err.Error()
 	}
@@ -434,7 +438,7 @@ func Figure3() string {
 // Parts lists every table and figure, in the order All renders them.
 // Name is the part's -bench-json entry ("TableII", "Figure9"), and Render
 // draws it from a sweep. Sweep is false only for Figure 3, which builds its
-// own kernel: its Render ignores the Suite, which may be nil.
+// own kernel: its Render reads only the Suite's Analyzer.
 var Parts = []struct {
 	Name   string
 	Sweep  bool
@@ -443,7 +447,7 @@ var Parts = []struct {
 	{"TableV", true, (*Suite).TableV},
 	{"TableI", true, (*Suite).TableI},
 	{"Figure2", true, (*Suite).Figure2},
-	{"Figure3", false, func(*Suite) string { return Figure3() }},
+	{"Figure3", false, func(s *Suite) string { return Figure3(s.Analyzer) }},
 	{"Figure4", true, (*Suite).Figure4},
 	{"Figure5", true, (*Suite).Figure5},
 	{"Figure6", true, (*Suite).Figure6},

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"needle/internal/core"
+	"needle/internal/obs"
+	"needle/internal/pipeline"
 )
 
 // smallSuite runs the sweep at a reduced problem size to keep tests fast.
@@ -61,12 +63,41 @@ func TestAllTablesRender(t *testing.T) {
 }
 
 func TestFigure3Demonstration(t *testing.T) {
-	out := Figure3()
+	out := Figure3(core.New())
 	if !strings.Contains(out, "feasible=false") {
 		t.Errorf("Figure 3 superblock should be infeasible:\n%s", out)
 	}
 	if !strings.Contains(out, "merges 2 paths") {
 		t.Errorf("Figure 3 braid should merge the two alternating paths:\n%s", out)
+	}
+}
+
+// TestFigure3WarmStoreCapturesNothing: Figure 3 analyzes its kernel on the
+// caller's analyzer, so a second process-like run over a filled disk store
+// (a new store handle on the same directory) decodes the kernel's profile
+// instead of capturing it again, and renders the same text.
+func TestFigure3WarmStoreCapturesNothing(t *testing.T) {
+	dir := t.TempDir()
+	obs.Enable()
+	defer func() {
+		obs.Disable()
+		obs.Reset()
+	}()
+	var outs [2]string
+	for i := range outs {
+		obs.Reset()
+		st, err := pipeline.NewDiskStore(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs[i] = Figure3(core.New(core.WithStore(st)))
+		want := int64(1 - i)
+		if got := obs.GetCounter("sim.captures").Value(); got != want {
+			t.Errorf("run %d: sim.captures = %d, want %d", i, got, want)
+		}
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("warm Figure 3 differs from cold:\n%s\nvs\n%s", outs[1], outs[0])
 	}
 }
 

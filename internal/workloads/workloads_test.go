@@ -6,6 +6,7 @@ import (
 	"needle/internal/analysis"
 	"needle/internal/interp"
 	"needle/internal/ir"
+	"needle/internal/oracle"
 	"needle/internal/passes"
 	"needle/internal/profile"
 )
@@ -75,12 +76,12 @@ func TestEveryKernelRunsDeterministically(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			f, args, mem1 := w.Instance(300)
-			r1, err := interp.Run(f, args, mem1, nil, 0)
+			r1, err := oracle.Run(f, args, mem1, nil, 0)
 			if err != nil {
 				t.Fatalf("run 1: %v", err)
 			}
 			_, args2, mem2 := w.Instance(300)
-			r2, err := interp.Run(f, args2, mem2, nil, 0)
+			r2, err := oracle.Run(f, args2, mem2, nil, 0)
 			if err != nil {
 				t.Fatalf("run 2: %v", err)
 			}
@@ -239,12 +240,12 @@ func TestNamdUsesCallsUntilInlined(t *testing.T) {
 	}
 	// Same results either way.
 	_, args, mem1 := ByName("444.namd").Instance(500)
-	r1, err := interp.Run(f, args, mem1, nil, 0)
+	r1, err := oracle.Run(f, args, mem1, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, args2, mem2 := ByName("444.namd").Instance(500)
-	r2, err := interp.Run(inlined, args2, mem2, nil, 0)
+	r2, err := oracle.Run(inlined, args2, mem2, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,12 +279,12 @@ func TestKernelsRoundTripTextualIR(t *testing.T) {
 			}
 			// Semantics preserved: run both on the workload's inputs.
 			_, args, mem1 := w.Instance(200)
-			r1, err := interp.Run(w.Function(), args, mem1, nil, 0)
+			r1, err := oracle.Run(w.Function(), args, mem1, nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			_, args2, mem2 := w.Instance(200)
-			r2, err := interp.Run(m2.Funcs[0], args2, mem2, nil, 0)
+			r2, err := oracle.Run(m2.Funcs[0], args2, mem2, nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

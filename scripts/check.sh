@@ -38,14 +38,18 @@ echo "build  ok"
 
 # The hook-driven reference engines live in internal/oracle and in _test.go
 # files only: no binary or example may link the oracle package, and no other
-# non-test file may declare one of them again.
+# non-test file may declare one of them again. That includes the
+# tree-walking interpreter (its Hooks and executor, and a package-level Run
+# in internal/interp): production runs every function, callees included,
+# on compiled plans.
 if go list -deps ./cmd/... ./examples/... | grep -qx 'needle/internal/oracle'; then
     echo "check: FAIL — a command or example depends on needle/internal/oracle" >&2
     exit 1
 fi
-strays=$(grep -rlE --include='*.go' --exclude='*_test.go' \
-    '^(func( \([^)]*\))?|type|var|const) (NewProfiler|CombineHooks|BlockExec|HistoryTracker|FunctionalOffload)\b' \
-    cmd examples internal | grep -v '^internal/oracle/' || true)
+strays=$( (grep -rlE --include='*.go' --exclude='*_test.go' \
+    '^(func( \([^)]*\))?|type|var|const) (NewProfiler|CombineHooks|BlockExec|HistoryTracker|FunctionalOffload|Hooks|executor)\b' \
+    cmd examples internal || true
+    grep -lE '^func Run\b' internal/interp/*.go || true) | grep -v -e '^internal/oracle/' -e '_test\.go$' || true)
 if [ -n "$strays" ]; then
     echo "check: FAIL — test oracles declared outside internal/oracle and _test.go files:" >&2
     echo "$strays" >&2
@@ -93,8 +97,37 @@ find examples internal/ir/testdata -name '*.nir' | sort | while read -r f; do
         exit 1
     }
 done
-rm -f "$nir_bin"
-echo "nir    ok (all checked-in .nir programs verify)"
+# `nir run` and `nir paths` on every examples/nir program, with the fixed
+# arguments below, must print exactly examples/nir/expected.txt (stdout,
+# stderr and any nonzero exit status). nir does not inline, so diamond.nir
+# keeps its calls: this pins the compiled plan's call path through the CLI.
+nir_out=$(mktemp)
+for f in examples/nir/*.nir; do
+    case $(basename "$f") in
+        deadstore.nir) args="5" ;;
+        diamond.nir) args="64" ;;
+        histogram.nir) args="0 256 64" ;;
+        oob.nir) args="3" ;;
+        saxpy.nir) args="f:2.0 0 128 64" ;;
+        *)
+            echo "check: FAIL — $f has no fixed nir run arguments in scripts/check.sh" >&2
+            rm -f "$nir_bin" "$nir_out"
+            exit 1
+            ;;
+    esac
+    for verb in run paths; do
+        echo "\$ nir $verb $f $args"
+        "$nir_bin" "$verb" "$f" $args 2>&1 || echo "exit status $?"
+    done
+done > "$nir_out"
+if ! cmp -s "$nir_out" examples/nir/expected.txt; then
+    echo "check: FAIL — nir run/paths output differs from examples/nir/expected.txt" >&2
+    diff examples/nir/expected.txt "$nir_out" >&2 || true
+    rm -f "$nir_bin" "$nir_out"
+    exit 1
+fi
+rm -f "$nir_bin" "$nir_out"
+echo "nir    ok (all checked-in .nir programs verify; nir run and paths match examples/nir/expected.txt)"
 
 # examples/nir/diamond.nir reaches one callee in two inlining rounds
 # (directly from main and through @b); `needle -nir` must analyze it, since
