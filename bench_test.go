@@ -278,7 +278,7 @@ var (
 //     codec decode (pipeline.Codec) on the bytes its encode stored, as a
 //     warm disk hit does: the positional payload read, the function built
 //     from arenas and verified (opt, whose pipeline runs with Opt on),
-//     path-trace rehydration with every count and branch history derived
+//     path-trace rehydration with every count derived and the history table built
 //     (profile, on 197.parser too) or braid rebuilds (select), under a
 //     fresh analysis manager;
 //   - target runs the sim and hls evaluations, so an iteration is the stage

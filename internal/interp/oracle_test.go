@@ -359,3 +359,20 @@ func readModule(t *testing.T, path string) *ir.Module {
 	}
 	return parseModule(t, string(src))
 }
+
+// TestCallsShareOneScratch pins what the callee runs of one root run
+// allocate: diamond.nir's main(64) makes 192 calls, and each callee run
+// allocates only its register file. Every callee run shares the root run's
+// counter state and argument buffer (there were 775 allocations while each
+// call made its own; the tree-walking oracle.Run makes 387).
+func TestCallsShareOneScratch(t *testing.T) {
+	p := interp.BuildPlan(readModule(t, "../../examples/nir/diamond.nir").Func("main"))
+	n := testing.AllocsPerRun(20, func() {
+		if _, err := interp.Exec(p, []uint64{64}, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 203 {
+		t.Fatalf("Exec of main(64) makes %v allocations, want at most 203", n)
+	}
+}

@@ -115,6 +115,10 @@ type Plan struct {
 	// zero, set on a plan some call site links to, is the zeroOverlay its
 	// callee runs use.
 	zero *BLPlan
+	// calleeBlocks and calleeEdges, set on a plan BuildPlan links, are the
+	// most blocks and edge slots of any plan it links, which size the
+	// counter state its callee runs share (see callScratch).
+	calleeBlocks, calleeEdges int
 	// err, when set, is what every run returns: the tree-walker's
 	// entry-phi error, or the first shape ir.Verify rejects.
 	err error
@@ -137,7 +141,12 @@ type execEntry struct {
 func BuildPlan(f *ir.Function) *Plan {
 	p := compile(f)
 	if p.calls {
-		p.link(map[*ir.Function]*Plan{f: p})
+		built := map[*ir.Function]*Plan{f: p}
+		p.link(built)
+		for _, q := range built {
+			p.calleeBlocks = max(p.calleeBlocks, len(q.blocks))
+			p.calleeEdges = max(p.calleeEdges, len(q.edgeFrom))
+		}
 	}
 	return p
 }
@@ -497,7 +506,7 @@ func (st *PathState) record(id int64, timing Timing) {
 // blocks as timing packets, the conditional-branch outcomes, and the path
 // completions, in program order. sim.Capture's consumer drives the host
 // timing model (ooo.Model supplies FeedBlock and NoteBranch) and attributes
-// cycles and branch history to each path occurrence in EndPath.
+// cycles to each path occurrence in EndPath.
 type Timing interface {
 	// FeedBlock schedules the first n entries of the packet. addrs holds the
 	// effective word addresses of the memory entries among them, in entry
@@ -537,7 +546,7 @@ type PlanOpts struct {
 // its own plan within the same step budget; its blocks are not profiled,
 // and a timed run of a plan with calls returns ErrTimedCall.
 func RunProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts PlanOpts) (Result, error) {
-	res, err := runProfiled(p, bl, args, mem, st, opts, 0, 0)
+	res, err := runProfiled(p, bl, args, mem, st, opts, 0, 0, nil)
 	obsFastRuns.Add(1)
 	obsFastInstrs.Add(res.Steps)
 	return res, err
@@ -562,8 +571,9 @@ func zeroOverlay(p *Plan) *BLPlan {
 
 // runProfiled is RunProfiled for a run that starts with steps already
 // executed, depth calls deep: a callee's run (see call) continues its
-// caller's count.
-func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts PlanOpts, steps int64, depth int) (Result, error) {
+// caller's count, and shares its root run's scratch sc (nil on the root
+// run, which makes one if it has calls).
+func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts PlanOpts, steps int64, depth int, sc *callScratch) (Result, error) {
 	f := p.f
 	if len(args) != f.NumParams() {
 		return Result{Steps: steps}, fmt.Errorf("interp: %s wants %d args, got %d", f.Name, f.NumParams(), len(args))
@@ -573,6 +583,13 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 	}
 	if p.calls && opts.Timing != nil {
 		return Result{Steps: steps}, fmt.Errorf("%w in %s", ErrTimedCall, f.Name)
+	}
+	if p.calls && sc == nil {
+		sc = &callScratch{st: PathState{
+			Blocks: make([]int64, p.calleeBlocks),
+			Edges:  make([]int64, p.calleeEdges),
+			dense:  make([]int64, 1),
+		}}
 	}
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
@@ -731,7 +748,7 @@ func runProfiled(p *Plan, bl *BLPlan, args, mem []uint64, st *PathState, opts Pl
 			default:
 				in := b.body[j]
 				if c.op == ir.OpCall {
-					v, n, err := p.call(c.imm, in, regs, mem, steps, maxSteps, depth)
+					v, n, err := p.call(c.imm, in, regs, mem, steps, maxSteps, depth, sc)
 					steps = n
 					if err != nil {
 						return Result{Steps: steps}, err
@@ -821,21 +838,30 @@ func occurrenceLimit(max int64, f *ir.Function) error {
 	return fmt.Errorf("%w (limit %d) in %s", ErrOccurrenceLimit, max, f.Name)
 }
 
+// callScratch is what every callee run under one root run shares: the
+// counter state, which nobody reads, sized by the largest linked plan, and
+// the argument buffer, which a callee copies into its registers before it
+// runs anything that could call again.
+type callScratch struct {
+	st   PathState
+	args []uint64
+}
+
 // call runs the callee of call site k (the instruction in) to completion
 // on its plan, through runProfiled under the plan's zero Ball-Larus overlay
-// and a throwaway counter state, unprofiled and untimed. It continues the
-// caller's step count under the same budget, one call deeper, and returns
-// the callee's result and the step count after the call.
-func (p *Plan) call(k int64, in *ir.Instr, regs, mem []uint64, steps, maxSteps int64, depth int) (uint64, int64, error) {
+// and sc's counter state, unprofiled and untimed. It continues the caller's
+// step count under the same budget, one call deeper, and returns the
+// callee's result and the step count after the call.
+func (p *Plan) call(k int64, in *ir.Instr, regs, mem []uint64, steps, maxSteps int64, depth int, sc *callScratch) (uint64, int64, error) {
 	q := p.callees[k]
 	if depth >= maxCallDepth {
 		return 0, steps, fmt.Errorf("%w in %s", ErrCallDepth, q.f.Name)
 	}
-	args := make([]uint64, len(in.Args))
-	for i, a := range in.Args {
-		args[i] = regs[a]
+	sc.args = sc.args[:0]
+	for _, a := range in.Args {
+		sc.args = append(sc.args, regs[a])
 	}
-	res, err := runProfiled(q, q.zero, args, mem, NewPathState(q, 1, false), PlanOpts{MaxSteps: maxSteps}, steps, depth+1)
+	res, err := runProfiled(q, q.zero, sc.args, mem, &sc.st, PlanOpts{MaxSteps: maxSteps}, steps, depth+1, sc)
 	return res.Ret, res.Steps, err
 }
 

@@ -5,7 +5,7 @@
 // timing packets (interp.RunProfiled feeds FeedBlock and NoteBranch through
 // interp.Timing), and reports the cycle count the modeled core would need —
 // the same first-order model the paper's macsim-based simulator provides.
-// It also keeps the run's global branch-history register.
+// It also keeps the global branch-history register its predictor indexes.
 package ooo
 
 import (
@@ -170,10 +170,6 @@ func (m *Model) NoteBranch(taken bool) {
 		m.bpTable[idx]--
 	}
 }
-
-// History returns the global branch-history register: one bit per
-// conditional branch noted so far, the most recent in bit 0.
-func (m *Model) History() uint64 { return m.history }
 
 func b2u(v bool) uint64 {
 	if v {

@@ -81,8 +81,9 @@ func CombineHooks(hooks ...*Hooks) *Hooks {
 
 // HistoryTracker maintains the global branch-history shift register from
 // interpreter edge events: a 1 bit is shifted in when a conditional branch
-// is taken, 0 when it falls through. A capture on the compiled plan keeps
-// its register in the host model instead (ooo.Model.History).
+// is taken, 0 when it falls through. A capture on the compiled plan records
+// no history: the replay derives it from the path trace, and the tests
+// compare that derivation with this register.
 type HistoryTracker struct {
 	H uint64
 }

@@ -31,6 +31,11 @@ const (
 	// mapEntryBytes is one entry of a map with word-sized keys and values,
 	// with its share of the table's slack.
 	mapEntryBytes = 48
+	// rankHistBytes is one path's entry in a trace's history table, which
+	// sim keeps unexported: the path's inner branch outcomes, their count,
+	// its first block and back edge, and the history a long run of it ends
+	// on.
+	rankHistBytes = 32
 )
 
 // residentBytes estimates what a completed entry keeps alive: its key, and
@@ -97,10 +102,10 @@ func analysisBytes(f *ir.Function) int64 {
 		blocks*(planBlockBytes+treeBlockBytes+ctrlDepBlockBytes+liveBlockBytes+liveWordBytes*words)
 }
 
-// traceBytes estimates a captured trace: the occurrence table, the run
-// table and its host-cycle sums, the ranked path records with their block
-// arena, the path and edge indexes,
-// block counts and DAG. The trace holds its function's analysis manager, so
+// traceBytes estimates a captured trace: the occurrence table (each
+// occurrence's host cycles), the run table and its host-cycle sums, the
+// ranked path records with their block arena and history table entries,
+// the path and edge indexes, block counts and DAG. The trace holds its function's analysis manager, so
 // it is charged for the analyses the run builds there too.
 func traceBytes(tr *sim.Trace) int64 {
 	fp := tr.Profile
@@ -108,7 +113,7 @@ func traceBytes(tr *sim.Trace) int64 {
 	n := int64(unsafe.Sizeof(*tr)+unsafe.Sizeof(*fp)) +
 		int64(unsafe.Sizeof(sim.Occurrence{}))*int64(cap(tr.Occ)) +
 		int64(unsafe.Sizeof(profile.Run{}))*int64(cap(fp.Runs)) + 8*int64(cap(tr.RunCycles)) +
-		(int64(unsafe.Sizeof(profile.Path{}))+8+mapEntryBytes)*int64(len(fp.Paths)) +
+		(int64(unsafe.Sizeof(profile.Path{}))+8+mapEntryBytes+rankHistBytes)*int64(len(fp.Paths)) +
 		mapEntryBytes*int64(len(fp.EdgeCounts)) + 8*int64(cap(fp.BlockCounts)) +
 		dagBlockBytes*int64(len(f.Blocks))
 	for _, p := range fp.Paths {

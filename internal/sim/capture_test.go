@@ -20,12 +20,13 @@ import (
 // interpreter with a Ball-Larus profiler, block and edge counters that
 // ignore blocks outside f, the timing model (fed one instruction at a time
 // by modelHooks) and the history tracker wired through CombineHooks, and
-// the profile rehydrated with profile.FromData.
-func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, error) {
+// the profile rehydrated with profile.FromData. It also lists the history
+// register as each occurrence began.
+func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, []uint64, error) {
 	am := pm.NewManager()
 	dag, err := ballarus.Build(am, f)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	prof := oracle.NewProfiler(dag)
 	prof.RecordTrace = true
@@ -35,10 +36,12 @@ func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, e
 
 	tr := &Trace{AM: am}
 	var lastCycles int64
+	var hists []uint64
 	var histBefore uint64
 	prof.OnPath = func(id int64) {
 		now := model.Cycles()
-		tr.Occ = append(tr.Occ, Occurrence{Hist: histBefore, Cycles: now - lastCycles})
+		tr.Occ = append(tr.Occ, Occurrence{Cycles: now - lastCycles})
+		hists = append(hists, histBefore)
 		lastCycles = now
 		histBefore = hist.H
 	}
@@ -59,7 +62,7 @@ func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, e
 	}
 	all := oracle.CombineHooks(counters, prof.Hooks(), modelHooks(model), hist.Hooks())
 	if _, err := oracle.Run(f, args, memory, all, cfg.MaxSteps); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Rank the hooked trace with FromData, then keep the counts the hooks
 	// measured rather than the ones FromData derives from the trace.
@@ -78,16 +81,17 @@ func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, e
 	d.Runs = runsOf(ranks)
 	fp, err := profile.FromData(am, f, d)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	fp.BlockCounts, fp.EdgeCounts = blocks, edges
 	tr.Profile = fp
-	tr.RunCycles = runSums(fp.Runs, tr.Occ)
+	tr.RunCycles = runCycles(fp.Runs, tr.Occ)
+	tr.hist = rankHists(fp.Paths)
 	tr.BaselineCycles = model.Cycles()
 	tr.Mix = model.Mix
 	tr.CacheStats = cache.Stats
 	tr.BaselineEnergyPJ = energy.HostEnergyPJ(cfg.CPU, model.Mix, cache.Stats)
-	return tr, nil
+	return tr, hists, nil
 }
 
 // modelHooks streams a hooked run into the timing model one instruction at
@@ -117,9 +121,9 @@ func modelHooks(m *ooo.Model) *oracle.Hooks {
 
 // assertCaptureEquivalent runs the system-simulator capture both ways on one
 // inlined workload, as the pipeline captures it, and demands byte-identical
-// traces: same per-occurrence cycle attribution and history snapshots, same
-// baseline cycles, op mix, cache stats, energy, and the same finished
-// profile.
+// traces: same per-occurrence cycle attribution, same baseline cycles, op
+// mix, cache stats, energy, and the same finished profile. The histories
+// derived from the fast trace must be the ones the hooked run observed.
 func assertCaptureEquivalent(t *testing.T, w *workloads.Workload, n int) {
 	t.Helper()
 	name := w.Name
@@ -132,7 +136,7 @@ func assertCaptureEquivalent(t *testing.T, w *workloads.Workload, n int) {
 	}
 
 	f2, args2, memory2 := inlined(t, w, n)
-	slow, err := captureHooked(f2, args2, memory2, cfg)
+	slow, hists, err := captureHooked(f2, args2, memory2, cfg)
 	if err != nil {
 		t.Fatalf("%s: hooked capture: %v", name, err)
 	}
@@ -140,6 +144,7 @@ func assertCaptureEquivalent(t *testing.T, w *workloads.Workload, n int) {
 	if !reflect.DeepEqual(fast.Occ, slow.Occ) {
 		t.Fatalf("%s: occurrence streams differ (fast %d, hooked %d)", name, len(fast.Occ), len(slow.Occ))
 	}
+	assertHistsDerived(t, name, fast, hists)
 	if fast.BaselineCycles != slow.BaselineCycles {
 		t.Errorf("%s: baseline cycles fast=%d hooked=%d", name, fast.BaselineCycles, slow.BaselineCycles)
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"needle/internal/ir"
@@ -15,9 +16,8 @@ import (
 // TraceData is the pure serializable core of a captured Trace: the path
 // trace plus what only the host model observed — each occurrence's cycles
 // and the scalar baselines — with no pointers into the traced function and
-// no analysis manager. Branch histories are not stored: TraceFromData
-// rebuilds them from the path trace against a (decoded or rebuilt)
-// function.
+// no analysis manager. Branch histories are not stored: the replay derives
+// them from the path trace (see rankHist).
 type TraceData struct {
 	Profile *profile.Data
 	// Cycles packs each occurrence's host cycles as varints, in trace
@@ -34,8 +34,8 @@ type TraceData struct {
 
 // Data extracts the serializable core of the trace. Like profile's Data, it
 // fails when the path trace does not reproduce what was captured — here,
-// any occurrence's branch history or any run's host cycles — so a stored
-// trace always rehydrates to the captured one.
+// any run's host cycles — so a stored trace always rehydrates to the
+// captured one.
 func (tr *Trace) Data() (*TraceData, error) {
 	pd, err := tr.Profile.Data()
 	if err != nil {
@@ -45,23 +45,13 @@ func (tr *Trace) Data() (*TraceData, error) {
 		return nil, fmt.Errorf("sim: %d occurrences and %d run sums for %d traced paths in %d runs",
 			len(tr.Occ), len(tr.RunCycles), n, len(pd.Runs))
 	}
-	occ := slices.Clone(tr.Occ)
-	sums := make([]int64, len(pd.Runs))
-	fillHist(tr.Profile.Paths, pd.Runs, occ, sums)
+	if !slices.Equal(runCycles(pd.Runs, tr.Occ), tr.RunCycles) {
+		return nil, fmt.Errorf("sim: %s: run sums differ from the host cycles of their occurrences", tr.Profile.F.Name)
+	}
 	// Cycle deltas take one or two bytes each on the workloads.
 	cycles := make([]byte, 0, 2*len(tr.Occ))
-	for i, o := range tr.Occ {
-		if occ[i].Hist != o.Hist {
-			return nil, fmt.Errorf("sim: occurrence %d of %s: path trace implies history %#x, captured %#x",
-				i, tr.Profile.F.Name, occ[i].Hist, o.Hist)
-		}
+	for _, o := range tr.Occ {
 		cycles = wire.AppendVarint(cycles, o.Cycles)
-	}
-	for j, sum := range sums {
-		if sum != tr.RunCycles[j] {
-			return nil, fmt.Errorf("sim: run %d of %s: occurrences cost %d host cycles, run sum %d",
-				j, tr.Profile.F.Name, sum, tr.RunCycles[j])
-		}
 	}
 	return &TraceData{
 		Profile:          pd,
@@ -74,13 +64,13 @@ func (tr *Trace) Data() (*TraceData, error) {
 }
 
 // TraceFromData rehydrates a Trace: the profile is rebuilt against f (see
-// profile.FromData), every occurrence's branch history is rebuilt from the
-// path trace and each run's host cycles summed (see fillHist), and the
-// trace adopts am as its analysis manager, exactly as a live Capture would.
-// f must be structurally identical to the function the trace was captured
-// from. Packed cycles that do not hold exactly one varint per traced path
-// are an error, found before anything is allocated when the runs claim
-// more occurrences than the packed bytes can hold.
+// profile.FromData), every occurrence's host cycles decoded and each run's
+// summed in one walk, the per-rank history table built (see rankHist), and
+// the trace adopts am as its analysis manager, exactly as a live Capture
+// would. f must be structurally identical to the function the trace was
+// captured from. Packed cycles that do not hold exactly one varint per
+// traced path are an error, found before anything is allocated when the
+// runs claim more occurrences than the packed bytes can hold.
 func TraceFromData(am *pm.Manager, f *ir.Function, d *TraceData) (*Trace, error) {
 	n := profile.Occurrences(d.Profile.Runs)
 	r := wire.NewReader(d.Cycles)
@@ -93,18 +83,22 @@ func TraceFromData(am *pm.Manager, f *ir.Function, d *TraceData) (*Trace, error)
 		return nil, err
 	}
 	occ := make([]Occurrence, n)
-	for i := range occ {
-		occ[i].Cycles = r.Varint()
+	sums := make([]int64, len(fp.Runs))
+	k := 0
+	for j, run := range fp.Runs {
+		for end := k + int(run.Len); k < end; k++ {
+			occ[k].Cycles = r.Varint()
+			sums[j] += occ[k].Cycles
+		}
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("sim: packed cycles for %d traced paths: %w", n, err)
 	}
-	sums := make([]int64, len(fp.Runs))
-	fillHist(fp.Paths, fp.Runs, occ, sums)
 	return &Trace{
 		Profile:          fp,
 		Occ:              occ,
 		RunCycles:        sums,
+		hist:             rankHists(fp.Paths),
 		AM:               am,
 		BaselineCycles:   d.BaselineCycles,
 		BaselineEnergyPJ: d.BaselineEnergyPJ,
@@ -113,68 +107,97 @@ func TraceFromData(am *pm.Manager, f *ir.Function, d *TraceData) (*Trace, error)
 	}, nil
 }
 
-// fillHist sets every occ[i].Hist to the branch-history register Capture
-// snapshots for occurrence i, in one pass over the path trace (table is
-// indexed by rank). Capture takes occurrence i's snapshot when occurrence
-// i-1 completes, before the branch that ends i-1 shifts in; so the
-// register is the outcome of every conditional branch inside occurrences
-// 0..i-1 and of every boundary branch from one occurrence into the next
-// before i-1, oldest first, a 1 for the taken arm (Blocks[0]). Each path
-// contributes its inner branches as one (bits, length) entry; a boundary
-// branch is the one ending a path that ends in a condbr (a back edge), its
-// bit telling whether the next occurrence starts at the taken arm. Inside
-// a run the next occurrence is the same path, so each run looks its path
-// up once and knows its boundary bit before it starts. The same pass sums
-// each run's host cycles, read from occ, into sums (indexed like runs).
-func fillHist(table []*profile.Path, runs []profile.Run, occ []Occurrence, sums []int64) {
-	type entry struct {
-		bits  uint64    // inner branch outcomes, the latest in bit 0
-		n     uint      // inner branches; bits keeps the latest 64
-		first *ir.Block // the path's first block
-		taken *ir.Block // Blocks[0] of the path's ending condbr, or nil
-	}
-	tab := make([]entry, len(table))
-	for r, p := range table {
+// rankHist is what one occurrence of a path shifts into the global
+// branch-history register, a 1 per taken arm (Blocks[0]) of a condbr. An
+// occurrence indexes the register as the one before it completes, before
+// the branch ending that one shifts in: n bits for its inner branches,
+// then, on a path ending in a condbr (a back edge), s = 1 bit, set when
+// the next occurrence starts at the taken arm; inside a run, self. So
+// occurrence i >= 1 of a run has i·w - s bits shifted in, w = n + s, and
+// from the first i with i·max(w, 1) >= b + s, the stable point under a
+// b-bit mask, every history's low b bits are the run's own pattern.
+type rankHist struct {
+	bits uint64 // inner branch outcomes, the latest in bit 0; the latest 64
+	// full is the history of occurrence ff of a run and every later one,
+	// once all 64 bits are the path's own (never, ff MaxInt32, when w is 0).
+	full  uint64
+	ff    int32
+	first int32 // Index of the path's first block
+	taken int32 // Index of the taken arm of the path's ending condbr, or -1
+	// n counts up to 64, as a longer shift clears the register alike.
+	n, s, self uint8
+}
+
+// rankHists builds the history table of paths, indexed by rank.
+func rankHists(paths []*profile.Path) []rankHist {
+	tab := make([]rankHist, len(paths))
+	for r, p := range paths {
 		e := &tab[r]
+		w := 0
 		for i := 1; i < len(p.Blocks); i++ {
 			if t := p.Blocks[i-1].Term(); t.Op == ir.OpCondBr {
 				e.bits = e.bits<<1 | b2u(t.Blocks[0] == p.Blocks[i])
-				e.n++
+				w++
 			}
 		}
-		e.first = p.Blocks[0]
+		e.first, e.taken, e.n = int32(p.Blocks[0].Index), -1, uint8(min(w, 64))
 		if t := p.Blocks[len(p.Blocks)-1].Term(); t.Op == ir.OpCondBr {
-			e.taken = t.Blocks[0]
+			e.taken, e.s, w = int32(t.Blocks[0].Index), 1, w+1
+			e.self = uint8(b2u(t.Blocks[0] == p.Blocks[0]))
 		}
+		e.setFull(w)
 	}
-	var h, snap uint64
-	k := 0
-	for j, run := range runs {
+	return tab
+}
+
+// setFull sets ff and full from w.
+func (e *rankHist) setFull(w int) {
+	if e.ff = math.MaxInt32; w == 0 {
+		return
+	}
+	e.ff = int32((64 + int(e.s) + w - 1) / w)
+	r := e.run(0, 0) // a run begun with an empty register
+	e.full = r.x1
+	for range e.ff - 1 {
+		e.full = e.full<<r.w | r.pw
+	}
+}
+
+// runHist is what walkHistory reads of a run: its first two histories,
+// x(i+1) = x(i)<<w | pw for the later ones (a shift by 64 or more clears
+// it), and max(w, 1) and s, which place its stable point (see rankHist).
+type runHist struct {
+	x0, x1, pw uint64
+	w, step, s uint8
+}
+
+// run is the runHist of a run begun with register h and first history x0.
+func (e *rankHist) run(h, x0 uint64) runHist {
+	return runHist{x0, h<<e.n | e.bits, uint64(e.self)<<e.n | e.bits, e.n + e.s, max(e.n+e.s, 1), e.s}
+}
+
+// fillHists sets out[i] to the runHist of run j+i, the first begun with
+// register h and first history snap (0 and 0 for run 0), and returns those
+// of the run after the last, stepping runs too short to end on full.
+func fillHists(tab []rankHist, runs []profile.Run, j int, h, snap uint64, out []runHist) (uint64, uint64) {
+	for i := range out {
+		run := runs[j+i]
 		e := &tab[run.Rank]
-		// A boundary branch shifts in one bit: inside the run, whether the
-		// path's own first block is the taken arm.
-		var shift uint
-		var self uint64
-		if e.taken != nil {
-			shift, self = 1, b2u(e.taken == e.first)
+		r := e.run(h, snap)
+		out[i] = r
+		snap = e.full // the history after the run
+		if run.Len < e.ff {
+			snap = r.x1
+			for range run.Len - 1 {
+				snap = snap<<r.w | r.pw
+			}
 		}
-		var sum int64
-		for last := k + int(run.Len) - 1; k < last; k++ {
-			occ[k].Hist = snap
-			sum += occ[k].Cycles
-			h = h<<e.n | e.bits // a shift by 64 or more clears h
-			snap = h
-			h = h<<shift | self
+		h = snap
+		if e.s > 0 && j+i+1 < len(runs) {
+			h = snap<<1 | b2u(e.taken == tab[runs[j+i+1].Rank].first)
 		}
-		occ[k].Hist = snap
-		sums[j] = sum + occ[k].Cycles
-		h = h<<e.n | e.bits
-		snap = h
-		if e.taken != nil && j+1 < len(runs) {
-			h = h<<1 | b2u(e.taken == tab[runs[j+1].Rank].first)
-		}
-		k++
 	}
+	return h, snap
 }
 
 func b2u(b bool) uint64 {

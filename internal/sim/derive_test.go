@@ -20,8 +20,9 @@ import (
 // the path trace, the cycles and the scalars — reads it back, and requires
 // every value derived from the trace to equal the one captured: each path's
 // frequency, the block and edge counts, and every occurrence's branch
-// history. It returns the stored partial tail's length.
-func assertDerivedMatchesCaptured(t *testing.T, name string, f *ir.Function, tr *Trace) int {
+// history, which hists lists as a live run observed it. It returns the
+// stored partial tail's length.
+func assertDerivedMatchesCaptured(t *testing.T, name string, f *ir.Function, tr *Trace, hists []uint64) int {
 	t.Helper()
 	d, err := tr.Data()
 	if err != nil {
@@ -69,6 +70,7 @@ func assertDerivedMatchesCaptured(t *testing.T, name string, f *ir.Function, tr 
 			t.Fatalf("%s: occurrence %d is %+v, captured %+v", name, i, back.Occ[i], tr.Occ[i])
 		}
 	}
+	assertHistsDerived(t, name, back, hists)
 	return len(d.Profile.Tail)
 }
 
@@ -81,11 +83,8 @@ func TestDerivedCountsMatchCaptureWorkloads(t *testing.T) {
 	}
 	for _, w := range all {
 		f, args, memory := inlined(t, w, 0)
-		tr, err := Capture(nil, f, args, memory, DefaultConfig())
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
-		}
-		assertDerivedMatchesCaptured(t, w.Name, f, tr)
+		tr, hists := captureLive(t, w.Name, f, args, memory)
+		assertDerivedMatchesCaptured(t, w.Name, f, tr, hists)
 	}
 }
 
@@ -93,33 +92,49 @@ func TestDerivedCountsMatchCaptureWorkloads(t *testing.T) {
 func TestDerivedCountsMatchCaptureRandomPrograms(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		p := irgen.Generate(seed, irgen.Config{})
-		tr, err := Capture(nil, p.F, []uint64{interp.IBits(seed)}, p.NewMem(), DefaultConfig())
-		if err != nil {
-			t.Fatalf("seed %d: capture: %v", seed, err)
-		}
-		assertDerivedMatchesCaptured(t, fmt.Sprintf("seed %d", seed), p.F, tr)
+		name := fmt.Sprintf("seed %d", seed)
+		tr, hists := captureLive(t, name, p.F, []uint64{interp.IBits(seed)}, p.NewMem())
+		assertDerivedMatchesCaptured(t, name, p.F, tr, hists)
 	}
 }
 
-// cutFeed snapshots the history register as Capture does, at every path
-// completion before the path-ending branch shifts in, and models no cycles.
+// cutFeed keeps the branch-history register from the plan's branch feed,
+// as the host model does, snapshots it at every path completion before the
+// path-ending branch shifts in, and models no cycles.
 type cutFeed struct {
 	h, before uint64
 	occ       []Occurrence
+	hists     []uint64
 }
 
 func (c *cutFeed) FeedBlock(*interp.TimingPacket, int, []int64) {}
 func (c *cutFeed) NoteBranch(taken bool)                        { c.h = c.h<<1 | b2u(taken) }
 func (c *cutFeed) EndPath(int64) {
-	c.occ = append(c.occ, Occurrence{Hist: c.before})
+	c.occ = append(c.occ, Occurrence{})
+	c.hists = append(c.hists, c.before)
 	c.before = c.h
+}
+
+// captureLive captures f as the pipeline does, and lists every
+// occurrence's history from a live run of f on a copy of memory.
+func captureLive(t *testing.T, name string, f *ir.Function, args, memory []uint64) (*Trace, []uint64) {
+	t.Helper()
+	_, hists, err := captureCut(t, f, args, slices.Clone(memory), 0)
+	if err != nil {
+		t.Fatalf("%s: live run: %v", name, err)
+	}
+	tr, err := Capture(nil, f, args, memory, DefaultConfig())
+	if err != nil {
+		t.Fatalf("%s: capture: %v", name, err)
+	}
+	return tr, hists
 }
 
 // captureCut runs f exactly as Capture snapshots it, but keeps what a run
 // stopped by a step limit or a trap leaves: the occurrences completed
-// before it stopped, and a profile whose counts include the partial path it
-// stopped in.
-func captureCut(t *testing.T, f *ir.Function, args, memory []uint64, maxSteps int64) (*Trace, error) {
+// before it stopped, their histories, and a profile whose counts include
+// the partial path it stopped in.
+func captureCut(t *testing.T, f *ir.Function, args, memory []uint64, maxSteps int64) (*Trace, []uint64, error) {
 	t.Helper()
 	am := pm.NewManager()
 	c, err := profile.NewCollector(am, f, true)
@@ -132,7 +147,8 @@ func captureCut(t *testing.T, f *ir.Function, args, memory []uint64, maxSteps in
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Trace{Profile: fp, Occ: feed.occ, RunCycles: runSums(fp.Runs, feed.occ), AM: am}, runErr
+	tr := &Trace{Profile: fp, Occ: feed.occ, RunCycles: runCycles(fp.Runs, feed.occ), hist: rankHists(fp.Paths), AM: am}
+	return tr, feed.hists, runErr
 }
 
 // Loop shapes the workloads and irgen never produce: their back edges are
@@ -196,11 +212,9 @@ func TestDerivedCountsMatchCaptureLoopShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range []uint64{1, 2, 5, 70, 200} {
-			tr, err := Capture(nil, f, []uint64{n}, make([]uint64, 256), DefaultConfig())
-			if err != nil {
-				t.Fatalf("%s(%d): %v", f.Name, n, err)
-			}
-			assertDerivedMatchesCaptured(t, fmt.Sprintf("%s(%d)", f.Name, n), f, tr)
+			name := fmt.Sprintf("%s(%d)", f.Name, n)
+			tr, hists := captureLive(t, name, f, []uint64{n}, make([]uint64, 256))
+			assertDerivedMatchesCaptured(t, name, f, tr, hists)
 		}
 	}
 }
@@ -210,30 +224,30 @@ func TestDerivedCountsMatchCaptureLoopShapes(t *testing.T) {
 func TestDerivedCountsMatchCaptureCutShort(t *testing.T) {
 	tails := 0
 	// check requires runErr to be want (any error when want is nil).
-	check := func(name string, f *ir.Function, tr *Trace, runErr, want error) {
+	check := func(name string, f *ir.Function, tr *Trace, hists []uint64, runErr, want error) {
 		t.Helper()
 		if runErr == nil || want != nil && !errors.Is(runErr, want) {
 			t.Fatalf("%s: run error %v, want %v", name, runErr, want)
 		}
-		if assertDerivedMatchesCaptured(t, name, f, tr) > 0 {
+		if assertDerivedMatchesCaptured(t, name, f, tr, hists) > 0 {
 			tails++
 		}
 	}
 	for seed := int64(0); seed < 40; seed++ {
 		p := irgen.Generate(seed, irgen.Config{})
 		for _, limit := range []int64{1, 2, 3, 7, 50, 1000, 5000} {
-			tr, runErr := captureCut(t, p.F, []uint64{interp.IBits(seed)}, p.NewMem(), limit)
+			tr, hists, runErr := captureCut(t, p.F, []uint64{interp.IBits(seed)}, p.NewMem(), limit)
 			if runErr == nil {
 				continue // the program finished within the limit
 			}
-			check(fmt.Sprintf("seed %d limit %d", seed, limit), p.F, tr, runErr, interp.ErrStepLimit)
+			check(fmt.Sprintf("seed %d limit %d", seed, limit), p.F, tr, hists, runErr, interp.ErrStepLimit)
 		}
 	}
 	for _, name := range []string{"164.gzip", "186.crafty", "458.sjeng"} {
 		f, args, memory := inlined(t, workloads.ByName(name), 0)
 		for _, limit := range []int64{10_007, 100_003} {
-			tr, runErr := captureCut(t, f, args, append([]uint64(nil), memory...), limit)
-			check(fmt.Sprintf("%s limit %d", name, limit), f, tr, runErr, interp.ErrStepLimit)
+			tr, hists, runErr := captureCut(t, f, args, append([]uint64(nil), memory...), limit)
+			check(fmt.Sprintf("%s limit %d", name, limit), f, tr, hists, runErr, interp.ErrStepLimit)
 		}
 	}
 	for _, src := range []string{bottomSrc, parallelSrc} {
@@ -242,8 +256,8 @@ func TestDerivedCountsMatchCaptureCutShort(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, limit := range []int64{3, 20, 101, 500} {
-			tr, runErr := captureCut(t, f, []uint64{100}, make([]uint64, 256), limit)
-			check(fmt.Sprintf("%s limit %d", f.Name, limit), f, tr, runErr, interp.ErrStepLimit)
+			tr, hists, runErr := captureCut(t, f, []uint64{100}, make([]uint64, 256), limit)
+			check(fmt.Sprintf("%s limit %d", f.Name, limit), f, tr, hists, runErr, interp.ErrStepLimit)
 		}
 	}
 	f, err := ir.ParseFunction(bottomSrc)
@@ -251,8 +265,8 @@ func TestDerivedCountsMatchCaptureCutShort(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, words := range []int{0, 1, 2, 7, 8} {
-		tr, runErr := captureCut(t, f, []uint64{100}, make([]uint64, words), 0)
-		check(fmt.Sprintf("trap with %d words", words), f, tr, runErr, nil)
+		tr, hists, runErr := captureCut(t, f, []uint64{100}, make([]uint64, words), 0)
+		check(fmt.Sprintf("trap with %d words", words), f, tr, hists, runErr, nil)
 	}
 	if tails == 0 {
 		t.Fatal("no cut-short run left a partial path")

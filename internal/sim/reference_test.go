@@ -40,9 +40,10 @@ func newRefTarget(fp *profile.FunctionProfile, tgt *Target, accepts func(p *prof
 }
 
 // referenceEvaluate is the replay of one target with targets keyed by path
-// ID: three map lookups per occurrence, whatever the path-ID space. Every
-// lane of Evaluate must match it exactly.
-func referenceEvaluate(tr *Trace, tgt refTarget, pred spec.Predictor, cfg Config) Result {
+// ID: three map lookups per occurrence, whatever the path-ID space, and
+// occurrence i's branch history read from hists[i], not derived. Every lane
+// of Evaluate must match it exactly.
+func referenceEvaluate(tr *Trace, hists []uint64, tgt refTarget, pred spec.Predictor, cfg Config) Result {
 	res := Result{
 		Predictor:        pred.Name(),
 		BaselineCycles:   tr.BaselineCycles,
@@ -69,7 +70,7 @@ func referenceEvaluate(tr *Trace, tgt refTarget, pred spec.Predictor, cfg Config
 		if isOracle {
 			oracle.SetNext(success)
 		}
-		if pred.Predict(occ.Hist) {
+		if pred.Predict(hists[i]) {
 			res.Invocations++
 			if !reconfigured {
 				cycles += cfg.CGRA.ReconfigCycles
@@ -101,7 +102,7 @@ func referenceEvaluate(tr *Trace, tgt refTarget, pred spec.Predictor, cfg Config
 			cycles += occ.Cycles
 			inRun = false
 		}
-		pred.Update(occ.Hist, success)
+		pred.Update(hists[i], success)
 	}
 	res.OffloadCycles = cycles
 	res.Improvement = float64(tr.BaselineCycles-cycles) / float64(tr.BaselineCycles)
@@ -213,19 +214,6 @@ func ranksOf(runs []profile.Run) []int32 {
 	return ranks
 }
 
-// runSums sums occ's host cycles by run.
-func runSums(runs []profile.Run, occ []Occurrence) []int64 {
-	sums := make([]int64, len(runs))
-	k := 0
-	for j, run := range runs {
-		for range run.Len {
-			sums[j] += occ[k].Cycles
-			k++
-		}
-	}
-	return sums
-}
-
 // prefixTrace is tr cut to its first k occurrences, over the same path
 // table and baselines.
 func prefixTrace(tr *Trace, k int) *Trace {
@@ -234,7 +222,7 @@ func prefixTrace(tr *Trace, k int) *Trace {
 	cut := *tr
 	cut.Profile = &fp
 	cut.Occ = tr.Occ[:k]
-	cut.RunCycles = runSums(fp.Runs, cut.Occ)
+	cut.RunCycles = runCycles(fp.Runs, cut.Occ)
 	return &cut
 }
 
@@ -247,10 +235,11 @@ func rowLabel(i int, r row) string {
 // candidate table over tr — the top 3 paths under the oracle and history
 // predictors, the top 3 braids under history and always-invoke, and the
 // hyperblock under always-invoke, all in one walk — and demands that every
-// row equal the reference's replay of its target alone. It checks the whole
-// trace and traces cut to several prefixes. It returns the number of rows
-// compared on the whole trace.
-func assertReplayMatchesReference(t *testing.T, name string, tr *Trace, cfg Config) int {
+// row equal the reference's replay of its target alone over hists, the
+// histories a hooked run observed. It checks the whole trace and traces cut
+// to several prefixes. It returns the number of rows compared on the whole
+// trace.
+func assertReplayMatchesReference(t *testing.T, name string, tr *Trace, hists []uint64, cfg Config) int {
 	t.Helper()
 	fp := tr.Profile
 	if len(fp.Paths) == 0 {
@@ -262,7 +251,7 @@ func assertReplayMatchesReference(t *testing.T, name string, tr *Trace, cfg Conf
 		cut := prefixTrace(tr, k)
 		c := candidateTable(t, name, cut, cfg)
 		for i, r := range c.rows {
-			want := referenceEvaluate(cut, refTargetOf(fp, r), predictorOf(r.pred, cfg.HistBits), cfg)
+			want := referenceEvaluate(cut, hists[:k], refTargetOf(fp, r), predictorOf(r.pred, cfg.HistBits), cfg)
 			if !sameResult(*r.result, want) {
 				t.Fatalf("%s, first %d of %d occurrences, %s: replay differs from reference\n got  %+v\n want %+v",
 					name, k, n, rowLabel(i, r), r.result, want)
@@ -308,11 +297,11 @@ func TestReplayMatchesReferenceWorkloads(t *testing.T) {
 	cfg := DefaultConfig()
 	sparse := map[string]bool{"186.crafty": false, "458.sjeng": false, "swaptions": false}
 	for _, w := range all {
-		tr := capture(t, w.Name, 0) // default size
+		tr, hists := captureHists(t, w.Name, 0) // default size
 		if _, ok := sparse[w.Name]; ok {
 			sparse[w.Name] = tr.Profile.DAG.NumPaths() > interp.MaxDensePaths
 		}
-		if n := assertReplayMatchesReference(t, w.Name, tr, cfg); n == 0 {
+		if n := assertReplayMatchesReference(t, w.Name, tr, hists, cfg); n == 0 {
 			t.Errorf("%s: no target evaluated", w.Name)
 		}
 		assertLanesIndependent(t, w.Name, tr, cfg)
@@ -330,11 +319,9 @@ func TestReplayMatchesReferenceRandomPrograms(t *testing.T) {
 	pairs := 0
 	for seed := int64(0); seed < 300; seed++ {
 		p := irgen.Generate(seed, irgen.Config{})
-		tr, err := Capture(nil, p.F, []uint64{interp.IBits(seed)}, p.NewMem(), cfg)
-		if err != nil {
-			t.Fatalf("seed %d: capture: %v", seed, err)
-		}
-		pairs += assertReplayMatchesReference(t, fmt.Sprintf("seed %d", seed), tr, cfg)
+		name := fmt.Sprintf("seed %d", seed)
+		tr, hists := captureProgramHists(t, name, p.F, []uint64{interp.IBits(seed)}, p.NewMem(), cfg)
+		pairs += assertReplayMatchesReference(t, name, tr, hists, cfg)
 		if seed%10 == 0 {
 			assertLanesIndependent(t, fmt.Sprintf("seed %d", seed), tr, cfg)
 		}
@@ -347,31 +334,41 @@ func TestReplayMatchesReferenceRandomPrograms(t *testing.T) {
 // TestReplayMatchesReferenceHistBits replays candidate tables whose history
 // lanes index 1, 4 and 20 bits of history instead of the default 12, on
 // workloads with long and short runs of one path and on generated
-// programs, and tables whose history lanes mix 4 and 12 bits, so that the
-// lanes of one replay find their runs' stable points under different
-// masks.
+// programs and on loops whose paths end in a conditional back edge, and
+// tables whose history lanes mix 4 and 12 bits, so that the lanes of one
+// replay find their runs' stable points under different masks.
 func TestReplayMatchesReferenceHistBits(t *testing.T) {
 	names := []string{"164.gzip", "197.parser", "fft-2d", "444.namd", "streamcluster"}
 	for _, bits := range []uint{1, 4, 20} {
 		cfg := DefaultConfig()
 		cfg.HistBits = bits
 		for _, name := range names {
-			assertReplayMatchesReference(t, fmt.Sprintf("%s, %d history bits", name, bits), capture(t, name, 0), cfg)
+			tr, hists := captureHists(t, name, 0)
+			assertReplayMatchesReference(t, fmt.Sprintf("%s, %d history bits", name, bits), tr, hists, cfg)
 		}
 		for seed := int64(0); seed < 30; seed++ {
 			p := irgen.Generate(seed, irgen.Config{})
-			tr, err := Capture(nil, p.F, []uint64{interp.IBits(seed)}, p.NewMem(), cfg)
+			name := fmt.Sprintf("seed %d, %d history bits", seed, bits)
+			tr, hists := captureProgramHists(t, name, p.F, []uint64{interp.IBits(seed)}, p.NewMem(), cfg)
+			assertReplayMatchesReference(t, name, tr, hists, cfg)
+		}
+		for _, src := range []string{bottomSrc, parallelSrc} {
+			f, err := ir.ParseFunction(src)
 			if err != nil {
-				t.Fatalf("seed %d: capture: %v", seed, err)
+				t.Fatal(err)
 			}
-			assertReplayMatchesReference(t, fmt.Sprintf("seed %d, %d history bits", seed, bits), tr, cfg)
+			for _, n := range []uint64{5, 200} {
+				name := fmt.Sprintf("%s(%d), %d history bits", f.Name, n, bits)
+				tr, hists := captureProgramHists(t, name, f, []uint64{n}, make([]uint64, 256), cfg)
+				assertReplayMatchesReference(t, name, tr, hists, cfg)
+			}
 		}
 	}
 	// The path rows come first, so each order gives the first history
 	// lane one of the two masks.
 	cfg := DefaultConfig()
 	for _, name := range names {
-		tr := capture(t, name, 0)
+		tr, hists := captureHists(t, name, 0)
 		c := candidateTable(t, name, tr, cfg)
 		for _, bits := range [][2]uint{{4, 12}, {12, 4}} {
 			bitsOf := func(i int) uint { return bits[i%2] }
@@ -381,7 +378,7 @@ func TestReplayMatchesReferenceHistBits(t *testing.T) {
 			}
 			for i, got := range Evaluate(tr, lanes, cfg) {
 				r := c.rows[i]
-				want := referenceEvaluate(tr, refTargetOf(tr.Profile, r), predictorOf(r.pred, bitsOf(i)), cfg)
+				want := referenceEvaluate(tr, hists, refTargetOf(tr.Profile, r), predictorOf(r.pred, bitsOf(i)), cfg)
 				if !sameResult(got, want) {
 					t.Fatalf("%s, history bits %v, %s: replay differs from reference\n got  %+v\n want %+v",
 						name, bits, rowLabel(i, r), got, want)

@@ -1,6 +1,6 @@
 // Package sim is the whole-system simulator of Section VI: it runs a
-// workload once on the modeled host to capture a cycle- and history-
-// annotated path trace, then evaluates offload targets (BL-Path or Braid
+// workload once on the modeled host to capture a cycle-annotated path
+// trace, then evaluates offload targets (BL-Path or Braid
 // frames on the CGRA) against that trace under different invocation
 // predictors. The evaluation follows the paper's conservative model: guard
 // failures are detected only at the end of an invocation, the undo log is
@@ -10,6 +10,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"needle/internal/cgra"
@@ -123,11 +124,10 @@ func (c Config) Check() error {
 	return nil
 }
 
-// Occurrence is one executed Ball-Larus path instance with its host cost
-// and the branch history observed before it began. The path it executed is
-// the matching entry of the profile's path trace.
+// Occurrence is one executed Ball-Larus path instance: its host cost. The
+// path it executed is the matching entry of the profile's path trace, from
+// which the replay derives the branch history observed before it began.
 type Occurrence struct {
-	Hist   uint64
 	Cycles int64
 }
 
@@ -140,6 +140,8 @@ type Trace struct {
 	// RunCycles holds, for each run of Profile.Runs, the host cycles of its
 	// occurrences summed.
 	RunCycles []int64
+	// hist is the history each path shifts in, by rank (see rankHist).
+	hist []rankHist
 
 	// AM is the analysis manager the capture used; target construction and
 	// evaluation against this trace reuse it, so dominators/liveness for the
@@ -153,8 +155,8 @@ type Trace struct {
 }
 
 // Capture runs the workload function once on the modeled host, collecting
-// the path profile, per-occurrence cycle attribution, branch history
-// snapshots, and the host energy baseline. Analyses are served by am (nil
+// the path profile, per-occurrence cycle attribution and the host energy
+// baseline. Analyses are served by am (nil
 // for a one-shot manager); the trace keeps the manager for downstream
 // target evaluation. The capture's spans nest under am.Span().
 func Capture(am *pm.Manager, f *ir.Function, args []uint64, memory []uint64, cfg Config) (*Trace, error) {
@@ -170,9 +172,8 @@ func Capture(am *pm.Manager, f *ir.Function, args []uint64, memory []uint64, cfg
 	}
 	cache := mem.New(cfg.Mem)
 	host := &hostFeed{
-		Model:  ooo.New(cfg.OOO, f.NumRegs(), cache),
-		cycles: make([]int64, 0, 1024),
-		hists:  make([]uint64, 0, 1024),
+		Model: ooo.New(cfg.OOO, f.NumRegs(), cache),
+		occ:   make([]Occurrence, 0, 1024),
 	}
 
 	xsp := sp.Child("capture: execute")
@@ -189,30 +190,21 @@ func Capture(am *pm.Manager, f *ir.Function, args []uint64, memory []uint64, cfg
 	if err != nil {
 		return nil, err
 	}
-	// One exact allocation: the recorded path trace enumerates completed
-	// occurrences in order, so its length is the occurrence count.
-	if n := profile.Occurrences(fp.Runs); n != len(host.cycles) {
-		return nil, fmt.Errorf("sim: capture recorded %d occurrences but traced %d paths", len(host.cycles), n)
+	// The recorded path trace enumerates completed occurrences in order, so
+	// its length is the occurrence count.
+	if n := profile.Occurrences(fp.Runs); n != len(host.occ) {
+		return nil, fmt.Errorf("sim: capture recorded %d occurrences but traced %d paths", len(host.occ), n)
 	}
 	tr := &Trace{
 		Profile:          fp,
-		Occ:              make([]Occurrence, len(host.cycles)),
-		RunCycles:        make([]int64, len(fp.Runs)),
+		Occ:              host.occ,
+		RunCycles:        runCycles(fp.Runs, host.occ),
+		hist:             rankHists(fp.Paths),
 		AM:               am,
 		BaselineCycles:   host.Cycles(),
 		BaselineEnergyPJ: energy.HostEnergyPJ(cfg.CPU, host.Mix, cache.Stats),
 		Mix:              host.Mix,
 		CacheStats:       cache.Stats,
-	}
-	k := 0
-	for j, run := range fp.Runs {
-		var sum int64
-		for end := k + int(run.Len); k < end; k++ {
-			c := host.cycles[k]
-			tr.Occ[k] = Occurrence{Hist: host.hists[k], Cycles: c}
-			sum += c
-		}
-		tr.RunCycles[j] = sum
 	}
 	obsL1Hits.Add(cache.Stats.L1Hits)
 	obsL1Misses.Add(cache.Stats.L1Misses)
@@ -221,27 +213,30 @@ func Capture(am *pm.Manager, f *ir.Function, args []uint64, memory []uint64, cfg
 }
 
 // hostFeed is Capture's interp.Timing: the host timing model, which takes
-// the block feed and keeps the branch-history register, plus the cycle and
-// history snapshots taken at every path completion. Only the primitive
-// snapshots accumulate during the run; Capture assembles the Occurrence
-// structs afterwards in one exact allocation.
+// the block feed, plus the host cycles of every path occurrence.
 type hostFeed struct {
 	*ooo.Model
-	lastCycles int64    // host cycles when the current path began
-	histBefore uint64   // history register when the current path began
-	cycles     []int64  // per occurrence: host cycles it cost
-	hists      []uint64 // per occurrence: history before it began
+	lastCycles int64 // host cycles when the current path began
+	occ        []Occurrence
 }
 
-// EndPath closes one occurrence. The plan calls it before the completing
-// branch's NoteBranch, so the history read here becomes the next
-// occurrence's without the completing branch's bit.
+// EndPath closes one occurrence.
 func (h *hostFeed) EndPath(int64) {
 	now := h.Cycles()
-	h.cycles = append(h.cycles, now-h.lastCycles)
-	h.hists = append(h.hists, h.histBefore)
+	h.occ = append(h.occ, Occurrence{Cycles: now - h.lastCycles})
 	h.lastCycles = now
-	h.histBefore = h.History()
+}
+
+// runCycles sums occ's host cycles by run.
+func runCycles(runs []profile.Run, occ []Occurrence) []int64 {
+	sums := make([]int64, len(runs))
+	k := 0
+	for j, run := range runs {
+		for end := k + int(run.Len); k < end; k++ {
+			sums[j] += occ[k].Cycles
+		}
+	}
+	return sums
 }
 
 // Target is an offload candidate: a framed region scheduled on the CGRA,
@@ -485,18 +480,18 @@ func evaluate(tr *Trace, lanes []Lane, cfg Config, floor int) []Result {
 }
 
 // tile is how many runs every lane of a replay advances over before the
-// next tile: the tile's runs, their occurrences and the stable points of
-// its runs stay in cache across the lanes.
+// next tile: the tile's runs, their occurrences and their branch histories
+// stay in cache across the lanes.
 const tile = 512
 
 // replay advances every lane of walk over the whole trace, a tile of runs
 // at a time. What the tile costs the host is summed once for all lanes,
-// and so are its runs' stable points (see stablePoints), found again only
-// when a history lane's mask differs from the one before.
+// and so are its runs' branch histories (see fillHists).
 func replay(walk []laneWalk, tr *Trace, costs []rankCost) {
-	var stable [tile]int32
+	var hists [tile]runHist
 	runs, sums := tr.Profile.Runs, tr.RunCycles
-	k := 0 // occurrences before the tile
+	var h, snap uint64 // the branch history as the tile begins
+	k := 0             // occurrences before the tile
 	for lo := 0; lo < len(runs); lo += tile {
 		hi := min(lo+tile, len(runs))
 		var host int64
@@ -505,47 +500,26 @@ func replay(walk []laneWalk, tr *Trace, costs []rankCost) {
 			host += sums[j]
 			n += int(runs[j].Len)
 		}
-		t := span{runs: runs[lo:hi], sums: sums[lo:hi], occ: tr.Occ[k : k+n]}
-		var filled uint64 // the mask stable holds the tile's points for; no mask is 0
+		t := span{runs: runs[lo:hi], sums: sums[lo:hi], occ: tr.Occ[k : k+n], hists: hists[:hi-lo]}
+		h, snap = fillHists(tr.hist, runs, lo, h, snap, t.hists)
 		for i := range walk {
-			w := &walk[i]
-			if w.kind != predHistory {
+			if w := &walk[i]; w.kind == predHistory {
+				w.walkHistory(&t, costs, host)
+			} else {
 				w.walkFixed(&t, costs, host)
-				continue
 			}
-			if m := w.hist.Mask(); m != filled {
-				stablePoints(&t, m, stable[:len(t.runs)])
-				filled = m
-			}
-			w.walkHistory(&t, stable[:len(t.runs)], costs, host)
 		}
 		k += n
 	}
 }
 
-// stablePoints sets stable[j] to the first occurrence of run j of t from
-// which every occurrence of the run indexes one history entry under mask:
-// the recorded histories agree on the masked bits from there to the end.
-func stablePoints(t *span, mask uint64, stable []int32) {
-	end := 0
-	for j, run := range t.runs {
-		start := end
-		end += int(run.Len)
-		last := t.occ[end-1].Hist & mask
-		i := end - 1
-		for i > start && t.occ[i-1].Hist&mask == last {
-			i--
-		}
-		stable[j] = int32(i - start)
-	}
-}
-
-// span is a stretch of the trace: whole runs, each run's host cycles, and
-// their occurrences.
+// span is a stretch of the trace: whole runs, each run's host cycles,
+// their occurrences and each run's branch histories.
 type span struct {
-	runs []profile.Run
-	sums []int64
-	occ  []Occurrence
+	runs  []profile.Run
+	sums  []int64
+	occ   []Occurrence
+	hists []runHist
 }
 
 // rankCost is what one occurrence of a path costs the host, by rank.
@@ -640,6 +614,7 @@ type laneWalk struct {
 	res   *Result // counts accumulate here
 	kind  predKind
 	hist  *spec.History // a history lane's table
+	bits  uint          // the history bits hist indexes
 
 	// Per-invocation costs of the target's schedule. A success costs the
 	// accelerator successPJ, except on a braid (perRankPJ), whose paths
@@ -681,7 +656,7 @@ func newLaneWalk(l Lane, class []uint8, costs []rankCost, res *Result, baselineP
 	}
 	switch p := l.Pred.(type) {
 	case *spec.History:
-		w.kind, w.hist = predHistory, p
+		w.kind, w.hist, w.bits = predHistory, p, uint(bits.Len64(p.Mask()))
 	case *spec.Oracle:
 		w.kind = predOracle
 	case spec.Always:
@@ -768,12 +743,13 @@ func (w *laneWalk) walkFixed(t *span, costs []rankCost, host int64) {
 // walkHistory is the walk of a history lane. Inside a run every
 // opportunity has one outcome, so the table steps, predicting and training
 // in one lookup, per occurrence only until the run reaches its stable
-// point (stable[j], see stablePoints) and the one entry indexed from there
-// on saturates toward the outcome. Each later occurrence would predict
-// alike and leave the table as it is, so the rest of the run is settled in
-// bulk: a failing run's rest declines, a succeeding run's rest invokes and
-// gives back the run's host cycles less those of the stepped occurrences.
-func (w *laneWalk) walkHistory(t *span, stable []int32, costs []rankCost, host int64) {
+// point (see rankHist) and the one entry indexed from there on
+// saturates toward the outcome, deriving each history from the one before.
+// Each later occurrence would predict alike and leave the table as it is,
+// so the rest of the run is settled in bulk: a failing run's rest
+// declines, a succeeding run's rest invokes and gives back the run's host
+// cycles less those of the stepped occurrences.
+func (w *laneWalk) walkHistory(t *span, costs []rankCost, host int64) {
 	class, hist := w.class, w.hist
 	cycles, weight, energyPJ, inRun := w.cycles+host, w.weight, w.energyPJ, w.inRun
 	var opps, invs, succs int64
@@ -781,75 +757,80 @@ func (w *laneWalk) walkHistory(t *span, stable []int32, costs []rankCost, host i
 	for j, run := range t.runs {
 		o := t.occ[k : k+int(run.Len)]
 		k += len(o)
-		s := int(stable[j])
-		switch class[run.Rank] {
-		case classHost:
+		c := class[run.Rank]
+		if c == classHost {
 			inRun = false
-		case classFail:
-			opps += int64(len(o))
+			continue
+		}
+		opps += int64(len(o))
+		r := &t.hists[j]
+		shift, pw, step, need := uint(r.w), r.pw, uint(r.step), w.bits+uint(r.s)
+		x, next := r.x0, r.x1 // occurrence i's history and i+1's
+		if c == classFail {
 			var fired int64
 			for i := range o {
-				invoke, saturated := hist.Step(o[i].Hist, false)
+				invoke, saturated := hist.Step(x, false)
 				if invoke {
 					fired++
 					energyPJ += w.failPJ
 				}
-				if saturated && i >= s {
+				if saturated && uint(i)*step >= need {
 					break
 				}
+				x, next = next, next<<shift|pw
 			}
 			invs += fired
 			cycles += fired * w.failCycles
 			inRun = false
-		default:
-			opps += int64(len(o))
-			cost := costs[run.Rank]
-			accPJ := w.successPJAt(cost.ops)
-			var fired, stepped int64 // stepped: host cycles of the stepped occurrences
-			i := 0
-			for i < len(o) {
-				x := &o[i]
-				invoke, saturated := hist.Step(x.Hist, true)
-				i++
-				stepped += x.Cycles
-				if invoke {
-					fired++
-					cycles -= x.Cycles
-					if inRun {
-						cycles += w.ii
-					} else {
-						cycles += w.invokeCycles
-						energyPJ += w.transferPJ
-						inRun = true
-					}
-					energyPJ -= cost.hostPJ
-					energyPJ += accPJ
-				} else {
-					inRun = false
-				}
-				if saturated && i > s {
-					break
-				}
-			}
-			if m := int64(len(o) - i); m > 0 {
-				fired += m
-				cycles -= t.sums[j] - stepped
+			continue
+		}
+		cost := costs[run.Rank]
+		accPJ := w.successPJAt(cost.ops)
+		var fired, stepped int64 // stepped: host cycles of the stepped occurrences
+		i := 0
+		for i < len(o) {
+			invoke, saturated := hist.Step(x, true)
+			oc := o[i].Cycles
+			i++
+			stepped += oc
+			if invoke {
+				fired++
+				cycles -= oc
 				if inRun {
-					cycles += m * w.ii
+					cycles += w.ii
 				} else {
-					cycles += w.invokeCycles + (m-1)*w.ii
+					cycles += w.invokeCycles
 					energyPJ += w.transferPJ
 					inRun = true
 				}
-				for range m {
-					energyPJ -= cost.hostPJ
-					energyPJ += accPJ
-				}
+				energyPJ -= cost.hostPJ
+				energyPJ += accPJ
+			} else {
+				inRun = false
 			}
-			invs += fired
-			succs += fired
-			weight += fired * cost.ops
+			if saturated && uint(i-1)*step >= need {
+				break
+			}
+			x, next = next, next<<shift|pw
 		}
+		if m := int64(len(o) - i); m > 0 {
+			fired += m
+			cycles -= t.sums[j] - stepped
+			if inRun {
+				cycles += m * w.ii
+			} else {
+				cycles += w.invokeCycles + (m-1)*w.ii
+				energyPJ += w.transferPJ
+				inRun = true
+			}
+			for range m {
+				energyPJ -= cost.hostPJ
+				energyPJ += accPJ
+			}
+		}
+		invs += fired
+		succs += fired
+		weight += fired * cost.ops
 	}
 	w.settle(cycles, weight, energyPJ, inRun, opps, invs, succs)
 }

@@ -54,20 +54,21 @@ func braidWithEveryClass(t *testing.T, cfg Config) (*Trace, *Candidates, braidRa
 }
 
 // handTrace is tr's profile replayed over a hand-built trace: one
-// occurrence per entry of ranks, of history hists[i] and of 5 to 11 host
-// cycles.
-func handTrace(tr *Trace, ranks []int32, hists []uint64) *Trace {
+// occurrence per entry of ranks, of 5 to 11 host cycles, whose paths shift
+// into the branch history what the per-rank table tab says.
+func handTrace(tr *Trace, ranks []int32, tab []rankHist) *Trace {
 	fp := *tr.Profile
 	fp.Runs = runsOf(ranks)
 	ht := *tr
 	ht.Profile = &fp
 	ht.Occ = make([]Occurrence, len(ranks))
+	ht.hist = tab
 	ht.BaselineCycles = 0
 	for i := range ranks {
-		ht.Occ[i] = Occurrence{Hist: hists[i], Cycles: int64(5 + i%7)}
+		ht.Occ[i] = Occurrence{Cycles: int64(5 + i%7)}
 		ht.BaselineCycles += ht.Occ[i].Cycles
 	}
-	ht.RunCycles = runSums(fp.Runs, ht.Occ)
+	ht.RunCycles = runCycles(fp.Runs, ht.Occ)
 	return &ht
 }
 
@@ -96,14 +97,11 @@ func TestEvaluateRefusesOtherPredictors(t *testing.T) {
 	Evaluate(tr, []Lane{{Target: tgt, Pred: spec.Always{}}, {Target: tgt, Pred: otherPredictor{}}}, cfg)
 }
 
-// declinedHist is a branch history a trained history table declines.
-const declinedHist = 5
-
-// trainedHistory is a history table trained to decline declinedHist.
-func trainedHistory(bits uint) spec.Predictor {
+// trainedHistory is a history table trained to decline history d.
+func trainedHistory(bits uint, d uint64) spec.Predictor {
 	h := spec.NewHistory(bits)
 	for range 3 {
-		h.Update(declinedHist, false)
+		h.Update(d, false)
 	}
 	return h
 }
@@ -126,13 +124,16 @@ func acrossTiles(k braidRanks) []int32 {
 // TestReplayHandBuiltTraces replays hand-built traces over a braid target
 // whose paths fall in every class, and every other candidate of its table,
 // and demands the reference's result for each lane, bit for bit, on one
-// worker and split. Each lane runs under its row's predictor and under a
-// history table trained to decline one history.
+// worker and split. The reference reads every occurrence's history from
+// expandHists. Each lane runs under its row's predictor and under a
+// history table trained to decline the history of the trace's first
+// occurrence.
 func TestReplayHandBuiltTraces(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	cfg := DefaultConfig()
 	tr, c, k := braidWithEveryClass(t, cfg)
-	d := uint64(declinedHist)
+	fp := tr.Profile
+	flat, mixed := flatHists(len(fp.Paths)), mixedHists(len(fp.Paths))
 	rep := func(r int32, n int) []int32 {
 		s := make([]int32, n)
 		for i := range s {
@@ -150,41 +151,37 @@ func TestReplayHandBuiltTraces(t *testing.T) {
 	cases := []struct {
 		name  string
 		ranks []int32
-		hists func(i int) uint64
+		tab   []rankHist
 	}{
 		// A run of s2 entered while the pipeline of s1's run is still
 		// resident: it pays the initiation interval, not the invocation.
-		{"carried run", cat(rep(k.host, 1), rep(k.s1, 2), rep(k.s2, 3), rep(k.fail, 1), rep(k.s2, 1), rep(k.s1, 2)),
-			func(i int) uint64 { return uint64(i % 3) }},
-		// The trained table declines the run's first two occurrences, so
-		// the lane's first invocation, and its reconfiguration, fall
-		// inside the run.
-		{"first invocation mid-run", cat(rep(k.s1, 4), rep(k.host, 2), rep(k.s2, 3)),
-			func(i int) uint64 { return [...]uint64{d, d, 1, 1, d, 2, d, 1, 1}[i] }},
-		{"all host", rep(k.host, 9), func(i int) uint64 { return uint64(i) }},
-		{"one success", rep(k.s1, 1), func(int) uint64 { return 1 }},
-		{"one failure", rep(k.fail, 1), func(int) uint64 { return 1 }},
-		{"one host", rep(k.host, 1), func(int) uint64 { return 1 }},
+		{"carried run", cat(rep(k.host, 1), rep(k.s1, 2), rep(k.s2, 3), rep(k.fail, 1), rep(k.s2, 1), rep(k.s1, 2)), mixed},
+		// Every history is 0, so the trained table declines the run's
+		// first three occurrences, and the lane's first invocation, and
+		// its reconfiguration, fall inside the run.
+		{"first invocation mid-run", cat(rep(k.s1, 4), rep(k.host, 2), rep(k.s2, 3)), flat},
+		{"all host", rep(k.host, 9), mixed},
+		{"one success", rep(k.s1, 1), mixed},
+		{"one failure", rep(k.fail, 1), mixed},
+		{"one host", rep(k.host, 1), mixed},
+		// Runs long enough to reach their stable points, and past them.
+		{"long runs", cat(rep(k.s1, 40), rep(k.fail, 30), rep(k.s2, 25), rep(k.s1, 3), rep(k.fail, 70)), mixed},
 		// Runs across the replay's tile boundaries: 1,300 runs of 1 to 5
 		// occurrences cycling through every class, so the braid's
-		// pipeline of successes carries across a tile's end, under
-		// histories that hold for three occurrences at a time.
-		{"across tiles", acrossTiles(k), func(i int) uint64 { return uint64(i / 3 % 5) }},
+		// pipeline of successes and the branch history carry across a
+		// tile's end.
+		{"across tiles", acrossTiles(k), mixed},
 	}
-	preds := []struct {
-		name string
-		make func(r row) spec.Predictor
-	}{
-		{"row", func(r row) spec.Predictor { return predictorOf(r.pred, cfg.HistBits) }},
-		{"trained history", func(row) spec.Predictor { return trainedHistory(cfg.HistBits) }},
-	}
-	fp := tr.Profile
 	for _, tc := range cases {
-		hists := make([]uint64, len(tc.ranks))
-		for i := range hists {
-			hists[i] = tc.hists(i)
+		ht := handTrace(tr, tc.ranks, tc.tab)
+		hists := expandHists(tc.tab, ht.Profile.Runs)
+		preds := []struct {
+			name string
+			make func(r row) spec.Predictor
+		}{
+			{"row", func(r row) spec.Predictor { return predictorOf(r.pred, cfg.HistBits) }},
+			{"trained history", func(row) spec.Predictor { return trainedHistory(cfg.HistBits, hists[0]) }},
 		}
-		ht := handTrace(tr, tc.ranks, hists)
 		for _, p := range preds {
 			lanes := func() []Lane {
 				ls := make([]Lane, len(c.rows))
@@ -196,7 +193,7 @@ func TestReplayHandBuiltTraces(t *testing.T) {
 			for _, floor := range []int{math.MaxInt, 1} {
 				got := evaluate(ht, lanes(), cfg, floor)
 				for i, r := range c.rows {
-					want := referenceEvaluate(ht, refTargetOf(fp, r), p.make(r), cfg)
+					want := referenceEvaluate(ht, hists, refTargetOf(fp, r), p.make(r), cfg)
 					if !sameResult(got[i], want) {
 						t.Fatalf("%s, %s predictor, floor %d, row %d (kind %d): replay differs from reference\n got  %+v\n want %+v",
 							tc.name, p.name, floor, i, r.kind, got[i], want)

@@ -24,7 +24,7 @@
 #     that the lazily-computed vet analyses cost a default sweep nothing.
 #
 # It also records, ungated, eight BenchmarkStage rows on 186.crafty,
-# 458.sjeng and 164.gzip, as ns/op and allocs/op per workload: inline and
+# 458.sjeng and 164.gzip, as ns/op, allocs/op and B/op per workload: inline and
 # frame (the two stages a warm run recomputes rather than decodes, each
 # computed on a fresh analysis manager), the opt-decode, profile-decode and
 # select-decode rows (each the stage's full codec decode from its stored
@@ -89,9 +89,10 @@ echo "$replay_out"
 ns_of() {
     echo "$out" | awk -v name="$1" '$1 ~ "^"name"(-[0-9]+)?$" { print $3; exit }'
 }
-allocs_of() {
-    echo "$out" | awk -v name="$1" '$1 ~ "^"name"(-[0-9]+)?$" {
-        for (i = 4; i <= NF; i++) if ($i == "allocs/op") { print $(i-1); exit }
+# per_op NAME UNIT: NAME's value before UNIT (allocs/op, B/op) on $out.
+per_op() {
+    echo "$out" | awk -v name="$1" -v unit="$2" '$1 ~ "^"name"(-[0-9]+)?$" {
+        for (i = 4; i <= NF; i++) if ($i == unit) { print $(i-1); exit }
     }'
 }
 # spread_of OUT NAME UNIT: the median and interquartile range of the values
@@ -109,14 +110,15 @@ spread_of() {
         { v[NR] = $1 }
         END { if (NR > 0) printf "%.0f %.0f\n", q(0.5), q(0.75) - q(0.25) }'
 }
-# spread_json OUT NAME: NAME's ns/op and allocs/op spreads on OUT as a JSON
-# object, or nothing when OUT has no such line.
+# spread_json OUT NAME: NAME's ns/op spread and its median allocs/op and
+# B/op on OUT as a JSON object, or nothing when OUT has no such line.
 spread_json() {
     ns=$(spread_of "$1" "$2" ns/op)
     [ -z "$ns" ] && return
     allocs=$(spread_of "$1" "$2" allocs/op)
-    printf '{"ns_per_op": %s, "ns_per_op_iqr": %s, "allocs_per_op": %s, "runs": 10}' \
-        "${ns% *}" "${ns#* }" "${allocs% *}"
+    bytes=$(spread_of "$1" "$2" B/op)
+    printf '{"ns_per_op": %s, "ns_per_op_iqr": %s, "allocs_per_op": %s, "bytes_per_op": %s, "runs": 10}' \
+        "${ns% *}" "${ns#* }" "${allocs% *}" "${bytes% *}"
 }
 stages=""
 for layer in inline opt-decode profile-decode select-decode select frame target capture; do
@@ -200,7 +202,8 @@ done
         [ -z "$ns" ] && continue
         [ "$first" = 1 ] || echo ","
         first=0
-        printf '    "%s": {"ns_per_op": %s, "allocs_per_op": %s}' "$b" "$ns" "$(allocs_of "$b")"
+        printf '    "%s": {"ns_per_op": %s, "allocs_per_op": %s, "bytes_per_op": %s}' \
+            "$b" "$ns" "$(per_op "$b" allocs/op)" "$(per_op "$b" B/op)"
     done
     echo ""
     echo "  },"
