@@ -593,7 +593,7 @@ func BenchmarkPathDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := dag.NumPaths()
-	var buf []*ir.Block
+	var buf []int32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if buf, err = dag.DecodeAppend(buf[:0], int64(i)%n); err != nil {

@@ -101,7 +101,7 @@ func main() {
 		for i, p := range fp.TopK(10) {
 			var names []string
 			for _, b := range p.Blocks {
-				names = append(names, b.Name)
+				names = append(names, f.Blocks[b].Name)
 			}
 			fmt.Printf("  #%d id=%d freq=%d ops=%d cov=%.1f%%  %s\n",
 				i+1, p.ID, p.Freq, p.Ops, p.Coverage(fp)*100, strings.Join(names, ">"))

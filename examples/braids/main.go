@@ -35,24 +35,24 @@ func main() {
 	for rank, p := range fp.TopK(4) {
 		fmt.Printf("path #%d: freq=%-5d coverage=%4.1f%%  blocks:", rank+1, p.Freq, p.Coverage(fp)*100)
 		for _, b := range p.Blocks {
-			fmt.Printf(" %s", b.Name)
+			fmt.Printf(" %s", f.Blocks[b].Name)
 		}
 		fmt.Println()
 	}
 
 	// Superblock: grown from the hottest path's entry by edge frequency.
-	hot := fp.HottestPath()
-	sb := region.BuildSuperblock(fp, hot.Blocks[0], 0)
-	fmt.Printf("\nsuperblock from %s: %d blocks, feasible=%v\n", hot.Blocks[0], len(sb.Blocks), sb.Feasible)
+	entry := f.Blocks[fp.HottestPath().Blocks[0]]
+	sb := region.BuildSuperblock(fp, entry, 0)
+	fmt.Printf("\nsuperblock from %s: %d blocks, feasible=%v\n", entry, len(sb.Blocks), sb.Feasible)
 	if !sb.Feasible {
 		fmt.Println("  -> the edge profile spliced two anti-correlated branches into a")
 		fmt.Println("     sequence that never executes; offloading it would always roll back")
 	}
 
 	// Hyperblock: if-converts both sides everywhere.
-	hb := region.BuildHyperblock(nil, fp, hot.Blocks[0], 0.1)
+	hb := region.BuildHyperblock(nil, fp, entry, 0.1)
 	fmt.Printf("\nhyperblock from %s: %d ops, %d predicates, %d cold ops\n",
-		hot.Blocks[0], hb.NumOps(), hb.PredBits, hb.ColdOps)
+		entry, hb.NumOps(), hb.PredBits, hb.ColdOps)
 
 	// Braid: merge the two real paths.
 	braids := region.BuildBraids(fp, 0)

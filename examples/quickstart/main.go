@@ -99,7 +99,7 @@ func main() {
 	for rank, p := range fp.TopK(5) {
 		var blocks []string
 		for _, blk := range p.Blocks {
-			blocks = append(blocks, blk.Name)
+			blocks = append(blocks, f.Blocks[blk].Name)
 		}
 		fmt.Printf("  #%d  freq=%-4d ops=%-3d coverage=%5.1f%%  %s\n",
 			rank+1, p.Freq, p.Ops, p.Coverage(fp)*100, strings.Join(blocks, " > "))

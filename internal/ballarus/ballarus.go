@@ -289,15 +289,16 @@ func (d *DAG) IsBackEdge(u, v *ir.Block) bool {
 }
 
 // DecodeAppend expands a path ID into its sequence of basic blocks,
-// appending them to dst and returning the extended slice. Decoding into a
-// slice with room for PathLen(id) more blocks allocates nothing.
-func (d *DAG) DecodeAppend(dst []*ir.Block, id int64) ([]*ir.Block, error) {
+// appending their Block.Index values to dst and returning the extended
+// slice. Decoding into a slice with room for PathLen(id) more blocks
+// allocates nothing.
+func (d *DAG) DecodeAppend(dst []int32, id int64) ([]int32, error) {
 	if err := d.checkID(id); err != nil {
 		return dst, err
 	}
 	n, rem := d.step(0, id) // from ENTRY
 	for ; n > 0 && n != d.exitNode; n, rem = d.step(n, rem) {
-		dst = append(dst, d.F.Blocks[n-1])
+		dst = append(dst, int32(n-1))
 	}
 	if n < 0 {
 		return dst, d.stuck()
@@ -320,14 +321,6 @@ func (d *DAG) PathLen(id int64) (int, error) {
 		return 0, d.stuck()
 	}
 	return k, nil
-}
-
-// block returns b's edge values, or nil when b is not one of d's blocks.
-func (d *DAG) block(b *ir.Block) *blockVals {
-	if b.Index < 0 || b.Index >= len(d.vals) || d.F.Blocks[b.Index] != b {
-		return nil
-	}
-	return &d.vals[b.Index]
 }
 
 func (d *DAG) checkID(id int64) error {
@@ -356,45 +349,49 @@ func (d *DAG) step(n int, rem int64) (int, int64) {
 	return int(chosen.to), rem - chosen.val
 }
 
-// Encode computes the path ID of a block sequence (the inverse of
-// DecodeAppend); used mainly by tests and region validation. The sequence
-// must be a valid DAG path from a path start (function entry or loop
-// header) to a path end (back-edge source or returning block).
-func (d *DAG) Encode(blocks []*ir.Block) (int64, error) {
+// Encode computes the path ID of a block sequence given by Block.Index
+// (the inverse of DecodeAppend); used mainly by tests and region
+// validation. The sequence must be a valid DAG path from a path start
+// (function entry or loop header) to a path end (back-edge source or
+// returning block).
+func (d *DAG) Encode(blocks []int32) (int64, error) {
 	if len(blocks) == 0 {
 		return 0, errors.New("ballarus: empty path")
 	}
+	for _, b := range blocks {
+		if b < 0 || int(b) >= len(d.vals) {
+			return 0, fmt.Errorf("ballarus: block %d is not a block of %s", b, d.F.Name)
+		}
+	}
 	var id int64
-	first := blocks[0]
+	first := d.F.Blocks[blocks[0]]
 	if first == d.F.Entry() {
 		id += d.entryVal
-	} else if v := d.block(first); v != nil && v.hdr > 0 {
+	} else if v := &d.vals[first.Index]; v.hdr > 0 {
 		// A back-edge target: paths restart there after the back edge.
 		id += v.reset
 	} else {
 		return 0, fmt.Errorf("ballarus: %s is not a valid path start", first.Name)
 	}
 	for i := 0; i+1 < len(blocks); i++ {
-		e := d.edge(blocks[i].Index, blocks[i+1].Index)
+		e := d.edge(int(blocks[i]), int(blocks[i+1]))
 		if e == nil || e.kind != edgeForward {
-			return 0, fmt.Errorf("ballarus: %s->%s is not a forward edge", blocks[i].Name, blocks[i+1].Name)
+			return 0, fmt.Errorf("ballarus: %s->%s is not a forward edge", d.F.Blocks[blocks[i]].Name, d.F.Blocks[blocks[i+1]].Name)
 		}
 		id += e.val
 	}
 	last := blocks[len(blocks)-1]
-	v := d.block(last)
-	if v != nil && v.isRet {
+	v := &d.vals[last]
+	if v.isRet {
 		return id + v.ret, nil
 	}
 	// Otherwise the path must end at a back-edge source.
-	if v != nil {
-		for _, e := range v.succ {
-			if e.kind == edgeBack {
-				return id + e.val, nil
-			}
+	for _, e := range v.succ {
+		if e.kind == edgeBack {
+			return id + e.val, nil
 		}
 	}
-	return 0, fmt.Errorf("ballarus: %s is not a valid path end", last.Name)
+	return 0, fmt.Errorf("ballarus: %s is not a valid path end", d.F.Blocks[last].Name)
 }
 
 // CompilePlan overlays this DAG's path numbering onto a compiled execution
@@ -432,14 +429,14 @@ func (d *DAG) CompilePlan(p *interp.Plan) *interp.BLPlan {
 }
 
 // PathOps returns the number of instructions attributed to one occurrence
-// of the path: the sum of all instructions (phis and terminators included)
-// across its blocks. Because Ball-Larus paths partition dynamic execution,
-// summing freq*PathOps over all executed paths equals the interpreter's
-// step count exactly.
-func PathOps(blocks []*ir.Block) int64 {
+// of the path whose blocks of f are given by Block.Index: the sum of all
+// instructions (phis and terminators included) across them. Because
+// Ball-Larus paths partition dynamic execution, summing freq*PathOps over
+// all executed paths equals the interpreter's step count exactly.
+func PathOps(f *ir.Function, blocks []int32) int64 {
 	var n int64
 	for _, b := range blocks {
-		n += int64(len(b.Instrs))
+		n += int64(len(f.Blocks[b].Instrs))
 	}
 	return n
 }

@@ -96,7 +96,8 @@ func TestNumPathsLoopDiamond(t *testing.T) {
 }
 
 func TestDecodeAllPathsUniqueAndValid(t *testing.T) {
-	d, err := Build(nil, parse(t, loopDiamondSrc))
+	f := parse(t, loopDiamondSrc)
+	d, err := Build(nil, f)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -108,7 +109,7 @@ func TestDecodeAllPathsUniqueAndValid(t *testing.T) {
 		}
 		key := ""
 		for _, b := range blocks {
-			key += b.Name + ">"
+			key += f.Blocks[b].Name + ">"
 		}
 		if prev, dup := seen[key]; dup {
 			t.Fatalf("paths %d and %d decode to the same sequence %s", prev, id, key)
@@ -117,13 +118,13 @@ func TestDecodeAllPathsUniqueAndValid(t *testing.T) {
 		// Consecutive blocks must be connected by real CFG edges.
 		for i := 0; i+1 < len(blocks); i++ {
 			ok := false
-			for _, s := range blocks[i].Succs() {
-				if s == blocks[i+1] {
+			for _, s := range f.Blocks[blocks[i]].Succs() {
+				if int32(s.Index) == blocks[i+1] {
 					ok = true
 				}
 			}
 			if !ok {
-				t.Fatalf("path %d: %s does not branch to %s", id, blocks[i], blocks[i+1])
+				t.Fatalf("path %d: %s does not branch to %s", id, f.Blocks[blocks[i]], f.Blocks[blocks[i+1]])
 			}
 		}
 	}
@@ -186,7 +187,7 @@ func TestDecodeAppendIntoSizedBuffer(t *testing.T) {
 		}
 		total += n
 	}
-	buf := make([]*ir.Block, 0, total)
+	buf := make([]int32, 0, total)
 	ends := make([]int, d.NumPaths())
 	allocs := testing.AllocsPerRun(1, func() {
 		buf = buf[:0]
@@ -213,7 +214,7 @@ func TestDecodeAppendIntoSizedBuffer(t *testing.T) {
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("path %d block %d: %s in the buffer, %s decoded alone", id, i, got[i].Name, want[i].Name)
+				t.Fatalf("path %d block %d: %d in the buffer, %d decoded alone", id, i, got[i], want[i])
 			}
 		}
 		start = ends[id]
@@ -269,7 +270,7 @@ func TestPathOpsCountsAllInstrs(t *testing.T) {
 	for id := int64(0); id < 2; id++ {
 		blocks, _ := d.DecodeAppend(nil, id)
 		// entry(3) + side(2) + join(2) = 7 instructions either way.
-		if got := PathOps(blocks); got != 7 {
+		if got := PathOps(f, blocks); got != 7 {
 			t.Errorf("PathOps(path %d) = %d, want 7", id, got)
 		}
 	}

@@ -49,7 +49,7 @@ func TestProfilerCountsMatchExecution(t *testing.T) {
 		if err != nil {
 			t.Fatalf("DecodeAppend(%d): %v", id, err)
 		}
-		ops += c * ballarus.PathOps(blocks)
+		ops += c * ballarus.PathOps(f, blocks)
 	}
 	if ops != res.Steps {
 		t.Fatalf("attributed ops = %d, interpreter steps = %d", ops, res.Steps)
@@ -78,7 +78,7 @@ func TestProfilerPartitionProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			ops += c * ballarus.PathOps(blocks)
+			ops += c * ballarus.PathOps(f, blocks)
 		}
 		return ops == res.Steps && p.TotalOccurrences() == n+1
 	}

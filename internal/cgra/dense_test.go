@@ -32,7 +32,7 @@ func TestScheduleMatchesReference(t *testing.T) {
 			}
 			rs = append(rs, &br.Region)
 		}
-		rs = append(rs, &region.BuildTunedHyperblock(pr.AM, fp, fp.HottestPath().Blocks[0], 0.1, 0.05).Region)
+		rs = append(rs, &region.BuildTunedHyperblock(pr.AM, fp, fp.F.Blocks[fp.HottestPath().Blocks[0]], 0.1, 0.05).Region)
 		for _, r := range rs {
 			for _, ord := range []frame.MemOrdering{frame.MemSpeculative, frame.MemConservative} {
 				fr, err := frame.Build(pr.AM, r, frame.Options{Ordering: ord}, &sc)

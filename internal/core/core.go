@@ -143,7 +143,7 @@ func (a *Analysis) Superblock() *region.Superblock {
 	if hot == nil {
 		return nil
 	}
-	return region.BuildSuperblock(a.Profile, hot.Blocks[0], 0)
+	return region.BuildSuperblock(a.Profile, a.Profile.F.Blocks[hot.Blocks[0]], 0)
 }
 
 // Hyperblock builds the if-conversion baseline region at the hottest path's
@@ -153,5 +153,5 @@ func (a *Analysis) Hyperblock() *region.Hyperblock {
 	if hot == nil {
 		return nil
 	}
-	return region.BuildHyperblock(a.AM, a.Profile, hot.Blocks[0], a.Config.ColdFraction)
+	return region.BuildHyperblock(a.AM, a.Profile, a.Profile.F.Blocks[hot.Blocks[0]], a.Config.ColdFraction)
 }

@@ -23,7 +23,7 @@ func simRegions(am *pm.Manager, fp *profile.FunctionProfile) []*region.Region {
 	for i := 0; i < 3 && i < len(braids); i++ {
 		rs = append(rs, &braids[i].Region)
 	}
-	hb := region.BuildTunedHyperblock(am, fp, fp.HottestPath().Blocks[0], 0.1, 0.05)
+	hb := region.BuildTunedHyperblock(am, fp, fp.F.Blocks[fp.HottestPath().Blocks[0]], 0.1, 0.05)
 	return append(rs, &hb.Region)
 }
 

@@ -26,7 +26,7 @@ func corpusRegions(am *pm.Manager, fp *profile.FunctionProfile) []*region.Region
 		rs = append(rs, &br.Region, &region.BuildHyperblock(am, fp, br.Entry, 0.1).Region)
 	}
 	if hot := fp.HottestPath(); hot != nil {
-		rs = append(rs, &region.BuildTunedHyperblock(am, fp, hot.Blocks[0], 0.1, 0.05).Region)
+		rs = append(rs, &region.BuildTunedHyperblock(am, fp, fp.F.Blocks[hot.Blocks[0]], 0.1, 0.05).Region)
 	}
 	return rs
 }

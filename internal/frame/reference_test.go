@@ -398,18 +398,16 @@ func referenceBraidDependentMemOps(r *region.Region) int {
 	}
 	for _, p := range r.Paths {
 		for _, b := range p.Blocks {
-			if b.Index > maxIdx {
-				maxIdx = b.Index
-			}
+			maxIdx = max(maxIdx, int(b))
 		}
 	}
 	onAll := make([]int, maxIdx+1)
 	lastSeen := make([]int, maxIdx+1)
 	for i, p := range r.Paths {
 		for _, b := range p.Blocks {
-			if lastSeen[b.Index] != i+1 {
-				lastSeen[b.Index] = i + 1
-				onAll[b.Index]++
+			if lastSeen[b] != i+1 {
+				lastSeen[b] = i + 1
+				onAll[b]++
 			}
 		}
 	}

@@ -67,7 +67,7 @@ func TestBallLarusPartitionInvariant(t *testing.T) {
 			if err != nil || back != id {
 				t.Fatalf("seed %d: encode(decode(%d)) = %d, %v", seed, id, back, err)
 			}
-			ops += c * ballarus.PathOps(blocks)
+			ops += c * ballarus.PathOps(p.F, blocks)
 		}
 		if ops != res.Steps {
 			t.Fatalf("seed %d: attributed %d ops, interpreter ran %d", seed, ops, res.Steps)
@@ -150,7 +150,7 @@ func TestRegionAndFramePipelineOnRandomPrograms(t *testing.T) {
 		for _, br := range braids {
 			braidCov += br.Coverage(fp)
 			for _, pp := range br.Paths {
-				if pp.Blocks[0] != br.Entry || pp.Blocks[len(pp.Blocks)-1] != br.Exit {
+				if int(pp.Blocks[0]) != br.Entry.Index || int(pp.Blocks[len(pp.Blocks)-1]) != br.Exit.Index {
 					t.Fatalf("seed %d: braid grouping violated", seed)
 				}
 			}
@@ -209,7 +209,7 @@ func TestSpecRollbackOnRandomPrograms(t *testing.T) {
 		hot := fp.HottestPath()
 		// Only frames whose region starts at the entry block can be seeded
 		// with just the parameter (no preceding state).
-		if hot.Blocks[0] != p.F.Entry() || len(hot.Blocks[0].Phis()) > 0 {
+		if entry := p.F.Blocks[hot.Blocks[0]]; entry != p.F.Entry() || len(entry.Phis()) > 0 {
 			continue
 		}
 		fr, err := frame.Build(nil, region.FromPath(p.F, hot), frame.Options{})

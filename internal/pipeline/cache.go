@@ -32,7 +32,7 @@ type stageCounters struct{ hits, misses, evictions *obs.Counter }
 
 // CacheBudget is the memory tier's byte budget: the sum of the resident-size
 // estimates (size.go) of the completed artifacts a Cache keeps. A default
-// 29-workload sweep keeps about 18 MiB, so the sweep and every table over it
+// 29-workload sweep keeps about 13 MiB, so the sweep and every table over it
 // reuse all of their artifacts.
 const CacheBudget = 32 << 20
 

@@ -3,7 +3,7 @@
 // decoding its artifact is cheaper than recomputing it: Opt, whose payload
 // is the optimized function; Profile, the instrumented run that is the
 // costly step of every analysis; and Select, whose braids are rebuilt from
-// path IDs. Inline and Frame are cheap passes over the IR that cost less to
+// their paths' ranks. Inline and Frame are cheap passes over the IR that cost less to
 // rerun than to decode (docs/PIPELINE.md, "What persists"), and Target is
 // never cached, so those three have no codec and live in the memory tier.
 // The split follows the pure-data / rehydratable-state decomposition:
@@ -16,9 +16,12 @@
 //     bytes.
 //   - The profile stores only what was measured: the path trace, as runs
 //     of one path, each naming its path by rank in a table of executed
-//     path IDs, and each occurrence's host cycles. Path counts, block and edge counts and every branch history
-//     are derived from the trace on decode, and checked against the
-//     captured values on encode.
+//     path IDs, and each occurrence's host cycles. Path counts, block and
+//     edge counts and every branch history are derived from the trace on
+//     decode, and checked against the captured values on encode. Stored
+//     data names a path only by its rank: the select payload lists each
+//     braid's paths by rank too, so decode keeps no map from path ID to
+//     path.
 //   - The optimized function travels in ir's positional layout
 //     (ir.AppendFunction): register numbers, block order and instruction
 //     order are stored as they are, so every downstream artifact references
@@ -54,7 +57,7 @@ import (
 )
 
 // codecVersion versions every on-disk artifact payload.
-const codecVersion = 5
+const codecVersion = 6
 
 // Codec returns the named stage's persistent codec, the pair a DiskStore
 // applies to its artifact: encode serializes a.<stage>-shaped output, and
@@ -157,13 +160,14 @@ func profileDecode(a *Artifacts, data []byte) (any, error) {
 }
 
 // The select payload is the characterization, then each braid as its
-// merged-path IDs, in rank order.
-func selectEncode(_ *Artifacts, out any) ([]byte, error) {
+// merged paths' ranks in the profile, braids in rank order.
+func selectEncode(a *Artifacts, out any) ([]byte, error) {
 	art := out.(*SelectArtifact)
+	fp := a.Profile.Trace.Profile
 	b := art.CFStats.Append(nil)
 	b = wire.AppendUvarint(b, uint64(len(art.Braids)))
 	for _, br := range art.Braids {
-		b = br.Data().Append(b)
+		b = br.Data(fp).Append(b)
 	}
 	return b, nil
 }

@@ -15,6 +15,7 @@ import (
 	"needle/internal/irgen"
 	"needle/internal/passes"
 	"needle/internal/profile"
+	"needle/internal/region"
 	"needle/internal/wire"
 	"needle/internal/workloads"
 )
@@ -195,6 +196,74 @@ func hostileRuns(t testing.TB, a *Artifacts) []struct {
 		{"empty run", "0 occurrences", with(append(slices.Clone(runs), profile.Run{Rank: (last.Rank + 1) % 2, Len: 0}))},
 		{"split run", "both of rank", with(split)},
 		{"rank outside the table", "out of range", with(outside)},
+	}
+}
+
+// hostileSelects returns select payloads built from a's, each with one
+// braid its decode must refuse against a's profile: a rank at the end of
+// the path table and one far past it, a braid of no paths, paths out of
+// merge order, and two paths that start or end at different blocks.
+func hostileSelects(t testing.TB, a *Artifacts) []struct {
+	name, want string
+	payload    []byte
+} {
+	t.Helper()
+	fp := a.Profile.Trace.Profile
+	n := int32(len(fp.Paths))
+	// Two ranks whose paths differ in entry or exit: the hottest path and
+	// the first one that does not merge with it.
+	end := func(r int32) [2]int32 {
+		bs := fp.Paths[r].Blocks
+		return [2]int32{bs[0], bs[len(bs)-1]}
+	}
+	other := int32(1)
+	for other < n && end(other) == end(0) {
+		other++
+	}
+	if other == n {
+		t.Fatalf("all %d paths share one entry and exit", n)
+	}
+	with := func(ranks ...int32) []byte {
+		art := a.Select
+		b := art.CFStats.Append(nil)
+		b = wire.AppendUvarint(b, uint64(len(art.Braids)+1))
+		for _, br := range art.Braids {
+			b = br.Data(fp).Append(b)
+		}
+		return region.BraidData{Ranks: ranks}.Append(b)
+	}
+	return []struct {
+		name, want string
+		payload    []byte
+	}{
+		{"rank at the table's end", "not in profile", with(0, n)},
+		{"rank past the table", "not in profile", with(n + 1000)},
+		{"empty braid", "no paths", with()},
+		{"ranks out of merge order", "merge order", with(other, 0)},
+		{"members differ in entry or exit", "entry or exit", with(0, other)},
+	}
+}
+
+// TestSelectPayloadHostileBraids: a select payload that is the stored one
+// plus one braid that no BuildBraids run could produce decodes to an error
+// about that braid, never a panic, while the stored payload decodes.
+func TestSelectPayloadHostileBraids(t *testing.T) {
+	a, err := Run(testWorkload(t), testConfig(), RunOptions{Store: NewCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode, decode, _ := Codec("select")
+	b, err := encode(a, a.Select)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decode(a, b); err != nil {
+		t.Fatalf("the stored payload does not decode: %v", err)
+	}
+	for _, h := range hostileSelects(t, a) {
+		if _, err := decode(a, h.payload); err == nil || !strings.Contains(err.Error(), h.want) {
+			t.Errorf("%s: decode error %v, want one about %s", h.name, err, h.want)
+		}
 	}
 }
 
@@ -446,7 +515,8 @@ entry:
 // artifact that encodes again, never a panic. Real payloads of every stage
 // seed the corpus: each whole, cut in half, one byte short and with one
 // trailing byte, the shapes wire.Reader's bounds and Done check; so do the
-// profile payloads of hostileRuns, whose runs the decode must refuse.
+// profile payloads of hostileRuns, whose runs the decode must refuse, and
+// the select payloads of hostileSelects, whose last braid it must refuse.
 func FuzzArtifactDecode(f *testing.F) {
 	cfg := testConfig()
 	cfg.Opt = true
@@ -471,6 +541,9 @@ func FuzzArtifactDecode(f *testing.F) {
 	}
 	for _, h := range hostileRuns(f, a) {
 		f.Add(uint8(slices.Index(codecStages, "profile")), h.payload)
+	}
+	for _, h := range hostileSelects(f, a) {
+		f.Add(uint8(slices.Index(codecStages, "select")), h.payload)
 	}
 	f.Fuzz(func(t *testing.T, stage uint8, data []byte) {
 		name := codecStages[int(stage)%len(codecStages)]

@@ -194,11 +194,12 @@ type Stage struct {
 	// Name identifies the stage ("inline", "profile", "select", "frame",
 	// "target") in spans, cache statistics, and documentation.
 	Name string
-	// Fingerprint serializes exactly the Config fields this stage reads.
-	// A stage's cache key is the program key plus the cumulative
-	// fingerprints of itself and every upstream stage, so two configs that
-	// agree on the upstream knobs share upstream artifacts.
-	Fingerprint func(Config) string
+	// Fingerprint appends to b exactly the Config fields this stage reads,
+	// serialized, and returns the extended buffer. A stage's cache key is
+	// the program key plus the cumulative fingerprints of itself and every
+	// upstream stage, so two configs that agree on the upstream knobs share
+	// upstream artifacts.
+	Fingerprint func(b []byte, c Config) []byte
 	// cacheable marks stages whose artifact a Cache may share across runs.
 	// The Target stage always evaluates fresh: it is the downstream end of
 	// every sweep and memoizing it would hide exactly the work ablations
@@ -225,7 +226,7 @@ type Stage struct {
 }
 
 // stages is the pipeline in execution order.
-var stages = []Stage{inlineStage, optStage, profileStage, selectStage, frameStage, targetStage}
+var stages = [...]Stage{inlineStage, optStage, profileStage, selectStage, frameStage, targetStage}
 
 // StageNames lists the pipeline's stages in execution order.
 func StageNames() []string {
@@ -243,16 +244,28 @@ func StageNames() []string {
 // safe across binary versions: two different bodies behind one name can
 // never serve each other's artifacts, and the name stays in the key so
 // entries remain debuggable (and name-bearing cached errors never leak
-// across same-content programs).
+// across same-content programs). Every stage's segment is written into one
+// buffer, converted once, so each key is a prefix of the last.
 func stageKeys(p *program.Program, cfg Config) []string {
-	keys := make([]string, len(stages))
-	key := p.Key()
+	var ends [len(stages)]int
+	b := make([]byte, 0, keyBytes)
+	b = append(append(append(b, p.Name...), '@'), p.Digest()...)
 	for i := range stages {
-		key += "|" + stages[i].Name + "{" + stages[i].Fingerprint(cfg) + "}"
-		keys[i] = key
+		b = append(append(append(b, '|'), stages[i].Name...), '{')
+		b = append(stages[i].Fingerprint(b, cfg), '}')
+		ends[i] = len(b)
+	}
+	all := string(b)
+	keys := make([]string, len(stages))
+	for i, end := range ends {
+		keys[i] = all[:end]
 	}
 	return keys
 }
+
+// keyBytes is room for a full run key: 663 bytes for a workload under the
+// default config, most of them the host and CGRA models' fields.
+const keyBytes = 1024
 
 // Fingerprint returns the full cumulative fingerprint of a run: the program
 // key plus every stage's config fingerprint, after the same normalization
@@ -272,7 +285,7 @@ var inlineStage = Stage{
 	// explicit N=default produce the same Program with different summary
 	// bytes — the fingerprint keeps them distinct for request-collapsing
 	// layers that key on the full Fingerprint.
-	Fingerprint: func(c Config) string { return fmt.Sprintf("n=%d", c.N) },
+	Fingerprint: func(b []byte, c Config) []byte { return fmt.Appendf(b, "n=%d", c.N) },
 	cacheable:   true,
 	run: func(a *Artifacts, sp *obs.Span) (any, error) {
 		p := a.Program
@@ -296,7 +309,7 @@ var optStage = Stage{
 	// The flag itself is the whole fingerprint: with Opt off the stage is
 	// skipped, and the "opt=false" key segment keeps unoptimized runs from
 	// ever sharing downstream artifacts with optimized ones.
-	Fingerprint: func(c Config) string { return fmt.Sprintf("opt=%t", c.Opt) },
+	Fingerprint: func(b []byte, c Config) []byte { return fmt.Appendf(b, "opt=%t", c.Opt) },
 	cacheable:   true,
 	skip:        func(c Config) bool { return !c.Opt },
 	run: func(a *Artifacts, sp *obs.Span) (any, error) {
@@ -346,12 +359,12 @@ var optTransforms = []struct {
 
 var profileStage = Stage{
 	Name: "profile",
-	Fingerprint: func(c Config) string {
+	Fingerprint: func(b []byte, c Config) []byte {
 		// Capture reads the host model only: OOO core, cache hierarchy,
 		// CPU energy constants, and the step and occurrence bounds.
 		// CGRA/frame/predictor parameters are downstream knobs and must not
 		// fragment the key.
-		return fmt.Sprintf("ooo=%+v mem=%+v cpu=%+v maxsteps=%d maxocc=%d",
+		return fmt.Appendf(b, "ooo=%+v mem=%+v cpu=%+v maxsteps=%d maxocc=%d",
 			c.Sim.OOO, c.Sim.Mem, c.Sim.CPU, c.Sim.MaxSteps, c.Sim.MaxOccurrences)
 	},
 	cacheable: true,
@@ -379,7 +392,7 @@ var profileStage = Stage{
 var selectStage = Stage{
 	Name: "select",
 	// Characterization and braid formation depend only on the profile.
-	Fingerprint: func(Config) string { return "" },
+	Fingerprint: func(b []byte, _ Config) []byte { return b },
 	cacheable:   true,
 	run: func(a *Artifacts, sp *obs.Span) (any, error) {
 		csp := sp.Child("characterize")
@@ -398,7 +411,7 @@ var selectStage = Stage{
 
 var frameStage = Stage{
 	Name:        "frame",
-	Fingerprint: func(c Config) string { return fmt.Sprintf("opts=%+v", c.Sim.Frame) },
+	Fingerprint: func(b []byte, c Config) []byte { return fmt.Appendf(b, "opts=%+v", c.Sim.Frame) },
 	cacheable:   true,
 	run: func(a *Artifacts, sp *obs.Span) (any, error) {
 		out := &FrameArtifact{}
@@ -424,8 +437,8 @@ var frameStage = Stage{
 
 var targetStage = Stage{
 	Name: "target",
-	Fingerprint: func(c Config) string {
-		return fmt.Sprintf("cgra=%+v cpu=%+v hist=%d topk=%d cold=%g",
+	Fingerprint: func(b []byte, c Config) []byte {
+		return fmt.Appendf(b, "cgra=%+v cpu=%+v hist=%d topk=%d cold=%g",
 			c.Sim.CGRA, c.Sim.CPU, c.Sim.HistBits, c.SelectTopK, c.ColdFraction)
 	},
 	cacheable: false,

@@ -50,7 +50,7 @@ func fingerprintOf(t *testing.T, name string, cfg Config) string {
 	t.Helper()
 	for _, st := range stages {
 		if st.Name == name {
-			return st.Fingerprint(cfg)
+			return string(st.Fingerprint(nil, cfg))
 		}
 	}
 	t.Fatalf("no stage %q", name)
@@ -204,7 +204,7 @@ func TestCumulativeKeysEmbedUpstream(t *testing.T) {
 	cfg := DefaultConfig()
 	key := "w"
 	for _, st := range stages {
-		key += "|" + st.Name + "{" + st.Fingerprint(cfg) + "}"
+		key += "|" + st.Name + "{" + string(st.Fingerprint(nil, cfg)) + "}"
 		if st.Name == "frame" {
 			for _, up := range []string{"inline{", "profile{", "select{"} {
 				if !strings.Contains(key, up) {
@@ -244,6 +244,53 @@ func TestFingerprintNormalizesAndDiscriminates(t *testing.T) {
 	last := stageKeys(p, DefaultConfig().WithDefaults())
 	if Fingerprint(p, DefaultConfig()) != last[len(last)-1] {
 		t.Error("Fingerprint must equal the final cumulative stage key Run uses")
+	}
+}
+
+// referenceFingerprints are the stage fingerprints as strings, the formula
+// stageKeys' buffer must reproduce byte for byte.
+var referenceFingerprints = map[string]func(Config) string{
+	"inline": func(c Config) string { return fmt.Sprintf("n=%d", c.N) },
+	"opt":    func(c Config) string { return fmt.Sprintf("opt=%t", c.Opt) },
+	"profile": func(c Config) string {
+		return fmt.Sprintf("ooo=%+v mem=%+v cpu=%+v maxsteps=%d maxocc=%d",
+			c.Sim.OOO, c.Sim.Mem, c.Sim.CPU, c.Sim.MaxSteps, c.Sim.MaxOccurrences)
+	},
+	"select": func(Config) string { return "" },
+	"frame":  func(c Config) string { return fmt.Sprintf("opts=%+v", c.Sim.Frame) },
+	"target": func(c Config) string {
+		return fmt.Sprintf("cgra=%+v cpu=%+v hist=%d topk=%d cold=%g",
+			c.Sim.CGRA, c.Sim.CPU, c.Sim.HistBits, c.SelectTopK, c.ColdFraction)
+	},
+}
+
+// TestStageKeysMatchReference pins every cumulative stage key to the
+// string-concatenation formula, on the default config and on one with Opt
+// on and another history width, and pins the allocations of one call:
+// Run and serve's Fingerprint each make one per analysis.
+func TestStageKeysMatchReference(t *testing.T) {
+	p := prog(t, workloads.All()[0], 0)
+	other := DefaultConfig()
+	other.Opt = true
+	other.Sim.HistBits = 16
+	for _, cfg := range []Config{DefaultConfig().WithDefaults(), other.WithDefaults()} {
+		keys := stageKeys(p, cfg)
+		key := p.Key()
+		for i, st := range stages {
+			key += "|" + st.Name + "{" + referenceFingerprints[st.Name](cfg) + "}"
+			if keys[i] != key {
+				t.Fatalf("opt=%t: %s key\n%s\nwant\n%s", cfg.Opt, st.Name, keys[i], key)
+			}
+		}
+		if len(key) > keyBytes {
+			t.Errorf("a %d-byte key outgrows the %d-byte buffer stageKeys starts with", len(key), keyBytes)
+		}
+		// The buffer, the string and the key table, plus what the stages'
+		// fmt.Appendf calls box: 10 in all, where one string per stage
+		// and per concatenation made 20.
+		if n := testing.AllocsPerRun(100, func() { stageKeys(p, cfg) }); n > 10 && !raceEnabled {
+			t.Errorf("opt=%t: stageKeys allocates %v times, want at most 10", cfg.Opt, n)
+		}
 	}
 }
 

@@ -5,8 +5,9 @@
 // 154 KB; its decode builds 3.7 MB of tables).
 //
 // The tables whose layout this package can see (the function's
-// instructions, the trace's occurrence, run and run-cycle tables, the path records
-// and their block arena, braids, frames) are counted element by element.
+// instructions, the trace's occurrence, run and run-cycle tables, the path
+// records and their block-index arena, braids, frames) are counted element
+// by element.
 // The analyses whose layout lives in other packages (the execution plan,
 // dominator and post-dominator trees, control dependence, liveness and the
 // Ball–Larus DAG) are charged per block and per instruction, at costs
@@ -104,20 +105,21 @@ func analysisBytes(f *ir.Function) int64 {
 
 // traceBytes estimates a captured trace: the occurrence table (each
 // occurrence's host cycles), the run table and its host-cycle sums, the
-// ranked path records with their block arena and history table entries,
-// the path and edge indexes, block counts and DAG. The trace holds its function's analysis manager, so
-// it is charged for the analyses the run builds there too.
+// ranked path records with their 4-byte block indices and history table
+// entries, the edge index, block counts and DAG. The trace holds its
+// function's analysis manager, so it is charged for the analyses the run
+// builds there too.
 func traceBytes(tr *sim.Trace) int64 {
 	fp := tr.Profile
 	f := fp.F
 	n := int64(unsafe.Sizeof(*tr)+unsafe.Sizeof(*fp)) +
 		int64(unsafe.Sizeof(sim.Occurrence{}))*int64(cap(tr.Occ)) +
 		int64(unsafe.Sizeof(profile.Run{}))*int64(cap(fp.Runs)) + 8*int64(cap(tr.RunCycles)) +
-		(int64(unsafe.Sizeof(profile.Path{}))+8+mapEntryBytes+rankHistBytes)*int64(len(fp.Paths)) +
+		(int64(unsafe.Sizeof(profile.Path{}))+8+rankHistBytes)*int64(len(fp.Paths)) +
 		mapEntryBytes*int64(len(fp.EdgeCounts)) + 8*int64(cap(fp.BlockCounts)) +
 		dagBlockBytes*int64(len(f.Blocks))
 	for _, p := range fp.Paths {
-		n += 8 * int64(len(p.Blocks))
+		n += 4 * int64(len(p.Blocks))
 	}
 	return n + analysisBytes(f)
 }

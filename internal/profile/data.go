@@ -180,7 +180,7 @@ func partialTail(rule tailRule, table []*Path, runs []Run, liveBlocks, blocks, l
 	cur := int32(rule.f.Entry().Index)
 	if len(runs) > 0 {
 		p := table[runs[len(runs)-1].Rank]
-		if last := rule.resume(int32(p.Blocks[len(p.Blocks)-1].Index)); last >= 0 {
+		if last := rule.resume(p.Blocks[len(p.Blocks)-1]); last >= 0 {
 			cur = next(last, true)
 		}
 	}
@@ -201,8 +201,10 @@ func partialTail(rule tailRule, table []*Path, runs []Run, liveBlocks, blocks, l
 // indistinguishable from the profile the collector produced in the process
 // that ran the workload, provided f is structurally identical to the
 // profiled function (same blocks in the same order). Data that could not
-// have come from a run of f is an error. The profile keeps d.Runs as its
-// run column when d's table is in rank order, as Data writes it.
+// have come from a run of f is an error: a path ID f's DAG cannot decode,
+// one the table lists twice, or a trace no run of f takes. The profile
+// keeps d.Runs as its run column when d's table is in rank order, as Data
+// writes it.
 func FromData(am *pm.Manager, f *ir.Function, d *Data) (*FunctionProfile, error) {
 	return fromData(am, f, d, decodeFloor)
 }
@@ -233,6 +235,9 @@ func fromData(am *pm.Manager, f *ir.Function, d *Data, floor int) (*FunctionProf
 	if err := fp.rankCounts(recs, floor); err != nil {
 		return nil, err
 	}
+	if id, ok := repeated(d.Paths); ok {
+		return nil, fmt.Errorf("profile: path %d of %s listed twice", id, f.Name)
+	}
 	// fp.Paths is still in table order, the order the ranks index.
 	rule := newTailRule(f, dag)
 	blocks, edges, err := traceCounts(rule, fp.Paths, d.Runs, d.Tail)
@@ -256,6 +261,19 @@ func fromData(am *pm.Manager, f *ir.Function, d *Data, floor int) (*FunctionProf
 		}
 	}
 	return fp, nil
+}
+
+// repeated returns the least ID that ids lists more than once, found on a
+// sorted copy: 8 B a path, where a set of IDs would cost several times that.
+func repeated(ids []int64) (int64, bool) {
+	s := slices.Clone(ids)
+	slices.Sort(s)
+	for i := 1; i < len(s); i++ {
+		if s[i] == s[i-1] {
+			return s[i], true
+		}
+	}
+	return 0, false
 }
 
 // succTable is a function's CFG as dense successor slots: entry 2*b+k is
@@ -330,15 +348,14 @@ func traceCounts(rule tailRule, table []*Path, runs []Run, tail []int32) (blocks
 	ends := make([]int32, 2*len(table))
 	for r, p := range table {
 		prev := int32(-1)
-		for _, b := range p.Blocks {
-			i := int32(b.Index)
+		for _, i := range p.Blocks {
 			blocks[i] += p.Freq
 			if prev >= 0 {
 				edges[succ.slot(prev, i)] += p.Freq // a DAG path follows CFG edges
 			}
 			prev = i
 		}
-		ends[2*r], ends[2*r+1] = int32(p.Blocks[0].Index), rule.resume(prev)
+		ends[2*r], ends[2*r+1] = p.Blocks[0], rule.resume(prev)
 	}
 	// Every occurrence, and then the tail, starts where a run resumes after
 	// the occurrence before it; the edge it enters over is counted.

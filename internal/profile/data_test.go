@@ -25,9 +25,9 @@ func TestFromDataTailRule(t *testing.T) {
 	// Blocks: entry 0, head 1, body 2, rare 3, common 4, latch 5, exit 6;
 	// latch->head is the back edge.
 	path := func(idx ...int) int64 {
-		bs := make([]*ir.Block, len(idx))
+		bs := make([]int32, len(idx))
 		for i, x := range idx {
-			bs[i] = f.Blocks[x]
+			bs[i] = int32(x)
 		}
 		id, err := dag.Encode(bs)
 		if err != nil {

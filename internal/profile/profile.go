@@ -3,6 +3,11 @@
 // weights and coverage (Section III-A), edge and block profiles for the
 // Superblock/Hyperblock baselines, branch bias distributions (Figure 4),
 // and path-sequence statistics for target expansion (Table III).
+//
+// A profile is mostly its paths' block sequences. Each path's blocks are
+// Block.Index values in a window of one pointer-free arena per profile,
+// and stored data (Data, and the braids built over a profile) names a path
+// only by its rank: its index in the ranked FunctionProfile.Paths.
 package profile
 
 import (
@@ -27,11 +32,14 @@ type Edge struct{ From, To int }
 
 // Path is one executed Ball-Larus path with its profile-derived metrics.
 type Path struct {
-	ID     int64
-	Freq   int64       // number of times the path executed
-	Blocks []*ir.Block // decoded block sequence
-	Ops    int64       // instructions per occurrence (phis+terminators included)
-	Weight int64       // Pwt = Freq * Ops (Section III-A)
+	ID   int64
+	Freq int64 // number of times the path executed
+	// Blocks is the decoded block sequence, each block by its Block.Index
+	// in the profiled function: a window of one pointer-free arena that
+	// every path of the profile shares.
+	Blocks []int32
+	Ops    int64 // instructions per occurrence (phis+terminators included)
+	Weight int64 // Pwt = Freq * Ops (Section III-A)
 
 	Branches int // conditional branches traversed by the path
 	MemOps   int // loads+stores along the path
@@ -52,7 +60,8 @@ type FunctionProfile struct {
 	DAG *ballarus.DAG
 
 	// Paths holds every executed path ranked by Weight, descending
-	// (ties broken by ascending ID for determinism).
+	// (ties broken by ascending ID for determinism). A path's index here is
+	// its rank, the name stored data gives it.
 	Paths []*Path
 	// TotalWeight is Fwt: the sum of all path weights, which equals the
 	// function's total dynamic instruction count.
@@ -65,8 +74,6 @@ type FunctionProfile struct {
 
 	EdgeCounts  map[Edge]int64
 	BlockCounts []int64 // indexed by block index
-
-	byID map[int64]*Path
 }
 
 // Run is Len back-to-back occurrences of the path of rank Rank: loops
@@ -85,9 +92,6 @@ func Occurrences(runs []Run) int {
 	}
 	return n
 }
-
-// PathByID returns the executed path with the given ID, or nil.
-func (fp *FunctionProfile) PathByID(id int64) *Path { return fp.byID[id] }
 
 // Collector gathers a function profile across any number of runs of the
 // function's compiled plan (interp.RunProfiled). Create with NewCollector,
@@ -221,15 +225,18 @@ func runTrace(paths []*Path, ids []int64) ([]Run, error) {
 // weight — and points fp.Paths at them in record order, for the caller to
 // rank with sortPaths: the shared recipe behind Finish and FromData, so a
 // profile rehydrated from a stored trace is bit-identical to one built
-// live. A path listed twice is an error, as is one the DAG cannot decode;
-// of several, the first in record order is reported.
+// live. A path the DAG cannot decode is an error; of several, the first in
+// record order is reported.
 //
 // It allocates a fixed number of times, however many paths executed: every
 // Path lives in the caller's record array, and every path's blocks in one
-// arena sized exactly by a length-only walk first. Each Path.Blocks is a
-// window of the arena whose capacity equals its length, so an append by a
-// consumer copies instead of overwriting the next path's blocks. Per-path
-// sums read per-block tables instead of every instruction of every path.
+// arena of block indices, sized exactly by a length-only walk first, so
+// nothing is allocated before every ID has been checked. The arena holds
+// no pointers, so the collector neither scans it nor guards stores into
+// it. Each Path.Blocks is a window of the arena whose capacity equals its
+// length, so an append by a consumer copies instead of overwriting the next
+// path's blocks. Per-path sums read per-block tables instead of every
+// instruction of every path.
 //
 // Both walks split the records into contiguous ranges, one per worker,
 // when there are at least floor records per worker (package par). The
@@ -245,7 +252,7 @@ func (fp *FunctionProfile) rankCounts(recs []Path, floor int) error {
 		if s.err != nil {
 			return fp.decodeErr(recs, s)
 		}
-		fp.decodeInto(make([]*ir.Block, 0, s.size), recs, sums)
+		fp.decodeInto(make([]int32, 0, s.size), recs, sums)
 	} else {
 		spans := make([]span, w)
 		par.Ranges(len(recs), w, func(k, lo, hi int) {
@@ -260,22 +267,17 @@ func (fp *FunctionProfile) rankCounts(recs []Path, floor int) error {
 			spans[k].start = size
 			size += spans[k].size
 		}
-		arena := make([]*ir.Block, size)
+		arena := make([]int32, size)
 		par.Ranges(len(recs), w, func(k, lo, hi int) {
 			start := spans[k].start
 			fp.decodeInto(arena[start:start], recs[lo:hi], sums)
 		})
 	}
 	fp.Paths = make([]*Path, len(recs))
-	fp.byID = make(map[int64]*Path, len(recs))
 	for i := range recs {
 		p := &recs[i]
-		if fp.byID[p.ID] != nil {
-			return fmt.Errorf("profile: path %d of %s listed twice", p.ID, fp.F.Name)
-		}
 		fp.TotalWeight += p.Weight
 		fp.Paths[i] = p
-		fp.byID[p.ID] = p
 	}
 	return nil
 }
@@ -310,14 +312,14 @@ func (fp *FunctionProfile) decodeErr(recs []Path, s span) error {
 
 // decodeInto decodes recs' paths into at, whose capacity pathsLen sized,
 // and sums each path's metrics and weight from the per-block sums.
-func (fp *FunctionProfile) decodeInto(at []*ir.Block, recs []Path, sums []blockSum) {
+func (fp *FunctionProfile) decodeInto(at []int32, recs []Path, sums []blockSum) {
 	for i := range recs {
 		p := &recs[i]
 		start := len(at)
 		at, _ = fp.DAG.DecodeAppend(at, p.ID) // PathLen accepted the ID
 		p.Blocks = at[start:len(at):len(at)]
 		for _, b := range p.Blocks {
-			s := &sums[b.Index]
+			s := &sums[b]
 			p.Ops += s.ops
 			p.Branches += s.branch
 			p.MemOps += s.mem
@@ -500,7 +502,9 @@ type SequenceStats struct {
 }
 
 // SequenceBias analyzes the trace successor distribution of the given path.
-// It returns ok=false if the path never has a successor in the trace.
+// It returns ok=false if the path never has a successor in the trace. It
+// counts successors by rank, as the trace names them, after one search for
+// the path's own rank.
 func (fp *FunctionProfile) SequenceBias(pathID int64) (SequenceStats, bool) {
 	k := int32(slices.IndexFunc(fp.Paths, func(p *Path) bool { return p.ID == pathID }))
 	succ := make([]int64, len(fp.Paths)) // by rank
@@ -522,29 +526,33 @@ func (fp *FunctionProfile) SequenceBias(pathID int64) (SequenceStats, bool) {
 	if follows == 0 {
 		return SequenceStats{PathID: pathID}, false
 	}
-	var bestNext, bestCount int64
-	first := true
+	best := -1 // rank of the best successor
 	for r, c := range succ {
-		if id := fp.Paths[r].ID; c > 0 && (first || c > bestCount || (c == bestCount && id < bestNext)) {
-			bestNext, bestCount = id, c
-			first = false
+		if c > 0 && (best < 0 || c > succ[best] || (c == succ[best] && fp.Paths[r].ID < fp.Paths[best].ID)) {
+			best = r
 		}
 	}
+	self, next := fp.Paths[k], fp.Paths[best]
 	st := SequenceStats{
 		PathID:    pathID,
 		Follows:   follows,
-		BestNext:  bestNext,
-		BestCount: bestCount,
-		Bias:      float64(bestCount) / float64(follows),
-		SamePath:  bestNext == pathID,
+		BestNext:  next.ID,
+		BestCount: succ[best],
+		Bias:      float64(succ[best]) / float64(follows),
+		SamePath:  next == self,
 	}
-	self := fp.PathByID(pathID)
-	next := fp.PathByID(bestNext)
-	if self != nil && next != nil && self.Ops > 0 {
+	if self.Ops > 0 {
 		st.GrowthOps = self.Ops + next.Ops
 		st.ExpandFrac = float64(st.GrowthOps) / float64(self.Ops)
 	}
 	return st, true
+}
+
+// Rank returns the rank of p, one of fp's paths: its index in fp.Paths,
+// found by binary search, since the rank order is total.
+func (fp *FunctionProfile) Rank(p *Path) int {
+	r, _ := slices.BinarySearchFunc(fp.Paths, p, rankOrder)
+	return r
 }
 
 // HottestPath returns the top-ranked path, or nil if nothing executed.
@@ -564,7 +572,7 @@ func (fp *FunctionProfile) OverlapCount(k int) int {
 	if len(fp.Paths) == 0 {
 		return 0
 	}
-	inHot := make(map[*ir.Block]bool)
+	inHot := make([]bool, len(fp.F.Blocks)) // by Block.Index
 	for _, b := range fp.Paths[0].Blocks {
 		inHot[b] = true
 	}

@@ -68,7 +68,7 @@ func TestRankingHottestFirst(t *testing.T) {
 	// The common side runs 75 of 100 iterations.
 	foundCommon := false
 	for _, b := range hot.Blocks {
-		if b.Name == "common" {
+		if fp.F.Blocks[b].Name == "common" {
 			foundCommon = true
 		}
 	}
@@ -200,17 +200,6 @@ func TestOverlapCount(t *testing.T) {
 	}
 	if fp.OverlapCount(1) != 1 {
 		t.Fatal("hottest path must overlap itself")
-	}
-}
-
-func TestPathByID(t *testing.T) {
-	fp := collect(t, biasedLoopSrc, 10)
-	hot := fp.HottestPath()
-	if fp.PathByID(hot.ID) != hot {
-		t.Fatal("PathByID lookup failed")
-	}
-	if fp.PathByID(1<<40) != nil {
-		t.Fatal("PathByID returned phantom path")
 	}
 }
 

@@ -27,9 +27,9 @@ type Braid struct {
 	IFs int
 }
 
-// braidKey groups paths by (entry block, exit block); path trees group by
-// entry alone, with exit -1.
-type braidKey struct{ entry, exit int }
+// braidKey groups paths by (entry block, exit block), each by its
+// Block.Index; path trees group by entry alone, with exit -1.
+type braidKey struct{ entry, exit int32 }
 
 // BuildBraids merges every executed path of the profile into braids keyed by
 // shared entry and exit blocks, ranked by total coverage (weight) descending.
@@ -38,7 +38,7 @@ type braidKey struct{ entry, exit int }
 // the pipeline.
 func BuildBraids(fp *profile.FunctionProfile, maxPaths int) []*Braid {
 	return mergeGroups(fp, groupPaths(fp, maxPaths, func(p *profile.Path) braidKey {
-		return braidKey{p.Blocks[0].Index, p.Blocks[len(p.Blocks)-1].Index}
+		return braidKey{p.Blocks[0], p.Blocks[len(p.Blocks)-1]}
 	}))
 }
 
@@ -130,8 +130,8 @@ func markMembers(paths []*profile.Path, in []bool) int {
 	n := 0
 	for _, p := range paths {
 		for _, b := range p.Blocks {
-			if !in[b.Index] {
-				in[b.Index] = true
+			if !in[b] {
+				in[b] = true
 				n++
 			}
 		}
@@ -143,8 +143,8 @@ func markMembers(paths []*profile.Path, in []bool) int {
 // table br keeps. It appends br's blocks to arena, whose capacity must hold
 // them, and returns the extended arena.
 func buildBraid(fp *profile.FunctionProfile, paths []*profile.Path, br *Braid, in []bool, arena []*ir.Block) []*ir.Block {
-	entry := paths[0].Blocks[0]
-	exit := paths[0].Blocks[len(paths[0].Blocks)-1]
+	first := paths[0].Blocks
+	entry, exit := fp.F.Blocks[first[0]], fp.F.Blocks[first[len(first)-1]]
 	// Topological order within the braid: entry first, exit last, and the
 	// other members in function block order, which our builders keep
 	// topological for acyclic sub-regions. Block.Index is a block's
@@ -205,7 +205,7 @@ func (br *Braid) MergedPathCount() int { return len(br.Paths) }
 // braids. Returned trees are ranked by total weight.
 func BuildPathTrees(fp *profile.FunctionProfile, maxPaths int) []*Braid {
 	return mergeGroups(fp, groupPaths(fp, maxPaths, func(p *profile.Path) braidKey {
-		return braidKey{p.Blocks[0].Index, -1}
+		return braidKey{p.Blocks[0], -1}
 	}))
 }
 
@@ -217,8 +217,8 @@ func (br *Braid) LiveOutSpread() int {
 	n := 0
 	for _, p := range br.Paths {
 		if len(p.Blocks) > 0 {
-			if e := p.Blocks[len(p.Blocks)-1]; !seen[e.Index] {
-				seen[e.Index] = true
+			if e := p.Blocks[len(p.Blocks)-1]; !seen[e] {
+				seen[e] = true
 				n++
 			}
 		}

@@ -49,7 +49,7 @@ func TestRegionsMatchReference(t *testing.T) {
 		am, fp := pr.AM, pr.FP
 		for _, p := range fp.TopK(8) {
 			r := FromPath(fp.F, p)
-			assertMembers(t, pr.Name, r, p.Blocks)
+			assertMembers(t, pr.Name, r, blocksOf(fp.F, p))
 			assertLiveValuesLikeReference(t, pr.Name, am, r, &live)
 			regions++
 		}

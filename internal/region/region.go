@@ -73,6 +73,17 @@ func newRegion(f *ir.Function, kind Kind, blocks []*ir.Block, in []bool) Region 
 // Contains reports whether the region includes b, a block of r.F.
 func (r *Region) Contains(b *ir.Block) bool { return b.Index < len(r.in) && r.in[b.Index] }
 
+// ContainsAll reports whether the region includes every listed block of
+// r.F, each given by its Block.Index as a profiled path holds it.
+func (r *Region) ContainsAll(blocks []int32) bool {
+	for _, b := range blocks {
+		if !r.in[b] {
+			return false
+		}
+	}
+	return true
+}
+
 // NumOps returns the number of non-terminator instructions in the region
 // (the "#Ins." columns of Tables II and IV).
 func (r *Region) NumOps() int {
@@ -213,9 +224,9 @@ func (r *Region) BranchMemDeps() int {
 	onAll, last := t[:n], t[n:]
 	for i, p := range r.Paths {
 		for _, b := range p.Blocks {
-			if last[b.Index] != int32(i+1) {
-				last[b.Index] = int32(i + 1)
-				onAll[b.Index]++
+			if last[b] != int32(i+1) {
+				last[b] = int32(i + 1)
+				onAll[b]++
 			}
 		}
 	}
@@ -241,9 +252,14 @@ func FromBlock(f *ir.Function, b *ir.Block) *Region {
 	return &r
 }
 
-// FromPath builds a single-flow region from a profiled BL-Path.
+// FromPath builds a single-flow region from a profiled BL-Path of f, with
+// its own copy of the path's blocks.
 func FromPath(f *ir.Function, p *profile.Path) *Region {
-	r := newRegion(f, KindPath, p.Blocks, nil)
+	blocks := make([]*ir.Block, len(p.Blocks))
+	for i, b := range p.Blocks {
+		blocks[i] = f.Blocks[b]
+	}
+	r := newRegion(f, KindPath, blocks, nil)
 	r.Paths = []*profile.Path{p}
 	return &r
 }

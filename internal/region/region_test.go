@@ -109,7 +109,7 @@ func TestFromPathRegion(t *testing.T) {
 	if r.Kind != KindPath {
 		t.Fatalf("kind = %v", r.Kind)
 	}
-	if r.Entry != hot.Blocks[0] || r.Exit != hot.Blocks[len(hot.Blocks)-1] {
+	if r.Entry != f.Blocks[hot.Blocks[0]] || r.Exit != f.Blocks[hot.Blocks[len(hot.Blocks)-1]] {
 		t.Fatal("entry/exit mismatch")
 	}
 	if r.NumOps() <= 0 || r.NumBranches() != 2 {
@@ -241,7 +241,7 @@ func TestSuperblockInfeasibleOnAlternatingPaths(t *testing.T) {
 	f := parse(t, alternatingSrc)
 	fp := collect(t, f, interp.IBits(200))
 	hot := fp.HottestPath()
-	sb := BuildSuperblock(fp, hot.Blocks[0], 0)
+	sb := BuildSuperblock(fp, f.Blocks[hot.Blocks[0]], 0)
 	if sb.Feasible {
 		t.Errorf("superblock %v should be infeasible on alternating paths", sb.Blocks)
 	}
@@ -254,7 +254,7 @@ func TestSuperblockFeasibleOnBiasedLoop(t *testing.T) {
 	f := parse(t, loopDiamondSrc)
 	fp := collect(t, f, interp.IBits(100))
 	hot := fp.HottestPath()
-	sb := BuildSuperblock(fp, hot.Blocks[0], 0)
+	sb := BuildSuperblock(fp, f.Blocks[hot.Blocks[0]], 0)
 	if !sb.Feasible {
 		t.Fatalf("superblock %v should be feasible", sb.Blocks)
 	}

@@ -1,6 +1,8 @@
 package region
 
 import (
+	"slices"
+
 	"needle/internal/ir"
 	"needle/internal/profile"
 )
@@ -61,16 +63,20 @@ func BuildSuperblock(fp *profile.FunctionProfile, seed *ir.Block, minBias float6
 	}
 
 	sb := &Superblock{Region: newRegion(fp.F, KindSuperblock, blocks, in)}
-	sb.Feasible = sequenceExecuted(fp, blocks)
+	seq := make([]int32, len(blocks)) // by Block.Index, as paths hold them
+	for i, b := range blocks {
+		seq[i] = int32(b.Index)
+	}
+	sb.Feasible = sequenceExecuted(fp, seq)
 	if hot := fp.HottestPath(); hot != nil {
-		sb.HottestPath = sameBlockSeq(blocks, hot.Blocks)
+		sb.HottestPath = slices.Equal(seq, hot.Blocks)
 	}
 	return sb
 }
 
 // sequenceExecuted reports whether seq appears as a contiguous subsequence
 // of some executed path's block sequence.
-func sequenceExecuted(fp *profile.FunctionProfile, seq []*ir.Block) bool {
+func sequenceExecuted(fp *profile.FunctionProfile, seq []int32) bool {
 	if len(seq) == 0 {
 		return false
 	}
@@ -82,27 +88,11 @@ func sequenceExecuted(fp *profile.FunctionProfile, seq []*ir.Block) bool {
 	return false
 }
 
-func containsSeq(haystack, needle []*ir.Block) bool {
-outer:
+func containsSeq(haystack, needle []int32) bool {
 	for i := 0; i+len(needle) <= len(haystack); i++ {
-		for j := range needle {
-			if haystack[i+j] != needle[j] {
-				continue outer
-			}
+		if slices.Equal(haystack[i:i+len(needle)], needle) {
+			return true
 		}
-		return true
 	}
 	return false
-}
-
-func sameBlockSeq(a, b []*ir.Block) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -86,7 +86,7 @@ func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, [
 	fp.BlockCounts, fp.EdgeCounts = blocks, edges
 	tr.Profile = fp
 	tr.RunCycles = runCycles(fp.Runs, tr.Occ)
-	tr.hist = rankHists(fp.Paths)
+	tr.hist = rankHists(fp)
 	tr.BaselineCycles = model.Cycles()
 	tr.Mix = model.Mix
 	tr.CacheStats = cache.Stats

@@ -98,7 +98,7 @@ func TraceFromData(am *pm.Manager, f *ir.Function, d *TraceData) (*Trace, error)
 		Profile:          fp,
 		Occ:              occ,
 		RunCycles:        sums,
-		hist:             rankHists(fp.Paths),
+		hist:             rankHists(fp),
 		AM:               am,
 		BaselineCycles:   d.BaselineCycles,
 		BaselineEnergyPJ: d.BaselineEnergyPJ,
@@ -128,22 +128,24 @@ type rankHist struct {
 	n, s, self uint8
 }
 
-// rankHists builds the history table of paths, indexed by rank.
-func rankHists(paths []*profile.Path) []rankHist {
-	tab := make([]rankHist, len(paths))
-	for r, p := range paths {
+// rankHists builds the history table of fp's paths, indexed by rank.
+func rankHists(fp *profile.FunctionProfile) []rankHist {
+	f := fp.F
+	tab := make([]rankHist, len(fp.Paths))
+	for r, p := range fp.Paths {
 		e := &tab[r]
 		w := 0
-		for i := 1; i < len(p.Blocks); i++ {
-			if t := p.Blocks[i-1].Term(); t.Op == ir.OpCondBr {
-				e.bits = e.bits<<1 | b2u(t.Blocks[0] == p.Blocks[i])
+		bs := p.Blocks
+		for i := 1; i < len(bs); i++ {
+			if t := f.Blocks[bs[i-1]].Term(); t.Op == ir.OpCondBr {
+				e.bits = e.bits<<1 | b2u(int32(t.Blocks[0].Index) == bs[i])
 				w++
 			}
 		}
-		e.first, e.taken, e.n = int32(p.Blocks[0].Index), -1, uint8(min(w, 64))
-		if t := p.Blocks[len(p.Blocks)-1].Term(); t.Op == ir.OpCondBr {
+		e.first, e.taken, e.n = bs[0], -1, uint8(min(w, 64))
+		if t := f.Blocks[bs[len(bs)-1]].Term(); t.Op == ir.OpCondBr {
 			e.taken, e.s, w = int32(t.Blocks[0].Index), 1, w+1
-			e.self = uint8(b2u(t.Blocks[0] == p.Blocks[0]))
+			e.self = uint8(b2u(e.taken == bs[0]))
 		}
 		e.setFull(w)
 	}

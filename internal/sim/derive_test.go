@@ -147,7 +147,7 @@ func captureCut(t *testing.T, f *ir.Function, args, memory []uint64, maxSteps in
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &Trace{Profile: fp, Occ: feed.occ, RunCycles: runCycles(fp.Runs, feed.occ), hist: rankHists(fp.Paths), AM: am}
+	tr := &Trace{Profile: fp, Occ: feed.occ, RunCycles: runCycles(fp.Runs, feed.occ), hist: rankHists(fp), AM: am}
 	return tr, feed.hists, runErr
 }
 

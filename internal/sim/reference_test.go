@@ -33,7 +33,7 @@ func newRefTarget(fp *profile.FunctionProfile, tgt *Target, accepts func(p *prof
 		if tgt.fullExec {
 			rt.isOpp[p.ID] = rt.accepts[p.ID]
 		} else {
-			rt.isOpp[p.ID] = len(p.Blocks) > 0 && p.Blocks[0] == tgt.Region.Entry
+			rt.isOpp[p.ID] = len(p.Blocks) > 0 && fp.F.Blocks[p.Blocks[0]] == tgt.Region.Entry
 		}
 	}
 	return rt
@@ -117,14 +117,15 @@ func referenceEvaluate(tr *Trace, hists []uint64, tgt refTarget, pred spec.Predi
 	return res
 }
 
-// inSet reports whether every block of p is one of blocks.
-func inSet(blocks []*ir.Block, p *profile.Path) bool {
+// inSet reports whether every block p, a path of f, runs through is one of
+// blocks.
+func inSet(blocks []*ir.Block, f *ir.Function, p *profile.Path) bool {
 	set := make(map[*ir.Block]bool, len(blocks))
 	for _, b := range blocks {
 		set[b] = true
 	}
 	for _, b := range p.Blocks {
-		if !set[b] {
+		if !set[f.Blocks[b]] {
 			return false
 		}
 	}
@@ -170,11 +171,11 @@ func refTargetOf(fp *profile.FunctionProfile, r row) refTarget {
 		br := r.braid
 		return newRefTarget(fp, tgt, func(q *profile.Path) bool {
 			n := len(q.Blocks)
-			return n > 0 && q.Blocks[0] == br.Entry && q.Blocks[n-1] == br.Exit && inSet(br.Blocks, q)
+			return n > 0 && fp.F.Blocks[q.Blocks[0]] == br.Entry && fp.F.Blocks[q.Blocks[n-1]] == br.Exit && inSet(br.Blocks, fp.F, q)
 		})
 	}
 	return newRefTarget(fp, tgt, func(q *profile.Path) bool {
-		return len(q.Blocks) > 0 && q.Blocks[0] == tgt.Region.Entry && inSet(tgt.Region.Blocks, q)
+		return len(q.Blocks) > 0 && fp.F.Blocks[q.Blocks[0]] == tgt.Region.Entry && inSet(tgt.Region.Blocks, fp.F, q)
 	})
 }
 

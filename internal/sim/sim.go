@@ -199,7 +199,7 @@ func Capture(am *pm.Manager, f *ir.Function, args []uint64, memory []uint64, cfg
 		Profile:          fp,
 		Occ:              host.occ,
 		RunCycles:        runCycles(fp.Runs, host.occ),
-		hist:             rankHists(fp.Paths),
+		hist:             rankHists(fp),
 		AM:               am,
 		BaselineCycles:   host.Cycles(),
 		BaselineEnergyPJ: energy.HostEnergyPJ(cfg.CPU, host.Mix, cache.Stats),
@@ -278,7 +278,7 @@ func (o *opportunities) at(entry *ir.Block) []bool {
 	}
 	opp := make([]bool, len(o.fp.Paths))
 	for i, p := range o.fp.Paths {
-		opp[i] = len(p.Blocks) > 0 && p.Blocks[0] == entry
+		opp[i] = len(p.Blocks) > 0 && int(p.Blocks[0]) == entry.Index
 	}
 	o.byEntry[entry.Index] = opp
 	return opp
@@ -298,8 +298,7 @@ func pathTarget(am *pm.Manager, opps *opportunities, p *profile.Path, cfg Config
 	if err != nil {
 		return nil, err
 	}
-	rank := slices.IndexFunc(fp.Paths, func(q *profile.Path) bool { return q.ID == p.ID })
-	return newTarget(r, fr, opps.at(r.Entry), nil, int32(rank), cfg), nil
+	return newTarget(r, fr, opps.at(r.Entry), nil, int32(fp.Rank(p)), cfg), nil
 }
 
 // NewBraidTarget builds the offload target for a braid. Any executed path
@@ -319,21 +318,12 @@ func NewBraidTarget(am *pm.Manager, fp *profile.FunctionProfile, br *region.Brai
 func braidTarget(opps *opportunities, br *region.Braid, fr *frame.Frame, cfg Config) *Target {
 	fp := opps.fp
 	accepts := make([]bool, len(fp.Paths))
+	entry, exit := int32(br.Entry.Index), int32(br.Exit.Index)
 	for i, p := range fp.Paths {
 		n := len(p.Blocks)
-		accepts[i] = n > 0 && p.Blocks[0] == br.Entry && p.Blocks[n-1] == br.Exit && within(&br.Region, p.Blocks)
+		accepts[i] = n > 0 && p.Blocks[0] == entry && p.Blocks[n-1] == exit && br.ContainsAll(p.Blocks)
 	}
 	return newTarget(&br.Region, fr, opps.at(br.Entry), accepts, -1, cfg)
-}
-
-// within reports whether every block of a path is in r.
-func within(r *region.Region, blocks []*ir.Block) bool {
-	for _, b := range blocks {
-		if !r.Contains(b) {
-			return false
-		}
-	}
-	return true
 }
 
 func newTarget(r *region.Region, fr *frame.Frame, isOpp, accepts []bool, pathRank int32, cfg Config) *Target {
@@ -354,8 +344,9 @@ func newTarget(r *region.Region, fr *frame.Frame, isOpp, accepts []bool, pathRan
 // stays on the host.
 func hyperblockTarget(am *pm.Manager, fp *profile.FunctionProfile, hb *region.Hyperblock, cfg Config, sc *frame.Scratch) (*Target, error) {
 	accepts := make([]bool, len(fp.Paths))
+	entry := int32(hb.Entry.Index)
 	for i, p := range fp.Paths {
-		accepts[i] = len(p.Blocks) > 0 && p.Blocks[0] == hb.Entry && within(&hb.Region, p.Blocks)
+		accepts[i] = len(p.Blocks) > 0 && p.Blocks[0] == entry && hb.ContainsAll(p.Blocks)
 	}
 	fr, err := frame.Build(am, &hb.Region, cfg.Frame, sc)
 	if err != nil {
@@ -952,7 +943,7 @@ func NewCandidates(tr *Trace, braids []*region.Braid, hot *frame.Frame, cfg Conf
 		add(rowBraid, br, braidTarget(opps, br, fr, cfg), predHistory, predAlways)
 	}
 
-	hb := region.BuildTunedHyperblock(tr.AM, fp, fp.HottestPath().Blocks[0], coldFraction, 0.05)
+	hb := region.BuildTunedHyperblock(tr.AM, fp, fp.F.Blocks[fp.HottestPath().Blocks[0]], coldFraction, 0.05)
 	tgt, err := hyperblockTarget(tr.AM, fp, hb, cfg, &sc)
 	if err != nil {
 		return nil, fmt.Errorf("evaluating hyperblock: %w", err)

@@ -372,7 +372,7 @@ func TestBraidRejectsPathsEndingInsideIt(t *testing.T) {
 	fp := tr.Profile
 	short := -1 // rank of the path head→a
 	for i, p := range fp.Paths {
-		if len(p.Blocks) == 2 && p.Blocks[0].Name == "head" && p.Blocks[1].Name == "a" {
+		if len(p.Blocks) == 2 && fp.F.Blocks[p.Blocks[0]].Name == "head" && fp.F.Blocks[p.Blocks[1]].Name == "a" {
 			short = i
 		}
 	}
