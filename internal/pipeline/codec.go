@@ -156,7 +156,10 @@ func profileDecode(a *Artifacts, data []byte) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ProfileArtifact{Trace: tr}, nil
+	// The trace's packed cycles alias data, so the whole read buffer stays
+	// live: the payload, its unused capacity, and the header before it,
+	// which DiskStore.load finds within its first maxHeader bytes.
+	return &ProfileArtifact{Trace: tr, pinned: int64(cap(data)) + maxHeader}, nil
 }
 
 // The select payload is the characterization, then each braid as its

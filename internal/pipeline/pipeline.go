@@ -123,6 +123,9 @@ type OptArtifact struct {
 // branch histories, host energy).
 type ProfileArtifact struct {
 	Trace *sim.Trace
+	// pinned is, for a trace decoded from a stored payload, the bytes of the
+	// read buffer its packed cycles alias (see profileDecode); 0 otherwise.
+	pinned int64
 }
 
 // SelectArtifact is the Select stage's output: the static control-flow

@@ -5,9 +5,9 @@
 // 154 KB; its decode builds 3.7 MB of tables).
 //
 // The tables whose layout this package can see (the function's
-// instructions, the trace's occurrence, run and run-cycle tables, the path
-// records and their block-index arena, braids, frames) are counted element
-// by element.
+// instructions, the trace's packed cycles, run, run-cycle and run-offset
+// tables, the path records and their block-index arena, braids, frames)
+// are counted element by element.
 // The analyses whose layout lives in other packages (the execution plan,
 // dominator and post-dominator trees, control dependence, liveness and the
 // Ball–Larus DAG) are charged per block and per instruction, at costs
@@ -52,7 +52,7 @@ func residentBytes(key string, val any, err error) int64 {
 	case *OptArtifact:
 		n += funcBytes(v.F)
 	case *ProfileArtifact:
-		n += traceBytes(v.Trace)
+		n += traceBytes(v.Trace, v.pinned)
 	case *SelectArtifact:
 		n += 8 * int64(len(v.Braids))
 		for _, b := range v.Braids {
@@ -103,18 +103,22 @@ func analysisBytes(f *ir.Function) int64 {
 		blocks*(planBlockBytes+treeBlockBytes+ctrlDepBlockBytes+liveBlockBytes+liveWordBytes*words)
 }
 
-// traceBytes estimates a captured trace: the occurrence table (each
-// occurrence's host cycles), the run table and its host-cycle sums, the
-// ranked path records with their 4-byte block indices and history table
-// entries, the edge index, block counts and DAG. The trace holds its
-// function's analysis manager, so it is charged for the analyses the run
-// builds there too.
-func traceBytes(tr *sim.Trace) int64 {
+// traceBytes estimates a captured trace: its packed cycles, or for a
+// decoded trace the pinned bytes of the read buffer they alias, the run
+// table with its host-cycle sums and 4-byte offsets into the packed
+// cycles, the ranked path records with their 4-byte block indices and
+// history table entries, the edge index, block counts and DAG. The trace
+// holds its function's analysis manager, so it is charged for the
+// analyses the run builds there too.
+func traceBytes(tr *sim.Trace, pinned int64) int64 {
 	fp := tr.Profile
 	f := fp.F
-	n := int64(unsafe.Sizeof(*tr)+unsafe.Sizeof(*fp)) +
-		int64(unsafe.Sizeof(sim.Occurrence{}))*int64(cap(tr.Occ)) +
-		int64(unsafe.Sizeof(profile.Run{}))*int64(cap(fp.Runs)) + 8*int64(cap(tr.RunCycles)) +
+	cycles := int64(cap(tr.Cycles))
+	if pinned > 0 {
+		cycles = pinned
+	}
+	n := int64(unsafe.Sizeof(*tr)+unsafe.Sizeof(*fp)) + cycles +
+		int64(unsafe.Sizeof(profile.Run{}))*int64(cap(fp.Runs)) + (8+4)*int64(len(tr.RunCycles)) +
 		(int64(unsafe.Sizeof(profile.Path{}))+8+rankHistBytes)*int64(len(fp.Paths)) +
 		mapEntryBytes*int64(len(fp.EdgeCounts)) + 8*int64(cap(fp.BlockCounts)) +
 		dagBlockBytes*int64(len(f.Blocks))

@@ -62,6 +62,9 @@ type Store interface {
 const (
 	artifactMagic = "needle-artifact"
 	artifactExt   = ".art"
+	// maxHeader bounds an artifact file's first line: load looks for its
+	// newline no further.
+	maxHeader = 128
 )
 
 // DiskStore is the two-tier persistent artifact store: an in-memory Cache
@@ -202,7 +205,7 @@ func (s *DiskStore) load(stage, key string) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	nl := strings.IndexByte(string(raw[:min(len(raw), 128)]), '\n')
+	nl := strings.IndexByte(string(raw[:min(len(raw), maxHeader)]), '\n')
 	if nl < 0 {
 		return nil, false
 	}

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"needle/internal/profile"
 	"needle/internal/program"
 	"needle/internal/workloads"
 )
@@ -44,7 +45,7 @@ func artifactSignature(a *Artifacts) string {
 	fmt.Fprintf(&sb, "f=%s blocks=%d regs=%d\n", a.Inline.F.Name, len(a.Inline.F.Blocks), a.Inline.F.NumRegs())
 	tr := a.Profile.Trace
 	fmt.Fprintf(&sb, "cycles=%d energy=%.6f occ=%d paths=%d tw=%d mix=%+v mem=%+v\n",
-		tr.BaselineCycles, tr.BaselineEnergyPJ, len(tr.Occ), len(tr.Profile.Paths), tr.Profile.TotalWeight, tr.Mix, tr.CacheStats)
+		tr.BaselineCycles, tr.BaselineEnergyPJ, profile.Occurrences(tr.Profile.Runs), len(tr.Profile.Paths), tr.Profile.TotalWeight, tr.Mix, tr.CacheStats)
 	for _, p := range tr.Profile.Paths {
 		fmt.Fprintf(&sb, "path id=%d freq=%d ops=%d w=%d br=%d mem=%d blocks=%d\n",
 			p.ID, p.Freq, p.Ops, p.Weight, p.Branches, p.MemOps, len(p.Blocks))

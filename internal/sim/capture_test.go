@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"needle/internal/ballarus"
@@ -22,7 +24,7 @@ import (
 // by modelHooks) and the history tracker wired through CombineHooks, and
 // the profile rehydrated with profile.FromData. It also lists the history
 // register as each occurrence began.
-func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, []uint64, error) {
+func captureHooked(tb testing.TB, f *ir.Function, args, memory []uint64, cfg Config) (*Trace, []uint64, error) {
 	am := pm.NewManager()
 	dag, err := ballarus.Build(am, f)
 	if err != nil {
@@ -36,11 +38,12 @@ func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, [
 
 	tr := &Trace{AM: am}
 	var lastCycles int64
+	var cycles []int64
 	var hists []uint64
 	var histBefore uint64
 	prof.OnPath = func(id int64) {
 		now := model.Cycles()
-		tr.Occ = append(tr.Occ, Occurrence{Cycles: now - lastCycles})
+		cycles = append(cycles, now-lastCycles)
 		hists = append(hists, histBefore)
 		lastCycles = now
 		histBefore = hist.H
@@ -85,7 +88,7 @@ func captureHooked(f *ir.Function, args, memory []uint64, cfg Config) (*Trace, [
 	}
 	fp.BlockCounts, fp.EdgeCounts = blocks, edges
 	tr.Profile = fp
-	tr.RunCycles = runCycles(fp.Runs, tr.Occ)
+	setCycles(tb, tr, cycles)
 	tr.hist = rankHists(fp)
 	tr.BaselineCycles = model.Cycles()
 	tr.Mix = model.Mix
@@ -136,13 +139,13 @@ func assertCaptureEquivalent(t *testing.T, w *workloads.Workload, n int) {
 	}
 
 	f2, args2, memory2 := inlined(t, w, n)
-	slow, hists, err := captureHooked(f2, args2, memory2, cfg)
+	slow, hists, err := captureHooked(t, f2, args2, memory2, cfg)
 	if err != nil {
 		t.Fatalf("%s: hooked capture: %v", name, err)
 	}
 
-	if !reflect.DeepEqual(fast.Occ, slow.Occ) {
-		t.Fatalf("%s: occurrence streams differ (fast %d, hooked %d)", name, len(fast.Occ), len(slow.Occ))
+	if !bytes.Equal(fast.Cycles, slow.Cycles) || !slices.Equal(fast.offs, slow.offs) {
+		t.Fatalf("%s: occurrence streams differ (fast %d, hooked %d bytes)", name, len(fast.Cycles), len(slow.Cycles))
 	}
 	assertHistsDerived(t, name, fast, hists)
 	if fast.BaselineCycles != slow.BaselineCycles {

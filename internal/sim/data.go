@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"needle/internal/ir"
 	"needle/internal/mem"
@@ -21,9 +20,8 @@ import (
 type TraceData struct {
 	Profile *profile.Data
 	// Cycles packs each occurrence's host cycles as varints, in trace
-	// order: the occurrences of each run of Profile.Runs in turn. They stay
-	// packed as stored, so TraceFromData decodes them straight into the
-	// trace's occurrences.
+	// order: the occurrences of each run of Profile.Runs in turn, as
+	// Trace.Cycles holds them.
 	Cycles []byte
 
 	BaselineCycles   int64
@@ -33,29 +31,17 @@ type TraceData struct {
 }
 
 // Data extracts the serializable core of the trace. Like profile's Data, it
-// fails when the path trace does not reproduce what was captured — here,
-// any run's host cycles — so a stored trace always rehydrates to the
-// captured one.
+// fails when the path trace does not reproduce what was captured. The
+// packed cycles are the trace's own bytes, not a copy: indexRuns built the
+// run sums from them, so they hold one varint per traced path.
 func (tr *Trace) Data() (*TraceData, error) {
 	pd, err := tr.Profile.Data()
 	if err != nil {
 		return nil, err
 	}
-	if n := profile.Occurrences(pd.Runs); len(tr.Occ) != n || len(tr.RunCycles) != len(pd.Runs) {
-		return nil, fmt.Errorf("sim: %d occurrences and %d run sums for %d traced paths in %d runs",
-			len(tr.Occ), len(tr.RunCycles), n, len(pd.Runs))
-	}
-	if !slices.Equal(runCycles(pd.Runs, tr.Occ), tr.RunCycles) {
-		return nil, fmt.Errorf("sim: %s: run sums differ from the host cycles of their occurrences", tr.Profile.F.Name)
-	}
-	// Cycle deltas take one or two bytes each on the workloads.
-	cycles := make([]byte, 0, 2*len(tr.Occ))
-	for _, o := range tr.Occ {
-		cycles = wire.AppendVarint(cycles, o.Cycles)
-	}
 	return &TraceData{
 		Profile:          pd,
-		Cycles:           cycles,
+		Cycles:           tr.Cycles,
 		BaselineCycles:   tr.BaselineCycles,
 		BaselineEnergyPJ: tr.BaselineEnergyPJ,
 		Mix:              tr.Mix,
@@ -64,17 +50,17 @@ func (tr *Trace) Data() (*TraceData, error) {
 }
 
 // TraceFromData rehydrates a Trace: the profile is rebuilt against f (see
-// profile.FromData), every occurrence's host cycles decoded and each run's
-// summed in one walk, the per-rank history table built (see rankHist), and
-// the trace adopts am as its analysis manager, exactly as a live Capture
+// profile.FromData), the packed cycles kept as they are, each run's host
+// cycles summed and its first varint found in one walk of them (see
+// indexRuns), the per-rank history table built (see rankHist), and the
+// trace adopts am as its analysis manager, exactly as a live Capture
 // would. f must be structurally identical to the function the trace was
 // captured from. Packed cycles that do not hold exactly one varint per
 // traced path are an error, found before anything is allocated when the
 // runs claim more occurrences than the packed bytes can hold.
 func TraceFromData(am *pm.Manager, f *ir.Function, d *TraceData) (*Trace, error) {
 	n := profile.Occurrences(d.Profile.Runs)
-	r := wire.NewReader(d.Cycles)
-	if !r.Fits(n) {
+	if r := wire.NewReader(d.Cycles); !r.Fits(n) {
 		return nil, fmt.Errorf("sim: packed cycles for %d traced paths: %w", n, r.Err())
 	}
 	am = pm.Ensure(am)
@@ -82,22 +68,16 @@ func TraceFromData(am *pm.Manager, f *ir.Function, d *TraceData) (*Trace, error)
 	if err != nil {
 		return nil, err
 	}
-	occ := make([]Occurrence, n)
-	sums := make([]int64, len(fp.Runs))
-	k := 0
-	for j, run := range fp.Runs {
-		for end := k + int(run.Len); k < end; k++ {
-			occ[k].Cycles = r.Varint()
-			sums[j] += occ[k].Cycles
-		}
-	}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("sim: packed cycles for %d traced paths: %w", n, err)
+	sums, offs, err := indexRuns(fp.Runs, d.Cycles)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	return &Trace{
 		Profile:          fp,
-		Occ:              occ,
+		Cycles:           d.Cycles,
 		RunCycles:        sums,
+		Occ:              make([]struct{}, n),
+		offs:             offs,
 		hist:             rankHists(fp),
 		AM:               am,
 		BaselineCycles:   d.BaselineCycles,
@@ -105,6 +85,29 @@ func TraceFromData(am *pm.Manager, f *ir.Function, d *TraceData) (*Trace, error)
 		Mix:              d.Mix,
 		CacheStats:       d.CacheStats,
 	}, nil
+}
+
+// indexRuns decodes each varint of cycles once, one per occurrence of
+// runs, and returns each run's host cycles summed and the byte where its
+// first varint starts. Too few varints, too many, or a truncated one is an
+// error, and so are packed cycles too long for a 4-byte offset.
+func indexRuns(runs []profile.Run, cycles []byte) ([]int64, []uint32, error) {
+	if uint64(len(cycles)) > math.MaxUint32 {
+		return nil, nil, fmt.Errorf("%d bytes of packed cycles, more than a run offset addresses", len(cycles))
+	}
+	sums := make([]int64, len(runs))
+	offs := make([]uint32, len(runs))
+	r := wire.NewReader(cycles)
+	for j, run := range runs {
+		offs[j] = uint32(r.Offset())
+		for range run.Len {
+			sums[j] += r.Varint()
+		}
+	}
+	if err := r.Done(); err != nil {
+		return nil, nil, fmt.Errorf("packed cycles for %d traced paths: %w", profile.Occurrences(runs), err)
+	}
+	return sums, offs, nil
 }
 
 // rankHist is what one occurrence of a path shifts into the global
@@ -128,23 +131,32 @@ type rankHist struct {
 	n, s, self uint8
 }
 
-// rankHists builds the history table of fp's paths, indexed by rank.
+// rankHists builds the history table of fp's paths, indexed by rank,
+// reading each block's terminator once.
 func rankHists(fp *profile.FunctionProfile) []rankHist {
-	f := fp.F
+	// taken is, by Block.Index, the Index of the taken arm (Blocks[0]) of
+	// the condbr ending the block, or -1 when it ends otherwise.
+	taken := make([]int32, len(fp.F.Blocks))
+	for _, b := range fp.F.Blocks {
+		taken[b.Index] = -1
+		if t := b.Term(); t != nil && t.Op == ir.OpCondBr {
+			taken[b.Index] = int32(t.Blocks[0].Index)
+		}
+	}
 	tab := make([]rankHist, len(fp.Paths))
 	for r, p := range fp.Paths {
 		e := &tab[r]
 		w := 0
 		bs := p.Blocks
 		for i := 1; i < len(bs); i++ {
-			if t := f.Blocks[bs[i-1]].Term(); t.Op == ir.OpCondBr {
-				e.bits = e.bits<<1 | b2u(int32(t.Blocks[0].Index) == bs[i])
+			if t := taken[bs[i-1]]; t >= 0 {
+				e.bits = e.bits<<1 | b2u(t == bs[i])
 				w++
 			}
 		}
-		e.first, e.taken, e.n = bs[0], -1, uint8(min(w, 64))
-		if t := f.Blocks[bs[len(bs)-1]].Term(); t.Op == ir.OpCondBr {
-			e.taken, e.s, w = int32(t.Blocks[0].Index), 1, w+1
+		e.first, e.taken, e.n = bs[0], taken[bs[len(bs)-1]], uint8(min(w, 64))
+		if e.taken >= 0 {
+			e.s, w = 1, w+1
 			e.self = uint8(b2u(e.taken == bs[0]))
 		}
 		e.setFull(w)

@@ -1,13 +1,16 @@
 package sim
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
 	"needle/internal/ir"
+	"needle/internal/profile"
 	"needle/internal/wire"
 	"needle/internal/workloads"
 )
@@ -37,14 +40,14 @@ func TestPackedOccurrencesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back.Occ, tr.Occ) || !reflect.DeepEqual(back.RunCycles, tr.RunCycles) {
-		t.Fatalf("occurrences differ after the round trip (%d vs %d)", len(back.Occ), len(tr.Occ))
+	if !bytes.Equal(back.Cycles, tr.Cycles) || !slices.Equal(back.RunCycles, tr.RunCycles) || !slices.Equal(back.offs, tr.offs) {
+		t.Fatalf("occurrences differ after the round trip (%d vs %d bytes)", len(back.Cycles), len(tr.Cycles))
 	}
 	if !reflect.DeepEqual(back.hist, tr.hist) {
 		t.Fatal("history tables differ after the round trip")
 	}
-	if cap(back.Occ) != len(back.Occ) {
-		t.Fatalf("decoded slice has capacity %d for %d occurrences", cap(back.Occ), len(back.Occ))
+	if n := profile.Occurrences(tr.Profile.Runs); len(tr.Occ) != n || len(back.Occ) != n {
+		t.Fatalf("Occ has %d captured and %d decoded entries for %d occurrences", len(tr.Occ), len(back.Occ), n)
 	}
 	if back.BaselineCycles != tr.BaselineCycles || back.BaselineEnergyPJ != tr.BaselineEnergyPJ ||
 		back.Mix != tr.Mix || back.CacheStats != tr.CacheStats {
@@ -52,17 +55,28 @@ func TestPackedOccurrencesRoundTrip(t *testing.T) {
 	}
 
 	edge := []int64{0, math.MaxInt64, math.MinInt64, -1, 64}
-	d.Cycles = d.Cycles[:0:0]
-	for i := range tr.Occ {
+	d.Cycles = nil
+	for i := range profile.Occurrences(tr.Profile.Runs) {
 		d.Cycles = wire.AppendVarint(d.Cycles, edge[i%len(edge)])
 	}
 	back, err = decode(f, d.Append(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, o := range back.Occ {
-		if o.Cycles != edge[i%len(edge)] {
-			t.Fatalf("occurrence %d: got %+v, want cycles %d", i, o, edge[i%len(edge)])
+	k := 0
+	for j, run := range back.Profile.Runs {
+		var sum int64
+		for range run.Len {
+			sum += edge[k%len(edge)]
+			k++
+		}
+		if back.RunCycles[j] != sum {
+			t.Fatalf("run %d: sum %d, want %d", j, back.RunCycles[j], sum)
+		}
+	}
+	for i, c := range occCycles(back) {
+		if c != edge[i%len(edge)] {
+			t.Fatalf("occurrence %d: got cycles %d, want %d", i, c, edge[i%len(edge)])
 		}
 	}
 }
@@ -106,16 +120,17 @@ func TestPackedOccurrencesRejectTruncation(t *testing.T) {
 
 // TestTraceFromDataBytes pins what decoding a stored trace allocates on
 // 186.crafty, whose path table is the largest, and 197.parser, whose runs
-// are the shortest: 8 B per occurrence, its host cycles, plus 16 B per run
-// (its cycle sum and its entry in the decoded run table), 470 B per path
-// (its record, block arena, indexes and history table entry, and its share
-// of the analyses the rebuilt profile runs: 447–453 B measured on crafty,
-// whose map growth varies) and 16 KiB. An occurrence that stored one more
-// word would cost crafty 240 KB and parser 96 KB, more than that allows.
+// are the shortest: nothing per occurrence, whose host cycles stay in the
+// payload they were read from; 20 B per run (its entry in the decoded run
+// table, its cycle sum and the offset of its first varint); 4 B per path
+// block (the block-index arena); 150 B per path (its ID as read, its
+// record, history table entry and share of the rebuilt profile's tables:
+// about 130 B measured on crafty, whose map growth varies); 512 B per
+// block of the function (the analyses the rebuilt profile runs, and the
+// history table's per-block table); and 16 KiB. A decode that kept one
+// word per occurrence would cost crafty 240 KB and parser 96 KB, more than
+// that allows.
 func TestTraceFromDataBytes(t *testing.T) {
-	if n := unsafe.Sizeof(Occurrence{}); n != 8 {
-		t.Fatalf("an occurrence takes %d bytes, want 8", n)
-	}
 	if n := unsafe.Sizeof(rankHist{}); n != 32 {
 		t.Fatalf("a history table entry takes %d bytes; pipeline's resident-size estimate charges 32", n)
 	}
@@ -131,17 +146,26 @@ func TestTraceFromDataBytes(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
+		var back *Trace
 		for range decodes {
-			if _, err := decode(f, buf); err != nil {
+			if back, err = decode(f, buf); err != nil {
 				t.Fatal(err)
 			}
 		}
 		runtime.ReadMemStats(&after)
 		got := (after.TotalAlloc - before.TotalAlloc) / decodes
-		occ, runs, paths := len(tr.Occ), len(tr.Profile.Runs), len(tr.Profile.Paths)
-		if limit := uint64(8*occ + 16*runs + 470*paths + 16<<10); got > limit {
-			t.Errorf("%s: a decode allocates %d B, over %d for %d occurrences, %d runs and %d paths",
-				name, got, limit, occ, runs, paths)
+		runs, paths, blocks := len(tr.Profile.Runs), len(tr.Profile.Paths), 0
+		for _, p := range tr.Profile.Paths {
+			blocks += len(p.Blocks)
+		}
+		if limit := uint64(20*runs + 4*blocks + 150*paths + 512*len(f.Blocks) + 16<<10); got > limit {
+			t.Errorf("%s: a decode allocates %d B, over %d for %d runs, %d paths of %d blocks and a function of %d blocks",
+				name, got, limit, runs, paths, blocks, len(f.Blocks))
+		}
+		// The packed cycles end the payload; the decoded trace keeps them
+		// where they were read.
+		if n := len(back.Cycles); n == 0 || unsafe.SliceData(back.Cycles) != &buf[len(buf)-n] {
+			t.Errorf("%s: the decoded trace's %d bytes of cycles do not alias the payload's last %d", name, n, n)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -62,13 +63,8 @@ func assertDerivedMatchesCaptured(t *testing.T, name string, f *ir.Function, tr 
 	if !reflect.DeepEqual(got.EdgeCounts, want.EdgeCounts) {
 		t.Fatalf("%s: derived edge counts %v, captured %v", name, got.EdgeCounts, want.EdgeCounts)
 	}
-	if len(back.Occ) != len(tr.Occ) {
-		t.Fatalf("%s: %d occurrences, captured %d", name, len(back.Occ), len(tr.Occ))
-	}
-	for i := range tr.Occ {
-		if back.Occ[i] != tr.Occ[i] {
-			t.Fatalf("%s: occurrence %d is %+v, captured %+v", name, i, back.Occ[i], tr.Occ[i])
-		}
+	if !bytes.Equal(back.Cycles, tr.Cycles) || !slices.Equal(back.offs, tr.offs) {
+		t.Fatalf("%s: packed cycles differ from the captured ones", name)
 	}
 	assertHistsDerived(t, name, back, hists)
 	return len(d.Profile.Tail)
@@ -103,14 +99,12 @@ func TestDerivedCountsMatchCaptureRandomPrograms(t *testing.T) {
 // path-ending branch shifts in, and models no cycles.
 type cutFeed struct {
 	h, before uint64
-	occ       []Occurrence
 	hists     []uint64
 }
 
 func (c *cutFeed) FeedBlock(*interp.TimingPacket, int, []int64) {}
 func (c *cutFeed) NoteBranch(taken bool)                        { c.h = c.h<<1 | b2u(taken) }
 func (c *cutFeed) EndPath(int64) {
-	c.occ = append(c.occ, Occurrence{})
 	c.hists = append(c.hists, c.before)
 	c.before = c.h
 }
@@ -147,7 +141,8 @@ func captureCut(t *testing.T, f *ir.Function, args, memory []uint64, maxSteps in
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &Trace{Profile: fp, Occ: feed.occ, RunCycles: runCycles(fp.Runs, feed.occ), hist: rankHists(fp), AM: am}
+	tr := &Trace{Profile: fp, hist: rankHists(fp), AM: am}
+	setCycles(t, tr, make([]int64, len(feed.hists)))
 	return tr, feed.hists, runErr
 }
 

@@ -3,8 +3,10 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
+	"needle/internal/corpus"
 	"needle/internal/energy"
 	"needle/internal/interp"
 	"needle/internal/ir"
@@ -12,6 +14,7 @@ import (
 	"needle/internal/profile"
 	"needle/internal/region"
 	"needle/internal/spec"
+	"needle/internal/wire"
 	"needle/internal/workloads"
 )
 
@@ -40,9 +43,10 @@ func newRefTarget(fp *profile.FunctionProfile, tgt *Target, accepts func(p *prof
 }
 
 // referenceEvaluate is the replay of one target with targets keyed by path
-// ID: three map lookups per occurrence, whatever the path-ID space, and
-// occurrence i's branch history read from hists[i], not derived. Every lane
-// of Evaluate must match it exactly.
+// ID: three map lookups per occurrence, whatever the path-ID space,
+// occurrence i's branch history read from hists[i], not derived, and every
+// occurrence's host cycles read from the expanded varints (occCycles), not
+// from run sums. Every lane of Evaluate must match it exactly.
 func referenceEvaluate(tr *Trace, hists []uint64, tgt refTarget, pred spec.Predictor, cfg Config) Result {
 	res := Result{
 		Predictor:        pred.Name(),
@@ -58,10 +62,10 @@ func referenceEvaluate(tr *Trace, hists []uint64, tgt refTarget, pred spec.Predi
 	energyPJ := tr.BaselineEnergyPJ
 	reconfigured, inRun := false, false
 	ranks := ranksOf(tr.Profile.Runs)
-	for i, occ := range tr.Occ {
+	for i, oc := range occCycles(tr) {
 		id := tr.Profile.Paths[ranks[i]].ID
 		if !tgt.isOpp[id] {
-			cycles += occ.Cycles
+			cycles += oc
 			inRun = false
 			continue
 		}
@@ -94,12 +98,12 @@ func referenceEvaluate(tr *Trace, hists []uint64, tgt refTarget, pred spec.Predi
 				energyPJ += tgt.Sched.InvokeEnergyPJ(execOps)
 				acceleratedWeight += occOps
 			} else {
-				cycles += tgt.Sched.FailCycles() + occ.Cycles
+				cycles += tgt.Sched.FailCycles() + oc
 				energyPJ += tgt.Sched.FailEnergyPJ() + tgt.Sched.TransferPJ
 				inRun = false
 			}
 		} else {
-			cycles += occ.Cycles
+			cycles += oc
 			inRun = false
 		}
 		pred.Update(hists[i], success)
@@ -130,6 +134,54 @@ func inSet(blocks []*ir.Block, f *ir.Function, p *profile.Path) bool {
 		}
 	}
 	return true
+}
+
+// referenceRankHists is the history table builder rankHists replaced,
+// which reaches every path block's terminator through the function.
+func referenceRankHists(fp *profile.FunctionProfile) []rankHist {
+	f := fp.F
+	tab := make([]rankHist, len(fp.Paths))
+	for r, p := range fp.Paths {
+		e := &tab[r]
+		w := 0
+		bs := p.Blocks
+		for i := 1; i < len(bs); i++ {
+			if t := f.Blocks[bs[i-1]].Term(); t.Op == ir.OpCondBr {
+				e.bits = e.bits<<1 | b2u(int32(t.Blocks[0].Index) == bs[i])
+				w++
+			}
+		}
+		e.first, e.taken, e.n = bs[0], -1, uint8(min(w, 64))
+		if t := f.Blocks[bs[len(bs)-1]].Term(); t.Op == ir.OpCondBr {
+			e.taken, e.s, w = int32(t.Blocks[0].Index), 1, w+1
+			e.self = uint8(b2u(e.taken == bs[0]))
+		}
+		e.setFull(w)
+	}
+	return tab
+}
+
+// TestRankHistsMatchReference: the history table rankHists builds from its
+// per-block table is the reference's on the 29 workloads at their default
+// sizes and on every corpus profile: the irgen programs and the
+// checked-in .nir programs.
+func TestRankHistsMatchReference(t *testing.T) {
+	check := func(name string, fp *profile.FunctionProfile) {
+		if got, want := rankHists(fp), referenceRankHists(fp); !slices.Equal(got, want) {
+			t.Fatalf("%s: history tables differ from the reference", name)
+		}
+	}
+	for _, w := range workloads.All() {
+		f, args, memory := inlined(t, w, 0)
+		fp, err := profile.CollectFunction(nil, f, args, memory, false, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		check(w.Name, fp)
+	}
+	for _, p := range corpus.Profiles(t) {
+		check(p.Name, p.FP)
+	}
 }
 
 // sameResult reports whether two results are equal field for field, with
@@ -215,15 +267,40 @@ func ranksOf(runs []profile.Run) []int32 {
 	return ranks
 }
 
+// occCycles expands tr's packed cycles, one entry per occurrence, in
+// trace order.
+func occCycles(tr *Trace) []int64 {
+	var cycles []int64
+	r := wire.NewReader(tr.Cycles)
+	for r.Offset() < len(tr.Cycles) {
+		cycles = append(cycles, r.Varint())
+	}
+	return cycles
+}
+
+// setCycles packs cycles, one entry per occurrence of tr's path trace, into
+// tr as Capture does, indexing them with indexRuns.
+func setCycles(t testing.TB, tr *Trace, cycles []int64) {
+	t.Helper()
+	var b []byte
+	for _, c := range cycles {
+		b = wire.AppendVarint(b, c)
+	}
+	sums, offs, err := indexRuns(tr.Profile.Runs, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Cycles, tr.RunCycles, tr.offs, tr.Occ = b, sums, offs, make([]struct{}, len(cycles))
+}
+
 // prefixTrace is tr cut to its first k occurrences, over the same path
 // table and baselines.
-func prefixTrace(tr *Trace, k int) *Trace {
+func prefixTrace(t testing.TB, tr *Trace, k int) *Trace {
 	fp := *tr.Profile
 	fp.Runs = runsOf(ranksOf(tr.Profile.Runs)[:k])
 	cut := *tr
 	cut.Profile = &fp
-	cut.Occ = tr.Occ[:k]
-	cut.RunCycles = runCycles(fp.Runs, cut.Occ)
+	setCycles(t, &cut, occCycles(tr)[:k])
 	return &cut
 }
 
@@ -246,10 +323,10 @@ func assertReplayMatchesReference(t *testing.T, name string, tr *Trace, hists []
 	if len(fp.Paths) == 0 {
 		return 0
 	}
-	n := len(tr.Occ)
+	n := profile.Occurrences(fp.Runs)
 	rows := 0
 	for _, k := range []int{n, 0, 1, n / 3, max(n-1, 0)} {
-		cut := prefixTrace(tr, k)
+		cut := prefixTrace(t, tr, k)
 		c := candidateTable(t, name, cut, cfg)
 		for i, r := range c.rows {
 			want := referenceEvaluate(cut, hists[:k], refTargetOf(fp, r), predictorOf(r.pred, cfg.HistBits), cfg)

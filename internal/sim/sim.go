@@ -8,6 +8,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -26,6 +27,7 @@ import (
 	"needle/internal/profile"
 	"needle/internal/region"
 	"needle/internal/spec"
+	"needle/internal/wire"
 )
 
 // Observability counters (no-ops until obs.Enable): baseline captures and
@@ -124,22 +126,27 @@ func (c Config) Check() error {
 	return nil
 }
 
-// Occurrence is one executed Ball-Larus path instance: its host cost. The
-// path it executed is the matching entry of the profile's path trace, from
-// which the replay derives the branch history observed before it began.
-type Occurrence struct {
-	Cycles int64
-}
-
 // Trace is the captured baseline execution.
 type Trace struct {
 	Profile *profile.FunctionProfile
-	// Occ holds one entry per path completion, in execution order: the
-	// occurrences of each run of Profile.Runs in turn.
-	Occ []Occurrence
+	// Cycles packs each path completion's host cycles as zig-zag varints
+	// (docs/PIPELINE.md), in execution order: the occurrences of each run of
+	// Profile.Runs in turn. They stay packed: the replay reads an
+	// occurrence's cycles only where a history lane steps it, and settles
+	// the rest of a run from RunCycles. A decoded trace's bytes alias the
+	// payload it was read from, so neither may be written.
+	Cycles []byte
 	// RunCycles holds, for each run of Profile.Runs, the host cycles of its
 	// occurrences summed.
 	RunCycles []int64
+	// Occ has one zero-width entry per occurrence, so it allocates nothing
+	// and its length is the occurrence count. It is a shim for the frozen
+	// needlebench module's per-layer probe, which reads len(Occ); nothing
+	// in this module reads it, and ROADMAP item 3 deletes it.
+	Occ []struct{}
+	// offs holds, for each run, the byte of Cycles where its first varint
+	// starts (see indexRuns).
+	offs []uint32
 	// hist is the history each path shifts in, by rank (see rankHist).
 	hist []rankHist
 
@@ -173,7 +180,8 @@ func Capture(am *pm.Manager, f *ir.Function, args []uint64, memory []uint64, cfg
 	cache := mem.New(cfg.Mem)
 	host := &hostFeed{
 		Model: ooo.New(cfg.OOO, f.NumRegs(), cache),
-		occ:   make([]Occurrence, 0, 1024),
+		// Cycle deltas take one or two bytes each on the workloads.
+		cycles: make([]byte, 0, 2048),
 	}
 
 	xsp := sp.Child("capture: execute")
@@ -191,14 +199,17 @@ func Capture(am *pm.Manager, f *ir.Function, args []uint64, memory []uint64, cfg
 		return nil, err
 	}
 	// The recorded path trace enumerates completed occurrences in order, so
-	// its length is the occurrence count.
-	if n := profile.Occurrences(fp.Runs); n != len(host.occ) {
-		return nil, fmt.Errorf("sim: capture recorded %d occurrences but traced %d paths", len(host.occ), n)
+	// it must hold exactly one varint per traced path.
+	sums, offs, err := indexRuns(fp.Runs, host.cycles)
+	if err != nil {
+		return nil, fmt.Errorf("sim: capture: %w", err)
 	}
 	tr := &Trace{
 		Profile:          fp,
-		Occ:              host.occ,
-		RunCycles:        runCycles(fp.Runs, host.occ),
+		Cycles:           host.cycles,
+		RunCycles:        sums,
+		Occ:              make([]struct{}, profile.Occurrences(fp.Runs)),
+		offs:             offs,
 		hist:             rankHists(fp),
 		AM:               am,
 		BaselineCycles:   host.Cycles(),
@@ -213,30 +224,19 @@ func Capture(am *pm.Manager, f *ir.Function, args []uint64, memory []uint64, cfg
 }
 
 // hostFeed is Capture's interp.Timing: the host timing model, which takes
-// the block feed, plus the host cycles of every path occurrence.
+// the block feed, plus the host cycles of every path occurrence, packed as
+// the trace keeps them.
 type hostFeed struct {
 	*ooo.Model
 	lastCycles int64 // host cycles when the current path began
-	occ        []Occurrence
+	cycles     []byte
 }
 
 // EndPath closes one occurrence.
 func (h *hostFeed) EndPath(int64) {
 	now := h.Cycles()
-	h.occ = append(h.occ, Occurrence{Cycles: now - h.lastCycles})
+	h.cycles = wire.AppendVarint(h.cycles, now-h.lastCycles)
 	h.lastCycles = now
-}
-
-// runCycles sums occ's host cycles by run.
-func runCycles(runs []profile.Run, occ []Occurrence) []int64 {
-	sums := make([]int64, len(runs))
-	k := 0
-	for j, run := range runs {
-		for end := k + int(run.Len); k < end; k++ {
-			sums[j] += occ[k].Cycles
-		}
-	}
-	return sums
 }
 
 // Target is an offload candidate: a framed region scheduled on the CGRA,
@@ -445,7 +445,7 @@ func evaluate(tr *Trace, lanes []Lane, cfg Config, floor int) []Result {
 	}
 	// The one-worker case has a call of its own: a closure handed to
 	// par.Ranges is heap-allocated whether or not a second worker runs.
-	work *= len(tr.RunCycles) + len(tr.Occ)/8
+	work *= len(tr.RunCycles) + profile.Occurrences(tr.Profile.Runs)/8
 	if w := par.Workers(work, floor); w == 1 {
 		replay(walk, tr, costs)
 	} else {
@@ -471,8 +471,8 @@ func evaluate(tr *Trace, lanes []Lane, cfg Config, floor int) []Result {
 }
 
 // tile is how many runs every lane of a replay advances over before the
-// next tile: the tile's runs, their occurrences and their branch histories
-// stay in cache across the lanes.
+// next tile: the tile's runs, their packed cycles and their branch
+// histories stay in cache across the lanes.
 const tile = 512
 
 // replay advances every lane of walk over the whole trace, a tile of runs
@@ -482,16 +482,13 @@ func replay(walk []laneWalk, tr *Trace, costs []rankCost) {
 	var hists [tile]runHist
 	runs, sums := tr.Profile.Runs, tr.RunCycles
 	var h, snap uint64 // the branch history as the tile begins
-	k := 0             // occurrences before the tile
 	for lo := 0; lo < len(runs); lo += tile {
 		hi := min(lo+tile, len(runs))
 		var host int64
-		n := 0
-		for j := lo; j < hi; j++ {
-			host += sums[j]
-			n += int(runs[j].Len)
+		for _, c := range sums[lo:hi] {
+			host += c
 		}
-		t := span{runs: runs[lo:hi], sums: sums[lo:hi], occ: tr.Occ[k : k+n], hists: hists[:hi-lo]}
+		t := span{runs: runs[lo:hi], sums: sums[lo:hi], cycles: tr.Cycles, offs: tr.offs[lo:hi], hists: hists[:hi-lo]}
 		h, snap = fillHists(tr.hist, runs, lo, h, snap, t.hists)
 		for i := range walk {
 			if w := &walk[i]; w.kind == predHistory {
@@ -500,17 +497,18 @@ func replay(walk []laneWalk, tr *Trace, costs []rankCost) {
 				w.walkFixed(&t, costs, host)
 			}
 		}
-		k += n
 	}
 }
 
-// span is a stretch of the trace: whole runs, each run's host cycles,
-// their occurrences and each run's branch histories.
+// span is a stretch of the trace: whole runs, each run's host cycles, the
+// trace's packed cycles with the byte each run's first varint starts at,
+// and each run's branch histories.
 type span struct {
-	runs  []profile.Run
-	sums  []int64
-	occ   []Occurrence
-	hists []runHist
+	runs   []profile.Run
+	sums   []int64
+	cycles []byte
+	offs   []uint32
+	hists  []runHist
 }
 
 // rankCost is what one occurrence of a path costs the host, by rank.
@@ -744,22 +742,20 @@ func (w *laneWalk) walkHistory(t *span, costs []rankCost, host int64) {
 	class, hist := w.class, w.hist
 	cycles, weight, energyPJ, inRun := w.cycles+host, w.weight, w.energyPJ, w.inRun
 	var opps, invs, succs int64
-	k := 0
 	for j, run := range t.runs {
-		o := t.occ[k : k+int(run.Len)]
-		k += len(o)
+		n := int(run.Len)
 		c := class[run.Rank]
 		if c == classHost {
 			inRun = false
 			continue
 		}
-		opps += int64(len(o))
+		opps += int64(n)
 		r := &t.hists[j]
 		shift, pw, step, need := uint(r.w), r.pw, uint(r.step), w.bits+uint(r.s)
 		x, next := r.x0, r.x1 // occurrence i's history and i+1's
 		if c == classFail {
 			var fired int64
-			for i := range o {
+			for i := range n {
 				invoke, saturated := hist.Step(x, false)
 				if invoke {
 					fired++
@@ -777,11 +773,23 @@ func (w *laneWalk) walkHistory(t *span, costs []rankCost, host int64) {
 		}
 		cost := costs[run.Rank]
 		accPJ := w.successPJAt(cost.ops)
-		var fired, stepped int64 // stepped: host cycles of the stepped occurrences
-		i := 0
-		for i < len(o) {
+		var fired, stepped int64  // stepped: host cycles of the stepped occurrences
+		i, p := 0, int(t.offs[j]) // p: the byte of occurrence i's cycles
+		for i < n {
 			invoke, saturated := hist.Step(x, true)
-			oc := o[i].Cycles
+			// The occurrence's varint, which indexRuns has checked: one or
+			// two bytes on the workloads, decoded inline.
+			u := uint64(t.cycles[p])
+			if u < 0x80 {
+				p++
+			} else if b := uint64(t.cycles[p+1]); b < 0x80 {
+				u, p = u&0x7f|b<<7, p+2
+			} else {
+				var m int
+				u, m = binary.Uvarint(t.cycles[p:])
+				p += m
+			}
+			oc := int64(u>>1) ^ -int64(u&1)
 			i++
 			stepped += oc
 			if invoke {
@@ -804,7 +812,7 @@ func (w *laneWalk) walkHistory(t *span, costs []rankCost, host int64) {
 			}
 			x, next = next, next<<shift|pw
 		}
-		if m := int64(len(o) - i); m > 0 {
+		if m := int64(n - i); m > 0 {
 			fired += m
 			cycles -= t.sums[j] - stepped
 			if inRun {

@@ -81,8 +81,9 @@ func hottestBraid(t testing.TB, tr *Trace, cfg Config, pred spec.Predictor) (Res
 func TestCaptureAttributionSumsToBaseline(t *testing.T) {
 	tr := capture(t, "181.mcf", 800)
 	var sum int64
-	for _, occ := range tr.Occ {
-		sum += occ.Cycles
+	occ := occCycles(tr)
+	for _, c := range occ {
+		sum += c
 	}
 	// Occurrence cycles partition the baseline (the last path completion
 	// coincides with the function return).
@@ -92,7 +93,7 @@ func TestCaptureAttributionSumsToBaseline(t *testing.T) {
 	if tr.BaselineEnergyPJ <= 0 {
 		t.Fatal("no baseline energy")
 	}
-	if int64(len(tr.Occ)) != tr.Profile.HottestPath().Freq+sumOtherFreqs(tr) {
+	if int64(len(occ)) != tr.Profile.HottestPath().Freq+sumOtherFreqs(tr) {
 		t.Fatal("occurrence count mismatch with profile")
 	}
 }

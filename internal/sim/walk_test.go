@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"needle/internal/spec"
+	"needle/internal/wire"
 )
 
 // braidRanks are ranks of one braid row's target by class: two paths it
@@ -54,23 +55,33 @@ func braidWithEveryClass(t *testing.T, cfg Config) (*Trace, *Candidates, braidRa
 }
 
 // handTrace is tr's profile replayed over a hand-built trace: one
-// occurrence per entry of ranks, of 5 to 11 host cycles, whose paths shift
-// into the branch history what the per-rank table tab says.
-func handTrace(tr *Trace, ranks []int32, tab []rankHist) *Trace {
+// occurrence per entry of ranks, occurrence i of cycles[i%len(cycles)]
+// host cycles, whose paths shift into the branch history what the
+// per-rank table tab says.
+func handTrace(t testing.TB, tr *Trace, ranks []int32, tab []rankHist, cycles []int64) *Trace {
 	fp := *tr.Profile
 	fp.Runs = runsOf(ranks)
 	ht := *tr
 	ht.Profile = &fp
-	ht.Occ = make([]Occurrence, len(ranks))
 	ht.hist = tab
+	occ := make([]int64, len(ranks))
 	ht.BaselineCycles = 0
-	for i := range ranks {
-		ht.Occ[i] = Occurrence{Cycles: int64(5 + i%7)}
-		ht.BaselineCycles += ht.Occ[i].Cycles
+	for i := range occ {
+		occ[i] = cycles[i%len(cycles)]
+		ht.BaselineCycles += occ[i]
 	}
-	ht.RunCycles = runCycles(fp.Runs, ht.Occ)
+	setCycles(t, &ht, occ)
 	return &ht
 }
+
+// Host cycles of hand-built traces: small ones, each one varint byte, and
+// wide ones, whose varints take 1, 2, 3, 10 and 10 bytes in turn, so that
+// a history lane's stepped prefix and the bulk rest of a run both hold
+// every width.
+var (
+	narrowCycles = []int64{5, 6, 7, 8, 9, 10, 11}
+	wideCycles   = []int64{9, 3000, 70000, 1 << 62, -(1 << 62) - 1}
+)
 
 // otherPredictor is a predictor of none of the types the replay resolves.
 type otherPredictor struct{}
@@ -125,9 +136,10 @@ func acrossTiles(k braidRanks) []int32 {
 // whose paths fall in every class, and every other candidate of its table,
 // and demands the reference's result for each lane, bit for bit, on one
 // worker and split. The reference reads every occurrence's history from
-// expandHists. Each lane runs under its row's predictor and under a
-// history table trained to decline the history of the trace's first
-// occurrence.
+// expandHists and its host cycles from the expanded varints. Each trace is
+// replayed with narrow and wide host cycles, and each lane runs under its
+// row's predictor and under a history table trained to decline the history
+// of the trace's first occurrence.
 func TestReplayHandBuiltTraces(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	cfg := DefaultConfig()
@@ -172,31 +184,40 @@ func TestReplayHandBuiltTraces(t *testing.T) {
 		// tile's end.
 		{"across tiles", acrossTiles(k), mixed},
 	}
+	widths := map[int]bool{}
+	for _, c := range wideCycles {
+		widths[len(wire.AppendVarint(nil, c))] = true
+	}
+	if len(widths) != 4 || !widths[1] || !widths[2] || !widths[3] || !widths[10] {
+		t.Fatalf("wide cycles take varints of %v bytes, want 1, 2, 3 and 10", widths)
+	}
 	for _, tc := range cases {
-		ht := handTrace(tr, tc.ranks, tc.tab)
-		hists := expandHists(tc.tab, ht.Profile.Runs)
-		preds := []struct {
-			name string
-			make func(r row) spec.Predictor
-		}{
-			{"row", func(r row) spec.Predictor { return predictorOf(r.pred, cfg.HistBits) }},
-			{"trained history", func(row) spec.Predictor { return trainedHistory(cfg.HistBits, hists[0]) }},
-		}
-		for _, p := range preds {
-			lanes := func() []Lane {
-				ls := make([]Lane, len(c.rows))
-				for i, r := range c.rows {
-					ls[i] = Lane{Target: r.target, Pred: p.make(r)}
-				}
-				return ls
+		for _, cycles := range [][]int64{narrowCycles, wideCycles} {
+			ht := handTrace(t, tr, tc.ranks, tc.tab, cycles)
+			hists := expandHists(tc.tab, ht.Profile.Runs)
+			preds := []struct {
+				name string
+				make func(r row) spec.Predictor
+			}{
+				{"row", func(r row) spec.Predictor { return predictorOf(r.pred, cfg.HistBits) }},
+				{"trained history", func(row) spec.Predictor { return trainedHistory(cfg.HistBits, hists[0]) }},
 			}
-			for _, floor := range []int{math.MaxInt, 1} {
-				got := evaluate(ht, lanes(), cfg, floor)
-				for i, r := range c.rows {
-					want := referenceEvaluate(ht, hists, refTargetOf(fp, r), p.make(r), cfg)
-					if !sameResult(got[i], want) {
-						t.Fatalf("%s, %s predictor, floor %d, row %d (kind %d): replay differs from reference\n got  %+v\n want %+v",
-							tc.name, p.name, floor, i, r.kind, got[i], want)
+			for _, p := range preds {
+				lanes := func() []Lane {
+					ls := make([]Lane, len(c.rows))
+					for i, r := range c.rows {
+						ls[i] = Lane{Target: r.target, Pred: p.make(r)}
+					}
+					return ls
+				}
+				for _, floor := range []int{math.MaxInt, 1} {
+					got := evaluate(ht, lanes(), cfg, floor)
+					for i, r := range c.rows {
+						want := referenceEvaluate(ht, hists, refTargetOf(fp, r), p.make(r), cfg)
+						if !sameResult(got[i], want) {
+							t.Fatalf("%s, cycles %v, %s predictor, floor %d, row %d (kind %d): replay differs from reference\n got  %+v\n want %+v",
+								tc.name, cycles, p.name, floor, i, r.kind, got[i], want)
+						}
 					}
 				}
 			}

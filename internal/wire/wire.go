@@ -151,6 +151,9 @@ func NewReader(b []byte) *Reader { return &Reader{buf: b} }
 // Err returns the first error the reader met, or nil.
 func (r *Reader) Err() error { return r.err }
 
+// Offset returns how many bytes of the payload have been read.
+func (r *Reader) Offset() int { return r.off }
+
 // left returns the bytes not yet read.
 func (r *Reader) left() []byte { return r.buf[r.off:] }
 

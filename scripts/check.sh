@@ -57,6 +57,16 @@ if [ -n "$strays" ]; then
 fi
 echo "oracle ok (no binary links internal/oracle; oracles declared only there and in tests)"
 
+# sim.Trace.Occ is a zero-width shim that exists only for the frozen
+# needlebench module's per-layer probe: no other non-test file may read it.
+occ=$(grep -rnE --include='*.go' --exclude='*_test.go' '\.Occ\b' cmd examples internal *.go || true)
+if [ -n "$occ" ]; then
+    echo "check: FAIL — sim.Trace.Occ read outside needlebench/ and tests:" >&2
+    echo "$occ" >&2
+    exit 1
+fi
+echo "occ    ok (sim.Trace.Occ read only by needlebench/)"
+
 # The service stack first: the serving layer and the pipeline/core API it
 # fronts are the most concurrency-sensitive packages (worker pools,
 # singleflight, cancellation), so their race-detector run fails fast and
