@@ -114,6 +114,11 @@ func TestResponseTable(t *testing.T) {
 		{"analyze entry on workload", http.MethodPost, "/v1/analyze", src(analyzeRequest{Workload: "164.gzip", Entry: "f"}), badRequest("entry/memWords/args apply only to source requests")},
 		{"analyze unknown workload", http.MethodPost, "/v1/analyze", `{"workload":"999.nope"}`, response{http.StatusNotFound, errorBody(`unknown workload "999.nope" (see /v1/workloads)`), ""}},
 		{"analyze over-cap body", http.MethodPost, "/v1/analyze", src(analyzeRequest{Source: ingestSrc + strings.Repeat(";x\n", 8<<10)}), tooLarge("reading request body: http: request body too large")},
+		// The whole capped body is read before any of it is decoded: a
+		// valid object whose trailing whitespace runs past the cap is a
+		// 413, and a body of whitespace alone is the decoder's EOF.
+		{"analyze over-cap trailing whitespace", http.MethodPost, "/v1/analyze", `{"workload":"164.gzip"}` + strings.Repeat(" ", 16<<10), tooLarge("reading request body: http: request body too large")},
+		{"analyze whitespace body", http.MethodPost, "/v1/analyze", " \n\t ", badRequest("decoding request: EOF")},
 		{"analyze over-cap source", http.MethodPost, "/v1/analyze", src(analyzeRequest{Source: "; pad\n" + strings.Repeat("; padding line\n", 300) + ingestSrc}), tooLarge(`program exceeds limits: source is 4724 bytes, cap is 4096`)},
 		{"analyze over-cap instrs", http.MethodPost, "/v1/analyze", src(analyzeRequest{Source: instrBomb.String()}), tooLarge(`program exceeds limits: module has 80 instructions, cap is 64`)},
 		{"analyze over-cap source memory", http.MethodPost, "/v1/analyze", src(analyzeRequest{Source: ingestSrc, MemWords: 1 << 20}), tooLarge(`program exceeds limits: memory image of 1048576 words, cap is 8192`)},
