@@ -10,8 +10,12 @@ package needle_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -32,6 +36,7 @@ import (
 	"needle/internal/profile"
 	"needle/internal/program"
 	"needle/internal/region"
+	"needle/internal/serve"
 	"needle/internal/sim"
 	"needle/internal/spec"
 	"needle/internal/tables"
@@ -462,7 +467,11 @@ func BenchmarkStage(b *testing.B) {
 //     instruction cap, arguments and memory image;
 //   - digest is the content digest of a loaded program with a 1024-word
 //     memory image, on a fresh Program each iteration (one allocation of
-//     the row is that Program).
+//     the row is that Program);
+//   - serve is one serve-nir-cold op in process: POST /v1/vet, then POST
+//     /v1/analyze, of the program with an argument no earlier iteration
+//     sent, so every stage misses, on a server with one worker and its
+//     default in-memory store, answered into an httptest recorder.
 func BenchmarkIngest(b *testing.B) {
 	shape := irgen.Config{MaxDepth: 3, MaxStmts: 8, MaxLoopTrip: 24, MemWords: 1024}
 	opts := program.LoadOptions{MemWords: shape.MemWords, Args: []string{"5"}}
@@ -499,6 +508,31 @@ func BenchmarkIngest(b *testing.B) {
 			fresh := &program.Program{Name: p.Name, Suite: p.Suite, F: p.F, Args: p.Args, Memory: p.Memory}
 			if fresh.Digest() != p.Digest() {
 				b.Fatal("digest is not deterministic")
+			}
+		}
+	})
+	// A request body is its program's prefix, the argument, then `"]}`.
+	prefixes := make([]string, len(srcs))
+	for i, src := range srcs {
+		j, err := json.Marshal(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prefixes[i] = fmt.Sprintf(`{"source":%s,"memWords":%d,"args":["`, j, shape.MemWords)
+	}
+	b.Run("serve", func(b *testing.B) {
+		s := serve.New(serve.Config{Jobs: 1})
+		defer s.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			body := prefixes[i%len(prefixes)] + strconv.Itoa(i) + `"]}`
+			for _, path := range []string{"/v1/vet", "/v1/analyze"} {
+				rr := httptest.NewRecorder()
+				s.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+				if rr.Code != http.StatusOK {
+					b.Fatalf("%s: %d %s", path, rr.Code, rr.Body)
+				}
 			}
 		}
 	})

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"needle/internal/ir"
 	"needle/internal/obs"
@@ -464,11 +465,38 @@ func NewPathState(p *Plan, numPaths int64, recordTrace bool) *PathState {
 		recordTrace: recordTrace,
 	}
 	if numPaths > 0 && numPaths <= MaxDensePaths {
-		st.dense = make([]int64, numPaths)
+		st.dense = denseTable(int(numPaths))
 	} else {
 		st.sparse = make(map[int64]int64)
 	}
 	return st
+}
+
+// denseTables holds the dense path-count tables of released states for
+// later ones, so a process that profiles many small programs, as needled
+// does, stops allocating one per capture. MaxDensePaths bounds what one
+// entry retains.
+var denseTables sync.Pool
+
+// denseTable returns a zeroed table of n counts, a released one when the
+// pool's first is long enough.
+func denseTable(n int) []int64 {
+	if t, _ := denseTables.Get().(*[]int64); t != nil && cap(*t) >= n {
+		d := (*t)[:n]
+		clear(d)
+		return d
+	}
+	return make([]int64, n)
+}
+
+// Release hands the state's dense path-count table back for reuse. The
+// state must not run or report its paths afterwards; its block, edge and
+// trace tables stay the caller's.
+func (st *PathState) Release() {
+	if d := st.dense; d != nil {
+		st.dense = nil
+		denseTables.Put(&d)
+	}
 }
 
 // EachPath calls fn for every executed path ID with its frequency.
@@ -560,7 +588,10 @@ func Exec(p *Plan, args, mem []uint64, maxSteps int64) (Result, error) {
 	if bl == nil {
 		bl = zeroOverlay(p)
 	}
-	return RunProfiled(p, bl, args, mem, NewPathState(p, 1, false), PlanOpts{MaxSteps: maxSteps})
+	// The one path slot counts every path, each of ID 0; the state never
+	// leaves the call, so it needs no pooled table.
+	st := &PathState{Blocks: make([]int64, len(p.blocks)), Edges: make([]int64, len(p.edgeFrom)), dense: make([]int64, 1)}
+	return RunProfiled(p, bl, args, mem, st, PlanOpts{MaxSteps: maxSteps})
 }
 
 // zeroOverlay returns a Ball-Larus overlay for p whose every increment and

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode"
 )
 
@@ -31,18 +32,16 @@ import (
 // for the next function, then builds the function from a fixed number of
 // arenas sized by that scan, as ReadFunction does. The names a function
 // keeps are copied into one string it owns, so the result does not keep
-// src alive.
+// src alive. The scratch comes from a pool and goes back to it when Parse
+// returns (see parsers).
 func Parse(src string) (*Module, error) {
-	// Printed text holds about one instruction, two operands and half a
-	// block reference per 24 bytes, and a block per 128; the scratch starts
-	// at that size and grows past it when it must.
-	p := &parser{
-		src:    src,
-		blocks: make([]rawBlock, 0, len(src)/128),
-		instrs: make([]rawInstr, 0, len(src)/24),
-		args:   make([]string, 0, len(src)/12),
-		refs:   make([]string, 0, len(src)/48),
-	}
+	p := newParser(src)
+	defer p.release()
+	return p.module()
+}
+
+// module parses p's whole source.
+func (p *parser) module() (*Module, error) {
 	p.load()
 	m := &Module{}
 	// byName resolves duplicates and call targets in one probe each, where
@@ -81,6 +80,59 @@ func Parse(src string) (*Module, error) {
 	return m, nil
 }
 
+// parsers holds the scratch of finished parses for later ones, so a
+// process that parses many programs, as needled does twice for each one it
+// is sent, stops allocating the raw tables. A parser goes back with every
+// string slot cleared, so the pool never keeps a source alive, and only
+// after a source of at most maxPooledSource bytes, which bounds what the
+// pool retains; nothing Parse returns refers to the scratch.
+var parsers sync.Pool
+
+// maxPooledSource is the longest source whose scratch is kept for reuse:
+// about 0.4 MB of tables at the presize below.
+const maxPooledSource = 64 << 10
+
+// newParser readies a parser for src, on pooled scratch when there is
+// some. Printed text holds about one instruction, two operands and half a
+// block reference per 24 bytes, and a block per 128; fresh scratch starts
+// at that size, and either grows past it when it must.
+func newParser(src string) *parser {
+	if p, _ := parsers.Get().(*parser); p != nil {
+		p.src = src
+		return p
+	}
+	return &parser{
+		src:    src,
+		blocks: make([]rawBlock, 0, len(src)/128),
+		instrs: make([]rawInstr, 0, len(src)/24),
+		args:   make([]string, 0, len(src)/12),
+		refs:   make([]string, 0, len(src)/48),
+	}
+}
+
+// release returns p's scratch to the pool with no string left in it.
+func (p *parser) release() {
+	if len(p.src) > maxPooledSource {
+		return
+	}
+	p.clearScan()
+	clear(p.named)
+	*p = parser{
+		blocks: p.blocks, instrs: p.instrs, args: p.args, refs: p.refs,
+		state: p.state[:0], named: p.named,
+	}
+	parsers.Put(p)
+}
+
+// clearScan empties the scan tables, zeroing the entries they held.
+func (p *parser) clearScan() {
+	clear(p.blocks)
+	clear(p.instrs)
+	clear(p.args)
+	clear(p.refs)
+	p.blocks, p.instrs, p.args, p.refs = p.blocks[:0], p.instrs[:0], p.args[:0], p.refs[:0]
+}
+
 // pendingCall records a call instruction awaiting module-level resolution.
 type pendingCall struct {
 	instr *Instr
@@ -110,6 +162,8 @@ type parser struct {
 	line string // the current line, comment stripped and trimmed
 	eof  bool   // past the last line
 
+	// The scan tables. Every entry past a table's length is zero, so
+	// clearing its length clears every string it holds.
 	blocks []rawBlock
 	instrs []rawInstr
 	args   []string // operand register names of instrs
@@ -211,7 +265,7 @@ func (p *parser) parseFunc(calls *[]pendingCall) (*Function, error) {
 	p.advance()
 
 	// Scan the body into blocks of raw instructions.
-	p.blocks, p.instrs, p.args, p.refs = p.blocks[:0], p.instrs[:0], p.args[:0], p.refs[:0]
+	p.clearScan()
 	for {
 		p.skipBlank()
 		if p.eof {
@@ -418,9 +472,10 @@ func (p *parser) resetRegs(size, nparams, named int) {
 	for r := 1; r <= nparams; r++ {
 		p.state[r] = regPinned
 	}
-	p.named = nil
-	if named > 0 {
+	if p.named == nil && named > 0 {
 		p.named = make(map[string]Reg, named)
+	} else {
+		clear(p.named)
 	}
 	p.next, p.top = Reg(1+nparams), Reg(nparams)
 }
@@ -512,7 +567,6 @@ func (p *parser) scanInstr(line string) error {
 		if len(parts) != 3 {
 			return p.errf("condbr wants 'cond, %%then, %%else'")
 		}
-		p.args = p.args[:ri.arg+1]
 		for _, bp := range parts[1:] {
 			t, berr := parseBlockRef(bp)
 			if berr != nil {
@@ -520,6 +574,8 @@ func (p *parser) scanInstr(line string) error {
 			}
 			p.refs = append(p.refs, t)
 		}
+		clear(parts[1:])
+		p.args = p.args[:ri.arg+1]
 	default:
 		p.args = appendOperands(p.args, operands)
 	}

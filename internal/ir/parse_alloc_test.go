@@ -1,6 +1,7 @@
 package ir_test
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -29,6 +30,37 @@ func TestParseAllocations(t *testing.T) {
 	if allocs > parseAllocsBefore/8 {
 		t.Errorf("Parse allocates %.0f times, want at most %d", allocs, parseAllocsBefore/8)
 	}
+	// Bytes, averaged over many parses so that what other goroutines
+	// allocate meanwhile is spread thin. With its scratch pooled, a parse
+	// of the 4.6 KB program allocates about 23.1 KB, the module and its
+	// arenas; 28.6-31.6 KB under -race, which drops a quarter of what is put
+	// in a pool. Scratch of its own each time, as before the pool, costs
+	// 50.3 KB.
+	if b := bytesPerRun(500, func() {
+		if _, err := ir.Parse(src); err != nil {
+			t.Fatal(err)
+		}
+	}); b > parseBytesBound {
+		t.Errorf("Parse allocates %.0f bytes, want at most %d", b, parseBytesBound)
+	}
+}
+
+// parseBytesBound is TestParseAllocations' bound on the bytes one parse
+// of the 4.6 KB program allocates: its pooled steady state under -race
+// plus its spread there.
+const parseBytesBound = 36 << 10
+
+// bytesPerRun is the mean of the bytes the process allocates across n
+// calls of f, after one call that is not counted.
+func bytesPerRun(n int, f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 }
 
 // TestParseKeepsNoSource: a parsed function's names are its own, so

@@ -45,8 +45,11 @@ type Stats struct {
 // Cache is a set-associative L1 model with LRU replacement backed by a
 // fixed-latency L2.
 type Cache struct {
-	cfg  Config
-	sets [][]line // [set][way]
+	cfg Config
+	// lines holds every set's ways in one table: set s is
+	// lines[s*L1Ways : (s+1)*L1Ways].
+	lines []line
+	nSets int
 	// lineShift/setMask implement the line and set computation by shift and
 	// mask when line size and set count are powers of two (the default
 	// configuration); lineShift < 0 selects the general divide/modulo path.
@@ -61,9 +64,9 @@ type line struct {
 	lru   int64 // last-use tick
 }
 
-// New creates a cache for the given configuration. Zero-valued fields fall
-// back to DefaultConfig entries.
-func New(cfg Config) *Cache {
+// WithDefaults returns cfg with every zero or negative field but L2Words
+// replaced by its DefaultConfig entry: the configuration New models.
+func (cfg Config) WithDefaults() Config {
 	def := DefaultConfig()
 	if cfg.L1Words <= 0 {
 		cfg.L1Words = def.L1Words
@@ -83,19 +86,14 @@ func New(cfg Config) *Cache {
 	if cfg.MemLatency <= 0 {
 		cfg.MemLatency = def.MemLatency
 	}
-	nLines := cfg.L1Words / cfg.L1LineWords
-	nSets := nLines / cfg.L1Ways
-	if nSets < 1 {
-		nSets = 1
-	}
-	// Every set is a window of one arena of lines, cap equal to len.
-	ways := cfg.L1Ways
-	lines := make([]line, nSets*ways)
-	sets := make([][]line, nSets)
-	for i := range sets {
-		sets[i] = lines[i*ways : (i+1)*ways : (i+1)*ways]
-	}
-	c := &Cache{cfg: cfg, sets: sets, lineShift: -1}
+	return cfg
+}
+
+// New creates a cache for cfg.WithDefaults().
+func New(cfg Config) *Cache {
+	cfg = cfg.WithDefaults()
+	nSets := max(cfg.L1Words/cfg.L1LineWords/cfg.L1Ways, 1)
+	c := &Cache{cfg: cfg, lines: make([]line, nSets*cfg.L1Ways), nSets: nSets, lineShift: -1}
 	if isPow2(cfg.L1LineWords) && isPow2(nSets) {
 		c.lineShift = bits.TrailingZeros(uint(cfg.L1LineWords))
 		c.setMask = int64(nSets - 1)
@@ -122,12 +120,13 @@ func (c *Cache) Access(addr int64) int64 {
 		set = int(lineAddr & c.setMask)
 	} else {
 		lineAddr = addr / int64(c.cfg.L1LineWords)
-		set = int(lineAddr % int64(len(c.sets)))
+		set = int(lineAddr % int64(c.nSets))
 		if set < 0 {
 			set = -set
 		}
 	}
-	ways := c.sets[set]
+	n := c.cfg.L1Ways
+	ways := c.lines[set*n : (set+1)*n]
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == lineAddr {
 			c.L1Hits++
@@ -175,9 +174,5 @@ func (c *Cache) HitRate() float64 {
 // Reset clears stats and contents.
 func (c *Cache) Reset() {
 	c.Stats = Stats{}
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = line{}
-		}
-	}
+	clear(c.lines)
 }

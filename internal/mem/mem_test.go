@@ -88,16 +88,48 @@ func TestNegativeAddressDoesNotPanic(t *testing.T) {
 	_ = c.Access(-17)
 }
 
-// TestNewAllocatesOneArena: the sets are windows of one arena of lines, so
-// a new cache costs the same few allocations whatever its set count.
+// TestNewAllocatesOneArena: every set's ways are one stretch of a single
+// arena of lines, so a new cache costs two allocations whatever its set
+// count, and Reset costs none.
 func TestNewAllocatesOneArena(t *testing.T) {
-	if n := testing.AllocsPerRun(10, func() { New(Config{}) }); n > 3 {
-		t.Errorf("New allocates %.0f times, want at most 3 (cache, set table, line arena)", n)
+	if n := testing.AllocsPerRun(10, func() { New(Config{}) }); n > 2 {
+		t.Errorf("New allocates %.0f times, want at most 2 (cache, line arena)", n)
 	}
 	c := New(Config{})
-	for i := range c.sets {
-		if len(c.sets[i]) != cap(c.sets[i]) {
-			t.Fatalf("set %d has capacity %d past its %d ways", i, cap(c.sets[i]), len(c.sets[i]))
+	if want := c.nSets * c.cfg.L1Ways; len(c.lines) != want || c.nSets != 8192/8/4 {
+		t.Fatalf("%d sets in %d lines, want 256 sets in %d", c.nSets, len(c.lines), want)
+	}
+	if n := testing.AllocsPerRun(10, c.Reset); n != 0 {
+		t.Errorf("Reset allocates %.0f times, want 0", n)
+	}
+}
+
+// TestResetMatchesNew: a used cache, once reset, answers an access stream
+// with the latencies and stats of a new one, on the default geometry and
+// on one whose sets are found by divide and modulo.
+func TestResetMatchesNew(t *testing.T) {
+	for _, cfg := range []Config{{}, {L1Words: 96, L1Ways: 3, L1LineWords: 4, L2Words: 700}} {
+		stream := func(c *Cache, seed int64) []int64 {
+			out := make([]int64, 0, 4000)
+			x := seed
+			for range 4000 {
+				x = x*6364136223846793005 + 1442695040888963407
+				out = append(out, c.Access(x>>54))
+			}
+			return out
+		}
+		used := New(cfg)
+		stream(used, 1)
+		used.Reset()
+		fresh := New(cfg)
+		got, want := stream(used, 2), stream(fresh, 2)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%+v: access %d took %d cycles after Reset, %d on a new cache", cfg, i, got[i], want[i])
+			}
+		}
+		if used.Stats != fresh.Stats {
+			t.Fatalf("%+v: stats %+v after Reset, %+v on a new cache", cfg, used.Stats, fresh.Stats)
 		}
 	}
 }

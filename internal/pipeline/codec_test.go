@@ -278,16 +278,31 @@ func TestHugeRunIsRejectedWithoutAllocating(t *testing.T) {
 	}
 	huge := hostileRuns(t, a)[0]
 	_, decode, _ := Codec("profile")
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err = decode(a, huge.payload)
-	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), huge.want) {
-		t.Fatalf("a run of 2^31-2 occurrences decoded with error %v, want one about %s", err, huge.want)
-	}
-	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<10 {
+	n := leastAllocBytes(10, func() {
+		_, err = decode(a, huge.payload)
+		if err == nil || !strings.Contains(err.Error(), huge.want) {
+			t.Fatalf("a run of 2^31-2 occurrences decoded with error %v, want one about %s", err, huge.want)
+		}
+	})
+	if n > 1<<10 {
 		t.Fatalf("rejecting a run of 2^31-2 occurrences allocated %d bytes", n)
 	}
+}
+
+// leastAllocBytes is the fewest bytes the process allocated during one
+// call of f, over n calls each measured on its own. What other goroutines
+// allocate (the race detector's, the runtime's) lands in some windows; it
+// is counted only if it lands in all of them.
+func leastAllocBytes(n int, f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for range n {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 // TestProfileRunsHaveOneCoding: a profile payload whose runs are not the

@@ -140,9 +140,13 @@ func (c *Collector) RunTimed(args, mem []uint64, opts interp.PlanOpts) (interp.R
 }
 
 // Finish decodes and ranks the collected paths into a FunctionProfile, and
-// codes the recorded path trace as runs of one rank. The profile shares
-// the collector's block counts, so the collector must not run again.
-func (c *Collector) Finish() (*FunctionProfile, error) { return c.finish(decodeFloor) }
+// codes the recorded path trace as runs of one rank. It ends the
+// collector: the profile shares its block counts, and its path counts go
+// back for reuse, so it must not run or finish again.
+func (c *Collector) Finish() (*FunctionProfile, error) {
+	defer c.state.Release()
+	return c.finish(decodeFloor)
+}
 
 // decodeFloor is the path records each rankCounts worker must have. A
 // record costs about 1.2 µs to size and decode (186.crafty: 6,897 paths of

@@ -98,15 +98,32 @@ func statusErr(status int, format string, args ...any) error {
 	return &statusError{status, fmt.Errorf(format, args...)}
 }
 
+// bodyBufs holds request-body buffers for reuse. Decoding copies what dst
+// keeps, so no request refers to a buffer once decodeBody returns; a buffer
+// a body grew past maxPooledBody is left to the collector.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody is the largest body buffer kept for reuse, well above the
+// few KiB of a typical inline program.
+const maxPooledBody = 64 << 10
+
 // decodeBody strictly decodes a JSON request body into dst, bounded by the
-// server's body cap. An empty body is accepted when allowEmpty is set (dst
-// is left zero). An over-cap body surfaces as *http.MaxBytesError in the
-// chain, which errorStatus maps to 413; every other failure is a 400.
+// server's body cap. The whole capped body is read before any of it is
+// decoded. An empty body is accepted when allowEmpty is set (dst is left
+// zero). An over-cap body surfaces as *http.MaxBytesError in the chain,
+// which errorStatus maps to 413; every other failure is a 400.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any, allowEmpty bool) error {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodyBufs.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
 		return statusErr(http.StatusBadRequest, "reading request body: %w", err)
 	}
+	body := buf.Bytes()
 	if len(body) == 0 {
 		if allowEmpty {
 			return nil

@@ -286,3 +286,24 @@ func TestEntryPhiFaultParity(t *testing.T) {
 		t.Errorf("error body %q, want error %q", rr.Body.String(), want)
 	}
 }
+
+// TestBodyBuffersAreReused: on one server, a body too large for its buffer
+// to be kept and small ones before and after it decode to the same
+// request, so vet and analyze answer each with the same bytes.
+func TestBodyBuffersAreReused(t *testing.T) {
+	s := New(Config{Jobs: 1})
+	defer s.Close()
+	small := sourceReq(t, analyzeRequest{Source: ingestSrc, Args: []string{"5"}})
+	large := small[:len(small)-1] + strings.Repeat(" \n", maxPooledBody) + "}"
+	for _, path := range []string{"/v1/vet", "/v1/analyze"} {
+		want := doReq(s, http.MethodPost, path, small)
+		if want.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, want.Code, want.Body)
+		}
+		for i, body := range []string{large, small, large, large, small} {
+			if got := doReq(s, http.MethodPost, path, body); got.Code != want.Code || got.Body.String() != want.Body.String() {
+				t.Errorf("%s, request %d (%d bytes): %d %q, want %d %q", path, i, len(body), got.Code, got.Body, want.Code, want.Body)
+			}
+		}
+	}
+}

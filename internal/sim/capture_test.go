@@ -212,3 +212,43 @@ func TestCaptureFastMatchesHookedAllWorkloads(t *testing.T) {
 		assertCaptureEquivalent(t, w, 400)
 	}
 }
+
+// TestCaptureReusesL1Model: captures that alternate two L1 geometries,
+// with a capture cut short by its step bound between good ones, take
+// their L1 models from the pool, and each good one matches a capture on a
+// new model in its packed cycles, run sums, cache stats, baseline cycles
+// and energy.
+func TestCaptureReusesL1Model(t *testing.T) {
+	small := DefaultConfig()
+	small.Mem = mem.Config{L1Words: 1024, L1Ways: 2, L1LineWords: 4}
+	cut := DefaultConfig()
+	cut.MaxSteps = 5000
+	w := workloads.ByName("164.gzip")
+	for i, cfg := range []Config{DefaultConfig(), small, cut, DefaultConfig(), cut, small, DefaultConfig()} {
+		f, args, memory := inlined(t, w, 300)
+		got, err := Capture(nil, f, args, memory, cfg)
+		if cfg.MaxSteps == cut.MaxSteps {
+			if err == nil {
+				t.Fatalf("capture %d: a run bounded to %d steps finished", i, cut.MaxSteps)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("capture %d: %v", i, err)
+		}
+		f, args, memory = inlined(t, w, 300)
+		want, err := captureOn(mem.New(cfg.Mem), nil, f, args, memory, cfg)
+		if err != nil {
+			t.Fatalf("capture %d on a new L1: %v", i, err)
+		}
+		if !bytes.Equal(got.Cycles, want.Cycles) || !slices.Equal(got.RunCycles, want.RunCycles) {
+			t.Errorf("capture %d: packed cycles or run sums differ from a new L1's", i)
+		}
+		if got.CacheStats != want.CacheStats || got.BaselineCycles != want.BaselineCycles ||
+			got.BaselineEnergyPJ != want.BaselineEnergyPJ {
+			t.Errorf("capture %d: stats %+v, %d cycles, %v pJ; a new L1 gives %+v, %d cycles, %v pJ", i,
+				got.CacheStats, got.BaselineCycles, got.BaselineEnergyPJ,
+				want.CacheStats, want.BaselineCycles, want.BaselineEnergyPJ)
+		}
+	}
+}

@@ -135,8 +135,13 @@ type rankHist struct {
 // reading each block's terminator once.
 func rankHists(fp *profile.FunctionProfile) []rankHist {
 	// taken is, by Block.Index, the Index of the taken arm (Blocks[0]) of
-	// the condbr ending the block, or -1 when it ends otherwise.
-	taken := make([]int32, len(fp.F.Blocks))
+	// the condbr ending the block, or -1 when it ends otherwise. It lives on
+	// the stack for a function of up to len(small) blocks.
+	var small [256]int32
+	taken := small[:]
+	if n := len(fp.F.Blocks); n > len(small) {
+		taken = make([]int32, n)
+	}
 	for _, b := range fp.F.Blocks {
 		taken[b.Index] = -1
 		if t := b.Term(); t != nil && t.Op == ir.OpCondBr {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"needle/internal/cgra"
 	"needle/internal/energy"
@@ -167,6 +168,14 @@ type Trace struct {
 // for a one-shot manager); the trace keeps the manager for downstream
 // target evaluation. The capture's spans nest under am.Span().
 func Capture(am *pm.Manager, f *ir.Function, args []uint64, memory []uint64, cfg Config) (*Trace, error) {
+	cache := l1For(cfg.Mem)
+	defer l1s.Put(cache)
+	return captureOn(cache, am, f, args, memory, cfg)
+}
+
+// captureOn is Capture on the modeled host whose L1 is cache, which must be
+// new or reset.
+func captureOn(cache *mem.Cache, am *pm.Manager, f *ir.Function, args []uint64, memory []uint64, cfg Config) (*Trace, error) {
 	am = pm.Ensure(am)
 	sp := am.Span().Child("capture")
 	defer sp.End()
@@ -177,7 +186,6 @@ func Capture(am *pm.Manager, f *ir.Function, args []uint64, memory []uint64, cfg
 	if err != nil {
 		return nil, err
 	}
-	cache := mem.New(cfg.Mem)
 	host := &hostFeed{
 		Model: ooo.New(cfg.OOO, f.NumRegs(), cache),
 		// Cycle deltas take one or two bytes each on the workloads.
@@ -221,6 +229,21 @@ func Capture(am *pm.Manager, f *ir.Function, args []uint64, memory []uint64, cfg
 	obsL1Misses.Add(cache.Stats.L1Misses)
 	obsHostCycles.Add(tr.BaselineCycles)
 	return tr, nil
+}
+
+// l1s holds the L1 models of finished captures for later ones: a new
+// model's line table was a large share of what a small capture allocated.
+// Nothing a capture returns refers to its model.
+var l1s sync.Pool
+
+// l1For returns a reset L1 model of cfg, reused when the pool's first
+// model has the same configuration.
+func l1For(cfg mem.Config) *mem.Cache {
+	if c, _ := l1s.Get().(*mem.Cache); c != nil && c.Config() == cfg.WithDefaults() {
+		c.Reset()
+		return c
+	}
+	return mem.New(cfg)
 }
 
 // hostFeed is Capture's interp.Timing: the host timing model, which takes

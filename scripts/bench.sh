@@ -35,10 +35,11 @@
 # (sim.Capture on the Inline artifact's function: the Profile stage's cold
 # compute), plus profile-decode on 197.parser, the workload whose path
 # trace has the shortest runs of one path. Beside them it records, also
-# ungated, the three BenchmarkIngest
-# rows: parse (ir.Parse), load (program.Load) and digest (Program.Digest)
-# over irgen programs of the shape needled is sent in the benchmark's
-# serve-nir-cold workload. Also ungated, the fourteen BenchmarkAnalysis rows
+# ungated, the four BenchmarkIngest
+# rows: parse (ir.Parse), load (program.Load), digest (Program.Digest) and
+# serve (one in-process vet + analyze op on a one-worker needled, every
+# stage a miss) over irgen programs of the shape needled is sent in the
+# benchmark's serve-nir-cold workload. Also ungated, the fourteen BenchmarkAnalysis rows
 # time the per-function analyses needled recomputes for every program
 # (ballarus, pdom, cdeps, liveness, sccp, memdep, plan, characterize,
 # dominators, loops) and the Target build under them (braids, frame,
@@ -127,7 +128,7 @@ for layer in inline opt-decode profile-decode select-decode select frame target 
     done
 done
 stages="$stages BenchmarkStage/profile-decode/197.parser"
-for step in parse load digest; do
+for step in parse load digest serve; do
     stages="$stages BenchmarkIngest/$step"
 done
 for a in ballarus pdom cdeps liveness sccp memdep plan characterize dominators loops braids frame schedule candidates; do
