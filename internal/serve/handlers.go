@@ -109,9 +109,10 @@ const maxPooledBody = 64 << 10
 
 // decodeBody strictly decodes a JSON request body into dst, bounded by the
 // server's body cap. The whole capped body is read before any of it is
-// decoded. An empty body is accepted when allowEmpty is set (dst is left
-// zero). An over-cap body surfaces as *http.MaxBytesError in the chain,
-// which errorStatus maps to 413; every other failure is a 400.
+// decoded. A body empty but for JSON whitespace is accepted when
+// allowEmpty is set (dst is left zero). An over-cap body surfaces as
+// *http.MaxBytesError in the chain, which errorStatus maps to 413; every
+// other failure is a 400.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any, allowEmpty bool) error {
 	buf := bodyBufs.Get().(*bytes.Buffer)
 	defer func() {
@@ -124,7 +125,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any, all
 		return statusErr(http.StatusBadRequest, "reading request body: %w", err)
 	}
 	body := buf.Bytes()
-	if len(body) == 0 {
+	if len(bytes.TrimLeft(body, " \t\r\n")) == 0 {
 		if allowEmpty {
 			return nil
 		}

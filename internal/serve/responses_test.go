@@ -116,9 +116,9 @@ func TestResponseTable(t *testing.T) {
 		{"analyze over-cap body", http.MethodPost, "/v1/analyze", src(analyzeRequest{Source: ingestSrc + strings.Repeat(";x\n", 8<<10)}), tooLarge("reading request body: http: request body too large")},
 		// The whole capped body is read before any of it is decoded: a
 		// valid object whose trailing whitespace runs past the cap is a
-		// 413, and a body of whitespace alone is the decoder's EOF.
+		// 413, and a body of whitespace alone is an empty one.
 		{"analyze over-cap trailing whitespace", http.MethodPost, "/v1/analyze", `{"workload":"164.gzip"}` + strings.Repeat(" ", 16<<10), tooLarge("reading request body: http: request body too large")},
-		{"analyze whitespace body", http.MethodPost, "/v1/analyze", " \n\t ", badRequest("decoding request: EOF")},
+		{"analyze whitespace body", http.MethodPost, "/v1/analyze", " \n\t ", badRequest("empty request body")},
 		{"analyze over-cap source", http.MethodPost, "/v1/analyze", src(analyzeRequest{Source: "; pad\n" + strings.Repeat("; padding line\n", 300) + ingestSrc}), tooLarge(`program exceeds limits: source is 4724 bytes, cap is 4096`)},
 		{"analyze over-cap instrs", http.MethodPost, "/v1/analyze", src(analyzeRequest{Source: instrBomb.String()}), tooLarge(`program exceeds limits: module has 80 instructions, cap is 64`)},
 		{"analyze over-cap source memory", http.MethodPost, "/v1/analyze", src(analyzeRequest{Source: ingestSrc, MemWords: 1 << 20}), tooLarge(`program exceeds limits: memory image of 1048576 words, cap is 8192`)},
@@ -210,6 +210,11 @@ func TestResponseTableServing(t *testing.T) {
 	checkResponse(t, "analyze draining", doReq(draining, http.MethodPost, "/v1/analyze", `{"workload":"164.gzip"}`), drained)
 	checkResponse(t, "vet draining", doReq(draining, http.MethodPost, "/v1/vet", `{"workload":"164.gzip"}`), drained)
 	checkResponse(t, "sweep draining", doReq(draining, http.MethodPost, "/v1/sweep", `{}`), drained)
+	// A sweep body empty but for whitespace decodes as an empty one does:
+	// the request reaches the queue, and only the drain refuses it.
+	for _, body := range []string{"", " \r\n\t "} {
+		checkResponse(t, fmt.Sprintf("sweep draining, body %q", body), doReq(draining, http.MethodPost, "/v1/sweep", body), drained)
+	}
 	draining.Close()
 
 	slow := New(Config{Jobs: 1})

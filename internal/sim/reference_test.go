@@ -11,6 +11,7 @@ import (
 	"needle/internal/interp"
 	"needle/internal/ir"
 	"needle/internal/irgen"
+	"needle/internal/passes"
 	"needle/internal/profile"
 	"needle/internal/region"
 	"needle/internal/spec"
@@ -406,6 +407,45 @@ func TestReplayMatchesReferenceRandomPrograms(t *testing.T) {
 	}
 	if pairs < 300 {
 		t.Fatalf("only %d (target, predictor) pairs compared", pairs)
+	}
+}
+
+// TestReplayMatchesReferenceCorpus compares the whole-trace rows of the
+// candidate table with the reference on the internal/corpus programs
+// TestReplayMatchesReferenceWorkloads leaves out: the irgen programs of
+// both shapes and the checked-in .nir programs. A program that faults
+// leaves no trace to replay, but at least 150 must replay, so that with
+// the 29 workloads at least 29+150 corpus programs are compared.
+func TestReplayMatchesReferenceCorpus(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxSteps = 1 << 22
+	replayed := 0
+	for _, p := range corpus.Programs(t) {
+		if workloads.ByName(p.Name) != nil {
+			continue
+		}
+		f, err := passes.InlineAll(p.F)
+		if err != nil {
+			t.Fatalf("%s: InlineAll: %v", p.Name, err)
+		}
+		hists, err := hookedHists(f, p.Args, slices.Clone(p.Memory), cfg.MaxSteps)
+		if err != nil {
+			continue
+		}
+		tr, err := Capture(nil, f, p.Args, p.Memory, cfg)
+		if err != nil || len(tr.Profile.Paths) == 0 {
+			continue
+		}
+		for i, r := range candidateTable(t, p.Name, tr, cfg).rows {
+			want := referenceEvaluate(tr, hists, refTargetOf(tr.Profile, r), predictorOf(r.pred, cfg.HistBits), cfg)
+			if !sameResult(*r.result, want) {
+				t.Fatalf("%s, %s: replay differs from reference\n got  %+v\n want %+v", p.Name, rowLabel(i, r), r.result, want)
+			}
+		}
+		replayed++
+	}
+	if replayed < 150 {
+		t.Fatalf("only %d corpus programs besides the workloads replayed", replayed)
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"needle/internal/mem"
 	"needle/internal/obs"
 	"needle/internal/ooo"
-	"needle/internal/par"
 	"needle/internal/pm"
 	"needle/internal/profile"
 	"needle/internal/region"
@@ -423,11 +422,9 @@ type Lane struct {
 // Evaluate replays the captured trace once for every lane, offloading
 // accepted occurrences of each lane's target under its predictor, and
 // returns one result per lane. Lanes share nothing but the trace and
-// per-rank tables, so a lane's result does not depend on the other lanes,
-// and Evaluate splits the lanes across idle Ps (package par) when the
-// trace is long enough to pay for it (replayFloor): the results are
-// identical for any GOMAXPROCS. It panics on a lane whose predictor is of
-// another type than the three Lane names.
+// per-rank tables, so a lane's result does not depend on the other lanes.
+// It panics on a lane whose predictor is of another type than the three
+// Lane names.
 //
 // Consecutive successful invocations pipeline on the resident fabric at the
 // schedule's initiation interval; a failure, a declined invocation, or an
@@ -436,20 +433,6 @@ type Lane struct {
 // the rollback walk and the host's re-execution of the region, per the
 // paper's conservative Section VI-A model.
 func Evaluate(tr *Trace, lanes []Lane, cfg Config) []Result {
-	return evaluate(tr, lanes, cfg, replayFloor)
-}
-
-// replayFloor is the work, in the units predKind.cost counts, each replay
-// worker must have: 2^16 units, at about 2.2 ns each, is 0.14 ms of replay
-// per worker, so a 13-lane candidate table, 48 units per run and per eight
-// occurrences, splits from about 1,400 runs of eight occurrences. Handing
-// a range to a parked P and joining it costs 5–11 µs on a 2-vCPU guest,
-// 1 µs when the P is still awake (BenchmarkRangesHandoff in package par).
-const replayFloor = 1 << 16
-
-// evaluate is Evaluate with the work floor as a parameter, so a test can
-// force one worker or several.
-func evaluate(tr *Trace, lanes []Lane, cfg Config, floor int) []Result {
 	res := make([]Result, len(lanes))
 	for i, l := range lanes {
 		res[i] = Result{
@@ -462,20 +445,7 @@ func evaluate(tr *Trace, lanes []Lane, cfg Config, floor int) []Result {
 		return res
 	}
 	costs, walk := replayTables(tr, lanes, res, cfg)
-	work := 0
-	for i := range walk {
-		work += walk[i].kind.cost()
-	}
-	// The one-worker case has a call of its own: a closure handed to
-	// par.Ranges is heap-allocated whether or not a second worker runs.
-	work *= len(tr.RunCycles) + profile.Occurrences(tr.Profile.Runs)/8
-	if w := par.Workers(work, floor); w == 1 {
-		replay(walk, tr, costs)
-	} else {
-		par.Ranges(len(walk), w, func(_, lo, hi int) {
-			replay(walk[lo:hi], tr, costs)
-		})
-	}
+	replay(walk, tr, costs)
 	for i := range walk {
 		r := &res[i]
 		w := &walk[i]
@@ -601,23 +571,6 @@ const (
 	predOracle
 	predAlways
 )
-
-// cost is what a lane of kind k costs per run of the trace and per eight
-// of its occurrences (a lane pays for each run and, on a success, for
-// every occurrence's energy), in units of about 2.2 ns: medians over the
-// 29 workloads' candidate tables, 2-vCPU guest, Go 1.24, of 4.4 ns for the
-// oracle walk, 7.1 ns for always-invoke, which also prices its failures,
-// and 11 ns for the history walk, which steps its table until each run's
-// entry is stable.
-func (k predKind) cost() int {
-	switch k {
-	case predOracle:
-		return 2
-	case predAlways:
-		return 3
-	}
-	return 5
-}
 
 // laneWalk is one lane's replay state.
 type laneWalk struct {

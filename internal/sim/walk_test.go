@@ -2,8 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -134,14 +132,13 @@ func acrossTiles(k braidRanks) []int32 {
 
 // TestReplayHandBuiltTraces replays hand-built traces over a braid target
 // whose paths fall in every class, and every other candidate of its table,
-// and demands the reference's result for each lane, bit for bit, on one
-// worker and split. The reference reads every occurrence's history from
-// expandHists and its host cycles from the expanded varints. Each trace is
-// replayed with narrow and wide host cycles, and each lane runs under its
-// row's predictor and under a history table trained to decline the history
-// of the trace's first occurrence.
+// and demands the reference's result for each lane, bit for bit. The
+// reference reads every occurrence's history from expandHists and its host
+// cycles from the expanded varints. Each trace is replayed with narrow and
+// wide host cycles, and each lane runs under its row's predictor and under
+// a history table trained to decline the history of the trace's first
+// occurrence.
 func TestReplayHandBuiltTraces(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	cfg := DefaultConfig()
 	tr, c, k := braidWithEveryClass(t, cfg)
 	fp := tr.Profile
@@ -203,21 +200,16 @@ func TestReplayHandBuiltTraces(t *testing.T) {
 				{"trained history", func(row) spec.Predictor { return trainedHistory(cfg.HistBits, hists[0]) }},
 			}
 			for _, p := range preds {
-				lanes := func() []Lane {
-					ls := make([]Lane, len(c.rows))
-					for i, r := range c.rows {
-						ls[i] = Lane{Target: r.target, Pred: p.make(r)}
-					}
-					return ls
+				lanes := make([]Lane, len(c.rows))
+				for i, r := range c.rows {
+					lanes[i] = Lane{Target: r.target, Pred: p.make(r)}
 				}
-				for _, floor := range []int{math.MaxInt, 1} {
-					got := evaluate(ht, lanes(), cfg, floor)
-					for i, r := range c.rows {
-						want := referenceEvaluate(ht, hists, refTargetOf(fp, r), p.make(r), cfg)
-						if !sameResult(got[i], want) {
-							t.Fatalf("%s, cycles %v, %s predictor, floor %d, row %d (kind %d): replay differs from reference\n got  %+v\n want %+v",
-								tc.name, cycles, p.name, floor, i, r.kind, got[i], want)
-						}
+				got := Evaluate(ht, lanes, cfg)
+				for i, r := range c.rows {
+					want := referenceEvaluate(ht, hists, refTargetOf(fp, r), p.make(r), cfg)
+					if !sameResult(got[i], want) {
+						t.Fatalf("%s, cycles %v, %s predictor, row %d (kind %d): replay differs from reference\n got  %+v\n want %+v",
+							tc.name, cycles, p.name, i, r.kind, got[i], want)
 					}
 				}
 			}

@@ -46,13 +46,12 @@
 # schedule, and candidates, all of sim.NewCandidates) on inlined programs
 # of that same shape.
 #
-# A second, ungated run records the two stages one analysis splits across
-# idle Ps, BenchmarkStage/target/186.crafty (the replay's lanes) and
-# BenchmarkStage/profile-decode/186.crafty (rankCounts' two walks), at
-# -cpu 1 and at -cpu 2, so the trajectory shows both the split's gain and
-# what it costs when no second P is free. A third, also ungated, records
-# BenchmarkStage/replay/{164.gzip,186.crafty,197.parser} (Candidates.Replay alone)
-# at -cpu 1. Both run each row 10 times, the split rows at 20 iterations
+# A second, ungated run records the one stage an analysis splits across
+# idle Ps, BenchmarkStage/profile-decode/186.crafty (rankCounts' two
+# walks), at -cpu 1 and at -cpu 2, so the trajectory shows both the
+# split's gain and what it costs when no second P is free. A third, also
+# ungated, records BenchmarkStage/replay/{164.gzip,186.crafty,197.parser}
+# (Candidates.Replay alone) at -cpu 1. Both run each row 10 times, the split rows at 20 iterations
 # and the replay rows at 200, and record its median ns/op with the
 # interquartile range beside it: one run's spread is wider than the effects
 # these rows track.
@@ -79,7 +78,7 @@ benchtime="${BENCH_TIME:-5x}"
 echo "running sweep benchmarks (benchtime $benchtime)..."
 out=$(go test -run '^$' -bench "$benches" -benchtime "$benchtime" -benchmem .)
 echo "$out"
-split_out=$(go test -run '^$' -bench '^BenchmarkStage$/^(target|profile-decode)$/^186\.crafty$' \
+split_out=$(go test -run '^$' -bench '^BenchmarkStage$/^profile-decode$/^186\.crafty$' \
     -benchtime 20x -count 10 -benchmem -cpu 1,2 .)
 echo "$split_out"
 replay_out=$(go test -run '^$' -bench '^BenchmarkStage$/^replay$/' -benchtime 200x -count 10 -benchmem -cpu 1 .)
@@ -210,16 +209,15 @@ done
     echo "  },"
     echo "  \"split_stages\": {"
     first=1
-    for b in BenchmarkStage/target/186.crafty BenchmarkStage/profile-decode/186.crafty; do
-        for cpu in 1 2; do
-            name=$b
-            [ "$cpu" = 1 ] || name="$b-$cpu"
-            row=$(spread_json "$split_out" "$name")
-            [ -z "$row" ] && continue
-            [ "$first" = 1 ] || echo ","
-            first=0
-            printf '    "%s -cpu %s": %s' "$b" "$cpu" "$row"
-        done
+    b=BenchmarkStage/profile-decode/186.crafty
+    for cpu in 1 2; do
+        name=$b
+        [ "$cpu" = 1 ] || name="$b-$cpu"
+        row=$(spread_json "$split_out" "$name")
+        [ -z "$row" ] && continue
+        [ "$first" = 1 ] || echo ","
+        first=0
+        printf '    "%s -cpu %s": %s' "$b" "$cpu" "$row"
     done
     echo ""
     echo "  },"
